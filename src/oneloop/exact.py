@@ -1,9 +1,10 @@
 """Exact arithmetic cores shared across the toolkit.
 
 Provides Gaussian rationals, sparse polynomials with Gaussian-rational
-coefficients, formal quadratic/biquadratic radical rings, and exact
-rational/integer linear solvers.  Everything here refuses floats on input:
-these types exist so that algebraic identities can be checked with no
+coefficients, one formal radical ring Q + Q*sqrt(a) + Q*sqrt(b) + Q*sqrt(ab)
+(with b = 1 it is the quadratic ring Q(sqrt(a))) and its complex form, and
+exact rational/integer linear solvers.  Everything here refuses floats on
+input: these types exist so that algebraic identities can be checked with no
 tolerance at all.
 """
 
@@ -114,6 +115,7 @@ class QI:
         return f"QI({self.re}, {self.im})"
 
 
+_ZERO = Fraction(0)
 QI_ZERO = QI(0)
 QI_ONE = QI(1)
 QI_I = QI(0, 1)
@@ -348,6 +350,11 @@ class Rad:
     sa*sa = a, sb*sb = b, sa*sb = sab, sa*sab = a*sb, sb*sab = b*sa,
     sab*sab = a*b.  No squarefreeness of a, b is assumed; equality is
     componentwise in this formal ring.
+
+    A parameter equal to 1 folds its root into the rational part: with
+    b = 1, sb = 1 and sab = sa, so Rad(d, 1) is the quadratic ring
+    Q(sqrt(d)) carried on (r1, ra) with rb = rab = 0; with a = 1 likewise
+    sa = 1, and Rad(1, 1) is Q.
     """
 
     __slots__ = ("a", "b", "r1", "ra", "rb", "rab")
@@ -355,12 +362,37 @@ class Rad:
     def __init__(self, a, b, r1=0, ra=0, rb=0, rab=0):
         if not (isinstance(a, int) and isinstance(b, int) and a > 0 and b > 0):
             raise ValueError("radical parameters must be positive integers")
+        r1 = as_fraction(r1)
+        ra = as_fraction(ra)
+        rb = as_fraction(rb)
+        rab = as_fraction(rab)
+        if b == 1:
+            r1, ra, rb, rab = r1 + rb, ra + rab, _ZERO, _ZERO
+        if a == 1:
+            r1, rb, ra, rab = r1 + ra, rb + rab, _ZERO, _ZERO
         self.a = a
         self.b = b
-        self.r1 = as_fraction(r1)
-        self.ra = as_fraction(ra)
-        self.rb = as_fraction(rb)
-        self.rab = as_fraction(rab)
+        self.r1 = r1
+        self.ra = ra
+        self.rb = rb
+        self.rab = rab
+
+    def coerce(self, x):
+        """x in this ring: int/Fraction lift, same-ring values pass.
+
+        Floats and values over other radical parameters raise ValueError, so
+        that nothing inexact or from another ring enters an exact solve.
+        """
+        if isinstance(x, Rad):
+            if (x.a, x.b) != (self.a, self.b):
+                raise ValueError("mixed radical parameters")
+            return x
+        if isinstance(x, (int, Fraction)):
+            return Rad(self.a, self.b, x)
+        raise ValueError(
+            f"exact value over Rad[{self.a},{self.b}] required; "
+            f"got {type(x).__name__}"
+        )
 
     def _check(self, other):
         if not isinstance(other, Rad):
@@ -442,6 +474,20 @@ class RadC:
         self.re = re
         self.im = im
 
+    def coerce(self, x):
+        """x in this ring: int/Fraction/QI/Rad lift, same-ring values pass.
+
+        Floats, complex numbers and mixed radical parameters raise
+        ValueError, as in ``Rad.coerce``.
+        """
+        lift = self.re.coerce
+        if isinstance(x, RadC):
+            lift(x.re)  # rejects mixed (a, b)
+            return x
+        if isinstance(x, QI):
+            return RadC(lift(x.re), lift(x.im))
+        return RadC(lift(x))
+
     def __add__(self, other):
         return RadC(self.re + other.re, self.im + other.im)
 
@@ -481,128 +527,6 @@ class RadC:
 
     def __repr__(self):
         return f"RadC({self.re!r}, {self.im!r})"
-
-
-class Quad:
-    """p + q*sqrt(d) with exact rational p, q and a positive integer d.
-
-    d = 1 folds into the rational part (sqrt(1) = 1), so Quad(p, q, 1)
-    normalizes to p + q with no radical component.
-    """
-
-    __slots__ = ("p", "q", "d")
-
-    def __init__(self, p=0, q=0, d=1):
-        if not (isinstance(d, int) and d >= 1):
-            raise ValueError("d must be a positive integer")
-        p = as_fraction(p)
-        q = as_fraction(q)
-        if d == 1 and q != 0:
-            p, q = p + q, Fraction(0)
-        self.p = p
-        self.q = q
-        self.d = d
-
-    def _check(self, other):
-        if not isinstance(other, Quad):
-            raise TypeError("Quad arithmetic requires Quad operands")
-        if self.d != other.d:
-            raise ValueError("mixed radical parameters")
-
-    def __add__(self, other):
-        self._check(other)
-        return Quad(self.p + other.p, self.q + other.q, self.d)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Quad(-self.p, -self.q, self.d)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Quad(self.p * other, self.q * other, self.d)
-        self._check(other)
-        return Quad(self.p * other.p + self.d * self.q * other.q,
-                    self.p * other.q + self.q * other.p, self.d)
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return self.p == 0 and self.q == 0
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Quad(other, 0, self.d)
-        if not isinstance(other, Quad):
-            return NotImplemented
-        return self.d == other.d and self.p == other.p and self.q == other.q
-
-    def __hash__(self):
-        return hash((self.d, self.p, self.q))
-
-    def components(self):
-        return (self.p, self.q)
-
-    def to_float(self):
-        return float(self.p) + float(self.q) * math.sqrt(self.d)
-
-    def __repr__(self):
-        return f"Quad({self.p}, {self.q}, d={self.d})"
-
-
-class QuadC:
-    """Complex number re + i*im with Quad real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=None):
-        if not isinstance(re, Quad):
-            raise TypeError("QuadC requires Quad components")
-        if im is None:
-            im = Quad(0, 0, re.d)
-        self.re = re
-        self.im = im
-
-    def __add__(self, other):
-        return QuadC(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return QuadC(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return QuadC(-self.re, -self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadC(self.re * other, self.im * other)
-        return QuadC(self.re * other.re - self.im * other.im,
-                     self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def conj(self):
-        return QuadC(self.re, -self.im)
-
-    def is_zero(self):
-        return self.re.is_zero() and self.im.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadC):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def components(self):
-        return self.re.components() + self.im.components()
-
-    def to_complex(self):
-        return self.re.to_float() + 1j * self.im.to_float()
-
-    def __repr__(self):
-        return f"QuadC({self.re!r}, {self.im!r})"
 
 
 def solve_rational(matrix, rhs):

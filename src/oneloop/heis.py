@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import QI, Quad, QuadC, Rad, RadC, integer_solution
+from .exact import QI, Rad, RadC, integer_solution
 
 __all__ = [
     "HermForm",
@@ -53,11 +53,10 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# generic helpers over the mixed scalar kinds (complex floats, QI, QuadC, RadC)
+# generic helpers over the mixed scalar kinds (complex floats, QI, RadC)
 # ---------------------------------------------------------------------------
 
-_EXACT_COMPLEX = (QI, QuadC, RadC)
-_EXACT_REAL = (int, Fraction, Quad, Rad)
+_EXACT_COMPLEX = (QI, RadC)
 
 
 def _conj(z):
@@ -73,35 +72,25 @@ def _im_part(z):
 
 
 def _real_to_float(t):
-    if isinstance(t, (Quad, Rad)):
+    if isinstance(t, Rad):
         return t.to_float()
     return float(t)
-
-
-def _lift_real(value, template):
-    """Coerce an int/Fraction into the exact real ring of ``template``."""
-    if isinstance(value, (int, Fraction)):
-        if isinstance(template, Quad):
-            return Quad(value, 0, template.d)
-        if isinstance(template, Rad):
-            return Rad(template.a, template.b, value)
-    return value
 
 
 def _scalar_sum(*values):
     """Add real scalars of possibly mixed kinds.
 
-    Exact kinds (int/Fraction/Quad/Rad) combine exactly, lifting rationals
-    into whichever radical ring appears; any float degrades the sum to float.
+    Exact kinds (int/Fraction/Rad) combine exactly, lifting rationals into
+    whichever radical ring appears; any float degrades the sum to float.
     """
     if any(isinstance(v, float) for v in values):
         return sum(_real_to_float(v) for v in values)
-    template = next((v for v in values if isinstance(v, (Quad, Rad))), None)
+    template = next((v for v in values if isinstance(v, Rad)), None)
     if template is None:
         return sum(values, Fraction(0))
-    total = _lift_real(0, template)
+    total = template.coerce(0)
     for v in values:
-        total = total + _lift_real(v, template)
+        total = total + template.coerce(v)
     return total
 
 
@@ -118,7 +107,7 @@ class HermForm:
 
     h(v, w) = conj(v_1) w_1 - sum_{j>=2} conj(v_j) w_j, antilinear in the
     first slot, and omega = Im(h).  Works uniformly on float-complex and
-    exact (QI / QuadC / RadC) vectors; on exact vectors both h and omega
+    exact (QI / RadC) vectors; on exact vectors both h and omega
     are exact.
     """
 
@@ -147,9 +136,8 @@ class HermForm:
 class HeisPoint:
     """Group element (v, t) with v in C^n and t a real center coordinate.
 
-    Entries of ``v`` may be float complex or exact (QI / QuadC / RadC);
-    ``t`` may be float, int, Fraction, Quad, or Rad.  Exact inputs keep the
-    group law exact.
+    Entries of ``v`` may be float complex or exact (QI / RadC); ``t`` may be
+    float, int, Fraction, or Rad.  Exact inputs keep the group law exact.
     """
 
     v: Tuple
@@ -192,11 +180,12 @@ def heis_inverse(p: HeisPoint) -> HeisPoint:
 class LatticeDescription:
     """A Z-lattice Lambda in C^n together with the center scale it generates.
 
-    ``basis`` is a tuple of C^n vectors with exact entries (all QuadC with a
-    common d, or all RadC with common (a, b)).  ``r`` is the exact positive
-    generator of the value group omega(Lambda x Lambda) = r * Z; the group
-    generated by (basis, 0) inside the Heisenberg group meets the center in
-    (r/2) * Z.  ``labels`` names the basis vectors for tables and JSON.
+    ``basis`` is a tuple of C^n vectors with exact RadC entries over a
+    common (a, b); square-root lattices use b = 1, the ring Q(sqrt(a)).
+    ``r`` is the exact positive generator of the value group
+    omega(Lambda x Lambda) = r * Z; the group generated by (basis, 0) inside
+    the Heisenberg group meets the center in (r/2) * Z.  ``labels`` names
+    the basis vectors for tables and JSON.
     """
 
     n: int
@@ -229,21 +218,23 @@ class LatticeDescription:
 
         Each complex entry contributes ``re`` and ``im`` coefficient arrays
         over the lattice's radical basis: ``[p, q]`` meaning p + q*sqrt(d)
-        for square-root lattices, and four coefficients over
-        {1, sqrt(a), sqrt(b), sqrt(ab)} for quaternionic ones.  Fractions
-        are rendered as exact strings.
+        when the ring is Q(sqrt(d)) (b = 1, radical kind ``sqrt_d``), and
+        four coefficients over {1, sqrt(a), sqrt(b), sqrt(ab)} otherwise.
+        Fractions are rendered as exact strings.
         """
+        a, b = self.r.a, self.r.b
+        width = 2 if b == 1 else 4
+
         def coeffs(real_part):
-            return [str(c) for c in real_part.components()]
+            return [str(c) for c in real_part.components()[:width]]
 
         def entry(z):
             return {"re": coeffs(z.re), "im": coeffs(z.im)}
 
-        sample = self.basis[0][0]
-        if isinstance(sample, QuadC):
-            radical = {"kind": "sqrt_d", "d": sample.re.d}
+        if b == 1:
+            radical = {"kind": "sqrt_d", "d": a}
         else:
-            radical = {"kind": "sqrt_ab", "a": sample.re.a, "b": sample.re.b}
+            radical = {"kind": "sqrt_ab", "a": a, "b": b}
         payload = {
             "n": self.n,
             "radical": radical,
@@ -313,9 +304,9 @@ def lattice_Ld(n: int, d: int) -> LatticeDescription:
     if n < 1:
         raise ValueError("n must be at least 1")
     _validate_d(d)
-    zero = QuadC(Quad(0, 0, d))
-    one = QuadC(Quad(1, 0, d))
-    i_root = QuadC(Quad(0, 0, d), Quad(0, 1, d))
+    zero = RadC(Rad(d, 1))
+    one = RadC(Rad(d, 1, 1))
+    i_root = RadC(Rad(d, 1), Rad(d, 1, 0, 1))
 
     def unit_vector(j, value):
         return tuple(value if k == j else zero for k in range(n))
@@ -326,60 +317,8 @@ def lattice_Ld(n: int, d: int) -> LatticeDescription:
     labels = tuple(f"e{j + 1}" for j in range(n)) + tuple(
         f"sqrt({d})*f{j + 1}" for j in range(n)
     )
-    return LatticeDescription(n=n, basis=basis, r=Quad(0, 1, d), labels=labels)
-
-
-def _lift_complex(entry, template):
-    """Coerce an exact complex scalar into the ring of ``template``.
-
-    Rational-only values (int, Fraction, QI) lift into QuadC/RadC; matching
-    radical rings pass through; floats and mismatched radicals are rejected
-    so that lattice decisions stay exact.
-    """
-    if isinstance(template, QuadC):
-        if isinstance(entry, QuadC):
-            if entry.re.d != template.re.d:
-                raise ValueError("mixed radical parameters in lattice input")
-            return entry
-        d = template.re.d
-        if isinstance(entry, QI):
-            return QuadC(Quad(entry.re, 0, d), Quad(entry.im, 0, d))
-        if isinstance(entry, (int, Fraction)):
-            return QuadC(Quad(entry, 0, d))
-    if isinstance(template, RadC):
-        if isinstance(entry, RadC):
-            if (entry.re.a, entry.re.b) != (template.re.a, template.re.b):
-                raise ValueError("mixed radical parameters in lattice input")
-            return entry
-        a, b = template.re.a, template.re.b
-        if isinstance(entry, QI):
-            return RadC(Rad(a, b, entry.re), Rad(a, b, entry.im))
-        if isinstance(entry, (int, Fraction)):
-            return RadC(Rad(a, b, entry))
-    raise ValueError(
-        "exact coefficients over the lattice's radical are required; "
-        f"got {type(entry).__name__}"
-    )
-
-
-def _lift_center(t, r):
-    if isinstance(r, Quad):
-        if isinstance(t, Quad):
-            if t.d != r.d:
-                raise ValueError("mixed radical parameters in lattice input")
-            return t
-        if isinstance(t, (int, Fraction)):
-            return Quad(t, 0, r.d)
-    if isinstance(r, Rad):
-        if isinstance(t, Rad):
-            if (t.a, t.b) != (r.a, r.b):
-                raise ValueError("mixed radical parameters in lattice input")
-            return t
-        if isinstance(t, (int, Fraction)):
-            return Rad(r.a, r.b, t)
-    raise ValueError(
-        "exact center coordinate over the lattice's radical is required; "
-        f"got {type(t).__name__}"
+    return LatticeDescription(
+        n=n, basis=basis, r=Rad(d, 1, 0, 1), labels=labels
     )
 
 
@@ -395,8 +334,8 @@ def lattice_coordinates(
     if p.n != lattice.n:
         raise ValueError("point dimension does not match the lattice")
     template = lattice.basis[0][0]
-    lifted = [_lift_complex(z, template) for z in p.v]
-    t = _lift_center(p.t, lattice.r)
+    lifted = [template.coerce(z) for z in p.v]
+    t = lattice.r.coerce(p.t)
 
     matrix = []
     rhs = []
@@ -428,22 +367,6 @@ def lattice_contains(lattice: LatticeDescription, p: HeisPoint) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _ring_zero(template):
-    if isinstance(template, QuadC):
-        return QuadC(Quad(0, 0, template.re.d))
-    if isinstance(template, RadC):
-        return RadC(Rad(template.re.a, template.re.b))
-    return QI(0)
-
-
-def _ring_one(template):
-    if isinstance(template, QuadC):
-        return QuadC(Quad(1, 0, template.re.d))
-    if isinstance(template, RadC):
-        return RadC(Rad(template.re.a, template.re.b, 1))
-    return QI(1)
-
-
 def _is_exact_matrix(g) -> bool:
     return (
         isinstance(g, (tuple, list))
@@ -456,8 +379,8 @@ def _is_exact_matrix(g) -> bool:
 def _check_exact_form_preserving(g, n: int) -> None:
     form = HermForm(n)
     template = g[0][0]
-    zero = _ring_zero(template)
-    one = _ring_one(template)
+    zero = template.coerce(0)
+    one = template.coerce(1)
     for j in range(n):
         for k in range(n):
             total = zero
@@ -475,8 +398,8 @@ def _check_exact_form_preserving(g, n: int) -> None:
 def su_action(g, p: HeisPoint) -> HeisPoint:
     """Linear action (g, (v, t)) -> (g v, t) of a form-preserving matrix.
 
-    ``g`` is either an exact matrix (nested tuples/lists of QI / QuadC /
-    RadC entries) or a float/complex array.  Preservation of the Hermitian
+    ``g`` is either an exact matrix (nested tuples/lists of QI or RadC
+    entries) or a float/complex array.  Preservation of the Hermitian
     form is verified exactly in the first case and to 1e-9 in the second;
     a matrix that fails the check is rejected.  Because g preserves h, it
     preserves omega, so the action is a group automorphism fixing the
@@ -488,10 +411,10 @@ def su_action(g, p: HeisPoint) -> HeisPoint:
             raise ValueError("matrix size does not match the point dimension")
         _check_exact_form_preserving(g, n)
         template = g[0][0]
-        lifted = [_lift_complex(z, template) for z in p.v]
+        lifted = [template.coerce(z) for z in p.v]
         gv = []
         for j in range(n):
-            acc = _ring_zero(template)
+            acc = template.coerce(0)
             for k in range(n):
                 acc = acc + g[j][k] * lifted[k]
             gv.append(acc)
@@ -530,14 +453,15 @@ def unipotent_witness(n: int, d: int):
     lattice combination, so g stabilizes the lattice while being unipotent
     and different from the identity.
 
-    Returns (A, g) as n x n nested tuples of exact QuadC entries.
+    Returns (A, g) as n x n nested tuples of exact RadC entries over
+    Q(sqrt(d)), the ring of ``lattice_Ld``.
     """
     if n < 2:
         raise ValueError("a nontrivial isotropic vector needs n >= 2")
     _validate_d(d)
-    zero = QuadC(Quad(0, 0, d))
-    one = QuadC(Quad(1, 0, d))
-    i_root = QuadC(Quad(0, 0, d), Quad(0, 1, d))
+    zero = RadC(Rad(d, 1))
+    one = RadC(Rad(d, 1, 1))
+    i_root = RadC(Rad(d, 1), Rad(d, 1, 0, 1))
     v = tuple(one if j < 2 else zero for j in range(n))
     w = tuple(i_root * vj for vj in v)
     signs = HermForm(n).signs

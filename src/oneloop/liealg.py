@@ -46,12 +46,6 @@ __all__ = [
 ]
 
 
-def _as_qi(x) -> QI:
-    if isinstance(x, QI):
-        return x
-    return QI(x)
-
-
 # ---------------------------------------------------------------------------
 # Matrix block
 # ---------------------------------------------------------------------------
@@ -76,7 +70,7 @@ class MatGl:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "MatGl":
-        return cls(tuple(tuple(_as_qi(e) for e in row) for row in rows))
+        return cls(tuple(tuple(QI.coerce(e) for e in row) for row in rows))
 
     @classmethod
     def zero(cls, n: int) -> "MatGl":
@@ -118,7 +112,7 @@ class MatGl:
         return MatGl(tuple(tuple(-a for a in row) for row in self.entries))
 
     def scale(self, coeff) -> "MatGl":
-        q = _as_qi(coeff)
+        q = QI.coerce(coeff)
         return MatGl(tuple(tuple(q * a for a in row) for row in self.entries))
 
     def __matmul__(self, other: "MatGl") -> "MatGl":
@@ -263,7 +257,7 @@ class SemiDirectElement:
     @classmethod
     def center(cls, n: int, t=1) -> "SemiDirectElement":
         z = tuple(QI(0) for _ in range(n))
-        return cls(MatGl.zero(n), z, z, _as_qi(t))
+        return cls(MatGl.zero(n), z, z, QI.coerce(t))
 
     def __add__(self, other: "SemiDirectElement") -> "SemiDirectElement":
         if other.n != self.n:
@@ -279,7 +273,7 @@ class SemiDirectElement:
         return self.scale(-1)
 
     def scale(self, coeff) -> "SemiDirectElement":
-        q = _as_qi(coeff)
+        q = QI.coerce(coeff)
         return SemiDirectElement(
             self.A.scale(q),
             tuple(q * a for a in self.vE),
@@ -544,7 +538,7 @@ def structure_check(params: ModelParams, t_image_scale=1) -> StructureReport:
     basis = algebra_basis(n)
     images = dict(_alpha_images(n))
     if t_image_scale != 1:
-        images["T"] = images["T"].scale(_as_qi(t_image_scale))
+        images["T"] = images["T"].scale(QI.coerce(t_image_scale))
 
     def alpha_with_images(x: SemiDirectElement) -> PolyVectorField:
         lam, m, s, kappa = gl_decompose(x.A)

@@ -19,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from oneloop.exact import QI, Quad, QuadC
+from oneloop.exact import QI, Rad, RadC
 from oneloop.fields import (
     GeneratorName,
     flow,
@@ -362,11 +362,11 @@ def test_criterion_8_heisenberg_lattices(capsys):
         lattice = lattice_Ld(2, d)
         zero_v = heis_identity(2).v
         for k in range(-3, 4):
-            point = HeisPoint(zero_v, Quad(0, Fraction(k, 2), d))
+            point = HeisPoint(zero_v, Rad(d, 1, 0, Fraction(k, 2)))
             if not lattice_contains(lattice, point):
                 center_ok = False
         for bad in (Fraction(1, 4), Fraction(1, 3)):
-            point = HeisPoint(zero_v, Quad(0, bad, d))
+            point = HeisPoint(zero_v, Rad(d, 1, 0, bad))
             if lattice_contains(lattice, point):
                 center_ok = False
     witness_failures = []
@@ -411,7 +411,7 @@ def _witness_postconditions(n, d):
     if any(a_squared[j][k] != zero for j in range(n) for k in range(n)):
         return False
     form = HermForm(n)
-    one = QuadC(Quad(1, 0, d), Quad(0, 0, d))
+    one = RadC(Rad(d, 1, 1), Rad(d, 1))
     basis = [
         tuple(one if m == j else zero for m in range(n)) for j in range(n)
     ]
@@ -497,18 +497,12 @@ def test_criterion_9_volume(capsys):
         f"(rel err {err:.0%})"
         for n, measured, claimed, err in near_rows
     )
-    fail_note = (
-        " (the measured limit exceeds the asserted constant by exactly the "
-        "factor n+1; characterized in the volume unit suite)"
-        if not near_ok
-        else ""
-    )
     detail = (
         f"volume: quadrature vs closed form ≤ {QUADRATURE_TOL:.0e} rel on 50 "
         f"seeded configs (worst {worst_quadrature:.2e}); tail coefficient "
         f"within 1% at ρ₀=1e3 for n∈{{1,2}}: {tail_ok} (errs "
         f"{tail_errs[0]:.2e}, {tail_errs[1]:.2e}); near-origin slab constant "
-        f"within 1% at ρ₁=1e-3: {near_ok} ({near_note}){fail_note}; density "
+        f"within 1% at ρ₁=1e-3: {near_ok} ({near_note}); density "
         f"bounds on 100-point grid: {bounds_ok}; elapsed {elapsed:.1f}s ≤ 10s"
     )
     _report(capsys, 9, ok, detail)

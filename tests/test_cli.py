@@ -237,6 +237,17 @@ class TestLatticeCommand:
         assert lines[0] == "q0,q1,q2,q3,norm,su11_ok,preserves_gamma2"
         assert len(lines) == 15  # header + 14 norm-one elements
         assert all(line.endswith("true,true") for line in lines[1:])
+        # a = 1 or b = 1 folds that root into the rational part of the
+        # radical ring; the flags must still hold (both configurations also
+        # print a division-algebra warning).
+        for c_exact in ("1:1:3", "1:2:1"):
+            code, out, _ = run_cli(
+                capsys, ["lattice", "--c-exact", c_exact, "--bound", "2"]
+            )
+            assert code == 0
+            lines = out.strip().split("\n")
+            assert len(lines) > 1
+            assert all(line.endswith("true,true") for line in lines[1:])
 
     def test_residue_warning_still_enumerates(self, capsys):
         code, out, err = run_cli(

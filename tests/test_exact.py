@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oneloop.exact import (QI, Poly, Quad, QuadC, Rad, RadC, VarTable,
+from oneloop.exact import (QI, Poly, Rad, RadC, VarTable,
                            as_fraction, frac_gcd, integer_solution,
                            solve_rational)
 
@@ -176,25 +176,74 @@ class TestRad:
 
 
 class TestQuad:
+    """Rad(d, 1) is the quadratic ring Q(sqrt(d)) on its (r1, ra) slots."""
+
     def test_arithmetic(self):
-        x = Quad(1, 2, 5)
-        y = Quad(3, -1, 5)
-        assert x * y == Quad(3 - 10, 6 - 1, 5)
-        assert x + y == Quad(4, 1, 5)
+        x = Rad(5, 1, 1, 2)
+        y = Rad(5, 1, 3, -1)
+        assert x * y == Rad(5, 1, 3 - 10, 6 - 1)
+        assert x + y == Rad(5, 1, 4, 1)
         assert abs(x.to_float() - (1 + 2 * math.sqrt(5))) < 1e-15
 
+    @given(st.integers(2, 7), rationals, rationals, rationals, rationals)
+    @settings(max_examples=60)
+    def test_matches_quadratic_formula(self, d, p, q, p2, q2):
+        x = Rad(d, 1, p, q)
+        y = Rad(d, 1, p2, q2)
+        assert (x * y).components() == (
+            p * p2 + d * q * q2, p * q2 + q * p2, 0, 0)
+        assert (x + y).components() == (p + p2, q + q2, 0, 0)
+
     def test_d1_folds(self):
-        assert Quad(1, 2, 1) == Quad(3, 0, 1)
-        assert Quad(0, 1, 1).components() == (1, 0)
+        assert Rad(1, 1, 1, 2) == Rad(1, 1, 3)
+        assert Rad(1, 1, 0, 1).components() == (1, 0, 0, 0)
+        assert Rad(1, 1, 1, 2, 3, 4).components() == (10, 0, 0, 0)
+
+    def test_unit_parameter_folds(self):
+        # b = 1: sb = 1 and sab = sa; a = 1: sa = 1 and sab = sb.
+        assert Rad(5, 1, 1, 2, 3, 4).components() == (4, 6, 0, 0)
+        assert Rad(1, 3, 1, 2, 3, 4).components() == (3, 0, 7, 0)
+        sb = Rad(1, 3, 0, 0, 1)
+        assert sb * sb == Rad(1, 3, 3)
 
     def test_mixed_d_rejected(self):
         with pytest.raises(ValueError):
-            Quad(1, 0, 2) + Quad(1, 0, 3)
+            Rad(2, 1, 1) + Rad(3, 1, 1)
 
     def test_quadc(self):
-        z = QuadC(Quad(1, 0, 2), Quad(0, 1, 2))   # 1 + i*sqrt(2)
-        assert (z * z.conj()).re == Quad(3, 0, 2)
+        z = RadC(Rad(2, 1, 1), Rad(2, 1, 0, 1))   # 1 + i*sqrt(2)
+        assert (z * z.conj()).re == Rad(2, 1, 3)
         assert (z * z.conj()).im.is_zero()
+
+
+class TestCoerce:
+    def test_rad_lifts_rationals_and_passes_same_ring(self):
+        x = Rad(2, 3, 1, 2, 3, 4)
+        assert x.coerce(x) is x
+        assert x.coerce(3) == Rad(2, 3, 3)
+        assert x.coerce(Fraction(1, 2)) == Rad(2, 3, Fraction(1, 2))
+
+    def test_radc_lifts_rationals_and_gaussians(self):
+        z = RadC(Rad(2, 3, 1), Rad(2, 3, 0, 1))
+        assert z.coerce(z) is z
+        assert z.coerce(2) == RadC(Rad(2, 3, 2))
+        assert z.coerce(QI(1, Fraction(-1, 2))) == RadC(
+            Rad(2, 3, 1), Rad(2, 3, Fraction(-1, 2)))
+
+    @pytest.mark.parametrize("bad", [0.5, 1.5 + 0j])
+    def test_floats_rejected(self, bad):
+        with pytest.raises(ValueError, match="exact"):
+            Rad(2, 3).coerce(bad)
+        with pytest.raises(ValueError, match="exact"):
+            RadC(Rad(2, 3)).coerce(bad)
+
+    def test_mixed_parameters_rejected(self):
+        with pytest.raises(ValueError, match="mixed"):
+            Rad(2, 3).coerce(Rad(2, 5, 1))
+        with pytest.raises(ValueError, match="mixed"):
+            RadC(Rad(2, 3)).coerce(RadC(Rad(3, 2, 1)))
+        with pytest.raises(ValueError, match="mixed"):
+            RadC(Rad(5, 1)).coerce(RadC(Rad(6, 1, 1)))
 
 
 class TestSolvers:

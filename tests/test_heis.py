@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oneloop.exact import QI, Quad, QuadC, Rad, RadC
+from oneloop.exact import QI, Rad, RadC
 from oneloop.heis import (
     HeisLatticePoint,
     HeisPoint,
@@ -44,7 +44,7 @@ def random_heis_point(n, rng):
 
 
 def quadc(d, p_re=0, q_re=0, p_im=0, q_im=0):
-    return QuadC(Quad(p_re, q_re, d), Quad(p_im, q_im, d))
+    return RadC(Rad(d, 1, p_re, q_re), Rad(d, 1, p_im, q_im))
 
 
 def mat_vec(g, v):
@@ -166,10 +166,10 @@ class TestHeisMul:
         x = HeisPoint((quadc(d, 1), quadc(d, 0, 1, 0, 1)), Fraction(1, 3))
         y = HeisPoint((quadc(d, 0, 0, 0, 1), quadc(d, 2)), Fraction(1, 6))
         prod = heis_mul(x, y)
-        assert isinstance(prod.t, Quad)
+        assert isinstance(prod.t, Rad)
         # t1 + t2 = 1/2; the twist is half of Im h(v, v'), exact in Q(sqrt 5).
         half_omega = HermForm(2).omega(x.v, y.v) * Fraction(1, 2)
-        assert prod.t == Quad(Fraction(1, 2), 0, d) + half_omega
+        assert prod.t == Rad(d, 1, Fraction(1, 2)) + half_omega
 
     def test_float_points_multiply_numerically(self):
         x = HeisPoint((0.5 + 1.0j, 0.25j), 0.125)
@@ -189,16 +189,16 @@ class TestLatticeLd:
         lat = lattice_Ld(2, 6)
         assert lat.labels == ("e1", "e2", "sqrt(6)*f1", "sqrt(6)*f2")
         assert lat.rank == 4
-        assert lat.r == Quad(0, 1, 6)
-        assert lat.center_generator() == Quad(0, Fraction(1, 2), 6)
+        assert lat.r == Rad(6, 1, 0, 1)
+        assert lat.center_generator() == Rad(6, 1, 0, Fraction(1, 2))
 
     def test_omega_table_values(self):
         lat = lattice_Ld(2, 6)
         table = lat.omega_table()
         # omega(e_j, sqrt(d) f_j) = +sqrt(d) in the positive slot and
         # -sqrt(d) in the negative ones; every other basis pair is zero.
-        assert table[0][2] == Quad(0, 1, 6)
-        assert table[1][3] == Quad(0, -1, 6)
+        assert table[0][2] == Rad(6, 1, 0, 1)
+        assert table[1][3] == Rad(6, 1, 0, -1)
         nonzero = {(0, 2), (2, 0), (1, 3), (3, 1)}
         for i in range(4):
             for j in range(4):
@@ -220,7 +220,7 @@ class TestLatticeLd:
         # Multiplication by i*sqrt(d) maps every generator into the lattice.
         for n, d in ((2, 6), (2, 5), (3, 2)):
             lat = lattice_Ld(n, d)
-            i_root = QuadC(Quad(0, 0, d), Quad(0, 1, d))
+            i_root = quadc(d, 0, 0, 0, 1)
             for vec in lat.basis:
                 scaled = HeisPoint(tuple(i_root * z for z in vec), Fraction(0))
                 assert lattice_contains(lat, scaled)
@@ -244,7 +244,7 @@ class TestLatticeLd:
 
     @pytest.mark.parametrize("d", [1, 2, 5, 6, 10, 13])
     def test_valid_d_accepted(self, d):
-        assert lattice_Ld(2, d).r == Quad(0, 1, d)
+        assert lattice_Ld(2, d).r == Rad(d, 1, 0, 1)
 
     def test_positive_dimension_required(self):
         with pytest.raises(ValueError):
@@ -262,8 +262,8 @@ class TestLatticeMembership:
     def test_center_membership_is_half_r(self):
         lat = lattice_Ld(2, 6)
         zero_v = (quadc(6), quadc(6))
-        half = HeisPoint(zero_v, Quad(0, Fraction(1, 2), 6))
-        quarter = HeisPoint(zero_v, Quad(0, Fraction(1, 4), 6))
+        half = HeisPoint(zero_v, Rad(6, 1, 0, Fraction(1, 2)))
+        quarter = HeisPoint(zero_v, Rad(6, 1, 0, Fraction(1, 4)))
         assert lattice_contains(lat, half)
         assert not lattice_contains(lat, quarter)
         assert lattice_coordinates(lat, half) == HeisLatticePoint((0, 0, 0, 0), 1)
@@ -338,7 +338,7 @@ class TestSerialization:
 class TestSuAction:
     def test_identity_matrices_fix_points(self):
         lat = lattice_Ld(2, 6)
-        p = HeisPoint((quadc(6, 1), quadc(6, 0, 1)), Quad(0, Fraction(1, 2), 6))
+        p = HeisPoint((quadc(6, 1), quadc(6, 0, 1)), Rad(6, 1, 0, Fraction(1, 2)))
         identity_exact = (
             (quadc(6, 1), quadc(6)),
             (quadc(6), quadc(6, 1)),
@@ -390,6 +390,17 @@ class TestSuAction:
             assert image.t == p.t
             assert lattice_contains(lat, image)
 
+    def test_exact_gaussian_matrix_acts_exactly(self):
+        # diag(i, 1) preserves h with QI entries; the action must stay
+        # exact and agree with the float path.
+        g = ((QI(0, 1), QI(0)), (QI(0), QI(1)))
+        p = HeisPoint((QI(1, 2), QI(0, 1)), Fraction(1, 2))
+        image = su_action(g, p)
+        assert image.v == (QI(-2, 1), QI(0, 1))
+        assert image.t == p.t
+        float_image = su_action(np.array([[1j, 0], [0, 1]]), p)
+        assert np.allclose([z.to_complex() for z in image.v], float_image.v)
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="size"):
             su_action(np.eye(3), HeisPoint((1 + 0j, 0j), 0.0))
@@ -400,8 +411,8 @@ class TestUnipotentWitness:
     @pytest.mark.parametrize("d", [1, 2, 5, 6])
     def test_all_postconditions(self, n, d):
         A, g = unipotent_witness(n, d)
-        zero = QuadC(Quad(0, 0, d))
-        one = QuadC(Quad(1, 0, d))
+        zero = quadc(d)
+        one = quadc(d, 1)
 
         # Nonzero and square-zero, so exp(A) = 1 + A is exact and unipotent.
         assert any(not A[j][k].is_zero() for j in range(n) for k in range(n))
@@ -424,7 +435,7 @@ class TestUnipotentWitness:
 
         # A kills the isotropic pair it was built from.
         v = tuple(one if j < 2 else zero for j in range(n))
-        w = tuple(QuadC(Quad(0, 0, d), Quad(0, 1, d)) * z for z in v)
+        w = tuple(quadc(d, 0, 0, 0, 1) * z for z in v)
         assert all(z.is_zero() for z in mat_vec(A, v))
         assert all(z.is_zero() for z in mat_vec(A, w))
 
@@ -446,8 +457,8 @@ class TestUnipotentWitness:
 
     def test_inverse_relation(self):
         A, g = unipotent_witness(2, 5)
-        one = QuadC(Quad(1, 0, 5))
-        zero = QuadC(Quad(0, 0, 5))
+        one = quadc(5, 1)
+        zero = quadc(5)
         g_inv = tuple(
             tuple((one if j == k else zero) - A[j][k] for k in range(2))
             for j in range(2)
