@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,16 +120,18 @@ class RunConfig:
             raise ConfigError(f"seed must be a 64-bit integer, got {self.seed!r}")
         if not isinstance(self.points, int) or self.points < 1:
             raise ConfigError(f"points must be a positive integer, got {self.points!r}")
-        if self.step <= 0:
-            raise ConfigError(f"step must be positive, got {self.step!r}")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ConfigError(f"step must be positive and finite, got {self.step!r}")
         if not isinstance(self.bound, int) or self.bound < 1:
             raise ConfigError(f"bound must be a positive integer, got {self.bound!r}")
         if self.format is not None and self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
-        if not self.grid or any(r <= 0 for r in self.grid):
-            raise ConfigError("grid must be a nonempty list of positive rho values")
-        if self.vd <= 0:
-            raise ConfigError(f"vd must be positive, got {self.vd!r}")
+        if not self.grid or not all(math.isfinite(r) and r > 0 for r in self.grid):
+            raise ConfigError(
+                "grid must be a nonempty list of positive finite rho values"
+            )
+        if not (math.isfinite(self.vd) and self.vd > 0):
+            raise ConfigError(f"vd must be positive and finite, got {self.vd!r}")
         if self.c_exact is not None:
             lam, a, b = self.c_exact
             if lam < 0:
@@ -271,7 +274,8 @@ def cmd_curvature(config: RunConfig) -> Tuple[str, int]:
         lam, residual = einstein_diagnostic(p, params, step=config.step)
         rows.append({"lambda": lam, "residual": residual})
         lambdas.append(lam)
-        max_residual = max(max_residual, residual)
+        if residual > max_residual or math.isnan(residual):
+            max_residual = residual
     mean_lambda = sum(lambdas) / len(lambdas)
     spread = (max(lambdas) - min(lambdas)) / abs(mean_lambda) if mean_lambda else float("inf")
     all_pass = (

@@ -577,7 +577,8 @@ def killing_residuals(params: ModelParams, points: Sequence[PointBarN],
     """Max relative Killing residual per catalogued real generator.
 
     Returns (ordered dict label -> max over points of |L_F g|_inf / |g|_inf,
-    same quantity for the radial negative control).
+    same quantity for the radial negative control).  A NaN residual at any
+    point makes its maximum NaN, so that no tolerance check passes it.
     """
     catalogue = real_killing_catalogue(params)
     residuals = {label: 0.0 for label, _ in catalogue}
@@ -590,10 +591,10 @@ def killing_residuals(params: ModelParams, points: Sequence[PointBarN],
         for label, F in catalogue:
             L = _lie_derivative_with(F, p, params, D1, g)
             rel = float(np.max(np.abs(L))) / ginf
-            if rel > residuals[label]:
+            if rel > residuals[label] or math.isnan(rel):
                 residuals[label] = rel
         rel_control = float(np.max(np.abs(D1[ix_rho()]))) / ginf
-        if rel_control > control:
+        if rel_control > control or math.isnan(rel_control):
             control = rel_control
     return residuals, control
 

@@ -401,12 +401,15 @@ def su_action(g, p: HeisPoint) -> HeisPoint:
     ``g`` is either an exact matrix (nested tuples/lists of QI or RadC
     entries) or a float/complex array.  Preservation of the Hermitian
     form is verified exactly in the first case and to 1e-9 in the second;
-    a matrix that fails the check is rejected.  Because g preserves h, it
-    preserves omega, so the action is a group automorphism fixing the
-    center.
+    a matrix that fails the check is rejected.  An exact matrix needs an
+    exact point: float or complex coordinates raise ValueError, whatever
+    the matrix's ring.  Because g preserves h, it preserves omega, so the
+    action is a group automorphism fixing the center.
     """
     n = p.n
     if _is_exact_matrix(g):
+        if any(isinstance(z, (float, complex)) for z in (*p.v, p.t)):
+            raise ValueError("an exact matrix acts on exact points")
         if len(g) != n or any(len(row) != n for row in g):
             raise ValueError("matrix size does not match the point dimension")
         _check_exact_form_preserving(g, n)

@@ -2,6 +2,7 @@
 exit-code semantics, and the pinned example outputs."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,24 @@ class TestConfig:
         code, _, err = run_cli(capsys, ["structure", "--n", "0"])
         assert code == 2
         assert "positive integer" in err
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["verify-killing", "--n", "1", "--points", "2", "--step", "nan",
+              "--format", "csv"], "step"),
+            (["curvature", "--n", "1", "--points", "1", "--step", "inf"], "step"),
+            (["volume-table", "--grid", "nan"], "grid"),
+            (["volume-table", "--grid", "1,inf"], "grid"),
+            (["volume-table", "--vd", "inf"], "vd"),
+            (["volume-table", "--vd", "nan"], "vd"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, capsys, args, field):
+        code, out, err = run_cli(capsys, args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field} must be")
 
 
 class TestConfigFile:
@@ -226,6 +245,18 @@ class TestCurvatureCommand:
         assert report["lambda_spread_relative"] <= 1e-4
         assert report["tolerance"] == 1e-4
         assert len(report["rows"]) == 2
+
+    def test_nan_residual_fails_the_run(self, capsys, monkeypatch):
+        # One NaN residual between finite ones must reach the reported maximum.
+        calls = iter([(-6.0, 0.0), (-6.0, float("nan")), (-6.0, 0.0)])
+        monkeypatch.setattr(
+            "oneloop.cli.einstein_diagnostic", lambda p, params, step: next(calls)
+        )
+        code, out, _ = run_cli(capsys, ["curvature", "--n", "1", "--points", "3"])
+        report = json.loads(out)
+        assert code == 1
+        assert report["all_pass"] is False
+        assert math.isnan(report["max_residual"])
 
 
 class TestLatticeCommand:

@@ -341,6 +341,16 @@ class TestKilling:
                 assert res <= 2e-6, f"{label} residual {res}"
         assert control > 1e-2
 
+    def test_nan_residual_fails_every_row(self):
+        # A NaN step makes every Lie derivative NaN; the maxima must carry
+        # the NaN instead of keeping their 0.0 start value.
+        params = ModelParams(1, 1.0)
+        points = seeded_points(params, 2)
+        residuals, control = killing_residuals(params, points, step=float("nan"))
+        assert residuals and all(math.isnan(res) for res in residuals.values())
+        assert not any(res <= 1e-6 for res in residuals.values())
+        assert math.isnan(control)
+
     def test_fiber_translations_miss_by_angle_shear_mismatch(self):
         # Characterization: the V-family is NOT Killing for this metric; its
         # residual is an O(0.1) quantity produced by the factor-two angle

@@ -401,6 +401,20 @@ class TestSuAction:
         float_image = su_action(np.array([[1j, 0], [0, 1]]), p)
         assert np.allclose([z.to_complex() for z in image.v], float_image.v)
 
+    @pytest.mark.parametrize(
+        "identity",
+        [
+            ((QI(1), QI(0)), (QI(0), QI(1))),
+            ((quadc(2, 1), quadc(2)), (quadc(2), quadc(2, 1))),
+        ],
+        ids=["QI", "RadC"],
+    )
+    def test_exact_matrix_rejects_float_point(self, identity):
+        # One error for every exact ring, before any coercion is tried.
+        p = HeisPoint((0.5 + 0j, 0j), 0.0)
+        with pytest.raises(ValueError, match="exact matrix acts on exact points"):
+            su_action(identity, p)
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="size"):
             su_action(np.eye(3), HeisPoint((1 + 0j, 0j), 0.0))

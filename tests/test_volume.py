@@ -2,13 +2,19 @@
 volumes with their quadrature oracles, the asymptotic constants, and the
 density bounds."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oneloop
 from oneloop.geometry import (
     ModelParams,
     PointBarN,
@@ -19,6 +25,7 @@ from oneloop.geometry import (
 )
 from oneloop.volume import (
     VolumePolynomial,
+    _integrate,
     bounds_check,
     density,
     near_zero_constant,
@@ -194,6 +201,61 @@ class TestQuadratureOracle:
                 assert tail_quadrature(r0, params, 1.0) == pytest.approx(
                     tail_closed(r0, params, 1.0), rel=1e-8
                 )
+
+    def test_agrees_with_scipy_quad_at_cli_precision(self):
+        # scipy's QUADPACK quad is the oracle's oracle: at the CLI's 12
+        # significant digits both give the same string wherever quad itself
+        # reports no trouble.
+        integrate = pytest.importorskip("scipy.integrate")
+        rhos = (0.1, 0.3, 1, 2, 4, 7, 100)
+        compared = 0
+        for n, c in itertools.product((1, 2, 3, 4), (0, 0.5, 1, 2.5)):
+            params = ModelParams(n=n, c=c)
+            cases = [(r0, math.inf) for r0 in rhos]
+            cases += list(itertools.combinations(rhos, 2))
+            for lo, hi in cases:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", integrate.IntegrationWarning)
+                    try:
+                        expected, _ = integrate.quad(
+                            lambda rho: density(rho, params), lo, hi,
+                            epsabs=0.0, epsrel=1e-10, limit=200,
+                        )
+                    except integrate.IntegrationWarning:
+                        continue
+                if hi == math.inf:
+                    value = tail_quadrature(lo, params, 1.0)
+                else:
+                    value = slab_quadrature(lo, hi, params, 1.0)
+                assert f"{value:.12g}" == f"{expected:.12g}", (n, c, lo, hi)
+                compared += 1
+        # 448 cases in all; allow quad to flag a few in other versions.
+        assert compared >= 392
+
+    def test_non_integrable_integrand_exhausts_panels(self):
+        with pytest.raises(ValueError, match="200 panels"):
+            _integrate(lambda x: 1.0 / x, 0.0, 1.0)
+
+    def test_nan_integrand_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            _integrate(lambda x: math.nan, 0.0, 1.0)
+
+    def test_cli_never_loads_scipy(self):
+        # The oracle is in-house, so no subcommand pays for importing scipy.
+        script = (
+            "import sys\n"
+            "import oneloop.cli\n"
+            "assert oneloop.cli.main(['volume-table', '--n', '2']) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+        )
+        src = os.path.dirname(os.path.dirname(oneloop.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("rho,density,closed_tail,")
 
 
 class TestAsymptotics:
