@@ -92,6 +92,14 @@ class ConfigError(ValueError):
     """A configuration value failed validation before dispatch."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated inputs of one driver invocation."""
@@ -112,21 +120,29 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if not isinstance(self.n, int) or self.n < 1:
+        for name in ("c", "step", "vd"):
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path, got {self.out!r}")
+        if not _is_int(self.n) or self.n < 1:
             raise ConfigError(f"n must be a positive integer, got {self.n!r}")
         if self.c < 0:
             raise ConfigError(f"c must be nonnegative, got {self.c!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit integer, got {self.seed!r}")
-        if not isinstance(self.points, int) or self.points < 1:
+        if not _is_int(self.points) or self.points < 1:
             raise ConfigError(f"points must be a positive integer, got {self.points!r}")
         if not (math.isfinite(self.step) and self.step > 0):
             raise ConfigError(f"step must be positive and finite, got {self.step!r}")
-        if not isinstance(self.bound, int) or self.bound < 1:
+        if not _is_int(self.bound) or self.bound < 1:
             raise ConfigError(f"bound must be a positive integer, got {self.bound!r}")
         if self.format is not None and self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
-        if not self.grid or not all(math.isfinite(r) and r > 0 for r in self.grid):
+        if not self.grid or not all(
+            _is_number(r) and math.isfinite(r) and r > 0 for r in self.grid
+        ):
             raise ConfigError(
                 "grid must be a nonempty list of positive finite rho values"
             )
@@ -136,7 +152,7 @@ class RunConfig:
             lam, a, b = self.c_exact
             if lam < 0:
                 raise ConfigError("c-exact scaling factor must be nonnegative")
-            if not (isinstance(a, int) and a > 0 and isinstance(b, int) and b > 0):
+            if not (_is_int(a) and a > 0 and _is_int(b) and b > 0):
                 raise ConfigError("c-exact algebra parameters must be positive integers")
 
     @property
@@ -445,18 +461,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> Dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    """The JSON object of a config file, with c_exact and grid parsed.
+
+    Unreadable files and values that cannot be parsed raise ConfigError
+    naming the field; the other fields are checked by RunConfig.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
-    if "c_exact" in data and data["c_exact"] is not None:
-        raw = data["c_exact"]
-        if isinstance(raw, str):
-            data["c_exact"] = _parse_c_exact(raw)
-        else:
-            data["c_exact"] = (Fraction(raw["lam"]), int(raw["a"]), int(raw["b"]))
-    if "grid" in data and data["grid"] is not None:
-        data["grid"] = tuple(float(x) for x in data["grid"])
+    raw = data.get("c_exact")
+    if raw is not None:
+        try:
+            if isinstance(raw, str):
+                data["c_exact"] = _parse_c_exact(raw)
+            else:
+                data["c_exact"] = (Fraction(raw["lam"]), raw["a"], raw["b"])
+        except (argparse.ArgumentTypeError, KeyError, TypeError, ValueError,
+                ZeroDivisionError) as exc:
+            raise ConfigError(f"c_exact must be 'lam:a:b' or an object "
+                              f"with lam, a and b, got {raw!r}") from exc
+    grid = data.get("grid")
+    if grid is not None:
+        if not (isinstance(grid, list) and all(_is_number(r) for r in grid)):
+            raise ConfigError(f"grid must be a list of numbers, got {grid!r}")
+        data["grid"] = tuple(float(r) for r in grid)
     return data
 
 
@@ -474,8 +506,6 @@ def build_config(argv: Sequence[str]) -> RunConfig:
             merged[key] = file_values[key]
         else:
             merged[key] = default
-    if isinstance(merged.get("grid"), list):
-        merged["grid"] = tuple(float(x) for x in merged["grid"])
     config = RunConfig(command=args.command, **merged)
     if config.command in _JSON_ONLY and config.format == "csv":
         raise ConfigError(f"command {config.command!r} reports JSON only")

@@ -6,12 +6,18 @@ coefficients, one formal radical ring Q + Q*sqrt(a) + Q*sqrt(b) + Q*sqrt(ab)
 exact rational/integer linear solvers.  Everything here refuses floats on
 input: these types exist so that algebraic identities can be checked with no
 tolerance at all.
+
+``QI`` and ``Rad`` keep integer numerators over one positive denominator, in
+lowest terms, so their ring operations run on Python ints alone; Fraction
+appears only in their component views and at construction from Fractions.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+_new = object.__new__
 
 
 def as_fraction(x):
@@ -29,14 +35,49 @@ def as_fraction(x):
     raise TypeError(f"exact rational required, got {type(x).__name__}")
 
 
-class QI:
-    """Gaussian rational re + im*i with exact Fraction components."""
+def _rational(x):
+    """x itself if it is an int or a Fraction, else ``as_fraction(x)``."""
+    return x if isinstance(x, (int, Fraction)) else as_fraction(x)
 
-    __slots__ = ("re", "im")
+
+def _lowest(x, y, d):
+    """A QI from integers x/d + (y/d)*i with d > 0, in lowest terms."""
+    if d != 1:
+        g = math.gcd(x, y, d)
+        if g != 1:
+            x //= g
+            y //= g
+            d //= g
+    z = _new(QI)
+    z._x = x
+    z._y = y
+    z._d = d
+    return z
+
+
+class QI:
+    """Gaussian rational (x + y*i)/d with integers x, y and one denominator.
+
+    The stored form is canonical: d > 0 and gcd(x, y, d) = 1, so equality
+    and hashing are componentwise.  ``re`` and ``im`` are Fraction views.
+    """
+
+    __slots__ = ("_x", "_y", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = as_fraction(re)
-        self.im = as_fraction(im)
+        if type(re) is int and type(im) is int:
+            self._x, self._y, self._d = re, im, 1
+            return
+        re = _rational(re)
+        im = _rational(im)
+        q, s = re.denominator, im.denominator
+        d = q * s // math.gcd(q, s)
+        self._x = re.numerator * (d // q)
+        self._y = im.numerator * (d // s)
+        self._d = d
+
+    re = property(lambda self: Fraction(self._x, self._d))
+    im = property(lambda self: Fraction(self._y, self._d))
 
     @staticmethod
     def coerce(x):
@@ -53,69 +94,81 @@ class QI:
         return None
 
     def __add__(self, other):
-        other = QI._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return QI(self.re + other.re, self.im + other.im)
+        if type(other) is not QI:
+            other = QI._try_coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _lowest(self._x + other._x, self._y + other._y, d)
+        return _lowest(self._x * e + other._x * d, self._y * e + other._y * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = QI._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return QI(self.re - other.re, self.im - other.im)
+        if type(other) is not QI:
+            other = QI._try_coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _lowest(self._x - other._x, self._y - other._y, d)
+        return _lowest(self._x * e - other._x * d, self._y * e - other._y * d, d * e)
 
     def __rsub__(self, other):
         return QI.coerce(other) - self
 
     def __mul__(self, other):
-        other = QI._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return QI(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
+        if type(other) is not QI:
+            other = QI._try_coerce(other)
+            if other is None:
+                return NotImplemented
+        x, y, u, v = self._x, self._y, other._x, other._y
+        return _lowest(x * u - y * v, x * v + y * u, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = QI.coerce(other)
-        n2 = other.re * other.re + other.im * other.im
+        u, v = other._x, other._y
+        n2 = u * u + v * v
         if n2 == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return QI((self.re * other.re + self.im * other.im) / n2,
-                  (self.im * other.re - self.re * other.im) / n2)
+        x, y, e = self._x, self._y, other._d
+        return _lowest((x * u + y * v) * e, (y * u - x * v) * e, self._d * n2)
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        return _lowest(-self._x, -self._y, self._d)
 
     def conj(self):
-        return QI(self.re, -self.im)
+        return _lowest(self._x, -self._y, self._d)
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return self._x == 0 and self._y == 0
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QI(other)
-        if not isinstance(other, QI):
+        other = QI._try_coerce(other)
+        if other is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._x == other._x and self._y == other._y and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._x, self._y, self._d))
+
+    def numerators(self):
+        """((x, y), d): the value is (x + y*i) / d."""
+        return (self._x, self._y), self._d
 
     def to_complex(self):
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self._x / self._d, self._y / self._d)
 
     def __repr__(self):
         return f"QI({self.re}, {self.im})"
 
 
-_ZERO = Fraction(0)
 QI_ZERO = QI(0)
 QI_ONE = QI(1)
 QI_I = QI(0, 1)
@@ -343,6 +396,31 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
+def _radical(a, b, n1, na, nb, nab, d):
+    """A Rad from integer numerators over d > 0, in lowest terms.
+
+    The numerators must already carry the a = 1 / b = 1 folds; ring
+    operations on folded operands keep them folded.
+    """
+    if d != 1:
+        g = math.gcd(n1, na, nb, nab, d)
+        if g != 1:
+            n1 //= g
+            na //= g
+            nb //= g
+            nab //= g
+            d //= g
+    x = _new(Rad)
+    x.a = a
+    x.b = b
+    x._n1 = n1
+    x._na = na
+    x._nb = nb
+    x._nab = nab
+    x._d = d
+    return x
+
+
 class Rad:
     """Element of the formal radical ring Q + Q*sa + Q*sb + Q*sab.
 
@@ -355,27 +433,38 @@ class Rad:
     b = 1, sb = 1 and sab = sa, so Rad(d, 1) is the quadratic ring
     Q(sqrt(d)) carried on (r1, ra) with rb = rab = 0; with a = 1 likewise
     sa = 1, and Rad(1, 1) is Q.
+
+    The four coordinates are stored as integer numerators over one
+    denominator d > 0 whose gcd with them is 1, so the stored form is
+    canonical; ``r1``, ``ra``, ``rb``, ``rab`` and ``components()`` are
+    Fraction views.
     """
 
-    __slots__ = ("a", "b", "r1", "ra", "rb", "rab")
+    __slots__ = ("a", "b", "_n1", "_na", "_nb", "_nab", "_d")
 
     def __init__(self, a, b, r1=0, ra=0, rb=0, rab=0):
         if not (isinstance(a, int) and isinstance(b, int) and a > 0 and b > 0):
             raise ValueError("radical parameters must be positive integers")
-        r1 = as_fraction(r1)
-        ra = as_fraction(ra)
-        rb = as_fraction(rb)
-        rab = as_fraction(rab)
+        parts = [_rational(r) for r in (r1, ra, rb, rab)]
+        d = math.lcm(*(r.denominator for r in parts))
+        n1, na, nb, nab = (r.numerator * (d // r.denominator) for r in parts)
         if b == 1:
-            r1, ra, rb, rab = r1 + rb, ra + rab, _ZERO, _ZERO
+            n1, na, nb, nab = n1 + nb, na + nab, 0, 0
         if a == 1:
-            r1, rb, ra, rab = r1 + ra, rb + rab, _ZERO, _ZERO
+            n1, nb, na, nab = n1 + na, nb + nab, 0, 0
+        g = math.gcd(n1, na, nb, nab, d)
         self.a = a
         self.b = b
-        self.r1 = r1
-        self.ra = ra
-        self.rb = rb
-        self.rab = rab
+        self._n1 = n1 // g
+        self._na = na // g
+        self._nb = nb // g
+        self._nab = nab // g
+        self._d = d // g
+
+    r1 = property(lambda self: Fraction(self._n1, self._d))
+    ra = property(lambda self: Fraction(self._na, self._d))
+    rb = property(lambda self: Fraction(self._nb, self._d))
+    rab = property(lambda self: Fraction(self._nab, self._d))
 
     def coerce(self, x):
         """x in this ring: int/Fraction lift, same-ring values pass.
@@ -388,7 +477,7 @@ class Rad:
                 raise ValueError("mixed radical parameters")
             return x
         if isinstance(x, (int, Fraction)):
-            return Rad(self.a, self.b, x)
+            return _radical(self.a, self.b, x.numerator, 0, 0, 0, x.denominator)
         raise ValueError(
             f"exact value over Rad[{self.a},{self.b}] required; "
             f"got {type(x).__name__}"
@@ -402,59 +491,74 @@ class Rad:
 
     def __add__(self, other):
         self._check(other)
-        return Rad(self.a, self.b, self.r1 + other.r1, self.ra + other.ra,
-                   self.rb + other.rb, self.rab + other.rab)
+        d, e = self._d, other._d
+        if d == e:
+            return _radical(self.a, self.b, self._n1 + other._n1, self._na + other._na,
+                            self._nb + other._nb, self._nab + other._nab, d)
+        return _radical(self.a, self.b, self._n1 * e + other._n1 * d,
+                        self._na * e + other._na * d, self._nb * e + other._nb * d,
+                        self._nab * e + other._nab * d, d * e)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Rad(self.a, self.b, -self.r1, -self.ra, -self.rb, -self.rab)
+        return _radical(self.a, self.b, -self._n1, -self._na, -self._nb, -self._nab,
+                        self._d)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Rad and isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
         a, b = self.a, self.b
-        u1, ua, ub, uab = self.r1, self.ra, self.rb, self.rab
-        v1, va, vb, vab = other.r1, other.ra, other.rb, other.rab
-        return Rad(
+        u1, ua, ub, uab = self._n1, self._na, self._nb, self._nab
+        v1, va, vb, vab = other._n1, other._na, other._nb, other._nab
+        return _radical(
             a, b,
             u1 * v1 + a * ua * va + b * ub * vb + a * b * uab * vab,
             u1 * va + ua * v1 + b * (ub * vab + uab * vb),
             u1 * vb + ub * v1 + a * (ua * vab + uab * va),
             u1 * vab + uab * v1 + ua * vb + ub * va,
+            self._d * other._d,
         )
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, k):
-        k = as_fraction(k)
-        return Rad(self.a, self.b, self.r1 * k, self.ra * k, self.rb * k, self.rab * k)
+        k = _rational(k)
+        p = k.numerator
+        return _radical(self.a, self.b, self._n1 * p, self._na * p, self._nb * p,
+                        self._nab * p, self._d * k.denominator)
 
     def is_zero(self):
-        return self.r1 == 0 and self.ra == 0 and self.rb == 0 and self.rab == 0
+        return self._n1 == 0 and self._na == 0 and self._nb == 0 and self._nab == 0
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Rad(self.a, self.b, other)
+            other = self.coerce(other)
         if not isinstance(other, Rad):
             return NotImplemented
-        return (self.a == other.a and self.b == other.b and self.r1 == other.r1
-                and self.ra == other.ra and self.rb == other.rb and self.rab == other.rab)
+        return (self.a == other.a and self.b == other.b and self._d == other._d
+                and self._n1 == other._n1 and self._na == other._na
+                and self._nb == other._nb and self._nab == other._nab)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.r1, self.ra, self.rb, self.rab))
+        return hash((self.a, self.b, self._n1, self._na, self._nb, self._nab, self._d))
 
     def components(self):
         return (self.r1, self.ra, self.rb, self.rab)
 
+    def numerators(self):
+        """((n1, na, nb, nab), d): the components are the n_k / d."""
+        return (self._n1, self._na, self._nb, self._nab), self._d
+
     def to_float(self):
         sa = math.sqrt(self.a)
         sb = math.sqrt(self.b)
-        return (float(self.r1) + float(self.ra) * sa + float(self.rb) * sb
-                + float(self.rab) * sa * sb)
+        d = self._d
+        return (self._n1 / d + self._na / d * sa + self._nb / d * sb
+                + self._nab / d * sa * sb)
 
     def __repr__(self):
         return (f"Rad[{self.a},{self.b}]({self.r1} + {self.ra}*sa"
@@ -470,7 +574,7 @@ class RadC:
         if not isinstance(re, Rad):
             raise TypeError("RadC requires Rad components")
         if im is None:
-            im = Rad(re.a, re.b)
+            im = _radical(re.a, re.b, 0, 0, 0, 0, 1)
         self.re = re
         self.im = im
 
@@ -498,7 +602,7 @@ class RadC:
         return RadC(-self.re, -self.im)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not RadC and isinstance(other, (int, Fraction)):
             return RadC(self.re * other, self.im * other)
         return RadC(self.re * other.re - self.im * other.im,
                     self.re * other.im + self.im * other.re)
@@ -529,6 +633,42 @@ class RadC:
         return f"RadC({self.re!r}, {self.im!r})"
 
 
+def pivot_inverse(matrix):
+    """Pivot rows and the exact inverse of a full-column-rank matrix.
+
+    matrix is m x k (rows of ints/Fractions) with independent columns.
+    Returns (rows, inverse): rows lists k row indices, each the first row
+    independent of the rows before it, and inverse is the k x k inverse of
+    the square submatrix [matrix[i] for i in rows], as Fractions.  Raises
+    ValueError on dependent columns.  This is Gauss-Jordan elimination on
+    [matrix^T | I]: its pivot columns are those rows, and the identity block
+    turns into the inverse of their transpose.
+    """
+    k = len(matrix[0]) if matrix else 0
+    work = [[as_fraction(row[j]) for row in matrix]
+            + [Fraction(int(i == j)) for i in range(k)] for j in range(k)]
+    rows = []
+    for col in range(len(matrix)):
+        r = len(rows)
+        if r == k:
+            break
+        pivot = next((i for i in range(r, k) if work[i][col] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = 1 / work[r][col]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(k):
+            if i != r and work[i][col] != 0:
+                factor = work[i][col]
+                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+        rows.append(col)
+    if len(rows) < k:
+        raise ValueError("linearly dependent columns: no unique solution")
+    m = len(matrix)
+    return rows, [[work[j][m + i] for j in range(k)] for i in range(k)]
+
+
 def solve_rational(matrix, rhs):
     """Solve M x = rhs exactly over the rationals.
 
@@ -537,30 +677,15 @@ def solve_rational(matrix, rhs):
     Returns the unique solution as a list of Fractions, or None if the
     system is inconsistent.  Raises ValueError on dependent columns.
     """
-    rows = [[as_fraction(x) for x in row] + [as_fraction(r)]
-            for row, r in zip(matrix, rhs)]
-    if len(rows) != len(rhs) or (rows and len({len(r) for r in rows}) != 1):
+    rows = [[as_fraction(x) for x in row] for row in matrix]
+    values = [as_fraction(r) for r in rhs]
+    if len(rows) != len(values) or (rows and len({len(r) for r in rows}) != 1):
         raise ValueError("ragged system")
-    ncols = len(rows[0]) - 1 if rows else 0
-    pivot_rows = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("linearly dependent columns: no unique solution")
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivot_rows.append((r, col))
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][-1] != 0:
-            return None
-    return [rows[i][-1] for i, _ in pivot_rows]
+    pivots, inverse = pivot_inverse(rows)
+    x = [sum(w * values[i] for w, i in zip(weights, pivots)) for weights in inverse]
+    if any(sum(m * xj for m, xj in zip(row, x)) != v for row, v in zip(rows, values)):
+        return None
+    return x
 
 
 def integer_solution(matrix, rhs):

@@ -28,13 +28,15 @@ only up-to-sign statements are convention-independent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import QI, Rad, RadC, integer_solution
+from .exact import QI, Rad, RadC, pivot_inverse
 
 __all__ = [
     "HermForm",
@@ -204,6 +206,25 @@ class LatticeDescription:
     def rank(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _coordinate_system(self):
+        """The basis solve of ``lattice_coordinates``, built once per lattice.
+
+        (matrix, mu, rows, solve, delta): the basis vectors' rational
+        coordinates are the columns of matrix / mu, with integer entries;
+        ``rows`` are pivot rows of matrix, and the inverse of that square
+        block is solve / (mu * delta), again with integer entries.
+        """
+        numerators, mu = _numerators(
+            [part for vec in self.basis for part in _real_parts(vec)]
+        )
+        m = len(numerators) // self.rank
+        matrix = [numerators[i::m] for i in range(m)]
+        rows, inverse = pivot_inverse(matrix)
+        delta = math.lcm(*(x.denominator for row in inverse for x in row))
+        solve = [[int(x * delta) * mu for x in row] for row in inverse]
+        return matrix, mu, rows, solve, delta
+
     def center_generator(self):
         """Exact generator r/2 of the center intersection (r/2) * Z."""
         return self.r * Fraction(1, 2)
@@ -322,13 +343,41 @@ def lattice_Ld(n: int, d: int) -> LatticeDescription:
     )
 
 
+def _numerators(values):
+    """Component numerators of Rad values over one common denominator.
+
+    Returns (numerators, den), four integers per value in order, such that
+    the components are numerator / den.
+    """
+    parts = [x.numerators() for x in values]
+    den = math.lcm(*(d for _, d in parts))
+    return [num * (den // d) for nums, d in parts for num in nums], den
+
+
+def _real_parts(vector):
+    return [part for z in vector for part in (z.re, z.im)]
+
+
+def _integer_multiple(x: Rad, unit: Rad) -> Optional[int]:
+    """The integer k with x == k * unit, or None."""
+    (xs, dx), (us, du) = x.numerators(), unit.numerators()
+    p = next((i for i, u in enumerate(us) if u), None)
+    if p is None:
+        raise ValueError("the center scale r must be nonzero")
+    k = xs[p] * du // (us[p] * dx)
+    if any(xi * du != k * ui * dx for xi, ui in zip(xs, us)):
+        return None
+    return k
+
+
 def lattice_coordinates(
     lattice: LatticeDescription, p: HeisPoint
 ) -> Optional[HeisLatticePoint]:
     """Exact lattice coordinates of p, or None when p is not in the lattice.
 
-    The vector part is solved as an integer linear system over the rational
-    coordinates of the radical ring; the center part must be an integer
+    The vector part is an integer linear system over the rational
+    coordinates of the radical ring, solved with the lattice's cached basis
+    inverse and then checked row by row; the center part must be an integer
     multiple of r/2.  Floating-point input is rejected.
     """
     if p.n != lattice.n:
@@ -337,24 +386,21 @@ def lattice_coordinates(
     lifted = [template.coerce(z) for z in p.v]
     t = lattice.r.coerce(p.t)
 
-    matrix = []
-    rhs = []
-    ncomp = len(template.components())
-    for j in range(lattice.n):
-        for comp in range(ncomp):
-            matrix.append([vec[j].components()[comp] for vec in lattice.basis])
-            rhs.append(lifted[j].components()[comp])
-    coords = integer_solution(matrix, rhs)
-    if coords is None:
+    matrix, mu, rows, solve, delta = lattice._coordinate_system
+    rhs, den = _numerators(_real_parts(lifted))
+    # The basis is matrix / mu and v is rhs / den, so the solution is
+    # solve . rhs[rows] / (delta * den).  It is floored here; the row check
+    # then holds only if the floor is the exact, integral solution.
+    coords = [sum(w * rhs[i] for w, i in zip(weights, rows)) // (delta * den)
+              for weights in solve]
+    if any(den * sum(m * x for m, x in zip(row, coords)) != mu * value
+           for row, value in zip(matrix, rhs)):
         return None
 
-    double_t = t * 2
-    center = integer_solution(
-        [[rc] for rc in lattice.r.components()], list(double_t.components())
-    )
+    center = _integer_multiple(t * 2, lattice.r)
     if center is None:
         return None
-    return HeisLatticePoint(tuple(coords), center[0])
+    return HeisLatticePoint(tuple(coords), center)
 
 
 def lattice_contains(lattice: LatticeDescription, p: HeisPoint) -> bool:

@@ -29,6 +29,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 from .geometry import ModelParams
@@ -87,10 +88,13 @@ class VolumePolynomial:
         return total
 
 
+@lru_cache(maxsize=None, typed=True)
 def poly_P(n: int) -> VolumePolynomial:
     """Exact binomial expansion of (1+x)^(n-1) * (1+2x) for n >= 1.
 
-    The coefficient of x^k is C(n-1, k) + 2*C(n-1, k-1).
+    The coefficient of x^k is C(n-1, k) + 2*C(n-1, k-1).  The result is
+    frozen, so it is built once per n: ``density`` asks for it at every
+    quadrature node.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")

@@ -132,6 +132,42 @@ class TestConfigFile:
         # 0 - a - b + ab = 1
         assert len(out.strip().split("\n")) == 11
 
+    @pytest.mark.parametrize("command", [
+        ["verify-killing", "--n", "1", "--points", "2"],
+        ["volume-table"],
+    ])
+    @pytest.mark.parametrize("payload, field", [
+        ({"step": "abc"}, "step"),
+        ({"grid": "1,2"}, "grid"),
+        ({"grid": [1, "2"]}, "grid"),
+        ({"c": [1]}, "c"),
+        ({"vd": True}, "vd"),
+        ({"out": 5}, "out"),
+        ({"c_exact": "1:2"}, "c_exact"),
+        ({"c_exact": {"lam": 1, "a": 2}}, "c_exact"),
+        ({"c_exact": {"lam": 1, "a": 2.7, "b": 3}}, "c-exact algebra parameters"),
+        ({"bound": True}, "bound"),
+        ({"seed": True}, "seed"),
+    ])
+    def test_wrong_type_is_a_config_error(self, capsys, tmp_path, command, payload, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, command + ["--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field} must be")
+
+    @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
+    def test_unreadable_file_is_a_config_error(self, capsys, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run_cli(capsys, ["volume-table", "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestDeterminism:
     def test_same_config_same_bytes(self, capsys):

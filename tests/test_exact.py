@@ -279,3 +279,122 @@ class TestSolvers:
         assert frac_gcd([Fraction(2), Fraction(3)]) == 1
         assert frac_gcd([0, Fraction(0)]) == 0
         assert frac_gcd([Fraction(-4, 6), Fraction(2, 3)]) == Fraction(2, 3)
+
+
+MONOMIALS = ((0, 0), (1, 0), (0, 1), (1, 1))   # 1, sa, sb, sab as (i, j) exponents
+radical_params = st.integers(1, 7)
+quads = st.tuples(rationals, rationals, rationals, rationals)
+
+
+def folded(a, b, coords):
+    """Reference fold of Fraction coordinates: a root equal to 1 joins the rationals."""
+    r1, ra, rb, rab = (Fraction(c) for c in coords)
+    if b == 1:
+        r1, ra, rb, rab = r1 + rb, ra + rab, Fraction(0), Fraction(0)
+    if a == 1:
+        r1, rb, ra, rab = r1 + ra, rb + rab, Fraction(0), Fraction(0)
+    return (r1, ra, rb, rab)
+
+
+def reference_product(a, b, u, v):
+    """Product in Fractions, monomial by monomial: sa^2 = a, sb^2 = b."""
+    out = [Fraction(0)] * 4
+    for (i1, j1), x in zip(MONOMIALS, u):
+        for (i2, j2), y in zip(MONOMIALS, v):
+            i, j = i1 + i2, j1 + j2
+            out[MONOMIALS.index((i % 2, j % 2))] += x * y * a ** (i // 2) * b ** (j // 2)
+    return folded(a, b, out)
+
+
+def assert_canonical(value):
+    nums, d = value.numerators()
+    assert d > 0
+    assert math.gcd(*nums, d) == 1
+    assert all(type(n) is int for n in nums) and type(d) is int
+
+
+class TestIntegerForm:
+    """QI and Rad hold integer numerators over one denominator, in lowest terms."""
+
+    @given(rationals, rationals, rationals, rationals, rationals)
+    @settings(max_examples=80)
+    def test_qi_matches_fraction_reference(self, p, q, r, s, k):
+        x, y = QI(p, q), QI(r, s)
+        cases = {
+            "add": (x + y, (p + r, q + s)),
+            "sub": (x - y, (p - r, q - s)),
+            "mul": (x * y, (p * r - q * s, p * s + q * r)),
+            "neg": (-x, (-p, -q)),
+            "conj": (x.conj(), (p, -q)),
+            "scale": (x * k, (p * k, q * k)),
+            "rscale": (k * x, (p * k, q * k)),
+        }
+        for name, (value, (re, im)) in cases.items():
+            assert (value.re, value.im) == (re, im), name
+            assert_canonical(value)
+            assert value == QI(re, im), name
+            assert hash(value) == hash(QI(re, im)), name
+            assert value.to_complex() == complex(float(re), float(im)), name
+
+    @given(radical_params, radical_params, quads, quads, rationals)
+    @settings(max_examples=120)
+    def test_rad_matches_fraction_reference(self, a, b, u, v, k):
+        x, y = Rad(a, b, *u), Rad(a, b, *v)
+        fu, fv = folded(a, b, u), folded(a, b, v)
+        cases = {
+            "init": (x, fu),
+            "add": (x + y, tuple(s + t for s, t in zip(fu, fv))),
+            "sub": (x - y, tuple(s - t for s, t in zip(fu, fv))),
+            "mul": (x * y, reference_product(a, b, fu, fv)),
+            "neg": (-x, tuple(-s for s in fu)),
+            "scale": (x.scale(k), tuple(s * k for s in fu)),
+            "rscale": (k * x, tuple(s * k for s in fu)),
+        }
+        for name, (value, expected) in cases.items():
+            assert value.components() == expected, name
+            assert_canonical(value)
+            assert value == Rad(a, b, *expected), name
+            assert hash(value) == hash(Rad(a, b, *expected)), name
+            assert value.is_zero() == (expected == (0, 0, 0, 0)), name
+
+    @given(radical_params, radical_params, quads, st.integers(1, 12))
+    @settings(max_examples=60)
+    def test_equal_values_hash_equal(self, a, b, u, m):
+        x = Rad(a, b, *u)
+        # the same value with every coordinate written over an unreduced denominator
+        y = Rad(a, b, *(Fraction(c.numerator * m, c.denominator * m) for c in u))
+        assert x == y and hash(x) == hash(y)
+        z = (x * Rad(a, b, m)).scale(Fraction(1, m))
+        assert z == x and hash(z) == hash(x)
+        g = QI(u[0], u[1])
+        h = (g * m) * QI(Fraction(1, m))
+        assert h == g and hash(h) == hash(g)
+
+    def test_views_are_fractions(self):
+        z = QI(Fraction(3, 4), 2) * QI(1, Fraction(-1, 6))
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+        x = Rad(2, 3, Fraction(1, 2), 3, 0, Fraction(-5, 6)) * Rad(2, 3, 1, 1)
+        assert all(type(c) is Fraction for c in x.components())
+        assert all(type(c) is Fraction for c in (x.r1, x.ra, x.rb, x.rab))
+        assert all(type(c) is Fraction for c in RadC(x, x).components())
+
+    def test_ring_operations_build_no_fraction(self, monkeypatch):
+        x, y = QI(Fraction(3, 4), -2), QI(Fraction(-1, 6), 5)
+        r, s = Rad(2, 5, Fraction(1, 2), 3, -1, 4), Rad(2, 5, 1, Fraction(2, 3), 0, 1)
+        z, w = RadC(r, s), RadC(s, r)
+        k = Fraction(5, 7)
+        built = []
+        original = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        for _ in range(3):
+            x + y, x - y, x * y, -x, x.conj(), x * k, 3 * x, x == y, x.is_zero()
+            x.to_complex(), x == k, hash(x)
+            r + s, r - s, r * s, -r, r.scale(k), r * 3, r == s, r.is_zero(), r == k
+            r.to_float(), hash(r)
+            z + w, z - w, z * w, -z, z.conj(), z * 2, z == w, z.to_complex()
+        assert built == []

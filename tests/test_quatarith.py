@@ -7,11 +7,13 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from oneloop.exact import QI, Rad, RadC
-from oneloop.heis import HeisPoint, lattice_contains, lattice_coordinates
+from oneloop.exact import QI, Rad, RadC, integer_solution
+from oneloop.heis import (HeisLatticePoint, HeisPoint, lattice_Ld, lattice_contains,
+                          lattice_coordinates)
 from oneloop.quatarith import (
     CompatibleDeformation,
     QuatInt,
@@ -52,6 +54,32 @@ def mat_mul2(x, y):
 
 def rad(params, r1=0, ra=0, rb=0, rab=0):
     return Rad(params.a, params.b, r1, ra, rb, rab)
+
+
+def scan_norm_one(params, bound):
+    """The exhaustive (2B+1)^4 scan, kept as the oracle of the O(B^3) search."""
+    rng = range(-bound, bound + 1)
+    return [QuatInt(*q, params) for q in product(rng, rng, rng, rng)
+            if reduced_norm(QuatInt(*q, params)) == 1]
+
+
+def solve_uncached(lattice, p):
+    """Lattice coordinates from a fresh Fraction solve of the full system."""
+    template = lattice.basis[0][0]
+    lifted = [template.coerce(z) for z in p.v]
+    ncomp = len(template.components())
+    matrix, rhs = [], []
+    for j in range(lattice.n):
+        for comp in range(ncomp):
+            matrix.append([vec[j].components()[comp] for vec in lattice.basis])
+            rhs.append(lifted[j].components()[comp])
+    coords = integer_solution(matrix, rhs)
+    double_t = lattice.r.coerce(p.t) * 2
+    center = integer_solution([[rc] for rc in lattice.r.components()],
+                              list(double_t.components()))
+    if coords is None or center is None:
+        return None
+    return HeisLatticePoint(tuple(coords), center[0])
 
 
 class TestParams:
@@ -200,6 +228,13 @@ class TestEnumerateNormOne:
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             enumerate_norm_one(P23, 0)
+
+    @pytest.mark.parametrize("a, b", [(2, 3), (2, 5), (3, 7), (4, 7), (1, 3), (2, 1),
+                                      (1, 1)])
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    def test_matches_exhaustive_scan(self, a, b, bound):
+        params = QuatParams(a, b)
+        assert enumerate_norm_one(params, bound) == scan_norm_one(params, bound)
 
 
 class TestEmbedMatrix:
@@ -389,6 +424,35 @@ class TestPreservesGamma2:
     def test_norm_precondition(self):
         with pytest.raises(ValueError, match="norm-one"):
             preserves_gamma2(quat(0, 0, 1, 0))
+
+    @pytest.mark.parametrize("name", ["gamma2-2-3", "gamma2-4-7", "gamma2-1-3", "Ld-2-5",
+                                      "Ld-3-2"])
+    def test_cached_solve_agrees_with_uncached(self, name):
+        kind, x, y = name.split("-")
+        if kind == "gamma2":
+            lattice = gamma2_basis(QuatParams(int(x), int(y)))
+        else:
+            lattice = lattice_Ld(int(x), int(y))
+        rng = random.Random(53)
+        tweaks = [Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(2)]
+        members = 0
+        for _ in range(40):
+            coords = [rng.randrange(-4, 5) for _ in range(lattice.rank)]
+            vec = [z * 0 for z in lattice.basis[0]]
+            for c, bvec in zip(coords, lattice.basis):
+                vec = [acc + z * c for acc, z in zip(vec, bvec)]
+            # shift one basis coefficient and one rational entry part by
+            # rationals that may be zero or integral, so some points stay in
+            k, j = rng.randrange(lattice.rank), rng.randrange(lattice.n)
+            shift = rng.choice(tweaks)
+            vec = [acc + z * shift for acc, z in zip(vec, lattice.basis[k])]
+            vec[j] = vec[j] + vec[j].coerce(rng.choice(tweaks))
+            t = lattice.r * Fraction(rng.randrange(-6, 7), rng.choice([1, 2, 4]))
+            point = HeisPoint(tuple(vec), t)
+            expected = solve_uncached(lattice, point)
+            assert lattice_coordinates(lattice, point) == expected
+            members += expected is not None
+        assert 0 < members < 40
 
     @pytest.mark.parametrize("params", [P23, P37, P25])
     def test_exhaustive_over_enumeration(self, params):

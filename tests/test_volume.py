@@ -84,6 +84,12 @@ class TestVolumePolynomial:
         with pytest.raises(ValueError):
             VolumePolynomial(n=2, coefficients=(1, -3, 2))
 
+    def test_built_once_per_n(self):
+        assert poly_P(3) is poly_P(3)
+        # the cache is typed: an equal float never borrows the int's entry
+        with pytest.raises(ValueError):
+            poly_P(3.0)
+
 
 class TestDensity:
     def test_undeformed_at_unit_rho(self):
