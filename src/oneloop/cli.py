@@ -478,10 +478,12 @@ def _load_config_file(path: str) -> Dict:
         try:
             if isinstance(raw, str):
                 data["c_exact"] = _parse_c_exact(raw)
+            elif isinstance(raw["lam"], bool):
+                raise TypeError("lam must be a rational, not a boolean")
             else:
                 data["c_exact"] = (Fraction(raw["lam"]), raw["a"], raw["b"])
         except (argparse.ArgumentTypeError, KeyError, TypeError, ValueError,
-                ZeroDivisionError) as exc:
+                ArithmeticError) as exc:
             raise ConfigError(f"c_exact must be 'lam:a:b' or an object "
                               f"with lam, a and b, got {raw!r}") from exc
     grid = data.get("grid")

@@ -158,10 +158,6 @@ class QI:
     def __hash__(self):
         return hash((self._x, self._y, self._d))
 
-    def numerators(self):
-        """((x, y), d): the value is (x + y*i) / d."""
-        return (self._x, self._y), self._d
-
     def to_complex(self):
         return complex(self._x / self._d, self._y / self._d)
 
@@ -396,11 +392,12 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-def _radical(a, b, n1, na, nb, nab, d):
+def _radical(a, b, n1, na, nb, nab, d, x=None):
     """A Rad from integer numerators over d > 0, in lowest terms.
 
     The numerators must already carry the a = 1 / b = 1 folds; ring
-    operations on folded operands keep them folded.
+    operations on folded operands keep them folded.  ``x`` is filled in
+    place of a new Rad when given.
     """
     if d != 1:
         g = math.gcd(n1, na, nb, nab, d)
@@ -410,7 +407,8 @@ def _radical(a, b, n1, na, nb, nab, d):
             nb //= g
             nab //= g
             d //= g
-    x = _new(Rad)
+    if x is None:
+        x = _new(Rad)
     x.a = a
     x.b = b
     x._n1 = n1
@@ -452,14 +450,7 @@ class Rad:
             n1, na, nb, nab = n1 + nb, na + nab, 0, 0
         if a == 1:
             n1, nb, na, nab = n1 + na, nb + nab, 0, 0
-        g = math.gcd(n1, na, nb, nab, d)
-        self.a = a
-        self.b = b
-        self._n1 = n1 // g
-        self._na = na // g
-        self._nb = nb // g
-        self._nab = nab // g
-        self._d = d // g
+        _radical(a, b, n1, na, nb, nab, d, self)
 
     r1 = property(lambda self: Fraction(self._n1, self._d))
     ra = property(lambda self: Fraction(self._na, self._d))

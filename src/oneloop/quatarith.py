@@ -161,28 +161,18 @@ def is_nonresidue(a: int, b: int) -> bool:
 def enumerate_norm_one(params: QuatParams, bound: int) -> List[QuatInt]:
     """All integral quaternions of reduced norm 1 with max |q_i| <= bound.
 
-    Results come in lexicographic (q0, q1, q2, q3) order, so they are
-    deterministic.  The norm equation fixes q3 up to sign once (q0, q1, q2)
-    is chosen: a*b*q3^2 = 1 - q0^2 + a*q1^2 + b*q2^2, solved with an
-    integer square root, so the scan visits (2*bound + 1)^3 triples rather
-    than every candidate quaternion.
+    Exhaustive scan in lexicographic (q0, q1, q2, q3) order, so results are
+    deterministic; the scan partitions trivially over q0 if parallelized,
+    with the same merged order.
     """
     if not (isinstance(bound, int) and bound >= 1):
         raise ValueError("bound must be a positive integer")
-    a, b = params.a, params.b
-    ab = a * b
     rng = range(-bound, bound + 1)
     found = []
-    for q0, q1, q2 in product(rng, rng, rng):
-        rest = 1 - q0 * q0 + a * q1 * q1 + b * q2 * q2
-        if rest < 0 or rest % ab:
-            continue
-        square = rest // ab
-        r = math.isqrt(square)
-        if r * r != square or r > bound:
-            continue
-        for q3 in ((-r, r) if r else (0,)):
-            found.append(QuatInt(q0, q1, q2, q3, params))
+    for q0, q1, q2, q3 in product(rng, rng, rng, rng):
+        q = QuatInt(q0, q1, q2, q3, params)
+        if reduced_norm(q) == 1:
+            found.append(q)
     return found
 
 

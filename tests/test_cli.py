@@ -146,6 +146,8 @@ class TestConfigFile:
         ({"c_exact": "1:2"}, "c_exact"),
         ({"c_exact": {"lam": 1, "a": 2}}, "c_exact"),
         ({"c_exact": {"lam": 1, "a": 2.7, "b": 3}}, "c-exact algebra parameters"),
+        ({"c_exact": {"lam": float("inf"), "a": 2, "b": 3}}, "c_exact"),
+        ({"c_exact": {"lam": True, "a": 2, "b": 3}}, "c_exact"),
         ({"bound": True}, "bound"),
         ({"seed": True}, "seed"),
     ])

@@ -307,7 +307,11 @@ def reference_product(a, b, u, v):
 
 
 def assert_canonical(value):
-    nums, d = value.numerators()
+    """The stored numerators and denominator are integers in lowest terms."""
+    if isinstance(value, QI):
+        nums, d = (value._x, value._y), value._d
+    else:
+        nums, d = value.numerators()
     assert d > 0
     assert math.gcd(*nums, d) == 1
     assert all(type(n) is int for n in nums) and type(d) is int

@@ -56,11 +56,23 @@ def rad(params, r1=0, ra=0, rb=0, rab=0):
     return Rad(params.a, params.b, r1, ra, rb, rab)
 
 
-def scan_norm_one(params, bound):
-    """The exhaustive (2B+1)^4 scan, kept as the oracle of the O(B^3) search."""
+def search_norm_one(params, bound):
+    """Norm-one quaternions by solving a*b*q3^2 = 1 - q0^2 + a*q1^2 + b*q2^2.
+
+    An independent route to the (2B+1)^4 scan: one integer square root per
+    (q0, q1, q2), emitting -q3 before +q3, so lexicographic order holds.
+    """
+    a, b = params.a, params.b
     rng = range(-bound, bound + 1)
-    return [QuatInt(*q, params) for q in product(rng, rng, rng, rng)
-            if reduced_norm(QuatInt(*q, params)) == 1]
+    found = []
+    for q0, q1, q2 in product(rng, rng, rng):
+        rest = 1 - q0 * q0 + a * q1 * q1 + b * q2 * q2
+        if rest < 0 or rest % (a * b):
+            continue
+        r = math.isqrt(rest // (a * b))
+        if r * r == rest // (a * b) and r <= bound:
+            found += [QuatInt(q0, q1, q2, q3, params) for q3 in sorted({-r, r})]
+    return found
 
 
 def solve_uncached(lattice, p):
@@ -232,9 +244,9 @@ class TestEnumerateNormOne:
     @pytest.mark.parametrize("a, b", [(2, 3), (2, 5), (3, 7), (4, 7), (1, 3), (2, 1),
                                       (1, 1)])
     @pytest.mark.parametrize("bound", [1, 2, 3, 4])
-    def test_matches_exhaustive_scan(self, a, b, bound):
+    def test_matches_isqrt_search(self, a, b, bound):
         params = QuatParams(a, b)
-        assert enumerate_norm_one(params, bound) == scan_norm_one(params, bound)
+        assert enumerate_norm_one(params, bound) == search_norm_one(params, bound)
 
 
 class TestEmbedMatrix:
