@@ -2,6 +2,7 @@
 
 Modules:
     exact      exact arithmetic (Gaussian rationals, polynomials, radical rings)
+    params     the model parameters (n, c), without numpy
     geometry   the metric family, Gram matrices, determinants, FD curvature
     fields     polynomial Killing fields, brackets, flows, stabilizer
     liealg     exact matrix model of the isometry algebra and center lattices
@@ -9,6 +10,11 @@ Modules:
     quatarith  quaternion algebras over Q and their norm-one lattices
     volume     fiber volume density, closed-form and quadrature volumes
     cli        batch driver with deterministic machine-readable reports
+
+Only geometry and fields import numpy. The CLI and liealg import them inside
+the functions that need them (verify-killing, curvature, and structure through
+fields), so importing the package and running center, lattice or
+volume-table never loads numpy.
 """
 
 __version__ = "0.1.0"

@@ -36,18 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fields import killing_residuals
-from .geometry import ModelParams, einstein_diagnostic, seeded_points
-from .liealg import (
-    f_generator,
-    fprime_generator,
-    ker_cap_su,
-    kernel_generators,
-    kernel_generators_n1,
-    structure_check,
-)
-from .quatarith import QuatParams, c_compatible, is_nonresidue, norm_one_csv
-from .volume import volume_table_csv
+from .params import ModelParams
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
@@ -158,6 +147,8 @@ class RunConfig:
     @property
     def effective_c(self) -> float:
         if self.c_exact is not None:
+            from .quatarith import QuatParams, c_compatible
+
             lam, a, b = self.c_exact
             return c_compatible(QuatParams(a, b), lam).c
         return self.c
@@ -187,10 +178,17 @@ def _json_text(report: Dict) -> str:
 
 # ---------------------------------------------------------------------------
 # commands: each returns (output text, exit code)
+#
+# Each command imports the modules it needs inside its body, so a process
+# compiles and loads only its own suite; above all, numpy (through fields and
+# geometry) loads only for the float commands and for structure.
 # ---------------------------------------------------------------------------
 
 
 def cmd_verify_killing(config: RunConfig) -> Tuple[str, int]:
+    from .fields import killing_residuals
+    from .geometry import seeded_points
+
     params = ModelParams(n=config.n, c=config.effective_c)
     points = seeded_points(params, config.points, seed=config.seed)
     residuals, control = killing_residuals(params, points, step=config.step)
@@ -236,6 +234,8 @@ def cmd_verify_killing(config: RunConfig) -> Tuple[str, int]:
 
 
 def cmd_structure(config: RunConfig) -> Tuple[str, int]:
+    from .liealg import structure_check
+
     params = ModelParams(n=config.n, c=config.effective_c)
     report = structure_check(params)
     payload = {
@@ -254,6 +254,14 @@ def _center_entry(vector, n1: bool) -> Dict:
 
 
 def cmd_center(config: RunConfig) -> Tuple[str, int]:
+    from .liealg import (
+        f_generator,
+        fprime_generator,
+        ker_cap_su,
+        kernel_generators,
+        kernel_generators_n1,
+    )
+
     n = config.n
     positive_c = config.effective_c > 0
     n1 = n == 1
@@ -281,6 +289,8 @@ def cmd_center(config: RunConfig) -> Tuple[str, int]:
 
 
 def cmd_curvature(config: RunConfig) -> Tuple[str, int]:
+    from .geometry import einstein_diagnostic, seeded_points
+
     params = ModelParams(n=config.n, c=config.effective_c)
     points = seeded_points(params, config.points, seed=config.seed)
     rows = []
@@ -313,6 +323,8 @@ def cmd_curvature(config: RunConfig) -> Tuple[str, int]:
 
 
 def cmd_lattice(config: RunConfig) -> Tuple[str, int]:
+    from .quatarith import QuatParams, is_nonresidue, norm_one_csv
+
     lam, a, b = config.c_exact if config.c_exact is not None else (Fraction(1), 2, 3)
     warning = None
     try:
@@ -362,6 +374,8 @@ def cmd_lattice(config: RunConfig) -> Tuple[str, int]:
 
 
 def cmd_volume_table(config: RunConfig) -> Tuple[str, int]:
+    from .volume import volume_table_csv
+
     params = ModelParams(n=config.n, c=config.effective_c)
     csv_text = volume_table_csv(config.grid, params, config.vd)
     if config.effective_format == "json":

@@ -374,20 +374,22 @@ def bracket(F: PolyVectorField, G: PolyVectorField) -> PolyVectorField:
     """
     F._check(G)
     nv = 4 * F.n - 1
+    # Only the nonzero variable-direction components can contribute.
+    F_nonzero = [(j, Fj) for j, Fj in enumerate(F.comps[: nv - 1]) if Fj]
+    G_nonzero = [(j, Gj) for j, Gj in enumerate(G.comps[: nv - 1]) if Gj]
     comps = []
-    for i in range(nv):
+    for Fi, Gi in zip(F.comps, G.comps):
         acc = Poly.zero(nv)
-        Fi = F.comps[i]
-        Gi = G.comps[i]
-        for j in range(nv - 1):
-            if F.comps[j] and Gi:
+        if Gi:
+            for j, Fj in F_nonzero:
                 d = Gi.diff(j)
                 if d:
-                    acc = acc + F.comps[j] * d
-            if G.comps[j] and Fi:
+                    acc = acc + Fj * d
+        if Fi:
+            for j, Gj in G_nonzero:
                 d = Fi.diff(j)
                 if d:
-                    acc = acc - G.comps[j] * d
+                    acc = acc - Gj * d
         comps.append(acc)
     out = PolyVectorField(F.n, comps)
     vt = VarTable(F.n)

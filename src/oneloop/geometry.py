@@ -20,21 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Dimension index n (manifold dimension 4n) and deformation parameter c >= 0."""
-
-    n: int
-    c: float = 0.0
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        c = float(self.c)
-        if not np.isfinite(c) or c < 0:
-            raise ValueError(f"c must be a finite non-negative real, got {self.c!r}")
-        object.__setattr__(self, "c", c)
+from .params import ModelParams  # noqa: F401 -- re-exported, defined without numpy
 
 
 @dataclass(frozen=True)

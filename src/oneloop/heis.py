@@ -34,8 +34,6 @@ from functools import cached_property
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .exact import QI, Rad, RadC, pivot_inverse
 
 __all__ = [
@@ -414,12 +412,12 @@ def lattice_contains(lattice: LatticeDescription, p: HeisPoint) -> bool:
 
 
 def _is_exact_matrix(g) -> bool:
-    return (
-        isinstance(g, (tuple, list))
-        and len(g) > 0
-        and isinstance(g[0], (tuple, list))
-        and isinstance(g[0][0], _EXACT_COMPLEX)
-    )
+    """Nested tuples/lists whose entries are all QI, or all RadC."""
+    if not (isinstance(g, (tuple, list)) and g
+            and all(isinstance(row, (tuple, list)) and row for row in g)):
+        return False
+    kind = type(g[0][0])
+    return kind in _EXACT_COMPLEX and all(type(z) is kind for row in g for z in row)
 
 
 def _check_exact_form_preserving(g, n: int) -> None:
@@ -444,46 +442,31 @@ def _check_exact_form_preserving(g, n: int) -> None:
 def su_action(g, p: HeisPoint) -> HeisPoint:
     """Linear action (g, (v, t)) -> (g v, t) of a form-preserving matrix.
 
-    ``g`` is either an exact matrix (nested tuples/lists of QI or RadC
-    entries) or a float/complex array.  Preservation of the Hermitian
-    form is verified exactly in the first case and to 1e-9 in the second;
-    a matrix that fails the check is rejected.  An exact matrix needs an
-    exact point: float or complex coordinates raise ValueError, whatever
-    the matrix's ring.  Because g preserves h, it preserves omega, so the
-    action is a group automorphism fixing the center.
+    ``g`` is an exact matrix (nested tuples/lists of QI or RadC entries);
+    anything else, such as a float or complex array, raises ValueError.
+    Preservation of the Hermitian form is verified exactly, and a matrix
+    that fails the check is rejected.  The point must be exact too: float
+    or complex coordinates raise ValueError, whatever the matrix's ring.
+    Because g preserves h, it preserves omega, so the action is a group
+    automorphism fixing the center.
     """
     n = p.n
-    if _is_exact_matrix(g):
-        if any(isinstance(z, (float, complex)) for z in (*p.v, p.t)):
-            raise ValueError("an exact matrix acts on exact points")
-        if len(g) != n or any(len(row) != n for row in g):
-            raise ValueError("matrix size does not match the point dimension")
-        _check_exact_form_preserving(g, n)
-        template = g[0][0]
-        lifted = [template.coerce(z) for z in p.v]
-        gv = []
-        for j in range(n):
-            acc = template.coerce(0)
-            for k in range(n):
-                acc = acc + g[j][k] * lifted[k]
-            gv.append(acc)
-        return HeisPoint(tuple(gv), p.t)
-
-    G = np.asarray(g, dtype=complex)
-    if G.shape != (n, n):
+    if not _is_exact_matrix(g):
+        raise ValueError("su_action needs an exact matrix of QI or RadC entries")
+    if any(isinstance(z, (float, complex)) for z in (*p.v, p.t)):
+        raise ValueError("an exact matrix acts on exact points")
+    if len(g) != n or any(len(row) != n for row in g):
         raise ValueError("matrix size does not match the point dimension")
-    signs = np.array((1.0,) + (-1.0,) * (n - 1), dtype=complex)
-    H = np.diag(signs)
-    deviation = np.max(np.abs(G.conj().T @ H @ G - H))
-    if deviation > 1e-9:
-        raise ValueError(
-            "matrix does not preserve the Hermitian form "
-            f"(max deviation {deviation:.3e})"
-        )
-    vec = np.array([complex(z) if not isinstance(z, _EXACT_COMPLEX) else z.to_complex()
-                    for z in p.v])
-    gv = G @ vec
-    return HeisPoint(tuple(complex(z) for z in gv), p.t)
+    _check_exact_form_preserving(g, n)
+    template = g[0][0]
+    lifted = [template.coerce(z) for z in p.v]
+    gv = []
+    for j in range(n):
+        acc = template.coerce(0)
+        for k in range(n):
+            acc = acc + g[j][k] * lifted[k]
+        gv.append(acc)
+    return HeisPoint(tuple(gv), p.t)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .exact import QI, QI_I
-from .fields import GeneratorName, PolyVectorField, bracket, generator
-from .geometry import ModelParams
+from .params import ModelParams
+
+# fields loads numpy, so the functions that need it import it when called:
+# the center-lattice calculator runs without numpy.
+if TYPE_CHECKING:
+    from .fields import PolyVectorField
 
 __all__ = [
     "MatGl",
@@ -451,6 +455,8 @@ def gl_decompose(
 @lru_cache(maxsize=None)
 def _alpha_images(n: int) -> Dict[str, PolyVectorField]:
     """Vector-field images of the algebra basis (c kept symbolic)."""
+    from .fields import GeneratorName, generator
+
     params = ModelParams(n=n, c=0.0)
     images: Dict[str, PolyVectorField] = {
         "C": generator(GeneratorName.YC(), params),
@@ -478,6 +484,8 @@ def alpha(x: SemiDirectElement, params: ModelParams) -> PolyVectorField:
     and Ebar_k to the fiber translations, T to the angle translation.  The
     bracket check is anti-equivariant: [alpha(x), alpha(y)] = -alpha([x, y]).
     """
+    from .fields import PolyVectorField
+
     n = x.n
     if n != params.n:
         raise ValueError("size mismatch with params")
@@ -534,6 +542,8 @@ def structure_check(params: ModelParams, t_image_scale=1) -> StructureReport:
     generator; any value other than 1 is a fault injection that must be
     reported as mismatches (it validates that the checker can fail).
     """
+    from .fields import PolyVectorField, bracket
+
     n = params.n
     basis = algebra_basis(n)
     images = dict(_alpha_images(n))

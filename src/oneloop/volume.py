@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Tuple
 
-from .geometry import ModelParams
+from .params import ModelParams
 
 __all__ = [
     "VolumePolynomial",

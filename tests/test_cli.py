@@ -288,7 +288,7 @@ class TestCurvatureCommand:
         # One NaN residual between finite ones must reach the reported maximum.
         calls = iter([(-6.0, 0.0), (-6.0, float("nan")), (-6.0, 0.0)])
         monkeypatch.setattr(
-            "oneloop.cli.einstein_diagnostic", lambda p, params, step: next(calls)
+            "oneloop.geometry.einstein_diagnostic", lambda p, params, step: next(calls)
         )
         code, out, _ = run_cli(capsys, ["curvature", "--n", "1", "--points", "3"])
         report = json.loads(out)

@@ -192,7 +192,39 @@ class TestReality:
             assert F.real_chart_vector(p, params.c)[ix_rho()] == 0.0
 
 
+def dense_bracket(F, G):
+    """The bracket's defining double loop over every (i, j): the oracle."""
+    nv = 4 * F.n - 1
+    comps = []
+    for i in range(nv):
+        acc = Poly.zero(nv)
+        for j in range(nv - 1):
+            acc = acc + F.comps[j] * G.comps[i].diff(j)
+            acc = acc - G.comps[j] * F.comps[i].diff(j)
+        comps.append(acc)
+    return PolyVectorField(F.n, comps)
+
+
+def bracket_catalogue(params):
+    """The real Killing catalogue plus the complex shears and translations."""
+    fields = [field for _, field in real_killing_catalogue(params)]
+    for a in range(1, params.n):
+        fields.append(generator(GeneratorName.Ya(a), params))
+        fields.append(generator(GeneratorName.YaBar(a), params))
+    for k in range(params.n):
+        fields.append(generator(GeneratorName.Vk(k), params))
+        fields.append(generator(GeneratorName.VkBar(k), params))
+    return fields
+
+
 class TestBracket:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sparse_bracket_matches_dense_oracle(self, n):
+        fields = bracket_catalogue(ModelParams(n=n, c=1.0))
+        for F in fields:
+            for G in fields:
+                assert bracket(F, G) == dense_bracket(F, G)
+
     def test_yc_with_vk_gives_i_vk(self):
         params = ModelParams(n=3, c=0.5)
         YC = generator(GeneratorName.YC(), params)

@@ -198,9 +198,21 @@ class TestRicci:
             lam, residual = einstein_diagnostic(p, params, step=1e-3)
             assert residual <= 1e-4
             assert lam < 0
+            assert abs(lam + 6.0) <= 1e-6 * 6.0
             assert np.max(np.abs(ric - lam * g)) <= 1e-4 * np.max(np.abs(g))
             lams.append(lam)
         assert abs(lams[0] - lams[1]) <= 1e-4 * abs(lams[0])
+
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    @pytest.mark.parametrize("n, count", [(2, 2), (3, 1)])
+    def test_einstein_constant_higher_n(self, n, count, c):
+        # lambda = -2(n+2); one ricci_fd per point keeps n = 3 affordable.
+        params = ModelParams(n, c)
+        expected = -2.0 * (n + 2)
+        for p in seeded_points(params, count, seed=5):
+            lam, residual = einstein_diagnostic(p, params, step=1e-3)
+            assert residual <= 1e-4
+            assert abs(lam - expected) <= 1e-6 * abs(expected)
 
     def test_stencil_range_error(self):
         p = PointBarN(X=(), w=(0,), phi_tilde=0.0, rho=1e-5)

@@ -345,27 +345,34 @@ class TestSuAction:
         )
         out = su_action(identity_exact, p)
         assert out.v == p.v and out.t == p.t
-        out_float = su_action(np.eye(2), HeisPoint((1 + 2j, 0.5), 0.25))
-        assert out_float.v[0] == pytest.approx(1 + 2j)
-        assert out_float.t == 0.25
 
     def test_float_boost_preserves_omega(self):
-        t = 0.7
-        g = np.array(
-            [[np.cosh(t), np.sinh(t)], [np.sinh(t), np.cosh(t)]], dtype=complex
+        # The boost with cosh t = 5/4, sinh t = 3/4 is exact over QI, so
+        # omega is preserved exactly (the float boost path is gone).
+        g = (
+            (QI(Fraction(5, 4)), QI(Fraction(3, 4))),
+            (QI(Fraction(3, 4)), QI(Fraction(5, 4))),
         )
         rng = random.Random(31)
         form = HermForm(2)
         for _ in range(5):
-            v = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2))
-            w = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2))
-            gv = su_action(g, HeisPoint(v, 0.0)).v
-            gw = su_action(g, HeisPoint(w, 0.0)).v
-            assert abs(form.omega(gv, gw) - form.omega(v, w)) <= 1e-12
+            v = random_qi_vector(2, rng)
+            w = random_qi_vector(2, rng)
+            gv = su_action(g, HeisPoint(v, Fraction(0))).v
+            gw = su_action(g, HeisPoint(w, Fraction(0))).v
+            assert form.omega(gv, gw) == form.omega(v, w)
 
     def test_non_preserving_float_matrix_rejected(self):
-        with pytest.raises(ValueError, match="preserve"):
-            su_action(2.0 * np.eye(2), HeisPoint((1 + 0j, 0j), 0.0))
+        # Any non-exact matrix, form-preserving or not, gets one error.
+        p = HeisPoint((QI(1), QI(0)), Fraction(0))
+        for g in (
+            np.eye(2),
+            2.0 * np.eye(2),
+            [[1.0, 0.0], [0.0, 1.0]],
+            ((QI(1), 0.0), (QI(0), QI(1))),
+        ):
+            with pytest.raises(ValueError, match="needs an exact matrix"):
+                su_action(g, p)
 
     def test_non_preserving_exact_matrix_rejected(self):
         doubled = (
@@ -391,15 +398,12 @@ class TestSuAction:
             assert lattice_contains(lat, image)
 
     def test_exact_gaussian_matrix_acts_exactly(self):
-        # diag(i, 1) preserves h with QI entries; the action must stay
-        # exact and agree with the float path.
+        # diag(i, 1) preserves h with QI entries; the action must stay exact.
         g = ((QI(0, 1), QI(0)), (QI(0), QI(1)))
         p = HeisPoint((QI(1, 2), QI(0, 1)), Fraction(1, 2))
         image = su_action(g, p)
         assert image.v == (QI(-2, 1), QI(0, 1))
         assert image.t == p.t
-        float_image = su_action(np.array([[1j, 0], [0, 1]]), p)
-        assert np.allclose([z.to_complex() for z in image.v], float_image.v)
 
     @pytest.mark.parametrize(
         "identity",
@@ -416,8 +420,11 @@ class TestSuAction:
             su_action(identity, p)
 
     def test_size_mismatch_rejected(self):
+        identity3 = tuple(
+            tuple(QI(1 if j == k else 0) for k in range(3)) for j in range(3)
+        )
         with pytest.raises(ValueError, match="size"):
-            su_action(np.eye(3), HeisPoint((1 + 0j, 0j), 0.0))
+            su_action(identity3, HeisPoint((QI(1), QI(0)), Fraction(0)))
 
 
 class TestUnipotentWitness:

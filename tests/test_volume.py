@@ -263,6 +263,31 @@ class TestQuadratureOracle:
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("rho,density,closed_tail,")
 
+    def test_exact_commands_never_load_numpy(self):
+        # Only the float commands (verify-killing, curvature) and structure
+        # import numpy, and import alone loads no suite; the last line shows
+        # the check can fail.
+        script = (
+            "import contextlib, io, sys\n"
+            "import oneloop.cli\n"
+            "suites = {'numpy', 'oneloop.liealg', 'oneloop.quatarith', 'oneloop.volume'}\n"
+            "assert not suites & set(sys.modules)\n"
+            "for argv in (['center', '--n', '2'], ['lattice', '--bound', '2'],\n"
+            "             ['volume-table', '--n', '1']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert oneloop.cli.main(argv) == 0, argv\n"
+            "    assert 'numpy' not in sys.modules, argv\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    oneloop.cli.main(['verify-killing', '--n', '1', '--points', '1'])\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        src = os.path.dirname(os.path.dirname(oneloop.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+
 
 class TestAsymptotics:
     @pytest.mark.parametrize("n", [1, 2])
