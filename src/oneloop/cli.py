@@ -21,6 +21,8 @@ configuration, so identical configurations (including the seed) produce
 byte-identical output.  The process exit status is 0 exactly when every
 check in the invoked suite passes; table generators exit 0 when all row
 flags verify (lattice) or unconditionally on success (volume-table).
+Invalid input and an ``--out`` path that cannot be written exit 2, with
+nothing on stdout.
 
 Configuration may come from flags or from a JSON file (``--config``) whose
 keys match the flag names with underscores; explicit flags win.
@@ -32,9 +34,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .params import ModelParams
 
@@ -43,39 +45,6 @@ __all__ = ["RunConfig", "ConfigError", "main"]
 KILLING_TOLERANCE = 1e-6
 CONTROL_THRESHOLD = 1e-2
 EINSTEIN_TOLERANCE = 1e-4
-
-_COMMANDS = (
-    "verify-killing",
-    "structure",
-    "center",
-    "curvature",
-    "lattice",
-    "volume-table",
-)
-
-_DEFAULT_FORMAT = {
-    "verify-killing": "json",
-    "structure": "json",
-    "center": "json",
-    "curvature": "json",
-    "lattice": "csv",
-    "volume-table": "csv",
-}
-
-_DEFAULTS = {
-    "n": 2,
-    "c": 1.0,
-    "c_exact": None,
-    "seed": 42,
-    "points": 20,
-    "step": 1e-3,
-    "bound": 3,
-    "out": None,
-    "format": None,
-    "grid": (1.0, 2.0, 4.0),
-    "vd": 1.0,
-}
-
 
 class ConfigError(ValueError):
     """A configuration value failed validation before dispatch."""
@@ -155,7 +124,7 @@ class RunConfig:
 
     @property
     def effective_format(self) -> str:
-        return self.format or _DEFAULT_FORMAT[self.command]
+        return self.format or _COMMANDS[self.command][1][0]
 
     def echo(self) -> Dict:
         """The numeric configuration, embedded in every report."""
@@ -170,6 +139,10 @@ class RunConfig:
             lam, a, b = self.c_exact
             payload["c_exact"] = {"lam": str(lam), "a": a, "b": b}
         return payload
+
+
+# Each default is written once, on the dataclass field.
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
 
 
 def _json_text(report: Dict) -> str:
@@ -398,16 +371,15 @@ def cmd_volume_table(config: RunConfig) -> Tuple[str, int]:
     return text, 0
 
 
-_DISPATCH = {
-    "verify-killing": cmd_verify_killing,
-    "structure": cmd_structure,
-    "center": cmd_center,
-    "curvature": cmd_curvature,
-    "lattice": cmd_lattice,
-    "volume-table": cmd_volume_table,
+# name: (handler, formats it reports in, default first)
+_COMMANDS = {
+    "verify-killing": (cmd_verify_killing, ("json", "csv")),
+    "structure": (cmd_structure, ("json",)),
+    "center": (cmd_center, ("json",)),
+    "curvature": (cmd_curvature, ("json",)),
+    "lattice": (cmd_lattice, ("csv", "json")),
+    "volume-table": (cmd_volume_table, ("csv", "json")),
 }
-
-_JSON_ONLY = {"structure", "center", "curvature"}
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +495,11 @@ def build_config(argv: Sequence[str]) -> RunConfig:
         else:
             merged[key] = default
     config = RunConfig(command=args.command, **merged)
-    if config.command in _JSON_ONLY and config.format == "csv":
-        raise ConfigError(f"command {config.command!r} reports JSON only")
+    formats = _COMMANDS[config.command][1]
+    if config.format is not None and config.format not in formats:
+        raise ConfigError(
+            f"command {config.command!r} reports {'/'.join(formats).upper()} only"
+        )
     return config
 
 
@@ -535,14 +510,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        text, code = _DISPATCH[config.command](config)
+        text, code = _COMMANDS[config.command][0](config)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(text)
     if config.out is not None:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {config.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
+    sys.stdout.write(text)
     return code
 
 

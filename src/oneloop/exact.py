@@ -379,9 +379,6 @@ class Poly:
         """Max total degree over the given variable indices."""
         return max((sum(m[i] for i in indices) for m in self.terms), default=0)
 
-    def constant_term(self):
-        return self.terms.get((0,) * self.nvars, QI_ZERO)
-
     def sorted_items(self):
         return sorted(self.terms.items())
 
@@ -481,7 +478,10 @@ class Rad:
             raise ValueError("mixed radical parameters")
 
     def __add__(self, other):
-        self._check(other)
+        if type(other) is not Rad:
+            other = self.coerce(other)
+        elif self.a != other.a or self.b != other.b:
+            raise ValueError("mixed radical parameters")
         d, e = self._d, other._d
         if d == e:
             return _radical(self.a, self.b, self._n1 + other._n1, self._na + other._na,
@@ -489,6 +489,8 @@ class Rad:
         return _radical(self.a, self.b, self._n1 * e + other._n1 * d,
                         self._na * e + other._na * d, self._nb * e + other._nb * d,
                         self._nab * e + other._nab * d, d * e)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
         return self + (-other)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -129,42 +129,6 @@ def _phi_dir(n: int) -> int:
     return 4 * n - 2
 
 
-def direction_labels(n: int) -> List[str]:
-    labels = []
-    for a in range(1, n):
-        labels.append(f"dX({a})")
-    for a in range(1, n):
-        labels.append(f"dXbar({a})")
-    for k in range(n):
-        labels.append(f"dw({k})")
-    for k in range(n):
-        labels.append(f"dwbar({k})")
-    labels.append("dphi")
-    return labels
-
-
-def _var_labels(vt: VarTable) -> List[str]:
-    labels = [""] * vt.nvars
-    for a in range(1, vt.n):
-        labels[vt.x(a)] = f"X({a})"
-        labels[vt.xb(a)] = f"Xbar({a})"
-    for k in range(vt.n):
-        labels[vt.w(k)] = f"w({k})"
-        labels[vt.wb(k)] = f"wbar({k})"
-    labels[vt.c] = "c"
-    return labels
-
-
-def _mono_label(mono: Tuple[int, ...], var_labels: Sequence[str]) -> str:
-    bits = []
-    for i, e in enumerate(mono):
-        if e == 1:
-            bits.append(var_labels[i])
-        elif e > 1:
-            bits.append(f"{var_labels[i]}^{e}")
-    return "*".join(bits) if bits else "1"
-
-
 def _chart_values(p: PointBarN, c_value, vt: VarTable) -> List[complex]:
     """Complex values of the polynomial variables at a chart point."""
     vals = [0j] * vt.nvars
@@ -265,10 +229,6 @@ class PolyVectorField:
         return np.array([c.eval_complex(vals) for c in self.comps],
                         dtype=complex)
 
-    def subs_exact(self, assign: Dict[int, object]) -> Tuple[Poly, ...]:
-        """Exact substitution of QI values into every component."""
-        return tuple(c.subs(assign) for c in self.comps)
-
     def real_chart_vector(self, p: PointBarN, c_value) -> np.ndarray:
         """Real chart components; requires the reality condition to hold."""
         n = self.n
@@ -340,24 +300,6 @@ class PolyVectorField:
             J[ix_v(k, n)] = row.imag
         J[ix_phi(n)] = cols(_phi_dir(n)).real
         return J
-
-    # --- serialization -----------------------------------------------------
-    def to_sparse_table(self) -> Dict[str, Dict[str, List[str]]]:
-        """Sparse coefficient table keyed by direction then monomial."""
-        vt = VarTable(self.n)
-        dir_labels = direction_labels(self.n)
-        var_labels = _var_labels(vt)
-        table: Dict[str, Dict[str, List[str]]] = {}
-        for i, comp in enumerate(self.comps):
-            if comp.is_zero():
-                continue
-            entry = {}
-            for mono, coeff in comp.sorted_items():
-                entry[_mono_label(mono, var_labels)] = [
-                    str(coeff.re), str(coeff.im)
-                ]
-            table[dir_labels[i]] = entry
-        return table
 
     def __repr__(self):
         n_nonzero = sum(1 for c in self.comps if c)

@@ -10,7 +10,7 @@ by exact radical arithmetic rather than floating point.
 This module provides:
 
 * the Hermitian form and its symplectic imaginary part,
-* the group law, exactly on rational/radical inputs,
+* the exact group law on Gaussian-rational and radical points,
 * square-root-lattice constructions ``lattice_Ld`` (basis e_j, sqrt(d)*i*e_j)
   with decidable exact membership,
 * the linear action of form-preserving matrices on the group, and
@@ -47,68 +47,18 @@ __all__ = [
     "lattice_Ld",
     "lattice_contains",
     "lattice_coordinates",
+    "form_defect",
     "su_action",
     "unipotent_witness",
 ]
-
-
-# ---------------------------------------------------------------------------
-# generic helpers over the mixed scalar kinds (complex floats, QI, RadC)
-# ---------------------------------------------------------------------------
-
-_EXACT_COMPLEX = (QI, RadC)
-
-
-def _conj(z):
-    if isinstance(z, _EXACT_COMPLEX):
-        return z.conj()
-    return complex(z).conjugate()
-
-
-def _im_part(z):
-    if isinstance(z, _EXACT_COMPLEX):
-        return z.im
-    return complex(z).imag
-
-
-def _real_to_float(t):
-    if isinstance(t, Rad):
-        return t.to_float()
-    return float(t)
-
-
-def _scalar_sum(*values):
-    """Add real scalars of possibly mixed kinds.
-
-    Exact kinds (int/Fraction/Rad) combine exactly, lifting rationals into
-    whichever radical ring appears; any float degrades the sum to float.
-    """
-    if any(isinstance(v, float) for v in values):
-        return sum(_real_to_float(v) for v in values)
-    template = next((v for v in values if isinstance(v, Rad)), None)
-    if template is None:
-        return sum(values, Fraction(0))
-    total = template.coerce(0)
-    for v in values:
-        total = total + template.coerce(v)
-    return total
-
-
-def _half(value):
-    if isinstance(value, float):
-        return 0.5 * value
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value, 2)
-    return value * Fraction(1, 2)
 
 
 class HermForm:
     """Indefinite Hermitian form of signature (1, n-1) on C^n.
 
     h(v, w) = conj(v_1) w_1 - sum_{j>=2} conj(v_j) w_j, antilinear in the
-    first slot, and omega = Im(h).  Works uniformly on float-complex and
-    exact (QI / RadC) vectors; on exact vectors both h and omega
-    are exact.
+    first slot, and omega = Im(h).  Vectors have exact QI or RadC entries,
+    so both h and omega are exact.
     """
 
     def __init__(self, n: int):
@@ -122,22 +72,23 @@ class HermForm:
             raise ValueError("vector length does not match the form dimension")
         total = None
         for sign, vj, wj in zip(self.signs, v, w):
-            term = _conj(vj) * wj
+            term = vj.conj() * wj
             if sign < 0:
                 term = -term
             total = term if total is None else total + term
         return total
 
     def omega(self, v: Sequence, w: Sequence):
-        return _im_part(self.h(v, w))
+        return self.h(v, w).im
 
 
 @dataclass(frozen=True)
 class HeisPoint:
     """Group element (v, t) with v in C^n and t a real center coordinate.
 
-    Entries of ``v`` may be float complex or exact (QI / RadC); ``t`` may be
-    float, int, Fraction, or Rad.  Exact inputs keep the group law exact.
+    Entries of ``v`` are QI or RadC and ``t`` is an int, Fraction or Rad, so
+    the group law is exact; any other coordinate, such as a float or complex
+    number, raises ValueError.
     """
 
     v: Tuple
@@ -145,6 +96,12 @@ class HeisPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "v", tuple(self.v))
+        if not (all(isinstance(z, (QI, RadC)) for z in self.v)
+                and isinstance(self.t, (int, Fraction, Rad))):
+            raise ValueError(
+                "a Heisenberg point needs exact coordinates: "
+                "QI or RadC entries and an int, Fraction or Rad center"
+            )
 
     @property
     def n(self) -> int:
@@ -160,10 +117,9 @@ def heis_mul(x: HeisPoint, y: HeisPoint) -> HeisPoint:
     """Group law (v, t)(v', t') = (v + v', t + t' + omega(v, v')/2)."""
     if x.n != y.n:
         raise ValueError("points live on groups of different dimension")
-    form = HermForm(x.n)
-    twist = _half(form.omega(x.v, y.v))
+    omega = HermForm(x.n).omega(x.v, y.v)
     vsum = tuple(a + b for a, b in zip(x.v, y.v))
-    return HeisPoint(vsum, _scalar_sum(x.t, y.t, twist))
+    return HeisPoint(vsum, x.t + y.t + omega * Fraction(1, 2))
 
 
 def heis_inverse(p: HeisPoint) -> HeisPoint:
@@ -417,11 +373,18 @@ def _is_exact_matrix(g) -> bool:
             and all(isinstance(row, (tuple, list)) and row for row in g)):
         return False
     kind = type(g[0][0])
-    return kind in _EXACT_COMPLEX and all(type(z) is kind for row in g for z in row)
+    return kind in (QI, RadC) and all(type(z) is kind for row in g for z in row)
 
 
-def _check_exact_form_preserving(g, n: int) -> None:
-    form = HermForm(n)
+def form_defect(g) -> Optional[Tuple[int, int]]:
+    """First entry (j, k) at which g^H eta g differs from eta, or None.
+
+    eta = diag(1, -1, ..., -1) is the Gram matrix of the Hermitian form and
+    ``g`` a square exact matrix (QI or RadC entries), so None means that g
+    preserves the form exactly.
+    """
+    n = len(g)
+    signs = HermForm(n).signs
     template = g[0][0]
     zero = template.coerce(0)
     one = template.coerce(1)
@@ -430,13 +393,11 @@ def _check_exact_form_preserving(g, n: int) -> None:
             total = zero
             for m in range(n):
                 term = g[m][j].conj() * g[m][k]
-                total = total + (-term if form.signs[m] < 0 else term)
-            expected = zero if j != k else (one if form.signs[j] > 0 else -one)
+                total = total + (-term if signs[m] < 0 else term)
+            expected = zero if j != k else (one if signs[j] > 0 else -one)
             if total != expected:
-                raise ValueError(
-                    "matrix does not preserve the Hermitian form "
-                    f"(entry ({j}, {k}) of the conjugated form is off)"
-                )
+                return j, k
+    return None
 
 
 def su_action(g, p: HeisPoint) -> HeisPoint:
@@ -445,19 +406,20 @@ def su_action(g, p: HeisPoint) -> HeisPoint:
     ``g`` is an exact matrix (nested tuples/lists of QI or RadC entries);
     anything else, such as a float or complex array, raises ValueError.
     Preservation of the Hermitian form is verified exactly, and a matrix
-    that fails the check is rejected.  The point must be exact too: float
-    or complex coordinates raise ValueError, whatever the matrix's ring.
-    Because g preserves h, it preserves omega, so the action is a group
-    automorphism fixing the center.
+    that fails the check is rejected.  Because g preserves h, it preserves
+    omega, so the action is a group automorphism fixing the center.
     """
     n = p.n
     if not _is_exact_matrix(g):
         raise ValueError("su_action needs an exact matrix of QI or RadC entries")
-    if any(isinstance(z, (float, complex)) for z in (*p.v, p.t)):
-        raise ValueError("an exact matrix acts on exact points")
     if len(g) != n or any(len(row) != n for row in g):
         raise ValueError("matrix size does not match the point dimension")
-    _check_exact_form_preserving(g, n)
+    defect = form_defect(g)
+    if defect is not None:
+        raise ValueError(
+            "matrix does not preserve the Hermitian form "
+            f"(entry {defect} of the conjugated form is off)"
+        )
     template = g[0][0]
     lifted = [template.coerce(z) for z in p.v]
     gv = []

@@ -158,17 +158,6 @@ class MatGl:
         if not isinstance(other, MatGl) or other.n != self.n:
             raise ValueError("matrix size mismatch")
 
-    def apply(self, v: Sequence[QI]) -> Tuple[QI, ...]:
-        if len(v) != self.n:
-            raise ValueError("vector length mismatch")
-        out = []
-        for j in range(self.n):
-            acc = QI(0)
-            for k in range(self.n):
-                acc = acc + self.entries[j][k] * v[k]
-            out.append(acc)
-        return tuple(out)
-
 
 def _indef_signs(n: int) -> Tuple[int, ...]:
     """Diagonal of the signature matrix: (-1, +1, ..., +1)."""
@@ -534,49 +523,23 @@ class StructureReport:
         )
 
 
-def structure_check(params: ModelParams, t_image_scale=1) -> StructureReport:
+def structure_check(params: ModelParams) -> StructureReport:
     """Verify [alpha(x), alpha(y)] = -alpha([x, y]) on all basis pairs.
 
     Exact polynomial arithmetic with the deformation parameter symbolic.
-    ``t_image_scale`` deliberately rescales the image of the central
-    generator; any value other than 1 is a fault injection that must be
-    reported as mismatches (it validates that the checker can fail).
     """
-    from .fields import PolyVectorField, bracket
+    from .fields import bracket
 
     n = params.n
     basis = algebra_basis(n)
-    images = dict(_alpha_images(n))
-    if t_image_scale != 1:
-        images["T"] = images["T"].scale(QI.coerce(t_image_scale))
-
-    def alpha_with_images(x: SemiDirectElement) -> PolyVectorField:
-        lam, m, s, kappa = gl_decompose(x.A)
-        F = PolyVectorField.zero(n)
-        coeffs: List[Tuple[str, QI]] = [("C", lam)]
-        coeffs += [(f"U({a})", m[a - 1]) for a in range(1, n)]
-        coeffs += [(f"Us({a})", s[a - 1]) for a in range(1, n)]
-        coeffs += [
-            (f"B({a},{b})", kappa[a - 1][b - 1])
-            for a in range(1, n)
-            for b in range(1, n)
-        ]
-        coeffs += [(f"E({k})", x.vE[k]) for k in range(n)]
-        coeffs += [(f"Ebar({k})", x.vEbar[k]) for k in range(n)]
-        coeffs += [("T", x.t)]
-        for label, coeff in coeffs:
-            if not coeff.is_zero():
-                F = F + images[label].scale(coeff)
-        return F
-
-    field_of = {label: alpha_with_images(elem) for label, elem in basis}
+    field_of = {label: alpha(elem, params) for label, elem in basis}
     mismatches: List[Tuple[str, str]] = []
     pairs = 0
     for label_x, x in basis:
         for label_y, y in basis:
             pairs += 1
             lhs = bracket(field_of[label_x], field_of[label_y])
-            rhs = alpha_with_images(semidirect_bracket(x, y).scale(-1))
+            rhs = alpha(semidirect_bracket(x, y).scale(-1), params)
             if lhs != rhs:
                 mismatches.append((label_x, label_y))
     return StructureReport(n=n, pairs_checked=pairs, mismatches=tuple(mismatches))

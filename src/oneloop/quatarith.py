@@ -33,7 +33,7 @@ from itertools import product
 from typing import List, Tuple
 
 from .exact import Rad, RadC
-from .heis import HeisPoint, LatticeDescription, lattice_coordinates
+from .heis import HeisPoint, LatticeDescription, form_defect, lattice_coordinates
 
 __all__ = [
     "QuatParams",
@@ -214,41 +214,19 @@ def embed_det(matrix) -> RadC:
     return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
 
 
-def _mat_mul2(x, y):
-    return tuple(
-        tuple(x[j][0] * y[0][k] + x[j][1] * y[1][k] for k in range(2))
-        for j in range(2)
-    )
-
-
 def su11_check(q: QuatInt) -> bool:
     """Does the matrix realization of q preserve the form diag(1, -1)?
 
     Requires reduced norm 1 (the determinant condition); then checks
     conj-transpose(Q) * diag(1,-1) * Q == diag(1,-1) exactly in the radical
-    ring.  The form diag(1,-1) is the one consistent with the generator
-    matrices; if this check ever fails for a norm-one element, the
-    alternative form diag(-1,1) should be examined rather than silently
-    substituted.
+    ring, with the Hermitian-form check of the Heisenberg action.  The form
+    diag(1,-1) is the one consistent with the generator matrices; if this
+    check ever fails for a norm-one element, the alternative form
+    diag(-1,1) should be examined rather than silently substituted.
     """
     if reduced_norm(q) != 1:
         raise ValueError("the unitary check applies to norm-one elements only")
-    Q = embed_matrix(q)
-    p = q.params
-    one = RadC(_rad(p, r1=1))
-    zero = RadC(_rad(p))
-    eta_q = (Q[0], tuple(-z for z in Q[1]))
-    qdag = (
-        (Q[0][0].conj(), Q[1][0].conj()),
-        (Q[0][1].conj(), Q[1][1].conj()),
-    )
-    m = _mat_mul2(qdag, eta_q)
-    return (
-        m[0][0] == one
-        and m[0][1] == zero
-        and m[1][0] == zero
-        and m[1][1] == -one
-    )
+    return form_defect(embed_matrix(q)) is None
 
 
 # ---------------------------------------------------------------------------

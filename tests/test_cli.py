@@ -1,6 +1,7 @@
 """Driver tests: configuration precedence, determinism, report shapes,
 exit-code semantics, and the pinned example outputs."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -9,6 +10,9 @@ import pytest
 
 from oneloop.cli import ConfigError, RunConfig, build_config, main
 from oneloop.quatarith import QuatParams, c_compatible
+
+
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
 
 
 def run_cli(capsys, args):
@@ -188,6 +192,16 @@ class TestDeterminism:
         path = tmp_path / "report.json"
         _, out, _ = run_cli(capsys, ["center", "--n", "4", "--out", str(path)])
         assert path.read_text(encoding="utf-8") == out
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_out_path_exits_2(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        code, out, err = run_cli(capsys, ["center", "--n", "2", "--out", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
 
 
 class TestStructureCommand:
@@ -373,3 +387,46 @@ class TestVolumeTableCommand:
         report = json.loads(out)
         assert report["vd"] == 2.0
         assert [row["closed_tail"] for row in report["rows"]] == [1.0, 0.25]
+
+
+# sha256 of stdout, exit code and exact stderr of fixed invocations, taken
+# from the parent of the change that introduced this table.  They pin the
+# byte-identical output contract across changes, not only within one run.
+# The volume-table rows are float quadrature sums, so a platform whose libm
+# rounds differently may move their last digits.
+GOLDEN = [
+    (["center", "--n", "2"], 0,
+     "5cada451a0062a06c972269b0913bd36dba51c549b205736f92f9d12698d073d", ""),
+    (["center", "--n", "6"], 0,
+     "60a035c63559c34cd71a482ee22c9a441aaebfeba4d256d215f5a5e901a55988", ""),
+    (["structure", "--n", "1"], 0,
+     "381e6c04cd909d9cf497c14c7211f1e3c3cdeb814db6f8168500f9687e31cddf", ""),
+    (["structure", "--n", "2"], 0,
+     "28ba1c31fa20cf461828470c52a5533b56c680014a85358fc0b4b9e6347c0526", ""),
+    (["lattice", "--bound", "2"], 0,
+     "42f7d76e728d3be4fddf67933ee0a53ecb65d0160dd8df4626d10276feca767b", ""),
+    (["lattice", "--bound", "2", "--format", "json"], 0,
+     "4f93b2be53e81bdc12048c6288a251ad4115e9ad90eb4e53b6a26b7526ace2d8", ""),
+    (["lattice", "--c-exact", "1:3:7", "--bound", "3", "--format", "json"], 0,
+     "21ac942a7c78be62ea960102c674879be620d2abb4c12aca560feef3e96a0478", ""),
+    (["lattice", "--c-exact", "1:2:1", "--bound", "2"], 0,
+     "58ccf65d937a5d2a1fe703773ac1159b351b25caa4f0cff133f6eb52ceb2b1f1",
+     "warning: b = 1 is not a prime (division-algebra hypothesis unmet); "
+     "enumeration still runs\n"),
+    (["volume-table", "--n", "3"], 0,
+     "72b695e9d8ee50ddd18521fc13c327e6f098f8da3db592bf85afea777fc9919e", ""),
+    (["volume-table", "--n", "3", "--format", "json"], 0,
+     "a71f996065e5fe486c808a6b5a949eb20784114e82eae10bb1c9a5a9721ce2eb", ""),
+    (["structure", "--format", "csv"], 2, EMPTY_SHA256,
+     "error: command 'structure' reports JSON only\n"),
+    (["center", "--n", "0"], 2, EMPTY_SHA256,
+     "error: n must be a positive integer, got 0\n"),
+]
+
+
+@pytest.mark.parametrize("args, code, digest, err", GOLDEN,
+                         ids=[" ".join(g[0]) for g in GOLDEN])
+def test_golden_output(capsys, args, code, digest, err):
+    got_code, out, got_err = run_cli(capsys, args)
+    assert (got_code, hashlib.sha256(out.encode("utf-8")).hexdigest(), got_err) == (
+        code, digest, err)

@@ -237,7 +237,25 @@ class TestCoerce:
         with pytest.raises(ValueError, match="exact"):
             RadC(Rad(2, 3)).coerce(bad)
 
+    def test_rad_addition_lifts_rationals(self):
+        x = Rad(2, 3, 1, 2, 3, 4)
+        for k in (3, -1, Fraction(1, 2)):
+            expected = Rad(2, 3, 1 + k, 2, 3, 4)
+            assert x + k == expected
+            assert k + x == expected
+        assert sum([x, x], 0) == Rad(2, 3, 2, 4, 6, 8)
+        assert x - 1 == Rad(2, 3, 0, 2, 3, 4)
+
+    @pytest.mark.parametrize("bad", [0.5, 1.5 + 0j])
+    def test_rad_addition_rejects_floats(self, bad):
+        with pytest.raises(ValueError, match="exact"):
+            Rad(2, 3, 1) + bad
+        with pytest.raises(ValueError, match="exact"):
+            bad + Rad(2, 3, 1)
+
     def test_mixed_parameters_rejected(self):
+        with pytest.raises(ValueError, match="mixed"):
+            Rad(2, 3) + Rad(2, 5, 1)
         with pytest.raises(ValueError, match="mixed"):
             Rad(2, 3).coerce(Rad(2, 5, 1))
         with pytest.raises(ValueError, match="mixed"):

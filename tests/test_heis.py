@@ -171,17 +171,37 @@ class TestHeisMul:
         half_omega = HermForm(2).omega(x.v, y.v) * Fraction(1, 2)
         assert prod.t == Rad(d, 1, Fraction(1, 2)) + half_omega
 
-    def test_float_points_multiply_numerically(self):
-        x = HeisPoint((0.5 + 1.0j, 0.25j), 0.125)
-        y = HeisPoint((1.0 - 0.5j, 0.75), -0.5)
+    def test_mixed_rational_and_radical_centers_add_exactly(self):
+        # An integer center plus a radical one lifts into the radical ring.
+        d = 6
+        x = HeisPoint((quadc(d, 1), quadc(d)), 2)
+        y = HeisPoint((quadc(d, 0, 0, 0, 1), quadc(d)), Rad(d, 1, 0, 1))
         prod = heis_mul(x, y)
-        omega = HermForm(2).omega(x.v, y.v)
-        assert prod.v[0] == pytest.approx(1.5 + 0.5j)
-        assert prod.t == pytest.approx(0.125 - 0.5 + 0.5 * omega)
+        # omega(e1, sqrt(6)*i*e1) = sqrt(6), so the twist is sqrt(6)/2.
+        assert prod.t == Rad(d, 1, 2, Fraction(3, 2))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             heis_mul(heis_identity(2), heis_identity(3))
+
+
+class TestHeisPoint:
+    @pytest.mark.parametrize(
+        "v, t",
+        [
+            ((0.5 + 1.0j, 0.25j), Fraction(0)),
+            ((QI(1), 0.75), Fraction(0)),
+            ((QI(1), QI(0)), 0.125),
+            ((QI(1), QI(0)), 1j),
+            ((quadc(6, 1), quadc(6)), 0.5),
+            ((1, Fraction(1, 2)), Fraction(0)),
+        ],
+        ids=["complex-vector", "float-entry", "float-center", "complex-center",
+             "radical-vector-float-center", "real-rational-entries"],
+    )
+    def test_inexact_or_untyped_coordinates_rejected(self, v, t):
+        with pytest.raises(ValueError, match="exact"):
+            HeisPoint(v, t)
 
 
 class TestLatticeLd:
@@ -414,10 +434,9 @@ class TestSuAction:
         ids=["QI", "RadC"],
     )
     def test_exact_matrix_rejects_float_point(self, identity):
-        # One error for every exact ring, before any coercion is tried.
-        p = HeisPoint((0.5 + 0j, 0j), 0.0)
-        with pytest.raises(ValueError, match="exact matrix acts on exact points"):
-            su_action(identity, p)
+        # A float point cannot be built, so no exact ring ever sees one.
+        with pytest.raises(ValueError, match="exact coordinates"):
+            su_action(identity, HeisPoint((0.5 + 0j, 0j), 0.0))
 
     def test_size_mismatch_rejected(self):
         identity3 = tuple(

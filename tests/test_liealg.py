@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from oneloop import liealg
 from oneloop.exact import QI, QI_I
 from oneloop.fields import GeneratorName, bracket, generator
 from oneloop.geometry import ModelParams
@@ -289,10 +290,13 @@ class TestStructureCheck:
         assert report.ok
         assert "ok" in report.summary()
 
-    def test_fault_injection_detected(self):
+    def test_fault_injection_detected(self, monkeypatch):
         # Rescaling the image of the central generator by 2 must break
         # exactly the translation pairs that bracket into the center.
-        report = structure_check(ModelParams(n=2, c=0.0), t_image_scale=2)
+        images = dict(liealg._alpha_images(2))
+        images["T"] = images["T"].scale(QI(2))
+        monkeypatch.setattr(liealg, "_alpha_images", lambda n: images)
+        report = structure_check(ModelParams(n=2, c=0.0))
         assert not report.ok
         assert len(report.mismatches) == 4
         for label_x, label_y in report.mismatches:

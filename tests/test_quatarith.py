@@ -11,6 +11,7 @@ from itertools import product
 
 import pytest
 
+from oneloop import quatarith
 from oneloop.exact import QI, Rad, RadC, integer_solution
 from oneloop.heis import (HeisLatticePoint, HeisPoint, lattice_Ld, lattice_contains,
                           lattice_coordinates)
@@ -321,6 +322,30 @@ class TestSu11Check:
         elements = enumerate_norm_one(params, 5)
         assert elements, "enumeration should not be empty"
         assert all(su11_check(q) for q in elements)
+
+    def test_det_one_non_unitary_matrix_fails(self, monkeypatch):
+        # [[1, 1], [0, 1]] has determinant 1 but does not preserve
+        # diag(1, -1); the check must say so rather than trust the norm.
+        one, zero = RadC(Rad(2, 3, 1)), RadC(Rad(2, 3))
+        shear = ((one, one), (zero, one))
+        monkeypatch.setattr(quatarith, "embed_matrix", lambda q: shear)
+        assert embed_det(shear) == one
+        assert su11_check(quat(1, 0, 0, 0)) is False
+
+    def test_matches_explicit_product_oracle(self):
+        # The hand-built product conj-transpose(Q) * diag(1, -1) * Q.
+        one, zero = RadC(Rad(2, 3, 1)), RadC(Rad(2, 3))
+        eta = ((one, zero), (zero, -one))
+        for q in enumerate_norm_one(P23, 5):
+            Q = embed_matrix(q)
+            product = tuple(
+                tuple(
+                    Q[0][j].conj() * Q[0][k] - Q[1][j].conj() * Q[1][k]
+                    for k in range(2)
+                )
+                for j in range(2)
+            )
+            assert su11_check(q) is (product == eta)
 
 
 class TestGamma2Lattice:
