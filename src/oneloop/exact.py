@@ -93,9 +93,18 @@ class QI:
             return QI(x)
         return None
 
+    @staticmethod
+    def _operand(x):
+        """x as a QI for a binary operator, or None to let the reflected
+        operator of a wider type (Poly, RadC) decide; a float or complex
+        operand raises the ``coerce`` error."""
+        if isinstance(x, (float, complex)):
+            return QI.coerce(x)
+        return QI._try_coerce(x)
+
     def __add__(self, other):
         if type(other) is not QI:
-            other = QI._try_coerce(other)
+            other = QI._operand(other)
             if other is None:
                 return NotImplemented
         d, e = self._d, other._d
@@ -107,7 +116,7 @@ class QI:
 
     def __sub__(self, other):
         if type(other) is not QI:
-            other = QI._try_coerce(other)
+            other = QI._operand(other)
             if other is None:
                 return NotImplemented
         d, e = self._d, other._d
@@ -120,7 +129,7 @@ class QI:
 
     def __mul__(self, other):
         if type(other) is not QI:
-            other = QI._try_coerce(other)
+            other = QI._operand(other)
             if other is None:
                 return NotImplemented
         x, y, u, v = self._x, self._y, other._x, other._y
@@ -471,14 +480,10 @@ class Rad:
             f"got {type(x).__name__}"
         )
 
-    def _check(self, other):
-        if not isinstance(other, Rad):
-            raise TypeError("Rad arithmetic requires Rad operands")
-        if self.a != other.a or self.b != other.b:
-            raise ValueError("mixed radical parameters")
-
     def __add__(self, other):
         if type(other) is not Rad:
+            if type(other) is RadC:
+                return NotImplemented
             other = self.coerce(other)
         elif self.a != other.a or self.b != other.b:
             raise ValueError("mixed radical parameters")
@@ -495,14 +500,22 @@ class Rad:
     def __sub__(self, other):
         return self + (-other)
 
+    def __rsub__(self, other):
+        return self.coerce(other) - self
+
     def __neg__(self):
         return _radical(self.a, self.b, -self._n1, -self._na, -self._nb, -self._nab,
                         self._d)
 
     def __mul__(self, other):
-        if type(other) is not Rad and isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check(other)
+        if type(other) is not Rad:
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
+            if type(other) is RadC:
+                return NotImplemented
+            other = self.coerce(other)
+        elif self.a != other.a or self.b != other.b:
+            raise ValueError("mixed radical parameters")
         a, b = self.a, self.b
         u1, ua, ub, uab = self._n1, self._na, self._nb, self._nab
         v1, va, vb, vab = other._n1, other._na, other._nb, other._nab
@@ -515,8 +528,7 @@ class Rad:
             self._d * other._d,
         )
 
-    def __rmul__(self, other):
-        return self.scale(other)
+    __rmul__ = __mul__
 
     def scale(self, k):
         k = _rational(k)
@@ -586,17 +598,28 @@ class RadC:
         return RadC(lift(x))
 
     def __add__(self, other):
+        if type(other) is not RadC:
+            other = self.coerce(other)
         return RadC(self.re + other.re, self.im + other.im)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
+        if type(other) is not RadC:
+            other = self.coerce(other)
         return RadC(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return self.coerce(other) - self
 
     def __neg__(self):
         return RadC(-self.re, -self.im)
 
     def __mul__(self, other):
-        if type(other) is not RadC and isinstance(other, (int, Fraction)):
-            return RadC(self.re * other, self.im * other)
+        if type(other) is not RadC:
+            if isinstance(other, (int, Fraction)):
+                return RadC(self.re * other, self.im * other)
+            other = self.coerce(other)
         return RadC(self.re * other.re - self.im * other.im,
                     self.re * other.im + self.im * other.re)
 

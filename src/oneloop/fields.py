@@ -13,6 +13,7 @@ coordinate).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,19 +130,11 @@ def _phi_dir(n: int) -> int:
     return 4 * n - 2
 
 
-def _chart_values(p: PointBarN, c_value, vt: VarTable) -> List[complex]:
-    """Complex values of the polynomial variables at a chart point."""
-    vals = [0j] * vt.nvars
-    for a in range(1, vt.n):
-        z = complex(p.X[a - 1])
-        vals[vt.x(a)] = z
-        vals[vt.xb(a)] = z.conjugate()
-    for k in range(vt.n):
-        z = complex(p.w[k])
-        vals[vt.w(k)] = z
-        vals[vt.wb(k)] = z.conjugate()
-    vals[vt.c] = complex(c_value)
-    return vals
+def _chart_values(p: PointBarN, c_value) -> List[complex]:
+    """Values of the polynomial variables (X, Xbar, w, wbar, c) at a point."""
+    X, w = list(p.X), list(p.w)
+    return (X + [z.conjugate() for z in X] + w + [z.conjugate() for z in w]
+            + [complex(c_value)])
 
 
 class PolyVectorField:
@@ -154,7 +147,7 @@ class PolyVectorField:
     the radial coordinate.
     """
 
-    __slots__ = ("n", "comps", "_jac_cache")
+    __slots__ = ("n", "comps", "_table")
 
     def __init__(self, n: int, comps: Sequence[Poly]):
         comps = tuple(comps)
@@ -168,7 +161,7 @@ class PolyVectorField:
                 raise ValueError("component variable count mismatch")
         self.n = n
         self.comps = comps
-        self._jac_cache = None
+        self._table = None
 
     # --- algebra ---------------------------------------------------------
     @staticmethod
@@ -222,88 +215,123 @@ class PolyVectorField:
         return self.conjugate() == self
 
     # --- evaluation --------------------------------------------------------
+    def _terms(self):
+        """Compiled polynomial terms of the components and their partials.
+
+        Returns cached lists (slots, coeffs, factors): term t adds coeffs[t]
+        times the product of the powers listed in factors[t] to slot
+        i*nv + j of the field's table, which holds d(comp_i)/d(var_j) for
+        j < nv - 1 and comp_i itself for j = nv - 1 (the c slot: no field is
+        differentiated by c).  Power 1 + (e - 1)*nv + v is var_v**e.
+        """
+        if self._table is None:
+            nv = 4 * self.n - 1
+            slots, coeffs, factors = [], [], []
+            for i, comp in enumerate(self.comps):
+                polys = [comp.diff(j) for j in range(nv - 1)] + [comp]
+                for j, poly in enumerate(polys):
+                    for mono, coeff in poly.terms.items():
+                        slots.append(i * nv + j)
+                        coeffs.append(coeff.to_complex())
+                        factors.append([1 + (e - 1) * nv + v
+                                        for v, e in enumerate(mono) if e])
+            self._table = (slots, coeffs, factors)
+        return self._table
+
     def eval_complex(self, p: PointBarN, c_value) -> np.ndarray:
         """Complex components (on dX, dXbar, dw, dwbar, dphi) at a point."""
-        vt = VarTable(self.n)
-        vals = _chart_values(p, c_value, vt)
-        return np.array([c.eval_complex(vals) for c in self.comps],
-                        dtype=complex)
+        return _ChartEvaluator([self]).table(p, c_value)[0, :, -1]
 
     def real_chart_vector(self, p: PointBarN, c_value) -> np.ndarray:
         """Real chart components; requires the reality condition to hold."""
-        n = self.n
-        vt = VarTable(n)
-        vals = self.eval_complex(p, c_value)
-        out = np.zeros(4 * n)
-        for a in range(1, n):
-            f = vals[vt.x(a)]
-            out[ix_x(a)] = f.real
-            out[ix_y(a)] = f.imag
-        for k in range(n):
-            g = vals[vt.w(k)]
-            out[ix_u(k, n)] = g.real
-            out[ix_v(k, n)] = g.imag
-        out[ix_phi(n)] = vals[_phi_dir(n)].real
-        return out
-
-    def _jacobian_polys(self) -> Tuple[Tuple[Poly, ...], ...]:
-        """Partial derivatives of each component by each non-c variable."""
-        if self._jac_cache is None:
-            nv = 4 * self.n - 1
-            self._jac_cache = tuple(
-                tuple(comp.diff(j) for j in range(nv - 1))
-                for comp in self.comps
-            )
-        return self._jac_cache
+        return _ChartEvaluator([self])(p, c_value)[0][0]
 
     def real_chart_jacobian(self, p: PointBarN, c_value) -> np.ndarray:
         """Exact-polynomial Jacobian d(component_i)/d(chart_j), real chart."""
-        n = self.n
-        vt = VarTable(n)
-        vals = _chart_values(p, c_value, vt)
-        dpolys = self._jacobian_polys()
-        nv = vt.nvars
-        dval = np.zeros((nv, nv - 1), dtype=complex)
-        for i in range(nv):
-            for j in range(nv - 1):
-                poly = dpolys[i][j]
-                if poly:
-                    dval[i, j] = poly.eval_complex(vals)
-
-        m = 4 * n
-        J = np.zeros((m, m))
-
-        def cols(i):
-            """Complex chart-partials of component i: one per real column."""
-            out = np.zeros(m, dtype=complex)
-            for b in range(1, n):
-                fx = dval[i, vt.x(b)]
-                fxb = dval[i, vt.xb(b)]
-                out[ix_x(b)] = fx + fxb
-                out[ix_y(b)] = 1j * (fx - fxb)
-            for k in range(n):
-                fw = dval[i, vt.w(k)]
-                fwb = dval[i, vt.wb(k)]
-                out[ix_u(k, n)] = fw + fwb
-                out[ix_v(k, n)] = 1j * (fw - fwb)
-            # radial and angle columns stay zero: coefficients depend on
-            # neither coordinate.
-            return out
-
-        for a in range(1, n):
-            row = cols(vt.x(a))
-            J[ix_x(a)] = row.real
-            J[ix_y(a)] = row.imag
-        for k in range(n):
-            row = cols(vt.w(k))
-            J[ix_u(k, n)] = row.real
-            J[ix_v(k, n)] = row.imag
-        J[ix_phi(n)] = cols(_phi_dir(n)).real
-        return J
+        return _ChartEvaluator([self])(p, c_value)[1][0]
 
     def __repr__(self):
         n_nonzero = sum(1 for c in self.comps if c)
         return f"PolyVectorField(n={self.n}, nonzero_dirs={n_nonzero})"
+
+
+@functools.lru_cache(maxsize=None)
+def _chart_projections(n: int):
+    """Constant complex maps from a field table to the real chart.
+
+    Real chart components are Re(rows @ comps) for comps on (dX, dXbar, dw,
+    dwbar, dphi); chart partials of a component are partials @ cols for its
+    partials by the variables (d/dx = d/dX + d/dXbar, d/dy = i(d/dX -
+    d/dXbar)).  Radial rows and columns, and the angle column, are zero.
+    """
+    vt = VarTable(n)
+    rows = np.zeros((4 * n, vt.nvars), dtype=complex)
+    cols = np.zeros((vt.nvars - 1, 4 * n), dtype=complex)
+    pairs = [(vt.x(a), vt.xb(a), ix_x(a), ix_y(a)) for a in range(1, n)]
+    pairs += [(vt.w(k), vt.wb(k), ix_u(k, n), ix_v(k, n)) for k in range(n)]
+    for hol, antihol, re_ix, im_ix in pairs:
+        rows[re_ix, hol], rows[im_ix, hol] = 1.0, -1.0j
+        cols[hol, re_ix], cols[antihol, re_ix] = 1.0, 1.0
+        cols[hol, im_ix], cols[antihol, im_ix] = 1.0j, -1.0j
+    rows[ix_phi(n), _phi_dir(n)] = 1.0
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+class _ChartEvaluator:
+    """Real chart vectors and Jacobians of a list of fields, all at once.
+
+    The fields' compiled terms are concatenated into one table.  At a point,
+    each term is its coefficient times the powers of its variables, taken in
+    variable order as ``Poly.eval_complex`` does, and the terms are summed
+    into their slots in the order of ``Poly.terms``; the result equals the
+    termwise evaluation of every component and partial bit for bit.
+    """
+
+    def __init__(self, fields: Sequence[PolyVectorField]):
+        self.n = n = fields[0].n
+        nv = 4 * n - 1
+        slots, coeffs, factors = [], [], []
+        for f, F in enumerate(fields):
+            s, c, fa = F._terms()
+            slots += [f * nv * nv + x for x in s]
+            coeffs += c
+            factors += fa
+        width = max(map(len, factors), default=0)
+        self.factors = np.zeros((width, len(factors)), dtype=np.intp)
+        for t, fa in enumerate(factors):
+            self.factors[:len(fa), t] = fa
+        self.emax = max(((i - 1) // nv + 1 for fa in factors for i in fa), default=1)
+        self.slots = np.array(slots, dtype=np.intp)
+        self.coeffs = np.array(coeffs, dtype=complex)
+        self.shape = (len(fields), nv, nv)
+
+    def table(self, p: PointBarN, c_value) -> np.ndarray:
+        """Complex table T[f, i, j] of every field's components and partials.
+
+        Powers are Python complex powers and the products are spelled out in
+        real arithmetic, as CPython forms them: NumPy's complex multiply may
+        fuse them and round differently.
+        """
+        vals = _chart_values(p, c_value)
+        powers = np.array([1 + 0j] + [z**e for e in range(1, self.emax + 1) for z in vals])
+        re, im = self.coeffs.real, self.coeffs.imag
+        for col in self.factors:
+            a, b = powers.real[col], powers.imag[col]
+            re, im = re * a - im * b, re * b + im * a
+        size = self.shape[0] * self.shape[1] * self.shape[2]
+        out = np.empty(size, dtype=complex)
+        out.real = np.bincount(self.slots, re, size)
+        out.imag = np.bincount(self.slots, im, size)
+        return out.reshape(self.shape)
+
+    def __call__(self, p: PointBarN, c_value):
+        """(vectors, Jacobians) in the real chart, shapes (m, 4n), (m, 4n, 4n)."""
+        rows, cols = _chart_projections(self.n)
+        T = self.table(p, c_value)
+        vecs = (rows @ T[:, :, -1:]).real[:, :, 0]
+        jacs = (rows @ T[:, :, :-1] @ cols).real
+        return vecs, jacs
 
 
 def bracket(F: PolyVectorField, G: PolyVectorField) -> PolyVectorField:
@@ -418,12 +446,10 @@ def generator(name: GeneratorName, params: ModelParams) -> PolyVectorField:
         return bracket(Fa, Gb)
 
     if kind == "VkRe":
-        F = generator(GeneratorName.Vk(name.a), params)
-        return F + F.conjugate()
+        return real_part(generator(GeneratorName.Vk(name.a), params))
 
     if kind == "VkIm":
-        F = generator(GeneratorName.Vk(name.a), params)
-        return (F - F.conjugate()).scale(QI_I)
+        return imag_part(generator(GeneratorName.Vk(name.a), params))
 
     raise ValueError(f"unknown generator kind {kind!r}")
 
@@ -436,16 +462,6 @@ def real_part(F: PolyVectorField) -> PolyVectorField:
 def imag_part(F: PolyVectorField) -> PolyVectorField:
     """Unnormalized imaginary combination i(F - conj(F)) (used for flows)."""
     return (F - F.conjugate()).scale(QI_I)
-
-
-def real_part_half(F: PolyVectorField) -> PolyVectorField:
-    """Normalized real part (F + conj(F)) / 2 (used for the stabilizer)."""
-    return (F + F.conjugate()).scale(Fraction(1, 2))
-
-
-def imag_part_half(F: PolyVectorField) -> PolyVectorField:
-    """Normalized imaginary part (F - conj(F)) / 2i (used for the stabilizer)."""
-    return (F - F.conjugate()).scale(QI(0, Fraction(-1, 2)))
 
 
 def real_killing_catalogue(params: ModelParams) -> List[Tuple[str, PolyVectorField]]:
@@ -491,16 +507,16 @@ def lie_derivative_metric(F: PolyVectorField, p: PointBarN,
     q = p.to_chart()
     D1 = metric_first_derivatives(q, params, step=step)
     g = metric_gram(p, params)
-    return _lie_derivative_with(F, p, params, D1, g)
+    return _lie_derivatives(_ChartEvaluator([F]), p, params, D1, g)[0]
 
 
-def _lie_derivative_with(F: PolyVectorField, p: PointBarN,
-                         params: ModelParams, D1: np.ndarray,
-                         g: np.ndarray) -> np.ndarray:
-    Fvec = F.real_chart_vector(p, params.c)
-    J = F.real_chart_jacobian(p, params.c)
-    L = np.einsum("k,kij->ij", Fvec, D1) + J.T @ g + g @ J
-    return 0.5 * (L + L.T)
+def _lie_derivatives(evaluate: _ChartEvaluator, p: PointBarN,
+                     params: ModelParams, D1: np.ndarray,
+                     g: np.ndarray) -> np.ndarray:
+    """L_F g = F^k d_k g + J^T g + g J for every field of ``evaluate``."""
+    vecs, jacs = evaluate(p, params.c)
+    L = np.einsum("fk,kij->fij", vecs, D1) + jacs.transpose(0, 2, 1) @ g + g @ jacs
+    return 0.5 * (L + L.transpose(0, 2, 1))
 
 
 def radial_control_derivative(p: PointBarN, params: ModelParams,
@@ -525,6 +541,7 @@ def killing_residuals(params: ModelParams, points: Sequence[PointBarN],
     point makes its maximum NaN, so that no tolerance check passes it.
     """
     catalogue = real_killing_catalogue(params)
+    evaluate = _ChartEvaluator([F for _, F in catalogue])
     residuals = {label: 0.0 for label, _ in catalogue}
     control = 0.0
     for p in points:
@@ -532,9 +549,9 @@ def killing_residuals(params: ModelParams, points: Sequence[PointBarN],
         D1 = metric_first_derivatives(q, params, step=step)
         g = metric_gram(p, params)
         ginf = float(np.max(np.abs(g)))
-        for label, F in catalogue:
-            L = _lie_derivative_with(F, p, params, D1, g)
-            rel = float(np.max(np.abs(L))) / ginf
+        L = _lie_derivatives(evaluate, p, params, D1, g)
+        for (label, _), peak in zip(catalogue, np.max(np.abs(L), axis=(1, 2)).tolist()):
+            rel = peak / ginf
             if rel > residuals[label] or math.isnan(rel):
                 residuals[label] = rel
         rel_control = float(np.max(np.abs(D1[ix_rho()]))) / ginf
@@ -584,9 +601,9 @@ def stabilizer_basis(params: ModelParams, rho0: float) -> List[PolyVectorField]:
     for a in range(1, n):
         for b in range(a, n):
             K = generator(GeneratorName.CommYaYbBar(a, b), params)
-            if a < b:
-                out.append(real_part_half(K))
-            im = imag_part_half(K)
+            if a < b:  # (K + conj K)/2 and (K - conj K)/2i
+                out.append(real_part(K).scale(Fraction(1, 2)))
+            im = imag_part(K).scale(Fraction(-1, 2))
             if a == b:
                 im = im + _two_c_dphi(n)
             out.append(im)

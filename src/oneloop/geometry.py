@@ -15,6 +15,7 @@ a finite-difference Ricci tensor for Einstein diagnostics.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -99,15 +100,6 @@ def ix_phi(n):
     return 4 * n - 1
 
 
-def _sym_pair(A, B):
-    """Realified symmetric product of 1-forms: (1/2)(A (x) conj(B) + conj(B) (x) A).
-
-    A, B are complex coefficient rows over the real chart; with A = B this is
-    the realification of dz (.) dzbar normalized so dz (.) dzbar = dx^2 + dy^2.
-    """
-    return 0.5 * (np.outer(A, np.conj(B)) + np.outer(np.conj(B), A))
-
-
 # Coefficient of Im(conj(w^0)dw^0 - sum_a conj(w^a)dw^a) in the connection
 # 1-form of the angle coordinate, theta = dphi + 4v du - 4u dv in the w^0
 # plane.  The value 4 is right: with it the metric is Einstein with
@@ -119,79 +111,70 @@ def _sym_pair(A, B):
 _THETA_SHEAR = 4.0
 
 
+@functools.lru_cache(maxsize=None)
+def _gram_constants(n):
+    """Read-only chart diagonals at fixed n: the X-block identity and the
+    signed w-block, +1 on (u^0, v^0) and -1 on each (u^a, v^a)."""
+    eye_x = np.zeros(4 * n)
+    eye_x[1:2 * n - 1] = 1.0
+    signed_w = np.zeros(4 * n)
+    signed_w[2 * n - 1:2 * n + 1] = 1.0
+    signed_w[2 * n + 1:-1] = -1.0
+    eye_x.flags.writeable = signed_w.flags.writeable = False
+    return eye_x, signed_w
+
+
 def _gram_from_chart(q, params):
-    """Gram matrix of the deformed metric at a real-chart point (internal)."""
+    """Gram matrix of the deformed metric at a real-chart point (internal).
+
+    With sigma = sum_a conj(X^a) dX^a, pi = dw^0 + sum_a X^a dw^a and the
+    angle form theta = dphi - _THETA_SHEAR * Im(conj(w^0)dw^0 - sum_a
+    conj(w^a)dw^a) + (2c/(1-s)) Im sigma, s = |X|^2, the metric is
+
+        (rho+2c)/(rho+c) drho^2/(4 rho^2) + (rho+c)/(rho+2c) theta^2/(4 rho^2)
+        + (rho+c)/rho (|dX|^2/(1-s) + |sigma|^2/(1-s)^2)
+        - (2/rho)(|dw^0|^2 - sum_a |dw^a|^2) + 4(rho+c)/(rho^2 (1-s)) |pi|^2.
+
+    Each |A|^2 = (Re A)^2 + (Im A)^2, so the non-constant part is V^T diag(k) V
+    over the five real rows Re sigma, Im sigma, Re pi, Im pi, theta.
+    """
     n = params.n
     dim = 4 * n
     q = np.asarray(q, dtype=float)
     if q.size != dim:
         raise ValueError(f"chart vector of length {q.size} does not match n={n}")
-    rho = q[0]
+    rho = float(q[0])
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    c = params.c
-
-    X = np.array([q[ix_x(a)] + 1j * q[ix_y(a)] for a in range(1, n)])
-    w = np.array([q[ix_u(k, n)] + 1j * q[ix_v(k, n)] for k in range(n)])
-    s = float(np.sum(np.abs(X) ** 2))
+    base = q[1:2 * n - 1]
+    s = float(base @ base)
     if s >= 1.0:
         raise ValueError("X lies outside the open unit ball")
-
-    # Complex coefficient rows of the coordinate 1-forms over the real chart.
-    rows_X = []
-    for a in range(1, n):
-        r = np.zeros(dim, dtype=complex)
-        r[ix_x(a)] = 1.0
-        r[ix_y(a)] = 1.0j
-        rows_X.append(r)
-    rows_w = []
-    for k in range(n):
-        r = np.zeros(dim, dtype=complex)
-        r[ix_u(k, n)] = 1.0
-        r[ix_v(k, n)] = 1.0j
-        rows_w.append(r)
-    row_rho = np.zeros(dim)
-    row_rho[0] = 1.0
-    row_phi = np.zeros(dim)
-    row_phi[ix_phi(n)] = 1.0
-
+    x, y = base[0::2], base[1::2]
+    u, v = q[2 * n - 1:-1:2], q[2 * n:-1:2]
+    c = params.c
     one_minus = 1.0 - s
+    eye_x, signed_w = _gram_constants(n)
+    shear = _THETA_SHEAR * signed_w[2 * n - 1:-1:2]  # + on w^0, - on each w^a
 
-    # sigma = sum_a conj(X^a) dX^a ; pi = dw^0 + sum_a X^a dw^a
-    sigma = np.zeros(dim, dtype=complex)
-    for a in range(1, n):
-        sigma += np.conj(X[a - 1]) * rows_X[a - 1]
-    pi = rows_w[0].copy()
-    for a in range(1, n):
-        pi += X[a - 1] * rows_w[a]
+    V = np.zeros((5, dim))
+    V[0, 1:2 * n - 1:2], V[0, 2:2 * n - 1:2] = x, y    # Re sigma
+    V[1, 1:2 * n - 1:2], V[1, 2:2 * n - 1:2] = -y, x   # Im sigma
+    V[2, 2 * n - 1] = V[3, 2 * n] = 1.0                 # Re pi, Im pi
+    V[2, 2 * n + 1:-1:2], V[2, 2 * n + 2:-1:2] = x, -y
+    V[3, 2 * n + 1:-1:2], V[3, 2 * n + 2:-1:2] = y, x
+    V[4, 1:2 * n - 1] = (2.0 * c / one_minus) * V[1, 1:2 * n - 1]  # theta
+    V[4, 2 * n - 1:-1:2], V[4, 2 * n:-1:2] = shear * v, -shear * u
+    V[4, -1] = 1.0
 
-    # theta = dphi - _THETA_SHEAR * Im(conj(w^0)dw^0 - sum_a conj(w^a)dw^a)
-    #              + (2c/(1-s)) Im(sum_a conj(X^a)dX^a)
-    im_w = np.conj(w[0]) * rows_w[0]
-    for a in range(1, n):
-        im_w -= np.conj(w[a]) * rows_w[a]
-    theta = row_phi - _THETA_SHEAR * im_w.imag
-    if n > 1:
-        theta = theta + (2.0 * c / one_minus) * sigma.imag
-
-    g = np.zeros((dim, dim))
-    g += ((rho + 2 * c) / (rho + c)) / (4 * rho**2) * np.outer(row_rho, row_rho)
-    g += ((rho + c) / (rho + 2 * c)) / (4 * rho**2) * np.outer(theta, theta)
-
-    if n > 1:
-        bergman = np.zeros((dim, dim), dtype=complex)
-        for r in rows_X:
-            bergman += _sym_pair(r, r)
-        bergman += (1.0 / one_minus) * _sym_pair(sigma, sigma)
-        g += ((rho + c) / rho) * (bergman.real / one_minus)
-
-    w_term = _sym_pair(rows_w[0], rows_w[0])
-    for a in range(1, n):
-        w_term = w_term - _sym_pair(rows_w[a], rows_w[a])
-    g -= (2.0 / rho) * w_term.real
-    g += (4.0 * (rho + c) / (rho**2 * one_minus)) * _sym_pair(pi, pi).real
-
-    return g
+    k_sigma = (rho + c) / (rho * one_minus**2)
+    k_pi = 4.0 * (rho + c) / (rho**2 * one_minus)
+    k_theta = ((rho + c) / (rho + 2 * c)) / (4 * rho**2)
+    g = (V.T * (k_sigma, k_sigma, k_pi, k_pi, k_theta)) @ V
+    diag = ((rho + c) / (rho * one_minus)) * eye_x - (2.0 / rho) * signed_w
+    diag[0] = ((rho + 2 * c) / (rho + c)) / (4 * rho**2)
+    g.flat[::dim + 1] += diag
+    return 0.5 * (g + g.T)  # the product rounds g[i, j] and g[j, i] apart
 
 
 def bergman_gram(X, n):
@@ -210,21 +193,11 @@ def bergman_gram(X, n):
     s = float(np.sum(np.abs(X) ** 2))
     if s >= 1.0:
         raise ValueError("X lies outside the open unit ball")
-    dim = 2 * (n - 1)
-    rows = []
-    for a in range(n - 1):
-        r = np.zeros(dim, dtype=complex)
-        r[2 * a] = 1.0
-        r[2 * a + 1] = 1.0j
-        rows.append(r)
-    sigma = np.zeros(dim, dtype=complex)
-    for a in range(n - 1):
-        sigma += np.conj(X[a]) * rows[a]
-    g = np.zeros((dim, dim), dtype=complex)
-    for r in rows:
-        g += _sym_pair(r, r)
-    g += (1.0 / (1.0 - s)) * _sym_pair(sigma, sigma)
-    return g.real / (1.0 - s)
+    # sigma = sum_a conj(X^a) dX^a over (x^1, y^1, ...), split into Re and Im
+    re_sigma = np.column_stack((X.real, X.imag)).reshape(-1)
+    im_sigma = np.column_stack((-X.imag, X.real)).reshape(-1)
+    sym = np.outer(re_sigma, re_sigma) + np.outer(im_sigma, im_sigma)
+    return (np.eye(2 * (n - 1)) + sym / (1.0 - s)) / (1.0 - s)
 
 
 def metric_gram(p, params):

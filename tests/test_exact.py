@@ -263,6 +263,34 @@ class TestCoerce:
         with pytest.raises(ValueError, match="mixed"):
             RadC(Rad(5, 1)).coerce(RadC(Rad(6, 1, 1)))
 
+    # Every binary operator lifts a foreign operand through its ring's coerce.
+    def test_radc_operators_lift_rationals(self):
+        z = RadC(Rad(2, 3, 1))
+        assert z + 1 == 1 + z == RadC(Rad(2, 3, 2))
+        assert z - 1 == RadC(Rad(2, 3)) and 1 - z == RadC(Rad(2, 3))
+        assert z * QI(0, 2) == QI(0, 2) * z == RadC(Rad(2, 3), Rad(2, 3, 2))
+        assert Rad(2, 3, 1) + z == z + Rad(2, 3, 1) == RadC(Rad(2, 3, 2))
+
+    def test_rad_reflected_subtraction(self):
+        assert 1 - Rad(2, 3, 1) == Rad(2, 3)
+        assert Fraction(1, 2) - Rad(2, 3, 1, 1) == Rad(2, 3, Fraction(-1, 2), -1)
+
+    @pytest.mark.parametrize("op", [
+        lambda x: x * 0.5, lambda x: 0.5 * x, lambda x: x + 0.5,
+        lambda x: x - 0.5, lambda x: 0.5 - x])
+    def test_rad_and_radc_operators_reject_floats_alike(self, op):
+        with pytest.raises(ValueError, match="exact value over Rad"):
+            op(Rad(2, 3, 1))
+        with pytest.raises(ValueError, match="exact value over Rad"):
+            op(RadC(Rad(2, 3, 1)))
+
+    @pytest.mark.parametrize("op", [
+        lambda x: x + 0.5, lambda x: x * 0.5, lambda x: 0.5 - x,
+        lambda x: x - 0.5j])
+    def test_qi_operators_reject_floats_through_coerce(self, op):
+        with pytest.raises(TypeError, match="exact rational required"):
+            op(QI(1))
+
 
 class TestSolvers:
     def test_unique_solution(self):

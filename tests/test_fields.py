@@ -11,6 +11,7 @@ from oneloop.exact import QI, QI_I, Poly, VarTable
 from oneloop.fields import (
     GeneratorName,
     PolyVectorField,
+    _ChartEvaluator,
     bracket,
     flow,
     flow_jacobian,
@@ -31,6 +32,9 @@ from oneloop.geometry import (
     ix_rho,
     ix_u,
     ix_v,
+    ix_x,
+    ix_y,
+    metric_first_derivatives,
     metric_gram,
     seeded_points,
 )
@@ -71,6 +75,98 @@ def comm_closed_form(a, b, params):
     comps[vt.wb(b)] = comps[vt.wb(b)] + var(vt.wb(a))
     comps[vt.w(a)] = comps[vt.w(a)] - var(vt.w(b))
     return PolyVectorField(n, comps)
+
+
+def chart_values(p, c_value, vt):
+    vals = [0j] * vt.nvars
+    for a in range(1, vt.n):
+        vals[vt.x(a)] = complex(p.X[a - 1])
+        vals[vt.xb(a)] = complex(p.X[a - 1]).conjugate()
+    for k in range(vt.n):
+        vals[vt.w(k)] = complex(p.w[k])
+        vals[vt.wb(k)] = complex(p.w[k]).conjugate()
+    vals[vt.c] = complex(c_value)
+    return vals
+
+
+def vector_oracle(F, p, c_value):
+    """Real chart vector from termwise Poly.eval_complex of each component."""
+    n = F.n
+    vt = VarTable(n)
+    vals = chart_values(p, c_value, vt)
+    comps = [comp.eval_complex(vals) for comp in F.comps]
+    out = np.zeros(4 * n)
+    for a in range(1, n):
+        out[ix_x(a)], out[ix_y(a)] = comps[vt.x(a)].real, comps[vt.x(a)].imag
+    for k in range(n):
+        out[ix_u(k, n)], out[ix_v(k, n)] = comps[vt.w(k)].real, comps[vt.w(k)].imag
+    out[ix_phi(n)] = comps[-1].real
+    return out
+
+
+def jacobian_oracle(F, p, c_value):
+    """Real chart Jacobian by a Poly.eval_complex loop over every partial."""
+    n = F.n
+    vt = VarTable(n)
+    vals = chart_values(p, c_value, vt)
+    nv = vt.nvars
+    dval = np.zeros((nv, nv - 1), dtype=complex)
+    for i in range(nv):
+        for j in range(nv - 1):
+            poly = F.comps[i].diff(j)
+            if poly:
+                dval[i, j] = poly.eval_complex(vals)
+
+    m = 4 * n
+    J = np.zeros((m, m))
+
+    def cols(i):
+        """Complex chart-partials of component i: one per real column."""
+        out = np.zeros(m, dtype=complex)
+        for b in range(1, n):
+            fx = dval[i, vt.x(b)]
+            fxb = dval[i, vt.xb(b)]
+            out[ix_x(b)] = fx + fxb
+            out[ix_y(b)] = 1j * (fx - fxb)
+        for k in range(n):
+            fw = dval[i, vt.w(k)]
+            fwb = dval[i, vt.wb(k)]
+            out[ix_u(k, n)] = fw + fwb
+            out[ix_v(k, n)] = 1j * (fw - fwb)
+        return out
+
+    for a in range(1, n):
+        row = cols(vt.x(a))
+        J[ix_x(a)] = row.real
+        J[ix_y(a)] = row.imag
+    for k in range(n):
+        row = cols(vt.w(k))
+        J[ix_u(k, n)] = row.real
+        J[ix_v(k, n)] = row.imag
+    J[ix_phi(n)] = cols(nv - 1).real
+    return J
+
+
+def killing_oracle(params, points, step=1e-3):
+    """killing_residuals with one field at a time and the oracles above."""
+    catalogue = real_killing_catalogue(params)
+    residuals = {label: 0.0 for label, _ in catalogue}
+    control = 0.0
+    for p in points:
+        D1 = metric_first_derivatives(p.to_chart(), params, step=step)
+        g = metric_gram(p, params)
+        ginf = float(np.max(np.abs(g)))
+        for label, F in catalogue:
+            J = jacobian_oracle(F, p, params.c)
+            L = (np.einsum("k,kij->ij", vector_oracle(F, p, params.c), D1)
+                 + J.T @ g + g @ J)
+            rel = float(np.max(np.abs(0.5 * (L + L.T)))) / ginf
+            if rel > residuals[label] or math.isnan(rel):
+                residuals[label] = rel
+        rel_control = float(np.max(np.abs(D1[ix_rho()]))) / ginf
+        if rel_control > control or math.isnan(rel_control):
+            control = rel_control
+    return residuals, control
 
 
 def base_point(n, rho=1.25, phi=0.0):
@@ -342,6 +438,53 @@ class TestEval:
             vm = F.real_chart_vector(PointBarN.from_chart(qm), params.c)
             fd = (vp - vm) / (2 * h)
             assert np.allclose(J[:, j], fd, atol=1e-6)
+
+
+class TestBatchedEvaluation:
+    """The catalogue evaluator reproduces the termwise evaluation exactly."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_catalogue_field_matches_termwise_oracle(self, n):
+        for c in (0.0, 0.75):
+            params = ModelParams(n=n, c=c)
+            catalogue = real_killing_catalogue(params)
+            evaluate = _ChartEvaluator([F for _, F in catalogue])
+            for p in seeded_points(params, 3, seed=n) + [base_point(n)]:
+                vecs, jacs = evaluate(p, c)
+                for (label, F), vec, jac in zip(catalogue, vecs, jacs):
+                    assert np.array_equal(vec, vector_oracle(F, p, c)), label
+                    assert np.array_equal(jac, jacobian_oracle(F, p, c)), label
+                    assert np.array_equal(F.real_chart_vector(p, c), vec)
+                    assert np.array_equal(F.real_chart_jacobian(p, c), jac)
+                    vt = VarTable(n)
+                    termwise = [comp.eval_complex(chart_values(p, c, vt))
+                                for comp in F.comps]
+                    assert np.array_equal(F.eval_complex(p, c), termwise)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_killing_residuals_match_one_field_at_a_time(self, n):
+        params = ModelParams(n=n, c=0.5)
+        points = seeded_points(params, 3, seed=7)
+        assert killing_residuals(params, points) == killing_oracle(params, points)
+
+    def test_higher_powers_follow_python_arithmetic(self):
+        # X^3 wbar^2 + (1/3 + 2i) c X Xbar: powers above 2 and a coefficient
+        # whose product does not commute with rounding
+        n = 2
+        vt = VarTable(n)
+        nv = vt.nvars
+        mono = [0] * nv
+        mono[vt.x(1)], mono[vt.wb(0)] = 3, 2
+        other = [0] * nv
+        other[vt.x(1)] = other[vt.xb(1)] = other[vt.c] = 1
+        poly = Poly(nv, {tuple(mono): 1, tuple(other): QI(Fraction(1, 3), 2)})
+        comps = [Poly.zero(nv)] * nv
+        comps[vt.x(1)] = comps[nv - 1] = poly
+        F = PolyVectorField(n, comps)
+        for p in seeded_points(ModelParams(n=n, c=1.5), 4, seed=2):
+            assert np.array_equal(F.real_chart_vector(p, 1.5), vector_oracle(F, p, 1.5))
+            assert np.array_equal(F.real_chart_jacobian(p, 1.5),
+                                  jacobian_oracle(F, p, 1.5))
 
 
 def _is_fiber_translation(label):

@@ -3,11 +3,93 @@
 import numpy as np
 import pytest
 
-from oneloop.geometry import (ModelParams, PointBarN, bergman_gram,
+from oneloop import geometry
+from oneloop.geometry import (_THETA_SHEAR, ModelParams, PointBarN,
+                              _gram_from_chart, bergman_gram,
                               einstein_diagnostic, fiber_density_split,
-                              gram_det_p0, ix_phi, ix_u, ix_v, metric_gram,
+                              gram_det_p0, ix_phi, ix_u, ix_v, ix_x, ix_y,
+                              metric_first_derivatives, metric_gram,
                               metric_on_fiber_H, ricci_fd, rho_density_factor,
                               seeded_points)
+
+
+def _sym_pair(A, B):
+    """Realified symmetric product of 1-forms: (1/2)(A (x) conj(B) + conj(B) (x) A).
+
+    A, B are complex coefficient rows over the real chart; with A = B this is
+    the realification of dz (.) dzbar normalized so dz (.) dzbar = dx^2 + dy^2.
+    """
+    return 0.5 * (np.outer(A, np.conj(B)) + np.outer(np.conj(B), A))
+
+
+def gram_oracle(q, params):
+    """Outer-product assembly of the Gram matrix, one _sym_pair per 1-form:
+    the reference for the closed-form assembly in geometry._gram_from_chart."""
+    n = params.n
+    dim = 4 * n
+    q = np.asarray(q, dtype=float)
+    rho = q[0]
+    c = params.c
+
+    X = np.array([q[ix_x(a)] + 1j * q[ix_y(a)] for a in range(1, n)])
+    w = np.array([q[ix_u(k, n)] + 1j * q[ix_v(k, n)] for k in range(n)])
+    s = float(np.sum(np.abs(X) ** 2))
+
+    # Complex coefficient rows of the coordinate 1-forms over the real chart.
+    rows_X = []
+    for a in range(1, n):
+        r = np.zeros(dim, dtype=complex)
+        r[ix_x(a)] = 1.0
+        r[ix_y(a)] = 1.0j
+        rows_X.append(r)
+    rows_w = []
+    for k in range(n):
+        r = np.zeros(dim, dtype=complex)
+        r[ix_u(k, n)] = 1.0
+        r[ix_v(k, n)] = 1.0j
+        rows_w.append(r)
+    row_rho = np.zeros(dim)
+    row_rho[0] = 1.0
+    row_phi = np.zeros(dim)
+    row_phi[ix_phi(n)] = 1.0
+
+    one_minus = 1.0 - s
+
+    # sigma = sum_a conj(X^a) dX^a ; pi = dw^0 + sum_a X^a dw^a
+    sigma = np.zeros(dim, dtype=complex)
+    for a in range(1, n):
+        sigma += np.conj(X[a - 1]) * rows_X[a - 1]
+    pi = rows_w[0].copy()
+    for a in range(1, n):
+        pi += X[a - 1] * rows_w[a]
+
+    # theta = dphi - _THETA_SHEAR * Im(conj(w^0)dw^0 - sum_a conj(w^a)dw^a)
+    #              + (2c/(1-s)) Im(sum_a conj(X^a)dX^a)
+    im_w = np.conj(w[0]) * rows_w[0]
+    for a in range(1, n):
+        im_w -= np.conj(w[a]) * rows_w[a]
+    theta = row_phi - _THETA_SHEAR * im_w.imag
+    if n > 1:
+        theta = theta + (2.0 * c / one_minus) * sigma.imag
+
+    g = np.zeros((dim, dim))
+    g += ((rho + 2 * c) / (rho + c)) / (4 * rho**2) * np.outer(row_rho, row_rho)
+    g += ((rho + c) / (rho + 2 * c)) / (4 * rho**2) * np.outer(theta, theta)
+
+    if n > 1:
+        bergman = np.zeros((dim, dim), dtype=complex)
+        for r in rows_X:
+            bergman += _sym_pair(r, r)
+        bergman += (1.0 / one_minus) * _sym_pair(sigma, sigma)
+        g += ((rho + c) / rho) * (bergman.real / one_minus)
+
+    w_term = _sym_pair(rows_w[0], rows_w[0])
+    for a in range(1, n):
+        w_term = w_term - _sym_pair(rows_w[a], rows_w[a])
+    g -= (2.0 / rho) * w_term.real
+    g += (4.0 * (rho + c) / (rho**2 * one_minus)) * _sym_pair(pi, pi).real
+
+    return g
 
 
 def hermitian_realification(H):
@@ -109,6 +191,65 @@ class TestMetricGram:
         assert PointBarN.from_chart(q) == p
         assert q[0] == 2.0 and q[ix_phi(2)] == 0.7
         assert q[ix_u(0, 2)] == 1.0 and q[ix_v(0, 2)] == -1.0
+
+
+class TestGramAssembly:
+    """The closed-form Gram assembly against the outer-product oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("c", [0.0, 0.5, 3.0])
+    def test_matches_outer_product_oracle(self, n, c):
+        params = ModelParams(n, c)
+        points = seeded_points(params, 6, seed=13)
+        p = points[0]
+        if n > 1:  # near the boundary of the ball: |X| = 0.95
+            raw = np.random.default_rng(n).normal(size=(2, n - 1))
+            X = (raw[0] + 1j * raw[1]) * (0.95 / np.linalg.norm(raw))
+            points.append(PointBarN(tuple(X), p.w, p.phi_tilde, p.rho))
+        points.append(PointBarN(p.X, p.w, p.phi_tilde, 0.05))
+        for p in points:
+            q = p.to_chart()
+            ref = gram_oracle(q, params)
+            g = _gram_from_chart(q, params)
+            assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.array_equal(g, g.T)
+
+    def test_rejects_points_off_the_chart(self):
+        params = ModelParams(2, 1.0)
+        q = base_point(2).to_chart()
+        with pytest.raises(ValueError, match="does not match"):
+            _gram_from_chart(q[:-1], params)
+        for rho in (0.0, -1.0):
+            q[0] = rho
+            with pytest.raises(ValueError, match="rho must be positive"):
+                _gram_from_chart(q, params)
+        q[0], q[ix_x(1)] = 1.0, 1.0
+        with pytest.raises(ValueError, match="unit ball"):
+            _gram_from_chart(q, params)
+
+
+class TestStencilCounts:
+    """One Gram evaluation per stencil point: 4 per coordinate for the first
+    derivatives, 5 per coordinate and 16 per coordinate pair for the second."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_gram_evaluations_per_call(self, n, monkeypatch):
+        params = ModelParams(n, 0.5)
+        p = seeded_points(params, 1, seed=2)[0]
+        calls = []
+        original = geometry._gram_from_chart
+
+        def counting(q, params):
+            calls.append(q)
+            return original(q, params)
+
+        monkeypatch.setattr(geometry, "_gram_from_chart", counting)
+        d = 4 * n
+        metric_first_derivatives(p.to_chart(), params)
+        assert len(calls) == 4 * d
+        calls.clear()
+        ricci_fd(p, params)
+        assert len(calls) == 1 + 9 * d + 8 * d * (d - 1)
 
 
 class TestDeterminant:
