@@ -4,17 +4,17 @@ Modules:
     exact      exact arithmetic (Gaussian rationals, polynomials, radical rings)
     params     the model parameters (n, c), without numpy
     geometry   the metric family, Gram matrices, determinants, FD curvature
-    fields     polynomial Killing fields, brackets, flows, stabilizer
+    polyfields exact polynomial Killing fields and brackets, without numpy
+    fields     float Killing residuals, flows, stabilizer
     liealg     exact matrix model of the isometry algebra and center lattices
     heis       Heisenberg groups, arithmetic lattices, unipotent witness
     quatarith  quaternion algebras over Q and their norm-one lattices
     volume     fiber volume density, closed-form and quadrature volumes
     cli        batch driver with deterministic machine-readable reports
 
-Only geometry and fields import numpy. The CLI and liealg import them inside
-the functions that need them (verify-killing, curvature, and structure through
-fields), so importing the package and running center, lattice or
-volume-table never loads numpy.
+Only geometry and fields import numpy, and the CLI imports them inside the
+float commands (verify-killing, curvature), so importing the package and
+running any other command never loads numpy.
 """
 
 __version__ = "0.1.0"

@@ -154,7 +154,7 @@ def _json_text(report: Dict) -> str:
 #
 # Each command imports the modules it needs inside its body, so a process
 # compiles and loads only its own suite; above all, numpy (through fields and
-# geometry) loads only for the float commands and for structure.
+# geometry) loads only for the float commands.
 # ---------------------------------------------------------------------------
 
 

@@ -1,27 +1,19 @@
-"""Exact polynomial vector fields and their flows on the fibered chart.
+"""Float half of the symmetry fields: Killing residuals, frames and flows.
 
-The continuous symmetries of the metric assembled in :mod:`oneloop.geometry`
-are vector fields whose coefficients are polynomials in the complex chart
-variables (X, Xbar, w, wbar), linear in the deformation parameter c, and
-independent of the radial coordinate.  This module represents those fields
-exactly, computes exact Lie brackets, evaluates real chart vectors and
-Jacobians, verifies the Killing property against finite-difference metric
-derivatives, and integrates the closed-form flows (rotations of the fiber
-coordinates, translations of the fiber with a shear of the angle
-coordinate).
+Evaluates the exact fields of :mod:`oneloop.polyfields` (re-exported here) in
+the real chart, against finite-difference metric derivatives, with numpy.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .exact import QI, QI_I, Poly, VarTable
+from .exact import VarTable
 from .geometry import (
     ModelParams,
     PointBarN,
@@ -34,100 +26,12 @@ from .geometry import (
     metric_first_derivatives,
     metric_gram,
 )
+from .polyfields import (  # noqa: F401 -- bracket is re-exported
+    _FLOW_KINDS, GeneratorName, PolyVectorField, _phi_dir, _two_c_dphi, bracket,
+    generator, imag_part, real_part,
+)
 
 TAU = 2.0 * math.pi
-
-_GEN_KINDS = frozenset(
-    {"YC", "Ya", "YaBar", "Vk", "VkBar", "T", "C1", "C2", "CommYaYbBar",
-     "VkRe", "VkIm"}
-)
-_FLOW_KINDS = frozenset({"C1", "C2", "T", "VkRe", "VkIm"})
-
-
-@dataclass(frozen=True)
-class GeneratorName:
-    """Name of a catalogued symmetry generator, with optional indices.
-
-    kind is one of YC, Ya, YaBar, Vk, VkBar, T, C1, C2, CommYaYbBar plus the
-    real/imaginary fiber-translation combinations VkRe, VkIm.  Index `a`
-    doubles as the fiber index k for the Vk family.
-    """
-
-    kind: str
-    a: Optional[int] = None
-    b: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind not in _GEN_KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        needs_a = self.kind in {"Ya", "YaBar", "Vk", "VkBar", "VkRe", "VkIm",
-                                "CommYaYbBar"}
-        needs_b = self.kind == "CommYaYbBar"
-        if needs_a and self.a is None:
-            raise ValueError(f"generator {self.kind} requires an index")
-        if needs_b and self.b is None:
-            raise ValueError("CommYaYbBar requires two indices")
-        if not needs_a and self.a is not None:
-            raise ValueError(f"generator {self.kind} takes no index")
-        if not needs_b and self.b is not None:
-            raise ValueError(f"generator {self.kind} takes no second index")
-
-    # --- factories -------------------------------------------------------
-    @classmethod
-    def YC(cls):
-        return cls("YC")
-
-    @classmethod
-    def Ya(cls, a):
-        return cls("Ya", a)
-
-    @classmethod
-    def YaBar(cls, a):
-        return cls("YaBar", a)
-
-    @classmethod
-    def Vk(cls, k):
-        return cls("Vk", k)
-
-    @classmethod
-    def VkBar(cls, k):
-        return cls("VkBar", k)
-
-    @classmethod
-    def T(cls):
-        return cls("T")
-
-    @classmethod
-    def C1(cls):
-        return cls("C1")
-
-    @classmethod
-    def C2(cls):
-        return cls("C2")
-
-    @classmethod
-    def CommYaYbBar(cls, a, b):
-        return cls("CommYaYbBar", a, b)
-
-    @classmethod
-    def VkRe(cls, k):
-        return cls("VkRe", k)
-
-    @classmethod
-    def VkIm(cls, k):
-        return cls("VkIm", k)
-
-    def label(self) -> str:
-        if self.kind == "CommYaYbBar":
-            return f"Comm({self.a},{self.b})"
-        if self.a is not None:
-            return f"{self.kind}({self.a})"
-        return self.kind
-
-
-def _phi_dir(n: int) -> int:
-    """Direction slot of the angle coordinate (last slot of comps)."""
-    return 4 * n - 2
 
 
 def _chart_values(p: PointBarN, c_value) -> List[complex]:
@@ -135,124 +39,6 @@ def _chart_values(p: PointBarN, c_value) -> List[complex]:
     X, w = list(p.X), list(p.w)
     return (X + [z.conjugate() for z in X] + w + [z.conjugate() for z in w]
             + [complex(c_value)])
-
-
-class PolyVectorField:
-    """Vector field with exact polynomial coefficients, no radial component.
-
-    comps[i] is the coefficient of the i-th derivative direction.  Directions
-    0..4n-3 follow the variable order of VarTable (d/dX_a, d/dXbar_a, d/dw_k,
-    d/dwbar_k); the final slot is the angle direction d/dphi.  The radial
-    direction is absent by construction: every catalogued symmetry preserves
-    the radial coordinate.
-    """
-
-    __slots__ = ("n", "comps", "_table")
-
-    def __init__(self, n: int, comps: Sequence[Poly]):
-        comps = tuple(comps)
-        if len(comps) != 4 * n - 1:
-            raise ValueError(
-                f"expected {4 * n - 1} direction components, got {len(comps)}"
-            )
-        nv = 4 * n - 1
-        for comp in comps:
-            if comp.nvars != nv:
-                raise ValueError("component variable count mismatch")
-        self.n = n
-        self.comps = comps
-        self._table = None
-
-    # --- algebra ---------------------------------------------------------
-    @staticmethod
-    def zero(n: int) -> "PolyVectorField":
-        nv = 4 * n - 1
-        return PolyVectorField(n, [Poly.zero(nv)] * nv)
-
-    def _check(self, other: "PolyVectorField"):
-        if not isinstance(other, PolyVectorField) or other.n != self.n:
-            raise ValueError("field dimension mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return PolyVectorField(
-            self.n, [a + b for a, b in zip(self.comps, other.comps)]
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return PolyVectorField(
-            self.n, [a - b for a, b in zip(self.comps, other.comps)]
-        )
-
-    def __neg__(self):
-        return PolyVectorField(self.n, [-a for a in self.comps])
-
-    def scale(self, coeff) -> "PolyVectorField":
-        return PolyVectorField(self.n, [a.scale(coeff) for a in self.comps])
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyVectorField):
-            return NotImplemented
-        return self.n == other.n and self.comps == other.comps
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
-
-    # --- conjugation and reality ------------------------------------------
-    def conjugate(self) -> "PolyVectorField":
-        """Swap each direction with its bar partner and conjugate coefficients."""
-        vt = VarTable(self.n)
-        perm = vt.conj_perm()  # fixes the last index, which is the angle slot
-        new = [None] * len(self.comps)
-        for i, comp in enumerate(self.comps):
-            new[perm[i]] = comp.conj_swap(perm)
-        return PolyVectorField(self.n, new)
-
-    def is_real(self) -> bool:
-        return self.conjugate() == self
-
-    # --- evaluation --------------------------------------------------------
-    def _terms(self):
-        """Compiled polynomial terms of the components and their partials.
-
-        Returns cached lists (slots, coeffs, factors): term t adds coeffs[t]
-        times the product of the powers listed in factors[t] to slot
-        i*nv + j of the field's table, which holds d(comp_i)/d(var_j) for
-        j < nv - 1 and comp_i itself for j = nv - 1 (the c slot: no field is
-        differentiated by c).  Power 1 + (e - 1)*nv + v is var_v**e.
-        """
-        if self._table is None:
-            nv = 4 * self.n - 1
-            slots, coeffs, factors = [], [], []
-            for i, comp in enumerate(self.comps):
-                polys = [comp.diff(j) for j in range(nv - 1)] + [comp]
-                for j, poly in enumerate(polys):
-                    for mono, coeff in poly.terms.items():
-                        slots.append(i * nv + j)
-                        coeffs.append(coeff.to_complex())
-                        factors.append([1 + (e - 1) * nv + v
-                                        for v, e in enumerate(mono) if e])
-            self._table = (slots, coeffs, factors)
-        return self._table
-
-    def eval_complex(self, p: PointBarN, c_value) -> np.ndarray:
-        """Complex components (on dX, dXbar, dw, dwbar, dphi) at a point."""
-        return _ChartEvaluator([self]).table(p, c_value)[0, :, -1]
-
-    def real_chart_vector(self, p: PointBarN, c_value) -> np.ndarray:
-        """Real chart components; requires the reality condition to hold."""
-        return _ChartEvaluator([self])(p, c_value)[0][0]
-
-    def real_chart_jacobian(self, p: PointBarN, c_value) -> np.ndarray:
-        """Exact-polynomial Jacobian d(component_i)/d(chart_j), real chart."""
-        return _ChartEvaluator([self])(p, c_value)[1][0]
-
-    def __repr__(self):
-        n_nonzero = sum(1 for c in self.comps if c)
-        return f"PolyVectorField(n={self.n}, nonzero_dirs={n_nonzero})"
 
 
 @functools.lru_cache(maxsize=None)
@@ -332,136 +118,6 @@ class _ChartEvaluator:
         vecs = (rows @ T[:, :, -1:]).real[:, :, 0]
         jacs = (rows @ T[:, :, :-1] @ cols).real
         return vecs, jacs
-
-
-def bracket(F: PolyVectorField, G: PolyVectorField) -> PolyVectorField:
-    """Exact Lie bracket [F, G].
-
-    Coefficients never depend on the angle coordinate, so only the variable
-    directions contribute derivative terms.  The result of bracketing
-    catalogued fields stays within the representable degree bounds, which is
-    asserted.
-    """
-    F._check(G)
-    nv = 4 * F.n - 1
-    # Only the nonzero variable-direction components can contribute.
-    F_nonzero = [(j, Fj) for j, Fj in enumerate(F.comps[: nv - 1]) if Fj]
-    G_nonzero = [(j, Gj) for j, Gj in enumerate(G.comps[: nv - 1]) if Gj]
-    comps = []
-    for Fi, Gi in zip(F.comps, G.comps):
-        acc = Poly.zero(nv)
-        if Gi:
-            for j, Fj in F_nonzero:
-                d = Gi.diff(j)
-                if d:
-                    acc = acc + Fj * d
-        if Fi:
-            for j, Gj in G_nonzero:
-                d = Fi.diff(j)
-                if d:
-                    acc = acc - Gj * d
-        comps.append(acc)
-    out = PolyVectorField(F.n, comps)
-    vt = VarTable(F.n)
-    coord_vars = tuple(range(vt.nvars - 1))
-    for comp in out.comps:
-        if comp.total_degree(coord_vars) > 2 or comp.degree_in(vt.c) > 1:
-            raise AssertionError("bracket left the representable degree range")
-    return out
-
-
-def _two_c_dphi(n: int) -> PolyVectorField:
-    """The field 2c * d/dphi."""
-    nv = 4 * n - 1
-    vt = VarTable(n)
-    comps = [Poly.zero(nv)] * nv
-    comps[_phi_dir(n)] = Poly.variable(nv, vt.c).scale(2)
-    return PolyVectorField(n, comps)
-
-
-def generator(name: GeneratorName, params: ModelParams) -> PolyVectorField:
-    """Exact coefficient table of a catalogued generator (c symbolic)."""
-    n = params.n
-    vt = VarTable(n)
-    nv = vt.nvars
-
-    def var(j):
-        return Poly.variable(nv, j)
-
-    def one():
-        return Poly.const(nv, 1)
-
-    comps = [Poly.zero(nv)] * nv
-    kind = name.kind
-
-    if kind == "YC":
-        for k in range(n):
-            comps[vt.w(k)] = var(vt.w(k)).scale(QI(0, -1))
-            comps[vt.wb(k)] = var(vt.wb(k)).scale(QI(0, 1))
-        comps[_phi_dir(n)] = var(vt.c).scale(-2)
-        return PolyVectorField(n, comps)
-
-    if kind == "Ya":
-        a = name.a
-        ia = vt.x(a)  # validates the range
-        comps[vt.xb(a)] = one()
-        for b in range(1, n):
-            comps[vt.x(b)] = comps[vt.x(b)] - var(ia) * var(vt.x(b))
-        comps[vt.w(a)] = comps[vt.w(a)] - var(vt.w(0))
-        comps[vt.wb(0)] = comps[vt.wb(0)] - var(vt.wb(a))
-        comps[_phi_dir(n)] = (var(vt.c) * var(ia)).scale(QI(0, 1))
-        return PolyVectorField(n, comps)
-
-    if kind == "YaBar":
-        return generator(GeneratorName.Ya(name.a), params).conjugate()
-
-    if kind == "Vk":
-        k = name.a
-        comps[vt.w(k)] = one()
-        sign = QI(0, 1) if k == 0 else QI(0, -1)
-        comps[_phi_dir(n)] = var(vt.wb(k)).scale(sign)
-        return PolyVectorField(n, comps)
-
-    if kind == "VkBar":
-        return generator(GeneratorName.Vk(name.a), params).conjugate()
-
-    if kind == "T":
-        comps[_phi_dir(n)] = one()
-        return PolyVectorField(n, comps)
-
-    if kind == "C1":
-        return generator(GeneratorName.YC(), params) + _two_c_dphi(n)
-
-    if kind == "C2":
-        for a in range(1, n):
-            comps[vt.x(a)] = var(vt.x(a)).scale(QI(0, -n))
-            comps[vt.xb(a)] = var(vt.xb(a)).scale(QI(0, n))
-        comps[vt.w(0)] = var(vt.w(0)).scale(QI(0, -n))
-        comps[vt.wb(0)] = var(vt.wb(0)).scale(QI(0, n))
-        return PolyVectorField(n, comps)
-
-    if kind == "CommYaYbBar":
-        Fa = generator(GeneratorName.Ya(name.a), params)
-        Gb = generator(GeneratorName.YaBar(name.b), params)
-        return bracket(Fa, Gb)
-
-    if kind == "VkRe":
-        return real_part(generator(GeneratorName.Vk(name.a), params))
-
-    if kind == "VkIm":
-        return imag_part(generator(GeneratorName.Vk(name.a), params))
-
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
-def real_part(F: PolyVectorField) -> PolyVectorField:
-    """Unnormalized real combination F + conj(F) (used for flows)."""
-    return F + F.conjugate()
-
-
-def imag_part(F: PolyVectorField) -> PolyVectorField:
-    """Unnormalized imaginary combination i(F - conj(F)) (used for flows)."""
-    return (F - F.conjugate()).scale(QI_I)
 
 
 def real_killing_catalogue(params: ModelParams) -> List[Tuple[str, PolyVectorField]]:

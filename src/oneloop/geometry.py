@@ -15,6 +15,7 @@ a finite-difference Ricci tensor for Einstein diagnostics.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import warnings
 from dataclasses import dataclass
@@ -42,6 +43,8 @@ class PointBarN:
         object.__setattr__(self, "rho", float(self.rho))
         if len(w) != len(X) + 1:
             raise ValueError("w must have one more component than X")
+        if not all(map(cmath.isfinite, X + w + (self.phi_tilde, self.rho))):
+            raise ValueError("point coordinates must be finite")
         if self.rho <= 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if sum(abs(z) ** 2 for z in X) >= 1.0:
@@ -105,7 +108,7 @@ def ix_phi(n):
 # plane.  The value 4 is right: with it the metric is Einstein with
 # lambda = -2(n+2) (n = 1, 2, relative residual <= 6e-8); with 2 it is not
 # Einstein at all (residual 0.25-1.2).  The fiber-translation generators V_k
-# in fields.py carry half this shear (Re V_0 = d/du + 2v d/dphi); since
+# in polyfields.py carry half this shear (Re V_0 = d/du + 2v d/dphi); since
 # L_{d/du + s v d/dphi} theta = (s - 4) dv, they are Killing only at s = 4,
 # and their Killing and flow rows fail until the catalogue is repaired.
 _THETA_SHEAR = 4.0
@@ -144,11 +147,11 @@ def _gram_from_chart(q, params):
     if q.size != dim:
         raise ValueError(f"chart vector of length {q.size} does not match n={n}")
     rho = float(q[0])
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     base = q[1:2 * n - 1]
     s = float(base @ base)
-    if s >= 1.0:
+    if not s < 1.0:
         raise ValueError("X lies outside the open unit ball")
     x, y = base[0::2], base[1::2]
     u, v = q[2 * n - 1:-1:2], q[2 * n:-1:2]
@@ -278,7 +281,7 @@ def _stencil_eval(q, params):
 
 
 def _fd_steps(q, step):
-    if step <= 0:
+    if not step > 0:
         raise ValueError("step must be positive")
     return step * np.maximum(1.0, np.abs(q))
 

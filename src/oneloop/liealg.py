@@ -5,8 +5,8 @@ sum: an indefinite-unitary matrix block acting on a Heisenberg translation
 part with one central direction.  This module realizes that algebra with
 exact Gaussian-rational arithmetic, provides the antilinear involution that
 cuts out the real form, verifies the structure constants against the vector
-fields of :mod:`oneloop.fields`, and computes the center lattices (kernel of
-the group action, its intersection with the special-unitary block, and the
+fields of :mod:`oneloop.polyfields`, and computes the center lattices (kernel
+of the group action, its intersection with the special-unitary block, and the
 unitary/Heisenberg intersection subgroups) by exact integer linear algebra.
 
 Center vectors live in coordinates (2pi * u, 2pi * m, 4pi*c * z) with u, z
@@ -25,10 +25,8 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 from .exact import QI, QI_I
 from .params import ModelParams
 
-# fields loads numpy, so the functions that need it import it when called:
-# the center-lattice calculator runs without numpy.
-if TYPE_CHECKING:
-    from .fields import PolyVectorField
+if TYPE_CHECKING:  # imported where used, so that center does not compile it
+    from .polyfields import PolyVectorField
 
 __all__ = [
     "MatGl",
@@ -444,7 +442,7 @@ def gl_decompose(
 @lru_cache(maxsize=None)
 def _alpha_images(n: int) -> Dict[str, PolyVectorField]:
     """Vector-field images of the algebra basis (c kept symbolic)."""
-    from .fields import GeneratorName, generator
+    from .polyfields import GeneratorName, generator
 
     params = ModelParams(n=n, c=0.0)
     images: Dict[str, PolyVectorField] = {
@@ -473,7 +471,7 @@ def alpha(x: SemiDirectElement, params: ModelParams) -> PolyVectorField:
     and Ebar_k to the fiber translations, T to the angle translation.  The
     bracket check is anti-equivariant: [alpha(x), alpha(y)] = -alpha([x, y]).
     """
-    from .fields import PolyVectorField
+    from .polyfields import PolyVectorField
 
     n = x.n
     if n != params.n:
@@ -528,7 +526,7 @@ def structure_check(params: ModelParams) -> StructureReport:
 
     Exact polynomial arithmetic with the deformation parameter symbolic.
     """
-    from .fields import bracket
+    from .polyfields import bracket
 
     n = params.n
     basis = algebra_basis(n)

@@ -7,6 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oneloop.fields
+import oneloop.geometry
+import oneloop.polyfields
 from oneloop.exact import QI, QI_I, Poly, VarTable
 from oneloop.fields import (
     GeneratorName,
@@ -516,15 +519,23 @@ class TestKilling:
                 assert res <= 2e-6, f"{label} residual {res}"
         assert control > 1e-2
 
-    def test_nan_residual_fails_every_row(self):
-        # A NaN step makes every Lie derivative NaN; the maxima must carry
-        # the NaN instead of keeping their 0.0 start value.
+    def test_nan_residual_fails_every_row(self, monkeypatch):
+        # NaN metric derivatives make every Lie derivative NaN; the maxima
+        # must carry the NaN instead of keeping their 0.0 start value.
         params = ModelParams(1, 1.0)
         points = seeded_points(params, 2)
-        residuals, control = killing_residuals(params, points, step=float("nan"))
+        monkeypatch.setattr(oneloop.fields, "metric_first_derivatives",
+                            lambda q, params, step: np.full((4, 4, 4), np.nan))
+        residuals, control = killing_residuals(params, points)
         assert residuals and all(math.isnan(res) for res in residuals.values())
         assert not any(res <= 1e-6 for res in residuals.values())
         assert math.isnan(control)
+
+    def test_nan_step_is_rejected(self):
+        # A NaN step fails the step check instead of yielding NaN rows.
+        params = ModelParams(1, 1.0)
+        with pytest.raises(ValueError, match="step must be positive"):
+            killing_residuals(params, seeded_points(params, 1), step=float("nan"))
 
     def test_fiber_translations_miss_by_angle_shear_mismatch(self):
         # Characterization: the V-family is NOT Killing for this metric; its
@@ -727,3 +738,20 @@ class TestFlows:
         for name in (GeneratorName.C1(), GeneratorName.C2(),
                       GeneratorName.VkRe(0)):
             assert flow(name, 1.3, p).rho == p.rho
+
+
+class TestModuleBindings:
+    """The float module keeps the names the benchmark tracer wraps, and
+    re-exports the exact half as the very objects of polyfields."""
+
+    def test_float_bindings(self):
+        fields = oneloop.fields
+        assert callable(fields.killing_residuals)
+        assert callable(fields.real_killing_catalogue)
+        assert fields.metric_first_derivatives is oneloop.geometry.metric_first_derivatives
+
+    @pytest.mark.parametrize("name", ["PolyVectorField", "GeneratorName",
+                                      "generator", "bracket", "real_part",
+                                      "imag_part"])
+    def test_exact_names_are_reexported(self, name):
+        assert getattr(oneloop.fields, name) is getattr(oneloop.polyfields, name)

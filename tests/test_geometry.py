@@ -185,6 +185,20 @@ class TestMetricGram:
         with pytest.raises(ValueError):
             metric_gram(base_point(2), ModelParams(3, 0.0))
 
+    @pytest.mark.parametrize("coords", [
+        dict(X=(), w=(0,), rho=float("nan")),
+        dict(X=(), w=(0,), rho=float("inf")),
+        dict(X=(), w=(0,), phi_tilde=float("nan")),
+        dict(X=(float("nan"),), w=(0, 0)),
+        dict(X=(complex(0.1, float("nan")),), w=(0, 0)),
+        dict(X=(), w=(float("nan"),)),
+        dict(X=(0.1,), w=(0, complex(0.0, float("inf")))),
+    ])
+    def test_rejects_non_finite_coordinates(self, coords):
+        coords = dict(dict(phi_tilde=0.0, rho=1.0), **coords)
+        with pytest.raises(ValueError, match="must be finite"):
+            PointBarN(**coords)
+
     def test_chart_roundtrip(self):
         p = PointBarN(X=(0.1 + 0.2j,), w=(1 - 1j, 0.5j), phi_tilde=0.7, rho=2.0)
         q = p.to_chart()
@@ -219,13 +233,14 @@ class TestGramAssembly:
         q = base_point(2).to_chart()
         with pytest.raises(ValueError, match="does not match"):
             _gram_from_chart(q[:-1], params)
-        for rho in (0.0, -1.0):
+        for rho in (0.0, -1.0, float("nan")):
             q[0] = rho
             with pytest.raises(ValueError, match="rho must be positive"):
                 _gram_from_chart(q, params)
-        q[0], q[ix_x(1)] = 1.0, 1.0
-        with pytest.raises(ValueError, match="unit ball"):
-            _gram_from_chart(q, params)
+        for x in (1.0, float("nan")):
+            q[0], q[ix_x(1)] = 1.0, x
+            with pytest.raises(ValueError, match="unit ball"):
+                _gram_from_chart(q, params)
 
 
 class TestStencilCounts:

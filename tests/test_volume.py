@@ -264,16 +264,18 @@ class TestQuadratureOracle:
         assert result.stdout.startswith("rho,density,closed_tail,")
 
     def test_exact_commands_never_load_numpy(self):
-        # Only the float commands (verify-killing, curvature) and structure
-        # import numpy, and import alone loads no suite; the last line shows
-        # the check can fail.
+        # Only the float commands (verify-killing, curvature) import numpy,
+        # the exact fields and the algebra load none, and import alone loads
+        # no suite; the last line shows the check can fail.
         script = (
             "import contextlib, io, sys\n"
             "import oneloop.cli\n"
             "suites = {'numpy', 'oneloop.liealg', 'oneloop.quatarith', 'oneloop.volume'}\n"
             "assert not suites & set(sys.modules)\n"
+            "import oneloop.polyfields, oneloop.liealg\n"
+            "assert 'numpy' not in sys.modules\n"
             "for argv in (['center', '--n', '2'], ['lattice', '--bound', '2'],\n"
-            "             ['volume-table', '--n', '1']):\n"
+            "             ['volume-table', '--n', '1'], ['structure', '--n', '2']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert oneloop.cli.main(argv) == 0, argv\n"
             "    assert 'numpy' not in sys.modules, argv\n"
