@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
 _new = object.__new__
 
@@ -156,7 +157,7 @@ class QI:
         return self._x == 0 and self._y == 0
 
     def __bool__(self):
-        return not self.is_zero()
+        return self._x != 0 or self._y != 0
 
     def __eq__(self, other):
         other = QI._try_coerce(other)
@@ -274,20 +275,50 @@ class Poly:
         if self.nvars != other.nvars:
             raise ValueError("polynomials over different variable tables")
 
+    @staticmethod
+    def _accumulate(terms, items):
+        """Add (monomial, coefficient) pairs into the dict ``terms``, in order.
+
+        The one accumulation loop behind every sum and product of term dicts:
+        a new monomial is appended, a sum that cancels removes its monomial,
+        so ``terms`` keeps only nonzero coefficients.  Returns ``terms``.
+        """
+        get = terms.get
+        for mono, coeff in items:
+            acc = get(mono)
+            if acc is None:
+                terms[mono] = coeff
+            else:
+                acc = acc + coeff
+                if acc.is_zero():
+                    del terms[mono]
+                else:
+                    terms[mono] = acc
+        return terms
+
+    @staticmethod
+    def _products(left, right):
+        """The (monomial, coefficient) pairs of a product of two term lists,
+        left factor outermost."""
+        for m1, c1 in left:
+            for m2, c2 in right:
+                yield tuple(map(add, m1, m2)), c1 * c2
+
+    @classmethod
+    def _wrap(cls, nvars, terms):
+        """A Poly around a dict of nonzero QI coefficients, taken as is."""
+        out = _new(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(self.nvars, other)
         self._check(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono, QI_ZERO) + coeff
-            if acc.is_zero():
-                terms.pop(mono, None)
-            else:
-                terms[mono] = acc
-        out = Poly(self.nvars)
-        out.terms = terms
-        return out
+        return Poly._wrap(
+            self.nvars, Poly._accumulate(dict(self.terms), other.terms.items())
+        )
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -295,26 +326,16 @@ class Poly:
         return self + (-other)
 
     def __neg__(self):
-        out = Poly(self.nvars)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return Poly._wrap(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QI)):
             return self.scale(other)
         self._check(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                acc = terms.get(mono, QI_ZERO) + c1 * c2
-                if acc.is_zero():
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = acc
-        out = Poly(self.nvars)
-        out.terms = terms
-        return out
+        terms = Poly._accumulate(
+            {}, Poly._products(self.terms.items(), other.terms.items())
+        )
+        return Poly._wrap(self.nvars, terms)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -323,9 +344,7 @@ class Poly:
         coeff = QI.coerce(coeff)
         if coeff.is_zero():
             return Poly(self.nvars)
-        out = Poly(self.nvars)
-        out.terms = {m: c * coeff for m, c in self.terms.items()}
-        return out
+        return Poly._wrap(self.nvars, {m: c * coeff for m, c in self.terms.items()})
 
     def diff(self, i):
         """Partial derivative with respect to variable i."""
@@ -337,9 +356,7 @@ class Poly:
             new = list(mono)
             new[i] = e - 1
             terms[tuple(new)] = coeff * e
-        out = Poly(self.nvars)
-        out.terms = terms
-        return out
+        return Poly._wrap(self.nvars, terms)
 
     def subs(self, assign):
         """Substitute exact QI values for some variables; returns a Poly.
@@ -377,9 +394,7 @@ class Poly:
             for i, e in enumerate(mono):
                 new[perm[i]] = e
             terms[tuple(new)] = coeff.conj()
-        out = Poly(self.nvars)
-        out.terms = terms
-        return out
+        return Poly._wrap(self.nvars, terms)
 
     def degree_in(self, i):
         return max((m[i] for m in self.terms), default=0)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from .exact import QI, QI_I
+from .exact import QI, QI_I, QI_ZERO
 from .params import ModelParams
 
 if TYPE_CHECKING:  # imported where used, so that center does not compile it
@@ -75,9 +75,17 @@ class MatGl:
         return cls(tuple(tuple(QI.coerce(e) for e in row) for row in rows))
 
     @classmethod
-    def zero(cls, n: int) -> "MatGl":
-        z = QI(0)
-        return cls(tuple(tuple(z for _ in range(n)) for _ in range(n)))
+    def _wrap(cls, entries) -> "MatGl":
+        """A MatGl around square rows of QI entries, taken unchecked: the
+        result of an operation on checked matrices."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "entries", entries)
+        return out
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def zero(n: int) -> "MatGl":
+        return MatGl.from_rows([[0] * n for _ in range(n)])
 
     @classmethod
     def identity(cls, n: int) -> "MatGl":
@@ -92,53 +100,63 @@ class MatGl:
             [[1 if (r, s) == (j, k) else 0 for s in range(n)] for r in range(n)]
         )
 
+    # Sums, differences, negation and products skip zero entries: the
+    # algebra basis matrices have at most n nonzeros each.
     def __add__(self, other: "MatGl") -> "MatGl":
         self._check(other)
-        return MatGl(
+        return MatGl._wrap(
             tuple(
-                tuple(a + b for a, b in zip(ra, rb))
+                tuple((a + b if b else a) if a else b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
             )
         )
 
     def __sub__(self, other: "MatGl") -> "MatGl":
         self._check(other)
-        return MatGl(
+        return MatGl._wrap(
             tuple(
-                tuple(a - b for a, b in zip(ra, rb))
+                tuple(
+                    (a - b if b else a) if a else (-b if b else b)
+                    for a, b in zip(ra, rb)
+                )
                 for ra, rb in zip(self.entries, other.entries)
             )
         )
 
     def __neg__(self) -> "MatGl":
-        return MatGl(tuple(tuple(-a for a in row) for row in self.entries))
+        return MatGl._wrap(
+            tuple(tuple(-a if a else a for a in row) for row in self.entries)
+        )
 
     def scale(self, coeff) -> "MatGl":
         q = QI.coerce(coeff)
-        return MatGl(tuple(tuple(q * a for a in row) for row in self.entries))
+        return MatGl._wrap(tuple(tuple(q * a for a in row) for row in self.entries))
 
     def __matmul__(self, other: "MatGl") -> "MatGl":
         self._check(other)
         n = self.n
+        # Nonzero (column, entry) pairs of each row of the right factor.
+        right = [[(k, b) for k, b in enumerate(row) if b] for row in other.entries]
         rows = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                acc = QI(0)
-                for l in range(n):
-                    acc = acc + self.entries[j][l] * other.entries[l][k]
-                row.append(acc)
+        for row_a in self.entries:
+            row = [QI_ZERO] * n
+            for a, row_b in zip(row_a, right):
+                if a:
+                    for k, b in row_b:
+                        row[k] = row[k] + a * b
             rows.append(tuple(row))
-        return MatGl(tuple(rows))
+        return MatGl._wrap(tuple(rows))
 
     def transpose(self) -> "MatGl":
         n = self.n
-        return MatGl(
+        return MatGl._wrap(
             tuple(tuple(self.entries[k][j] for k in range(n)) for j in range(n))
         )
 
     def conj(self) -> "MatGl":
-        return MatGl(tuple(tuple(a.conj() for a in row) for row in self.entries))
+        return MatGl._wrap(
+            tuple(tuple(a.conj() for a in row) for row in self.entries)
+        )
 
     def trace(self) -> QI:
         acc = QI(0)
@@ -147,7 +165,7 @@ class MatGl:
         return acc
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.entries for a in row)
+        return not any(map(any, self.entries))
 
     def commutator(self, other: "MatGl") -> "MatGl":
         return (self @ other) - (other @ self)
@@ -261,7 +279,12 @@ class SemiDirectElement:
         )
 
     def __neg__(self) -> "SemiDirectElement":
-        return self.scale(-1)
+        return SemiDirectElement(
+            -self.A,
+            tuple(-a for a in self.vE),
+            tuple(-a for a in self.vEbar),
+            -self.t,
+        )
 
     def scale(self, coeff) -> "SemiDirectElement":
         q = QI.coerce(coeff)
@@ -303,7 +326,7 @@ def semidirect_bracket(
         raise ValueError("size mismatch")
     n = x.n
     signs = _indef_signs(n)
-    zero = QI(0)
+    zero = QI_ZERO
     zeros = tuple(zero for _ in range(n))
 
     ax_zero = x.A.is_zero()
@@ -360,6 +383,8 @@ def semidirect_bracket(
     two_i = QI(0, 2)
     t = zero
     for k in range(n):
+        if not ((x.vE[k] or x.vEbar[k]) and (y.vE[k] or y.vEbar[k])):
+            continue  # one side has no k-th translation: no central term
         cross = x.vE[k] * y.vEbar[k] - y.vE[k] * x.vEbar[k]
         if cross.is_zero():
             continue
@@ -425,15 +450,13 @@ def gl_decompose(
     M = lam*C + sum_a m_a U_a + sum_a s_a U_a^s + sum_{a,b} kappa_ab B(a,b).
     The decomposition always exists and is unique; lam = tr(M) / (i n).
     """
-    n = M.n
-    lam = M.trace() * QI(0, Fraction(-1, 1)) * QI(Fraction(1, n))
-    m = tuple(M.entries[0][a] for a in range(1, n))
-    s = tuple(M.entries[a][0] for a in range(1, n))
+    n, rows = M.n, M.entries
+    lam = M.trace() / QI(0, n)
+    m = rows[0][1:]
+    s = tuple(row[0] for row in rows[1:])
     i_lam = QI_I * lam
     kappa = tuple(
-        tuple(
-            (i_lam if a == b else QI(0)) - M.entries[b][a] for b in range(1, n)
-        )
+        tuple(i_lam - rows[b][a] if a == b else -rows[b][a] for b in range(1, n))
         for a in range(1, n)
     )
     return lam, m, s, kappa
@@ -463,6 +486,18 @@ def _alpha_images(n: int) -> Dict[str, PolyVectorField]:
     return images
 
 
+@lru_cache(maxsize=None)
+def _alpha_labels(n: int) -> Tuple[str, ...]:
+    """Basis labels in the order of the coefficients ``alpha`` collects."""
+    labels = ["C"]
+    for a in range(1, n):
+        labels += [f"U({a})", f"Us({a})"]
+    labels += [f"B({a},{b})" for a in range(1, n) for b in range(1, n)]
+    for k in range(n):
+        labels += [f"E({k})", f"Ebar({k})"]
+    return tuple(labels + ["T"])
+
+
 def alpha(x: SemiDirectElement, params: ModelParams) -> PolyVectorField:
     """Linear map from the abstract algebra to polynomial vector fields.
 
@@ -470,35 +505,26 @@ def alpha(x: SemiDirectElement, params: ModelParams) -> PolyVectorField:
     and U_a^s to the shear pair, B(a,b) to minus the shear commutator, E_k
     and Ebar_k to the fiber translations, T to the angle translation.  The
     bracket check is anti-equivariant: [alpha(x), alpha(y)] = -alpha([x, y]).
+    The result is one linear combination of the cached basis images.
     """
-    from .polyfields import PolyVectorField
+    from .polyfields import combination
 
     n = x.n
     if n != params.n:
         raise ValueError("size mismatch with params")
     images = _alpha_images(n)
     lam, m, s, kappa = gl_decompose(x.A)
-    F = PolyVectorField.zero(n)
-    if not lam.is_zero():
-        F = F + images["C"].scale(lam)
-    for a in range(1, n):
-        if not m[a - 1].is_zero():
-            F = F + images[f"U({a})"].scale(m[a - 1])
-        if not s[a - 1].is_zero():
-            F = F + images[f"Us({a})"].scale(s[a - 1])
-    for a in range(1, n):
-        for b in range(1, n):
-            coeff = kappa[a - 1][b - 1]
-            if not coeff.is_zero():
-                F = F + images[f"B({a},{b})"].scale(coeff)
+    coeffs = [lam]
+    for a in range(n - 1):
+        coeffs += [m[a], s[a]]
+    for row in kappa:
+        coeffs += row
     for k in range(n):
-        if not x.vE[k].is_zero():
-            F = F + images[f"E({k})"].scale(x.vE[k])
-        if not x.vEbar[k].is_zero():
-            F = F + images[f"Ebar({k})"].scale(x.vEbar[k])
-    if not x.t.is_zero():
-        F = F + images["T"].scale(x.t)
-    return F
+        coeffs += [x.vE[k], x.vEbar[k]]
+    coeffs.append(x.t)
+    return combination(
+        n, [(c, images[label]) for c, label in zip(coeffs, _alpha_labels(n))]
+    )
 
 
 @dataclass(frozen=True)
@@ -537,7 +563,7 @@ def structure_check(params: ModelParams) -> StructureReport:
         for label_y, y in basis:
             pairs += 1
             lhs = bracket(field_of[label_x], field_of[label_y])
-            rhs = alpha(semidirect_bracket(x, y).scale(-1), params)
+            rhs = alpha(-semidirect_bracket(x, y), params)
             if lhs != rhs:
                 mismatches.append((label_x, label_y))
     return StructureReport(n=n, pairs_checked=pairs, mismatches=tuple(mismatches))
@@ -641,7 +667,8 @@ def _primitive_homogeneous_solution(p: int, q: int) -> Tuple[int, int]:
     if g == 0:
         raise ValueError("degenerate system")
     x, y = q // g, -(p // g)
-    assert p * x + q * y == 0
+    if p * x + q * y != 0:
+        raise AssertionError("primitive solution does not solve the system")
     return x, y
 
 
@@ -659,7 +686,8 @@ def ker_cap_su(n: int) -> CenterVector:
     vec = g1.scale_int(x) + g2.scale_int(y)
     if vec.m < 0:
         vec = -vec
-    assert vec.z == 0
+    if vec.z != 0:
+        raise AssertionError("ker_cap_su generator has a nonzero central slot")
     return vec
 
 
@@ -705,5 +733,6 @@ def fprime_generator(n: int, positive_c: bool = True) -> CenterVector:
     vec = g1.scale_int(x) + g2.scale_int(y)
     if vec.z < 0:
         vec = -vec
-    assert vec.u == 0
+    if vec.u != 0:
+        raise AssertionError("fprime_generator vector has a nonzero first slot")
     return CenterVector(Fraction(0), 0, vec.z)

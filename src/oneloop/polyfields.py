@@ -2,6 +2,13 @@
 
 The symmetry generators, with coefficients polynomial in (X, Xbar, w, wbar, c),
 and their exact Lie brackets; chart evaluation imports :mod:`oneloop.fields`.
+
+A field computes the nonzero partial derivatives of its components once, on
+first use, and keeps them (``PolyVectorField.partials``): every bracket with
+the field and its compiled chart table read them from there.  ``bracket`` and
+``combination`` add their products and scaled terms into one term dict per
+component through ``Poly._accumulate``, so the term order of a result is the
+one that summing ``Poly`` products would give.
 """
 
 from __future__ import annotations
@@ -121,7 +128,7 @@ class PolyVectorField:
     the radial coordinate.
     """
 
-    __slots__ = ("n", "comps", "_table")
+    __slots__ = ("n", "comps", "_partials", "_table")
 
     def __init__(self, n: int, comps: Sequence[Poly]):
         comps = tuple(comps)
@@ -135,6 +142,7 @@ class PolyVectorField:
                 raise ValueError("component variable count mismatch")
         self.n = n
         self.comps = comps
+        self._partials = None
         self._table = None
 
     # --- algebra ---------------------------------------------------------
@@ -188,6 +196,22 @@ class PolyVectorField:
     def is_real(self) -> bool:
         return self.conjugate() == self
 
+    def partials(self) -> tuple:
+        """Nonzero partial derivatives of the components, computed once.
+
+        Entry i maps each coordinate variable j (every variable but c) with
+        d(comps[i])/d(var_j) != 0 to that partial, in increasing j.  The
+        fields are immutable, so the cache is never stale; ``bracket`` and
+        the chart evaluator both read it.
+        """
+        if self._partials is None:
+            coord = range(4 * self.n - 2)
+            self._partials = tuple(
+                {j: d for j in coord if (d := comp.diff(j))} if comp else {}
+                for comp in self.comps
+            )
+        return self._partials
+
     # --- evaluation --------------------------------------------------------
     def _terms(self):
         """Compiled polynomial terms of the components and their partials.
@@ -202,8 +226,8 @@ class PolyVectorField:
             nv = 4 * self.n - 1
             slots, coeffs, factors = [], [], []
             for i, comp in enumerate(self.comps):
-                polys = [comp.diff(j) for j in range(nv - 1)] + [comp]
-                for j, poly in enumerate(polys):
+                polys = [*self.partials()[i].items(), (nv - 1, comp)]
+                for j, poly in polys:
                     for mono, coeff in poly.terms.items():
                         slots.append(i * nv + j)
                         coeffs.append(coeff.to_complex())
@@ -236,36 +260,59 @@ def bracket(F: PolyVectorField, G: PolyVectorField) -> PolyVectorField:
     """Exact Lie bracket [F, G].
 
     Coefficients never depend on the angle coordinate, so only the variable
-    directions contribute derivative terms.  The result of bracketing
-    catalogued fields stays within the representable degree bounds, which is
-    asserted.
+    directions contribute derivative terms: component i is the sum over j of
+    F_j * d(G_i)/d(var_j) - G_j * d(F_i)/d(var_j), accumulated into one term
+    dict from the cached partials.  The result of bracketing catalogued
+    fields stays within the representable degree bounds, which is asserted.
     """
     F._check(G)
     nv = 4 * F.n - 1
     # Only the nonzero variable-direction components can contribute.
-    F_nonzero = [(j, Fj) for j, Fj in enumerate(F.comps[: nv - 1]) if Fj]
-    G_nonzero = [(j, Gj) for j, Gj in enumerate(G.comps[: nv - 1]) if Gj]
+    F_terms = [(j, Fj.terms.items()) for j, Fj in enumerate(F.comps[: nv - 1]) if Fj]
+    G_neg = [(j, [(m, -c) for m, c in Gj.terms.items()])
+             for j, Gj in enumerate(G.comps[: nv - 1]) if Gj]
+    accumulate, products = Poly._accumulate, Poly._products
+    zero = Poly.zero(nv)
     comps = []
-    for Fi, Gi in zip(F.comps, G.comps):
-        acc = Poly.zero(nv)
-        if Gi:
-            for j, Fj in F_nonzero:
-                d = Gi.diff(j)
-                if d:
-                    acc = acc + Fj * d
-        if Fi:
-            for j, Gj in G_nonzero:
-                d = Fi.diff(j)
-                if d:
-                    acc = acc - Gj * d
-        comps.append(acc)
-    out = PolyVectorField(F.n, comps)
-    vt = VarTable(F.n)
-    coord_vars = tuple(range(vt.nvars - 1))
-    for comp in out.comps:
-        if comp.total_degree(coord_vars) > 2 or comp.degree_in(vt.c) > 1:
-            raise AssertionError("bracket left the representable degree range")
-    return out
+    for dFi, dGi in zip(F.partials(), G.partials()):
+        terms = {}
+        if dGi:
+            for j, Fj in F_terms:
+                if j in dGi:
+                    accumulate(terms, products(Fj, dGi[j].terms.items()))
+        if dFi:
+            for j, Gj in G_neg:
+                if j in dFi:
+                    accumulate(terms, products(Gj, dFi[j].terms.items()))
+        # Coordinate degree <= 2 and degree in c (the last variable) <= 1.
+        for mono in terms:
+            if mono[-1] > 1 or sum(mono) - mono[-1] > 2:
+                raise AssertionError("bracket left the representable degree range")
+        comps.append(Poly._wrap(nv, terms) if terms else zero)
+    return PolyVectorField(F.n, comps)
+
+
+def combination(n: int, pairs) -> PolyVectorField:
+    """The field sum of coeff * F over (coeff, F) pairs, in one pass.
+
+    Each component accumulates the scaled terms of every summand into one
+    term dict, in the order of ``pairs``; zero coefficients are skipped.
+    """
+    nv = 4 * n - 1
+    pairs = [(coeff, F) for coeff, F in pairs if coeff]
+    for _, F in pairs:
+        if F.n != n:
+            raise ValueError("field dimension mismatch")
+    zero = Poly.zero(nv)
+    comps = []
+    for i in range(nv):
+        terms = {}
+        for coeff, F in pairs:
+            Fi = F.comps[i].terms
+            if Fi:
+                Poly._accumulate(terms, [(m, c * coeff) for m, c in Fi.items()])
+        comps.append(Poly._wrap(nv, terms) if terms else zero)
+    return PolyVectorField(n, comps)
 
 
 def _two_c_dphi(n: int) -> PolyVectorField:

@@ -67,9 +67,10 @@ class QuatParams:
     b: int
 
     def __post_init__(self):
-        if not (isinstance(self.a, int) and self.a > 0):
+        # type(...) is int also turns away bool, an int subclass.
+        if not (type(self.a) is int and self.a > 0):
             raise ValueError("a must be a positive integer")
-        if not (isinstance(self.b, int) and self.b > 0):
+        if not (type(self.b) is int and self.b > 0):
             raise ValueError("b must be a positive integer")
 
 
@@ -84,9 +85,9 @@ class QuatInt:
     params: QuatParams
 
     def __post_init__(self):
-        for name in ("q0", "q1", "q2", "q3"):
-            if not isinstance(getattr(self, name), int):
-                raise ValueError("quaternion coordinates must be integers")
+        if not (type(self.q0) is int and type(self.q1) is int
+                and type(self.q2) is int and type(self.q3) is int):
+            raise ValueError("quaternion coordinates must be integers")
 
     def coords(self) -> Tuple[int, int, int, int]:
         return (self.q0, self.q1, self.q2, self.q3)
@@ -165,7 +166,7 @@ def enumerate_norm_one(params: QuatParams, bound: int) -> List[QuatInt]:
     deterministic; the scan partitions trivially over q0 if parallelized,
     with the same merged order.
     """
-    if not (isinstance(bound, int) and bound >= 1):
+    if not (type(bound) is int and bound >= 1):
         raise ValueError("bound must be a positive integer")
     rng = range(-bound, bound + 1)
     found = []

@@ -133,14 +133,14 @@ def test_criterion_1_killing_suite(capsys):
 def test_criterion_2_structure_constants(capsys):
     total_pairs = 0
     mismatches = 0
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         report = structure_check(ModelParams(n=n, c=1.0))
         total_pairs += report.pairs_checked
         mismatches += len(report.mismatches)
     ok = mismatches == 0
     detail = (
         "structure constants, exact arithmetic with the deformation "
-        f"symbolic: {total_pairs} ordered basis pairs over n∈{{1,2,3,4}}, "
+        f"symbolic: {total_pairs} ordered basis pairs over n∈{{1,2,3,4,5}}, "
         f"{mismatches} mismatches (tolerance: none, exact)"
     )
     _report(capsys, 2, ok, detail)

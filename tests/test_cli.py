@@ -403,6 +403,10 @@ GOLDEN = [
      "381e6c04cd909d9cf497c14c7211f1e3c3cdeb814db6f8168500f9687e31cddf", ""),
     (["structure", "--n", "2"], 0,
      "28ba1c31fa20cf461828470c52a5533b56c680014a85358fc0b4b9e6347c0526", ""),
+    (["structure", "--n", "3"], 0,
+     "50265bb421c7f3274df023696870877ec6836235afe5e7a632f693ae2bfdafe0", ""),
+    (["structure", "--n", "4"], 0,
+     "b90c76842e8c79c83320450e7a021aec546b9a65a8fc717289f8f5fac49cba69", ""),
     (["lattice", "--bound", "2"], 0,
      "42f7d76e728d3be4fddf67933ee0a53ecb65d0160dd8df4626d10276feca767b", ""),
     (["lattice", "--bound", "2", "--format", "json"], 0,

@@ -388,6 +388,34 @@ class TestBracket:
         q = QI(Fraction(2, 3), Fraction(-1, 5))
         assert bracket(F.scale(q), G) == bracket(F, G).scale(q)
 
+    def test_partials_are_the_nonzero_diffs(self):
+        nv = 4 * 3 - 1
+        for F in bracket_catalogue(ModelParams(n=3, c=1.0)):
+            for comp, partials in zip(F.comps, F.partials()):
+                want = {j: comp.diff(j) for j in range(nv - 1) if comp.diff(j)}
+                assert partials == want
+                assert list(partials) == sorted(partials)
+            assert F.partials() is F.partials()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_term_order_of_poly_operator_sums(self, n):
+        # The float Killing table compiles bracket results in dict order, so
+        # the bracket keeps the order that summing Poly products gives: every
+        # F_j * d(G_i)/d(var_j) in increasing j, then every G_j * d(F_i)/d(var_j).
+        nv = 4 * n - 1
+        fields = bracket_catalogue(ModelParams(n=n, c=1.0))
+        for F in fields:
+            for G in fields:
+                for i, comp in enumerate(bracket(F, G).comps):
+                    acc = Poly.zero(nv)
+                    for j in range(nv - 1):
+                        if F.comps[j] and G.comps[i].diff(j):
+                            acc = acc + F.comps[j] * G.comps[i].diff(j)
+                    for j in range(nv - 1):
+                        if G.comps[j] and F.comps[i].diff(j):
+                            acc = acc - G.comps[j] * F.comps[i].diff(j)
+                    assert list(comp.terms.items()) == list(acc.terms.items())
+
 
 class TestEval:
     def test_t_unit_vector(self):

@@ -7,10 +7,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oneloop import liealg
 from oneloop.exact import QI, QI_I
-from oneloop.fields import GeneratorName, bracket, generator
+from oneloop.fields import GeneratorName, PolyVectorField, bracket, generator
 from oneloop.geometry import ModelParams
 from oneloop.liealg import (
     CenterVector,
@@ -45,6 +47,21 @@ def random_qi_matrix(n, rng):
     return MatGl(tuple(tuple(row) for row in rows))
 
 
+# Entries that are often zero, integral or fractional, as in the basis.
+_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+qi_entries = st.one_of(st.just(QI(0)), st.builds(QI, st.integers(-3, 3)),
+                       st.builds(QI, _fractions, _fractions))
+
+
+def qi_matrices(n):
+    rows = st.lists(qi_entries, min_size=n, max_size=n).map(tuple)
+    return st.lists(rows, min_size=n, max_size=n).map(lambda r: MatGl(tuple(r)))
+
+
+matrix_pairs = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(qi_matrices(n), qi_matrices(n)))
+
+
 def c_element(n):
     return SemiDirectElement.from_matrix(MatGl.identity(n).scale(QI_I))
 
@@ -55,6 +72,37 @@ def u_element(n, a):
 
 def us_element(n, a):
     return SemiDirectElement.from_matrix(sigma(MatGl.unit(n, 0, a)))
+
+
+class TestMatGlArithmetic:
+    """The zero-skipping matrix operations against dense entrywise oracles."""
+
+    @given(matrix_pairs)
+    @settings(max_examples=80)
+    def test_product_matches_dense_oracle(self, pair):
+        A, B = pair
+        n = A.n
+        dense = tuple(
+            tuple(sum((A.entries[j][l] * B.entries[l][k] for l in range(n)), QI(0))
+                  for k in range(n))
+            for j in range(n)
+        )
+        product = A @ B
+        assert product.entries == dense
+        assert MatGl(product.entries) == product  # entries pass the check
+
+    @given(matrix_pairs)
+    @settings(max_examples=80)
+    def test_sums_match_dense_oracle(self, pair):
+        A, B = pair
+        rows = list(zip(A.entries, B.entries))
+        assert (A + B).entries == tuple(
+            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in rows)
+        assert (A - B).entries == tuple(
+            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in rows)
+        assert (-A).entries == tuple(tuple(-a for a in row) for row in A.entries)
+        assert A.commutator(B) == (A @ B) - (B @ A)
+        assert A.is_zero() == all(a.is_zero() for row in A.entries for a in row)
 
 
 class TestSigma:
@@ -279,9 +327,28 @@ class TestAlpha:
         with pytest.raises(ValueError, match="mismatch"):
             alpha(c_element(2), ModelParams(n=3, c=0.0))
 
+    @given(st.integers(1, 3).flatmap(
+        lambda n: st.lists(qi_entries, min_size=(n + 1) ** 2,
+                           max_size=(n + 1) ** 2)))
+    @settings(max_examples=40, deadline=None)
+    def test_combination_is_the_sum_of_scaled_images(self, coeffs):
+        # x = sum of coeff * basis element goes to the same sum of the
+        # images, built here one PolyVectorField operation at a time.
+        n = math.isqrt(len(coeffs)) - 1
+        params = ModelParams(n=n, c=0.0)
+        images = liealg._alpha_images(n)
+        x = SemiDirectElement.zero(n)
+        want = PolyVectorField.zero(n)
+        for q, (label, elem) in zip(coeffs, algebra_basis(n)):
+            x = x + elem.scale(q)
+            want = want + images[label].scale(q)
+        assert alpha(x, params) == want
+        assert alpha(-x, params) == -want
+        assert -x == x.scale(-1)
+
 
 class TestStructureCheck:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_zero_mismatches(self, n):
         report = structure_check(ModelParams(n=n, c=0.0))
         basis_size = len(algebra_basis(n))
@@ -293,6 +360,7 @@ class TestStructureCheck:
     def test_fault_injection_detected(self, monkeypatch):
         # Rescaling the image of the central generator by 2 must break
         # exactly the translation pairs that bracket into the center.
+        images4 = dict(liealg._alpha_images(4))
         images = dict(liealg._alpha_images(2))
         images["T"] = images["T"].scale(QI(2))
         monkeypatch.setattr(liealg, "_alpha_images", lambda n: images)
@@ -303,6 +371,21 @@ class TestStructureCheck:
             assert {label_x[:1], label_y[:1]} == {"E"}
             assert label_x != label_y
         assert "mismatches" in report.summary()
+
+        # Doubling the image of U(1) at n = 4 breaks exactly these ordered
+        # pairs: those whose bracket or whose factors involve U(1).
+        images4["U(1)"] = images4["U(1)"].scale(QI(2))
+        monkeypatch.setattr(liealg, "_alpha_images", lambda n: images4)
+        report = structure_check(ModelParams(n=4, c=0.0))
+        assert report.pairs_checked == 625
+        assert report.mismatches == (
+            ("U(1)", "Us(1)"), ("U(1)", "Us(2)"), ("U(1)", "Us(3)"),
+            ("U(1)", "B(2,1)"), ("U(1)", "B(3,1)"), ("U(1)", "E(0)"),
+            ("U(1)", "Ebar(1)"), ("U(2)", "B(1,2)"), ("U(3)", "B(1,3)"),
+            ("Us(1)", "U(1)"), ("Us(2)", "U(1)"), ("Us(3)", "U(1)"),
+            ("B(1,2)", "U(2)"), ("B(1,3)", "U(3)"), ("B(2,1)", "U(1)"),
+            ("B(3,1)", "U(1)"), ("E(0)", "U(1)"), ("Ebar(1)", "U(1)"),
+        )
 
 
 class TestCenterVector:
@@ -395,6 +478,17 @@ class TestKerCapSu:
             assert x.denominator == 1
             assert g1.scale_int(int(x)) + g2.scale_int(y) == v
             assert v.z == 0
+
+    def test_inconsistent_generators_raise(self, monkeypatch):
+        # A wrong kernel pair leaves a nonzero central slot; the check must
+        # raise, also under python -O.
+        def wrong(n):
+            return (CenterVector(Fraction(1), 0, Fraction(1)),
+                    CenterVector(Fraction(-1, n), -1, Fraction(1)))
+
+        monkeypatch.setattr(liealg, "kernel_generators", wrong)
+        with pytest.raises(AssertionError, match="central slot"):
+            ker_cap_su(4)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):

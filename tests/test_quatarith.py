@@ -102,9 +102,21 @@ class TestParams:
         with pytest.raises(ValueError):
             QuatParams(2, -1)
 
+    def test_bool_parameters_rejected(self):
+        with pytest.raises(ValueError, match="a must be a positive integer"):
+            QuatParams(True, 3)
+        with pytest.raises(ValueError, match="b must be a positive integer"):
+            QuatParams(2, True)
+
     def test_integer_coordinates_required(self):
         with pytest.raises(ValueError):
             QuatInt(1, Fraction(1, 2), 0, 0, P23)
+
+    def test_bool_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            QuatInt(True, False, 0, 0, P23)
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            QuatInt(1, 0, 0, False, P23)
 
 
 class TestMultiplicationTable:
@@ -241,6 +253,8 @@ class TestEnumerateNormOne:
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             enumerate_norm_one(P23, 0)
+        with pytest.raises(ValueError, match="bound must be a positive integer"):
+            enumerate_norm_one(P23, True)
 
     @pytest.mark.parametrize("a, b", [(2, 3), (2, 5), (3, 7), (4, 7), (1, 3), (2, 1),
                                       (1, 1)])
