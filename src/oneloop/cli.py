@@ -16,6 +16,8 @@ Subcommands:
 * ``volume-table``: fiber-volume density and tail-volume table over a rho
   grid, as CSV.
 
+Each command returns one record (JSON report, CSV rows, exit code), and
+``main`` renders it once, as JSON or through the command's CSV columns.
 Every report embeds the tolerances it used and the full numeric
 configuration, so identical configurations (including the seed) produce
 byte-identical output.  The process exit status is 0 exactly when every
@@ -25,7 +27,8 @@ Invalid input and an ``--out`` path that cannot be written exit 2, with
 nothing on stdout.
 
 Configuration may come from flags or from a JSON file (``--config``) whose
-keys match the flag names with underscores; explicit flags win.
+keys match the flag names with underscores (any other key is an error);
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .params import ModelParams
 
@@ -45,6 +48,13 @@ __all__ = ["RunConfig", "ConfigError", "main"]
 KILLING_TOLERANCE = 1e-6
 CONTROL_THRESHOLD = 1e-2
 EINSTEIN_TOLERANCE = 1e-4
+
+# A CSV column: its header name and the formatter of its cells.
+Column = Tuple[str, Callable[[object], str]]
+# What every command returns: the JSON report, its CSV rows (None for a
+# JSON-only command) and the exit code.
+Record = Tuple[Dict, Optional[List[Dict]], int]
+
 
 class ConfigError(ValueError):
     """A configuration value failed validation before dispatch."""
@@ -124,7 +134,7 @@ class RunConfig:
 
     @property
     def effective_format(self) -> str:
-        return self.format or _COMMANDS[self.command][1][0]
+        return self.format or _COMMANDS[self.command][1]
 
     def echo(self) -> Dict:
         """The numeric configuration, embedded in every report."""
@@ -149,8 +159,18 @@ def _json_text(report: Dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+def _csv_text(columns: Sequence[Column], rows: Sequence[Dict]) -> str:
+    lines = [",".join(name for name, _ in columns)]
+    lines += [",".join(fmt(row[name]) for name, fmt in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
 # ---------------------------------------------------------------------------
-# commands: each returns (output text, exit code)
+# commands: each returns a Record (JSON report, CSV rows or None, exit code)
 #
 # Each command imports the modules it needs inside its body, so a process
 # compiles and loads only its own suite; above all, numpy (through fields and
@@ -158,7 +178,7 @@ def _json_text(report: Dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify_killing(config: RunConfig) -> Tuple[str, int]:
+def cmd_verify_killing(config: RunConfig) -> Record:
     from .fields import killing_residuals
     from .geometry import seeded_points
 
@@ -182,31 +202,18 @@ def cmd_verify_killing(config: RunConfig) -> Tuple[str, int]:
         "pass": False,
     }
     all_pass = all(row["pass"] for row in rows) and control_row["exceeds_threshold"]
-    if config.effective_format == "csv":
-        lines = ["generator,max_residual,tolerance,pass"]
-        for row in rows:
-            lines.append(
-                f"{row['generator']},{row['max_residual']:.6e},"
-                f"{row['tolerance']:.1e},{str(row['pass']).lower()}"
-            )
-        lines.append(
-            f"{control_row['generator']},{control},{CONTROL_THRESHOLD:.1e},false"
-        )
-        text = "\n".join(lines) + "\n"
-    else:
-        text = _json_text(
-            {
-                "command": "verify-killing",
-                "config": config.echo(),
-                "rows": rows,
-                "control": control_row,
-                "all_pass": all_pass,
-            }
-        )
-    return text, 0 if all_pass else 1
+    report = {
+        "command": "verify-killing",
+        "config": config.echo(),
+        "rows": rows,
+        "control": control_row,
+        "all_pass": all_pass,
+    }
+    csv_rows = rows + [dict(control_row, tolerance=CONTROL_THRESHOLD)]
+    return report, csv_rows, 0 if all_pass else 1
 
 
-def cmd_structure(config: RunConfig) -> Tuple[str, int]:
+def cmd_structure(config: RunConfig) -> Record:
     from .liealg import structure_check
 
     params = ModelParams(n=config.n, c=config.effective_c)
@@ -219,14 +226,14 @@ def cmd_structure(config: RunConfig) -> Tuple[str, int]:
         "mismatches": [list(pair) for pair in report.mismatches],
         "all_pass": report.ok,
     }
-    return _json_text(payload), 0 if report.ok else 1
+    return payload, None, 0 if report.ok else 1
 
 
 def _center_entry(vector, n1: bool) -> Dict:
     return {"human": vector.human(n1=n1), "coordinates": vector.serialize()}
 
 
-def cmd_center(config: RunConfig) -> Tuple[str, int]:
+def cmd_center(config: RunConfig) -> Record:
     from .liealg import (
         f_generator,
         fprime_generator,
@@ -258,10 +265,10 @@ def cmd_center(config: RunConfig) -> Tuple[str, int]:
         "Fprime": None if fprime is None else fprime.human(n1=n1),
         "Fprime_coordinates": None if fprime is None else fprime.serialize(),
     }
-    return _json_text(payload), 0
+    return payload, None, 0
 
 
-def cmd_curvature(config: RunConfig) -> Tuple[str, int]:
+def cmd_curvature(config: RunConfig) -> Record:
     from .geometry import einstein_diagnostic, seeded_points
 
     params = ModelParams(n=config.n, c=config.effective_c)
@@ -292,11 +299,11 @@ def cmd_curvature(config: RunConfig) -> Tuple[str, int]:
         "max_residual": max_residual,
         "all_pass": all_pass,
     }
-    return _json_text(payload), 0 if all_pass else 1
+    return payload, None, 0 if all_pass else 1
 
 
-def cmd_lattice(config: RunConfig) -> Tuple[str, int]:
-    from .quatarith import QuatParams, is_nonresidue, norm_one_csv
+def cmd_lattice(config: RunConfig) -> Record:
+    from .quatarith import QuatParams, is_nonresidue, norm_one_rows
 
     lam, a, b = config.c_exact if config.c_exact is not None else (Fraction(1), 2, 3)
     warning = None
@@ -310,75 +317,59 @@ def cmd_lattice(config: RunConfig) -> Tuple[str, int]:
         warning = f"warning: {exc} (division-algebra hypothesis unmet); enumeration still runs"
     if warning is not None:
         print(warning, file=sys.stderr)
-    csv_text = norm_one_csv(QuatParams(a, b), config.bound)
-    all_pass = "false" not in csv_text
-    if config.effective_format == "json":
-        rows = []
-        lines = csv_text.strip().split("\n")
-        header = lines[0].split(",")
-        for line in lines[1:]:
-            values = line.split(",")
-            row = dict(zip(header, values))
-            rows.append(
-                {
-                    "q0": int(row["q0"]),
-                    "q1": int(row["q1"]),
-                    "q2": int(row["q2"]),
-                    "q3": int(row["q3"]),
-                    "norm": int(row["norm"]),
-                    "su11_ok": row["su11_ok"] == "true",
-                    "preserves_gamma2": row["preserves_gamma2"] == "true",
-                }
-            )
-        text = _json_text(
-            {
-                "command": "lattice",
-                "a": a,
-                "b": b,
-                "bound": config.bound,
-                "nonresidue_warning": warning,
-                "rows": rows,
-                "all_pass": all_pass,
-            }
-        )
-    else:
-        text = csv_text
-    return text, 0 if all_pass else 1
+    rows = norm_one_rows(QuatParams(a, b), config.bound)
+    all_pass = all(row["su11_ok"] and row["preserves_gamma2"] for row in rows)
+    report = {
+        "command": "lattice",
+        "a": a,
+        "b": b,
+        "bound": config.bound,
+        "nonresidue_warning": warning,
+        "rows": rows,
+        "all_pass": all_pass,
+    }
+    return report, rows, 0 if all_pass else 1
 
 
-def cmd_volume_table(config: RunConfig) -> Tuple[str, int]:
-    from .volume import volume_table_csv
+def cmd_volume_table(config: RunConfig) -> Record:
+    from .volume import volume_rows
 
     params = ModelParams(n=config.n, c=config.effective_c)
-    csv_text = volume_table_csv(config.grid, params, config.vd)
-    if config.effective_format == "json":
-        lines = csv_text.strip().split("\n")
-        header = lines[0].split(",")
-        rows = [
-            {key: float(value) for key, value in zip(header, line.split(","))}
-            for line in lines[1:]
-        ]
-        text = _json_text(
-            {
-                "command": "volume-table",
-                "config": config.echo(),
-                "vd": config.vd,
-                "rows": rows,
-            }
-        )
-    else:
-        text = csv_text
-    return text, 0
+    # JSON carries the same 12 significant digits as the CSV columns.
+    rows = [
+        {name: float(fmt(row[name])) for name, fmt in _VOLUME_COLUMNS}
+        for row in volume_rows(config.grid, params, config.vd)
+    ]
+    report = {
+        "command": "volume-table",
+        "config": config.echo(),
+        "vd": config.vd,
+        "rows": rows,
+    }
+    return report, rows, 0
 
 
-# name: (handler, formats it reports in, default first)
+_VOLUME_COLUMNS = tuple(
+    (name, "{:.12g}".format)
+    for name in ("rho", "density", "closed_tail", "quadrature_tail", "ratio_to_asymptote")
+)
+
+# name: (handler, default format, CSV columns or None for JSON only)
 _COMMANDS = {
-    "verify-killing": (cmd_verify_killing, ("json", "csv")),
-    "structure": (cmd_structure, ("json",)),
-    "center": (cmd_center, ("json",)),
-    "curvature": (cmd_curvature, ("json",)),
-    "lattice": (cmd_lattice, ("csv", "json")),
-    "volume-table": (cmd_volume_table, ("csv", "json")),
+    "verify-killing": (cmd_verify_killing, "json", (
+        ("generator", str),
+        ("max_residual", "{:.6e}".format),
+        ("tolerance", "{:.1e}".format),
+        ("pass", _flag),
+    )),
+    "structure": (cmd_structure, "json", None),
+    "center": (cmd_center, "json", None),
+    "curvature": (cmd_curvature, "json", None),
+    "lattice": (cmd_lattice, "csv", (
+        ("q0", str), ("q1", str), ("q2", str), ("q3", str), ("norm", str),
+        ("su11_ok", _flag), ("preserves_gamma2", _flag),
+    )),
+    "volume-table": (cmd_volume_table, "csv", _VOLUME_COLUMNS),
 }
 
 
@@ -449,8 +440,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: str) -> Dict:
     """The JSON object of a config file, with c_exact and grid parsed.
 
-    Unreadable files and values that cannot be parsed raise ConfigError
-    naming the field; the other fields are checked by RunConfig.
+    Unreadable files, unknown keys and values that cannot be parsed raise
+    ConfigError naming the field; the other fields are checked by RunConfig.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -459,6 +450,9 @@ def _load_config_file(path: str) -> Dict:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
+    unknown = sorted(set(data) - set(_DEFAULTS))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(map(repr, unknown))}")
     raw = data.get("c_exact")
     if raw is not None:
         try:
@@ -495,11 +489,8 @@ def build_config(argv: Sequence[str]) -> RunConfig:
         else:
             merged[key] = default
     config = RunConfig(command=args.command, **merged)
-    formats = _COMMANDS[config.command][1]
-    if config.format is not None and config.format not in formats:
-        raise ConfigError(
-            f"command {config.command!r} reports {'/'.join(formats).upper()} only"
-        )
+    if config.format == "csv" and _COMMANDS[config.command][2] is None:
+        raise ConfigError(f"command {config.command!r} reports JSON only")
     return config
 
 
@@ -509,11 +500,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    handler, _, columns = _COMMANDS[config.command]
     try:
-        text, code = _COMMANDS[config.command][0](config)
+        report, rows, code = handler(config)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if config.effective_format == "csv":
+        text = _csv_text(columns, rows)
+    else:
+        text = _json_text(report)
     if config.out is not None:
         try:
             with open(config.out, "w", encoding="utf-8") as handle:

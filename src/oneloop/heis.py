@@ -27,7 +27,6 @@ only up-to-sign statements are convention-independent.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -140,18 +139,14 @@ class LatticeDescription:
     common (a, b); square-root lattices use b = 1, the ring Q(sqrt(a)).
     ``r`` is the exact positive generator of the value group
     omega(Lambda x Lambda) = r * Z; the group generated by (basis, 0) inside
-    the Heisenberg group meets the center in (r/2) * Z.  ``labels`` names
-    the basis vectors for tables and JSON.
+    the Heisenberg group meets the center in (r/2) * Z.
     """
 
     n: int
     basis: Tuple[Tuple, ...]
     r: object
-    labels: Tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.labels) != len(self.basis):
-            raise ValueError("one label per basis vector required")
         for vec in self.basis:
             if len(vec) != self.n:
                 raise ValueError("basis vector length does not match n")
@@ -187,37 +182,6 @@ class LatticeDescription:
         """Exact matrix omega(B_i, B_j) over the lattice basis."""
         form = HermForm(self.n)
         return [[form.omega(bi, bj) for bj in self.basis] for bi in self.basis]
-
-    def serialize(self) -> str:
-        """JSON with exact coefficient arrays per complex component.
-
-        Each complex entry contributes ``re`` and ``im`` coefficient arrays
-        over the lattice's radical basis: ``[p, q]`` meaning p + q*sqrt(d)
-        when the ring is Q(sqrt(d)) (b = 1, radical kind ``sqrt_d``), and
-        four coefficients over {1, sqrt(a), sqrt(b), sqrt(ab)} otherwise.
-        Fractions are rendered as exact strings.
-        """
-        a, b = self.r.a, self.r.b
-        width = 2 if b == 1 else 4
-
-        def coeffs(real_part):
-            return [str(c) for c in real_part.components()[:width]]
-
-        def entry(z):
-            return {"re": coeffs(z.re), "im": coeffs(z.im)}
-
-        if b == 1:
-            radical = {"kind": "sqrt_d", "d": a}
-        else:
-            radical = {"kind": "sqrt_ab", "a": a, "b": b}
-        payload = {
-            "n": self.n,
-            "radical": radical,
-            "labels": list(self.labels),
-            "basis": [[entry(z) for z in vec] for vec in self.basis],
-            "r": coeffs(self.r),
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -289,12 +253,7 @@ def lattice_Ld(n: int, d: int) -> LatticeDescription:
     basis = tuple(unit_vector(j, one) for j in range(n)) + tuple(
         unit_vector(j, i_root) for j in range(n)
     )
-    labels = tuple(f"e{j + 1}" for j in range(n)) + tuple(
-        f"sqrt({d})*f{j + 1}" for j in range(n)
-    )
-    return LatticeDescription(
-        n=n, basis=basis, r=Rad(d, 1, 0, 1), labels=labels
-    )
+    return LatticeDescription(n=n, basis=basis, r=Rad(d, 1, 0, 1))
 
 
 def _numerators(values):

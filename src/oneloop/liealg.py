@@ -232,6 +232,12 @@ class SemiDirectElement:
         n = self.A.n
         if len(self.vE) != n or len(self.vEbar) != n:
             raise ValueError("translation parts must have length n")
+        # type(...) is QI is cheap enough for the thousands of elements
+        # structure_check builds.
+        if type(self.t) is not QI or not all(
+            type(x) is QI for part in (self.vE, self.vEbar) for x in part
+        ):
+            raise ValueError("vE, vEbar and t must be exact Gaussian rationals")
 
     @property
     def n(self) -> int:
@@ -538,13 +544,6 @@ class StructureReport:
     @property
     def ok(self) -> bool:
         return not self.mismatches
-
-    def summary(self) -> str:
-        state = "ok" if self.ok else f"{len(self.mismatches)} mismatches"
-        return (
-            f"structure check n={self.n}: {self.pairs_checked} ordered pairs, "
-            f"{state}"
-        )
 
 
 def structure_check(params: ModelParams) -> StructureReport:

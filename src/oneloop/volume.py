@@ -8,8 +8,9 @@ integer coefficients and constant term 1.  This module expands P exactly,
 evaluates the density, integrates it in closed form over slabs
 [rho1, rho0] and tails [rho0, infinity), cross-checks the closed forms by
 adaptive Gauss-Kronrod 7/15 quadrature (relative target 1e-10; the tail
-is mapped onto (0, 1] by rho = rho0 + (1-t)/t, as in QUADPACK's qagi), and
-exposes the asymptotic constants:
+is mapped onto (0, 1] by rho = rho0/t, which keeps rho0 exact at every
+scale and turns the integrand into a polynomial in t), and exposes the
+asymptotic constants:
 
 * the tail coefficient V_D / (n+1): rho0^(n+1) * tail -> V_D/(n+1);
 * the near-origin slab coefficient 2 c^n V_D / (2n+1): for c > 0,
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .params import ModelParams
 
@@ -46,7 +47,7 @@ __all__ = [
     "slab_leading_coefficient",
     "upper_bound_constant",
     "bounds_check",
-    "volume_table_csv",
+    "volume_rows",
 ]
 
 
@@ -254,15 +255,18 @@ def tail_quadrature(rho0: float, params: ModelParams, V_D: float) -> float:
     """Quadrature oracle for tail_closed on [rho0, infinity).
 
     Adaptive Gauss-Kronrod 7/15 quadrature, relative target 1e-10, over
-    t in (0, 1] after the substitution rho = rho0 + (1-t)/t, whose Jacobian
-    is 1/t^2; ValueError if 200 panels do not reach the target.
+    t in (0, 1] after the substitution rho = rho0/t, whose Jacobian is
+    rho0/t^2.  The integrand becomes rho0^-(n+1) t^n P(c t/rho0); the
+    factor rho0^-(n+1) is taken out of the integral, so no node loses
+    rho0 to rounding.  ValueError if 200 panels do not reach the target.
     """
     if rho0 <= 0:
         raise ValueError(f"rho0 must be positive, got {rho0}")
     _check_vd(V_D)
-    return V_D * _integrate(
-        lambda t: density(rho0 + (1.0 - t) / t, params) / (t * t), 0.0, 1.0
-    )
+    n, x = params.n, params.c / rho0
+    poly = poly_P(n)
+    integral = _integrate(lambda t: t**n * poly.eval_float(x * t), 0.0, 1.0)
+    return V_D * integral / rho0 ** (n + 1)
 
 
 def near_zero_constant(params: ModelParams, V_D: float) -> float:
@@ -335,25 +339,36 @@ def bounds_check(
     return lower_ok, upper_ok
 
 
-def volume_table_csv(
+def volume_rows(
     rho_grid: Sequence[float], params: ModelParams, V_D: float
-) -> str:
-    """CSV table over the rho grid, one row per value.
+) -> List[Dict[str, float]]:
+    """The volume table over the rho grid, one dict per value.
 
-    Columns: rho, density, closed_tail, quadrature_tail,
-    ratio_to_asymptote, where the last column divides the closed tail by
-    its leading asymptote V_D / ((n+1) rho^(n+1)) and tends to 1 for large
-    rho.
+    Keys: rho, density, closed_tail, quadrature_tail, ratio_to_asymptote,
+    where the last divides the closed tail by its leading asymptote
+    V_D / ((n+1) rho^(n+1)) and tends to 1 for large rho.  A grid value
+    at which any entry leaves the float range raises ValueError naming it.
     """
     _check_vd(V_D)
     n = params.n
-    lines = ["rho,density,closed_tail,quadrature_tail,ratio_to_asymptote"]
+    rows = []
     for rho in rho_grid:
-        closed = tail_closed(rho, params, V_D)
-        quad = tail_quadrature(rho, params, V_D)
-        asymptote = V_D / ((n + 1) * rho ** (n + 1))
-        lines.append(
-            f"{rho:.12g},{density(rho, params):.12g},{closed:.12g},"
-            f"{quad:.12g},{closed / asymptote:.12g}"
-        )
-    return "\n".join(lines) + "\n"
+        try:
+            closed = tail_closed(rho, params, V_D)
+            row = {
+                "rho": rho,
+                "density": density(rho, params),
+                "closed_tail": closed,
+                "quadrature_tail": tail_quadrature(rho, params, V_D),
+                "ratio_to_asymptote": closed / (V_D / ((n + 1) * rho ** (n + 1))),
+            }
+        except ArithmeticError:
+            row = None
+        if row is None or not all(map(math.isfinite, row.values())):
+            raise ValueError(f"rho = {rho!r} leaves the float range at n = {n}")
+        rows.append(row)
+    return rows
+
+
+# The benchmark tracer binds this name; it is the same function.
+volume_table_csv = volume_rows

@@ -1,14 +1,16 @@
 """Driver tests: configuration precedence, determinism, report shapes,
 exit-code semantics, and the pinned example outputs."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from oneloop.cli import ConfigError, RunConfig, build_config, main
+from oneloop.cli import _COMMANDS, ConfigError, RunConfig, build_config, main
 from oneloop.quatarith import QuatParams, c_compatible
 
 
@@ -162,6 +164,16 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {field} must be")
+
+    def test_unknown_key_is_a_config_error(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"pointz": 3, "n": 1, "sead": 1}))
+        code, out, err = run_cli(
+            capsys, ["verify-killing", "--points", "1", "--config", str(path)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown config keys: 'pointz', 'sead'\n"
 
     @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
     def test_unreadable_file_is_a_config_error(self, capsys, tmp_path, text):
@@ -387,6 +399,39 @@ class TestVolumeTableCommand:
         report = json.loads(out)
         assert report["vd"] == 2.0
         assert [row["closed_tail"] for row in report["rows"]] == [1.0, 0.25]
+
+
+    @pytest.mark.parametrize("grid", ["1e60", "1e-50"])
+    def test_grid_outside_float_range_names_the_value(self, capsys, grid):
+        code, out, err = run_cli(
+            capsys, ["volume-table", "--n", "3", "--grid", f"1,{grid}"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: rho = {float(grid)!r} leaves the float range at n = 3\n"
+
+
+class TestOneRecord:
+    @pytest.mark.parametrize("args", [
+        ["verify-killing", "--n", "1", "--c", "0.5", "--points", "2"],
+        ["lattice", "--bound", "1"],
+        ["volume-table", "--n", "3", "--grid", "0.5,1,7"],
+    ], ids=lambda args: args[0])
+    def test_csv_rows_are_the_json_rows_formatted(self, capsys, args):
+        columns = _COMMANDS[args[0]][2]
+        csv_code, csv_out, _ = run_cli(capsys, args + ["--format", "csv"])
+        json_code, json_out, _ = run_cli(capsys, args + ["--format", "json"])
+        assert csv_code == json_code
+        report = json.loads(json_out)
+        rows = report["rows"]
+        if args[0] == "verify-killing":
+            control = report["control"]
+            rows = rows + [dict(control, tolerance=control["threshold"])]
+        reader = csv.DictReader(io.StringIO(csv_out))
+        assert list(reader) == [
+            {name: fmt(row[name]) for name, fmt in columns} for row in rows
+        ]
+        assert reader.fieldnames == [name for name, _ in columns]
 
 
 # sha256 of stdout, exit code and exact stderr of fixed invocations, taken

@@ -2,7 +2,6 @@
 membership, the form-preserving linear action, and the unipotent lattice
 stabilizer."""
 
-import json
 import random
 from fractions import Fraction
 
@@ -207,7 +206,12 @@ class TestHeisPoint:
 class TestLatticeLd:
     def test_basis_labels_and_center_scale(self):
         lat = lattice_Ld(2, 6)
-        assert lat.labels == ("e1", "e2", "sqrt(6)*f1", "sqrt(6)*f2")
+        # The basis e1, e2, sqrt(6)*f1, sqrt(6)*f2, with f_j = i*e_j.
+        zero, one = RadC(Rad(6, 1)), RadC(Rad(6, 1, 1))
+        root = RadC(Rad(6, 1), Rad(6, 1, 0, 1))
+        assert lat.basis == (
+            (one, zero), (zero, one), (root, zero), (zero, root),
+        )
         assert lat.rank == 4
         assert lat.r == Rad(6, 1, 0, 1)
         assert lat.center_generator() == Rad(6, 1, 0, Fraction(1, 2))
@@ -334,25 +338,6 @@ class TestLatticeMembership:
             HeisLatticePoint((1, Fraction(1, 2)), 0)
         with pytest.raises(ValueError):
             HeisLatticePoint((1, 0), Fraction(1, 2))
-
-
-class TestSerialization:
-    def test_sqrt_d_lattice_round_trips_through_json(self):
-        lat = lattice_Ld(2, 6)
-        data = json.loads(lat.serialize())
-        assert data["n"] == 2
-        assert data["radical"] == {"kind": "sqrt_d", "d": 6}
-        assert data["labels"] == ["e1", "e2", "sqrt(6)*f1", "sqrt(6)*f2"]
-        assert data["r"] == ["0", "1"]
-        assert len(data["basis"]) == 4
-        # e1 is (1 + 0*sqrt(6), 0) with separate re/im coefficient pairs.
-        assert data["basis"][0][0] == {"re": ["1", "0"], "im": ["0", "0"]}
-        # sqrt(6)*f1 is (sqrt(6)*i, 0).
-        assert data["basis"][2][0] == {"re": ["0", "0"], "im": ["0", "1"]}
-
-    def test_serialization_is_deterministic(self):
-        lat = lattice_Ld(2, 5)
-        assert lat.serialize() == lat.serialize()
 
 
 class TestSuAction:

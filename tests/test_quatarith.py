@@ -3,7 +3,6 @@ reduced norm, the norm-one enumeration, the exact matrix realization with
 its indefinite-unitary check, the stabilized Heisenberg lattice, and the
 deformation-parameter compatibility solver."""
 
-import json
 import math
 import random
 from fractions import Fraction
@@ -25,7 +24,7 @@ from oneloop.quatarith import (
     enumerate_norm_one,
     gamma2_basis,
     is_nonresidue,
-    norm_one_csv,
+    norm_one_rows,
     preserves_gamma2,
     quat_conj,
     quat_mul,
@@ -366,7 +365,6 @@ class TestGamma2Lattice:
     def test_basis_and_center_scale(self):
         lat = gamma2_basis(P23)
         assert lat.n == 2
-        assert lat.labels == ("e1", "I*e1", "J*e1", "K*e1")
         assert lat.r == rad(P23, rab=1)
         assert lat.center_generator() == rad(P23, rab=Fraction(1, 2))
 
@@ -409,15 +407,6 @@ class TestGamma2Lattice:
         table = lat.omega_table()
         for val in (table[0][3], table[1][2]):
             assert val * val == rad(P23, r1=P23.a * P23.b)
-
-    def test_serialization(self):
-        data = json.loads(gamma2_basis(P23).serialize())
-        assert data["radical"] == {"kind": "sqrt_ab", "a": 2, "b": 3}
-        assert data["r"] == ["0", "0", "0", "1"]
-        assert data["basis"][0][0] == {
-            "re": ["1", "0", "0", "0"],
-            "im": ["0", "0", "0", "0"],
-        }
 
 
 class TestPreservesGamma2:
@@ -542,22 +531,17 @@ class TestCCompatible:
 
 class TestCsvExport:
     def test_header_and_shape(self):
-        text = norm_one_csv(P23, 2)
-        lines = text.strip().split("\n")
-        assert lines[0] == "q0,q1,q2,q3,norm,su11_ok,preserves_gamma2"
-        assert len(lines) - 1 == len(enumerate_norm_one(P23, 2))
+        rows = norm_one_rows(P23, 2)
+        keys = ["q0", "q1", "q2", "q3", "norm", "su11_ok", "preserves_gamma2"]
+        assert all(list(row) == keys for row in rows)
+        assert len(rows) == len(enumerate_norm_one(P23, 2))
 
     def test_rows_report_verified_flags(self):
-        text = norm_one_csv(P23, 2)
-        for line in text.strip().split("\n")[1:]:
-            fields = line.split(",")
-            assert len(fields) == 7
-            assert fields[4] == "1"
-            assert fields[5] == "true"
-            assert fields[6] == "true"
-        # Fields round-trip to the enumeration entries, in order.
-        coords = [
-            tuple(int(f) for f in line.split(",")[:4])
-            for line in text.strip().split("\n")[1:]
-        ]
+        rows = norm_one_rows(P23, 2)
+        for row in rows:
+            assert row["norm"] == 1
+            assert row["su11_ok"] is True
+            assert row["preserves_gamma2"] is True
+        # Rows carry the enumeration entries, in order.
+        coords = [tuple(row[k] for k in ("q0", "q1", "q2", "q3")) for row in rows]
         assert coords == [q.coords() for q in enumerate_norm_one(P23, 2)]

@@ -36,7 +36,7 @@ from oneloop.volume import (
     tail_closed,
     tail_quadrature,
     upper_bound_constant,
-    volume_table_csv,
+    volume_rows,
 )
 
 
@@ -207,6 +207,24 @@ class TestQuadratureOracle:
                 assert tail_quadrature(r0, params, 1.0) == pytest.approx(
                     tail_closed(r0, params, 1.0), rel=1e-8
                 )
+
+    def test_tail_quadrature_holds_at_every_scale(self):
+        # rho = rho0/t keeps rho0 exact; the map rho0 + (1-t)/t lost it to
+        # rounding at small rho0 and was off by up to 1e15 relative.
+        compared = 0
+        for n, c in itertools.product(range(1, 7), (0.0, 0.5, 1.0, 3.0)):
+            params = ModelParams(n=n, c=c)
+            for k in range(-30, 31, 3):
+                rho0 = 10.0**k
+                try:
+                    closed = tail_closed(rho0, params, 1.0)
+                except ArithmeticError:  # a power of rho0 leaves the float range
+                    continue
+                if math.isfinite(closed):
+                    quad = tail_quadrature(rho0, params, 1.0)
+                    assert quad == pytest.approx(closed, rel=1e-8), (n, c, rho0)
+                    compared += 1
+        assert compared >= 450  # of 504
 
     def test_agrees_with_scipy_quad_at_cli_precision(self):
         # scipy's QUADPACK quad is the oracle's oracle: at the CLI's 12
@@ -387,20 +405,20 @@ class TestBounds:
 
 class TestVolumeTable:
     def test_pinned_undeformed_column(self):
-        text = volume_table_csv([1.0, 2.0, 4.0], ModelParams(n=1, c=0.0), 1.0)
-        lines = text.strip().split("\n")
-        assert lines[0] == "rho,density,closed_tail,quadrature_tail,ratio_to_asymptote"
-        tails = [float(line.split(",")[2]) for line in lines[1:]]
+        rows = volume_rows([1.0, 2.0, 4.0], ModelParams(n=1, c=0.0), 1.0)
+        keys = ["rho", "density", "closed_tail", "quadrature_tail", "ratio_to_asymptote"]
+        assert all(list(row) == keys for row in rows)
+        tails = [row["closed_tail"] for row in rows]
         assert tails == pytest.approx([0.5, 0.125, 0.03125], rel=1e-12)
 
     def test_ratio_column_tends_to_one(self):
-        text = volume_table_csv([1.0, 10.0, 100.0], ModelParams(n=2, c=1.0), 1.0)
-        ratios = [float(line.split(",")[4]) for line in text.strip().split("\n")[1:]]
+        rows = volume_rows([1.0, 10.0, 100.0], ModelParams(n=2, c=1.0), 1.0)
+        ratios = [row["ratio_to_asymptote"] for row in rows]
         assert ratios[0] > ratios[1] > ratios[2] > 1.0
         assert ratios[2] == pytest.approx(1.0, abs=0.05)
 
     def test_deterministic(self):
         params = ModelParams(n=2, c=0.5)
-        assert volume_table_csv([0.5, 1.5], params, 2.0) == volume_table_csv(
+        assert volume_rows([0.5, 1.5], params, 2.0) == volume_rows(
             [0.5, 1.5], params, 2.0
         )
