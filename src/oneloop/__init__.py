@@ -5,7 +5,7 @@ Modules:
     params     the model parameters (n, c), without numpy
     geometry   the metric family, Gram matrices, determinants, FD curvature
     polyfields exact polynomial Killing fields and brackets, without numpy
-    fields     float Killing residuals, flows, stabilizer
+    fields     float Killing residuals and closed-form flows
     liealg     exact matrix model of the isometry algebra and center lattices
     heis       Heisenberg groups, arithmetic lattices, unipotent witness
     quatarith  quaternion algebras over Q and their norm-one lattices

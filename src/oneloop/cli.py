@@ -159,9 +159,17 @@ def _json_text(report: Dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+def _csv_field(text: str) -> str:
+    """A CSV field, quoted when it holds a comma, quote or line break."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_text(columns: Sequence[Column], rows: Sequence[Dict]) -> str:
-    lines = [",".join(name for name, _ in columns)]
-    lines += [",".join(fmt(row[name]) for name, fmt in columns) for row in rows]
+    lines = [",".join(_csv_field(name) for name, _ in columns)]
+    lines += [",".join(_csv_field(fmt(row[name])) for name, fmt in columns)
+              for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -375,17 +375,6 @@ class Poly:
             out = out + Poly(self.nvars, {tuple(new): factor})
         return out
 
-    def eval_complex(self, values):
-        """Numeric evaluation; values is a sequence of complex, one per variable."""
-        total = 0j
-        for mono, coeff in self.terms.items():
-            term = coeff.to_complex()
-            for i, e in enumerate(mono):
-                if e:
-                    term *= values[i] ** e
-            total += term
-        return total
-
     def conj_swap(self, perm):
         """Conjugate coefficients and permute variables by perm (bar-partner swap)."""
         terms = {}
@@ -395,13 +384,6 @@ class Poly:
                 new[perm[i]] = e
             terms[tuple(new)] = coeff.conj()
         return Poly._wrap(self.nvars, terms)
-
-    def degree_in(self, i):
-        return max((m[i] for m in self.terms), default=0)
-
-    def total_degree(self, indices):
-        """Max total degree over the given variable indices."""
-        return max((sum(m[i] for i in indices) for m in self.terms), default=0)
 
     def sorted_items(self):
         return sorted(self.terms.items())
@@ -728,21 +710,3 @@ def integer_solution(matrix, rhs):
     if sol is None or any(f.denominator != 1 for f in sol):
         return None
     return [int(f) for f in sol]
-
-
-def frac_gcd(values):
-    """Positive generator of the Z-module of rationals generated by values.
-
-    Returns Fraction(0) when all values vanish.
-    """
-    vals = [as_fraction(v) for v in values]
-    vals = [v for v in vals if v != 0]
-    if not vals:
-        return Fraction(0)
-    den = 1
-    for v in vals:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    g = 0
-    for v in vals:
-        g = math.gcd(g, abs(int(v * den)))
-    return Fraction(g, den)

@@ -1,4 +1,4 @@
-"""Float half of the symmetry fields: Killing residuals, frames and flows.
+"""Float half of the symmetry fields: Killing residuals and flows.
 
 Evaluates the exact fields of :mod:`oneloop.polyfields` (re-exported here) in
 the real chart, against finite-difference metric derivatives, with numpy.
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -27,8 +26,8 @@ from .geometry import (
     metric_gram,
 )
 from .polyfields import (  # noqa: F401 -- bracket is re-exported
-    _FLOW_KINDS, GeneratorName, PolyVectorField, _phi_dir, _two_c_dphi, bracket,
-    generator, imag_part, real_part,
+    GeneratorName, PolyVectorField, _phi_dir, bracket, generator, imag_part,
+    real_part,
 )
 
 TAU = 2.0 * math.pi
@@ -69,9 +68,9 @@ class _ChartEvaluator:
 
     The fields' compiled terms are concatenated into one table.  At a point,
     each term is its coefficient times the powers of its variables, taken in
-    variable order as ``Poly.eval_complex`` does, and the terms are summed
-    into their slots in the order of ``Poly.terms``; the result equals the
-    termwise evaluation of every component and partial bit for bit.
+    variable order, and the terms are summed into their slots in the order of
+    ``Poly.terms``; the result equals the termwise evaluation of every
+    component and partial bit for bit.
     """
 
     def __init__(self, fields: Sequence[PolyVectorField]):
@@ -154,18 +153,6 @@ def real_killing_catalogue(params: ModelParams) -> List[Tuple[str, PolyVectorFie
 
 # --- Killing verification ---------------------------------------------------
 
-def lie_derivative_metric(F: PolyVectorField, p: PointBarN,
-                          params: ModelParams, step: float = 1e-3) -> np.ndarray:
-    """(L_F g)_ij with finite-difference metric derivatives and exact field
-    derivatives; F must satisfy the reality condition."""
-    if not F.is_real():
-        raise ValueError("Lie derivative requires a real vector field")
-    q = p.to_chart()
-    D1 = metric_first_derivatives(q, params, step=step)
-    g = metric_gram(p, params)
-    return _lie_derivatives(_ChartEvaluator([F]), p, params, D1, g)[0]
-
-
 def _lie_derivatives(evaluate: _ChartEvaluator, p: PointBarN,
                      params: ModelParams, D1: np.ndarray,
                      g: np.ndarray) -> np.ndarray:
@@ -173,19 +160,6 @@ def _lie_derivatives(evaluate: _ChartEvaluator, p: PointBarN,
     vecs, jacs = evaluate(p, params.c)
     L = np.einsum("fk,kij->fij", vecs, D1) + jacs.transpose(0, 2, 1) @ g + g @ jacs
     return 0.5 * (L + L.transpose(0, 2, 1))
-
-
-def radial_control_derivative(p: PointBarN, params: ModelParams,
-                              step: float = 1e-3) -> np.ndarray:
-    """Lie derivative of the metric along the radial coordinate field.
-
-    The radial field has constant components, so its Lie derivative is the
-    radial partial of the Gram matrix.  It is generically far from zero and
-    serves as the negative control for the Killing checker.
-    """
-    q = p.to_chart()
-    D1 = metric_first_derivatives(q, params, step=step)
-    return D1[ix_rho()]
 
 
 def killing_residuals(params: ModelParams, points: Sequence[PointBarN],
@@ -216,56 +190,6 @@ def killing_residuals(params: ModelParams, points: Sequence[PointBarN],
     return residuals, control
 
 
-# --- frame and stabilizer ----------------------------------------------------
-
-def frame_rank(p: PointBarN, params: ModelParams, tol: float = 1e-8) -> int:
-    """Rank of the coefficient matrix of the global fiberwise frame.
-
-    The frame consists of the base shears, fiber translations, their
-    conjugates, and the angle field; on each radial level it should span the
-    full (4n-1)-dimensional complexified tangent space.
-    """
-    n = params.n
-    fields = []
-    for a in range(1, n):
-        fields.append(generator(GeneratorName.Ya(a), params))
-    for k in range(n):
-        fields.append(generator(GeneratorName.Vk(k), params))
-    for a in range(1, n):
-        fields.append(generator(GeneratorName.YaBar(a), params))
-    for k in range(n):
-        fields.append(generator(GeneratorName.VkBar(k), params))
-    fields.append(generator(GeneratorName.T(), params))
-    M = np.array([F.eval_complex(p, params.c) for F in fields])
-    return int(np.linalg.matrix_rank(M, tol=tol))
-
-
-def stabilizer_basis(params: ModelParams, rho0: float) -> List[PolyVectorField]:
-    """Real generators vanishing at the base point (X=0, w=0, phi=0, rho0).
-
-    Returns the rotation combination YC + 2c*dphi together with the
-    normalized real/imaginary parts of the shear commutators (the imaginary
-    parts corrected by 2c*dphi on the diagonal).  Every returned field
-    vanishes exactly at the base point and is Killing.  The radial position
-    rho0 does not affect the coefficients; it is accepted to emphasize that
-    the base point sits on a fixed radial level.
-    """
-    if rho0 <= 0:
-        raise ValueError("rho0 must be positive")
-    n = params.n
-    out = [generator(GeneratorName.YC(), params) + _two_c_dphi(n)]
-    for a in range(1, n):
-        for b in range(a, n):
-            K = generator(GeneratorName.CommYaYbBar(a, b), params)
-            if a < b:  # (K + conj K)/2 and (K - conj K)/2i
-                out.append(real_part(K).scale(Fraction(1, 2)))
-            im = imag_part(K).scale(Fraction(-1, 2))
-            if a == b:
-                im = im + _two_c_dphi(n)
-            out.append(im)
-    return out
-
-
 # --- flows -------------------------------------------------------------------
 
 def _rotation(theta: float) -> complex:
@@ -274,77 +198,64 @@ def _rotation(theta: float) -> complex:
     return complex(math.cos(ang), math.sin(ang))
 
 
-def flow(name: GeneratorName, t: float, p: PointBarN) -> PointBarN:
-    """Closed-form flow of a supported generator for time t.
+
+
+def _flow_map(name: GeneratorName, t: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The closed-form flow for time t as the real-chart affine map J q + b.
 
     Supported: C1 (fiber rotation), C2 (base and leading-fiber rotation),
     T (angle translation), VkRe/VkIm (fiber translation with angle shear).
     The radial coordinate never moves.
     """
+    m = 4 * n
+    J, b = np.eye(m), np.zeros(m)
     kind = name.kind
-    if kind not in _FLOW_KINDS:
+    if kind == "T":
+        b[ix_phi(n)] = t
+    elif kind in ("C1", "C2"):
+        if kind == "C1":
+            z = _rotation(-t)
+            planes = [(ix_u(k, n), ix_v(k, n)) for k in range(n)]
+        else:
+            z = _rotation(-n * t)
+            planes = [(ix_x(a), ix_y(a)) for a in range(1, n)]
+            planes.append((ix_u(0, n), ix_v(0, n)))
+        for iu, iv in planes:
+            J[iu, iu] = J[iv, iv] = z.real
+            J[iu, iv], J[iv, iu] = -z.imag, z.imag
+    elif kind in ("VkRe", "VkIm"):
+        k = name.a
+        if not 0 <= k <= n - 1:
+            raise ValueError(f"fiber index {k} out of range 0..{n - 1}")
+        # The angle moves by shear * v^k (VkRe) or -shear * u^k (VkIm).
+        shear = (2.0 if k == 0 else -2.0) * t
+        if kind == "VkRe":
+            b[ix_u(k, n)] = t
+            J[ix_phi(n), ix_v(k, n)] = shear
+        else:
+            b[ix_v(k, n)] = t
+            J[ix_phi(n), ix_u(k, n)] = -shear
+    else:
         raise ValueError(
             f"no closed-form flow implemented for generator {name.label()}"
         )
-    n = p.n
-    if kind == "T":
-        return PointBarN(p.X, p.w, p.phi_tilde + t, p.rho)
-    if kind == "C1":
-        z = _rotation(-t)
-        w = tuple(z * wk for wk in p.w)
-        return PointBarN(p.X, w, p.phi_tilde, p.rho)
-    if kind == "C2":
-        z = _rotation(-n * t)
-        X = tuple(z * Xa for Xa in p.X)
-        w = (z * p.w[0],) + tuple(p.w[1:])
-        return PointBarN(X, w, p.phi_tilde, p.rho)
-    k = name.a
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"fiber index {k} out of range 0..{n - 1}")
-    w = list(p.w)
-    if kind == "VkRe":
-        shear = (2.0 if k == 0 else -2.0) * p.w[k].imag * t
-        w[k] = p.w[k] + t
-    else:  # VkIm
-        shear = (-2.0 if k == 0 else 2.0) * p.w[k].real * t
-        w[k] = p.w[k] + 1j * t
-    return PointBarN(p.X, tuple(w), p.phi_tilde + shear, p.rho)
+    return J, b
+
+
+def flow(name: GeneratorName, t: float, p: PointBarN) -> PointBarN:
+    """Closed-form flow of a supported generator for time t (see _flow_map).
+
+    Each coordinate sums its row's nonzero entries of J in plain float
+    arithmetic, so a full-period rotation (J = identity) returns p exactly.
+    """
+    J, b = _flow_map(name, t, p.n)
+    q = p.to_chart()
+    return PointBarN.from_chart([
+        sum(J[i, j] * q[j] for j in np.flatnonzero(row)) + b[i]
+        for i, row in enumerate(J)
+    ])
 
 
 def flow_jacobian(name: GeneratorName, t: float, p: PointBarN) -> np.ndarray:
     """Exact Jacobian of the closed-form flow in the real chart at p."""
-    kind = name.kind
-    if kind not in _FLOW_KINDS:
-        raise ValueError(
-            f"no closed-form flow implemented for generator {name.label()}"
-        )
-    n = p.n
-    m = 4 * n
-    J = np.eye(m)
-
-    def put_rotation(iu, iv, z):
-        c, s = z.real, z.imag
-        J[iu, iu] = c
-        J[iu, iv] = -s
-        J[iv, iu] = s
-        J[iv, iv] = c
-
-    if kind == "T":
-        return J
-    if kind == "C1":
-        z = _rotation(-t)
-        for k in range(n):
-            put_rotation(ix_u(k, n), ix_v(k, n), z)
-        return J
-    if kind == "C2":
-        z = _rotation(-n * t)
-        for a in range(1, n):
-            put_rotation(ix_x(a), ix_y(a), z)
-        put_rotation(ix_u(0, n), ix_v(0, n), z)
-        return J
-    k = name.a
-    if kind == "VkRe":
-        J[ix_phi(n), ix_v(k, n)] = (2.0 if k == 0 else -2.0) * t
-    else:  # VkIm
-        J[ix_phi(n), ix_u(k, n)] = (-2.0 if k == 0 else 2.0) * t
-    return J
+    return _flow_map(name, t, p.n)[0]

@@ -8,16 +8,14 @@ chart ordering
      phi_tilde]
 
 with X^a = x^a + i y^a and w^k = u^k + i v^k.  The module evaluates the
-Bergman base metric, the full deformed metric, its determinant at the base
-point, the fiber volume-density factorization, the induced fiber metric, and
-a finite-difference Ricci tensor for Einstein diagnostics.
+deformed metric, its determinant at the base point, the fiber volume-density
+factorization, and a finite-difference Ricci tensor for Einstein diagnostics.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,29 +178,6 @@ def _gram_from_chart(q, params):
     return 0.5 * (g + g.T)  # the product rounds g[i, j] and g[j, i] apart
 
 
-def bergman_gram(X, n):
-    """Gram matrix of the Bergman ball metric in coordinates (x^1, y^1, ...).
-
-    For n = 1 the base is a point: returns the 0x0 matrix with a warning.
-    """
-    if n == 1:
-        warnings.warn("Bergman block is empty for n=1", stacklevel=2)
-        return np.zeros((0, 0))
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    X = np.asarray(X, dtype=complex).reshape(-1)
-    if X.size != n - 1:
-        raise ValueError(f"X must have {n - 1} components, got {X.size}")
-    s = float(np.sum(np.abs(X) ** 2))
-    if s >= 1.0:
-        raise ValueError("X lies outside the open unit ball")
-    # sigma = sum_a conj(X^a) dX^a over (x^1, y^1, ...), split into Re and Im
-    re_sigma = np.column_stack((X.real, X.imag)).reshape(-1)
-    im_sigma = np.column_stack((-X.imag, X.real)).reshape(-1)
-    sym = np.outer(re_sigma, re_sigma) + np.outer(im_sigma, im_sigma)
-    return (np.eye(2 * (n - 1)) + sym / (1.0 - s)) / (1.0 - s)
-
-
 def metric_gram(p, params):
     """Gram matrix of the deformed metric at p, RealChart order; checked PD."""
     if p.n != params.n:
@@ -250,19 +225,6 @@ def fiber_density_split(p, params):
         raise ArithmeticError("Gram determinant is not positive")
     f_inv = np.exp(0.5 * logdet) / rho_factor
     return rho_factor, f_inv
-
-
-def metric_on_fiber_H(w, phi_tilde, rho0, params):
-    """Induced metric on the fiber {X=0, rho=rho0}, order (u^0, v^0, ..., phi).
-
-    Exactly the (2n+1)x(2n+1) submatrix of metric_gram at (X=0, w, phi_tilde,
-    rho0) over the w- and phi-directions.
-    """
-    n = params.n
-    p = PointBarN(X=(0,) * (n - 1), w=tuple(w), phi_tilde=phi_tilde, rho=rho0)
-    g = metric_gram(p, params)
-    idx = list(range(ix_u(0, n), 4 * n))
-    return g[np.ix_(idx, idx)]
 
 
 # Fourth-order central stencils; first-derivative weights divide by 12h, the

@@ -174,10 +174,6 @@ class LatticeDescription:
         solve = [[int(x * delta) * mu for x in row] for row in inverse]
         return matrix, mu, rows, solve, delta
 
-    def center_generator(self):
-        """Exact generator r/2 of the center intersection (r/2) * Z."""
-        return self.r * Fraction(1, 2)
-
     def omega_table(self) -> List[List[object]]:
         """Exact matrix omega(B_i, B_j) over the lattice basis."""
         form = HermForm(self.n)

@@ -219,8 +219,7 @@ class SemiDirectElement:
     ``A`` is the matrix block; ``vE`` and ``vEbar`` are the coefficient
     vectors over the holomorphic and antiholomorphic translation generators;
     ``t`` is the coefficient of the central generator.  Real-form members
-    satisfy ``sigma(A) = A``, ``vEbar = conj(vE)``, and real ``t``
-    (see :meth:`is_real_form`).
+    satisfy ``sigma(A) = A``, ``vEbar = conj(vE)``, and real ``t``.
     """
 
     A: MatGl
@@ -308,14 +307,6 @@ class SemiDirectElement:
             and all(a.is_zero() for a in self.vEbar)
             and self.t.is_zero()
         )
-
-    def is_real_form(self) -> bool:
-        """Whether this element lies in the real (sigma-fixed) form."""
-        if sigma(self.A) != self.A:
-            return False
-        if any(a.conj() != b for a, b in zip(self.vE, self.vEbar)):
-            return False
-        return self.t == self.t.conj()
 
 
 def semidirect_bracket(
@@ -469,39 +460,20 @@ def gl_decompose(
 
 
 @lru_cache(maxsize=None)
-def _alpha_images(n: int) -> Dict[str, PolyVectorField]:
-    """Vector-field images of the algebra basis (c kept symbolic)."""
+def _alpha_images(n: int) -> Tuple[PolyVectorField, ...]:
+    """Vector-field images of ``algebra_basis(n)``, in its order (c symbolic)."""
     from .polyfields import GeneratorName, generator
 
     params = ModelParams(n=n, c=0.0)
-    images: Dict[str, PolyVectorField] = {
-        "C": generator(GeneratorName.YC(), params),
-        "T": generator(GeneratorName.T(), params),
-    }
-    for a in range(1, n):
-        images[f"U({a})"] = generator(GeneratorName.Ya(a), params)
-        images[f"Us({a})"] = generator(GeneratorName.YaBar(a), params)
-    for a in range(1, n):
-        for b in range(1, n):
-            images[f"B({a},{b})"] = -generator(
-                GeneratorName.CommYaYbBar(a, b), params
-            )
-    for k in range(n):
-        images[f"E({k})"] = generator(GeneratorName.Vk(k), params)
-        images[f"Ebar({k})"] = generator(GeneratorName.VkBar(k), params)
-    return images
-
-
-@lru_cache(maxsize=None)
-def _alpha_labels(n: int) -> Tuple[str, ...]:
-    """Basis labels in the order of the coefficients ``alpha`` collects."""
-    labels = ["C"]
-    for a in range(1, n):
-        labels += [f"U({a})", f"Us({a})"]
-    labels += [f"B({a},{b})" for a in range(1, n) for b in range(1, n)]
-    for k in range(n):
-        labels += [f"E({k})", f"Ebar({k})"]
-    return tuple(labels + ["T"])
+    images = [generator(GeneratorName.YC(), params)]
+    images += [generator(GeneratorName.Ya(a), params) for a in range(1, n)]
+    images += [generator(GeneratorName.YaBar(a), params) for a in range(1, n)]
+    images += [-generator(GeneratorName.CommYaYbBar(a, b), params)
+               for a in range(1, n) for b in range(1, n)]
+    images += [generator(GeneratorName.Vk(k), params) for k in range(n)]
+    images += [generator(GeneratorName.VkBar(k), params) for k in range(n)]
+    images.append(generator(GeneratorName.T(), params))
+    return tuple(images)
 
 
 def alpha(x: SemiDirectElement, params: ModelParams) -> PolyVectorField:
@@ -511,26 +483,17 @@ def alpha(x: SemiDirectElement, params: ModelParams) -> PolyVectorField:
     and U_a^s to the shear pair, B(a,b) to minus the shear commutator, E_k
     and Ebar_k to the fiber translations, T to the angle translation.  The
     bracket check is anti-equivariant: [alpha(x), alpha(y)] = -alpha([x, y]).
-    The result is one linear combination of the cached basis images.
+    The result is one linear combination of the cached basis images, with
+    the coefficients collected in ``algebra_basis`` order.
     """
     from .polyfields import combination
 
     n = x.n
     if n != params.n:
         raise ValueError("size mismatch with params")
-    images = _alpha_images(n)
     lam, m, s, kappa = gl_decompose(x.A)
-    coeffs = [lam]
-    for a in range(n - 1):
-        coeffs += [m[a], s[a]]
-    for row in kappa:
-        coeffs += row
-    for k in range(n):
-        coeffs += [x.vE[k], x.vEbar[k]]
-    coeffs.append(x.t)
-    return combination(
-        n, [(c, images[label]) for c, label in zip(coeffs, _alpha_labels(n))]
-    )
+    coeffs = [lam, *m, *s, *(k for row in kappa for k in row), *x.vE, *x.vEbar, x.t]
+    return combination(n, zip(coeffs, _alpha_images(n)))
 
 
 @dataclass(frozen=True)

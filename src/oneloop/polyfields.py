@@ -1,7 +1,7 @@
 """Exact polynomial vector fields on the fibered chart, without numpy.
 
 The symmetry generators, with coefficients polynomial in (X, Xbar, w, wbar, c),
-and their exact Lie brackets; chart evaluation imports :mod:`oneloop.fields`.
+and their exact Lie brackets; :mod:`oneloop.fields` evaluates them in the chart.
 
 A field computes the nonzero partial derivatives of its components once, on
 first use, and keeps them (``PolyVectorField.partials``): every bracket with
@@ -14,22 +14,15 @@ one that summing ``Poly`` products would give.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exact import QI, QI_I, Poly, VarTable
 from .params import ModelParams
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .geometry import PointBarN
-
 
 _GEN_KINDS = frozenset(
     {"YC", "Ya", "YaBar", "Vk", "VkBar", "T", "C1", "C2", "CommYaYbBar",
      "VkRe", "VkIm"}
 )
-_FLOW_KINDS = frozenset({"C1", "C2", "T", "VkRe", "VkIm"})
 
 
 @dataclass(frozen=True)
@@ -235,21 +228,6 @@ class PolyVectorField:
                                         for v, e in enumerate(mono) if e])
             self._table = (slots, coeffs, factors)
         return self._table
-
-    def eval_complex(self, p: PointBarN, c_value) -> np.ndarray:
-        """Complex components (on dX, dXbar, dw, dwbar, dphi) at a point."""
-        from .fields import _ChartEvaluator
-        return _ChartEvaluator([self]).table(p, c_value)[0, :, -1]
-
-    def real_chart_vector(self, p: PointBarN, c_value) -> np.ndarray:
-        """Real chart components; requires the reality condition to hold."""
-        from .fields import _ChartEvaluator
-        return _ChartEvaluator([self])(p, c_value)[0][0]
-
-    def real_chart_jacobian(self, p: PointBarN, c_value) -> np.ndarray:
-        """Exact-polynomial Jacobian d(component_i)/d(chart_j), real chart."""
-        from .fields import _ChartEvaluator
-        return _ChartEvaluator([self])(p, c_value)[1][0]
 
     def __repr__(self):
         n_nonzero = sum(1 for c in self.comps if c)

@@ -163,8 +163,7 @@ def enumerate_norm_one(params: QuatParams, bound: int) -> List[QuatInt]:
     """All integral quaternions of reduced norm 1 with max |q_i| <= bound.
 
     Exhaustive scan in lexicographic (q0, q1, q2, q3) order, so results are
-    deterministic; the scan partitions trivially over q0 if parallelized,
-    with the same merged order.
+    deterministic.
     """
     if not (type(bound) is int and bound >= 1):
         raise ValueError("bound must be a positive integer")

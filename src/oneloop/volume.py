@@ -29,13 +29,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .params import ModelParams
 
 __all__ = [
+    "FloatRangeError",
     "VolumePolynomial",
     "poly_P",
     "density",
@@ -71,19 +71,8 @@ class VolumePolynomial:
             raise ValueError("all coefficients must be positive")
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
 
-    @property
-    def degree(self) -> int:
-        return self.n
-
     def eval_float(self, x: float) -> float:
         total = 0.0
-        for coeff in reversed(self.coefficients):
-            total = total * x + coeff
-        return total
-
-    def eval_exact(self, x) -> Fraction:
-        x = Fraction(x)
-        total = Fraction(0)
         for coeff in reversed(self.coefficients):
             total = total * x + coeff
         return total
@@ -106,6 +95,16 @@ def poly_P(n: int) -> VolumePolynomial:
     return VolumePolynomial(n=n, coefficients=coeffs)
 
 
+class FloatRangeError(ArithmeticError):
+    """A volume quantity at the given rho does not fit in a float."""
+
+
+def _finite(what: str, rho: float, n: int, value: float) -> float:
+    if not math.isfinite(value):
+        raise FloatRangeError(f"{what} at rho = {rho!r} leaves the float range at n = {n}")
+    return value
+
+
 def density(rho: float, params: ModelParams) -> float:
     """The rho-dependent volume density factor rho^-(n+2) * P(c/rho).
 
@@ -113,14 +112,18 @@ def density(rho: float, params: ModelParams) -> float:
     invariant fiber density, so slab volumes are V_D times the integral of
     this function.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    poly = poly_P(params.n)
-    return rho ** (-(params.n + 2)) * poly.eval_float(params.c / rho)
+    n = params.n
+    try:
+        value = rho ** (-(n + 2)) * poly_P(n).eval_float(params.c / rho)
+    except OverflowError:
+        value = math.inf
+    return _finite("density", rho, n, value)
 
 
 def _check_vd(V_D: float) -> None:
-    if V_D <= 0:
+    if not V_D > 0:
         raise ValueError("the fundamental-domain volume V_D must be positive")
 
 
@@ -130,15 +133,17 @@ def tail_closed(rho0: float, params: ModelParams, V_D: float) -> float:
     Equals V_D * sum_k p_k c^k / ((n+1+k) * rho0^(n+1+k)); the k = 0 term
     V_D / ((n+1) rho0^(n+1)) dominates as rho0 grows.
     """
-    if rho0 <= 0:
+    if not rho0 > 0:
         raise ValueError(f"rho0 must be positive, got {rho0}")
     _check_vd(V_D)
     n, c = params.n, params.c
-    poly = poly_P(n)
     total = 0.0
-    for k, p_k in enumerate(poly.coefficients):
-        total += p_k * c**k / ((n + 1 + k) * rho0 ** (n + 1 + k))
-    return V_D * total
+    try:
+        for k, p_k in enumerate(poly_P(n).coefficients):
+            total += p_k * c**k / ((n + 1 + k) * rho0 ** (n + 1 + k))
+    except ArithmeticError:  # a power overflows or underflows to zero
+        total = math.inf
+    return _finite("tail volume", rho0, n, V_D * total)
 
 
 def slab_closed(rho1: float, rho0: float, params: ModelParams, V_D: float) -> float:
@@ -260,7 +265,7 @@ def tail_quadrature(rho0: float, params: ModelParams, V_D: float) -> float:
     factor rho0^-(n+1) is taken out of the integral, so no node loses
     rho0 to rounding.  ValueError if 200 panels do not reach the target.
     """
-    if rho0 <= 0:
+    if not rho0 > 0:
         raise ValueError(f"rho0 must be positive, got {rho0}")
     _check_vd(V_D)
     n, x = params.n, params.c / rho0
@@ -305,7 +310,7 @@ def upper_bound_constant(rho_floor: float, params: ModelParams) -> float:
     For rho >= rho_floor the density is at most C(rho_floor) * rho^-(n+2);
     this is P evaluated at c/rho_floor.
     """
-    if rho_floor <= 0:
+    if not rho_floor > 0:
         raise ValueError(f"rho_floor must be positive, got {rho_floor}")
     return poly_P(params.n).eval_float(params.c / rho_floor)
 
@@ -325,7 +330,7 @@ def bounds_check(
     floating-point round-off.  rho < rho_floor is rejected because the
     upper bound is only claimed above the floor.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if rho < rho_floor:
         raise ValueError(

@@ -287,6 +287,17 @@ class TestKillingCommand:
         assert lines[-1].startswith("radial control") and lines[-1].endswith(",false")
         assert code == 1
 
+    def test_csv_quotes_labels_with_commas(self, capsys):
+        args = ["verify-killing", "--n", "2", "--points", "1"]
+        _, csv_out, _ = run_cli(capsys, args + ["--format", "csv"])
+        _, json_out, _ = run_cli(capsys, args)
+        rows = list(csv.reader(io.StringIO(csv_out)))
+        assert all(len(row) == 4 for row in rows)
+        report = json.loads(json_out)
+        labels = [row["generator"] for row in report["rows"]]
+        assert [row[0] for row in rows[1:]] == labels + [report["control"]["generator"]]
+        assert "re Comm(1,1)" in labels
+
     def test_tolerances_embedded(self, capsys):
         _, out, _ = run_cli(
             capsys, ["verify-killing", "--n", "1", "--c", "0", "--points", "2"]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oneloop.exact import (QI, Poly, Rad, RadC, VarTable,
-                           as_fraction, frac_gcd, integer_solution,
+                           as_fraction, integer_solution,
                            solve_rational)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -103,11 +103,16 @@ class TestPoly:
         assert q == expected
 
     def test_eval_complex(self):
+        # Polynomials are evaluated by the chart evaluator, here as the
+        # angle component of a field.
+        from oneloop.fields import PolyVectorField, _ChartEvaluator
+        from oneloop.geometry import PointBarN
+
         p = self.X * self.X + QI(0, 1) * self.w0
-        vals = [0j] * self.t.nvars
-        vals[self.t.x(1)] = 2 + 1j
-        vals[self.t.w(0)] = 1 - 1j
-        assert p.eval_complex(vals) == (2 + 1j) ** 2 + 1j * (1 - 1j)
+        comps = [Poly.zero(self.t.nvars)] * (self.t.nvars - 1) + [p]
+        point = PointBarN((0.5 + 0.25j,), (1 - 1j, 0), 0.0, 1.0)
+        table = _ChartEvaluator([PolyVectorField(2, comps)]).table(point, 0.0)
+        assert table[0, -1, -1] == (0.5 + 0.25j) ** 2 + 1j * (1 - 1j)
 
     def test_conj_swap(self):
         p = QI(0, 1) * self.X * self.w0 + self.c
@@ -116,11 +121,6 @@ class TestPoly:
                     * Poly.variable(self.t.nvars, self.t.wb(0)) + self.c)
         assert q == expected
         assert q.conj_swap(self.t.conj_perm()) == p
-
-    def test_degree_helpers(self):
-        p = self.X * self.X * self.c + self.w0
-        assert p.degree_in(self.t.c) == 1
-        assert p.total_degree([self.t.x(1), self.t.w(0)]) == 2
 
     @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
     def test_product_rule(self, a, b, d):
@@ -319,12 +319,6 @@ class TestSolvers:
         m = [[a, b], [c, d]]
         rhs = [a * x0 + b * x1, c * x0 + d * x1]
         assert solve_rational(m, rhs) == [Fraction(x0), Fraction(x1)]
-
-    def test_frac_gcd(self):
-        assert frac_gcd([Fraction(1, 2), Fraction(1, 3)]) == Fraction(1, 6)
-        assert frac_gcd([Fraction(2), Fraction(3)]) == 1
-        assert frac_gcd([0, Fraction(0)]) == 0
-        assert frac_gcd([Fraction(-4, 6), Fraction(2, 3)]) == Fraction(2, 3)
 
 
 MONOMIALS = ((0, 0), (1, 0), (0, 1), (1, 1))   # 1, sa, sb, sab as (i, j) exponents

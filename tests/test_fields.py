@@ -18,15 +18,11 @@ from oneloop.fields import (
     bracket,
     flow,
     flow_jacobian,
-    frame_rank,
     generator,
     imag_part,
     killing_residuals,
-    lie_derivative_metric,
-    radial_control_derivative,
     real_killing_catalogue,
     real_part,
-    stabilizer_basis,
 )
 from oneloop.geometry import (
     ModelParams,
@@ -41,6 +37,7 @@ from oneloop.geometry import (
     metric_gram,
     seeded_points,
 )
+from oneloop.polyfields import _two_c_dphi
 
 TAU = 2.0 * math.pi
 
@@ -92,12 +89,24 @@ def chart_values(p, c_value, vt):
     return vals
 
 
+def termwise(poly, values):
+    """A polynomial's value, term by term, in Python complex arithmetic."""
+    total = 0j
+    for mono, coeff in poly.terms.items():
+        term = coeff.to_complex()
+        for i, e in enumerate(mono):
+            if e:
+                term *= values[i] ** e
+        total += term
+    return total
+
+
 def vector_oracle(F, p, c_value):
-    """Real chart vector from termwise Poly.eval_complex of each component."""
+    """Real chart vector from the termwise value of each component."""
     n = F.n
     vt = VarTable(n)
     vals = chart_values(p, c_value, vt)
-    comps = [comp.eval_complex(vals) for comp in F.comps]
+    comps = [termwise(comp, vals) for comp in F.comps]
     out = np.zeros(4 * n)
     for a in range(1, n):
         out[ix_x(a)], out[ix_y(a)] = comps[vt.x(a)].real, comps[vt.x(a)].imag
@@ -108,7 +117,7 @@ def vector_oracle(F, p, c_value):
 
 
 def jacobian_oracle(F, p, c_value):
-    """Real chart Jacobian by a Poly.eval_complex loop over every partial."""
+    """Real chart Jacobian by a termwise loop over every partial."""
     n = F.n
     vt = VarTable(n)
     vals = chart_values(p, c_value, vt)
@@ -118,7 +127,7 @@ def jacobian_oracle(F, p, c_value):
         for j in range(nv - 1):
             poly = F.comps[i].diff(j)
             if poly:
-                dval[i, j] = poly.eval_complex(vals)
+                dval[i, j] = termwise(poly, vals)
 
     m = 4 * n
     J = np.zeros((m, m))
@@ -150,6 +159,34 @@ def jacobian_oracle(F, p, c_value):
     return J
 
 
+def lie_oracle(F, p, c_value, D1, g):
+    """L_F g = F^k d_k g + J^T g + g J, symmetrized, from the oracles above."""
+    J = jacobian_oracle(F, p, c_value)
+    L = np.einsum("k,kij->ij", vector_oracle(F, p, c_value), D1) + J.T @ g + g @ J
+    return 0.5 * (L + L.T)
+
+
+def lie_derivative(F, p, params):
+    """L_F g at p with finite-difference metric derivatives."""
+    D1 = metric_first_derivatives(p.to_chart(), params)
+    return lie_oracle(F, p, params.c, D1, metric_gram(p, params))
+
+
+def chart_vector(F, p, c_value):
+    """Real chart vector of one field through the chart evaluator."""
+    return _ChartEvaluator([F])(p, c_value)[0][0]
+
+
+def chart_jacobian(F, p, c_value):
+    """Real chart Jacobian of one field through the chart evaluator."""
+    return _ChartEvaluator([F])(p, c_value)[1][0]
+
+
+def complex_components(F, p, c_value):
+    """Complex components (on dX, dXbar, dw, dwbar, dphi) of one field."""
+    return _ChartEvaluator([F]).table(p, c_value)[0, :, -1]
+
+
 def killing_oracle(params, points, step=1e-3):
     """killing_residuals with one field at a time and the oracles above."""
     catalogue = real_killing_catalogue(params)
@@ -160,10 +197,7 @@ def killing_oracle(params, points, step=1e-3):
         g = metric_gram(p, params)
         ginf = float(np.max(np.abs(g)))
         for label, F in catalogue:
-            J = jacobian_oracle(F, p, params.c)
-            L = (np.einsum("k,kij->ij", vector_oracle(F, p, params.c), D1)
-                 + J.T @ g + g @ J)
-            rel = float(np.max(np.abs(0.5 * (L + L.T)))) / ginf
+            rel = float(np.max(np.abs(lie_oracle(F, p, params.c, D1, g)))) / ginf
             if rel > residuals[label] or math.isnan(rel):
                 residuals[label] = rel
         rel_control = float(np.max(np.abs(D1[ix_rho()]))) / ginf
@@ -288,7 +322,7 @@ class TestReality:
         for _, F in real_killing_catalogue(params):
             assert len(F.comps) == 4 * 2 - 1
             p = seeded_points(params, 1)[0]
-            assert F.real_chart_vector(p, params.c)[ix_rho()] == 0.0
+            assert chart_vector(F, p, params.c)[ix_rho()] == 0.0
 
 
 def dense_bracket(F, G):
@@ -422,14 +456,14 @@ class TestEval:
         params = ModelParams(n=2, c=1.0)
         F = generator(GeneratorName.T(), params)
         p = seeded_points(params, 1)[0]
-        vec = F.eval_complex(p, params.c)
+        vec = complex_components(F, p, params.c)
         assert vec[-1] == 1.0
         assert np.allclose(vec[:-1], 0.0)
 
     def test_yc_at_base_point(self):
         params = ModelParams(n=2, c=0.7)
         F = generator(GeneratorName.YC(), params)
-        vec = F.eval_complex(base_point(2), params.c)
+        vec = complex_components(F, base_point(2), params.c)
         assert vec[-1] == pytest.approx(-1.4)
         assert np.allclose(vec[:-1], 0.0)
 
@@ -438,7 +472,7 @@ class TestEval:
         for a in (1, 2):
             for b in (1, 2):
                 F = generator(GeneratorName.CommYaYbBar(a, b), params)
-                vec = F.eval_complex(base_point(3), params.c)
+                vec = complex_components(F, base_point(3), params.c)
                 expect = -2j * params.c if a == b else 0.0
                 assert vec[-1] == pytest.approx(expect)
                 assert np.allclose(vec[:-1], 0.0)
@@ -447,7 +481,7 @@ class TestEval:
         params = ModelParams(n=1, c=0.0)
         F = generator(GeneratorName.VkRe(0), params)
         p = PointBarN((), (1j,), 0.0, 1.0)
-        vec = F.real_chart_vector(p, params.c)
+        vec = chart_vector(F, p, params.c)
         assert vec[ix_u(0, 1)] == 1.0
         assert vec[ix_v(0, 1)] == 0.0
         assert vec[ix_phi(1)] == 2.0
@@ -457,7 +491,7 @@ class TestEval:
         params = ModelParams(n=2, c=0.75)
         F = imag_part(generator(GeneratorName.Ya(1), params))
         p = seeded_points(params, 1)[0]
-        J = F.real_chart_jacobian(p, params.c)
+        J = chart_jacobian(F, p, params.c)
         q0 = p.to_chart()
         h = 1e-6
         for j in range(8):
@@ -465,8 +499,8 @@ class TestEval:
             qm = q0.copy()
             qp[j] += h
             qm[j] -= h
-            vp = F.real_chart_vector(PointBarN.from_chart(qp), params.c)
-            vm = F.real_chart_vector(PointBarN.from_chart(qm), params.c)
+            vp = chart_vector(F, PointBarN.from_chart(qp), params.c)
+            vm = chart_vector(F, PointBarN.from_chart(qm), params.c)
             fd = (vp - vm) / (2 * h)
             assert np.allclose(J[:, j], fd, atol=1e-6)
 
@@ -485,12 +519,12 @@ class TestBatchedEvaluation:
                 for (label, F), vec, jac in zip(catalogue, vecs, jacs):
                     assert np.array_equal(vec, vector_oracle(F, p, c)), label
                     assert np.array_equal(jac, jacobian_oracle(F, p, c)), label
-                    assert np.array_equal(F.real_chart_vector(p, c), vec)
-                    assert np.array_equal(F.real_chart_jacobian(p, c), jac)
+                    assert np.array_equal(chart_vector(F, p, c), vec)
+                    assert np.array_equal(chart_jacobian(F, p, c), jac)
                     vt = VarTable(n)
-                    termwise = [comp.eval_complex(chart_values(p, c, vt))
-                                for comp in F.comps]
-                    assert np.array_equal(F.eval_complex(p, c), termwise)
+                    values = [termwise(comp, chart_values(p, c, vt))
+                              for comp in F.comps]
+                    assert np.array_equal(complex_components(F, p, c), values)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_killing_residuals_match_one_field_at_a_time(self, n):
@@ -513,8 +547,8 @@ class TestBatchedEvaluation:
         comps[vt.x(1)] = comps[nv - 1] = poly
         F = PolyVectorField(n, comps)
         for p in seeded_points(ModelParams(n=n, c=1.5), 4, seed=2):
-            assert np.array_equal(F.real_chart_vector(p, 1.5), vector_oracle(F, p, 1.5))
-            assert np.array_equal(F.real_chart_jacobian(p, 1.5),
+            assert np.array_equal(chart_vector(F, p, 1.5), vector_oracle(F, p, 1.5))
+            assert np.array_equal(chart_jacobian(F, p, 1.5),
                                   jacobian_oracle(F, p, 1.5))
 
 
@@ -587,23 +621,30 @@ class TestKilling:
             doubled = F + zero_field_with_phi(params.n, F.comps[-1])
             for part in (real_part(doubled), imag_part(doubled)):
                 for p in seeded_points(params, 2):
-                    L = lie_derivative_metric(part, p, params)
+                    L = lie_derivative(part, p, params)
                     g = metric_gram(p, params)
                     assert np.max(np.abs(L)) / np.max(np.abs(g)) <= 2e-6
-
-    def test_lie_derivative_rejects_complex_field(self):
-        params = ModelParams(n=2, c=0.0)
-        F = generator(GeneratorName.Ya(1), params)
-        p = seeded_points(params, 1)[0]
-        with pytest.raises(ValueError, match="real"):
-            lie_derivative_metric(F, p, params)
 
     def test_radial_control_large(self):
         params = ModelParams(n=2, c=1.0)
         p = seeded_points(params, 1)[0]
-        L = radial_control_derivative(p, params)
+        # The radial field has constant components: its Lie derivative is
+        # the radial partial of the Gram matrix.
+        L = metric_first_derivatives(p.to_chart(), params)[ix_rho()]
         g = metric_gram(p, params)
         assert np.max(np.abs(L)) / np.max(np.abs(g)) > 1e-2
+
+
+def frame_rank(p, params, tol=1e-8):
+    """Rank of the complex coefficient matrix of the fiberwise frame: base
+    shears, fiber translations, their conjugates and the angle field."""
+    n = params.n
+    names = [GeneratorName.Ya(a) for a in range(1, n)]
+    names += [GeneratorName.Vk(k) for k in range(n)]
+    fields = [generator(name, params) for name in names]
+    fields += [F.conjugate() for F in fields] + [generator(GeneratorName.T(), params)]
+    M = _ChartEvaluator(fields).table(p, params.c)[:, :, -1]
+    return int(np.linalg.matrix_rank(M, tol=tol))
 
 
 class TestFrameRank:
@@ -623,14 +664,30 @@ class TestFrameRank:
         assert frame_rank(p, params) == 11
 
 
+def stabilizer_basis(params):
+    """Real generators vanishing at the base point X = 0, w = 0: the rotation
+    YC + 2c dphi and the normalized real and imaginary parts of the shear
+    commutators, the diagonal imaginary parts corrected by 2c dphi."""
+    n = params.n
+    out = [generator(GeneratorName.YC(), params) + _two_c_dphi(n)]
+    for a in range(1, n):
+        for b in range(a, n):
+            K = generator(GeneratorName.CommYaYbBar(a, b), params)
+            if a < b:  # (K + conj K)/2 and (K - conj K)/2i
+                out.append(real_part(K).scale(Fraction(1, 2)))
+            im = imag_part(K).scale(Fraction(-1, 2))
+            out.append(im + _two_c_dphi(n) if a == b else im)
+    return out
+
+
 class TestStabilizer:
     def test_counts(self):
-        assert len(stabilizer_basis(ModelParams(n=1, c=1.0), 1.0)) == 1
-        assert len(stabilizer_basis(ModelParams(n=2, c=1.0), 1.0)) == 2
-        assert len(stabilizer_basis(ModelParams(n=3, c=1.0), 1.0)) == 5
+        assert len(stabilizer_basis(ModelParams(n=1, c=1.0))) == 1
+        assert len(stabilizer_basis(ModelParams(n=2, c=1.0))) == 2
+        assert len(stabilizer_basis(ModelParams(n=3, c=1.0))) == 5
 
     def test_all_real(self):
-        for F in stabilizer_basis(ModelParams(n=3, c=2.0), 0.5):
+        for F in stabilizer_basis(ModelParams(n=3, c=2.0)):
             assert F.is_real()
 
     def test_exact_vanishing_at_base_point(self):
@@ -641,22 +698,18 @@ class TestStabilizer:
             assign.update({vt.xb(a): 0 for a in range(1, n)})
             assign.update({vt.w(k): 0 for k in range(n)})
             assign.update({vt.wb(k): 0 for k in range(n)})
-            for F in stabilizer_basis(params, 1.0):
+            for F in stabilizer_basis(params):
                 # c stays symbolic: vanishing must hold for every c
                 assert all(comp.subs(assign).is_zero() for comp in F.comps)
 
     def test_stabilizer_fields_are_killing(self):
         params = ModelParams(n=2, c=0.5)
         points = seeded_points(params, 2)
-        for F in stabilizer_basis(params, 1.0):
+        for F in stabilizer_basis(params):
             for p in points:
-                L = lie_derivative_metric(F, p, params)
+                L = lie_derivative(F, p, params)
                 g = metric_gram(p, params)
                 assert np.max(np.abs(L)) <= 1e-6 * np.max(np.abs(g))
-
-    def test_rho0_must_be_positive(self):
-        with pytest.raises(ValueError):
-            stabilizer_basis(ModelParams(n=2, c=1.0), 0.0)
 
 
 class TestFlows:

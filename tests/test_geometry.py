@@ -5,11 +5,10 @@ import pytest
 
 from oneloop import geometry
 from oneloop.geometry import (_THETA_SHEAR, ModelParams, PointBarN,
-                              _gram_from_chart, bergman_gram,
-                              einstein_diagnostic, fiber_density_split,
-                              gram_det_p0, ix_phi, ix_u, ix_v, ix_x, ix_y,
-                              metric_first_derivatives, metric_gram,
-                              metric_on_fiber_H, ricci_fd, rho_density_factor,
+                              _gram_from_chart, einstein_diagnostic,
+                              fiber_density_split, gram_det_p0, ix_phi, ix_u,
+                              ix_v, ix_x, ix_y, metric_first_derivatives,
+                              metric_gram, ricci_fd, rho_density_factor,
                               seeded_points)
 
 
@@ -126,12 +125,27 @@ def expected_gram_p0(n, c, rho):
     return g
 
 
+def bergman_block(X):
+    """The base block of metric_gram at c = 0 and w = 0: there the deformed
+    metric restricts to the Bergman ball metric."""
+    n = len(X) + 1
+    g = metric_gram(PointBarN(X, (0,) * n, 0.0, 1.0), ModelParams(n, 0.0))
+    return g[1:2 * n - 1, 1:2 * n - 1]
+
+
+def fiber_block(w, phi_tilde, rho0, params):
+    """The block of metric_gram at X = 0 over (u^0, v^0, ..., phi)."""
+    n = params.n
+    p = PointBarN(X=(0,) * (n - 1), w=w, phi_tilde=phi_tilde, rho=rho0)
+    return metric_gram(p, params)[ix_u(0, n):, ix_u(0, n):]
+
+
 class TestBergman:
     def test_origin_is_identity(self):
-        assert np.allclose(bergman_gram([0], 2), np.eye(2))
+        assert np.allclose(bergman_block([0]), np.eye(2))
 
     def test_half_radius_value(self):
-        g = bergman_gram([0.5], 2)
+        g = bergman_block([0.5])
         assert np.allclose(g, (16 / 9) * np.eye(2), rtol=0, atol=1e-14)
 
     def test_termwise_oracle_n3(self):
@@ -140,21 +154,19 @@ class TestBergman:
         H = np.eye(2, dtype=complex) / (1 - s) + \
             np.outer(np.conj(X), X) / (1 - s) ** 2
         expected = hermitian_realification(H)
-        g = bergman_gram(X, 3)
+        g = bergman_block(X)
         assert np.allclose(g, expected, rtol=0, atol=1e-14)
         assert np.allclose(g, g.T)
         assert np.all(np.linalg.eigvalsh(g) > 0)
 
     def test_rejects_outside_ball(self):
         with pytest.raises(ValueError):
-            bergman_gram([1.0], 2)
+            bergman_block([1.0])
         with pytest.raises(ValueError):
-            bergman_gram([0.8, 0.7], 3)
+            bergman_block([0.8, 0.7])
 
-    def test_n1_empty_with_warning(self):
-        with pytest.warns(UserWarning):
-            g = bergman_gram([], 1)
-        assert g.shape == (0, 0)
+    def test_n1_block_is_empty(self):
+        assert bergman_block([]).shape == (0, 0)
 
 
 class TestMetricGram:
@@ -315,18 +327,9 @@ class TestFiberDensity:
 
 
 class TestFiberMetric:
-    def test_is_submatrix_of_gram(self):
-        params = ModelParams(2, 0.7)
-        w = (0.3 - 0.2j, 1.1j)
-        h = metric_on_fiber_H(w, 0.4, 1.3, params)
-        p = PointBarN(X=(0,), w=w, phi_tilde=0.4, rho=1.3)
-        g = metric_gram(p, params)
-        idx = list(range(ix_u(0, 2), 8))
-        assert np.array_equal(h, g[np.ix_(idx, idx)])
-
     @pytest.mark.parametrize("n,c,rho0", [(1, 0.0, 1.0), (2, 1.0, 2.0), (3, 0.5, 0.75)])
     def test_w0_diagonal_values(self, n, c, rho0):
-        h = metric_on_fiber_H((0,) * n, 0.0, rho0, ModelParams(n, c))
+        h = fiber_block((0,) * n, 0.0, rho0, ModelParams(n, c))
         assert h.shape == (2 * n + 1, 2 * n + 1)
         assert np.allclose(h, np.diag(np.diag(h)))
         # 0-block carries the deformation factor, a-blocks do not
@@ -339,7 +342,7 @@ class TestFiberMetric:
             (rho0 + c) / (rho0 + 2 * c) / (4 * rho0**2))
 
     def test_c0_blocks_match(self):
-        h = metric_on_fiber_H((0, 0), 0.0, 1.0, ModelParams(2, 0.0))
+        h = fiber_block((0, 0), 0.0, 1.0, ModelParams(2, 0.0))
         assert h[0, 0] == pytest.approx(h[2, 2])
 
 
