@@ -446,9 +446,12 @@ class Rad:
     def __init__(self, a, b, r1=0, ra=0, rb=0, rab=0):
         if not (isinstance(a, int) and isinstance(b, int) and a > 0 and b > 0):
             raise ValueError("radical parameters must be positive integers")
-        parts = [_rational(r) for r in (r1, ra, rb, rab)]
-        d = math.lcm(*(r.denominator for r in parts))
-        n1, na, nb, nab = (r.numerator * (d // r.denominator) for r in parts)
+        if type(r1) is int and type(ra) is int and type(rb) is int and type(rab) is int:
+            n1, na, nb, nab, d = r1, ra, rb, rab, 1
+        else:
+            parts = [_rational(r) for r in (r1, ra, rb, rab)]
+            d = math.lcm(*(r.denominator for r in parts))
+            n1, na, nb, nab = (r.numerator * (d // r.denominator) for r in parts)
         if b == 1:
             n1, na, nb, nab = n1 + nb, na + nab, 0, 0
         if a == 1:

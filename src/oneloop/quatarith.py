@@ -28,8 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
+from operator import add
 from typing import Dict, List, Tuple
 
 from .exact import Rad, RadC
@@ -74,7 +75,11 @@ class QuatParams:
             raise ValueError("b must be a positive integer")
 
 
-@dataclass(frozen=True)
+# Slotted and not frozen, like QI, Rad and RadC: the norm-one scan builds
+# one per candidate, and a frozen dataclass pays an object.__setattr__ per
+# field for that.  Nothing assigns to a QuatInt after construction, so the
+# field hash that unsafe_hash adds stays the value hash.
+@dataclass(slots=True, unsafe_hash=True)
 class QuatInt:
     """Integral quaternion q0 + q1*I + q2*J + q3*K over fixed (a, b)."""
 
@@ -278,9 +283,11 @@ def preserves_gamma2(q: QuatInt) -> bool:
     Q = embed_matrix(q)
     lattice = gamma2_basis(q.params)
     for vec in lattice.basis:
-        image = tuple(
-            Q[j][0] * vec[0] + Q[j][1] * vec[1] for j in range(2)
-        )
+        # Products with the zero entries of vec are skipped, as MatGl skips
+        # zero entries: each basis vector has one nonzero entry, so every
+        # image entry is one product.
+        terms = [(k, x) for k, x in enumerate(vec) if not x.is_zero()]
+        image = tuple(reduce(add, [row[k] * x for k, x in terms]) for row in Q)
         point = HeisPoint(image, Fraction(0))
         if lattice_coordinates(lattice, point) is None:
             return False

@@ -156,10 +156,13 @@ def slab_closed(rho1: float, rho0: float, params: ModelParams, V_D: float) -> fl
     n, c = params.n, params.c
     poly = poly_P(n)
     total = 0.0
-    for k, p_k in enumerate(poly.coefficients):
-        power = n + 1 + k
-        total += p_k * c**k / power * (rho1 ** (-power) - rho0 ** (-power))
-    return V_D * total
+    try:
+        for k, p_k in enumerate(poly.coefficients):
+            power = n + 1 + k
+            total += p_k * c**k / power * (rho1 ** (-power) - rho0 ** (-power))
+    except OverflowError:  # a power of 1/rho1 leaves the float range
+        total = math.inf
+    return _finite("slab volume", rho1, n, V_D * total)
 
 
 # Gauss-Kronrod 7/15 rule (QUADPACK qk15) on [-1, 1]: the Kronrod nodes from
@@ -312,7 +315,9 @@ def upper_bound_constant(rho_floor: float, params: ModelParams) -> float:
     """
     if not rho_floor > 0:
         raise ValueError(f"rho_floor must be positive, got {rho_floor}")
-    return poly_P(params.n).eval_float(params.c / rho_floor)
+    # c / rho_floor overflows to inf for a tiny floor, and P(inf) is nan.
+    value = poly_P(params.n).eval_float(params.c / rho_floor)
+    return _finite("upper bound constant", rho_floor, params.n, value)
 
 
 _BOUND_SLACK = 1e-12

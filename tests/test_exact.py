@@ -164,6 +164,21 @@ class TestRad:
         assert math.isclose((x + y).to_float(), x.to_float() + y.to_float(),
                             rel_tol=1e-12, abs_tol=1e-9)
 
+    @pytest.mark.parametrize("ab", [(2, 3), (1, 3), (5, 1), (1, 1)])
+    def test_int_and_fraction_construction_agree(self, ab):
+        # Integer components take a shortcut (denominator 1, no lcm); the
+        # value must be the one the Fraction route builds, folds included.
+        for parts in ((1, 2, 3, 4), (0, -1, 0, 5), (-7, 0, 0, 0), (0, 0, 0, 0)):
+            x = Rad(*ab, *parts)
+            y = Rad(*ab, *map(Fraction, parts))
+            assert x == y
+            assert x.numerators() == y.numerators()
+            assert hash(x) == hash(y)
+
+    def test_float_component_rejected(self):
+        with pytest.raises(TypeError, match="exact rational required"):
+            Rad(2, 3, 1, 0.5)
+
     def test_radc_complex_ops(self):
         a, b = 2, 5
         z = RadC(Rad(a, b, 1), Rad(a, b, 0, 1))        # 1 + i*sqrt(a)

@@ -118,6 +118,32 @@ class TestParams:
             QuatInt(1, 0, 0, False, P23)
 
 
+class TestQuatIntValue:
+    def test_equality_and_hash_follow_coordinates_and_params(self):
+        x, y = quat(1, -2, 3, 0), quat(1, -2, 3, 0)
+        assert x == y and hash(x) == hash(y)
+        assert x != quat(1, -2, 3, 1)
+        assert x != quat(1, -2, 3, 0, P25)
+
+    def test_set_member(self):
+        values = {quat(1, 0, 0, 0), quat(1, 0, 0, 0), quat(0, 1, 0, 0),
+                  quat(1, 0, 0, 0, P37)}
+        assert len(values) == 3
+        assert quat(0, 1, 0, 0) in values
+
+    def test_repr(self):
+        assert repr(quat(1, 0, 0, 0)) == (
+            "QuatInt(q0=1, q1=0, q2=0, q3=0, params=QuatParams(a=2, b=3))")
+
+    @pytest.mark.parametrize("bad", [1.0, True])
+    def test_float_or_bool_coordinate_rejected(self, bad):
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            QuatInt(0, 0, bad, 0, P23)
+
+    def test_no_instance_dict(self):
+        assert not hasattr(quat(1, 0, 0, 0), "__dict__")
+
+
 class TestMultiplicationTable:
     def test_defining_relations(self):
         one = quat(1, 0, 0, 0)
@@ -460,6 +486,44 @@ class TestPreservesGamma2:
                     found = lattice_coordinates(lat, HeisPoint(image, Fraction(0)))
                     assert found is not None
                     assert found.coords == quat_mul(q, u).coords()
+
+    @pytest.mark.parametrize("ab", [(2, 3), (2, 5), (3, 7), (1, 3), (2, 1)])
+    def test_images_are_left_products(self, ab, monkeypatch):
+        # The docstring's identity, read off the images the function solves:
+        # Q (r e_1) has the lattice coordinates of q*r, r in 1, I, J, K.
+        params = QuatParams(*ab)
+        solved = []
+
+        def recording(lattice, point):
+            found = lattice_coordinates(lattice, point)
+            solved.append(found)
+            return found
+
+        monkeypatch.setattr(quatarith, "lattice_coordinates", recording)
+        units = [QuatInt(*coords, params)
+                 for coords in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+        elements = enumerate_norm_one(params, 4)
+        assert len(elements) > 2
+        for q in elements:
+            solved.clear()
+            assert preserves_gamma2(q) is True
+            assert [found.coords for found in solved] == [
+                quat_mul(q, r).coords() for r in units]
+            assert all(found.center == 0 for found in solved)
+
+    def test_one_product_per_image_entry(self, monkeypatch):
+        # Four basis vectors with one nonzero entry each: 4 x 2 products,
+        # none for the zero entries.
+        counted = [0]
+        original = RadC.__mul__
+
+        def counting(self, other):
+            counted[0] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(RadC, "__mul__", counting)
+        assert preserves_gamma2(QuatInt(2, 1, 0, 0, P37)) is True
+        assert counted[0] == 8
 
     def test_norm_precondition(self):
         with pytest.raises(ValueError, match="norm-one"):

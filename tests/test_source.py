@@ -4,7 +4,11 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import oneloop
+from oneloop.exact import QI, Rad, RadC
+from oneloop.quatarith import QuatInt, QuatParams
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,3 +76,16 @@ def test_every_definition_is_used_outside_the_unit_tests():
                 if qualname not in UNUSED_ALLOWED:
                     unused.append(f"{path.name}: {qualname}")
     assert unused == []
+
+
+@pytest.mark.parametrize("value", [
+    QI(1, 2), Rad(2, 3, 1), RadC(Rad(2, 3, 1)), QuatInt(1, 0, 0, 0, QuatParams(2, 3)),
+], ids=lambda value: type(value).__name__)
+def test_per_term_values_are_slotted_and_unfrozen(value):
+    # These are built once per scan candidate or per product term, so an
+    # instance __dict__ or a frozen dataclass's per-field object.__setattr__
+    # would cost on every one of them.
+    cls = type(value)
+    assert "__slots__" in vars(cls)
+    assert not hasattr(value, "__dict__")
+    assert cls.__setattr__ is object.__setattr__

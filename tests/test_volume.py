@@ -155,6 +155,11 @@ class TestClosedForms:
             tail_closed(1e-30, ModelParams(n=6, c=1.0), 1.0)
         assert issubclass(FloatRangeError, ArithmeticError)
 
+    def test_overflowing_slab_names_rho_and_n(self):
+        # rho1^-3 overflows, which used to escape as a bare OverflowError.
+        with pytest.raises(FloatRangeError, match=r"rho = 1e-200 .* n = 2$"):
+            slab_closed(1e-200, 1.0, ModelParams(n=2, c=1.0), 1.0)
+
     def test_undeformed_slab_formula(self):
         rng = np.random.default_rng(11)
         for n in (1, 2, 3):
@@ -414,6 +419,11 @@ class TestBounds:
         for rho in np.linspace(floor, 20.0, 40):
             value = density(float(rho), params) * float(rho) ** 4
             assert 1.0 - 1e-12 <= value <= ceiling * (1 + 1e-12)
+
+    def test_overflowing_constant_names_rho_and_n(self):
+        # c / rho_floor is inf here, and P(inf) used to come back as nan.
+        with pytest.raises(FloatRangeError, match=r"rho = 1e-320 .* n = 3$"):
+            upper_bound_constant(1e-320, ModelParams(n=3, c=1.0))
 
     def test_below_floor_rejected(self):
         with pytest.raises(ValueError, match="rho_floor"):
