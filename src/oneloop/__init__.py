@@ -2,6 +2,7 @@
 
 Modules:
     exact      exact arithmetic (Gaussian rationals, polynomials, radical rings)
+    record     the class decorator behind every value class
     params     the model parameters (n, c), without numpy
     geometry   the metric family, Gram matrices, determinants, FD curvature
     polyfields exact polynomial Killing fields and brackets, without numpy
@@ -14,7 +15,10 @@ Modules:
 
 Only geometry and fields import numpy, and the CLI imports them inside the
 float commands (verify-killing, curvature), so importing the package and
-running any other command never loads numpy.
+running any other command never loads numpy.  No module of the package
+imports dataclasses, whose import pulls in inspect, ast and tokenize: the
+value classes come from the record decorator, so the commands that do not
+load numpy load none of these modules.
 """
 
 __version__ = "0.1.0"

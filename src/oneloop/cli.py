@@ -37,11 +37,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .params import ModelParams
+from .record import fields, record
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
@@ -68,7 +68,7 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RunConfig:
     """Validated inputs of one driver invocation."""
 
@@ -151,8 +151,8 @@ class RunConfig:
         return payload
 
 
-# Each default is written once, on the dataclass field.
-_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
+# Each default is written once, on the RunConfig field.
+_DEFAULTS = {name: getattr(RunConfig, name) for name in fields(RunConfig) if name != "command"}
 
 
 def _json_text(report: Dict) -> str:
@@ -409,6 +409,24 @@ def _parse_grid(text: str) -> Tuple[float, ...]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # The flags are declared once, on a parent that every subcommand copies;
+    # an absent flag reads None, so that build_config can tell it was not given.
+    common = argparse.ArgumentParser(add_help=False)
+    add = common.add_argument
+    add("--n", type=int, help="complex dimension parameter")
+    add("--c", type=float, help="deformation parameter")
+    add("--c-exact", type=_parse_c_exact, metavar="LAM:A:B",
+        help="exact deformation: c solves 4*pi*c = LAM*sqrt(A*B)/2; "
+        "also selects the quaternion algebra for 'lattice'")
+    add("--seed", type=int, help="PRNG seed")
+    add("--points", type=int, help="seeded point count")
+    add("--step", type=float, help="finite-difference step")
+    add("--bound", type=int, help="enumeration bound")
+    add("--out", help="also write output to this path")
+    add("--format", choices=("json", "csv"))
+    add("--grid", type=_parse_grid, metavar="R1,R2,...", help="rho grid for volume-table")
+    add("--vd", type=float, help="fundamental-domain volume")
+    add("--config", help="JSON file with the same keys as the flags (flags win)")
     parser = argparse.ArgumentParser(
         prog="oneloop",
         description="Verification suites and tables for the one-loop "
@@ -416,32 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--n", type=int, default=None, help="complex dimension parameter")
-        cmd.add_argument("--c", type=float, default=None, help="deformation parameter")
-        cmd.add_argument(
-            "--c-exact",
-            type=_parse_c_exact,
-            default=None,
-            metavar="LAM:A:B",
-            help="exact deformation: c solves 4*pi*c = LAM*sqrt(A*B)/2; "
-            "also selects the quaternion algebra for 'lattice'",
-        )
-        cmd.add_argument("--seed", type=int, default=None, help="PRNG seed")
-        cmd.add_argument("--points", type=int, default=None, help="seeded point count")
-        cmd.add_argument("--step", type=float, default=None, help="finite-difference step")
-        cmd.add_argument("--bound", type=int, default=None, help="enumeration bound")
-        cmd.add_argument("--out", type=str, default=None, help="also write output to this path")
-        cmd.add_argument("--format", choices=("json", "csv"), default=None)
-        cmd.add_argument(
-            "--grid", type=_parse_grid, default=None, metavar="R1,R2,...",
-            help="rho grid for volume-table",
-        )
-        cmd.add_argument("--vd", type=float, default=None, help="fundamental-domain volume")
-        cmd.add_argument(
-            "--config", type=str, default=None,
-            help="JSON file with the same keys as the flags (flags win)",
-        )
+        sub.add_parser(name, parents=[common])
     return parser
 
 

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .params import ModelParams  # noqa: F401 -- re-exported, defined without numpy
+from .record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PointBarN:
     """A point (X, w, phi_tilde, rho): ||X|| < 1, rho > 0; len(X) = len(w) - 1."""
 

@@ -28,12 +28,12 @@ only up-to-sign statements are convention-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .exact import QI, Rad, RadC, pivot_inverse
+from .record import record
 
 __all__ = [
     "HermForm",
@@ -81,7 +81,7 @@ class HermForm:
         return self.h(v, w).im
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HeisPoint:
     """Group element (v, t) with v in C^n and t a real center coordinate.
 
@@ -131,7 +131,7 @@ def heis_inverse(p: HeisPoint) -> HeisPoint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LatticeDescription:
     """A Z-lattice Lambda in C^n together with the center scale it generates.
 
@@ -180,7 +180,7 @@ class LatticeDescription:
         return [[form.omega(bi, bj) for bj in self.basis] for bi in self.basis]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HeisLatticePoint:
     """Integer coordinates over a lattice basis plus an integer center slot.
 

@@ -17,13 +17,13 @@ c = 0 branch is always selected explicitly, never inferred from a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .exact import QI, QI_I, QI_ZERO
 from .params import ModelParams
+from .record import record
 
 if TYPE_CHECKING:  # imported where used, so that center does not compile it
     from .polyfields import PolyVectorField
@@ -53,7 +53,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MatGl:
     """Square matrix with exact Gaussian-rational entries."""
 
@@ -212,7 +212,7 @@ def re_im_sigma(A: MatGl) -> Tuple[MatGl, MatGl]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SemiDirectElement:
     """Element of the complexified semidirect sum.
 
@@ -496,7 +496,7 @@ def alpha(x: SemiDirectElement, params: ModelParams) -> PolyVectorField:
     return combination(n, zip(coeffs, _alpha_images(n)))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StructureReport:
     """Outcome of the pairwise structure-constant verification."""
 
@@ -536,7 +536,7 @@ def structure_check(params: ModelParams) -> StructureReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CenterVector:
     """Vector in the center lattice coordinates (2pi*u, 2pi*m, 4pi*c*z)."""
 

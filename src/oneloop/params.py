@@ -8,10 +8,11 @@ parameters without importing numpy; ``geometry`` re-exports the name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModelParams:
     """Dimension index n (manifold dimension 4n) and deformation parameter c >= 0."""
 

@@ -13,11 +13,11 @@ one that summing ``Poly`` products would give.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exact import QI, QI_I, Poly, VarTable
 from .params import ModelParams
+from .record import record
 
 _GEN_KINDS = frozenset(
     {"YC", "Ya", "YaBar", "Vk", "VkBar", "T", "C1", "C2", "CommYaYbBar",
@@ -25,7 +25,7 @@ _GEN_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GeneratorName:
     """Name of a catalogued symmetry generator, with optional indices.
 

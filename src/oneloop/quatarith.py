@@ -26,7 +26,6 @@ Everything is exact: no floating point enters any decision in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
@@ -35,6 +34,7 @@ from typing import Dict, List, Tuple
 
 from .exact import Rad, RadC
 from .heis import HeisPoint, LatticeDescription, form_defect, lattice_coordinates
+from .record import record
 
 __all__ = [
     "QuatParams",
@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuatParams:
     """Structure constants (a, b) of the quaternion algebra, both positive.
 
@@ -76,10 +76,10 @@ class QuatParams:
 
 
 # Slotted and not frozen, like QI, Rad and RadC: the norm-one scan builds
-# one per candidate, and a frozen dataclass pays an object.__setattr__ per
-# field for that.  Nothing assigns to a QuatInt after construction, so the
-# field hash that unsafe_hash adds stays the value hash.
-@dataclass(slots=True, unsafe_hash=True)
+# one per candidate, so each one should be small and cheap to build.
+# Nothing assigns to a QuatInt after construction, so its field hash stays
+# its value hash.
+@record(slots=True)
 class QuatInt:
     """Integral quaternion q0 + q1*I + q2*J + q3*K over fixed (a, b)."""
 
@@ -219,7 +219,7 @@ def embed_det(matrix) -> RadC:
     return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
 
 
-def su11_check(q: QuatInt) -> bool:
+def su11_check(q: QuatInt, matrix=None) -> bool:
     """Does the matrix realization of q preserve the form diag(1, -1)?
 
     Requires reduced norm 1 (the determinant condition); then checks
@@ -228,10 +228,11 @@ def su11_check(q: QuatInt) -> bool:
     diag(1,-1) is the one consistent with the generator matrices; if this
     check ever fails for a norm-one element, the alternative form
     diag(-1,1) should be examined rather than silently substituted.
+    ``matrix``, when given, is ``embed_matrix(q)`` built by the caller.
     """
     if reduced_norm(q) != 1:
         raise ValueError("the unitary check applies to norm-one elements only")
-    return form_defect(embed_matrix(q)) is None
+    return form_defect(embed_matrix(q) if matrix is None else matrix) is None
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +269,7 @@ def gamma2_basis(params: QuatParams) -> LatticeDescription:
     return LatticeDescription(n=2, basis=basis, r=_rad(params, rab=1))
 
 
-def preserves_gamma2(q: QuatInt) -> bool:
+def preserves_gamma2(q: QuatInt, matrix=None) -> bool:
     """Does the matrix realization of q map the lattice onto itself?
 
     Requires reduced norm 1.  Each basis vector's image under the matrix is
@@ -276,11 +277,12 @@ def preserves_gamma2(q: QuatInt) -> bool:
     basis vector must be an integer combination of the four basis vectors.
     For integral quaternions this agrees with
     quaternion multiplication: the image of (r e_1) is ((q r) e_1), whose
-    coordinates are the coefficients of q*r in the order.
+    coordinates are the coefficients of q*r in the order.  ``matrix``,
+    when given, is ``embed_matrix(q)`` built by the caller.
     """
     if reduced_norm(q) != 1:
         raise ValueError("lattice stabilization applies to norm-one elements only")
-    Q = embed_matrix(q)
+    Q = embed_matrix(q) if matrix is None else matrix
     lattice = gamma2_basis(q.params)
     for vec in lattice.basis:
         # Products with the zero entries of vec are skipped, as MatGl skips
@@ -299,7 +301,7 @@ def preserves_gamma2(q: QuatInt) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CompatibleDeformation:
     """A deformation parameter commensurate with the lattice center scale.
 
@@ -350,13 +352,15 @@ def norm_one_rows(params: QuatParams, bound: int) -> List[Dict[str, object]]:
     """The norm-one enumeration with its unitary/lattice flags, one dict a row.
 
     Keys: q0, q1, q2, q3, norm (ints), su11_ok, preserves_gamma2 (bools).
-    Rows follow the deterministic enumeration order.
+    Rows follow the deterministic enumeration order.  Each row builds its
+    matrix once and hands it to both checks.
     """
-    return [
-        dict(zip(("q0", "q1", "q2", "q3"), q.coords()), norm=reduced_norm(q),
-             su11_ok=su11_check(q), preserves_gamma2=preserves_gamma2(q))
-        for q in enumerate_norm_one(params, bound)
-    ]
+    rows = []
+    for q in enumerate_norm_one(params, bound):
+        Q = embed_matrix(q)
+        rows.append(dict(zip(("q0", "q1", "q2", "q3"), q.coords()), norm=reduced_norm(q),
+                         su11_ok=su11_check(q, Q), preserves_gamma2=preserves_gamma2(q, Q)))
+    return rows
 
 
 # The benchmark tracer binds this name; it is the same function.

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .params import ModelParams
+from .record import record
 
 __all__ = [
     "FloatRangeError",
@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VolumePolynomial:
     """Exact integer coefficients p_0..p_n of P(x) = (1+x)^(n-1) (1+2x).
 

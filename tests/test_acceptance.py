@@ -13,7 +13,6 @@ than patched over here.
 import math
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -159,7 +158,7 @@ def test_criterion_3_determinant_and_fiber_density(capsys):
         params = ModelParams(n=n, c=c)
         for p in seeded_points(params, 20, seed=42):
             values = [
-                fiber_density_split(replace(p, rho=r), params)[1]
+                fiber_density_split(PointBarN(p.X, p.w, p.phi_tilde, r), params)[1]
                 for r in (0.7, 1.3, 2.6)
             ]
             spread = (max(values) - min(values)) / abs(values[0])

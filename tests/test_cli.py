@@ -490,3 +490,54 @@ def test_golden_output(capsys, args, code, digest, err):
     got_code, out, got_err = run_cli(capsys, args)
     assert (got_code, hashlib.sha256(out.encode("utf-8")).hexdigest(), got_err) == (
         code, digest, err)
+
+
+def run_parser(capsys, monkeypatch, args):
+    """Exit code, stdout and stderr of a run that argparse itself ends."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main(args)
+    captured = capsys.readouterr()
+    return stop.value.code, captured.out, captured.err
+
+
+# sha256 of the --help text at 80 columns, taken from the parent of the
+# change that moved the flags onto one shared parent parser (Python 3.11;
+# another argparse version may lay help out differently).
+HELP_SHA256 = {
+    (): "9913284e225edbadca4fefde66826506f9ab95355fdb11db1b52b0cf8c289f68",
+    ("verify-killing",): "6f48045ef97a22dcc97ac5ddfac71d39a72f8f894d7292ef11b8a737e3908341",
+    ("structure",): "cd16be82a465e27dbd994d91b544873a9ed2cedc88c5e103fb45b3c0ddeaf755",
+    ("center",): "c73de415eb4f2b16e95d1ce4f9a3c253e77fe8f38a854df9dc640027db8990d1",
+    ("curvature",): "ee0bb025140b12a9cf82aa6f4c9f2ec2b94bdedfbe49f8cb978f393dc8513ee5",
+    ("lattice",): "0e72a275c42568d402005c9c055cd8eb46e69cea8a1e2b4b2a28e5499afd7157",
+    ("volume-table",): "69b886b5d7844cf556ae8150919a990edfc9a486eb6849e7a2e5efab86ef7176",
+}
+
+
+class TestArgparseOutput:
+    def test_every_command_has_a_pinned_help(self):
+        assert set(HELP_SHA256) == {()} | {(name,) for name in _COMMANDS}
+
+    @pytest.mark.parametrize("command", list(HELP_SHA256),
+                             ids=lambda command: " ".join(command) or "top")
+    def test_help(self, capsys, monkeypatch, command):
+        code, out, err = run_parser(capsys, monkeypatch, list(command) + ["--help"])
+        assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest(), err) == (
+            0, HELP_SHA256[command], "")
+
+    def test_unknown_flag(self, capsys, monkeypatch):
+        assert run_parser(capsys, monkeypatch, ["lattice", "--bogus"]) == (2, "", (
+            "usage: oneloop [-h]\n"
+            "               {verify-killing,structure,center,curvature,lattice,volume-table}\n"
+            "               ...\n"
+            "oneloop: error: unrecognized arguments: --bogus\n"))
+
+    def test_invalid_choice(self, capsys, monkeypatch):
+        assert run_parser(capsys, monkeypatch, ["lattice", "--format", "xml"]) == (2, "", (
+            "usage: oneloop lattice [-h] [--n N] [--c C] [--c-exact LAM:A:B] [--seed SEED]\n"
+            "                       [--points POINTS] [--step STEP] [--bound BOUND]\n"
+            "                       [--out OUT] [--format {json,csv}] [--grid R1,R2,...]\n"
+            "                       [--vd VD] [--config CONFIG]\n"
+            "oneloop lattice: error: argument --format: invalid choice: 'xml' "
+            "(choose from 'json', 'csv')\n"))

@@ -609,3 +609,19 @@ class TestCsvExport:
         # Rows carry the enumeration entries, in order.
         coords = [tuple(row[k] for k in ("q0", "q1", "q2", "q3")) for row in rows]
         assert coords == [q.coords() for q in enumerate_norm_one(P23, 2)]
+
+    def test_one_matrix_per_row(self, monkeypatch):
+        # Both checks of a row share the row's matrix, and each runs once.
+        calls = {"embed_matrix": 0, "su11_check": 0, "preserves_gamma2": 0}
+        for name in calls:
+            original = getattr(quatarith, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(quatarith, name, counting)
+        rows = norm_one_rows(P37, 8)
+        assert len(rows) == 78
+        assert calls == {"embed_matrix": 78, "su11_check": 78, "preserves_gamma2": 78}
+        assert all(row["su11_ok"] and row["preserves_gamma2"] for row in rows)

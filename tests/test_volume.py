@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -137,7 +136,7 @@ class TestDensity:
             for p in base:
                 _, f_inv = fiber_density_split(p, params)
                 for rho in (0.7, 1.9, 3.3):
-                    moved = replace(p, rho=rho)
+                    moved = PointBarN(p.X, p.w, p.phi_tilde, rho)
                     g = metric_gram(moved, params)
                     predicted = density(rho, params) * f_inv
                     actual = math.sqrt(np.linalg.det(g))
@@ -306,12 +305,16 @@ class TestQuadratureOracle:
     def test_exact_commands_never_load_numpy(self):
         # Only the float commands (verify-killing, curvature) import numpy,
         # the exact fields and the algebra load none, and import alone loads
-        # no suite; the last line shows the check can fail.
+        # no suite; the last line shows the check can fail.  No command
+        # loads dataclasses or inspect, whose imports cost every process
+        # start-up time.
         script = (
             "import contextlib, io, sys\n"
             "import oneloop.cli\n"
             "suites = {'numpy', 'oneloop.liealg', 'oneloop.quatarith', 'oneloop.volume'}\n"
             "assert not suites & set(sys.modules)\n"
+            "unused = {'dataclasses', 'inspect'}\n"
+            "assert not unused & set(sys.modules)\n"
             "import oneloop.polyfields, oneloop.liealg\n"
             "assert 'numpy' not in sys.modules\n"
             "for argv in (['center', '--n', '2'], ['lattice', '--bound', '2'],\n"
@@ -319,6 +322,7 @@ class TestQuadratureOracle:
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert oneloop.cli.main(argv) == 0, argv\n"
             "    assert 'numpy' not in sys.modules, argv\n"
+            "    assert not unused & set(sys.modules), (argv, unused & set(sys.modules))\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    oneloop.cli.main(['verify-killing', '--n', '1', '--points', '1'])\n"
             "assert 'numpy' in sys.modules\n"
