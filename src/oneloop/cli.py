@@ -34,14 +34,16 @@ explicit flags win.
 from __future__ import annotations
 
 import argparse
-import json
 import math
+import os
 import sys
-from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .params import ModelParams
 from .record import fields, record
+
+if TYPE_CHECKING:  # json and fractions load only where they are used
+    from fractions import Fraction
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
@@ -156,6 +158,8 @@ _DEFAULTS = {name: getattr(RunConfig, name) for name in fields(RunConfig) if nam
 
 
 def _json_text(report: Dict) -> str:
+    import json
+
     return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
@@ -313,7 +317,12 @@ def cmd_curvature(config: RunConfig) -> Record:
 def cmd_lattice(config: RunConfig) -> Record:
     from .quatarith import QuatParams, is_nonresidue, norm_one_rows
 
-    lam, a, b = config.c_exact if config.c_exact is not None else (Fraction(1), 2, 3)
+    if config.c_exact is not None:
+        lam, a, b = config.c_exact
+    else:
+        from fractions import Fraction
+
+        lam, a, b = Fraction(1), 2, 3
     warning = None
     try:
         if not is_nonresidue(a, b):
@@ -387,6 +396,8 @@ _COMMANDS = {
 
 
 def _parse_c_exact(text: str) -> Tuple[Fraction, int, int]:
+    from fractions import Fraction
+
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
@@ -444,6 +455,9 @@ def _load_config_file(path: str) -> Dict:
     Unreadable files, unknown keys and values that cannot be parsed raise
     ConfigError naming the field; the other fields are checked by RunConfig.
     """
+    import json
+    from fractions import Fraction
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -496,6 +510,9 @@ def build_config(argv: Sequence[str]) -> RunConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # No matrix here is larger than 16x16, so an OpenBLAS worker thread only
+    # spins; set before any command imports numpy, and a preset value wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         config = build_config(list(sys.argv[1:] if argv is None else argv))
     except ConfigError as exc:

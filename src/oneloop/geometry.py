@@ -113,16 +113,40 @@ _THETA_SHEAR = 4.0
 
 
 @functools.lru_cache(maxsize=None)
-def _gram_constants(n):
-    """Read-only chart diagonals at fixed n: the X-block identity and the
-    signed w-block, +1 on (u^0, v^0) and -1 on each (u^a, v^a)."""
-    eye_x = np.zeros(4 * n)
-    eye_x[1:2 * n - 1] = 1.0
-    signed_w = np.zeros(4 * n)
-    signed_w[2 * n - 1:2 * n + 1] = 1.0
-    signed_w[2 * n + 1:-1] = -1.0
-    eye_x.flags.writeable = signed_w.flags.writeable = False
-    return eye_x, signed_w
+def _gram_layout(n):
+    """Read-only layout of the five rows V and the diagonal at fixed n.
+
+    V is the constant row block ``base`` (the 1s of Re pi, Im pi and theta)
+    with V.flat[dst] = sign * q[src] scattered over it; every sign is +-1 or
+    +-_THETA_SHEAR, a power of two, so each product is exact.  theta's X block
+    holds Im sigma until the caller scales it by 2c/(1-s).  ``pick`` maps each
+    chart index to one of the five diagonal values (rho, X block, w^0, w^a,
+    phi).
+    """
+    dim = 4 * n
+    base = np.zeros((5, dim))
+    base[2, ix_u(0, n)] = base[3, ix_v(0, n)] = base[4, ix_phi(n)] = 1.0
+    entries = []  # (row, chart column, sign, source chart index)
+    for a in range(1, n):
+        x, y, u, v = ix_x(a), ix_y(a), ix_u(a, n), ix_v(a, n)
+        entries += [
+            (0, x, 1.0, x), (0, y, 1.0, y),     # Re sigma = x dx + y dy
+            (1, x, -1.0, y), (1, y, 1.0, x),    # Im sigma = x dy - y dx
+            (2, u, 1.0, x), (2, v, -1.0, y),    # Re pi: Re(X^a dw^a)
+            (3, u, 1.0, y), (3, v, 1.0, x),     # Im pi: Im(X^a dw^a)
+            (4, x, -1.0, y), (4, y, 1.0, x),    # theta: Im sigma, scaled later
+        ]
+    for k in range(n):
+        shear = _THETA_SHEAR if k == 0 else -_THETA_SHEAR  # + on w^0, - on w^a
+        u, v = ix_u(k, n), ix_v(k, n)
+        entries += [(4, u, shear, v), (4, v, -shear, u)]
+    rows, cols, sign, src = (np.array(col) for col in zip(*entries))
+    pick = np.full(dim, 3)
+    pick[0], pick[1:2 * n - 1], pick[2 * n - 1:2 * n + 1], pick[-1] = 0, 1, 2, 4
+    layout = (base, rows * dim + cols, sign, src, pick)
+    for array in layout:
+        array.flags.writeable = False
+    return layout
 
 
 def _gram_from_chart(q, params):
@@ -137,7 +161,8 @@ def _gram_from_chart(q, params):
         - (2/rho)(|dw^0|^2 - sum_a |dw^a|^2) + 4(rho+c)/(rho^2 (1-s)) |pi|^2.
 
     Each |A|^2 = (Re A)^2 + (Im A)^2, so the non-constant part is V^T diag(k) V
-    over the five real rows Re sigma, Im sigma, Re pi, Im pi, theta.
+    over the five real rows Re sigma, Im sigma, Re pi, Im pi, theta; the rest
+    is diagonal.
     """
     n = params.n
     dim = 4 * n
@@ -147,34 +172,26 @@ def _gram_from_chart(q, params):
     rho = float(q[0])
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    base = q[1:2 * n - 1]
-    s = float(base @ base)
+    xy = q[1:2 * n - 1]
+    s = float(xy @ xy)
     if not s < 1.0:
         raise ValueError("X lies outside the open unit ball")
-    x, y = base[0::2], base[1::2]
-    u, v = q[2 * n - 1:-1:2], q[2 * n:-1:2]
     c = params.c
     one_minus = 1.0 - s
-    eye_x, signed_w = _gram_constants(n)
-    shear = _THETA_SHEAR * signed_w[2 * n - 1:-1:2]  # + on w^0, - on each w^a
+    base, dst, sign, src, pick = _gram_layout(n)
 
-    V = np.zeros((5, dim))
-    V[0, 1:2 * n - 1:2], V[0, 2:2 * n - 1:2] = x, y    # Re sigma
-    V[1, 1:2 * n - 1:2], V[1, 2:2 * n - 1:2] = -y, x   # Im sigma
-    V[2, 2 * n - 1] = V[3, 2 * n] = 1.0                 # Re pi, Im pi
-    V[2, 2 * n + 1:-1:2], V[2, 2 * n + 2:-1:2] = x, -y
-    V[3, 2 * n + 1:-1:2], V[3, 2 * n + 2:-1:2] = y, x
-    V[4, 1:2 * n - 1] = (2.0 * c / one_minus) * V[1, 1:2 * n - 1]  # theta
-    V[4, 2 * n - 1:-1:2], V[4, 2 * n:-1:2] = shear * v, -shear * u
-    V[4, -1] = 1.0
+    V = base.copy()
+    V.flat[dst] = sign * q[src]
+    V[4, 1:2 * n - 1] *= 2.0 * c / one_minus
 
     k_sigma = (rho + c) / (rho * one_minus**2)
     k_pi = 4.0 * (rho + c) / (rho**2 * one_minus)
     k_theta = ((rho + c) / (rho + 2 * c)) / (4 * rho**2)
     g = (V.T * (k_sigma, k_sigma, k_pi, k_pi, k_theta)) @ V
-    diag = ((rho + c) / (rho * one_minus)) * eye_x - (2.0 / rho) * signed_w
-    diag[0] = ((rho + 2 * c) / (rho + c)) / (4 * rho**2)
-    g.flat[::dim + 1] += diag
+    k_x = (rho + c) / (rho * one_minus)
+    k_w = 2.0 / rho
+    k_rho = ((rho + 2 * c) / (rho + c)) / (4 * rho**2)
+    g.flat[::dim + 1] += np.array((k_rho, k_x, -k_w, k_w, 0.0))[pick]
     return 0.5 * (g + g.T)  # the product rounds g[i, j] and g[j, i] apart
 
 
@@ -240,6 +257,10 @@ def _stencil_eval(q, params):
         return _gram_from_chart(q, params)
     except ValueError as exc:
         raise ValueError(f"finite-difference stencil leaves the chart: {exc}") from exc
+    except OverflowError as exc:  # only rho**2 can overflow in the assembly
+        raise OverflowError(
+            f"finite-difference stencil leaves the float range: rho**2 "
+            f"overflows at chart coordinate rho = {float(q[0])!r}") from exc
 
 
 def _fd_steps(q, step):
@@ -258,12 +279,14 @@ def metric_first_derivatives(q, params, step=1e-3):
     dim = q.size
     h = _fd_steps(q, step)
     D1 = np.empty((dim, dim, dim))
+    qq = q.copy()  # the stencil point; each loop restores what it shifts
     for k in range(dim):
+        qk, hk = float(q[k]), float(h[k])
         acc = np.zeros((dim, dim))
         for off, wgt in zip(_D1_OFFSETS, _D1_WEIGHTS):
-            qq = q.copy()
-            qq[k] += off * h[k]
+            qq[k] = qk + off * hk
             acc += wgt * _stencil_eval(qq, params)
+        qq[k] = qk
         D1[k] = acc / (12.0 * h[k])
     return D1
 
@@ -274,22 +297,26 @@ def _metric_second_derivatives(q, params, step):
     dim = q.size
     h = _fd_steps(q, step)
     D2 = np.empty((dim, dim, dim, dim))
+    qq = q.copy()  # the stencil point; each loop restores what it shifts
     for k in range(dim):
+        qk, hk = float(q[k]), float(h[k])
         acc = np.zeros((dim, dim))
         for off, wgt in zip(_D2_OFFSETS, _D2_WEIGHTS):
-            qq = q.copy()
-            qq[k] += off * h[k]
+            qq[k] = qk + off * hk
             acc += wgt * _stencil_eval(qq, params)
+        qq[k] = qk
         D2[k, k] = acc / (12.0 * h[k] ** 2)
     for k in range(dim):
+        qk, hk = float(q[k]), float(h[k])
         for l in range(k + 1, dim):
+            ql, hl = float(q[l]), float(h[l])
             acc = np.zeros((dim, dim))
             for off1, wgt1 in zip(_D1_OFFSETS, _D1_WEIGHTS):
+                qq[k] = qk + off1 * hk
                 for off2, wgt2 in zip(_D1_OFFSETS, _D1_WEIGHTS):
-                    qq = q.copy()
-                    qq[k] += off1 * h[k]
-                    qq[l] += off2 * h[l]
+                    qq[l] = ql + off2 * hl
                     acc += wgt1 * wgt2 * _stencil_eval(qq, params)
+            qq[k], qq[l] = qk, ql
             D2[k, l] = D2[l, k] = acc / (144.0 * h[k] * h[l])
     return D2
 

@@ -6,10 +6,14 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import oneloop
 from oneloop.cli import _COMMANDS, ConfigError, RunConfig, build_config, main
 from oneloop.quatarith import QuatParams, c_compatible
 
@@ -332,6 +336,79 @@ class TestCurvatureCommand:
         assert code == 1
         assert report["all_pass"] is False
         assert math.isnan(report["max_residual"])
+
+
+class TestStencilErrors:
+    """A stencil that leaves the chart or the float range exits 2 with one
+    line on stderr and nothing on stdout."""
+
+    @pytest.mark.parametrize("command", ["curvature", "verify-killing"])
+    def test_overflowing_step(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, [command, "--n", "1", "--points", "1", "--step", "1e200"])
+        assert (code, out) == (2, "")
+        prefix = ("error: finite-difference stencil leaves the float range: "
+                  "rho**2 overflows at chart coordinate rho = ")
+        assert err.startswith(prefix) and err.endswith("\n")
+        assert float(err[len(prefix):]) > 1e154  # the shifted rho, squared past the range
+
+    @pytest.mark.parametrize("command", ["curvature", "verify-killing"])
+    def test_step_leaving_the_chart(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, [command, "--n", "1", "--points", "1", "--step", "0.7"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: finite-difference stencil leaves the chart: "
+                              "rho must be positive, got -")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def run_python(script, blas_threads=None):
+    """Exit code, stdout and stderr of a fresh interpreter running script
+    with this package on its path and OPENBLAS_NUM_THREADS = blas_threads
+    (unset for None)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(oneloop.__file__))
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    return result.returncode, result.stdout, result.stderr
+
+
+class TestProcessStart:
+    def test_json_and_fractions_load_only_when_used(self):
+        # The CSV tables need neither json nor fractions, and lattice's
+        # default algebra needs only fractions; the last lines show that
+        # the check can fail.
+        script = (
+            "import contextlib, io, sys\n"
+            "import oneloop.cli\n"
+            "assert not {'json', 'fractions'} & set(sys.modules)\n"
+            "for argv, absent in ((['volume-table', '--n', '3'], {'json', 'fractions'}),\n"
+            "                     (['lattice', '--bound', '2'], {'json'})):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert oneloop.cli.main(argv) == 0, argv\n"
+            "    assert not absent & set(sys.modules), (argv, absent & set(sys.modules))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    oneloop.cli.main(['center', '--n', '1', '--c-exact', '1:2:3'])\n"
+            "assert {'json', 'fractions'} <= set(sys.modules)\n"
+        )
+        code, _, err = run_python(script)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+    def test_one_blas_thread_unless_preset(self, preset, expected):
+        # Importing the package leaves the variable alone; main sets it.
+        script = (
+            "import contextlib, io, os\n"
+            "import oneloop.cli\n"
+            f"assert os.environ.get('OPENBLAS_NUM_THREADS') == {preset!r}\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    oneloop.cli.main(['curvature', '--n', '1', '--points', '1'])\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        )
+        code, out, err = run_python(script, preset)
+        assert (code, out) == (0, expected + "\n"), err
 
 
 class TestLatticeCommand:

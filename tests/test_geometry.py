@@ -91,6 +91,92 @@ def gram_oracle(q, params):
     return g
 
 
+def gram_rows_reference(q, params):
+    """Row-by-row assembly of the five rows V and the two constant chart
+    diagonals, as geometry._gram_from_chart built them before its cached
+    layout: the bit-for-bit reference for that layout."""
+    n = params.n
+    dim = 4 * n
+    q = np.asarray(q, dtype=float)
+    rho = float(q[0])
+    base = q[1:2 * n - 1]
+    s = float(base @ base)
+    if not (q.size == dim and rho > 0 and s < 1.0):
+        raise ValueError("point off the chart")
+    x, y = base[0::2], base[1::2]
+    u, v = q[2 * n - 1:-1:2], q[2 * n:-1:2]
+    c = params.c
+    one_minus = 1.0 - s
+    eye_x = np.zeros(dim)
+    eye_x[1:2 * n - 1] = 1.0
+    signed_w = np.zeros(dim)
+    signed_w[2 * n - 1:2 * n + 1] = 1.0
+    signed_w[2 * n + 1:-1] = -1.0
+    shear = _THETA_SHEAR * signed_w[2 * n - 1:-1:2]
+
+    V = np.zeros((5, dim))
+    V[0, 1:2 * n - 1:2], V[0, 2:2 * n - 1:2] = x, y    # Re sigma
+    V[1, 1:2 * n - 1:2], V[1, 2:2 * n - 1:2] = -y, x   # Im sigma
+    V[2, 2 * n - 1] = V[3, 2 * n] = 1.0                 # Re pi, Im pi
+    V[2, 2 * n + 1:-1:2], V[2, 2 * n + 2:-1:2] = x, -y
+    V[3, 2 * n + 1:-1:2], V[3, 2 * n + 2:-1:2] = y, x
+    V[4, 1:2 * n - 1] = (2.0 * c / one_minus) * V[1, 1:2 * n - 1]  # theta
+    V[4, 2 * n - 1:-1:2], V[4, 2 * n:-1:2] = shear * v, -shear * u
+    V[4, -1] = 1.0
+
+    k_sigma = (rho + c) / (rho * one_minus**2)
+    k_pi = 4.0 * (rho + c) / (rho**2 * one_minus)
+    k_theta = ((rho + c) / (rho + 2 * c)) / (4 * rho**2)
+    g = (V.T * (k_sigma, k_sigma, k_pi, k_pi, k_theta)) @ V
+    diag = ((rho + c) / (rho * one_minus)) * eye_x - (2.0 / rho) * signed_w
+    diag[0] = ((rho + 2 * c) / (rho + c)) / (4 * rho**2)
+    g.flat[::dim + 1] += diag
+    return 0.5 * (g + g.T)
+
+
+def first_derivatives_reference(q, params, step=1e-3):
+    """metric_first_derivatives with one fresh q.copy() per stencil point and
+    the row-by-row Gram assembly."""
+    q = np.asarray(q, dtype=float)
+    dim = q.size
+    h = geometry._fd_steps(q, step)
+    D1 = np.empty((dim, dim, dim))
+    for k in range(dim):
+        acc = np.zeros((dim, dim))
+        for off, wgt in zip(geometry._D1_OFFSETS, geometry._D1_WEIGHTS):
+            qq = q.copy()
+            qq[k] += off * h[k]
+            acc += wgt * gram_rows_reference(qq, params)
+        D1[k] = acc / (12.0 * h[k])
+    return D1
+
+
+def second_derivatives_reference(q, params, step):
+    """geometry._metric_second_derivatives in the same reference style."""
+    q = np.asarray(q, dtype=float)
+    dim = q.size
+    h = geometry._fd_steps(q, step)
+    D2 = np.empty((dim, dim, dim, dim))
+    for k in range(dim):
+        acc = np.zeros((dim, dim))
+        for off, wgt in zip(geometry._D2_OFFSETS, geometry._D2_WEIGHTS):
+            qq = q.copy()
+            qq[k] += off * h[k]
+            acc += wgt * gram_rows_reference(qq, params)
+        D2[k, k] = acc / (12.0 * h[k] ** 2)
+    for k in range(dim):
+        for l in range(k + 1, dim):
+            acc = np.zeros((dim, dim))
+            for off1, wgt1 in zip(geometry._D1_OFFSETS, geometry._D1_WEIGHTS):
+                for off2, wgt2 in zip(geometry._D1_OFFSETS, geometry._D1_WEIGHTS):
+                    qq = q.copy()
+                    qq[k] += off1 * h[k]
+                    qq[l] += off2 * h[l]
+                    acc += wgt1 * wgt2 * gram_rows_reference(qq, params)
+            D2[k, l] = D2[l, k] = acc / (144.0 * h[k] * h[l])
+    return D2
+
+
 def hermitian_realification(H):
     """Independent realification oracle: sum_ab H_ab dX^a (.) dXbar^b with H
     hermitian becomes 2x2 blocks [[Re H, Im H], [-Im H, Re H]] (expand
@@ -222,10 +308,10 @@ class TestMetricGram:
 class TestGramAssembly:
     """The closed-form Gram assembly against the outer-product oracle."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("c", [0.0, 0.5, 3.0])
-    def test_matches_outer_product_oracle(self, n, c):
-        params = ModelParams(n, c)
+    @staticmethod
+    def gram_points(params):
+        """Six seeded points, one with |X| = 0.95 (n > 1) and one at rho = 0.05."""
+        n = params.n
         points = seeded_points(params, 6, seed=13)
         p = points[0]
         if n > 1:  # near the boundary of the ball: |X| = 0.95
@@ -233,12 +319,34 @@ class TestGramAssembly:
             X = (raw[0] + 1j * raw[1]) * (0.95 / np.linalg.norm(raw))
             points.append(PointBarN(tuple(X), p.w, p.phi_tilde, p.rho))
         points.append(PointBarN(p.X, p.w, p.phi_tilde, 0.05))
-        for p in points:
+        return points
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("c", [0.0, 0.5, 3.0])
+    def test_matches_outer_product_oracle(self, n, c):
+        params = ModelParams(n, c)
+        for p in self.gram_points(params):
             q = p.to_chart()
             ref = gram_oracle(q, params)
             g = _gram_from_chart(q, params)
             assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
             assert np.array_equal(g, g.T)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("c", [0.0, 0.5, 3.0])
+    def test_cached_layout_is_bit_identical_to_row_assembly(self, n, c):
+        # The layout scatters sign * q[src] with exact signs and keeps the
+        # product and the symmetrization, so every entry keeps its bits.
+        params = ModelParams(n, c)
+        for p in self.gram_points(params):
+            q = p.to_chart()
+            h = 1e-3 * np.maximum(1.0, np.abs(q))
+            for k in range(4 * n):
+                for off in (2, 1, 0, -1, -2):
+                    qq = q.copy()
+                    qq[k] += off * h[k]
+                    assert np.array_equal(_gram_from_chart(qq, params),
+                                          gram_rows_reference(qq, params))
 
     def test_rejects_points_off_the_chart(self):
         params = ModelParams(2, 1.0)
@@ -277,6 +385,32 @@ class TestStencilCounts:
         calls.clear()
         ricci_fd(p, params)
         assert len(calls) == 1 + 9 * d + 8 * d * (d - 1)
+
+
+class TestStencilBits:
+    """The one reused stencil vector gives the same derivatives, bit for bit,
+    as a fresh copy per stencil point with the row-by-row Gram assembly."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_first_derivatives(self, n):
+        params = ModelParams(n, 0.5)
+        for p in seeded_points(params, 2, seed=19):
+            q = p.to_chart()
+            assert np.array_equal(metric_first_derivatives(q, params),
+                                  first_derivatives_reference(q, params))
+            assert np.array_equal(q, p.to_chart())  # the point is not moved
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_ricci(self, n, monkeypatch):
+        params = ModelParams(n, 1.0)
+        p = seeded_points(params, 1, seed=23)[0]
+        ric = ricci_fd(p, params)
+        monkeypatch.setattr(geometry, "_gram_from_chart", gram_rows_reference)
+        monkeypatch.setattr(geometry, "metric_first_derivatives",
+                            first_derivatives_reference)
+        monkeypatch.setattr(geometry, "_metric_second_derivatives",
+                            second_derivatives_reference)
+        assert np.array_equal(ric, ricci_fd(p, params))
 
 
 class TestDeterminant:
