@@ -131,7 +131,7 @@ class RunConfig:
             from .quatarith import QuatParams, c_compatible
 
             lam, a, b = self.c_exact
-            return c_compatible(QuatParams(a, b), lam).c
+            return c_compatible(QuatParams(a, b), lam)
         return self.c
 
     @property
@@ -473,14 +473,16 @@ def _load_config_file(path: str) -> Dict:
         try:
             if isinstance(raw, str):
                 data["c_exact"] = _parse_c_exact(raw)
-            elif isinstance(raw["lam"], bool):
-                raise TypeError("lam must be a rational, not a boolean")
-            else:
+            elif _is_int(raw["lam"]) or isinstance(raw["lam"], str):
+                # A JSON float is rejected: Fraction would take its binary value.
                 data["c_exact"] = (Fraction(raw["lam"]), raw["a"], raw["b"])
+            else:
+                raise TypeError("lam must be an integer or a string")
         except (argparse.ArgumentTypeError, KeyError, TypeError, ValueError,
                 ArithmeticError) as exc:
-            raise ConfigError(f"c_exact must be 'lam:a:b' or an object "
-                              f"with lam, a and b, got {raw!r}") from exc
+            raise ConfigError(f"c_exact must be 'lam:a:b' or an object with lam "
+                              f"(an integer or a string such as '1/10'), a and b, "
+                              f"got {raw!r}") from exc
     grid = data.get("grid")
     if grid is not None:
         if not (isinstance(grid, list) and all(_is_number(r) for r in grid)):

@@ -128,21 +128,21 @@ def real_killing_catalogue(params: ModelParams) -> List[Tuple[str, PolyVectorFie
     """
     n = params.n
     items: List[Tuple[str, PolyVectorField]] = [
-        ("YC", generator(GeneratorName.YC(), params)),
-        ("T", generator(GeneratorName.T(), params)),
-        ("C1", generator(GeneratorName.C1(), params)),
-        ("C2", generator(GeneratorName.C2(), params)),
+        ("YC", generator(GeneratorName("YC"), params)),
+        ("T", generator(GeneratorName("T"), params)),
+        ("C1", generator(GeneratorName("C1"), params)),
+        ("C2", generator(GeneratorName("C2"), params)),
     ]
     for a in range(1, n):
-        F = generator(GeneratorName.Ya(a), params)
+        F = generator(GeneratorName("Ya", a), params)
         items.append((f"re Ya({a})", real_part(F)))
         items.append((f"im Ya({a})", imag_part(F)))
     for k in range(n):
-        items.append((f"re V({k})", generator(GeneratorName.VkRe(k), params)))
-        items.append((f"im V({k})", generator(GeneratorName.VkIm(k), params)))
+        items.append((f"re V({k})", generator(GeneratorName("VkRe", k), params)))
+        items.append((f"im V({k})", generator(GeneratorName("VkIm", k), params)))
     for a in range(1, n):
         for b in range(a, n):
-            K = generator(GeneratorName.CommYaYbBar(a, b), params)
+            K = generator(GeneratorName("CommYaYbBar", a, b), params)
             items.append((f"re Comm({a},{b})", real_part(K)))
             items.append((f"im Comm({a},{b})", imag_part(K)))
     for label, field in items:

@@ -219,24 +219,17 @@ def gram_det_p0(rho, params):
             * ((rho + 2 * c) / rho) ** 2)
 
 
-def rho_density_factor(rho, params):
-    """The rho-dependent factor of the volume density sqrt(det g)."""
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    n, c = params.n, params.c
-    return (rho ** (-(n + 2)) * ((rho + c) / rho) ** (n - 1)
-            * ((rho + 2 * c) / rho))
-
-
 def fiber_density_split(p, params):
     """Split sqrt(det metric_gram) = rho_factor * f_inv.
 
-    f_inv is the density of the invariant fiber volume form; it is
-    independent of rho at fixed fiber coordinates and equals 2^(n-2) at
-    X=0, w=0.
+    rho_factor is ``volume.density``; f_inv is the density of the invariant
+    fiber volume form, independent of rho at fixed fiber coordinates and
+    equal to 2^(n-2) at X=0, w=0.
     """
+    from .volume import density  # here, so that importing geometry skips volume
+
     g = metric_gram(p, params)
-    rho_factor = rho_density_factor(p.rho, params)
+    rho_factor = density(p.rho, params)
     sign, logdet = np.linalg.slogdet(g)
     if sign <= 0:
         raise ArithmeticError("Gram determinant is not positive")

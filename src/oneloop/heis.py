@@ -226,6 +226,13 @@ def _validate_d(d: int) -> None:
         p += 1
 
 
+def _root_constants(d: int) -> Tuple[RadC, RadC, RadC]:
+    """0, 1 and i*sqrt(d) in Q(sqrt(d)), the ring of ``lattice_Ld``."""
+    _validate_d(d)
+    zero = Rad(d, 1)
+    return RadC(zero), RadC(Rad(d, 1, 1)), RadC(zero, Rad(d, 1, 0, 1))
+
+
 def lattice_Ld(n: int, d: int) -> LatticeDescription:
     """Square-root lattice spanned by e_j and sqrt(d)*i*e_j in C^n.
 
@@ -238,10 +245,7 @@ def lattice_Ld(n: int, d: int) -> LatticeDescription:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    _validate_d(d)
-    zero = RadC(Rad(d, 1))
-    one = RadC(Rad(d, 1, 1))
-    i_root = RadC(Rad(d, 1), Rad(d, 1, 0, 1))
+    zero, one, i_root = _root_constants(d)
 
     def unit_vector(j, value):
         return tuple(value if k == j else zero for k in range(n))
@@ -249,7 +253,7 @@ def lattice_Ld(n: int, d: int) -> LatticeDescription:
     basis = tuple(unit_vector(j, one) for j in range(n)) + tuple(
         unit_vector(j, i_root) for j in range(n)
     )
-    return LatticeDescription(n=n, basis=basis, r=Rad(d, 1, 0, 1))
+    return LatticeDescription(n=n, basis=basis, r=i_root.im)
 
 
 def _numerators(values):
@@ -334,23 +338,18 @@ def _is_exact_matrix(g) -> bool:
 def form_defect(g) -> Optional[Tuple[int, int]]:
     """First entry (j, k) at which g^H eta g differs from eta, or None.
 
-    eta = diag(1, -1, ..., -1) is the Gram matrix of the Hermitian form and
-    ``g`` a square exact matrix (QI or RadC entries), so None means that g
-    preserves the form exactly.
+    eta = diag(1, -1, ..., -1) is the Gram matrix of the Hermitian form, so
+    entry (j, k) of g^H eta g is h(column j, column k).  ``g`` is a square
+    exact matrix (QI or RadC entries), and None means that g preserves the
+    form exactly.
     """
-    n = len(g)
-    signs = HermForm(n).signs
-    template = g[0][0]
-    zero = template.coerce(0)
-    one = template.coerce(1)
-    for j in range(n):
-        for k in range(n):
-            total = zero
-            for m in range(n):
-                term = g[m][j].conj() * g[m][k]
-                total = total + (-term if signs[m] < 0 else term)
-            expected = zero if j != k else (one if signs[j] > 0 else -one)
-            if total != expected:
+    form = HermForm(len(g))
+    zero, one = g[0][0].coerce(0), g[0][0].coerce(1)
+    cols = list(zip(*g))
+    for j, col_j in enumerate(cols):
+        for k, col_k in enumerate(cols):
+            expected = zero if j != k else (one if form.signs[j] > 0 else -one)
+            if form.h(col_j, col_k) != expected:
                 return j, k
     return None
 
@@ -407,10 +406,7 @@ def unipotent_witness(n: int, d: int):
     """
     if n < 2:
         raise ValueError("a nontrivial isotropic vector needs n >= 2")
-    _validate_d(d)
-    zero = RadC(Rad(d, 1))
-    one = RadC(Rad(d, 1, 1))
-    i_root = RadC(Rad(d, 1), Rad(d, 1, 0, 1))
+    zero, one, i_root = _root_constants(d)
     v = tuple(one if j < 2 else zero for j in range(n))
     w = tuple(i_root * vj for vj in v)
     signs = HermForm(n).signs

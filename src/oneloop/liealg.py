@@ -34,7 +34,6 @@ __all__ = [
     "CenterVector",
     "StructureReport",
     "sigma",
-    "re_im_sigma",
     "semidirect_bracket",
     "algebra_basis",
     "gl_decompose",
@@ -187,24 +186,13 @@ def _signature_matrix(n: int) -> MatGl:
     )
 
 
-def sigma(A: MatGl, n: int | None = None) -> MatGl:
+def sigma(A: MatGl) -> MatGl:
     """Antilinear involution cutting out the indefinite-unitary real form.
 
     sigma(A) = -I conj(A)^T I with I = diag(-1, 1, ..., 1).
     """
-    if n is not None and n != A.n:
-        raise ValueError("matrix size mismatch")
     I = _signature_matrix(A.n)
     return -(I @ A.conj().transpose() @ I)
-
-
-def re_im_sigma(A: MatGl) -> Tuple[MatGl, MatGl]:
-    """Split A = Re + i*Im with both parts fixed by the involution."""
-    s = sigma(A)
-    half = QI(Fraction(1, 2))
-    re = (A + s).scale(half)
-    im = (A - s).scale(QI(0, Fraction(-1, 2)))
-    return re, im
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +453,14 @@ def _alpha_images(n: int) -> Tuple[PolyVectorField, ...]:
     from .polyfields import GeneratorName, generator
 
     params = ModelParams(n=n, c=0.0)
-    images = [generator(GeneratorName.YC(), params)]
-    images += [generator(GeneratorName.Ya(a), params) for a in range(1, n)]
-    images += [generator(GeneratorName.YaBar(a), params) for a in range(1, n)]
-    images += [-generator(GeneratorName.CommYaYbBar(a, b), params)
+    images = [generator(GeneratorName("YC"), params)]
+    images += [generator(GeneratorName("Ya", a), params) for a in range(1, n)]
+    images += [generator(GeneratorName("YaBar", a), params) for a in range(1, n)]
+    images += [-generator(GeneratorName("CommYaYbBar", a, b), params)
                for a in range(1, n) for b in range(1, n)]
-    images += [generator(GeneratorName.Vk(k), params) for k in range(n)]
-    images += [generator(GeneratorName.VkBar(k), params) for k in range(n)]
-    images.append(generator(GeneratorName.T(), params))
+    images += [generator(GeneratorName("Vk", k), params) for k in range(n)]
+    images += [generator(GeneratorName("VkBar", k), params) for k in range(n)]
+    images.append(generator(GeneratorName("T"), params))
     return tuple(images)
 
 

@@ -19,10 +19,9 @@ from .exact import QI, QI_I, Poly, VarTable
 from .params import ModelParams
 from .record import record
 
-_GEN_KINDS = frozenset(
-    {"YC", "Ya", "YaBar", "Vk", "VkBar", "T", "C1", "C2", "CommYaYbBar",
-     "VkRe", "VkIm"}
-)
+# Number of indices each generator kind takes.
+_INDEX_COUNT = {"YC": 0, "T": 0, "C1": 0, "C2": 0, "Ya": 1, "YaBar": 1,
+                "Vk": 1, "VkBar": 1, "VkRe": 1, "VkIm": 1, "CommYaYbBar": 2}
 
 
 @record(frozen=True)
@@ -39,64 +38,17 @@ class GeneratorName:
     b: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in _GEN_KINDS:
+        count = _INDEX_COUNT.get(self.kind)
+        if count is None:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        needs_a = self.kind in {"Ya", "YaBar", "Vk", "VkBar", "VkRe", "VkIm",
-                                "CommYaYbBar"}
-        needs_b = self.kind == "CommYaYbBar"
-        if needs_a and self.a is None:
+        if count and self.a is None:
             raise ValueError(f"generator {self.kind} requires an index")
-        if needs_b and self.b is None:
+        if count == 2 and self.b is None:
             raise ValueError("CommYaYbBar requires two indices")
-        if not needs_a and self.a is not None:
+        if not count and self.a is not None:
             raise ValueError(f"generator {self.kind} takes no index")
-        if not needs_b and self.b is not None:
+        if count < 2 and self.b is not None:
             raise ValueError(f"generator {self.kind} takes no second index")
-
-    # --- factories -------------------------------------------------------
-    @classmethod
-    def YC(cls):
-        return cls("YC")
-
-    @classmethod
-    def Ya(cls, a):
-        return cls("Ya", a)
-
-    @classmethod
-    def YaBar(cls, a):
-        return cls("YaBar", a)
-
-    @classmethod
-    def Vk(cls, k):
-        return cls("Vk", k)
-
-    @classmethod
-    def VkBar(cls, k):
-        return cls("VkBar", k)
-
-    @classmethod
-    def T(cls):
-        return cls("T")
-
-    @classmethod
-    def C1(cls):
-        return cls("C1")
-
-    @classmethod
-    def C2(cls):
-        return cls("C2")
-
-    @classmethod
-    def CommYaYbBar(cls, a, b):
-        return cls("CommYaYbBar", a, b)
-
-    @classmethod
-    def VkRe(cls, k):
-        return cls("VkRe", k)
-
-    @classmethod
-    def VkIm(cls, k):
-        return cls("VkIm", k)
 
     def label(self) -> str:
         if self.kind == "CommYaYbBar":
@@ -336,7 +288,7 @@ def generator(name: GeneratorName, params: ModelParams) -> PolyVectorField:
         return PolyVectorField(n, comps)
 
     if kind == "YaBar":
-        return generator(GeneratorName.Ya(name.a), params).conjugate()
+        return generator(GeneratorName("Ya", name.a), params).conjugate()
 
     if kind == "Vk":
         k = name.a
@@ -346,14 +298,14 @@ def generator(name: GeneratorName, params: ModelParams) -> PolyVectorField:
         return PolyVectorField(n, comps)
 
     if kind == "VkBar":
-        return generator(GeneratorName.Vk(name.a), params).conjugate()
+        return generator(GeneratorName("Vk", name.a), params).conjugate()
 
     if kind == "T":
         comps[_phi_dir(n)] = one()
         return PolyVectorField(n, comps)
 
     if kind == "C1":
-        return generator(GeneratorName.YC(), params) + _two_c_dphi(n)
+        return generator(GeneratorName("YC"), params) + _two_c_dphi(n)
 
     if kind == "C2":
         for a in range(1, n):
@@ -364,15 +316,15 @@ def generator(name: GeneratorName, params: ModelParams) -> PolyVectorField:
         return PolyVectorField(n, comps)
 
     if kind == "CommYaYbBar":
-        Fa = generator(GeneratorName.Ya(name.a), params)
-        Gb = generator(GeneratorName.YaBar(name.b), params)
+        Fa = generator(GeneratorName("Ya", name.a), params)
+        Gb = generator(GeneratorName("YaBar", name.b), params)
         return bracket(Fa, Gb)
 
     if kind == "VkRe":
-        return real_part(generator(GeneratorName.Vk(name.a), params))
+        return real_part(generator(GeneratorName("Vk", name.a), params))
 
     if kind == "VkIm":
-        return imag_part(generator(GeneratorName.Vk(name.a), params))
+        return imag_part(generator(GeneratorName("Vk", name.a), params))
 
     raise ValueError(f"unknown generator kind {kind!r}")
 

@@ -39,14 +39,11 @@ from .record import record
 __all__ = [
     "QuatParams",
     "QuatInt",
-    "CompatibleDeformation",
     "quat_mul",
-    "quat_conj",
     "reduced_norm",
     "is_nonresidue",
     "enumerate_norm_one",
     "embed_matrix",
-    "embed_det",
     "su11_check",
     "gamma2_basis",
     "preserves_gamma2",
@@ -97,25 +94,6 @@ class QuatInt:
     def coords(self) -> Tuple[int, int, int, int]:
         return (self.q0, self.q1, self.q2, self.q3)
 
-    def __neg__(self) -> "QuatInt":
-        return QuatInt(-self.q0, -self.q1, -self.q2, -self.q3, self.params)
-
-    def __add__(self, other: "QuatInt") -> "QuatInt":
-        _same_params(self, other)
-        return QuatInt(self.q0 + other.q0, self.q1 + other.q1,
-                       self.q2 + other.q2, self.q3 + other.q3, self.params)
-
-    def __sub__(self, other: "QuatInt") -> "QuatInt":
-        return self + (-other)
-
-    def __mul__(self, other: "QuatInt") -> "QuatInt":
-        return quat_mul(self, other)
-
-
-def _same_params(x: QuatInt, y: QuatInt) -> None:
-    if x.params != y.params:
-        raise ValueError("quaternions live in algebras with different (a, b)")
-
 
 def quat_mul(x: QuatInt, y: QuatInt) -> QuatInt:
     """Exact product from I^2 = a, J^2 = b, IJ = K = -JI.
@@ -123,7 +101,8 @@ def quat_mul(x: QuatInt, y: QuatInt) -> QuatInt:
     The derived relations K^2 = -ab, IK = aJ, KI = -aJ, JK = -bI, KJ = bI
     expand the product into the component formulas below.
     """
-    _same_params(x, y)
+    if x.params != y.params:
+        raise ValueError("quaternions live in algebras with different (a, b)")
     a, b = x.params.a, x.params.b
     x0, x1, x2, x3 = x.coords()
     y0, y1, y2, y3 = y.coords()
@@ -134,11 +113,6 @@ def quat_mul(x: QuatInt, y: QuatInt) -> QuatInt:
         x0 * y3 + x3 * y0 + (x1 * y2 - x2 * y1),
         x.params,
     )
-
-
-def quat_conj(q: QuatInt) -> QuatInt:
-    """Standard involution q0 - q1*I - q2*J - q3*K; q * conj(q) = norm(q)."""
-    return QuatInt(q.q0, -q.q1, -q.q2, -q.q3, q.params)
 
 
 def reduced_norm(q: QuatInt) -> int:
@@ -212,11 +186,6 @@ def embed_matrix(q: QuatInt) -> Tuple[Tuple[RadC, RadC], Tuple[RadC, RadC]]:
             RadC(_rad(p, r1=q.q0), _rad(p, rab=-q.q3)),
         ),
     )
-
-
-def embed_det(matrix) -> RadC:
-    """Exact determinant of a 2 x 2 radical-ring matrix."""
-    return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
 
 
 def su11_check(q: QuatInt, matrix=None) -> bool:
@@ -301,46 +270,20 @@ def preserves_gamma2(q: QuatInt, matrix=None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@record(frozen=True)
-class CompatibleDeformation:
-    """A deformation parameter commensurate with the lattice center scale.
-
-    ``c`` solves 4*pi*c = lam * sqrt(ab)/2, so the angular period of the
-    deformed metric's fiber circle at n = 2 (which is 4*pi*c) is the given
-    rational multiple of the lattice's half-center generator.  ``lam``,
-    ``a``, ``b`` are the exact description; ``four_pi_c`` is the exact
-    radical value lam*sqrt(ab)/2; ``c`` and ``period`` are float views,
-    with period = 4*pi*c*(n-1) evaluated at n = 2.
-    """
-
-    lam: Fraction
-    a: int
-    b: int
-    four_pi_c: Rad
-    c: float
-    period: float
-
-
-def c_compatible(params: QuatParams, lam) -> CompatibleDeformation:
+def c_compatible(params: QuatParams, lam) -> float:
     """Deformation parameter c >= 0 with 4*pi*c = lam * sqrt(ab)/2.
 
-    ``lam`` must be a nonnegative rational; lam = 0 returns the undeformed
-    c = 0.  The float c equals lam*sqrt(ab)/(8*pi), and the exact content
-    is carried by (lam, a, b) and the radical value of 4*pi*c.
+    The angular period of the deformed metric's fiber circle at n = 2 is
+    4*pi*c, so c makes it the given rational multiple ``lam`` of the
+    lattice's half-center generator.  ``lam`` must be a nonnegative
+    rational; lam = 0 returns the undeformed c = 0.  4*pi*c is formed as
+    the exact radical lam/2 * sqrt(ab) and only then converted to a float.
     """
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError("the scaling factor lam must be nonnegative")
     four_pi_c = _rad(params, rab=Fraction(lam, 2))
-    c = four_pi_c.to_float() / (4.0 * math.pi)
-    return CompatibleDeformation(
-        lam=lam,
-        a=params.a,
-        b=params.b,
-        four_pi_c=four_pi_c,
-        c=c,
-        period=four_pi_c.to_float(),
-    )
+    return four_pi_c.to_float() / (4.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------

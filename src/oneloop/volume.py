@@ -13,12 +13,9 @@ scale and turns the integrand into a polynomial in t), and exposes the
 asymptotic constants:
 
 * the tail coefficient V_D / (n+1): rho0^(n+1) * tail -> V_D/(n+1);
-* the near-origin slab coefficient 2 c^n V_D / (2n+1): for c > 0,
-  rho1^(2n+1) * slab -> that value as rho1 -> 0 (the x^n coefficient of P
-  is 2);
-* the near-origin constant ``near_zero_constant``, which is that same
-  limit 2 c^n V_D / (2n+1): only the k = n term of the slab integral
-  carries rho1^-(2n+1).
+* the near-origin constant 2 c^n V_D / (2n+1) (``near_zero_constant``):
+  for c > 0, rho1^(2n+1) * slab -> that value as rho1 -> 0, since only the
+  k = n term of the slab integral (p_n = 2) carries rho1^-(2n+1).
 
 The fundamental-domain volume V_D is a caller-supplied positive scalar;
 computing it from a lattice is out of scope.
@@ -32,11 +29,9 @@ from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .params import ModelParams
-from .record import record
 
 __all__ = [
     "FloatRangeError",
-    "VolumePolynomial",
     "poly_P",
     "density",
     "slab_closed",
@@ -44,55 +39,34 @@ __all__ = [
     "slab_quadrature",
     "tail_quadrature",
     "near_zero_constant",
-    "slab_leading_coefficient",
     "upper_bound_constant",
     "bounds_check",
     "volume_rows",
 ]
 
 
-@record(frozen=True)
-class VolumePolynomial:
-    """Exact integer coefficients p_0..p_n of P(x) = (1+x)^(n-1) (1+2x).
-
-    Always monic in the sense p_0 = 1, with all coefficients positive and
-    degree exactly n.
-    """
-
-    n: int
-    coefficients: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coefficients) != self.n + 1:
-            raise ValueError("a degree-n polynomial needs n + 1 coefficients")
-        if self.coefficients[0] != 1:
-            raise ValueError("the constant term must be 1")
-        if any(c <= 0 for c in self.coefficients):
-            raise ValueError("all coefficients must be positive")
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-
-    def eval_float(self, x: float) -> float:
-        total = 0.0
-        for coeff in reversed(self.coefficients):
-            total = total * x + coeff
-        return total
-
-
 @lru_cache(maxsize=None, typed=True)
-def poly_P(n: int) -> VolumePolynomial:
-    """Exact binomial expansion of (1+x)^(n-1) * (1+2x) for n >= 1.
+def poly_P(n: int) -> Tuple[int, ...]:
+    """Exact coefficients p_0..p_n of P(x) = (1+x)^(n-1) * (1+2x), n >= 1.
 
-    The coefficient of x^k is C(n-1, k) + 2*C(n-1, k-1).  The result is
-    frozen, so it is built once per n: ``density`` asks for it at every
-    quadrature node.
+    The coefficient of x^k is C(n-1, k) + 2*C(n-1, k-1): all positive, with
+    p_0 = 1 and p_n = 2.  The tuple is built once per n: ``density`` asks
+    for it at every quadrature node.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
-    coeffs = tuple(
+    return tuple(
         math.comb(n - 1, k) + 2 * (math.comb(n - 1, k - 1) if k >= 1 else 0)
         for k in range(n + 1)
     )
-    return VolumePolynomial(n=n, coefficients=coeffs)
+
+
+def _horner(coefficients: Tuple[int, ...], x: float) -> float:
+    """The polynomial with these coefficients (constant term first) at x."""
+    total = 0.0
+    for coeff in reversed(coefficients):
+        total = total * x + coeff
+    return total
 
 
 class FloatRangeError(ArithmeticError):
@@ -116,7 +90,7 @@ def density(rho: float, params: ModelParams) -> float:
         raise ValueError(f"rho must be positive, got {rho}")
     n = params.n
     try:
-        value = rho ** (-(n + 2)) * poly_P(n).eval_float(params.c / rho)
+        value = rho ** (-(n + 2)) * _horner(poly_P(n), params.c / rho)
     except OverflowError:
         value = math.inf
     return _finite("density", rho, n, value)
@@ -139,7 +113,7 @@ def tail_closed(rho0: float, params: ModelParams, V_D: float) -> float:
     n, c = params.n, params.c
     total = 0.0
     try:
-        for k, p_k in enumerate(poly_P(n).coefficients):
+        for k, p_k in enumerate(poly_P(n)):
             total += p_k * c**k / ((n + 1 + k) * rho0 ** (n + 1 + k))
     except ArithmeticError:  # a power overflows or underflows to zero
         total = math.inf
@@ -154,10 +128,9 @@ def slab_closed(rho1: float, rho0: float, params: ModelParams, V_D: float) -> fl
         )
     _check_vd(V_D)
     n, c = params.n, params.c
-    poly = poly_P(n)
     total = 0.0
     try:
-        for k, p_k in enumerate(poly.coefficients):
+        for k, p_k in enumerate(poly_P(n)):
             power = n + 1 + k
             total += p_k * c**k / power * (rho1 ** (-power) - rho0 ** (-power))
     except OverflowError:  # a power of 1/rho1 leaves the float range
@@ -273,29 +246,19 @@ def tail_quadrature(rho0: float, params: ModelParams, V_D: float) -> float:
     _check_vd(V_D)
     n, x = params.n, params.c / rho0
     poly = poly_P(n)
-    integral = _integrate(lambda t: t**n * poly.eval_float(x * t), 0.0, 1.0)
+    integral = _integrate(lambda t: t**n * _horner(poly, x * t), 0.0, 1.0)
     return V_D * integral / rho0 ** (n + 1)
 
 
 def near_zero_constant(params: ModelParams, V_D: float) -> float:
     """The near-origin constant: the limit of rho1^(2n+1) * slab, c > 0.
 
-    Exact integration of ``slab_closed`` gives 2 c^n V_D / (2n+1) for every
-    n >= 1: the k-th term of the slab scales as rho1^-(n+1+k), so only the
-    top term k = n (p_n = 2) survives the rho1^(2n+1) scaling.  The value
-    is therefore ``slab_leading_coefficient``.  c = 0 is a different
-    asymptotic regime (the slab then grows like rho1^-(n+1)) and is
-    rejected.
-    """
-    return slab_leading_coefficient(params, V_D)
-
-
-def slab_leading_coefficient(params: ModelParams, V_D: float) -> float:
-    """The measured near-origin limit of rho1^(2n+1) * slab volume, c > 0.
-
     The density's strongest pole at rho = 0 comes from the top coefficient
-    p_n = 2 of P, giving 2 c^n / rho^(2n+2); integrating yields the limit
-    2 c^n V_D / (2n+1).
+    p_n = 2 of P, giving 2 c^n / rho^(2n+2): the k-th term of
+    ``slab_closed`` scales as rho1^-(n+1+k), so only k = n survives the
+    rho1^(2n+1) scaling, and the limit is 2 c^n V_D / (2n+1) for every
+    n >= 1.  c = 0 is a different asymptotic regime (the slab then grows
+    like rho1^-(n+1)) and is rejected.
     """
     _check_vd(V_D)
     n, c = params.n, params.c
@@ -316,7 +279,7 @@ def upper_bound_constant(rho_floor: float, params: ModelParams) -> float:
     if not rho_floor > 0:
         raise ValueError(f"rho_floor must be positive, got {rho_floor}")
     # c / rho_floor overflows to inf for a tiny floor, and P(inf) is nan.
-    value = poly_P(params.n).eval_float(params.c / rho_floor)
+    value = _horner(poly_P(params.n), params.c / rho_floor)
     return _finite("upper bound constant", rho_floor, params.n, value)
 
 

@@ -209,18 +209,18 @@ def test_criterion_5_flow_suite(capsys):
     for n in (1, 2, 3):
         params = ModelParams(n=n, c=1.0)
         for p in seeded_points(params, 3, seed=42):
-            if flow(GeneratorName.C1(), 2 * math.pi, p) != p:
+            if flow(GeneratorName("C1"), 2 * math.pi, p) != p:
                 identity_ok = False
-            if flow(GeneratorName.C2(), 2 * math.pi / n, p) != p:
+            if flow(GeneratorName("C2"), 2 * math.pi / n, p) != p:
                 identity_ok = False
     checked = 0
     failures = []
     worst_fail = 0.0
     for n, c in ((1, 0.5), (2, 1.0)):
         params = ModelParams(n=n, c=c)
-        names = [GeneratorName.T(), GeneratorName.C1(), GeneratorName.C2()]
-        names += [GeneratorName.VkRe(k) for k in range(n)]
-        names += [GeneratorName.VkIm(k) for k in range(n)]
+        names = [GeneratorName("T"), GeneratorName("C1"), GeneratorName("C2")]
+        names += [GeneratorName("VkRe", k) for k in range(n)]
+        names += [GeneratorName("VkIm", k) for k in range(n)]
         for p in seeded_points(params, 10, seed=42):
             g_src = metric_gram(p, params)
             scale = float(np.max(np.abs(g_src)))

@@ -50,7 +50,7 @@ class TestConfig:
     def test_c_exact_parsing_and_resolution(self):
         config = build_config(["curvature", "--c-exact", "1/2:3:7"])
         assert config.c_exact == (Fraction(1, 2), 3, 7)
-        expected = c_compatible(QuatParams(3, 7), Fraction(1, 2)).c
+        expected = c_compatible(QuatParams(3, 7), Fraction(1, 2))
         assert config.effective_c == expected
 
     def test_c_exact_echoed_in_config(self):
@@ -142,6 +142,16 @@ class TestConfigFile:
         # 0 - a - b + ab = 1
         assert len(out.strip().split("\n")) == 11
 
+    def test_c_exact_lam_string_parsed_as_the_flag(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"c_exact": {"lam": "0.1", "a": 2, "b": 3}}))
+        from_file = run_cli(capsys, ["volume-table", "--format", "json",
+                                     "--config", str(path)])
+        from_flag = run_cli(capsys, ["volume-table", "--format", "json",
+                                     "--c-exact", "0.1:2:3"])
+        assert from_file == from_flag
+        assert json.loads(from_file[1])["config"]["c_exact"]["lam"] == "1/10"
+
     @pytest.mark.parametrize("command", [
         ["verify-killing", "--n", "1", "--points", "2"],
         ["volume-table"],
@@ -160,6 +170,7 @@ class TestConfigFile:
         ({"c_exact": {"lam": True, "a": 2, "b": 3}}, "c_exact"),
         ({"bound": True}, "bound"),
         ({"seed": True}, "seed"),
+        ({"c_exact": {"lam": 0.1, "a": 2, "b": 3}}, "c_exact"),
     ])
     def test_wrong_type_is_a_config_error(self, capsys, tmp_path, command, payload, field):
         path = tmp_path / "cfg.json"
@@ -554,6 +565,8 @@ GOLDEN = [
      "72b695e9d8ee50ddd18521fc13c327e6f098f8da3db592bf85afea777fc9919e", ""),
     (["volume-table", "--n", "3", "--format", "json"], 0,
      "a71f996065e5fe486c808a6b5a949eb20784114e82eae10bb1c9a5a9721ce2eb", ""),
+    (["volume-table", "--n", "2", "--c-exact", "1:3:7", "--format", "json"], 0,
+     "db58e4e5296d82f83cc06c9cd69519f3a5e28e6dea8ff0cb6829b0cffdc02f3a", ""),
     (["structure", "--format", "csv"], 2, EMPTY_SHA256,
      "error: command 'structure' reports JSON only\n"),
     (["center", "--n", "0"], 2, EMPTY_SHA256,

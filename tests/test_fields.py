@@ -214,7 +214,7 @@ class TestGeneratorTables:
     def test_yc_components(self):
         params = ModelParams(n=3, c=0.0)
         vt = VarTable(3)
-        F = generator(GeneratorName.YC(), params)
+        F = generator(GeneratorName("YC"), params)
         for k in range(3):
             assert F.comps[vt.w(k)] == Poly.variable(vt.nvars, vt.w(k)).scale(QI(0, -1))
             assert F.comps[vt.wb(k)] == Poly.variable(vt.nvars, vt.wb(k)).scale(QI(0, 1))
@@ -226,7 +226,7 @@ class TestGeneratorTables:
     def test_v0_components(self):
         params = ModelParams(n=2, c=1.0)
         vt = VarTable(2)
-        F = generator(GeneratorName.Vk(0), params)
+        F = generator(GeneratorName("Vk", 0), params)
         assert F.comps[vt.w(0)] == Poly.const(vt.nvars, 1)
         assert F.comps[4 * 2 - 2] == Poly.variable(vt.nvars, vt.wb(0)).scale(QI(0, 1))
         assert F.comps[vt.w(1)].is_zero()
@@ -234,19 +234,19 @@ class TestGeneratorTables:
     def test_va_phi_sign_flips_for_positive_index(self):
         params = ModelParams(n=3, c=0.0)
         vt = VarTable(3)
-        F = generator(GeneratorName.Vk(2), params)
+        F = generator(GeneratorName("Vk", 2), params)
         assert F.comps[4 * 3 - 2] == Poly.variable(vt.nvars, vt.wb(2)).scale(QI(0, -1))
 
     def test_t_is_unit_angle_field(self):
         params = ModelParams(n=2, c=0.5)
-        F = generator(GeneratorName.T(), params)
+        F = generator(GeneratorName("T"), params)
         assert F.comps[-1] == Poly.const(4 * 2 - 1, 1)
         assert all(c.is_zero() for c in F.comps[:-1])
 
     def test_c1_has_no_angle_component(self):
         params = ModelParams(n=2, c=2.0)
         vt = VarTable(2)
-        F = generator(GeneratorName.C1(), params)
+        F = generator(GeneratorName("C1"), params)
         assert F.comps[-1].is_zero()
         assert F.comps[vt.w(0)] == Poly.variable(vt.nvars, vt.w(0)).scale(QI(0, -1))
 
@@ -254,7 +254,7 @@ class TestGeneratorTables:
         params = ModelParams(n=3, c=1.0)
         vt = VarTable(3)
         nv = vt.nvars
-        F = generator(GeneratorName.Ya(1), params)
+        F = generator(GeneratorName("Ya", 1), params)
         assert F.comps[vt.xb(1)] == Poly.const(nv, 1)
         for b in (1, 2):
             expect = (Poly.variable(nv, vt.x(1)) * Poly.variable(nv, vt.x(b))).scale(-1)
@@ -269,13 +269,13 @@ class TestGeneratorTables:
     def test_index_range_errors(self):
         params = ModelParams(n=2, c=0.0)
         with pytest.raises(IndexError):
-            generator(GeneratorName.Ya(0), params)
+            generator(GeneratorName("Ya", 0), params)
         with pytest.raises(IndexError):
-            generator(GeneratorName.Ya(2), params)
+            generator(GeneratorName("Ya", 2), params)
         with pytest.raises(IndexError):
-            generator(GeneratorName.Vk(2), params)
+            generator(GeneratorName("Vk", 2), params)
         with pytest.raises(IndexError):
-            generator(GeneratorName.Vk(-1), params)
+            generator(GeneratorName("Vk", -1), params)
 
     def test_generator_name_validation(self):
         with pytest.raises(ValueError):
@@ -288,9 +288,9 @@ class TestGeneratorTables:
             GeneratorName("CommYaYbBar", 1)
 
     def test_labels(self):
-        assert GeneratorName.YC().label() == "YC"
-        assert GeneratorName.Ya(2).label() == "Ya(2)"
-        assert GeneratorName.CommYaYbBar(1, 2).label() == "Comm(1,2)"
+        assert GeneratorName("YC").label() == "YC"
+        assert GeneratorName("Ya", 2).label() == "Ya(2)"
+        assert GeneratorName("CommYaYbBar", 1, 2).label() == "Comm(1,2)"
 
 
 class TestReality:
@@ -301,20 +301,20 @@ class TestReality:
 
     def test_yc_real_ya_not(self):
         params = ModelParams(n=2, c=1.0)
-        assert generator(GeneratorName.YC(), params).is_real()
-        assert not generator(GeneratorName.Ya(1), params).is_real()
+        assert generator(GeneratorName("YC"), params).is_real()
+        assert not generator(GeneratorName("Ya", 1), params).is_real()
 
     def test_conjugate_involution(self):
         params = ModelParams(n=3, c=2.0)
-        for name in (GeneratorName.Ya(2), GeneratorName.Vk(1),
-                     GeneratorName.CommYaYbBar(1, 2)):
+        for name in (GeneratorName("Ya", 2), GeneratorName("Vk", 1),
+                     GeneratorName("CommYaYbBar", 1, 2)):
             F = generator(name, params)
             assert F.conjugate().conjugate() == F
 
     def test_conjugate_of_ya_is_yabar(self):
         params = ModelParams(n=3, c=1.0)
-        F = generator(GeneratorName.Ya(2), params)
-        G = generator(GeneratorName.YaBar(2), params)
+        F = generator(GeneratorName("Ya", 2), params)
+        G = generator(GeneratorName("YaBar", 2), params)
         assert F.conjugate() == G
 
     def test_no_radial_component_structurally(self):
@@ -342,11 +342,11 @@ def bracket_catalogue(params):
     """The real Killing catalogue plus the complex shears and translations."""
     fields = [field for _, field in real_killing_catalogue(params)]
     for a in range(1, params.n):
-        fields.append(generator(GeneratorName.Ya(a), params))
-        fields.append(generator(GeneratorName.YaBar(a), params))
+        fields.append(generator(GeneratorName("Ya", a), params))
+        fields.append(generator(GeneratorName("YaBar", a), params))
     for k in range(params.n):
-        fields.append(generator(GeneratorName.Vk(k), params))
-        fields.append(generator(GeneratorName.VkBar(k), params))
+        fields.append(generator(GeneratorName("Vk", k), params))
+        fields.append(generator(GeneratorName("VkBar", k), params))
     return fields
 
 
@@ -360,15 +360,15 @@ class TestBracket:
 
     def test_yc_with_vk_gives_i_vk(self):
         params = ModelParams(n=3, c=0.5)
-        YC = generator(GeneratorName.YC(), params)
+        YC = generator(GeneratorName("YC"), params)
         for k in range(3):
-            Vk = generator(GeneratorName.Vk(k), params)
+            Vk = generator(GeneratorName("Vk", k), params)
             assert bracket(YC, Vk) == Vk.scale(QI_I)
 
     def test_v0_with_v0bar(self):
         params = ModelParams(n=2, c=1.0)
-        V0 = generator(GeneratorName.Vk(0), params)
-        V0b = generator(GeneratorName.VkBar(0), params)
+        V0 = generator(GeneratorName("Vk", 0), params)
+        V0b = generator(GeneratorName("VkBar", 0), params)
         expected = zero_field_with_phi(2, Poly.const(4 * 2 - 1, QI(0, -2)))
         assert bracket(V0, V0b) == expected
 
@@ -376,36 +376,36 @@ class TestBracket:
         params = ModelParams(n=3, c=2.0)
         for a in (1, 2):
             for b in (1, 2):
-                F = generator(GeneratorName.Ya(a), params)
-                G = generator(GeneratorName.Ya(b), params)
+                F = generator(GeneratorName("Ya", a), params)
+                G = generator(GeneratorName("Ya", b), params)
                 assert bracket(F, G).is_zero()
 
     def test_comm_matches_closed_form(self):
         params = ModelParams(n=3, c=1.0)
         for a in (1, 2):
             for b in (1, 2):
-                K = generator(GeneratorName.CommYaYbBar(a, b), params)
+                K = generator(GeneratorName("CommYaYbBar", a, b), params)
                 assert K == comm_closed_form(a, b, params)
 
     def test_comm_matches_closed_form_n4(self):
         params = ModelParams(n=4, c=0.0)
         for a in (1, 3):
             for b in (2, 3):
-                K = generator(GeneratorName.CommYaYbBar(a, b), params)
+                K = generator(GeneratorName("CommYaYbBar", a, b), params)
                 assert K == comm_closed_form(a, b, params)
 
     def test_antisymmetry(self):
         params = ModelParams(n=2, c=1.0)
-        F = generator(GeneratorName.Ya(1), params)
-        G = generator(GeneratorName.VkBar(1), params)
+        F = generator(GeneratorName("Ya", 1), params)
+        G = generator(GeneratorName("VkBar", 1), params)
         assert bracket(F, G) == -bracket(G, F)
 
     def test_jacobi_identity(self):
         params = ModelParams(n=3, c=1.0)
         triples = [
-            (GeneratorName.Ya(1), GeneratorName.YaBar(2), GeneratorName.Vk(0)),
-            (GeneratorName.Ya(1), GeneratorName.YaBar(1), GeneratorName.YC()),
-            (GeneratorName.Vk(0), GeneratorName.VkBar(0), GeneratorName.Ya(2)),
+            (GeneratorName("Ya", 1), GeneratorName("YaBar", 2), GeneratorName("Vk", 0)),
+            (GeneratorName("Ya", 1), GeneratorName("YaBar", 1), GeneratorName("YC")),
+            (GeneratorName("Vk", 0), GeneratorName("VkBar", 0), GeneratorName("Ya", 2)),
         ]
         for na, nb, nc in triples:
             A = generator(na, params)
@@ -417,8 +417,8 @@ class TestBracket:
 
     def test_scale_linearity(self):
         params = ModelParams(n=2, c=0.5)
-        F = generator(GeneratorName.Ya(1), params)
-        G = generator(GeneratorName.Vk(0), params)
+        F = generator(GeneratorName("Ya", 1), params)
+        G = generator(GeneratorName("Vk", 0), params)
         q = QI(Fraction(2, 3), Fraction(-1, 5))
         assert bracket(F.scale(q), G) == bracket(F, G).scale(q)
 
@@ -454,7 +454,7 @@ class TestBracket:
 class TestEval:
     def test_t_unit_vector(self):
         params = ModelParams(n=2, c=1.0)
-        F = generator(GeneratorName.T(), params)
+        F = generator(GeneratorName("T"), params)
         p = seeded_points(params, 1)[0]
         vec = complex_components(F, p, params.c)
         assert vec[-1] == 1.0
@@ -462,7 +462,7 @@ class TestEval:
 
     def test_yc_at_base_point(self):
         params = ModelParams(n=2, c=0.7)
-        F = generator(GeneratorName.YC(), params)
+        F = generator(GeneratorName("YC"), params)
         vec = complex_components(F, base_point(2), params.c)
         assert vec[-1] == pytest.approx(-1.4)
         assert np.allclose(vec[:-1], 0.0)
@@ -471,7 +471,7 @@ class TestEval:
         params = ModelParams(n=3, c=0.8)
         for a in (1, 2):
             for b in (1, 2):
-                F = generator(GeneratorName.CommYaYbBar(a, b), params)
+                F = generator(GeneratorName("CommYaYbBar", a, b), params)
                 vec = complex_components(F, base_point(3), params.c)
                 expect = -2j * params.c if a == b else 0.0
                 assert vec[-1] == pytest.approx(expect)
@@ -479,7 +479,7 @@ class TestEval:
 
     def test_real_chart_vector_of_re_v0(self):
         params = ModelParams(n=1, c=0.0)
-        F = generator(GeneratorName.VkRe(0), params)
+        F = generator(GeneratorName("VkRe", 0), params)
         p = PointBarN((), (1j,), 0.0, 1.0)
         vec = chart_vector(F, p, params.c)
         assert vec[ix_u(0, 1)] == 1.0
@@ -489,7 +489,7 @@ class TestEval:
 
     def test_real_chart_jacobian_matches_finite_difference(self):
         params = ModelParams(n=2, c=0.75)
-        F = imag_part(generator(GeneratorName.Ya(1), params))
+        F = imag_part(generator(GeneratorName("Ya", 1), params))
         p = seeded_points(params, 1)[0]
         J = chart_jacobian(F, p, params.c)
         q0 = p.to_chart()
@@ -617,7 +617,7 @@ class TestKilling:
         # the mismatch to exactly a factor of two in the angle shear.
         params = ModelParams(n=2, c=0.5)
         for k in range(params.n):
-            F = generator(GeneratorName.Vk(k), params)
+            F = generator(GeneratorName("Vk", k), params)
             doubled = F + zero_field_with_phi(params.n, F.comps[-1])
             for part in (real_part(doubled), imag_part(doubled)):
                 for p in seeded_points(params, 2):
@@ -639,10 +639,10 @@ def frame_rank(p, params, tol=1e-8):
     """Rank of the complex coefficient matrix of the fiberwise frame: base
     shears, fiber translations, their conjugates and the angle field."""
     n = params.n
-    names = [GeneratorName.Ya(a) for a in range(1, n)]
-    names += [GeneratorName.Vk(k) for k in range(n)]
+    names = [GeneratorName("Ya", a) for a in range(1, n)]
+    names += [GeneratorName("Vk", k) for k in range(n)]
     fields = [generator(name, params) for name in names]
-    fields += [F.conjugate() for F in fields] + [generator(GeneratorName.T(), params)]
+    fields += [F.conjugate() for F in fields] + [generator(GeneratorName("T"), params)]
     M = _ChartEvaluator(fields).table(p, params.c)[:, :, -1]
     return int(np.linalg.matrix_rank(M, tol=tol))
 
@@ -669,10 +669,10 @@ def stabilizer_basis(params):
     YC + 2c dphi and the normalized real and imaginary parts of the shear
     commutators, the diagonal imaginary parts corrected by 2c dphi."""
     n = params.n
-    out = [generator(GeneratorName.YC(), params) + _two_c_dphi(n)]
+    out = [generator(GeneratorName("YC"), params) + _two_c_dphi(n)]
     for a in range(1, n):
         for b in range(a, n):
-            K = generator(GeneratorName.CommYaYbBar(a, b), params)
+            K = generator(GeneratorName("CommYaYbBar", a, b), params)
             if a < b:  # (K + conj K)/2 and (K - conj K)/2i
                 out.append(real_part(K).scale(Fraction(1, 2)))
             im = imag_part(K).scale(Fraction(-1, 2))
@@ -718,35 +718,35 @@ class TestFlows:
 
     def test_c1_full_period_is_identity_exactly(self):
         for p in self.seeded(2, 0.5):
-            q = flow(GeneratorName.C1(), TAU, p)
+            q = flow(GeneratorName("C1"), TAU, p)
             assert q.X == p.X and q.w == p.w
             assert q.phi_tilde == p.phi_tilde and q.rho == p.rho
 
     def test_c2_period_is_identity_exactly(self):
         for n in (1, 2, 3):
             for p in self.seeded(n, 1.0):
-                q = flow(GeneratorName.C2(), TAU / n, p)
+                q = flow(GeneratorName("C2"), TAU / n, p)
                 assert q.X == p.X and q.w == p.w
                 assert q.phi_tilde == p.phi_tilde and q.rho == p.rho
 
     def test_t_translates_angle(self):
         p = self.seeded(2, 0.0)[0]
-        q = flow(GeneratorName.T(), 0.75, p)
+        q = flow(GeneratorName("T"), 0.75, p)
         assert q.phi_tilde == p.phi_tilde + 0.75
         assert q.X == p.X and q.w == p.w
 
     def test_re_v0_example(self):
         p = PointBarN((), (1j,), 0.0, 1.0)
-        q = flow(GeneratorName.VkRe(0), 1.0, p)
+        q = flow(GeneratorName("VkRe", 0), 1.0, p)
         assert q.w[0] == 1.0 + 1.0j
         assert q.phi_tilde == 2.0
 
     def test_translation_group_law_exact_at_dyadic_times(self):
         p = PointBarN((0.25,), (0.5 - 0.25j, 1.5j), 0.5, 2.0)
         s, t = 0.25, 0.5
-        for name in (GeneratorName.T(), GeneratorName.VkRe(0),
-                      GeneratorName.VkIm(0), GeneratorName.VkRe(1),
-                      GeneratorName.VkIm(1)):
+        for name in (GeneratorName("T"), GeneratorName("VkRe", 0),
+                      GeneratorName("VkIm", 0), GeneratorName("VkRe", 1),
+                      GeneratorName("VkIm", 1)):
             one = flow(name, s + t, p)
             two = flow(name, s, flow(name, t, p))
             assert one.X == two.X and one.w == two.w
@@ -755,14 +755,14 @@ class TestFlows:
     def test_rotation_group_law_close_at_generic_times(self):
         p = self.seeded(3, 0.5)[0]
         s, t = 0.37, -1.21
-        for name in (GeneratorName.C1(), GeneratorName.C2()):
+        for name in (GeneratorName("C1"), GeneratorName("C2")):
             one = flow(name, s + t, p)
             two = flow(name, s, flow(name, t, p))
             assert np.allclose(one.to_chart(), two.to_chart(), atol=1e-12)
 
     def test_rotation_and_angle_flows_are_isometries(self):
         params = ModelParams(n=2, c=0.5)
-        names = (GeneratorName.C1(), GeneratorName.C2(), GeneratorName.T())
+        names = (GeneratorName("C1"), GeneratorName("C2"), GeneratorName("T"))
         for p in seeded_points(params, 3):
             g_p = metric_gram(p, params)
             scale = np.max(np.abs(g_p))
@@ -778,7 +778,7 @@ class TestFlows:
         # V-family with its angle shear of 2, so their pullback differs from
         # the metric (whose angle shear is 4) by an O(0.1) relative amount.
         params = ModelParams(n=2, c=0.5)
-        names = (GeneratorName.VkRe(0), GeneratorName.VkIm(1))
+        names = (GeneratorName("VkRe", 0), GeneratorName("VkIm", 1))
         for p in seeded_points(params, 3):
             g_p = metric_gram(p, params)
             scale = np.max(np.abs(g_p))
@@ -793,7 +793,7 @@ class TestFlows:
     def test_flow_jacobian_matches_finite_difference(self):
         params = ModelParams(n=2, c=1.0)
         p = seeded_points(params, 1)[0]
-        for name in (GeneratorName.C2(), GeneratorName.VkIm(1)):
+        for name in (GeneratorName("C2"), GeneratorName("VkIm", 1)):
             t = 0.83
             J = flow_jacobian(name, t, p)
             q0 = p.to_chart()
@@ -810,14 +810,14 @@ class TestFlows:
     def test_unsupported_flow_raises(self):
         p = PointBarN((0.1,), (0.0, 0.0), 0.0, 1.0)
         with pytest.raises(ValueError, match="closed-form flow"):
-            flow(GeneratorName.Ya(1), 1.0, p)
+            flow(GeneratorName("Ya", 1), 1.0, p)
         with pytest.raises(ValueError, match="closed-form flow"):
-            flow_jacobian(GeneratorName.YC(), 1.0, p)
+            flow_jacobian(GeneratorName("YC"), 1.0, p)
 
     def test_flow_preserves_radius(self):
         p = self.seeded(2, 2.0)[1]
-        for name in (GeneratorName.C1(), GeneratorName.C2(),
-                      GeneratorName.VkRe(0)):
+        for name in (GeneratorName("C1"), GeneratorName("C2"),
+                      GeneratorName("VkRe", 0)):
             assert flow(name, 1.3, p).rho == p.rho
 
 

@@ -8,8 +8,7 @@ from oneloop.geometry import (_THETA_SHEAR, ModelParams, PointBarN,
                               _gram_from_chart, einstein_diagnostic,
                               fiber_density_split, gram_det_p0, ix_phi, ix_u,
                               ix_v, ix_x, ix_y, metric_first_derivatives,
-                              metric_gram, ricci_fd, rho_density_factor,
-                              seeded_points)
+                              metric_gram, ricci_fd, seeded_points)
 
 
 def _sym_pair(A, B):
@@ -456,8 +455,8 @@ class TestFiberDensity:
         assert vals[0] == pytest.approx(0.5, rel=1e-10)
 
     def test_factor_value(self):
-        assert rho_density_factor(2.0, ModelParams(2, 1.0)) == pytest.approx(
-            2.0 ** (-4) * 1.5 * 2.0)
+        rho_factor, _ = fiber_density_split(base_point(2, rho=2.0), ModelParams(2, 1.0))
+        assert rho_factor == pytest.approx(2.0 ** (-4) * 1.5 * 2.0)
 
 
 class TestFiberMetric:

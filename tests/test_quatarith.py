@@ -7,6 +7,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 import pytest
 
@@ -15,18 +16,15 @@ from oneloop.exact import QI, Rad, RadC, integer_solution
 from oneloop.heis import (HeisLatticePoint, HeisPoint, lattice_Ld, lattice_contains,
                           lattice_coordinates)
 from oneloop.quatarith import (
-    CompatibleDeformation,
     QuatInt,
     QuatParams,
     c_compatible,
-    embed_det,
     embed_matrix,
     enumerate_norm_one,
     gamma2_basis,
     is_nonresidue,
     norm_one_rows,
     preserves_gamma2,
-    quat_conj,
     quat_mul,
     reduced_norm,
     su11_check,
@@ -43,6 +41,10 @@ def quat(q0, q1, q2, q3, params=P23):
 
 def random_quat(rng, params):
     return QuatInt(*(rng.randrange(-5, 6) for _ in range(4)), params)
+
+
+def det2(m):
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
 def mat_mul2(x, y):
@@ -178,20 +180,12 @@ class TestMultiplicationTable:
         rng = random.Random(42)
         for _ in range(8):
             q = random_quat(rng, P23)
-            prod = quat_mul(q, quat_conj(q))
-            assert prod.coords() == (reduced_norm(q), 0, 0, 0)
+            conj = QuatInt(q.q0, -q.q1, -q.q2, -q.q3, q.params)
+            assert quat_mul(q, conj).coords() == (reduced_norm(q), 0, 0, 0)
 
     def test_params_mismatch_rejected(self):
         with pytest.raises(ValueError, match="different"):
             quat_mul(quat(1, 0, 0, 0, P23), quat(1, 0, 0, 0, P37))
-
-    def test_operator_sugar(self):
-        x = quat(1, 2, 0, -1)
-        y = quat(0, 1, 1, 0)
-        assert (x + y).coords() == (1, 3, 1, -1)
-        assert (x - y).coords() == (1, 1, -1, -1)
-        assert (-x).coords() == (-1, -2, 0, 1)
-        assert (x * y) == quat_mul(x, y)
 
 
 class TestReducedNorm:
@@ -317,7 +311,7 @@ class TestEmbedMatrix:
         for params in (P23, P37):
             for _ in range(10):
                 q = random_quat(rng, params)
-                det = embed_det(embed_matrix(q))
+                det = det2(embed_matrix(q))
                 assert det == RadC(rad(params, r1=reduced_norm(q)))
 
     def test_ring_homomorphism_on_seeded_pairs(self):
@@ -337,7 +331,7 @@ class TestEmbedMatrix:
         for _ in range(6):
             x = random_quat(rng, P23)
             y = random_quat(rng, P23)
-            lhs = embed_matrix(x + y)
+            lhs = embed_matrix(QuatInt(*map(add, x.coords(), y.coords()), P23))
             rhs_x = embed_matrix(x)
             rhs_y = embed_matrix(y)
             for j in range(2):
@@ -368,7 +362,7 @@ class TestSu11Check:
         one, zero = RadC(Rad(2, 3, 1)), RadC(Rad(2, 3))
         shear = ((one, one), (zero, one))
         monkeypatch.setattr(quatarith, "embed_matrix", lambda q: shear)
-        assert embed_det(shear) == one
+        assert det2(shear) == one
         assert su11_check(quat(1, 0, 0, 0)) is False
 
     def test_matches_explicit_product_oracle(self):
@@ -566,31 +560,24 @@ class TestPreservesGamma2:
 
 class TestCCompatible:
     def test_zero_is_undeformed(self):
-        result = c_compatible(P23, 0)
-        assert result.c == 0.0
-        assert result.period == 0.0
-        assert result.four_pi_c.is_zero()
+        assert c_compatible(P23, 0) == 0.0
 
     def test_pinned_example(self):
-        result = c_compatible(P23, 1)
-        assert isinstance(result, CompatibleDeformation)
-        assert result.c == pytest.approx(math.sqrt(6) / (8 * math.pi), rel=1e-14)
-        assert (result.lam, result.a, result.b) == (Fraction(1), 2, 3)
-        assert result.four_pi_c == rad(P23, rab=Fraction(1, 2))
+        assert c_compatible(P23, 1) == pytest.approx(math.sqrt(6) / (8 * math.pi), rel=1e-14)
 
     def test_period_is_four_pi_c_at_n_two(self):
-        result = c_compatible(P23, Fraction(2, 3))
-        assert result.period == pytest.approx(4 * math.pi * result.c, rel=1e-12)
-        assert result.four_pi_c == rad(P23, rab=Fraction(1, 3))
+        # 4*pi*c, the fiber period at n = 2, is lam * sqrt(ab)/2.
+        period = 4 * math.pi * c_compatible(P23, Fraction(2, 3))
+        assert period == pytest.approx(math.sqrt(6) / 3, rel=1e-12)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             c_compatible(P23, -1)
 
     def test_rational_input_accepted_as_string(self):
-        result = c_compatible(P25, "3/2")
-        assert result.lam == Fraction(3, 2)
-        assert result.four_pi_c == rad(P25, rab=Fraction(3, 4))
+        assert c_compatible(P25, "3/2") == c_compatible(P25, Fraction(3, 2))
+        assert c_compatible(P25, "3/2") == pytest.approx(
+            0.75 * math.sqrt(10) / (4 * math.pi), rel=1e-14)
 
 
 class TestCsvExport:

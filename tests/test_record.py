@@ -12,16 +12,10 @@ from oneloop.heis import HeisLatticePoint, HeisPoint, LatticeDescription
 from oneloop.liealg import CenterVector, MatGl, SemiDirectElement, StructureReport
 from oneloop.params import ModelParams
 from oneloop.polyfields import GeneratorName
-from oneloop.quatarith import CompatibleDeformation, QuatInt, QuatParams, c_compatible
+from oneloop.quatarith import QuatInt, QuatParams
 from oneloop.record import fields
-from oneloop.volume import VolumePolynomial
 
 P23 = QuatParams(2, 3)
-
-
-def _deformation(lam):
-    value = c_compatible(P23, lam)
-    return tuple(getattr(value, name) for name in fields(CompatibleDeformation))
 
 
 # (class, arguments, arguments of an unequal value, arguments that
@@ -38,13 +32,11 @@ CASES = [
     (GeneratorName, ("Ya", 1), ("Ya", 2), ("Nope",)),
     (QuatParams, (2, 3), (3, 7), (0, 3)),
     (QuatInt, (1, 0, 0, 0, P23), (1, 0, 0, 0, QuatParams(3, 7)), (1.0, 0, 0, 0, P23)),
-    (CompatibleDeformation, _deformation(1), _deformation(2), None),
     (HeisPoint, ((QI(1), QI(0)), Fraction(0)), ((QI(1), QI(0)), Fraction(1)),
      ((0.5,), 0)),
     (LatticeDescription, (1, ((QI(1),),), Fraction(1)), (1, ((QI(1),),), Fraction(2)),
      (2, ((QI(1),),), Fraction(1))),
     (HeisLatticePoint, ((1, 2), 0), ((1, 2), 1), ((1.5,), 0)),
-    (VolumePolynomial, (1, (1, 2)), (2, (1, 3, 2)), (1, (2, 2))),
     (PointBarN, ((), (0j,), 0.0, 1.0), ((), (0j,), 0.0, 2.0), ((), (0j,), 0.0, -1.0)),
 ]
 

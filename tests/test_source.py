@@ -36,9 +36,24 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _is_all(node):
+    """Is node an assignment to ``__all__``?"""
+    targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+    return (isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets))
+
+
 def _names(tree):
-    """Every name that a tree reads, imports or looks up by string."""
-    for node in ast.walk(tree):
+    """Every name that a tree reads, imports or looks up by string.
+
+    The strings of an ``__all__`` list export names; they do not use them.
+    """
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if _is_all(node):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
@@ -50,18 +65,13 @@ def _names(tree):
             yield node.value  # getattr lookups, as the benchmark tracer makes
 
 
-def test_every_definition_is_used_outside_the_unit_tests():
-    # A function, class or method that only unit tests call is an entry
-    # point kept for them: it belongs in the tests.
-    package = sorted((ROOT / "src" / "oneloop").glob("*.py"))
-    users = package + [ROOT / "tests" / "test_acceptance.py"]
-    users += sorted((ROOT / "bench").glob("*.py"))
-    assert len(package) > 5 and len(users) > len(package) + 1
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in users}
-    uses = Counter(name for tree in trees.values() for name in _names(tree))
+def _unused(package, users):
+    """Qualified names of the definitions in the ``package`` trees (name ->
+    tree) that no tree of ``users`` (which includes them) uses."""
+    uses = Counter(name for tree in users for name in _names(tree))
     unused = []
-    for path in package:
-        for top in trees[path].body:
+    for module, tree in package.items():
+        for top in tree.body:
             if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 continue
             defs = [(top.name, top)]
@@ -74,8 +84,89 @@ def test_every_definition_is_used_outside_the_unit_tests():
                 if uses[node.name] > Counter(_names(node))[node.name]:
                     continue
                 if qualname not in UNUSED_ALLOWED:
-                    unused.append(f"{path.name}: {qualname}")
-    assert unused == []
+                    unused.append(f"{module}: {qualname}")
+    return unused
+
+
+def _missing_exports(tree):
+    """The ``__all__`` entries of a module tree that it does not bind."""
+    bound = set()
+    exported = []
+    for node in tree.body:
+        if _is_all(node):
+            exported += [elt.value for elt in ast.walk(node.value)
+                         if isinstance(elt, ast.Constant)]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).partition(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+    return [name for name in exported if name not in bound]
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_every_definition_is_used_outside_the_unit_tests():
+    # A function, class or method that only unit tests call is an entry
+    # point kept for them: it belongs in the tests.
+    package = {path.name: _parse(path) for path in sorted((ROOT / "src" / "oneloop").glob("*.py"))}
+    others = [ROOT / "tests" / "test_acceptance.py"] + sorted((ROOT / "bench").glob("*.py"))
+    assert len(package) > 5 and len(others) > 1
+    assert _unused(package, list(package.values()) + [_parse(path) for path in others]) == []
+
+
+def test_every_export_is_defined():
+    package = sorted((ROOT / "src" / "oneloop").glob("*.py"))
+    missing = [f"{path.name}: {name}" for path in package
+               for name in _missing_exports(_parse(path))]
+    assert missing == []
+
+
+SYNTHETIC = """
+import os.path as osp
+from fractions import Fraction
+
+__all__ = ["exported_only", "used", "looked_up", "Box", "LIMIT", "osp", "Fraction",
+           "gone"]
+__all__ += ["caller"]
+LIMIT = 3
+
+
+def exported_only():
+    return "exported_only"
+
+
+def used():
+    return 1
+
+
+def looked_up():
+    return 2
+
+
+def caller():
+    return used() + getattr(None, "looked_up")
+
+
+class Box:
+    def opened(self):
+        return self.opened
+"""
+
+
+def test_checks_on_a_synthetic_source():
+    tree = ast.parse(SYNTHETIC)
+    # Strings in __all__ do not count as uses, and neither do a definition's
+    # own mentions of its name (the return value and the attribute read).
+    assert _unused({"synthetic.py": tree}, [tree]) == [
+        "synthetic.py: exported_only", "synthetic.py: caller",
+        "synthetic.py: Box", "synthetic.py: Box.opened"]
+    assert _missing_exports(tree) == ["gone"]
 
 
 @pytest.mark.parametrize("value", [
