@@ -213,6 +213,11 @@ def cmd_verify_killing(config: RunConfig) -> Record:
         "exceeds_threshold": control > CONTROL_THRESHOLD,
         "pass": False,
     }
+    for row in rows + [control_row]:
+        if not math.isfinite(row["max_residual"]):
+            raise OverflowError(
+                f"Killing residual of {row['generator']} leaves the float range "
+                f"at c = {params.c!r}: {row['max_residual']!r}")
     all_pass = all(row["pass"] for row in rows) and control_row["exceeds_threshold"]
     report = {
         "command": "verify-killing",
@@ -288,12 +293,15 @@ def cmd_curvature(config: RunConfig) -> Record:
     rows = []
     lambdas = []
     max_residual = 0.0
-    for p in points:
+    for index, p in enumerate(points):
         lam, residual = einstein_diagnostic(p, params, step=config.step)
+        if not (math.isfinite(lam) and math.isfinite(residual)):
+            raise OverflowError(
+                f"curvature at point {index} leaves the float range at "
+                f"c = {params.c!r}: lambda = {lam!r}, residual = {residual!r}")
         rows.append({"lambda": lam, "residual": residual})
         lambdas.append(lam)
-        if residual > max_residual or math.isnan(residual):
-            max_residual = residual
+        max_residual = max(max_residual, residual)
     mean_lambda = sum(lambdas) / len(lambdas)
     spread = (max(lambdas) - min(lambdas)) / abs(mean_lambda) if mean_lambda else float("inf")
     all_pass = (

@@ -257,9 +257,6 @@ class Poly:
         mono[i] = 1
         return Poly(nvars, {tuple(mono): QI_ONE})
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -290,7 +287,7 @@ class Poly:
                 terms[mono] = coeff
             else:
                 acc = acc + coeff
-                if acc.is_zero():
+                if not acc:
                     del terms[mono]
                 else:
                     terms[mono] = acc
@@ -574,6 +571,8 @@ class RadC:
     """Complex number re + i*im with Rad real and imaginary parts."""
 
     __slots__ = ("re", "im")
+    re: Rad
+    im: Rad
 
     def __init__(self, re, im=None):
         if not isinstance(re, Rad):
@@ -641,9 +640,6 @@ class RadC:
 
     def components(self):
         return self.re.components() + self.im.components()
-
-    def to_complex(self):
-        return self.re.to_float() + 1j * self.im.to_float()
 
     def __repr__(self):
         return f"RadC({self.re!r}, {self.im!r})"

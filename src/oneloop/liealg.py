@@ -2,8 +2,9 @@
 
 The continuous symmetries of the deformed metric assemble into a semidirect
 sum: an indefinite-unitary matrix block acting on a Heisenberg translation
-part with one central direction.  This module realizes that algebra with
-exact Gaussian-rational arithmetic, provides the antilinear involution that
+part with one central direction.  This module realizes that algebra as
+(n+2)x(n+2) matrices with exact Gaussian-rational entries, so that its
+bracket is the matrix commutator; provides the antilinear involution that
 cuts out the real form, verifies the structure constants against the vector
 fields of :mod:`oneloop.polyfields`, and computes the center lattices (kernel
 of the group action, its intersection with the special-unitary block, and the
@@ -18,10 +19,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from .exact import QI, QI_I, QI_ZERO
+from .exact import QI, QI_I, QI_ONE, QI_ZERO
 from .params import ModelParams
 from .record import record
 
@@ -30,11 +31,11 @@ if TYPE_CHECKING:  # imported where used, so that center does not compile it
 
 __all__ = [
     "MatGl",
-    "SemiDirectElement",
     "CenterVector",
     "StructureReport",
     "sigma",
-    "semidirect_bracket",
+    "semidirect",
+    "blocks",
     "algebra_basis",
     "gl_decompose",
     "alpha",
@@ -48,7 +49,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Matrix block
+# Matrices
 # ---------------------------------------------------------------------------
 
 
@@ -70,10 +71,6 @@ class MatGl:
         return len(self.entries)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "MatGl":
-        return cls(tuple(tuple(QI.coerce(e) for e in row) for row in rows))
-
-    @classmethod
     def _wrap(cls, entries) -> "MatGl":
         """A MatGl around square rows of QI entries, taken unchecked: the
         result of an operation on checked matrices."""
@@ -81,301 +78,96 @@ class MatGl:
         object.__setattr__(out, "entries", entries)
         return out
 
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def zero(n: int) -> "MatGl":
-        return MatGl.from_rows([[0] * n for _ in range(n)])
+    @cached_property
+    def _nonzero(self):
+        """The (column, entry) pairs of the nonzero entries of each row."""
+        return [[(k, a) for k, a in enumerate(row) if a] for row in self.entries]
 
-    @classmethod
-    def identity(cls, n: int) -> "MatGl":
-        return cls.from_rows(
-            [[1 if j == k else 0 for k in range(n)] for j in range(n)]
-        )
-
-    @classmethod
-    def unit(cls, n: int, j: int, k: int) -> "MatGl":
-        """Matrix unit with a single 1 in row j, column k."""
-        return cls.from_rows(
-            [[1 if (r, s) == (j, k) else 0 for s in range(n)] for r in range(n)]
-        )
-
-    # Sums, differences, negation and products skip zero entries: the
-    # algebra basis matrices have at most n nonzeros each.
-    def __add__(self, other: "MatGl") -> "MatGl":
-        self._check(other)
-        return MatGl._wrap(
-            tuple(
-                tuple((a + b if b else a) if a else b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
-
-    def __sub__(self, other: "MatGl") -> "MatGl":
-        self._check(other)
-        return MatGl._wrap(
-            tuple(
-                tuple(
-                    (a - b if b else a) if a else (-b if b else b)
-                    for a, b in zip(ra, rb)
-                )
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
-
-    def __neg__(self) -> "MatGl":
-        return MatGl._wrap(
-            tuple(tuple(-a if a else a for a in row) for row in self.entries)
-        )
-
-    def scale(self, coeff) -> "MatGl":
-        q = QI.coerce(coeff)
-        return MatGl._wrap(tuple(tuple(q * a for a in row) for row in self.entries))
-
-    def __matmul__(self, other: "MatGl") -> "MatGl":
-        self._check(other)
-        n = self.n
-        # Nonzero (column, entry) pairs of each row of the right factor.
-        right = [[(k, b) for k, b in enumerate(row) if b] for row in other.entries]
+    def commutator(self, other: "MatGl") -> "MatGl":
+        """self @ other - other @ self in one pass over the nonzero entries:
+        the algebra basis matrices have at most n nonzeros each."""
+        if not isinstance(other, MatGl) or other.n != self.n:
+            raise ValueError("matrix size mismatch")
+        left, right = self._nonzero, other._nonzero
+        zero = (QI_ZERO,) * self.n
         rows = []
-        for row_a in self.entries:
-            row = [QI_ZERO] * n
-            for a, row_b in zip(row_a, right):
-                if a:
-                    for k, b in row_b:
-                        row[k] = row[k] + a * b
+        for row_l, row_r in zip(left, right):
+            acc = {}
+            for j, a in row_l:
+                for k, b in right[j]:
+                    acc[k] = acc[k] + a * b if k in acc else a * b
+            for j, b in row_r:
+                for k, a in left[j]:
+                    acc[k] = acc[k] - b * a if k in acc else -(b * a)
+            if not acc:
+                rows.append(zero)
+                continue
+            row = list(zero)
+            for k, value in acc.items():
+                row[k] = value
             rows.append(tuple(row))
         return MatGl._wrap(tuple(rows))
 
-    def transpose(self) -> "MatGl":
-        n = self.n
-        return MatGl._wrap(
-            tuple(tuple(self.entries[k][j] for k in range(n)) for j in range(n))
-        )
-
-    def conj(self) -> "MatGl":
-        return MatGl._wrap(
-            tuple(tuple(a.conj() for a in row) for row in self.entries)
-        )
-
-    def trace(self) -> QI:
-        acc = QI(0)
-        for j in range(self.n):
-            acc = acc + self.entries[j][j]
-        return acc
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.entries))
-
-    def commutator(self, other: "MatGl") -> "MatGl":
-        return (self @ other) - (other @ self)
-
-    def _check(self, other: "MatGl"):
-        if not isinstance(other, MatGl) or other.n != self.n:
-            raise ValueError("matrix size mismatch")
-
 
 def _indef_signs(n: int) -> Tuple[int, ...]:
-    """Diagonal of the signature matrix: (-1, +1, ..., +1)."""
+    """Diagonal of the signature matrix I: (-1, +1, ..., +1)."""
     return tuple(-1 if j == 0 else 1 for j in range(n))
-
-
-@lru_cache(maxsize=None)
-def _signature_matrix(n: int) -> MatGl:
-    return MatGl.from_rows(
-        [[s if j == k else 0 for k, s in enumerate(_indef_signs(n))] for j in range(n)]
-    )
 
 
 def sigma(A: MatGl) -> MatGl:
     """Antilinear involution cutting out the indefinite-unitary real form.
 
-    sigma(A) = -I conj(A)^T I with I = diag(-1, 1, ..., 1).
+    sigma(A) = -I conj(A)^T I with I = diag(-1, 1, ..., 1), entrywise
+    sigma(A)[j][k] = -s_j conj(A[k][j]) s_k.
     """
-    I = _signature_matrix(A.n)
-    return -(I @ A.conj().transpose() @ I)
+    s = _indef_signs(A.n)
+    return MatGl._wrap(tuple(
+        tuple(a.conj() if sj != sk else -a.conj() for sk, a in zip(s, column))
+        for sj, column in zip(s, zip(*A.entries))
+    ))
 
 
 # ---------------------------------------------------------------------------
-# Semidirect elements and the bracket
+# The semidirect sum as (n+2)x(n+2) matrices
 # ---------------------------------------------------------------------------
 
+# X = [[0, vE^T, t / _CENTRAL_SCALE], [0, A, I vEbar], [0, 0, 0]].  The
+# commutator's corner entry is vE^T I vEbar' - vE'^T I vEbar, so
+# [E_k, Ebar_k] = _CENTRAL_SCALE * s_k * T = 2i * eps_k * T with
+# eps = (+1, -1, ..., -1).
+_CENTRAL_SCALE = QI(0, -2)
 
-@record(frozen=True)
-class SemiDirectElement:
-    """Element of the complexified semidirect sum.
 
-    ``A`` is the matrix block; ``vE`` and ``vEbar`` are the coefficient
-    vectors over the holomorphic and antiholomorphic translation generators;
-    ``t`` is the coefficient of the central generator.  Real-form members
-    satisfy ``sigma(A) = A``, ``vEbar = conj(vE)``, and real ``t``.
+def semidirect(A: MatGl, vE, vEbar, t) -> MatGl:
+    """The element of the complexified semidirect sum with matrix block A.
+
+    ``vE`` and ``vEbar`` are the coefficient vectors over the holomorphic
+    and antiholomorphic translation generators, ``t`` the coefficient of the
+    central generator.  Real-form members satisfy ``sigma(A) = A``,
+    ``vEbar = conj(vE)`` and real ``t``.  The bracket of two elements is
+    their commutator: A acts on vE by v -> -A^T v and on vEbar by
+    v -> I A I v.
     """
-
-    A: MatGl
-    vE: Tuple[QI, ...]
-    vEbar: Tuple[QI, ...]
-    t: QI
-
-    def __post_init__(self):
-        n = self.A.n
-        if len(self.vE) != n or len(self.vEbar) != n:
-            raise ValueError("translation parts must have length n")
-        # type(...) is QI is cheap enough for the thousands of elements
-        # structure_check builds.
-        if type(self.t) is not QI or not all(
-            type(x) is QI for part in (self.vE, self.vEbar) for x in part
-        ):
-            raise ValueError("vE, vEbar and t must be exact Gaussian rationals")
-
-    @property
-    def n(self) -> int:
-        return self.A.n
-
-    @classmethod
-    def zero(cls, n: int) -> "SemiDirectElement":
-        z = tuple(QI(0) for _ in range(n))
-        return cls(MatGl.zero(n), z, z, QI(0))
-
-    @classmethod
-    def from_matrix(cls, A: MatGl) -> "SemiDirectElement":
-        z = tuple(QI(0) for _ in range(A.n))
-        return cls(A, z, z, QI(0))
-
-    @classmethod
-    def e_translation(cls, n: int, k: int) -> "SemiDirectElement":
-        if not 0 <= k < n:
-            raise ValueError(f"translation index {k} out of range 0..{n - 1}")
-        v = tuple(QI(1 if j == k else 0) for j in range(n))
-        z = tuple(QI(0) for _ in range(n))
-        return cls(MatGl.zero(n), v, z, QI(0))
-
-    @classmethod
-    def ebar_translation(cls, n: int, k: int) -> "SemiDirectElement":
-        if not 0 <= k < n:
-            raise ValueError(f"translation index {k} out of range 0..{n - 1}")
-        v = tuple(QI(1 if j == k else 0) for j in range(n))
-        z = tuple(QI(0) for _ in range(n))
-        return cls(MatGl.zero(n), z, v, QI(0))
-
-    @classmethod
-    def center(cls, n: int, t=1) -> "SemiDirectElement":
-        z = tuple(QI(0) for _ in range(n))
-        return cls(MatGl.zero(n), z, z, QI.coerce(t))
-
-    def __add__(self, other: "SemiDirectElement") -> "SemiDirectElement":
-        if other.n != self.n:
-            raise ValueError("size mismatch")
-        return SemiDirectElement(
-            self.A + other.A,
-            tuple(a + b for a, b in zip(self.vE, other.vE)),
-            tuple(a + b for a, b in zip(self.vEbar, other.vEbar)),
-            self.t + other.t,
-        )
-
-    def __neg__(self) -> "SemiDirectElement":
-        return SemiDirectElement(
-            -self.A,
-            tuple(-a for a in self.vE),
-            tuple(-a for a in self.vEbar),
-            -self.t,
-        )
-
-    def scale(self, coeff) -> "SemiDirectElement":
-        q = QI.coerce(coeff)
-        return SemiDirectElement(
-            self.A.scale(q),
-            tuple(q * a for a in self.vE),
-            tuple(q * a for a in self.vEbar),
-            q * self.t,
-        )
-
-    def is_zero(self) -> bool:
-        return (
-            self.A.is_zero()
-            and all(a.is_zero() for a in self.vE)
-            and all(a.is_zero() for a in self.vEbar)
-            and self.t.is_zero()
-        )
-
-
-def semidirect_bracket(
-    x: SemiDirectElement, y: SemiDirectElement
-) -> SemiDirectElement:
-    """Lie bracket of the semidirect sum.
-
-    The matrix block acts on the holomorphic translation part by
-    v -> -A^T v and on the antiholomorphic part by v -> I A I v; a
-    holomorphic/antiholomorphic pair of translations brackets into the
-    center weighted by the signature (+1 for index 0, -1 otherwise).
-    """
-    if x.n != y.n:
-        raise ValueError("size mismatch")
-    n = x.n
-    signs = _indef_signs(n)
+    n = A.n
+    if len(vE) != n or len(vEbar) != n:
+        raise ValueError("translation parts must have length n")
+    if type(t) is not QI or not all(type(x) is QI for part in (vE, vEbar) for x in part):
+        raise ValueError("vE, vEbar and t must be exact Gaussian rationals")
     zero = QI_ZERO
-    zeros = tuple(zero for _ in range(n))
+    rows = [(zero, *vE, t / _CENTRAL_SCALE)]
+    rows += [(zero, *row, v if s > 0 else -v)
+             for row, v, s in zip(A.entries, vEbar, _indef_signs(n))]
+    rows.append((zero,) * (n + 2))
+    return MatGl._wrap(tuple(rows))
 
-    ax_zero = x.A.is_zero()
-    ay_zero = y.A.is_zero()
-    A = MatGl.zero(n) if (ax_zero or ay_zero) else x.A.commutator(y.A)
 
-    def act_e(M: MatGl, v: Tuple[QI, ...], m_zero: bool) -> Tuple[QI, ...]:
-        # v -> -M^T v, entrywise to avoid building the transpose.
-        if m_zero or all(c.is_zero() for c in v):
-            return zeros
-        out = []
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                vk = v[k]
-                if vk.is_zero():
-                    continue
-                e = M.entries[k][j]
-                if not e.is_zero():
-                    acc = acc + e * vk
-            out.append(-acc)
-        return tuple(out)
-
-    def act_ebar(M: MatGl, v: Tuple[QI, ...], m_zero: bool) -> Tuple[QI, ...]:
-        # v -> (I M I) v = (signs_j M_jk signs_k) v, without matrix products.
-        if m_zero or all(c.is_zero() for c in v):
-            return zeros
-        out = []
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                vk = v[k]
-                if vk.is_zero():
-                    continue
-                e = M.entries[j][k]
-                if not e.is_zero():
-                    term = e * vk
-                    acc = acc + (term if signs[j] * signs[k] > 0 else -term)
-            out.append(acc)
-        return tuple(out)
-
-    vE = tuple(
-        a - b
-        for a, b in zip(act_e(x.A, y.vE, ax_zero), act_e(y.A, x.vE, ay_zero))
-    )
-    vEbar = tuple(
-        a - b
-        for a, b in zip(
-            act_ebar(x.A, y.vEbar, ax_zero), act_ebar(y.A, x.vEbar, ay_zero)
-        )
-    )
-
-    # [E_k, Ebar_k] = 2i * eps_k * T with eps = (+1, -1, ..., -1) = -signs.
-    two_i = QI(0, 2)
-    t = zero
-    for k in range(n):
-        if not ((x.vE[k] or x.vEbar[k]) and (y.vE[k] or y.vEbar[k])):
-            continue  # one side has no k-th translation: no central term
-        cross = x.vE[k] * y.vEbar[k] - y.vE[k] * x.vEbar[k]
-        if cross.is_zero():
-            continue
-        term = two_i * cross
-        t = t + (-term if signs[k] > 0 else term)
-    return SemiDirectElement(A, vE, vEbar, t)
+def blocks(X: MatGl) -> Tuple[MatGl, Tuple[QI, ...], Tuple[QI, ...], QI]:
+    """(A, vE, vEbar, t) of a semidirect element, as ``semidirect`` takes them."""
+    top, *middle, _ = X.entries
+    A = MatGl._wrap(tuple(row[1:-1] for row in middle))
+    vEbar = tuple(row[-1] if s > 0 else -row[-1]
+                  for row, s in zip(middle, _indef_signs(len(middle))))
+    return A, top[1:-1], vEbar, _CENTRAL_SCALE * top[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +175,7 @@ def semidirect_bracket(
 # ---------------------------------------------------------------------------
 
 
-def _c_matrix(n: int) -> MatGl:
-    return MatGl.identity(n).scale(QI_I)
-
-
-def _u_matrix(n: int, a: int) -> MatGl:
-    if not 1 <= a <= n - 1:
-        raise ValueError(f"index {a} out of range 1..{n - 1}")
-    return MatGl.unit(n, 0, a)
-
-
-def _u_sigma_matrix(n: int, a: int) -> MatGl:
-    return sigma(_u_matrix(n, a))
-
-
-def algebra_basis(n: int) -> List[Tuple[str, SemiDirectElement]]:
+def algebra_basis(n: int) -> List[Tuple[str, MatGl]]:
     """Labelled basis of the complexified semidirect sum.
 
     Order: scalar rotation C, upper shears U_a, lower shears U_a^s, their
@@ -406,23 +184,30 @@ def algebra_basis(n: int) -> List[Tuple[str, SemiDirectElement]]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    out: List[Tuple[str, SemiDirectElement]] = []
-    out.append(("C", SemiDirectElement.from_matrix(_c_matrix(n))))
-    for a in range(1, n):
-        out.append((f"U({a})", SemiDirectElement.from_matrix(_u_matrix(n, a))))
-    for a in range(1, n):
-        out.append(
-            (f"Us({a})", SemiDirectElement.from_matrix(_u_sigma_matrix(n, a)))
-        )
-    for a in range(1, n):
-        for b in range(1, n):
-            B = _u_matrix(n, a).commutator(_u_sigma_matrix(n, b))
-            out.append((f"B({a},{b})", SemiDirectElement.from_matrix(B)))
-    for k in range(n):
-        out.append((f"E({k})", SemiDirectElement.e_translation(n, k)))
-    for k in range(n):
-        out.append((f"Ebar({k})", SemiDirectElement.ebar_translation(n, k)))
-    out.append(("T", SemiDirectElement.center(n)))
+    zero = (QI_ZERO,) * n
+
+    def matrix(*entries):
+        """The n x n matrix with the given (row, column, value) entries."""
+        rows = [list(zero) for _ in range(n)]
+        for j, k, q in entries:
+            rows[j][k] = q
+        return MatGl._wrap(tuple(map(tuple, rows)))
+
+    def element(A=matrix(), vE=zero, vEbar=zero, t=QI_ZERO):
+        return semidirect(A, vE, vEbar, t)
+
+    units = [tuple(QI_ONE if j == k else QI_ZERO for j in range(n)) for k in range(n)]
+    shears = [matrix((0, a, QI_ONE)) for a in range(1, n)]
+    U = [element(A) for A in shears]
+    Us = [element(sigma(A)) for A in shears]
+    out = [("C", element(matrix(*((j, j, QI_I) for j in range(n)))))]
+    out += [(f"U({a})", x) for a, x in enumerate(U, 1)]
+    out += [(f"Us({a})", x) for a, x in enumerate(Us, 1)]
+    out += [(f"B({a},{b})", x.commutator(y))
+            for a, x in enumerate(U, 1) for b, y in enumerate(Us, 1)]
+    out += [(f"E({k})", element(vE=v)) for k, v in enumerate(units)]
+    out += [(f"Ebar({k})", element(vEbar=v)) for k, v in enumerate(units)]
+    out.append(("T", element(t=QI_ONE)))
     return out
 
 
@@ -436,12 +221,15 @@ def gl_decompose(
     The decomposition always exists and is unique; lam = tr(M) / (i n).
     """
     n, rows = M.n, M.entries
-    lam = M.trace() / QI(0, n)
+    lam = sum((rows[j][j] for j in range(n)), QI_ZERO) / QI(0, n)
     m = rows[0][1:]
     s = tuple(row[0] for row in rows[1:])
     i_lam = QI_I * lam
+    columns = tuple(zip(*rows))
+    # Zero entries are kept, not negated: the matrices are sparse.
     kappa = tuple(
-        tuple(i_lam - rows[b][a] if a == b else -rows[b][a] for b in range(1, n))
+        tuple(i_lam - x if a == b else -x if x else x
+              for b, x in enumerate(columns[a][1:], 1))
         for a in range(1, n)
     )
     return lam, m, s, kappa
@@ -464,7 +252,7 @@ def _alpha_images(n: int) -> Tuple[PolyVectorField, ...]:
     return tuple(images)
 
 
-def alpha(x: SemiDirectElement, params: ModelParams) -> PolyVectorField:
+def alpha(x: MatGl, params: ModelParams) -> PolyVectorField:
     """Linear map from the abstract algebra to polynomial vector fields.
 
     The basis goes to the symmetry catalogue: C to the phase rotation, U_a
@@ -476,11 +264,12 @@ def alpha(x: SemiDirectElement, params: ModelParams) -> PolyVectorField:
     """
     from .polyfields import combination
 
-    n = x.n
+    A, vE, vEbar, t = blocks(x)
+    n = A.n
     if n != params.n:
         raise ValueError("size mismatch with params")
-    lam, m, s, kappa = gl_decompose(x.A)
-    coeffs = [lam, *m, *s, *(k for row in kappa for k in row), *x.vE, *x.vEbar, x.t]
+    lam, m, s, kappa = gl_decompose(A)
+    coeffs = [lam, *m, *s, *(k for row in kappa for k in row), *vE, *vEbar, t]
     return combination(n, zip(coeffs, _alpha_images(n)))
 
 
@@ -500,7 +289,8 @@ class StructureReport:
 def structure_check(params: ModelParams) -> StructureReport:
     """Verify [alpha(x), alpha(y)] = -alpha([x, y]) on all basis pairs.
 
-    Exact polynomial arithmetic with the deformation parameter symbolic.
+    Exact polynomial arithmetic with the deformation parameter symbolic;
+    -[x, y] is the commutator [y, x].
     """
     from .polyfields import bracket
 
@@ -513,7 +303,7 @@ def structure_check(params: ModelParams) -> StructureReport:
         for label_y, y in basis:
             pairs += 1
             lhs = bracket(field_of[label_x], field_of[label_y])
-            rhs = alpha(-semidirect_bracket(x, y), params)
+            rhs = alpha(y.commutator(x), params)
             if lhs != rhs:
                 mismatches.append((label_x, label_y))
     return StructureReport(n=n, pairs_checked=pairs, mismatches=tuple(mismatches))
@@ -552,9 +342,6 @@ class CenterVector:
         if not isinstance(k, int):
             raise ValueError("lattice vectors scale by integers only")
         return CenterVector(k * self.u, k * self.m, k * self.z)
-
-    def is_zero(self) -> bool:
-        return self.u == 0 and self.m == 0 and self.z == 0
 
     def serialize(self) -> Dict[str, object]:
         return {

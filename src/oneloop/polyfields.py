@@ -91,11 +91,6 @@ class PolyVectorField:
         self._table = None
 
     # --- algebra ---------------------------------------------------------
-    @staticmethod
-    def zero(n: int) -> "PolyVectorField":
-        nv = 4 * n - 1
-        return PolyVectorField(n, [Poly.zero(nv)] * nv)
-
     def _check(self, other: "PolyVectorField"):
         if not isinstance(other, PolyVectorField) or other.n != self.n:
             raise ValueError("field dimension mismatch")
@@ -124,9 +119,6 @@ class PolyVectorField:
         return self.n == other.n and self.comps == other.comps
 
     __hash__ = None
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
 
     # --- conjugation and reality ------------------------------------------
     def conjugate(self) -> "PolyVectorField":

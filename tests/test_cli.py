@@ -5,7 +5,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -337,16 +336,26 @@ class TestCurvatureCommand:
         assert len(report["rows"]) == 2
 
     def test_nan_residual_fails_the_run(self, capsys, monkeypatch):
-        # One NaN residual between finite ones must reach the reported maximum.
+        # One NaN residual between finite ones is an error naming its point,
+        # not a reported result.
         calls = iter([(-6.0, 0.0), (-6.0, float("nan")), (-6.0, 0.0)])
         monkeypatch.setattr(
             "oneloop.geometry.einstein_diagnostic", lambda p, params, step: next(calls)
         )
-        code, out, _ = run_cli(capsys, ["curvature", "--n", "1", "--points", "3"])
-        report = json.loads(out)
-        assert code == 1
-        assert report["all_pass"] is False
-        assert math.isnan(report["max_residual"])
+        code, out, err = run_cli(capsys, ["curvature", "--n", "1", "--points", "3"])
+        assert (code, out) == (2, "")
+        assert err == ("error: curvature at point 1 leaves the float range at c = 1.0: "
+                       "lambda = -6.0, residual = nan\n")
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_huge_c_is_an_error(self, capsys):
+        # The Gram matrix turns NaN at c = 1e308; the run must not print the
+        # NaN rows as if they were results (stdout would not be JSON).
+        code, out, err = run_cli(
+            capsys, ["curvature", "--n", "1", "--points", "1", "--c", "1e308"])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: curvature at point 0 leaves the float range at "
+                            "c = 1e+308: lambda = nan, residual = nan\n")
 
 
 class TestStencilErrors:
@@ -571,6 +580,8 @@ GOLDEN = [
      "error: command 'structure' reports JSON only\n"),
     (["center", "--n", "0"], 2, EMPTY_SHA256,
      "error: n must be a positive integer, got 0\n"),
+    (["verify-killing", "--n", "1", "--points", "1", "--c", "1e300"], 2, EMPTY_SHA256,
+     "error: Killing residual of YC leaves the float range at c = 1e+300: inf\n"),
 ]
 
 

@@ -93,7 +93,7 @@ class TestPoly:
         assert p == self.X * self.X - self.w0 * self.w0
         assert p.diff(self.t.x(1)) == 2 * self.X
         assert p.diff(self.t.w(0)) == (-2) * self.w0
-        assert p.diff(self.t.c).is_zero()
+        assert not p.diff(self.t.c)
 
     def test_subs_exact(self):
         p = self.X * self.w0 + QI(0, 2) * self.c
@@ -184,8 +184,10 @@ class TestRad:
         z = RadC(Rad(a, b, 1), Rad(a, b, 0, 1))        # 1 + i*sqrt(a)
         w = RadC(Rad(a, b, 0, 0, 1), Rad(a, b, 2))     # sqrt(b) + 2i
         prod = z * w
-        zc, wc = z.to_complex(), w.to_complex()
-        assert abs(prod.to_complex() - zc * wc) < 1e-12
+        def value(u):
+            return u.re.to_float() + 1j * u.im.to_float()
+
+        assert abs(value(prod) - value(z) * value(w)) < 1e-12
         assert z.conj().im == -z.im
         assert (z * z.conj()).im.is_zero()
 
@@ -455,5 +457,5 @@ class TestIntegerForm:
             x.to_complex(), x == k, hash(x)
             r + s, r - s, r * s, -r, r.scale(k), r * 3, r == s, r.is_zero(), r == k
             r.to_float(), hash(r)
-            z + w, z - w, z * w, -z, z.conj(), z * 2, z == w, z.to_complex()
+            z + w, z - w, z * w, -z, z.conj(), z * 2, z == w, z.is_zero()
         assert built == []

@@ -2,6 +2,7 @@
 verification against the vector-field realization, and the center-lattice
 calculator."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -12,38 +13,106 @@ from hypothesis import strategies as st
 
 from oneloop import liealg
 from oneloop.exact import QI, QI_I
-from oneloop.fields import GeneratorName, PolyVectorField, bracket, generator
+from oneloop.fields import GeneratorName, generator
 from oneloop.geometry import ModelParams
 from oneloop.liealg import (
     CenterVector,
     MatGl,
-    SemiDirectElement,
     algebra_basis,
     alpha,
+    blocks,
     f_generator,
     fprime_generator,
     gl_decompose,
     ker_cap_su,
     kernel_generators,
     kernel_generators_n1,
-    semidirect_bracket,
+    semidirect,
     sigma,
     structure_check,
 )
 
 
+def random_qi(rng):
+    return QI(
+        Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)),
+        Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)),
+    )
+
+
 def random_qi_matrix(n, rng):
-    rows = [
-        [
-            QI(
-                Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)),
-                Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)),
-            )
-            for _ in range(n)
-        ]
-        for _ in range(n)
-    ]
-    return MatGl(tuple(tuple(row) for row in rows))
+    return MatGl(tuple(tuple(random_qi(rng) for _ in range(n)) for _ in range(n)))
+
+
+def matrix(rows):
+    return MatGl(tuple(tuple(QI.coerce(e) for e in row) for row in rows))
+
+
+def unit(n, j, k):
+    """Matrix unit with a single 1 in row j, column k."""
+    return matrix([[1 if (r, s) == (j, k) else 0 for s in range(n)] for r in range(n)])
+
+
+def scalar(n, q):
+    return matrix([[q if j == k else 0 for k in range(n)] for j in range(n)])
+
+
+def combine(*terms):
+    """The matrix sum of q * X over (q, X) pairs, entrywise."""
+    n = terms[0][1].n
+    return MatGl(tuple(
+        tuple(sum((QI.coerce(q) * X.entries[j][k] for q, X in terms), QI(0))
+              for k in range(n))
+        for j in range(n)
+    ))
+
+
+def is_zero(X):
+    return not any(map(any, X.entries))
+
+
+def zeros(n):
+    return (QI(0),) * n
+
+
+def basis_vector(n, k):
+    return tuple(QI(1 if j == k else 0) for j in range(n))
+
+
+def block(A):
+    """The semidirect element with matrix block A and nothing else."""
+    return semidirect(A, zeros(A.n), zeros(A.n), QI(0))
+
+
+def e_translation(n, k):
+    return semidirect(scalar(n, 0), basis_vector(n, k), zeros(n), QI(0))
+
+
+def ebar_translation(n, k):
+    return semidirect(scalar(n, 0), zeros(n), basis_vector(n, k), QI(0))
+
+
+def center(n, t=1):
+    return semidirect(scalar(n, 0), zeros(n), zeros(n), QI.coerce(t))
+
+
+def c_element(n):
+    return block(scalar(n, QI_I))
+
+
+def u_element(n, a):
+    return block(unit(n, 0, a))
+
+
+def us_element(n, a):
+    return block(sigma(unit(n, 0, a)))
+
+
+def basis_coordinates(X):
+    """Coefficients of a semidirect element over ``algebra_basis``, in order."""
+    A, vE, vEbar, t = blocks(X)
+    lam, m, s, kappa = gl_decompose(A)
+    return [lam, *m, *s, *(k for row in kappa for k in row), *vE, *vEbar, t]
 
 
 # Entries that are often zero, integral or fractional, as in the basis.
@@ -61,47 +130,29 @@ matrix_pairs = st.integers(1, 4).flatmap(
     lambda n: st.tuples(qi_matrices(n), qi_matrices(n)))
 
 
-def c_element(n):
-    return SemiDirectElement.from_matrix(MatGl.identity(n).scale(QI_I))
-
-
-def u_element(n, a):
-    return SemiDirectElement.from_matrix(MatGl.unit(n, 0, a))
-
-
-def us_element(n, a):
-    return SemiDirectElement.from_matrix(sigma(MatGl.unit(n, 0, a)))
-
-
 class TestMatGlArithmetic:
-    """The zero-skipping matrix operations against dense entrywise oracles."""
+    """The zero-skipping commutator against a dense entrywise oracle."""
 
     @given(matrix_pairs)
     @settings(max_examples=80)
-    def test_product_matches_dense_oracle(self, pair):
+    def test_commutator_matches_dense_oracle(self, pair):
         A, B = pair
         n = A.n
-        dense = tuple(
-            tuple(sum((A.entries[j][l] * B.entries[l][k] for l in range(n)), QI(0))
-                  for k in range(n))
-            for j in range(n)
-        )
-        product = A @ B
-        assert product.entries == dense
-        assert MatGl(product.entries) == product  # entries pass the check
 
-    @given(matrix_pairs)
-    @settings(max_examples=80)
-    def test_sums_match_dense_oracle(self, pair):
-        A, B = pair
-        rows = list(zip(A.entries, B.entries))
-        assert (A + B).entries == tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in rows)
-        assert (A - B).entries == tuple(
-            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in rows)
-        assert (-A).entries == tuple(tuple(-a for a in row) for row in A.entries)
-        assert A.commutator(B) == (A @ B) - (B @ A)
-        assert A.is_zero() == all(a.is_zero() for row in A.entries for a in row)
+        def product(X, Y):
+            return [[sum((X.entries[j][l] * Y.entries[l][k] for l in range(n)), QI(0))
+                     for k in range(n)] for j in range(n)]
+
+        got = A.commutator(B)
+        assert got.entries == tuple(
+            tuple(x - y for x, y in zip(row_ab, row_ba))
+            for row_ab, row_ba in zip(product(A, B), product(B, A)))
+        assert MatGl(got.entries) == got  # entries pass the check
+        assert B.commutator(A) == combine((-1, got))
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="size mismatch"):
+            unit(2, 0, 1).commutator(unit(3, 0, 1))
 
 
 class TestSigma:
@@ -110,11 +161,11 @@ class TestSigma:
         # in row a, column 0.
         for n in (2, 3, 4):
             for a in range(1, n):
-                assert sigma(MatGl.unit(n, 0, a)) == MatGl.unit(n, a, 0)
+                assert sigma(unit(n, 0, a)) == unit(n, a, 0)
 
     def test_fixes_scalar_rotation(self):
         for n in (1, 2, 3):
-            C = MatGl.identity(n).scale(QI_I)
+            C = scalar(n, QI_I)
             assert sigma(C) == C
 
     def test_involution_on_random_matrices(self):
@@ -123,45 +174,54 @@ class TestSigma:
             for _ in range(5):
                 A = random_qi_matrix(n, rng)
                 assert sigma(sigma(A)) == A
+                # sigma(A) = -I conj(A)^T I with I = diag(-1, 1, ..., 1).
+                signs = [-1] + [1] * (n - 1)
+                assert sigma(A) == matrix([
+                    [-signs[j] * signs[k] * A.entries[k][j].conj() for k in range(n)]
+                    for j in range(n)])
 
     def test_antilinear(self):
         rng = random.Random(8)
         A = random_qi_matrix(3, rng)
         # sigma(i A) = -i sigma(A)
-        assert sigma(A.scale(QI_I)) == sigma(A).scale(-QI_I)
+        assert sigma(combine((QI_I, A))) == combine((-QI_I, sigma(A)))
 
 
 def re_im_sigma(A):
     """Split A = Re + i*Im with both parts fixed by the involution."""
     s = sigma(A)
-    return (A + s).scale(QI(Fraction(1, 2))), (A - s).scale(QI(0, Fraction(-1, 2)))
+    half = Fraction(1, 2)
+    return combine((half, A), (half, s)), combine((QI(0, -half), A), (QI(0, half), s))
 
 
 class TestReImSigma:
     def test_fixed_point_splits_trivially(self):
-        C = MatGl.identity(3).scale(QI_I)
+        C = scalar(3, QI_I)
         re, im = re_im_sigma(C)
         assert re == C
-        assert im.is_zero()
+        assert is_zero(im)
 
     def test_shear_split_parts_are_fixed(self):
         for n in (2, 3):
             for a in range(1, n):
-                U = MatGl.unit(n, 0, a)
+                U = unit(n, 0, a)
                 re, im = re_im_sigma(U)
                 assert sigma(re) == re
                 assert sigma(im) == im
-                assert re == (U + MatGl.unit(n, a, 0)).scale(QI(Fraction(1, 2)))
+                half = Fraction(1, 2)
+                assert re == combine((half, U), (half, unit(n, a, 0)))
 
     def test_exact_reconstruction(self):
         rng = random.Random(9)
         for n in (2, 3, 4):
             A = random_qi_matrix(n, rng)
             re, im = re_im_sigma(A)
-            assert re + im.scale(QI_I) == A
+            assert combine((1, re), (QI_I, im)) == A
 
 
 class TestSemiDirectElement:
+    """Elements of the semidirect sum as (n+2)x(n+2) matrices."""
+
     @pytest.mark.parametrize("vE, vEbar, t", [
         ((1, 0), (QI(0), QI(0)), QI(0)),
         ((QI(0), QI(0)), (QI(0), Fraction(1, 2)), QI(0)),
@@ -169,17 +229,64 @@ class TestSemiDirectElement:
     ], ids=["int-vE", "fraction-vEbar", "float-t"])
     def test_inexact_parts_rejected(self, vE, vEbar, t):
         with pytest.raises(ValueError, match="exact Gaussian rationals"):
-            SemiDirectElement(MatGl.zero(2), vE, vEbar, t)
+            semidirect(scalar(2, 0), vE, vEbar, t)
+
+    def test_translation_length_checked(self):
+        with pytest.raises(ValueError, match="length n"):
+            semidirect(scalar(2, 0), zeros(3), zeros(2), QI(0))
+
+    def test_layout(self):
+        # X = [[0, vE^T, (i/2) t], [0, A, I vEbar], [0, 0, 0]].
+        A = matrix([[1, 2], [3, 4]])
+        X = semidirect(A, (QI(5), QI(6)), (QI(7), QI(8)), QI(2))
+        assert X == matrix([
+            [0, 5, 6, QI(0, 1)],
+            [0, 1, 2, -7],
+            [0, 3, 4, 8],
+            [0, 0, 0, 0],
+        ])
+
+    def test_blocks_invert_the_constructor(self):
+        rng = random.Random(5)
+        for n in (1, 2, 3, 4):
+            A = random_qi_matrix(n, rng)
+            vE = tuple(random_qi(rng) for _ in range(n))
+            vEbar = tuple(random_qi(rng) for _ in range(n))
+            t = random_qi(rng)
+            X = semidirect(A, vE, vEbar, t)
+            assert X.n == n + 2
+            assert blocks(X) == (A, vE, vEbar, t)
+
+
+# sha256 of the bracket of every ordered basis pair for n = 1..4, each
+# written as its nonzero basis coordinates: the structure constants as the
+# earlier component-wise bracket (matrix action on each translation part,
+# one loop for the central part) computed them.
+STRUCTURE_DIGEST = "d7795296ef715feec3722c166816c03264fed352a580acbe328eeb71ee5d9a23"
 
 
 class TestSemidirectBracket:
+    def test_structure_constants_are_pinned(self):
+        lines = []
+        for n in range(1, 5):
+            basis = algebra_basis(n)
+            labels = [label for label, _ in basis]
+            for label_x, x in basis:
+                for label_y, y in basis:
+                    coords = basis_coordinates(x.commutator(y))
+                    terms = " ".join(f"{label}:{q.re},{q.im}"
+                                     for label, q in zip(labels, coords) if q)
+                    lines.append(f"{n} [{label_x},{label_y}] {terms}")
+        assert len(lines) == 978
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == STRUCTURE_DIGEST
+
     def test_scalar_rotation_acts_on_translations(self):
         # [C, E_k] = -i E_k
         for n in (1, 2, 3):
             C = c_element(n)
             for k in range(n):
-                E = SemiDirectElement.e_translation(n, k)
-                assert semidirect_bracket(C, E) == E.scale(-QI_I)
+                E = e_translation(n, k)
+                assert C.commutator(E) == combine((-QI_I, E))
 
     def test_shear_acts_on_translations(self):
         # [U_a, E_k] = -delta_{k0} E_a
@@ -187,87 +294,73 @@ class TestSemidirectBracket:
         for a in range(1, n):
             U = u_element(n, a)
             for k in range(n):
-                got = semidirect_bracket(U, SemiDirectElement.e_translation(n, k))
+                got = U.commutator(e_translation(n, k))
                 if k == 0:
-                    assert got == SemiDirectElement.e_translation(n, a).scale(-1)
+                    assert got == combine((-1, e_translation(n, a)))
                 else:
-                    assert got.is_zero()
+                    assert is_zero(got)
 
     def test_real_translation_center_pairing(self):
         # [e_k, f_l] = (delta_{k0}delta_{l0} - sum_a delta_{ka}delta_{la}) T
         n = 3
-        half = QI(Fraction(1, 2))
-        half_i = QI(0, Fraction(1, 2))
+        half = Fraction(1, 2)
         for k in range(n):
-            e_k = (
-                SemiDirectElement.e_translation(n, k)
-                + SemiDirectElement.ebar_translation(n, k)
-            ).scale(half)
+            e_k = combine((half, e_translation(n, k)), (half, ebar_translation(n, k)))
             for l in range(n):
-                f_l = (
-                    SemiDirectElement.e_translation(n, l)
-                    + SemiDirectElement.ebar_translation(n, l).scale(-1)
-                ).scale(half_i)
-                got = semidirect_bracket(e_k, f_l)
+                f_l = combine((QI(0, half), e_translation(n, l)),
+                              (QI(0, -half), ebar_translation(n, l)))
                 expected_t = 0
                 if k == l:
                     expected_t = 1 if k == 0 else -1
-                assert got == SemiDirectElement.center(n, expected_t)
+                assert e_k.commutator(f_l) == center(n, expected_t)
 
     def test_holomorphic_translations_commute(self):
         n = 2
         for k in range(n):
             for l in range(n):
-                Ek = SemiDirectElement.e_translation(n, k)
-                El = SemiDirectElement.e_translation(n, l)
-                assert semidirect_bracket(Ek, El).is_zero()
+                assert is_zero(e_translation(n, k).commutator(e_translation(n, l)))
 
     def test_center_is_central(self):
         n = 3
-        T = SemiDirectElement.center(n)
+        T = center(n)
         for _, x in algebra_basis(n):
-            assert semidirect_bracket(T, x).is_zero()
-            assert semidirect_bracket(x, T).is_zero()
+            assert is_zero(T.commutator(x))
+            assert is_zero(x.commutator(T))
 
     def test_antisymmetry_on_basis(self):
         n = 3
         basis = algebra_basis(n)
         for _, x in basis:
             for _, y in basis:
-                assert semidirect_bracket(x, y) == semidirect_bracket(y, x).scale(-1)
+                assert x.commutator(y) == combine((-1, y.commutator(x)))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_jacobi_identity_on_all_basis_triples(self, n):
         basis = [elem for _, elem in algebra_basis(n)]
         size = len(basis)
-        inner = [
-            [semidirect_bracket(basis[i], basis[j]) for j in range(size)]
-            for i in range(size)
-        ]
+        inner = [[basis[i].commutator(basis[j]) for j in range(size)]
+                 for i in range(size)]
         for i in range(size):
             for j in range(size):
                 for k in range(size):
-                    total = (
-                        semidirect_bracket(basis[i], inner[j][k])
-                        + semidirect_bracket(basis[j], inner[k][i])
-                        + semidirect_bracket(basis[k], inner[i][j])
-                    )
-                    assert total.is_zero()
+                    terms = (basis[i].commutator(inner[j][k]),
+                             basis[j].commutator(inner[k][i]),
+                             basis[k].commutator(inner[i][j]))
+                    flat = (sum(X.entries, ()) for X in terms)
+                    assert not any(p + q + r for p, q, r in zip(*flat))
 
     def test_real_form_membership(self):
         def is_real_form(x):
-            return (sigma(x.A) == x.A and x.t == x.t.conj()
-                    and all(a.conj() == b for a, b in zip(x.vE, x.vEbar)))
+            A, vE, vEbar, t = blocks(x)
+            return (sigma(A) == A and t == t.conj()
+                    and all(a.conj() == b for a, b in zip(vE, vEbar)))
 
         n = 2
         assert is_real_form(c_element(n))
-        half = QI(Fraction(1, 2))
-        e_0 = (
-            SemiDirectElement.e_translation(n, 0)
-            + SemiDirectElement.ebar_translation(n, 0)
-        ).scale(half)
+        half = Fraction(1, 2)
+        e_0 = combine((half, e_translation(n, 0)), (half, ebar_translation(n, 0)))
         assert is_real_form(e_0)
-        assert not is_real_form(SemiDirectElement.e_translation(n, 0))
+        assert not is_real_form(e_translation(n, 0))
         assert not is_real_form(u_element(n, 1))
 
 
@@ -277,25 +370,24 @@ class TestGlDecompose:
         for n in (1, 2, 3, 4):
             M = random_qi_matrix(n, rng)
             lam, m, s, kappa = gl_decompose(M)
-            rebuilt = MatGl.identity(n).scale(QI_I).scale(lam)
+            terms = [(QI_I * lam, scalar(n, 1))]
             for a in range(1, n):
-                rebuilt = rebuilt + MatGl.unit(n, 0, a).scale(m[a - 1])
-                rebuilt = rebuilt + MatGl.unit(n, a, 0).scale(s[a - 1])
+                terms += [(m[a - 1], unit(n, 0, a)), (s[a - 1], unit(n, a, 0))]
             for a in range(1, n):
                 for b in range(1, n):
-                    B = MatGl.unit(n, 0, a).commutator(MatGl.unit(n, b, 0))
-                    rebuilt = rebuilt + B.scale(kappa[a - 1][b - 1])
-            assert rebuilt == M
+                    B = unit(n, 0, a).commutator(unit(n, b, 0))
+                    terms.append((kappa[a - 1][b - 1], B))
+            assert combine(*terms) == M
 
     def test_commutator_matrix_has_unit_coefficient(self):
         n = 3
         for a in range(1, n):
             for b in range(1, n):
-                B = MatGl.unit(n, 0, a).commutator(sigma(MatGl.unit(n, 0, b)))
+                B = unit(n, 0, a).commutator(sigma(unit(n, 0, b)))
                 lam, m, s, kappa = gl_decompose(B)
-                assert lam.is_zero()
-                assert all(x.is_zero() for x in m)
-                assert all(x.is_zero() for x in s)
+                assert not lam
+                assert not any(m)
+                assert not any(s)
                 for aa in range(1, n):
                     for bb in range(1, n):
                         want = QI(1) if (aa, bb) == (a, b) else QI(0)
@@ -313,28 +405,24 @@ class TestAlpha:
             GeneratorName("YaBar", 1), params
         )
         for k in range(3):
-            assert alpha(
-                SemiDirectElement.e_translation(3, k), params
-            ) == generator(GeneratorName("Vk", k), params)
-        assert alpha(SemiDirectElement.center(3), params) == generator(
-            GeneratorName("T"), params
-        )
+            assert alpha(e_translation(3, k), params) == generator(
+                GeneratorName("Vk", k), params
+            )
+        assert alpha(center(3), params) == generator(GeneratorName("T"), params)
 
     def test_commutator_image_is_minus_shear_commutator(self):
         params = ModelParams(n=3, c=0.0)
         for a in range(1, 3):
             for b in range(1, 3):
-                B = semidirect_bracket(u_element(3, a), us_element(3, b))
+                B = u_element(3, a).commutator(us_element(3, b))
                 want = -generator(GeneratorName("CommYaYbBar", a, b), params)
                 assert alpha(B, params) == want
 
     def test_linearity(self):
         params = ModelParams(n=2, c=0.0)
-        x = c_element(2) + u_element(2, 1).scale(QI(3))
-        y = SemiDirectElement.e_translation(2, 1) + SemiDirectElement.center(
-            2, Fraction(1, 2)
-        )
-        lhs = alpha(x + y.scale(QI(0, 2)), params)
+        x = combine((1, c_element(2)), (3, u_element(2, 1)))
+        y = combine((1, e_translation(2, 1)), (1, center(2, Fraction(1, 2))))
+        lhs = alpha(combine((1, x), (QI(0, 2), y)), params)
         rhs = alpha(x, params) + alpha(y, params).scale(QI(0, 2))
         assert lhs == rhs
 
@@ -351,15 +439,13 @@ class TestAlpha:
         # images, built here one PolyVectorField operation at a time.
         n = math.isqrt(len(coeffs)) - 1
         params = ModelParams(n=n, c=0.0)
-        x = SemiDirectElement.zero(n)
-        want = PolyVectorField.zero(n)
-        for q, (_, elem), image in zip(coeffs, algebra_basis(n),
-                                       liealg._alpha_images(n)):
-            x = x + elem.scale(q)
+        x = combine(*((q, elem) for q, (_, elem) in zip(coeffs, algebra_basis(n))))
+        images = liealg._alpha_images(n)
+        want = images[0].scale(coeffs[0])
+        for q, image in zip(coeffs[1:], images[1:]):
             want = want + image.scale(q)
         assert alpha(x, params) == want
-        assert alpha(-x, params) == -want
-        assert -x == x.scale(-1)
+        assert alpha(combine((-1, x)), params) == -want
 
 
 class TestStructureCheck:
@@ -372,6 +458,17 @@ class TestStructureCheck:
         assert report.ok
 
     def test_fault_injection_detected(self, monkeypatch):
+        # A wrong central scale ([E_k, Ebar_k] = 4i eps_k T instead of
+        # 2i eps_k T) must break exactly the four E/Ebar pairs at n = 2.
+        monkeypatch.setattr(liealg, "_CENTRAL_SCALE", QI(0, -4))
+        report = structure_check(ModelParams(n=2, c=0.0))
+        assert set(report.mismatches) == {
+            ("E(0)", "Ebar(0)"), ("E(1)", "Ebar(1)"),
+            ("Ebar(0)", "E(0)"), ("Ebar(1)", "E(1)"),
+        }
+        assert len(report.mismatches) == 4
+        monkeypatch.undo()
+
         # Rescaling the image of the central generator by 2 must break
         # exactly the translation pairs that bracket into the center.
         def doubled(n, label):
@@ -438,7 +535,7 @@ class TestCenterVector:
         g1, g2 = kernel_generators(3)
         v = g1.scale_int(2) + (-g2)
         assert v == CenterVector(Fraction(7, 3), 1, Fraction(5, 3))
-        assert CenterVector.zero().is_zero()
+        assert v + g2.scale_int(1) == g1.scale_int(2)
 
 
 class TestKernelGenerators:
@@ -540,8 +637,8 @@ class TestIntersectionGenerators:
 
     def test_degenerate_branch_trivial(self):
         for n in (2, 3, 5):
-            assert f_generator(n, positive_c=False).is_zero()
-            assert fprime_generator(n, positive_c=False).is_zero()
+            assert f_generator(n, positive_c=False) == CenterVector.zero()
+            assert fprime_generator(n, positive_c=False) == CenterVector.zero()
 
     def test_fprime_small_n_rejected(self):
         with pytest.raises(ValueError):

@@ -12,9 +12,8 @@ from operator import add
 import pytest
 
 from oneloop import quatarith
-from oneloop.exact import QI, Rad, RadC, integer_solution
-from oneloop.heis import (HeisLatticePoint, HeisPoint, lattice_Ld, lattice_contains,
-                          lattice_coordinates)
+from oneloop.exact import Rad, RadC, integer_solution
+from oneloop.heis import HeisLatticePoint, HeisPoint, lattice_coordinates, lattice_Ld
 from oneloop.quatarith import (
     QuatInt,
     QuatParams,

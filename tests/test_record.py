@@ -9,7 +9,7 @@ from oneloop.cli import RunConfig
 from oneloop.exact import QI
 from oneloop.geometry import PointBarN
 from oneloop.heis import HeisLatticePoint, HeisPoint, LatticeDescription
-from oneloop.liealg import CenterVector, MatGl, SemiDirectElement, StructureReport
+from oneloop.liealg import CenterVector, MatGl, StructureReport
 from oneloop.params import ModelParams
 from oneloop.polyfields import GeneratorName
 from oneloop.quatarith import QuatInt, QuatParams
@@ -24,9 +24,6 @@ CASES = [
     (RunConfig, ("center",), ("lattice",), ("center", 0)),
     (ModelParams, (2, 1.0), (2, 0.5), (0,)),
     (MatGl, (((QI(1),),),), (((QI(2),),),), (((1,),),)),
-    (SemiDirectElement, (MatGl(((QI(0),),)), (QI(1),), (QI(0),), QI(0)),
-     (MatGl(((QI(0),),)), (QI(1),), (QI(0),), QI(1)),
-     (MatGl(((QI(0),),)), (QI(1),), (QI(0),), 0.5)),
     (StructureReport, (2, 16, ()), (2, 16, (("E1", "T"),)), None),
     (CenterVector, (Fraction(1, 2), 1, 0), (Fraction(1, 2), 2, 0), (0, 0.5, 0)),
     (GeneratorName, ("Ya", 1), ("Ya", 2), ("Nope",)),
