@@ -20,7 +20,9 @@ Each command returns one record (JSON report, CSV rows, exit code), and
 ``main`` renders it once, as JSON or through the command's CSV columns.
 Every report embeds the tolerances it used and the full numeric
 configuration, so identical configurations (including the seed) produce
-byte-identical output.  The process exit status is 0 exactly when every
+byte-identical output.  The seeded points come from Python's ``random``,
+whose sequence Python keeps across versions, so that holds across numpy
+versions too.  The process exit status is 0 exactly when every
 check in the invoked suite passes; table generators exit 0 when all row
 flags verify (lattice) or unconditionally on success (volume-table).
 Invalid input and an ``--out`` path that cannot be written exit 2, with
@@ -191,12 +193,16 @@ def _flag(value: bool) -> str:
 
 
 def cmd_verify_killing(config: RunConfig) -> Record:
+    import numpy as np
+
     from .fields import killing_residuals
     from .geometry import seeded_points
 
     params = ModelParams(n=config.n, c=config.effective_c)
     points = seeded_points(params, config.points, seed=config.seed)
-    residuals, control = killing_residuals(params, points, step=config.step)
+    # A value that leaves the float range is an error below, not a warning.
+    with np.errstate(all="ignore"):
+        residuals, control = killing_residuals(params, points, step=config.step)
     rows = [
         {
             "generator": label,
@@ -286,6 +292,8 @@ def cmd_center(config: RunConfig) -> Record:
 
 
 def cmd_curvature(config: RunConfig) -> Record:
+    import numpy as np
+
     from .geometry import einstein_diagnostic, seeded_points
 
     params = ModelParams(n=config.n, c=config.effective_c)
@@ -294,7 +302,9 @@ def cmd_curvature(config: RunConfig) -> Record:
     lambdas = []
     max_residual = 0.0
     for index, p in enumerate(points):
-        lam, residual = einstein_diagnostic(p, params, step=config.step)
+        # A value that leaves the float range is an error, not a warning.
+        with np.errstate(all="ignore"):
+            lam, residual = einstein_diagnostic(p, params, step=config.step)
         if not (math.isfinite(lam) and math.isfinite(residual)):
             raise OverflowError(
                 f"curvature at point {index} leaves the float range at "

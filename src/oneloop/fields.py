@@ -99,7 +99,12 @@ class _ChartEvaluator:
         fuse them and round differently.
         """
         vals = _chart_values(p, c_value)
-        powers = np.array([1 + 0j] + [z**e for e in range(1, self.emax + 1) for z in vals])
+        try:
+            powers = np.array([1 + 0j] + [z**e for e in range(1, self.emax + 1) for z in vals])
+        except OverflowError as exc:
+            raise OverflowError(
+                f"symmetry field terms leave the float range at c = {c_value!r}: "
+                f"a power of degree <= {self.emax} overflows") from exc
         re, im = self.coeffs.real, self.coeffs.imag
         for col in self.factors:
             a, b = powers.real[col], powers.imag[col]
@@ -196,8 +201,6 @@ def _rotation(theta: float) -> complex:
     """Unit complex number for the reduced angle; exact at full periods."""
     ang = math.remainder(theta, TAU)
     return complex(math.cos(ang), math.sin(ang))
-
-
 
 
 def _flow_map(name: GeneratorName, t: float, n: int) -> Tuple[np.ndarray, np.ndarray]:

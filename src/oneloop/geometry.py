@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
+import random
 
 import numpy as np
 
@@ -196,10 +198,13 @@ def _gram_from_chart(q, params):
 
 
 def metric_gram(p, params):
-    """Gram matrix of the deformed metric at p, RealChart order; checked PD."""
+    """Gram matrix of the deformed metric at p, RealChart order; checked
+    finite, then positive definite."""
     if p.n != params.n:
         raise ValueError(f"point has n={p.n} but params has n={params.n}")
     g = _gram_from_chart(p.to_chart(), params)
+    if not np.isfinite(g).all():
+        raise OverflowError(f"Gram matrix leaves the float range at c = {params.c!r}")
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
@@ -357,24 +362,44 @@ def einstein_diagnostic(p, params, step=1e-3):
     return lam, residual
 
 
-def seeded_points(params, count, seed=42, rng=None):
+def _polar_normals(rng):
+    """Two independent standard normals, as one complex number, by Marsaglia's
+    polar method from ``rng.random()`` draws only."""
+    while True:
+        u, v = 2.0 * rng.random() - 1.0, 2.0 * rng.random() - 1.0
+        s = u * u + v * v
+        if 0.0 < s < 1.0:
+            scale = math.sqrt(-2.0 * math.log(s) / s)
+            return complex(u * scale, v * scale)
+
+
+def seeded_points(params, count, seed=42):
     """Deterministic sample of valid points: ||X|| <= 0.9, |w^k| <= 2,
-    |phi_tilde| <= 2, rho in [0.5, 4]."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    |phi_tilde| <= 2, rho in [0.5, 4].
+
+    Every draw is ``random.Random(seed).random()``, whose sequence Python
+    keeps across versions.  The law: X = 0.9 sqrt(U) times a uniform unit
+    vector of C^{n-1} (normalized polar-method normals), w^k = 2 sqrt(U)
+    exp(2 pi i U'), phi_tilde = -2 + 4U, rho = 0.5 + 3.5U.  Each point draws,
+    in this order: the n-1 complex normals of X (each one accepted (u, v)
+    pair of the polar method), the radius of X, the radius and then the angle
+    of each w^k in k order, phi_tilde, rho.  This order fixes every report
+    that samples points.
+    """
+    rng = random.Random(seed)
     n = params.n
     points = []
     for _ in range(count):
-        if n > 1:
-            raw = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
-            norm = np.linalg.norm(raw)
-            radius = 0.9 * rng.uniform() ** 0.5
-            X = tuple((radius / norm) * raw) if norm > 0 else (0j,) * (n - 1)
+        raw = [_polar_normals(rng) for _ in range(n - 1)]
+        if raw:
+            norm = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in raw))
+            scale = 0.9 * math.sqrt(rng.random()) / norm
+            X = tuple(scale * z for z in raw)
         else:
             X = ()
-        w = tuple(2.0 * rng.uniform() ** 0.5 * np.exp(2j * np.pi * rng.uniform())
+        w = tuple(cmath.rect(2.0 * math.sqrt(rng.random()), 2.0 * math.pi * rng.random())
                   for _ in range(n))
-        phi = rng.uniform(-2.0, 2.0)
-        rho = rng.uniform(0.5, 4.0)
+        phi = -2.0 + 4.0 * rng.random()
+        rho = 0.5 + 3.5 * rng.random()
         points.append(PointBarN(X=X, w=w, phi_tilde=phi, rho=rho))
     return points

@@ -347,15 +347,15 @@ class TestCurvatureCommand:
         assert err == ("error: curvature at point 1 leaves the float range at c = 1.0: "
                        "lambda = -6.0, residual = nan\n")
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_c_is_an_error(self, capsys):
         # The Gram matrix turns NaN at c = 1e308; the run must not print the
-        # NaN rows as if they were results (stdout would not be JSON).
+        # NaN rows as if they were results (stdout would not be JSON), and
+        # its stderr is the error line alone, without numpy's warnings.
         code, out, err = run_cli(
             capsys, ["curvature", "--n", "1", "--points", "1", "--c", "1e308"])
         assert (code, out) == (2, "")
-        assert err.endswith("error: curvature at point 0 leaves the float range at "
-                            "c = 1e+308: lambda = nan, residual = nan\n")
+        assert err == "error: Gram matrix leaves the float range at c = 1e+308\n"
 
 
 class TestStencilErrors:
@@ -415,6 +415,40 @@ class TestProcessStart:
         )
         code, _, err = run_python(script)
         assert code == 0, err
+
+    def test_float_commands_leave_numpy_random_unloaded(self):
+        # The points come from the standard library's random; the last lines
+        # show that the check can fail: any read of numpy.random loads it.
+        script = (
+            "import contextlib, io, sys\n"
+            "import oneloop.cli\n"
+            "for argv in (['verify-killing', '--n', '2', '--points', '2'],\n"
+            "             ['curvature', '--n', '1', '--points', '1']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert oneloop.cli.main(argv) in (0, 1), argv\n"
+            "    assert 'numpy' in sys.modules, argv\n"
+            "    assert 'numpy.random' not in sys.modules, argv\n"
+            "import numpy\n"
+            "numpy.random\n"
+            "assert 'numpy.random' in sys.modules\n"
+        )
+        code, _, err = run_python(script)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("command, n, c", [
+        ("curvature", "1", "1e308"), ("verify-killing", "1", "1e308"),
+        ("verify-killing", "2", "1e160"), ("verify-killing", "3", "1e155"),
+    ])
+    def test_float_range_error_is_the_only_stderr_line(self, command, n, c):
+        # numpy's RuntimeWarnings would go to the process's stderr, which the
+        # in-process runs of GOLDEN do not see.
+        script = ("import sys\n"
+                  "from oneloop.cli import main\n"
+                  f"sys.exit(main([{command!r}, '--n', {n!r}, '--points', '1', "
+                  f"'--c', {c!r}]))\n")
+        code, out, err = run_python(script)
+        assert (code, out) == (2, "")
+        assert err == f"error: Gram matrix leaves the float range at c = {float(c)!r}\n"
 
     @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
     def test_one_blas_thread_unless_preset(self, preset, expected):
@@ -582,6 +616,19 @@ GOLDEN = [
      "error: n must be a positive integer, got 0\n"),
     (["verify-killing", "--n", "1", "--points", "1", "--c", "1e300"], 2, EMPTY_SHA256,
      "error: Killing residual of YC leaves the float range at c = 1e+300: inf\n"),
+    (["curvature", "--n", "1", "--points", "1", "--c", "1e308"], 2, EMPTY_SHA256,
+     "error: Gram matrix leaves the float range at c = 1e+308\n"),
+    (["verify-killing", "--n", "1", "--points", "1", "--c", "1e308"], 2, EMPTY_SHA256,
+     "error: Gram matrix leaves the float range at c = 1e+308\n"),
+    (["verify-killing", "--n", "2", "--points", "1", "--c", "1e160"], 2, EMPTY_SHA256,
+     "error: Gram matrix leaves the float range at c = 1e+160\n"),
+    (["verify-killing", "--n", "3", "--points", "1", "--c", "1e155"], 2, EMPTY_SHA256,
+     "error: Gram matrix leaves the float range at c = 1e+155\n"),
+    # At this seed the Gram matrix stays finite and c**2 overflows first.
+    (["verify-killing", "--n", "2", "--points", "1", "--c", "1.5e154", "--seed", "99"],
+     2, EMPTY_SHA256,
+     "error: symmetry field terms leave the float range at c = 1.5e+154: "
+     "a power of degree <= 2 overflows\n"),
 ]
 
 

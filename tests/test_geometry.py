@@ -1,5 +1,7 @@
 """Metric family: Bergman block, full Gram matrix, determinant, fiber data, Ricci."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -524,3 +526,45 @@ class TestSampling:
             assert abs(p.phi_tilde) <= 2.0
             assert 0.5 <= p.rho <= 4.0
         assert seeded_points(params, 3, seed=1) != seeded_points(params, 3, seed=2)
+
+    # sha256 of repr(seeded_points(ModelParams(n, 1.0), 5, seed)): the stream
+    # of random.Random, the polar method and the draw order of the docstring.
+    # The values pass through math.log, math.cos and math.sin, so a libm that
+    # rounds differently may move their last digits.
+    STREAM_SHA256 = {
+        (1, 42): "1ff2ddf6ba60ed9017420c23ac06e39e013861808f553ab20f626a961d5aee0b",
+        (2, 7): "5a1bc3f0c07829d2758f2644422e5df0b9ffe2e26ebc4f4a478d35a76806cad3",
+        (3, 2**64 - 1): "ce10d0fb67e16169a1f9cfc46f124aa713788599279d11213015ee6e61eba791",
+    }
+
+    @pytest.mark.parametrize("n, seed", list(STREAM_SHA256))
+    def test_pinned_stream(self, n, seed):
+        points = seeded_points(ModelParams(n, 1.0), 5, seed=seed)
+        digest = hashlib.sha256(repr(points).encode("utf-8")).hexdigest()
+        assert digest == self.STREAM_SHA256[(n, seed)]
+
+    @staticmethod
+    def ks_uniform(values):
+        """Kolmogorov-Smirnov distance of a sample from U(0, 1)."""
+        u = np.sort(values)
+        i = np.arange(1, u.size + 1)
+        return max(np.max(i / u.size - u), np.max(u - (i - 1) / u.size))
+
+    def test_law(self):
+        # X = 0.9 sqrt(U) times a uniform direction, |w| = 2 sqrt(U) with a
+        # uniform angle: the squared radii and the angle are uniform on [0, 1).
+        points = seeded_points(ModelParams(3, 1.0), 4000, seed=5)
+        X = np.array([p.X for p in points])
+        w = np.array([p.w for p in points])
+        phi = np.array([p.phi_tilde for p in points])
+        rho = np.array([p.rho for p in points])
+        samples = {
+            "X radius": (np.linalg.norm(X, axis=1) / 0.9) ** 2,
+            "w radius": (np.abs(w.ravel()) / 2.0) ** 2,
+            "w angle": np.angle(w.ravel()) / (2 * np.pi) % 1.0,
+        }
+        for name, values in samples.items():
+            assert self.ks_uniform(values) < 0.03, name
+        assert np.max(np.abs(X.mean(axis=0))) < 0.03
+        assert -2.0 <= phi.min() < -1.99 and 1.99 < phi.max() < 2.0
+        assert 0.5 <= rho.min() < 0.51 and 3.99 < rho.max() < 4.0

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -34,6 +35,25 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+NUMPY_RANDOM = re.compile(r"\b(?:np|numpy)\s*\.\s*random\b|from\s+numpy\s+import\b.*\brandom\b")
+
+
+def test_no_numpy_random():
+    # Seeded points come from the standard library's random, whose sequence
+    # Python keeps across versions; numpy.random promises no such thing and
+    # costs every float command its import.
+    sources = sorted(Path(oneloop.__file__).parent.rglob("*.py"))
+    assert any(path.name == "geometry.py" for path in sources)
+    found = [f"{path.name}:{number}"
+             for path in sources
+             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if NUMPY_RANDOM.search(line)]
+    assert found == []
+    assert all(map(NUMPY_RANDOM.search, (
+        "rng = np.random.default_rng(seed)", "import numpy.random",
+        "from numpy import linalg, random"))), "the pattern must catch these"
 
 
 def _is_all(node):
