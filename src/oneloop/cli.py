@@ -100,8 +100,8 @@ class RunConfig:
             raise ConfigError(f"out must be a path, got {self.out!r}")
         if not _is_int(self.n) or self.n < 1:
             raise ConfigError(f"n must be a positive integer, got {self.n!r}")
-        if self.c < 0:
-            raise ConfigError(f"c must be nonnegative, got {self.c!r}")
+        if not (math.isfinite(self.c) and self.c >= 0):
+            raise ConfigError(f"c must be a finite non-negative real, got {self.c!r}")
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit integer, got {self.seed!r}")
         if not _is_int(self.points) or self.points < 1:
@@ -239,8 +239,7 @@ def cmd_verify_killing(config: RunConfig) -> Record:
 def cmd_structure(config: RunConfig) -> Record:
     from .liealg import structure_check
 
-    params = ModelParams(n=config.n, c=config.effective_c)
-    report = structure_check(params)
+    report = structure_check(config.n)
     payload = {
         "command": "structure",
         "n": config.n,

@@ -25,6 +25,7 @@ from .geometry import (
     metric_first_derivatives,
     metric_gram,
 )
+from .params import VK_SHEAR
 from .polyfields import (  # noqa: F401 -- bracket is re-exported
     GeneratorName, PolyVectorField, _phi_dir, bracket, generator, imag_part,
     real_part,
@@ -66,11 +67,16 @@ def _chart_projections(n: int):
 class _ChartEvaluator:
     """Real chart vectors and Jacobians of a list of fields, all at once.
 
-    The fields' compiled terms are concatenated into one table.  At a point,
-    each term is its coefficient times the powers of its variables, taken in
-    variable order, and the terms are summed into their slots in the order of
-    ``Poly.terms``; the result equals the termwise evaluation of every
-    component and partial bit for bit.
+    The polynomial terms of every component and partial are compiled into
+    one table: term t adds coeffs[t] times the product of the powers listed
+    in factors[:, t] to slot (f, i, j) of the table, which holds
+    d(comp_i)/d(var_j) of field f for j < nv - 1 and comp_i itself for
+    j = nv - 1 (the c slot: no field is differentiated by c); power
+    1 + (e - 1)*nv + v is var_v**e.  At a point, each term is its
+    coefficient times the powers of its variables, taken in variable order,
+    and the terms are summed into their slots in the order of ``Poly.terms``;
+    the result equals the termwise evaluation of every component and partial
+    bit for bit.
     """
 
     def __init__(self, fields: Sequence[PolyVectorField]):
@@ -78,10 +84,13 @@ class _ChartEvaluator:
         nv = 4 * n - 1
         slots, coeffs, factors = [], [], []
         for f, F in enumerate(fields):
-            s, c, fa = F._terms()
-            slots += [f * nv * nv + x for x in s]
-            coeffs += c
-            factors += fa
+            for i, (comp, partials) in enumerate(zip(F.comps, F.partials())):
+                for j, poly in [*partials.items(), (nv - 1, comp)]:
+                    for mono, coeff in poly.terms.items():
+                        slots.append((f * nv + i) * nv + j)
+                        coeffs.append(coeff.to_complex())
+                        factors.append([1 + (e - 1) * nv + v
+                                        for v, e in enumerate(mono) if e])
         width = max(map(len, factors), default=0)
         self.factors = np.zeros((width, len(factors)), dtype=np.intp)
         for t, fa in enumerate(factors):
@@ -129,25 +138,26 @@ def real_killing_catalogue(params: ModelParams) -> List[Tuple[str, PolyVectorFie
 
     Contains the real fields YC, T, C1, C2 plus the real/imaginary
     combinations of the base shears Ya, the fiber translations Vk, and the
-    shear commutators.  Every entry satisfies the reality condition.
+    shear commutators.  Every entry satisfies the reality condition.  Only
+    ``params.n`` is read: the fields are polynomial in the symbol c.
     """
     n = params.n
     items: List[Tuple[str, PolyVectorField]] = [
-        ("YC", generator(GeneratorName("YC"), params)),
-        ("T", generator(GeneratorName("T"), params)),
-        ("C1", generator(GeneratorName("C1"), params)),
-        ("C2", generator(GeneratorName("C2"), params)),
+        ("YC", generator(GeneratorName("YC"), n)),
+        ("T", generator(GeneratorName("T"), n)),
+        ("C1", generator(GeneratorName("C1"), n)),
+        ("C2", generator(GeneratorName("C2"), n)),
     ]
     for a in range(1, n):
-        F = generator(GeneratorName("Ya", a), params)
+        F = generator(GeneratorName("Ya", a), n)
         items.append((f"re Ya({a})", real_part(F)))
         items.append((f"im Ya({a})", imag_part(F)))
     for k in range(n):
-        items.append((f"re V({k})", generator(GeneratorName("VkRe", k), params)))
-        items.append((f"im V({k})", generator(GeneratorName("VkIm", k), params)))
+        items.append((f"re V({k})", generator(GeneratorName("VkRe", k), n)))
+        items.append((f"im V({k})", generator(GeneratorName("VkIm", k), n)))
     for a in range(1, n):
         for b in range(a, n):
-            K = generator(GeneratorName("CommYaYbBar", a, b), params)
+            K = generator(GeneratorName("CommYaYbBar", a, b), n)
             items.append((f"re Comm({a},{b})", real_part(K)))
             items.append((f"im Comm({a},{b})", imag_part(K)))
     for label, field in items:
@@ -231,7 +241,7 @@ def _flow_map(name: GeneratorName, t: float, n: int) -> Tuple[np.ndarray, np.nda
         if not 0 <= k <= n - 1:
             raise ValueError(f"fiber index {k} out of range 0..{n - 1}")
         # The angle moves by shear * v^k (VkRe) or -shear * u^k (VkIm).
-        shear = (2.0 if k == 0 else -2.0) * t
+        shear = (VK_SHEAR if k == 0 else -VK_SHEAR) * t
         if kind == "VkRe":
             b[ix_u(k, n)] = t
             J[ix_phi(n), ix_v(k, n)] = shear

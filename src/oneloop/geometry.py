@@ -21,7 +21,7 @@ import random
 
 import numpy as np
 
-from .params import ModelParams  # noqa: F401 -- re-exported, defined without numpy
+from .params import THETA_SHEAR, ModelParams  # noqa: F401 -- ModelParams is re-exported
 from .record import record
 
 
@@ -103,24 +103,13 @@ def ix_phi(n):
     return 4 * n - 1
 
 
-# Coefficient of Im(conj(w^0)dw^0 - sum_a conj(w^a)dw^a) in the connection
-# 1-form of the angle coordinate, theta = dphi + 4v du - 4u dv in the w^0
-# plane.  The value 4 is right: with it the metric is Einstein with
-# lambda = -2(n+2) (n = 1, 2, relative residual <= 6e-8); with 2 it is not
-# Einstein at all (residual 0.25-1.2).  The fiber-translation generators V_k
-# in polyfields.py carry half this shear (Re V_0 = d/du + 2v d/dphi); since
-# L_{d/du + s v d/dphi} theta = (s - 4) dv, they are Killing only at s = 4,
-# and their Killing and flow rows fail until the catalogue is repaired.
-_THETA_SHEAR = 4.0
-
-
 @functools.lru_cache(maxsize=None)
 def _gram_layout(n):
     """Read-only layout of the five rows V and the diagonal at fixed n.
 
     V is the constant row block ``base`` (the 1s of Re pi, Im pi and theta)
     with V.flat[dst] = sign * q[src] scattered over it; every sign is +-1 or
-    +-_THETA_SHEAR, a power of two, so each product is exact.  theta's X block
+    +-THETA_SHEAR, a power of two, so each product is exact.  theta's X block
     holds Im sigma until the caller scales it by 2c/(1-s).  ``pick`` maps each
     chart index to one of the five diagonal values (rho, X block, w^0, w^a,
     phi).
@@ -139,7 +128,7 @@ def _gram_layout(n):
             (4, x, -1.0, y), (4, y, 1.0, x),    # theta: Im sigma, scaled later
         ]
     for k in range(n):
-        shear = _THETA_SHEAR if k == 0 else -_THETA_SHEAR  # + on w^0, - on w^a
+        shear = THETA_SHEAR if k == 0 else -THETA_SHEAR  # + on w^0, - on w^a
         u, v = ix_u(k, n), ix_v(k, n)
         entries += [(4, u, shear, v), (4, v, -shear, u)]
     rows, cols, sign, src = (np.array(col) for col in zip(*entries))
@@ -155,7 +144,7 @@ def _gram_from_chart(q, params):
     """Gram matrix of the deformed metric at a real-chart point (internal).
 
     With sigma = sum_a conj(X^a) dX^a, pi = dw^0 + sum_a X^a dw^a and the
-    angle form theta = dphi - _THETA_SHEAR * Im(conj(w^0)dw^0 - sum_a
+    angle form theta = dphi - THETA_SHEAR * Im(conj(w^0)dw^0 - sum_a
     conj(w^a)dw^a) + (2c/(1-s)) Im sigma, s = |X|^2, the metric is
 
         (rho+2c)/(rho+c) drho^2/(4 rho^2) + (rho+c)/(rho+2c) theta^2/(4 rho^2)
@@ -209,8 +198,9 @@ def metric_gram(p, params):
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(
-            "Gram matrix is not positive definite (internal consistency failure)"
-        ) from exc
+            f"Gram matrix at c = {params.c!r}, n = {params.n} is finite but fails "
+            "the floating-point positive-definiteness test: it is too "
+            "ill-conditioned at this c") from exc
     return g
 
 

@@ -33,6 +33,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .exact import QI, Rad, RadC, pivot_inverse
+from .params import signature
 from .record import record
 
 __all__ = [
@@ -64,7 +65,7 @@ class HermForm:
         if n < 1:
             raise ValueError("the form needs at least one complex dimension")
         self.n = n
-        self.signs: Tuple[int, ...] = (1,) + (-1,) * (n - 1)
+        self.signs: Tuple[int, ...] = signature(n)
 
     def h(self, v: Sequence, w: Sequence):
         if len(v) != self.n or len(w) != self.n:

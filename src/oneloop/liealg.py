@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .exact import QI, QI_I, QI_ONE, QI_ZERO
-from .params import ModelParams
+from .params import VK_SHEAR, signature
 from .record import record
 
 if TYPE_CHECKING:  # imported where used, so that center does not compile it
@@ -109,18 +109,14 @@ class MatGl:
         return MatGl._wrap(tuple(rows))
 
 
-def _indef_signs(n: int) -> Tuple[int, ...]:
-    """Diagonal of the signature matrix I: (-1, +1, ..., +1)."""
-    return tuple(-1 if j == 0 else 1 for j in range(n))
-
-
 def sigma(A: MatGl) -> MatGl:
     """Antilinear involution cutting out the indefinite-unitary real form.
 
     sigma(A) = -I conj(A)^T I with I = diag(-1, 1, ..., 1), entrywise
-    sigma(A)[j][k] = -s_j conj(A[k][j]) s_k.
+    sigma(A)[j][k] = -s_j conj(A[k][j]) s_k for s = ``signature(n)`` = -I
+    (the overall sign of s cancels).
     """
-    s = _indef_signs(A.n)
+    s = signature(A.n)
     return MatGl._wrap(tuple(
         tuple(a.conj() if sj != sk else -a.conj() for sk, a in zip(s, column))
         for sj, column in zip(s, zip(*A.entries))
@@ -131,11 +127,11 @@ def sigma(A: MatGl) -> MatGl:
 # The semidirect sum as (n+2)x(n+2) matrices
 # ---------------------------------------------------------------------------
 
-# X = [[0, vE^T, t / _CENTRAL_SCALE], [0, A, I vEbar], [0, 0, 0]].  The
-# commutator's corner entry is vE^T I vEbar' - vE'^T I vEbar, so
-# [E_k, Ebar_k] = _CENTRAL_SCALE * s_k * T = 2i * eps_k * T with
-# eps = (+1, -1, ..., -1).
-_CENTRAL_SCALE = QI(0, -2)
+# X = [[0, vE^T, t / _CENTRAL_SCALE], [0, A, I vEbar], [0, 0, 0]] with
+# I = -diag(eps), eps = signature(n).  The commutator's corner entry is
+# vE^T I vEbar' - vE'^T I vEbar, so [E_k, Ebar_k] = -_CENTRAL_SCALE * eps_k * T
+# = VK_SHEAR * i * eps_k * T, the bracket of the fiber translations V_k.
+_CENTRAL_SCALE = QI(0, -VK_SHEAR)
 
 
 def semidirect(A: MatGl, vE, vEbar, t) -> MatGl:
@@ -155,8 +151,8 @@ def semidirect(A: MatGl, vE, vEbar, t) -> MatGl:
         raise ValueError("vE, vEbar and t must be exact Gaussian rationals")
     zero = QI_ZERO
     rows = [(zero, *vE, t / _CENTRAL_SCALE)]
-    rows += [(zero, *row, v if s > 0 else -v)
-             for row, v, s in zip(A.entries, vEbar, _indef_signs(n))]
+    rows += [(zero, *row, -v if e > 0 else v)
+             for row, v, e in zip(A.entries, vEbar, signature(n))]
     rows.append((zero,) * (n + 2))
     return MatGl._wrap(tuple(rows))
 
@@ -165,8 +161,8 @@ def blocks(X: MatGl) -> Tuple[MatGl, Tuple[QI, ...], Tuple[QI, ...], QI]:
     """(A, vE, vEbar, t) of a semidirect element, as ``semidirect`` takes them."""
     top, *middle, _ = X.entries
     A = MatGl._wrap(tuple(row[1:-1] for row in middle))
-    vEbar = tuple(row[-1] if s > 0 else -row[-1]
-                  for row, s in zip(middle, _indef_signs(len(middle))))
+    vEbar = tuple(-row[-1] if e > 0 else row[-1]
+                  for row, e in zip(middle, signature(len(middle))))
     return A, top[1:-1], vEbar, _CENTRAL_SCALE * top[-1]
 
 
@@ -175,13 +171,20 @@ def blocks(X: MatGl) -> Tuple[MatGl, Tuple[QI, ...], Tuple[QI, ...], QI]:
 # ---------------------------------------------------------------------------
 
 
-def algebra_basis(n: int) -> List[Tuple[str, MatGl]]:
-    """Labelled basis of the complexified semidirect sum.
+@lru_cache(maxsize=None)
+def algebra_basis(n: int) -> Tuple[Tuple[str, MatGl, PolyVectorField], ...]:
+    """Labelled basis of the complexified semidirect sum, each element with
+    its vector-field image (c symbolic).
 
     Order: scalar rotation C, upper shears U_a, lower shears U_a^s, their
     commutators B(a,b) = [U_a, U_b^s], holomorphic translations E_k,
-    antiholomorphic translations Ebar_k, center T.
+    antiholomorphic translations Ebar_k, center T.  The images are the
+    symmetry catalogue: C to the phase rotation YC, U_a and U_a^s to the
+    shear pair Ya, YaBar, B(a,b) to minus the shear commutator, E_k and
+    Ebar_k to the fiber translations Vk, VkBar, T to the angle translation.
     """
+    from .polyfields import GeneratorName, generator
+
     if n < 1:
         raise ValueError("n must be at least 1")
     zero = (QI_ZERO,) * n
@@ -196,19 +199,23 @@ def algebra_basis(n: int) -> List[Tuple[str, MatGl]]:
     def element(A=matrix(), vE=zero, vEbar=zero, t=QI_ZERO):
         return semidirect(A, vE, vEbar, t)
 
+    def image(kind, *indices):
+        return generator(GeneratorName(kind, *indices), n)
+
     units = [tuple(QI_ONE if j == k else QI_ZERO for j in range(n)) for k in range(n)]
     shears = [matrix((0, a, QI_ONE)) for a in range(1, n)]
     U = [element(A) for A in shears]
     Us = [element(sigma(A)) for A in shears]
-    out = [("C", element(matrix(*((j, j, QI_I) for j in range(n)))))]
-    out += [(f"U({a})", x) for a, x in enumerate(U, 1)]
-    out += [(f"Us({a})", x) for a, x in enumerate(Us, 1)]
-    out += [(f"B({a},{b})", x.commutator(y))
+    out = [("C", element(matrix(*((j, j, QI_I) for j in range(n)))), image("YC"))]
+    out += [(f"U({a})", x, image("Ya", a)) for a, x in enumerate(U, 1)]
+    out += [(f"Us({a})", x, image("YaBar", a)) for a, x in enumerate(Us, 1)]
+    out += [(f"B({a},{b})", x.commutator(y), -image("CommYaYbBar", a, b))
             for a, x in enumerate(U, 1) for b, y in enumerate(Us, 1)]
-    out += [(f"E({k})", element(vE=v)) for k, v in enumerate(units)]
-    out += [(f"Ebar({k})", element(vEbar=v)) for k, v in enumerate(units)]
-    out.append(("T", element(t=QI_ONE)))
-    return out
+    out += [(f"E({k})", element(vE=v), image("Vk", k)) for k, v in enumerate(units)]
+    out += [(f"Ebar({k})", element(vEbar=v), image("VkBar", k))
+            for k, v in enumerate(units)]
+    out.append(("T", element(t=QI_ONE), image("T")))
+    return tuple(out)
 
 
 def gl_decompose(
@@ -235,42 +242,21 @@ def gl_decompose(
     return lam, m, s, kappa
 
 
-@lru_cache(maxsize=None)
-def _alpha_images(n: int) -> Tuple[PolyVectorField, ...]:
-    """Vector-field images of ``algebra_basis(n)``, in its order (c symbolic)."""
-    from .polyfields import GeneratorName, generator
-
-    params = ModelParams(n=n, c=0.0)
-    images = [generator(GeneratorName("YC"), params)]
-    images += [generator(GeneratorName("Ya", a), params) for a in range(1, n)]
-    images += [generator(GeneratorName("YaBar", a), params) for a in range(1, n)]
-    images += [-generator(GeneratorName("CommYaYbBar", a, b), params)
-               for a in range(1, n) for b in range(1, n)]
-    images += [generator(GeneratorName("Vk", k), params) for k in range(n)]
-    images += [generator(GeneratorName("VkBar", k), params) for k in range(n)]
-    images.append(generator(GeneratorName("T"), params))
-    return tuple(images)
-
-
-def alpha(x: MatGl, params: ModelParams) -> PolyVectorField:
+def alpha(x: MatGl) -> PolyVectorField:
     """Linear map from the abstract algebra to polynomial vector fields.
 
-    The basis goes to the symmetry catalogue: C to the phase rotation, U_a
-    and U_a^s to the shear pair, B(a,b) to minus the shear commutator, E_k
-    and Ebar_k to the fiber translations, T to the angle translation.  The
-    bracket check is anti-equivariant: [alpha(x), alpha(y)] = -alpha([x, y]).
-    The result is one linear combination of the cached basis images, with
-    the coefficients collected in ``algebra_basis`` order.
+    The basis goes to its images in ``algebra_basis``.  The bracket check is
+    anti-equivariant: [alpha(x), alpha(y)] = -alpha([x, y]).  The result is
+    one linear combination of the cached basis images, with the
+    coefficients collected in ``algebra_basis`` order.
     """
     from .polyfields import combination
 
     A, vE, vEbar, t = blocks(x)
     n = A.n
-    if n != params.n:
-        raise ValueError("size mismatch with params")
     lam, m, s, kappa = gl_decompose(A)
     coeffs = [lam, *m, *s, *(k for row in kappa for k in row), *vE, *vEbar, t]
-    return combination(n, zip(coeffs, _alpha_images(n)))
+    return combination(n, zip(coeffs, (image for _, _, image in algebra_basis(n))))
 
 
 @record(frozen=True)
@@ -286,24 +272,24 @@ class StructureReport:
         return not self.mismatches
 
 
-def structure_check(params: ModelParams) -> StructureReport:
-    """Verify [alpha(x), alpha(y)] = -alpha([x, y]) on all basis pairs.
+def structure_check(n: int) -> StructureReport:
+    """Verify [alpha(x), alpha(y)] = -alpha([x, y]) on all basis pairs at
+    dimension index n.
 
     Exact polynomial arithmetic with the deformation parameter symbolic;
-    -[x, y] is the commutator [y, x].
+    -[x, y] is the commutator [y, x], and alpha of a basis element is its
+    image.
     """
     from .polyfields import bracket
 
-    n = params.n
     basis = algebra_basis(n)
-    field_of = {label: alpha(elem, params) for label, elem in basis}
     mismatches: List[Tuple[str, str]] = []
     pairs = 0
-    for label_x, x in basis:
-        for label_y, y in basis:
+    for label_x, x, image_x in basis:
+        for label_y, y, image_y in basis:
             pairs += 1
-            lhs = bracket(field_of[label_x], field_of[label_y])
-            rhs = alpha(y.commutator(x), params)
+            lhs = bracket(image_x, image_y)
+            rhs = alpha(y.commutator(x))
             if lhs != rhs:
                 mismatches.append((label_x, label_y))
     return StructureReport(n=n, pairs_checked=pairs, mismatches=tuple(mismatches))

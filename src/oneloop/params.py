@@ -2,14 +2,37 @@
 
 ``ModelParams`` lives here rather than in ``geometry`` so that the exact
 subcommands (``center``, ``lattice``, ``volume-table``) can validate their
-parameters without importing numpy; ``geometry`` re-exports the name.
+parameters without importing numpy; ``geometry`` re-exports the name.  The
+two angle shears and the signature of the fiber form are stated here once,
+for the float metric and the exact symmetry layer alike.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 from .record import record
+
+# Coefficient of Im(conj(w^0)dw^0 - sum_a conj(w^a)dw^a) in the metric's
+# angle form, theta = dphi + 4v du - 4u dv in the w^0 plane.  With 4 the
+# metric is Einstein with lambda = -2(n+2) (n = 1, 2, relative residual
+# <= 6e-8); with 2 it is not (residual 0.25-1.2).
+THETA_SHEAR = 4
+
+# Angle shear of the fiber translations V_k in the symmetry catalogue:
+# Re V_0 = d/du + VK_SHEAR * v d/dphi.  Their angle coefficients
+# +-(VK_SHEAR/2) i wbar_k, their flows' angle shear +-VK_SHEAR * t and the
+# central scale of the matrix algebra all follow from it.  Since
+# L_{d/du + s v d/dphi} theta = (s - THETA_SHEAR) dv, the V_k are Killing
+# only at VK_SHEAR = THETA_SHEAR; at 2 their Killing and flow rows fail
+# until the catalogue is repaired by setting it to THETA_SHEAR.
+VK_SHEAR = 2
+
+
+def signature(n: int) -> Tuple[int, ...]:
+    """Signs (+1, -1, ..., -1) of the indefinite Hermitian form on C^n."""
+    return (1,) + (-1,) * (n - 1)
 
 
 @record(frozen=True)

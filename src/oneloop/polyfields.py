@@ -5,18 +5,19 @@ and their exact Lie brackets; :mod:`oneloop.fields` evaluates them in the chart.
 
 A field computes the nonzero partial derivatives of its components once, on
 first use, and keeps them (``PolyVectorField.partials``): every bracket with
-the field and its compiled chart table read them from there.  ``bracket`` and
-``combination`` add their products and scaled terms into one term dict per
-component through ``Poly._accumulate``, so the term order of a result is the
-one that summing ``Poly`` products would give.
+the field and the chart evaluator of :mod:`oneloop.fields` read them there.
+``bracket`` and ``combination`` add their products and scaled terms into one
+term dict per component through ``Poly._accumulate``, so the term order of a
+result is the one that summing ``Poly`` products would give.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import QI, QI_I, Poly, VarTable
-from .params import ModelParams
+from .params import VK_SHEAR
 from .record import record
 
 # Number of indices each generator kind takes.
@@ -73,7 +74,7 @@ class PolyVectorField:
     the radial coordinate.
     """
 
-    __slots__ = ("n", "comps", "_partials", "_table")
+    __slots__ = ("n", "comps", "_partials")
 
     def __init__(self, n: int, comps: Sequence[Poly]):
         comps = tuple(comps)
@@ -88,7 +89,6 @@ class PolyVectorField:
         self.n = n
         self.comps = comps
         self._partials = None
-        self._table = None
 
     # --- algebra ---------------------------------------------------------
     def _check(self, other: "PolyVectorField"):
@@ -148,30 +148,6 @@ class PolyVectorField:
                 for comp in self.comps
             )
         return self._partials
-
-    # --- evaluation --------------------------------------------------------
-    def _terms(self):
-        """Compiled polynomial terms of the components and their partials.
-
-        Returns cached lists (slots, coeffs, factors): term t adds coeffs[t]
-        times the product of the powers listed in factors[t] to slot
-        i*nv + j of the field's table, which holds d(comp_i)/d(var_j) for
-        j < nv - 1 and comp_i itself for j = nv - 1 (the c slot: no field is
-        differentiated by c).  Power 1 + (e - 1)*nv + v is var_v**e.
-        """
-        if self._table is None:
-            nv = 4 * self.n - 1
-            slots, coeffs, factors = [], [], []
-            for i, comp in enumerate(self.comps):
-                polys = [*self.partials()[i].items(), (nv - 1, comp)]
-                for j, poly in polys:
-                    for mono, coeff in poly.terms.items():
-                        slots.append(i * nv + j)
-                        coeffs.append(coeff.to_complex())
-                        factors.append([1 + (e - 1) * nv + v
-                                        for v, e in enumerate(mono) if e])
-            self._table = (slots, coeffs, factors)
-        return self._table
 
     def __repr__(self):
         n_nonzero = sum(1 for c in self.comps if c)
@@ -246,9 +222,9 @@ def _two_c_dphi(n: int) -> PolyVectorField:
     return PolyVectorField(n, comps)
 
 
-def generator(name: GeneratorName, params: ModelParams) -> PolyVectorField:
-    """Exact coefficient table of a catalogued generator (c symbolic)."""
-    n = params.n
+def generator(name: GeneratorName, n: int) -> PolyVectorField:
+    """Exact coefficient table of a catalogued generator at dimension index n
+    (c symbolic)."""
     vt = VarTable(n)
     nv = vt.nvars
 
@@ -280,24 +256,24 @@ def generator(name: GeneratorName, params: ModelParams) -> PolyVectorField:
         return PolyVectorField(n, comps)
 
     if kind == "YaBar":
-        return generator(GeneratorName("Ya", name.a), params).conjugate()
+        return generator(GeneratorName("Ya", name.a), n).conjugate()
 
     if kind == "Vk":
         k = name.a
         comps[vt.w(k)] = one()
-        sign = QI(0, 1) if k == 0 else QI(0, -1)
-        comps[_phi_dir(n)] = var(vt.wb(k)).scale(sign)
+        half_shear = QI(0, Fraction(VK_SHEAR, 2))
+        comps[_phi_dir(n)] = var(vt.wb(k)).scale(half_shear if k == 0 else -half_shear)
         return PolyVectorField(n, comps)
 
     if kind == "VkBar":
-        return generator(GeneratorName("Vk", name.a), params).conjugate()
+        return generator(GeneratorName("Vk", name.a), n).conjugate()
 
     if kind == "T":
         comps[_phi_dir(n)] = one()
         return PolyVectorField(n, comps)
 
     if kind == "C1":
-        return generator(GeneratorName("YC"), params) + _two_c_dphi(n)
+        return generator(GeneratorName("YC"), n) + _two_c_dphi(n)
 
     if kind == "C2":
         for a in range(1, n):
@@ -308,15 +284,15 @@ def generator(name: GeneratorName, params: ModelParams) -> PolyVectorField:
         return PolyVectorField(n, comps)
 
     if kind == "CommYaYbBar":
-        Fa = generator(GeneratorName("Ya", name.a), params)
-        Gb = generator(GeneratorName("YaBar", name.b), params)
+        Fa = generator(GeneratorName("Ya", name.a), n)
+        Gb = generator(GeneratorName("YaBar", name.b), n)
         return bracket(Fa, Gb)
 
     if kind == "VkRe":
-        return real_part(generator(GeneratorName("Vk", name.a), params))
+        return real_part(generator(GeneratorName("Vk", name.a), n))
 
     if kind == "VkIm":
-        return imag_part(generator(GeneratorName("Vk", name.a), params))
+        return imag_part(generator(GeneratorName("Vk", name.a), n))
 
     raise ValueError(f"unknown generator kind {kind!r}")
 

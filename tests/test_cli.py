@@ -108,6 +108,10 @@ class TestConfig:
             (["volume-table", "--grid", "1,inf"], "grid"),
             (["volume-table", "--vd", "inf"], "vd"),
             (["volume-table", "--vd", "nan"], "vd"),
+            (["center", "--n", "2", "--c", "nan"], "c"),
+            (["center", "--n", "2", "--c", "inf"], "c"),
+            (["lattice", "--bound", "1", "--c", "inf"], "c"),
+            (["structure", "--n", "1", "--c", "inf"], "c"),
         ],
     )
     def test_non_finite_values_rejected(self, capsys, args, field):
@@ -170,6 +174,8 @@ class TestConfigFile:
         ({"bound": True}, "bound"),
         ({"seed": True}, "seed"),
         ({"c_exact": {"lam": 0.1, "a": 2, "b": 3}}, "c_exact"),
+        ({"c": float("nan")}, "c"),
+        ({"c": float("inf")}, "c"),
     ])
     def test_wrong_type_is_a_config_error(self, capsys, tmp_path, command, payload, field):
         path = tmp_path / "cfg.json"
@@ -614,6 +620,8 @@ GOLDEN = [
      "error: command 'structure' reports JSON only\n"),
     (["center", "--n", "0"], 2, EMPTY_SHA256,
      "error: n must be a positive integer, got 0\n"),
+    (["center", "--n", "2", "--c", "nan"], 2, EMPTY_SHA256,
+     "error: c must be a finite non-negative real, got nan\n"),
     (["verify-killing", "--n", "1", "--points", "1", "--c", "1e300"], 2, EMPTY_SHA256,
      "error: Killing residual of YC leaves the float range at c = 1e+300: inf\n"),
     (["curvature", "--n", "1", "--points", "1", "--c", "1e308"], 2, EMPTY_SHA256,
@@ -629,6 +637,11 @@ GOLDEN = [
      2, EMPTY_SHA256,
      "error: symmetry field terms leave the float range at c = 1.5e+154: "
      "a power of degree <= 2 overflows\n"),
+    # Finite, but the Cholesky test fails in floating point.
+    (["verify-killing", "--n", "2", "--points", "1", "--c", "1e103"], 2, EMPTY_SHA256,
+     "error: Gram matrix at c = 1e+103, n = 2 is finite but fails the "
+     "floating-point positive-definiteness test: it is too ill-conditioned "
+     "at this c\n"),
 ]
 
 

@@ -212,9 +212,9 @@ def base_point(n, rho=1.25, phi=0.0):
 
 class TestGeneratorTables:
     def test_yc_components(self):
-        params = ModelParams(n=3, c=0.0)
+        n = 3
         vt = VarTable(3)
-        F = generator(GeneratorName("YC"), params)
+        F = generator(GeneratorName("YC"), n)
         for k in range(3):
             assert F.comps[vt.w(k)] == Poly.variable(vt.nvars, vt.w(k)).scale(QI(0, -1))
             assert F.comps[vt.wb(k)] == Poly.variable(vt.nvars, vt.wb(k)).scale(QI(0, 1))
@@ -224,37 +224,37 @@ class TestGeneratorTables:
             assert not F.comps[vt.xb(a)]
 
     def test_v0_components(self):
-        params = ModelParams(n=2, c=1.0)
+        n = 2
         vt = VarTable(2)
-        F = generator(GeneratorName("Vk", 0), params)
+        F = generator(GeneratorName("Vk", 0), n)
         assert F.comps[vt.w(0)] == Poly.const(vt.nvars, 1)
         assert F.comps[4 * 2 - 2] == Poly.variable(vt.nvars, vt.wb(0)).scale(QI(0, 1))
         assert not F.comps[vt.w(1)]
 
     def test_va_phi_sign_flips_for_positive_index(self):
-        params = ModelParams(n=3, c=0.0)
+        n = 3
         vt = VarTable(3)
-        F = generator(GeneratorName("Vk", 2), params)
+        F = generator(GeneratorName("Vk", 2), n)
         assert F.comps[4 * 3 - 2] == Poly.variable(vt.nvars, vt.wb(2)).scale(QI(0, -1))
 
     def test_t_is_unit_angle_field(self):
-        params = ModelParams(n=2, c=0.5)
-        F = generator(GeneratorName("T"), params)
+        n = 2
+        F = generator(GeneratorName("T"), n)
         assert F.comps[-1] == Poly.const(4 * 2 - 1, 1)
         assert not any(F.comps[:-1])
 
     def test_c1_has_no_angle_component(self):
-        params = ModelParams(n=2, c=2.0)
+        n = 2
         vt = VarTable(2)
-        F = generator(GeneratorName("C1"), params)
+        F = generator(GeneratorName("C1"), n)
         assert not F.comps[-1]
         assert F.comps[vt.w(0)] == Poly.variable(vt.nvars, vt.w(0)).scale(QI(0, -1))
 
     def test_ya_full_table_n3(self):
-        params = ModelParams(n=3, c=1.0)
+        n = 3
         vt = VarTable(3)
         nv = vt.nvars
-        F = generator(GeneratorName("Ya", 1), params)
+        F = generator(GeneratorName("Ya", 1), n)
         assert F.comps[vt.xb(1)] == Poly.const(nv, 1)
         for b in (1, 2):
             expect = (Poly.variable(nv, vt.x(1)) * Poly.variable(nv, vt.x(b))).scale(-1)
@@ -267,15 +267,15 @@ class TestGeneratorTables:
         assert not F.comps[vt.w(2)]
 
     def test_index_range_errors(self):
-        params = ModelParams(n=2, c=0.0)
+        n = 2
         with pytest.raises(IndexError):
-            generator(GeneratorName("Ya", 0), params)
+            generator(GeneratorName("Ya", 0), n)
         with pytest.raises(IndexError):
-            generator(GeneratorName("Ya", 2), params)
+            generator(GeneratorName("Ya", 2), n)
         with pytest.raises(IndexError):
-            generator(GeneratorName("Vk", 2), params)
+            generator(GeneratorName("Vk", 2), n)
         with pytest.raises(IndexError):
-            generator(GeneratorName("Vk", -1), params)
+            generator(GeneratorName("Vk", -1), n)
 
     def test_generator_name_validation(self):
         with pytest.raises(ValueError):
@@ -300,21 +300,21 @@ class TestReality:
         assert len(items) == 4 + 2 * 2 + 2 * 3 + 2 * 3
 
     def test_yc_real_ya_not(self):
-        params = ModelParams(n=2, c=1.0)
-        assert generator(GeneratorName("YC"), params).is_real()
-        assert not generator(GeneratorName("Ya", 1), params).is_real()
+        n = 2
+        assert generator(GeneratorName("YC"), n).is_real()
+        assert not generator(GeneratorName("Ya", 1), n).is_real()
 
     def test_conjugate_involution(self):
-        params = ModelParams(n=3, c=2.0)
+        n = 3
         for name in (GeneratorName("Ya", 2), GeneratorName("Vk", 1),
                      GeneratorName("CommYaYbBar", 1, 2)):
-            F = generator(name, params)
+            F = generator(name, n)
             assert F.conjugate().conjugate() == F
 
     def test_conjugate_of_ya_is_yabar(self):
-        params = ModelParams(n=3, c=1.0)
-        F = generator(GeneratorName("Ya", 2), params)
-        G = generator(GeneratorName("YaBar", 2), params)
+        n = 3
+        F = generator(GeneratorName("Ya", 2), n)
+        G = generator(GeneratorName("YaBar", 2), n)
         assert F.conjugate() == G
 
     def test_no_radial_component_structurally(self):
@@ -342,11 +342,11 @@ def bracket_catalogue(params):
     """The real Killing catalogue plus the complex shears and translations."""
     fields = [field for _, field in real_killing_catalogue(params)]
     for a in range(1, params.n):
-        fields.append(generator(GeneratorName("Ya", a), params))
-        fields.append(generator(GeneratorName("YaBar", a), params))
+        fields.append(generator(GeneratorName("Ya", a), params.n))
+        fields.append(generator(GeneratorName("YaBar", a), params.n))
     for k in range(params.n):
-        fields.append(generator(GeneratorName("Vk", k), params))
-        fields.append(generator(GeneratorName("VkBar", k), params))
+        fields.append(generator(GeneratorName("Vk", k), params.n))
+        fields.append(generator(GeneratorName("VkBar", k), params.n))
     return fields
 
 
@@ -359,66 +359,66 @@ class TestBracket:
                 assert bracket(F, G) == dense_bracket(F, G)
 
     def test_yc_with_vk_gives_i_vk(self):
-        params = ModelParams(n=3, c=0.5)
-        YC = generator(GeneratorName("YC"), params)
+        n = 3
+        YC = generator(GeneratorName("YC"), n)
         for k in range(3):
-            Vk = generator(GeneratorName("Vk", k), params)
+            Vk = generator(GeneratorName("Vk", k), n)
             assert bracket(YC, Vk) == Vk.scale(QI_I)
 
     def test_v0_with_v0bar(self):
-        params = ModelParams(n=2, c=1.0)
-        V0 = generator(GeneratorName("Vk", 0), params)
-        V0b = generator(GeneratorName("VkBar", 0), params)
+        n = 2
+        V0 = generator(GeneratorName("Vk", 0), n)
+        V0b = generator(GeneratorName("VkBar", 0), n)
         expected = zero_field_with_phi(2, Poly.const(4 * 2 - 1, QI(0, -2)))
         assert bracket(V0, V0b) == expected
 
     def test_shears_commute(self):
-        params = ModelParams(n=3, c=2.0)
+        n = 3
         for a in (1, 2):
             for b in (1, 2):
-                F = generator(GeneratorName("Ya", a), params)
-                G = generator(GeneratorName("Ya", b), params)
+                F = generator(GeneratorName("Ya", a), n)
+                G = generator(GeneratorName("Ya", b), n)
                 assert not any(bracket(F, G).comps)
 
     def test_comm_matches_closed_form(self):
         params = ModelParams(n=3, c=1.0)
         for a in (1, 2):
             for b in (1, 2):
-                K = generator(GeneratorName("CommYaYbBar", a, b), params)
+                K = generator(GeneratorName("CommYaYbBar", a, b), params.n)
                 assert K == comm_closed_form(a, b, params)
 
     def test_comm_matches_closed_form_n4(self):
         params = ModelParams(n=4, c=0.0)
         for a in (1, 3):
             for b in (2, 3):
-                K = generator(GeneratorName("CommYaYbBar", a, b), params)
+                K = generator(GeneratorName("CommYaYbBar", a, b), params.n)
                 assert K == comm_closed_form(a, b, params)
 
     def test_antisymmetry(self):
-        params = ModelParams(n=2, c=1.0)
-        F = generator(GeneratorName("Ya", 1), params)
-        G = generator(GeneratorName("VkBar", 1), params)
+        n = 2
+        F = generator(GeneratorName("Ya", 1), n)
+        G = generator(GeneratorName("VkBar", 1), n)
         assert bracket(F, G) == -bracket(G, F)
 
     def test_jacobi_identity(self):
-        params = ModelParams(n=3, c=1.0)
+        n = 3
         triples = [
             (GeneratorName("Ya", 1), GeneratorName("YaBar", 2), GeneratorName("Vk", 0)),
             (GeneratorName("Ya", 1), GeneratorName("YaBar", 1), GeneratorName("YC")),
             (GeneratorName("Vk", 0), GeneratorName("VkBar", 0), GeneratorName("Ya", 2)),
         ]
         for na, nb, nc in triples:
-            A = generator(na, params)
-            B = generator(nb, params)
-            C = generator(nc, params)
+            A = generator(na, n)
+            B = generator(nb, n)
+            C = generator(nc, n)
             J = (bracket(A, bracket(B, C)) + bracket(B, bracket(C, A))
                  + bracket(C, bracket(A, B)))
             assert not any(J.comps)
 
     def test_scale_linearity(self):
-        params = ModelParams(n=2, c=0.5)
-        F = generator(GeneratorName("Ya", 1), params)
-        G = generator(GeneratorName("Vk", 0), params)
+        n = 2
+        F = generator(GeneratorName("Ya", 1), n)
+        G = generator(GeneratorName("Vk", 0), n)
         q = QI(Fraction(2, 3), Fraction(-1, 5))
         assert bracket(F.scale(q), G) == bracket(F, G).scale(q)
 
@@ -454,7 +454,7 @@ class TestBracket:
 class TestEval:
     def test_t_unit_vector(self):
         params = ModelParams(n=2, c=1.0)
-        F = generator(GeneratorName("T"), params)
+        F = generator(GeneratorName("T"), params.n)
         p = seeded_points(params, 1)[0]
         vec = complex_components(F, p, params.c)
         assert vec[-1] == 1.0
@@ -462,7 +462,7 @@ class TestEval:
 
     def test_yc_at_base_point(self):
         params = ModelParams(n=2, c=0.7)
-        F = generator(GeneratorName("YC"), params)
+        F = generator(GeneratorName("YC"), params.n)
         vec = complex_components(F, base_point(2), params.c)
         assert vec[-1] == pytest.approx(-1.4)
         assert np.allclose(vec[:-1], 0.0)
@@ -471,7 +471,7 @@ class TestEval:
         params = ModelParams(n=3, c=0.8)
         for a in (1, 2):
             for b in (1, 2):
-                F = generator(GeneratorName("CommYaYbBar", a, b), params)
+                F = generator(GeneratorName("CommYaYbBar", a, b), params.n)
                 vec = complex_components(F, base_point(3), params.c)
                 expect = -2j * params.c if a == b else 0.0
                 assert vec[-1] == pytest.approx(expect)
@@ -479,7 +479,7 @@ class TestEval:
 
     def test_real_chart_vector_of_re_v0(self):
         params = ModelParams(n=1, c=0.0)
-        F = generator(GeneratorName("VkRe", 0), params)
+        F = generator(GeneratorName("VkRe", 0), params.n)
         p = PointBarN((), (1j,), 0.0, 1.0)
         vec = chart_vector(F, p, params.c)
         assert vec[ix_u(0, 1)] == 1.0
@@ -489,7 +489,7 @@ class TestEval:
 
     def test_real_chart_jacobian_matches_finite_difference(self):
         params = ModelParams(n=2, c=0.75)
-        F = imag_part(generator(GeneratorName("Ya", 1), params))
+        F = imag_part(generator(GeneratorName("Ya", 1), params.n))
         p = seeded_points(params, 1)[0]
         J = chart_jacobian(F, p, params.c)
         q0 = p.to_chart()
@@ -617,7 +617,7 @@ class TestKilling:
         # the mismatch to exactly a factor of two in the angle shear.
         params = ModelParams(n=2, c=0.5)
         for k in range(params.n):
-            F = generator(GeneratorName("Vk", k), params)
+            F = generator(GeneratorName("Vk", k), params.n)
             doubled = F + zero_field_with_phi(params.n, F.comps[-1])
             for part in (real_part(doubled), imag_part(doubled)):
                 for p in seeded_points(params, 2):
@@ -641,8 +641,8 @@ def frame_rank(p, params, tol=1e-8):
     n = params.n
     names = [GeneratorName("Ya", a) for a in range(1, n)]
     names += [GeneratorName("Vk", k) for k in range(n)]
-    fields = [generator(name, params) for name in names]
-    fields += [F.conjugate() for F in fields] + [generator(GeneratorName("T"), params)]
+    fields = [generator(name, n) for name in names]
+    fields += [F.conjugate() for F in fields] + [generator(GeneratorName("T"), n)]
     M = _ChartEvaluator(fields).table(p, params.c)[:, :, -1]
     return int(np.linalg.matrix_rank(M, tol=tol))
 
@@ -669,10 +669,10 @@ def stabilizer_basis(params):
     YC + 2c dphi and the normalized real and imaginary parts of the shear
     commutators, the diagonal imaginary parts corrected by 2c dphi."""
     n = params.n
-    out = [generator(GeneratorName("YC"), params) + _two_c_dphi(n)]
+    out = [generator(GeneratorName("YC"), n) + _two_c_dphi(n)]
     for a in range(1, n):
         for b in range(a, n):
-            K = generator(GeneratorName("CommYaYbBar", a, b), params)
+            K = generator(GeneratorName("CommYaYbBar", a, b), n)
             if a < b:  # (K + conj K)/2 and (K - conj K)/2i
                 out.append(real_part(K).scale(Fraction(1, 2)))
             im = imag_part(K).scale(Fraction(-1, 2))

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from oneloop import geometry
-from oneloop.geometry import (_THETA_SHEAR, ModelParams, PointBarN,
-                              _gram_from_chart, einstein_diagnostic,
-                              fiber_density_split, gram_det_p0, ix_phi, ix_u,
-                              ix_v, ix_x, ix_y, metric_first_derivatives,
-                              metric_gram, ricci_fd, seeded_points)
+from oneloop.geometry import (ModelParams, PointBarN, _gram_from_chart,
+                              einstein_diagnostic, fiber_density_split,
+                              gram_det_p0, ix_phi, ix_u, ix_v, ix_x, ix_y,
+                              metric_first_derivatives, metric_gram, ricci_fd,
+                              seeded_points)
+from oneloop.params import THETA_SHEAR
 
 
 def _sym_pair(A, B):
@@ -63,12 +64,12 @@ def gram_oracle(q, params):
     for a in range(1, n):
         pi += X[a - 1] * rows_w[a]
 
-    # theta = dphi - _THETA_SHEAR * Im(conj(w^0)dw^0 - sum_a conj(w^a)dw^a)
+    # theta = dphi - THETA_SHEAR * Im(conj(w^0)dw^0 - sum_a conj(w^a)dw^a)
     #              + (2c/(1-s)) Im(sum_a conj(X^a)dX^a)
     im_w = np.conj(w[0]) * rows_w[0]
     for a in range(1, n):
         im_w -= np.conj(w[a]) * rows_w[a]
-    theta = row_phi - _THETA_SHEAR * im_w.imag
+    theta = row_phi - THETA_SHEAR * im_w.imag
     if n > 1:
         theta = theta + (2.0 * c / one_minus) * sigma.imag
 
@@ -113,7 +114,7 @@ def gram_rows_reference(q, params):
     signed_w = np.zeros(dim)
     signed_w[2 * n - 1:2 * n + 1] = 1.0
     signed_w[2 * n + 1:-1] = -1.0
-    shear = _THETA_SHEAR * signed_w[2 * n - 1:-1:2]
+    shear = THETA_SHEAR * signed_w[2 * n - 1:-1:2]
 
     V = np.zeros((5, dim))
     V[0, 1:2 * n - 1:2], V[0, 2:2 * n - 1:2] = x, y    # Re sigma

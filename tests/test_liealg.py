@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from oneloop import liealg
 from oneloop.exact import QI, QI_I
 from oneloop.fields import GeneratorName, generator
-from oneloop.geometry import ModelParams
 from oneloop.liealg import (
     CenterVector,
     MatGl,
@@ -270,9 +269,9 @@ class TestSemidirectBracket:
         lines = []
         for n in range(1, 5):
             basis = algebra_basis(n)
-            labels = [label for label, _ in basis]
-            for label_x, x in basis:
-                for label_y, y in basis:
+            labels = [label for label, _, _ in basis]
+            for label_x, x, _ in basis:
+                for label_y, y, _ in basis:
                     coords = basis_coordinates(x.commutator(y))
                     terms = " ".join(f"{label}:{q.re},{q.im}"
                                      for label, q in zip(labels, coords) if q)
@@ -323,20 +322,20 @@ class TestSemidirectBracket:
     def test_center_is_central(self):
         n = 3
         T = center(n)
-        for _, x in algebra_basis(n):
+        for _, x, _ in algebra_basis(n):
             assert is_zero(T.commutator(x))
             assert is_zero(x.commutator(T))
 
     def test_antisymmetry_on_basis(self):
         n = 3
         basis = algebra_basis(n)
-        for _, x in basis:
-            for _, y in basis:
+        for _, x, _ in basis:
+            for _, y, _ in basis:
                 assert x.commutator(y) == combine((-1, y.commutator(x)))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_jacobi_identity_on_all_basis_triples(self, n):
-        basis = [elem for _, elem in algebra_basis(n)]
+        basis = [elem for _, elem, _ in algebra_basis(n)]
         size = len(basis)
         inner = [[basis[i].commutator(basis[j]) for j in range(size)]
                  for i in range(size)]
@@ -396,39 +395,31 @@ class TestGlDecompose:
 
 class TestAlpha:
     def test_basis_images(self):
-        params = ModelParams(n=3, c=0.0)
-        assert alpha(c_element(3), params) == generator(GeneratorName("YC"), params)
-        assert alpha(u_element(3, 2), params) == generator(
-            GeneratorName("Ya", 2), params
-        )
-        assert alpha(us_element(3, 1), params) == generator(
-            GeneratorName("YaBar", 1), params
-        )
+        assert alpha(c_element(3)) == generator(GeneratorName("YC"), 3)
+        assert alpha(u_element(3, 2)) == generator(GeneratorName("Ya", 2), 3)
+        assert alpha(us_element(3, 1)) == generator(GeneratorName("YaBar", 1), 3)
         for k in range(3):
-            assert alpha(e_translation(3, k), params) == generator(
-                GeneratorName("Vk", k), params
-            )
-        assert alpha(center(3), params) == generator(GeneratorName("T"), params)
+            assert alpha(e_translation(3, k)) == generator(GeneratorName("Vk", k), 3)
+            assert alpha(ebar_translation(3, k)) == generator(GeneratorName("VkBar", k), 3)
+        assert alpha(center(3)) == generator(GeneratorName("T"), 3)
 
     def test_commutator_image_is_minus_shear_commutator(self):
-        params = ModelParams(n=3, c=0.0)
         for a in range(1, 3):
             for b in range(1, 3):
                 B = u_element(3, a).commutator(us_element(3, b))
-                want = -generator(GeneratorName("CommYaYbBar", a, b), params)
-                assert alpha(B, params) == want
+                assert alpha(B) == -generator(GeneratorName("CommYaYbBar", a, b), 3)
+
+    def test_table_images_are_the_images_of_its_elements(self):
+        for n in (1, 2, 3):
+            for _, x, image in algebra_basis(n):
+                assert alpha(x) == image
 
     def test_linearity(self):
-        params = ModelParams(n=2, c=0.0)
         x = combine((1, c_element(2)), (3, u_element(2, 1)))
         y = combine((1, e_translation(2, 1)), (1, center(2, Fraction(1, 2))))
-        lhs = alpha(combine((1, x), (QI(0, 2), y)), params)
-        rhs = alpha(x, params) + alpha(y, params).scale(QI(0, 2))
+        lhs = alpha(combine((1, x), (QI(0, 2), y)))
+        rhs = alpha(x) + alpha(y).scale(QI(0, 2))
         assert lhs == rhs
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            alpha(c_element(2), ModelParams(n=3, c=0.0))
 
     @given(st.integers(1, 3).flatmap(
         lambda n: st.lists(qi_entries, min_size=(n + 1) ** 2,
@@ -438,49 +429,51 @@ class TestAlpha:
         # x = sum of coeff * basis element goes to the same sum of the
         # images, built here one PolyVectorField operation at a time.
         n = math.isqrt(len(coeffs)) - 1
-        params = ModelParams(n=n, c=0.0)
-        x = combine(*((q, elem) for q, (_, elem) in zip(coeffs, algebra_basis(n))))
-        images = liealg._alpha_images(n)
+        basis = algebra_basis(n)
+        x = combine(*((q, elem) for q, (_, elem, _) in zip(coeffs, basis)))
+        images = [image for _, _, image in basis]
         want = images[0].scale(coeffs[0])
         for q, image in zip(coeffs[1:], images[1:]):
             want = want + image.scale(q)
-        assert alpha(x, params) == want
-        assert alpha(combine((-1, x)), params) == -want
+        assert alpha(x) == want
+        assert alpha(combine((-1, x))) == -want
 
 
 class TestStructureCheck:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_zero_mismatches(self, n):
-        report = structure_check(ModelParams(n=n, c=0.0))
+        report = structure_check(n)
         basis_size = len(algebra_basis(n))
         assert report.pairs_checked == basis_size * basis_size
         assert report.mismatches == ()
         assert report.ok
 
     def test_fault_injection_detected(self, monkeypatch):
-        # A wrong central scale ([E_k, Ebar_k] = 4i eps_k T instead of
-        # 2i eps_k T) must break exactly the four E/Ebar pairs at n = 2.
-        monkeypatch.setattr(liealg, "_CENTRAL_SCALE", QI(0, -4))
-        report = structure_check(ModelParams(n=2, c=0.0))
+        # Twice the central scale ([E_k, Ebar_k] = 2 VK_SHEAR i eps_k T
+        # instead of VK_SHEAR i eps_k T) must break exactly the four E/Ebar
+        # pairs at n = 2.  The cached basis holds the elements built at the
+        # shipped scale, so it is rebuilt on each side of the patch.
+        monkeypatch.setattr(liealg, "_CENTRAL_SCALE", liealg._CENTRAL_SCALE * 2)
+        liealg.algebra_basis.cache_clear()
+        report = structure_check(2)
         assert set(report.mismatches) == {
             ("E(0)", "Ebar(0)"), ("E(1)", "Ebar(1)"),
             ("Ebar(0)", "E(0)"), ("Ebar(1)", "E(1)"),
         }
         assert len(report.mismatches) == 4
         monkeypatch.undo()
+        liealg.algebra_basis.cache_clear()
 
         # Rescaling the image of the central generator by 2 must break
         # exactly the translation pairs that bracket into the center.
         def doubled(n, label):
-            images = list(liealg._alpha_images(n))
-            i = [lbl for lbl, _ in algebra_basis(n)].index(label)
-            images[i] = images[i].scale(QI(2))
-            return tuple(images)
+            return tuple((lbl, x, image.scale(QI(2)) if lbl == label else image)
+                         for lbl, x, image in algebra_basis(n))
 
-        images4 = doubled(4, "U(1)")
-        images = doubled(2, "T")
-        monkeypatch.setattr(liealg, "_alpha_images", lambda n: images)
-        report = structure_check(ModelParams(n=2, c=0.0))
+        basis4 = doubled(4, "U(1)")
+        basis2 = doubled(2, "T")
+        monkeypatch.setattr(liealg, "algebra_basis", lambda n: basis2)
+        report = structure_check(2)
         assert not report.ok
         assert len(report.mismatches) == 4
         for label_x, label_y in report.mismatches:
@@ -489,8 +482,8 @@ class TestStructureCheck:
 
         # Doubling the image of U(1) at n = 4 breaks exactly these ordered
         # pairs: those whose bracket or whose factors involve U(1).
-        monkeypatch.setattr(liealg, "_alpha_images", lambda n: images4)
-        report = structure_check(ModelParams(n=4, c=0.0))
+        monkeypatch.setattr(liealg, "algebra_basis", lambda n: basis4)
+        report = structure_check(4)
         assert report.pairs_checked == 625
         assert report.mismatches == (
             ("U(1)", "Us(1)"), ("U(1)", "Us(2)"), ("U(1)", "Us(3)"),

@@ -375,6 +375,74 @@ def test_dead_imports_on_a_synthetic_source():
     assert _dead_imports(tree) == ["json", "pi"]
 
 
+def _model_params_lines(tree):
+    """Lines of a tree that take a ``params`` argument or name ModelParams."""
+    return sorted(node.lineno for node in ast.walk(tree) if (
+        isinstance(node, ast.arg) and node.arg == "params"
+        or isinstance(node, ast.Name) and node.id == "ModelParams"
+        or isinstance(node, ast.Attribute) and node.attr == "ModelParams"
+        or isinstance(node, ast.alias) and node.name == "ModelParams"))
+
+
+def _fact_definitions(tree):
+    """Names of shears (any name holding SHEAR) and of ``signature`` that a
+    tree assigns or defines, at any depth, in order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            found += [t.id for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Name)]
+    return [name for name in found if "SHEAR" in name or name == "signature"]
+
+
+def test_exact_layer_takes_n_not_model_params():
+    # The exact symmetry layer reads only n; a ModelParams would carry a c
+    # that it ignores.
+    package = ROOT / "src" / "oneloop"
+    found = {name: _model_params_lines(_parse(package / name))
+             for name in ("polyfields.py", "liealg.py")}
+    assert found == {"polyfields.py": [], "liealg.py": []}
+
+
+def test_shears_and_signature_are_defined_once():
+    # The V_k shear, the metric's shear and the form's signature are each
+    # stated once, in params.py; every other module imports them.
+    found = {path.name: _fact_definitions(_parse(path))
+             for path in sorted((ROOT / "src" / "oneloop").glob("*.py"))}
+    assert {name: defs for name, defs in found.items() if defs} == {
+        "params.py": ["THETA_SHEAR", "VK_SHEAR", "signature"]}
+
+
+FACTS = """
+from .params import VK_SHEAR
+_THETA_SHEAR = 4.0
+shear = 2
+
+
+def signature(n):
+    scale, VK_SHEAR2 = 2, 3
+    return (1,) * n
+
+
+def generator(name, params):
+    return name, params.n
+
+
+def alpha(x, *, flag=None):
+    from .params import ModelParams
+    return ModelParams(x)
+"""
+
+
+def test_fact_checks_on_a_synthetic_source():
+    tree = ast.parse(FACTS)
+    assert _fact_definitions(tree) == ["_THETA_SHEAR", "signature", "VK_SHEAR2"]
+    assert _model_params_lines(tree) == [12, 17, 18]
+
+
 @pytest.mark.parametrize("value", [
     QI(1, 2), Rad(2, 3, 1), RadC(Rad(2, 3, 1)), QuatInt(1, 0, 0, 0, QuatParams(2, 3)),
 ], ids=lambda value: type(value).__name__)
