@@ -39,7 +39,7 @@ import argparse
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .params import ModelParams
 from .record import fields, record
@@ -47,7 +47,7 @@ from .record import fields, record
 if TYPE_CHECKING:  # json and fractions load only where they are used
     from fractions import Fraction
 
-__all__ = ["RunConfig", "ConfigError", "main"]
+__all__ = ["RunConfig", "ConfigError", "main", "run"]
 
 KILLING_TOLERANCE = 1e-6
 CONTROL_THRESHOLD = 1e-2
@@ -265,7 +265,9 @@ def cmd_center(config: RunConfig) -> Record:
     )
 
     n = config.n
-    positive_c = config.effective_c > 0
+    # c > 0 exactly when LAM > 0, so the exact LAM decides it without the
+    # float c (whose computation loads quatarith and heis).
+    positive_c = config.c_exact[0] > 0 if config.c_exact is not None else config.c > 0
     n1 = n == 1
     if n1:
         kernel = [kernel_generators_n1()]
@@ -559,5 +561,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
+def run() -> NoReturn:
+    """Run ``main`` and end the process with its exit code.
+
+    The entry point of ``python -m oneloop.cli`` and of the ``oneloop``
+    script.  Once the report and any ``error:`` line are flushed, the process
+    ends with ``os._exit``: interpreter teardown would only free modules and
+    objects (numpy's among them) that the OS reclaims anyway.  So no atexit
+    hook runs.  A ``main`` that raises, or a flush that fails (a closed
+    pipe), takes the ordinary ``sys.exit`` path, whose teardown reports the
+    error as any Python program does.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,23 +1,28 @@
 """Driver tests: configuration precedence, determinism, report shapes,
 exit-code semantics, and the pinned example outputs."""
 
+import ast
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import oneloop
+import oneloop.cli
 from oneloop.cli import _COMMANDS, ConfigError, RunConfig, build_config, main
 from oneloop.quatarith import QuatParams, c_compatible
 
 
 EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, args):
@@ -275,6 +280,14 @@ class TestCenterCommand:
         assert report["c_positive"] is False
         assert report["F"] == "(0,0,0)"
 
+    def test_c_positive_follows_the_exact_lam(self, capsys):
+        # This LAM is positive, but its float c underflows to 0.0.
+        assert build_config(["center", "--c-exact", "1e-400:2:3"]).effective_c == 0.0
+        code, out, _ = run_cli(capsys, ["center", "--n", "2", "--c-exact", "1e-400:2:3"])
+        assert code == 0
+        assert out == run_cli(capsys, ["center", "--n", "2", "--c-exact", "1:2:3"])[1]
+        assert json.loads(out)["c_positive"] is True
+
 
 class TestKillingCommand:
     def test_exact_rows_pass_and_translation_rows_fail(self, capsys):
@@ -388,16 +401,21 @@ class TestStencilErrors:
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
-def run_python(script, blas_threads=None):
-    """Exit code, stdout and stderr of a fresh interpreter running script
-    with this package on its path and OPENBLAS_NUM_THREADS = blas_threads
-    (unset for None)."""
+def child_env(blas_threads=None):
+    """This environment with the package on the path and
+    OPENBLAS_NUM_THREADS = blas_threads (unset for None)."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(oneloop.__file__))
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
-    result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    return env
+
+
+def run_python(script, blas_threads=None):
+    """Exit code, stdout and stderr of a fresh interpreter running script,
+    in child_env(blas_threads)."""
+    result = subprocess.run([sys.executable, "-c", script], env=child_env(blas_threads),
+                            capture_output=True, text=True)
     return result.returncode, result.stdout, result.stderr
 
 
@@ -441,6 +459,23 @@ class TestProcessStart:
         code, _, err = run_python(script)
         assert code == 0, err
 
+    def test_center_c_exact_leaves_quatarith_and_heis_unloaded(self):
+        # c > 0 is read from the exact LAM; the last lines show that the
+        # check can fail: the float c loads both modules.
+        script = (
+            "import contextlib, io, sys\n"
+            "import oneloop.cli\n"
+            "argv = ['center', '--n', '2', '--c-exact', '1:2:3']\n"
+            "modules = {'oneloop.quatarith', 'oneloop.heis'}\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert oneloop.cli.main(argv) == 0\n"
+            "assert not modules & set(sys.modules), modules & set(sys.modules)\n"
+            "oneloop.cli.build_config(argv).effective_c\n"
+            "assert modules <= set(sys.modules)\n"
+        )
+        code, _, err = run_python(script)
+        assert code == 0, err
+
     @pytest.mark.parametrize("command, n, c", [
         ("curvature", "1", "1e308"), ("verify-killing", "1", "1e308"),
         ("verify-killing", "2", "1e160"), ("verify-killing", "3", "1e155"),
@@ -469,6 +504,80 @@ class TestProcessStart:
         )
         code, out, err = run_python(script, preset)
         assert (code, out) == (0, expected + "\n"), err
+
+
+def run_module(args, env, **kwargs):
+    """The finished ``python -m oneloop.cli args`` child, its streams as UTF-8 text."""
+    return subprocess.run([sys.executable, "-m", "oneloop.cli", *args], env=env,
+                          encoding="utf-8", **kwargs)
+
+
+class TestProcessExit:
+    """``python -m oneloop.cli`` and the ``oneloop`` script end the process
+    through ``run``, which skips interpreter teardown once the output is
+    flushed; what a caller sees must be what ``main`` gives in process."""
+
+    @pytest.mark.parametrize("args, code", [
+        (["center", "--n", "2"], 0),
+        (["volume-table", "--n", "1", "--format", "csv"], 0),
+        (["verify-killing", "--n", "1", "--points", "2"], 1),
+        (["center", "--n", "0"], 2),
+        (["curvature", "--n", "1", "--points", "1", "--c", "1e308"], 2),
+        (["lattice", "--bound", "2", "--out"], 0),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
+    def test_module_run_matches_main(self, capsys, tmp_path, args, code):
+        out_file = tmp_path / "report"
+        if args[-1] == "--out":
+            args = args + [str(out_file)]
+        child = run_module(args, child_env(), capture_output=True)
+        if "--out" in args:
+            assert out_file.read_text(encoding="utf-8") == child.stdout
+        assert (child.returncode, child.stdout, child.stderr) == run_cli(capsys, args)
+        assert child.returncode == code
+
+    @pytest.mark.parametrize("args", [["lattice", "--bound", "2"], ["center", "--n", "2"]],
+                             ids=" ".join)
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_takes_the_ordinary_exit(self, args, unbuffered):
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = run_module(args, env, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        lines = child.stderr.splitlines()
+        if unbuffered:
+            # The write in main raises, and its traceback ends the process.
+            assert child.returncode == 1
+            assert lines[0] == "Traceback (most recent call last):"
+            assert lines[-3].endswith(", in main")
+            assert lines[-2:] == ["    sys.stdout.write(text)",
+                                  "BrokenPipeError: [Errno 32] Broken pipe"]
+        else:
+            # main returns; the failed flush is reported once, by teardown.
+            assert child.returncode == 120
+            assert len(lines) == 2
+            assert lines[0].startswith(
+                "Exception ignored in: <_io.TextIOWrapper name='<stdout>' ")
+            assert lines[1] == "BrokenPipeError: [Errno 32] Broken pipe"
+
+    def test_script_and_module_share_one_exit_function(self, capsys):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+        module, _, name = pyproject["project"]["scripts"]["oneloop"].partition(":")
+        tree = ast.parse(Path(oneloop.cli.__file__).read_text(encoding="utf-8"))
+        blocks = [node.body for node in tree.body if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert [[ast.unparse(statement) for statement in body] for body in blocks] == [
+            [f"{name}()"]]
+        assert getattr(importlib.import_module(module), name) is oneloop.cli.run
+        # main itself returns its code: this process is still running.
+        assert run_cli(capsys, ["center", "--n", "0"])[0] == 2
+        assert run_cli(capsys, ["center", "--n", "2"])[0] == 0
 
 
 class TestLatticeCommand:
@@ -590,6 +699,10 @@ class TestOneRecord:
 GOLDEN = [
     (["center", "--n", "2"], 0,
      "5cada451a0062a06c972269b0913bd36dba51c549b205736f92f9d12698d073d", ""),
+    (["center", "--n", "2", "--c-exact", "1:2:3"], 0,
+     "5cada451a0062a06c972269b0913bd36dba51c549b205736f92f9d12698d073d", ""),
+    (["center", "--n", "2", "--c-exact", "0:2:3"], 0,
+     "018d13605f9d2224f5cc2234dbb786ed86f3b21f94de9132e2ca4a171c5e3c7f", ""),
     (["center", "--n", "6"], 0,
      "60a035c63559c34cd71a482ee22c9a441aaebfeba4d256d215f5a5e901a55988", ""),
     (["structure", "--n", "1"], 0,
