@@ -3,9 +3,9 @@
 Modules:
     exact      exact arithmetic (Gaussian rationals, polynomials, radical rings)
     record     the class decorator behind every value class
-    params     the model parameters (n, c), without numpy
+    params     the model parameters (n, c)
     geometry   the metric family, Gram matrices, determinants, FD curvature
-    polyfields exact polynomial Killing fields and brackets, without numpy
+    polyfields exact polynomial Killing fields and brackets
     fields     float Killing residuals and closed-form flows
     liealg     exact matrix model of the isometry algebra and center lattices
     heis       Heisenberg groups, arithmetic lattices, unipotent witness
@@ -13,12 +13,13 @@ Modules:
     volume     fiber volume density, closed-form and quadrature volumes
     cli        batch driver with deterministic machine-readable reports
 
-Only geometry and fields import numpy, and the CLI imports them inside the
-float commands (verify-killing, curvature), so importing the package and
-running any other command never loads numpy.  No module of the package
-imports dataclasses, whose import pulls in inspect, ast and tokenize: the
-value classes come from the record decorator, so the commands that do not
-load numpy load none of these modules.
+No module imports numpy: the float commands (verify-killing, curvature)
+compute in plain Python floats, on matrices so small (12x12 at n = 3) that
+numpy's import would cost more than the work.  The CLI imports geometry and fields
+inside those commands only, so importing the package and running any other
+command loads neither.  No module of the package imports dataclasses, whose
+import pulls in inspect, ast and tokenize: the value classes come from the
+record decorator, so no command loads these modules.
 """
 
 __version__ = "0.1.0"

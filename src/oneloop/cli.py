@@ -21,9 +21,9 @@ Each command returns one record (JSON report, CSV rows, exit code), and
 Every report embeds the tolerances it used and the full numeric
 configuration, so identical configurations (including the seed) produce
 byte-identical output.  The seeded points come from Python's ``random``,
-whose sequence Python keeps across versions, so that holds across numpy
-versions too.  The process exit status is 0 exactly when every
-check in the invoked suite passes; table generators exit 0 when all row
+whose sequence Python keeps across versions, and the float commands run in
+plain Python floats, with no numpy.  The process exit status is 0 exactly
+when every check in the invoked suite passes; table generators exit 0 when all row
 flags verify (lattice) or unconditionally on success (volume-table).
 Invalid input and an ``--out`` path that cannot be written exit 2, with
 nothing on stdout.
@@ -187,22 +187,19 @@ def _flag(value: bool) -> str:
 # commands: each returns a Record (JSON report, CSV rows or None, exit code)
 #
 # Each command imports the modules it needs inside its body, so a process
-# compiles and loads only its own suite; above all, numpy (through fields and
-# geometry) loads only for the float commands.
+# compiles and loads only its own suite: the float commands load geometry
+# (and fields), the exact ones liealg, quatarith or volume.  No command loads
+# numpy; the float commands' matrices are at most 12x12 at the n they run.
 # ---------------------------------------------------------------------------
 
 
 def cmd_verify_killing(config: RunConfig) -> Record:
-    import numpy as np
-
     from .fields import killing_residuals
     from .geometry import seeded_points
 
     params = ModelParams(n=config.n, c=config.effective_c)
     points = seeded_points(params, config.points, seed=config.seed)
-    # A value that leaves the float range is an error below, not a warning.
-    with np.errstate(all="ignore"):
-        residuals, control = killing_residuals(params, points, step=config.step)
+    residuals, control = killing_residuals(params, points, step=config.step)
     rows = [
         {
             "generator": label,
@@ -293,8 +290,6 @@ def cmd_center(config: RunConfig) -> Record:
 
 
 def cmd_curvature(config: RunConfig) -> Record:
-    import numpy as np
-
     from .geometry import einstein_diagnostic, seeded_points
 
     params = ModelParams(n=config.n, c=config.effective_c)
@@ -303,9 +298,7 @@ def cmd_curvature(config: RunConfig) -> Record:
     lambdas = []
     max_residual = 0.0
     for index, p in enumerate(points):
-        # A value that leaves the float range is an error, not a warning.
-        with np.errstate(all="ignore"):
-            lam, residual = einstein_diagnostic(p, params, step=config.step)
+        lam, residual = einstein_diagnostic(p, params, step=config.step)
         if not (math.isfinite(lam) and math.isfinite(residual)):
             raise OverflowError(
                 f"curvature at point {index} leaves the float range at "
@@ -531,9 +524,6 @@ def build_config(argv: Sequence[str]) -> RunConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # No matrix here is larger than 16x16, so an OpenBLAS worker thread only
-    # spins; set before any command imports numpy, and a preset value wins.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         config = build_config(list(sys.argv[1:] if argv is None else argv))
     except ConfigError as exc:
@@ -567,10 +557,10 @@ def run() -> NoReturn:
     The entry point of ``python -m oneloop.cli`` and of the ``oneloop``
     script.  Once the report and any ``error:`` line are flushed, the process
     ends with ``os._exit``: interpreter teardown would only free modules and
-    objects (numpy's among them) that the OS reclaims anyway.  So no atexit
-    hook runs.  A ``main`` that raises, or a flush that fails (a closed
-    pipe), takes the ordinary ``sys.exit`` path, whose teardown reports the
-    error as any Python program does.
+    objects that the OS reclaims anyway.  So no atexit hook runs.  A
+    ``main`` that raises, or a flush that fails (a closed pipe), takes the
+    ordinary ``sys.exit`` path, whose teardown reports the error as any
+    Python program does.
     """
     code = main()
     try:

@@ -1,7 +1,8 @@
 """Float half of the symmetry fields: Killing residuals and flows.
 
 Evaluates the exact fields of :mod:`oneloop.polyfields` (re-exported here) in
-the real chart, against finite-difference metric derivatives, with numpy.
+the real chart, in Python complex arithmetic, against finite-difference
+metric derivatives.
 """
 
 from __future__ import annotations
@@ -10,12 +11,12 @@ import functools
 import math
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from .exact import VarTable
 from .geometry import (
     ModelParams,
     PointBarN,
+    _max_abs,
+    _weighted_sum,
     ix_phi,
     ix_rho,
     ix_u,
@@ -42,94 +43,110 @@ def _chart_values(p: PointBarN, c_value) -> List[complex]:
 
 
 @functools.lru_cache(maxsize=None)
-def _chart_projections(n: int):
-    """Constant complex maps from a field table to the real chart.
+def _chart_pairs(n: int):
+    """(holomorphic variable, antiholomorphic variable, real chart index,
+    imaginary chart index) of each complex coordinate X^a, w^k.
 
-    Real chart components are Re(rows @ comps) for comps on (dX, dXbar, dw,
-    dwbar, dphi); chart partials of a component are partials @ cols for its
-    partials by the variables (d/dx = d/dX + d/dXbar, d/dy = i(d/dX -
-    d/dXbar)).  Radial rows and columns, and the angle column, are zero.
+    A real field's chart component along x + iy is the holomorphic
+    component A, read as (Re A, Im A); the chart partials of a component B
+    are d/dx B = dB/dX + dB/dXbar and d/dy B = i(dB/dX - dB/dXbar).
     """
     vt = VarTable(n)
-    rows = np.zeros((4 * n, vt.nvars), dtype=complex)
-    cols = np.zeros((vt.nvars - 1, 4 * n), dtype=complex)
-    pairs = [(vt.x(a), vt.xb(a), ix_x(a), ix_y(a)) for a in range(1, n)]
-    pairs += [(vt.w(k), vt.wb(k), ix_u(k, n), ix_v(k, n)) for k in range(n)]
-    for hol, antihol, re_ix, im_ix in pairs:
-        rows[re_ix, hol], rows[im_ix, hol] = 1.0, -1.0j
-        cols[hol, re_ix], cols[antihol, re_ix] = 1.0, 1.0
-        cols[hol, im_ix], cols[antihol, im_ix] = 1.0j, -1.0j
-    rows[ix_phi(n), _phi_dir(n)] = 1.0
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
+    return tuple([(vt.x(a), vt.xb(a), ix_x(a), ix_y(a)) for a in range(1, n)]
+                 + [(vt.w(k), vt.wb(k), ix_u(k, n), ix_v(k, n)) for k in range(n)])
 
 
 class _ChartEvaluator:
     """Real chart vectors and Jacobians of a list of fields, all at once.
 
     The polynomial terms of every component and partial are compiled into
-    one table: term t adds coeffs[t] times the product of the powers listed
-    in factors[:, t] to slot (f, i, j) of the table, which holds
+    one program over a flat table: slot (f*nv + i)*nv + j holds
     d(comp_i)/d(var_j) of field f for j < nv - 1 and comp_i itself for
-    j = nv - 1 (the c slot: no field is differentiated by c); power
-    1 + (e - 1)*nv + v is var_v**e.  At a point, each term is its
+    j = nv - 1 (the c slot: no field is differentiated by c).  Each slot
+    lists its terms as a coefficient and the powers it multiplies, where
+    power 1 + (e - 1)*nv + v is var_v**e.  At a point each term is its
     coefficient times the powers of its variables, taken in variable order,
-    and the terms are summed into their slots in the order of ``Poly.terms``;
-    the result equals the termwise evaluation of every component and partial
-    bit for bit.
+    and the terms are summed into their slot in the order of ``Poly.terms``,
+    in Python complex arithmetic: the termwise evaluation of every component
+    and partial, bit for bit.
+
+    The fields are real, so the chart projections (``_chart_pairs``) read
+    only the holomorphic and angle components; per field they list only the
+    vector and Jacobian entries that some term can make nonzero.  The radial
+    and angle columns of a Jacobian are zero.
     """
 
     def __init__(self, fields: Sequence[PolyVectorField]):
-        self.n = n = fields[0].n
+        n = fields[0].n
         nv = 4 * n - 1
-        slots, coeffs, factors = [], [], []
+        self.shape = (len(fields), nv, nv)
+        self.program = []
         for f, F in enumerate(fields):
             for i, (comp, partials) in enumerate(zip(F.comps, F.partials())):
                 for j, poly in [*partials.items(), (nv - 1, comp)]:
-                    for mono, coeff in poly.terms.items():
-                        slots.append((f * nv + i) * nv + j)
-                        coeffs.append(coeff.to_complex())
-                        factors.append([1 + (e - 1) * nv + v
-                                        for v, e in enumerate(mono) if e])
-        width = max(map(len, factors), default=0)
-        self.factors = np.zeros((width, len(factors)), dtype=np.intp)
-        for t, fa in enumerate(factors):
-            self.factors[:len(fa), t] = fa
-        self.emax = max(((i - 1) // nv + 1 for fa in factors for i in fa), default=1)
-        self.slots = np.array(slots, dtype=np.intp)
-        self.coeffs = np.array(coeffs, dtype=complex)
-        self.shape = (len(fields), nv, nv)
+                    terms = tuple((coeff.to_complex(),
+                                   tuple(1 + (e - 1) * nv + v for v, e in enumerate(mono) if e))
+                                  for mono, coeff in poly.terms.items())
+                    if terms:
+                        self.program.append(((f * nv + i) * nv + j, terms))
+        self.emax = max(((index - 1) // nv + 1 for _, terms in self.program
+                         for _, factors in terms for index in factors), default=1)
+        nonzero = {slot for slot, _ in self.program}
+        pairs = _chart_pairs(n)
+        components = [(h, re, im) for h, _, re, im in pairs] + [(_phi_dir(n), ix_phi(n), None)]
+        self.vectors, self.jacobians = [], []
+        for f in range(len(fields)):
+            comp_slot = [(f * nv + h) * nv for h in range(nv)]
+            self.vectors.append([(comp_slot[h] + nv - 1, re, im) for h, re, im in components
+                                 if comp_slot[h] + nv - 1 in nonzero])
+            self.jacobians.append([
+                (comp_slot[h] + hv, comp_slot[h] + av, re, im, re_col, im_col)
+                for h, re, im in components for hv, av, re_col, im_col in pairs
+                if comp_slot[h] + hv in nonzero or comp_slot[h] + av in nonzero])
 
-    def table(self, p: PointBarN, c_value) -> np.ndarray:
-        """Complex table T[f, i, j] of every field's components and partials.
-
-        Powers are Python complex powers and the products are spelled out in
-        real arithmetic, as CPython forms them: NumPy's complex multiply may
-        fuse them and round differently.
-        """
+    def table(self, p: PointBarN, c_value) -> List[complex]:
+        """Flat complex table of every field's components and partials (see
+        the class docstring for the slots); slots without terms hold 0j."""
         vals = _chart_values(p, c_value)
         try:
-            powers = np.array([1 + 0j] + [z**e for e in range(1, self.emax + 1) for z in vals])
+            powers = [1 + 0j] + [z**e for e in range(1, self.emax + 1) for z in vals]
         except OverflowError as exc:
             raise OverflowError(
                 f"symmetry field terms leave the float range at c = {c_value!r}: "
                 f"a power of degree <= {self.emax} overflows") from exc
-        re, im = self.coeffs.real, self.coeffs.imag
-        for col in self.factors:
-            a, b = powers.real[col], powers.imag[col]
-            re, im = re * a - im * b, re * b + im * a
-        size = self.shape[0] * self.shape[1] * self.shape[2]
-        out = np.empty(size, dtype=complex)
-        out.real = np.bincount(self.slots, re, size)
-        out.imag = np.bincount(self.slots, im, size)
-        return out.reshape(self.shape)
+        out = [0j] * (self.shape[0] * self.shape[1] * self.shape[2])
+        for slot, terms in self.program:
+            total = 0j
+            for term, factors in terms:
+                for index in factors:
+                    term *= powers[index]
+                total += term
+            out[slot] = total
+        return out
 
     def __call__(self, p: PointBarN, c_value):
-        """(vectors, Jacobians) in the real chart, shapes (m, 4n), (m, 4n, 4n)."""
-        rows, cols = _chart_projections(self.n)
+        """Per field, the nonzero entries of its real chart vector, as
+        (chart index, value), and of its Jacobian, as (row, column, value)."""
         T = self.table(p, c_value)
-        vecs = (rows @ T[:, :, -1:]).real[:, :, 0]
-        jacs = (rows @ T[:, :, :-1] @ cols).real
+        vecs = []
+        for spec in self.vectors:
+            vec = []
+            for slot, re, im in spec:
+                z = T[slot]
+                vec.append((re, z.real))
+                if im is not None:
+                    vec.append((im, z.imag))
+            vecs.append(vec)
+        jacs = []
+        for spec in self.jacobians:
+            jac = []
+            for hol, antihol, re, im, re_col, im_col in spec:
+                d_hol, d_antihol = T[hol], T[antihol]
+                d_x, d_diff = d_hol + d_antihol, d_hol - d_antihol  # d/dy = i * d_diff
+                jac += [(re, re_col, d_x.real), (re, im_col, -d_diff.imag)]
+                if im is not None:
+                    jac += [(im, re_col, d_x.imag), (im, im_col, d_diff.real)]
+            jacs.append(jac)
         return vecs, jacs
 
 
@@ -168,13 +185,44 @@ def real_killing_catalogue(params: ModelParams) -> List[Tuple[str, PolyVectorFie
 
 # --- Killing verification ---------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _upper_positions(dim: int):
+    """(index of (i, j), i <= j, in the row-by-row upper triangle; for each b,
+    the index of the pair {x, b} for every x)."""
+    index = {}
+    for i in range(dim):
+        for j in range(i, dim):
+            index[i, j] = len(index)
+    cross = tuple(tuple(index[min(x, b), max(x, b)] for x in range(dim)) for b in range(dim))
+    return index, cross
+
+
 def _lie_derivatives(evaluate: _ChartEvaluator, p: PointBarN,
-                     params: ModelParams, D1: np.ndarray,
-                     g: np.ndarray) -> np.ndarray:
-    """L_F g = F^k d_k g + J^T g + g J for every field of ``evaluate``."""
+                     params: ModelParams, D1, g) -> List[List[float]]:
+    """L_F g = F^k d_k g + J^T g + g J for every field of ``evaluate``, as its
+    upper triangle row by row.
+
+    Only the nonzero entries of F and J are visited.  An entry J_ab adds
+    J_ab g_xa to (g J)_xb and to (J^T g)_bx for every x, which is the pair
+    {x, b} of the upper triangle, twice on the diagonal.
+    """
+    index, cross = _upper_positions(len(g))
+    D1_upper = [[x for i, row in enumerate(Dk) for x in row[i:]] for Dk in D1]
     vecs, jacs = evaluate(p, params.c)
-    L = np.einsum("fk,kij->fij", vecs, D1) + jacs.transpose(0, 2, 1) @ g + g @ jacs
-    return 0.5 * (L + L.transpose(0, 2, 1))
+    out = []
+    for vec, jac in zip(vecs, jacs):
+        if vec:
+            ks, values = zip(*vec)
+            L = _weighted_sum(len(vec))(values, [D1_upper[k] for k in ks], 1.0)
+        else:
+            L = [0.0] * len(index)
+        for a, b, value in jac:
+            row = g[a]
+            for position, x in zip(cross[b], row):
+                L[position] += value * x
+            L[index[b, b]] += value * row[b]
+        out.append(L)
+    return out
 
 
 def killing_residuals(params: ModelParams, points: Sequence[PointBarN],
@@ -193,13 +241,13 @@ def killing_residuals(params: ModelParams, points: Sequence[PointBarN],
         q = p.to_chart()
         D1 = metric_first_derivatives(q, params, step=step)
         g = metric_gram(p, params)
-        ginf = float(np.max(np.abs(g)))
+        ginf = _max_abs([x for row in g for x in row])
         L = _lie_derivatives(evaluate, p, params, D1, g)
-        for (label, _), peak in zip(catalogue, np.max(np.abs(L), axis=(1, 2)).tolist()):
-            rel = peak / ginf
+        for (label, _), Lf in zip(catalogue, L):
+            rel = _max_abs(Lf) / ginf
             if rel > residuals[label] or math.isnan(rel):
                 residuals[label] = rel
-        rel_control = float(np.max(np.abs(D1[ix_rho()]))) / ginf
+        rel_control = _max_abs([x for row in D1[ix_rho()] for x in row]) / ginf
         if rel_control > control or math.isnan(rel_control):
             control = rel_control
     return residuals, control
@@ -213,15 +261,18 @@ def _rotation(theta: float) -> complex:
     return complex(math.cos(ang), math.sin(ang))
 
 
-def _flow_map(name: GeneratorName, t: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The closed-form flow for time t as the real-chart affine map J q + b.
+def _flow_map(name: GeneratorName, t: float,
+              n: int) -> Tuple[List[List[float]], List[float]]:
+    """The closed-form flow for time t as the real-chart affine map J q + b,
+    J as a list of rows.
 
     Supported: C1 (fiber rotation), C2 (base and leading-fiber rotation),
     T (angle translation), VkRe/VkIm (fiber translation with angle shear).
     The radial coordinate never moves.
     """
     m = 4 * n
-    J, b = np.eye(m), np.zeros(m)
+    J = [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
+    b = [0.0] * m
     kind = name.kind
     if kind == "T":
         b[ix_phi(n)] = t
@@ -234,8 +285,8 @@ def _flow_map(name: GeneratorName, t: float, n: int) -> Tuple[np.ndarray, np.nda
             planes = [(ix_x(a), ix_y(a)) for a in range(1, n)]
             planes.append((ix_u(0, n), ix_v(0, n)))
         for iu, iv in planes:
-            J[iu, iu] = J[iv, iv] = z.real
-            J[iu, iv], J[iv, iu] = -z.imag, z.imag
+            J[iu][iu] = J[iv][iv] = z.real
+            J[iu][iv], J[iv][iu] = -z.imag, z.imag
     elif kind in ("VkRe", "VkIm"):
         k = name.a
         if not 0 <= k <= n - 1:
@@ -244,10 +295,10 @@ def _flow_map(name: GeneratorName, t: float, n: int) -> Tuple[np.ndarray, np.nda
         shear = (VK_SHEAR if k == 0 else -VK_SHEAR) * t
         if kind == "VkRe":
             b[ix_u(k, n)] = t
-            J[ix_phi(n), ix_v(k, n)] = shear
+            J[ix_phi(n)][ix_v(k, n)] = shear
         else:
             b[ix_v(k, n)] = t
-            J[ix_phi(n), ix_u(k, n)] = -shear
+            J[ix_phi(n)][ix_u(k, n)] = -shear
     else:
         raise ValueError(
             f"no closed-form flow implemented for generator {name.label()}"
@@ -264,11 +315,10 @@ def flow(name: GeneratorName, t: float, p: PointBarN) -> PointBarN:
     J, b = _flow_map(name, t, p.n)
     q = p.to_chart()
     return PointBarN.from_chart([
-        sum(J[i, j] * q[j] for j in np.flatnonzero(row)) + b[i]
-        for i, row in enumerate(J)
+        sum(x * y for x, y in zip(row, q) if x) + shift for row, shift in zip(J, b)
     ])
 
 
-def flow_jacobian(name: GeneratorName, t: float, p: PointBarN) -> np.ndarray:
+def flow_jacobian(name: GeneratorName, t: float, p: PointBarN) -> List[List[float]]:
     """Exact Jacobian of the closed-form flow in the real chart at p."""
     return _flow_map(name, t, p.n)[0]

@@ -2,7 +2,8 @@
 
 ``ModelParams`` lives here rather than in ``geometry`` so that the exact
 subcommands (``center``, ``lattice``, ``volume-table``) can validate their
-parameters without importing numpy; ``geometry`` re-exports the name.  The
+parameters without importing the float metric; ``geometry`` re-exports the
+name.  The
 two angle shears and the signature of the fiber form are stated here once,
 for the float metric and the exact symmetry layer alike.
 """

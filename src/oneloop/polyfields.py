@@ -1,4 +1,4 @@
-"""Exact polynomial vector fields on the fibered chart, without numpy.
+"""Exact polynomial vector fields on the fibered chart, without floats.
 
 The symmetry generators, with coefficients polynomial in (X, Xbar, w, wbar, c),
 and their exact Lie brackets; :mod:`oneloop.fields` evaluates them in the chart.

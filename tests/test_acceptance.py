@@ -229,13 +229,13 @@ def test_criterion_5_flow_suite(capsys):
         names += [GeneratorName("VkRe", k) for k in range(n)]
         names += [GeneratorName("VkIm", k) for k in range(n)]
         for p in seeded_points(params, 10, seed=42):
-            g_src = metric_gram(p, params)
+            g_src = np.array(metric_gram(p, params))
             scale = float(np.max(np.abs(g_src)))
             for name in names:
                 t = 0.37
                 q = flow(name, t, p)
-                jac = flow_jacobian(name, t, p)
-                pulled = jac.T @ metric_gram(q, params) @ jac
+                jac = np.array(flow_jacobian(name, t, p))
+                pulled = jac.T @ np.array(metric_gram(q, params)) @ jac
                 err = float(np.max(np.abs(pulled - g_src))) / scale
                 checked += 1
                 if err > PULLBACK_TOL:

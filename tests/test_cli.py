@@ -401,20 +401,17 @@ class TestStencilErrors:
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
-def child_env(blas_threads=None):
-    """This environment with the package on the path and
-    OPENBLAS_NUM_THREADS = blas_threads (unset for None)."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+def child_env():
+    """This environment with the package on the path."""
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(oneloop.__file__))
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = blas_threads
     return env
 
 
-def run_python(script, blas_threads=None):
+def run_python(script):
     """Exit code, stdout and stderr of a fresh interpreter running script,
-    in child_env(blas_threads)."""
-    result = subprocess.run([sys.executable, "-c", script], env=child_env(blas_threads),
+    in child_env()."""
+    result = subprocess.run([sys.executable, "-c", script], env=child_env(),
                             capture_output=True, text=True)
     return result.returncode, result.stdout, result.stderr
 
@@ -440,22 +437,25 @@ class TestProcessStart:
         code, _, err = run_python(script)
         assert code == 0, err
 
-    def test_float_commands_leave_numpy_random_unloaded(self):
-        # The points come from the standard library's random; the last lines
-        # show that the check can fail: any read of numpy.random loads it.
+    def test_no_command_loads_numpy(self):
+        # Every subcommand, the float ones included, runs in plain Python:
+        # no process has numpy in sys.modules.  The last lines show that the
+        # check can fail: importing numpy puts it there.
         script = (
             "import contextlib, io, sys\n"
             "import oneloop.cli\n"
             "for argv in (['verify-killing', '--n', '2', '--points', '2'],\n"
-            "             ['curvature', '--n', '1', '--points', '1']):\n"
+            "             ['curvature', '--n', '1', '--points', '1'],\n"
+            "             ['center', '--n', '2'], ['structure', '--n', '1'],\n"
+            "             ['lattice', '--bound', '2'], ['volume-table', '--n', '1']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert oneloop.cli.main(argv) in (0, 1), argv\n"
-            "    assert 'numpy' in sys.modules, argv\n"
-            "    assert 'numpy.random' not in sys.modules, argv\n"
+            "    assert 'numpy' not in sys.modules, argv\n"
             "import numpy\n"
-            "numpy.random\n"
-            "assert 'numpy.random' in sys.modules\n"
+            "assert 'numpy' in sys.modules\n"
         )
+        assert sorted(_COMMANDS) == ["center", "curvature", "lattice", "structure",
+                                     "verify-killing", "volume-table"]
         code, _, err = run_python(script)
         assert code == 0, err
 
@@ -481,8 +481,8 @@ class TestProcessStart:
         ("verify-killing", "2", "1e160"), ("verify-killing", "3", "1e155"),
     ])
     def test_float_range_error_is_the_only_stderr_line(self, command, n, c):
-        # numpy's RuntimeWarnings would go to the process's stderr, which the
-        # in-process runs of GOLDEN do not see.
+        # A warning would go to the process's stderr, which the in-process
+        # runs of GOLDEN do not see.
         script = ("import sys\n"
                   "from oneloop.cli import main\n"
                   f"sys.exit(main([{command!r}, '--n', {n!r}, '--points', '1', "
@@ -490,20 +490,6 @@ class TestProcessStart:
         code, out, err = run_python(script)
         assert (code, out) == (2, "")
         assert err == f"error: Gram matrix leaves the float range at c = {float(c)!r}\n"
-
-    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
-    def test_one_blas_thread_unless_preset(self, preset, expected):
-        # Importing the package leaves the variable alone; main sets it.
-        script = (
-            "import contextlib, io, os\n"
-            "import oneloop.cli\n"
-            f"assert os.environ.get('OPENBLAS_NUM_THREADS') == {preset!r}\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    oneloop.cli.main(['curvature', '--n', '1', '--points', '1'])\n"
-            "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
-        )
-        code, out, err = run_python(script, preset)
-        assert (code, out) == (0, expected + "\n"), err
 
 
 def run_module(args, env, **kwargs):
@@ -755,6 +741,12 @@ GOLDEN = [
      "error: Gram matrix at c = 1e+103, n = 2 is finite but fails the "
      "floating-point positive-definiteness test: it is too ill-conditioned "
      "at this c\n"),
+    (["curvature", "--n", "2", "--points", "1", "--c", "1e103"], 2, EMPTY_SHA256,
+     "error: Gram matrix at c = 1e+103, n = 2 is finite but fails the "
+     "floating-point positive-definiteness test: it is too ill-conditioned "
+     "at this c\n"),
+    (["curvature", "--n", "3", "--points", "1", "--c", "1e155"], 2, EMPTY_SHA256,
+     "error: Gram matrix leaves the float range at c = 1e+155\n"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Metric family: Bergman block, full Gram matrix, determinant, fiber data, Ricci."""
 
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,10 @@ from oneloop.geometry import (ModelParams, PointBarN, _gram_from_chart,
                               metric_first_derivatives, metric_gram, ricci_fd,
                               seeded_points)
 from oneloop.params import THETA_SHEAR
+
+# ricci_fd against the numpy einsum assembly on the same derivatives, relative
+# to max |Ric|; measured <= 2.3e-15 at n = 1, 2, 3 and c = 0, 1, 3.
+RICCI_TOLERANCE = 1e-12
 
 
 def _sym_pair(A, B):
@@ -93,90 +98,125 @@ def gram_oracle(q, params):
     return g
 
 
-def gram_rows_reference(q, params):
-    """Row-by-row assembly of the five rows V and the two constant chart
-    diagonals, as geometry._gram_from_chart built them before its cached
-    layout: the bit-for-bit reference for that layout."""
+def gram_termwise(q, params):
+    """The Gram matrix from its formula, term by term in plain Python: the
+    five rows V written out per coordinate, then each entry, i <= j, the sum
+    over the rows in order of (k_r V[r][i]) V[r][j] plus the diagonal value,
+    copied to (j, i).  The generated kernel must give these bits."""
     n = params.n
     dim = 4 * n
-    q = np.asarray(q, dtype=float)
-    rho = float(q[0])
-    base = q[1:2 * n - 1]
-    s = float(base @ base)
-    if not (q.size == dim and rho > 0 and s < 1.0):
-        raise ValueError("point off the chart")
-    x, y = base[0::2], base[1::2]
-    u, v = q[2 * n - 1:-1:2], q[2 * n:-1:2]
-    c = params.c
+    rho, c = q[0], params.c
+    s = 0.0
+    for x in q[1:2 * n - 1]:
+        s += x * x
     one_minus = 1.0 - s
-    eye_x = np.zeros(dim)
-    eye_x[1:2 * n - 1] = 1.0
-    signed_w = np.zeros(dim)
-    signed_w[2 * n - 1:2 * n + 1] = 1.0
-    signed_w[2 * n + 1:-1] = -1.0
-    shear = THETA_SHEAR * signed_w[2 * n - 1:-1:2]
-
-    V = np.zeros((5, dim))
-    V[0, 1:2 * n - 1:2], V[0, 2:2 * n - 1:2] = x, y    # Re sigma
-    V[1, 1:2 * n - 1:2], V[1, 2:2 * n - 1:2] = -y, x   # Im sigma
-    V[2, 2 * n - 1] = V[3, 2 * n] = 1.0                 # Re pi, Im pi
-    V[2, 2 * n + 1:-1:2], V[2, 2 * n + 2:-1:2] = x, -y
-    V[3, 2 * n + 1:-1:2], V[3, 2 * n + 2:-1:2] = y, x
-    V[4, 1:2 * n - 1] = (2.0 * c / one_minus) * V[1, 1:2 * n - 1]  # theta
-    V[4, 2 * n - 1:-1:2], V[4, 2 * n:-1:2] = shear * v, -shear * u
-    V[4, -1] = 1.0
-
+    t = 2 * c / one_minus
+    V = [[0] * dim for _ in range(5)]
+    for a in range(1, n):
+        x, y = q[ix_x(a)], q[ix_y(a)]
+        V[0][ix_x(a)], V[0][ix_y(a)] = x, y      # Re sigma
+        V[1][ix_x(a)], V[1][ix_y(a)] = -y, x     # Im sigma
+        V[2][ix_u(a, n)], V[2][ix_v(a, n)] = x, -y   # Re pi
+        V[3][ix_u(a, n)], V[3][ix_v(a, n)] = y, x    # Im pi
+        V[4][ix_x(a)], V[4][ix_y(a)] = -y * t, x * t  # theta
+    V[2][ix_u(0, n)] = V[3][ix_v(0, n)] = V[4][ix_phi(n)] = 1
+    for k in range(n):
+        shear = THETA_SHEAR if k == 0 else -THETA_SHEAR
+        V[4][ix_u(k, n)] = shear * q[ix_v(k, n)]
+        V[4][ix_v(k, n)] = -shear * q[ix_u(k, n)]
     k_sigma = (rho + c) / (rho * one_minus**2)
-    k_pi = 4.0 * (rho + c) / (rho**2 * one_minus)
+    k_pi = 4 * (rho + c) / (rho**2 * one_minus)
     k_theta = ((rho + c) / (rho + 2 * c)) / (4 * rho**2)
-    g = (V.T * (k_sigma, k_sigma, k_pi, k_pi, k_theta)) @ V
-    diag = ((rho + c) / (rho * one_minus)) * eye_x - (2.0 / rho) * signed_w
-    diag[0] = ((rho + 2 * c) / (rho + c)) / (4 * rho**2)
-    g.flat[::dim + 1] += diag
-    return 0.5 * (g + g.T)
+    weights = (k_sigma, k_sigma, k_pi, k_pi, k_theta)
+    diagonal = [((rho + 2 * c) / (rho + c)) / (4 * rho**2)]
+    diagonal += [(rho + c) / (rho * one_minus)] * (2 * n - 2)
+    diagonal += [-2 / rho] * 2 + [2 / rho] * (2 * n - 2) + [0]
+    g = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            total = 0
+            for weight, row in zip(weights, V):
+                total += (weight * row[i]) * row[j]
+            if i == j:
+                total += diagonal[i]
+            g[i][j] = g[j][i] = total
+    return g
 
 
-def first_derivatives_reference(q, params, step=1e-3):
-    """metric_first_derivatives with one fresh q.copy() per stencil point and
-    the row-by-row Gram assembly."""
+def first_derivatives_numpy(q, params, step=1e-3):
+    """metric_first_derivatives as numpy stencil loops, on the same Gram
+    matrices: the oracle for the plain-Python stencils."""
     q = np.asarray(q, dtype=float)
     dim = q.size
-    h = geometry._fd_steps(q, step)
+    h = step * np.maximum(1.0, np.abs(q))
     D1 = np.empty((dim, dim, dim))
+    qq = q.copy()
     for k in range(dim):
+        qk, hk = float(q[k]), float(h[k])
         acc = np.zeros((dim, dim))
         for off, wgt in zip(geometry._D1_OFFSETS, geometry._D1_WEIGHTS):
-            qq = q.copy()
-            qq[k] += off * h[k]
-            acc += wgt * gram_rows_reference(qq, params)
+            qq[k] = qk + off * hk
+            acc += wgt * np.array(_gram_from_chart(qq.tolist(), params))
+        qq[k] = qk
         D1[k] = acc / (12.0 * h[k])
     return D1
 
 
-def second_derivatives_reference(q, params, step):
-    """geometry._metric_second_derivatives in the same reference style."""
+def second_derivatives_numpy(q, params, step):
+    """geometry._metric_second_derivatives as numpy stencil loops."""
     q = np.asarray(q, dtype=float)
     dim = q.size
-    h = geometry._fd_steps(q, step)
+    h = step * np.maximum(1.0, np.abs(q))
     D2 = np.empty((dim, dim, dim, dim))
+    qq = q.copy()
     for k in range(dim):
+        qk, hk = float(q[k]), float(h[k])
         acc = np.zeros((dim, dim))
         for off, wgt in zip(geometry._D2_OFFSETS, geometry._D2_WEIGHTS):
-            qq = q.copy()
-            qq[k] += off * h[k]
-            acc += wgt * gram_rows_reference(qq, params)
+            qq[k] = qk + off * hk
+            acc += wgt * np.array(_gram_from_chart(qq.tolist(), params))
+        qq[k] = qk
         D2[k, k] = acc / (12.0 * h[k] ** 2)
     for k in range(dim):
+        qk, hk = float(q[k]), float(h[k])
         for l in range(k + 1, dim):
+            ql, hl = float(q[l]), float(h[l])
             acc = np.zeros((dim, dim))
             for off1, wgt1 in zip(geometry._D1_OFFSETS, geometry._D1_WEIGHTS):
+                qq[k] = qk + off1 * hk
                 for off2, wgt2 in zip(geometry._D1_OFFSETS, geometry._D1_WEIGHTS):
-                    qq = q.copy()
-                    qq[k] += off1 * h[k]
-                    qq[l] += off2 * h[l]
-                    acc += wgt1 * wgt2 * gram_rows_reference(qq, params)
+                    qq[l] = ql + off2 * hl
+                    acc += wgt1 * wgt2 * np.array(_gram_from_chart(qq.tolist(), params))
+            qq[k], qq[l] = qk, ql
             D2[k, l] = D2[l, k] = acc / (144.0 * h[k] * h[l])
     return D2
+
+
+def ricci_numpy(p, params, step=1e-3):
+    """The Ricci tensor by numpy's einsum contractions of the full
+    Christoffel symbols and their derivatives, from the numpy stencils: the
+    oracle for ricci_fd's assembly."""
+    q = p.to_chart()
+    ginv = np.linalg.inv(np.array(_gram_from_chart(q, params)))
+    D1 = first_derivatives_numpy(q, params, step)
+    D2 = second_derivatives_numpy(q, params, step)
+
+    # S[j,l,k] = d_j g_{lk} + d_k g_{lj} - d_l g_{jk}
+    S = D1 + np.transpose(D1, (2, 1, 0)) - np.transpose(D1, (1, 0, 2))
+    Gamma = 0.5 * np.einsum("il,jlk->ijk", ginv, S)
+
+    dginv = -np.einsum("ia,mab,bj->mij", ginv, D1, ginv)
+    dS = D2 + np.transpose(D2, (0, 3, 2, 1)) - np.transpose(D2, (0, 2, 1, 3))
+    dGamma = 0.5 * (np.einsum("mil,jlk->mijk", dginv, S)
+                    + np.einsum("il,mjlk->mijk", ginv, dS))
+
+    term1 = np.einsum("kkij->ij", dGamma)
+    term2 = np.einsum("ikkj->ij", dGamma)
+    contracted = np.einsum("kkl->l", Gamma)
+    term3 = np.einsum("l,lij->ij", contracted, Gamma)
+    term4 = np.einsum("kil,lkj->ij", Gamma, Gamma)
+    ric = term1 - term2 + term3 - term4
+    return 0.5 * (ric + ric.T)
 
 
 def hermitian_realification(H):
@@ -217,7 +257,7 @@ def bergman_block(X):
     """The base block of metric_gram at c = 0 and w = 0: there the deformed
     metric restricts to the Bergman ball metric."""
     n = len(X) + 1
-    g = metric_gram(PointBarN(X, (0,) * n, 0.0, 1.0), ModelParams(n, 0.0))
+    g = np.array(metric_gram(PointBarN(X, (0,) * n, 0.0, 1.0), ModelParams(n, 0.0)))
     return g[1:2 * n - 1, 1:2 * n - 1]
 
 
@@ -225,7 +265,7 @@ def fiber_block(w, phi_tilde, rho0, params):
     """The block of metric_gram at X = 0 over (u^0, v^0, ..., phi)."""
     n = params.n
     p = PointBarN(X=(0,) * (n - 1), w=w, phi_tilde=phi_tilde, rho=rho0)
-    return metric_gram(p, params)[ix_u(0, n):, ix_u(0, n):]
+    return np.array(metric_gram(p, params))[ix_u(0, n):, ix_u(0, n):]
 
 
 class TestBergman:
@@ -273,9 +313,37 @@ class TestMetricGram:
     def test_symmetric_positive_definite(self, n, c):
         params = ModelParams(n, c)
         for p in seeded_points(params, 8, seed=7):
-            g = metric_gram(p, params)
+            g = np.array(metric_gram(p, params))
             assert np.array_equal(g, g.T)
             np.linalg.cholesky(g)  # raises if not PD
+
+    @pytest.mark.parametrize("n, c, seed", [(2, 1e103, 42), (2, 1e16, 0), (2, 1e20, 1),
+                                            (3, 1e50, 2)])
+    def test_positive_definiteness_test_agrees_with_numpy(self, n, c, seed):
+        # At large c the Cholesky test decides on rounding; at these seeded
+        # points the plain factorization and numpy's (LAPACK's) agree.
+        params = ModelParams(n, c)
+        p = seeded_points(params, 1, seed=seed)[0]
+        try:
+            np.linalg.cholesky(np.array(_gram_from_chart(p.to_chart(), params)))
+        except np.linalg.LinAlgError:
+            with pytest.raises(ArithmeticError, match="positive-definiteness"):
+                metric_gram(p, params)
+        else:
+            metric_gram(p, params)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cholesky_factor_and_inverse(self, n):
+        params = ModelParams(n, 0.5)
+        for p in seeded_points(params, 3, seed=4):
+            g = metric_gram(p, params)
+            L = np.zeros((4 * n, 4 * n))
+            for i, row in enumerate(geometry._cholesky(g, params)):
+                L[i, :i + 1] = row
+            ginv = geometry._spd_inverse(g, params)
+            assert np.max(np.abs(L @ L.T - np.array(g))) <= 1e-14 * np.max(np.abs(g))
+            assert ginv == [list(column) for column in zip(*ginv)]
+            assert np.allclose(np.array(ginv) @ np.array(g), np.eye(4 * n), rtol=0, atol=1e-12)
 
     def test_rejects_bad_points(self):
         with pytest.raises(ValueError):
@@ -330,25 +398,39 @@ class TestGramAssembly:
         for p in self.gram_points(params):
             q = p.to_chart()
             ref = gram_oracle(q, params)
-            g = _gram_from_chart(q, params)
+            g = np.array(_gram_from_chart(q, params))
             assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
             assert np.array_equal(g, g.T)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("c", [0.0, 0.5, 3.0])
     def test_cached_layout_is_bit_identical_to_row_assembly(self, n, c):
-        # The layout scatters sign * q[src] with exact signs and keeps the
-        # product and the symmetrization, so every entry keeps its bits.
+        # The generated kernel forms each upper entry as the term-by-term
+        # sum of the formula and mirrors it: equal bits, exact symmetry.
         params = ModelParams(n, c)
         for p in self.gram_points(params):
             q = p.to_chart()
-            h = 1e-3 * np.maximum(1.0, np.abs(q))
+            h = [1e-3 * max(1.0, abs(x)) for x in q]
             for k in range(4 * n):
                 for off in (2, 1, 0, -1, -2):
-                    qq = q.copy()
+                    qq = list(q)
                     qq[k] += off * h[k]
-                    assert np.array_equal(_gram_from_chart(qq, params),
-                                          gram_rows_reference(qq, params))
+                    g = _gram_from_chart(qq, params)
+                    assert g == gram_termwise(qq, params)
+                    assert g == [list(column) for column in zip(*g)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_kernel_runs_over_fractions(self, n):
+        # The kernel holds no float literal, so rational input stays exact;
+        # its values round to the float kernel's.
+        params = ModelParams(n, 0.5)
+        p = seeded_points(params, 1, seed=n)[0]
+        q = [Fraction(x) for x in p.to_chart()]
+        s = sum(x * x for x in q[1:2 * n - 1])
+        exact = geometry._gram_kernel(n)(q, Fraction(1, 2), 1 - s)
+        assert all(isinstance(x, (Fraction, int)) for row in exact for x in row)
+        g = np.array(_gram_from_chart(p.to_chart(), params))
+        assert np.max(np.abs(np.array(exact, dtype=float) - g)) <= 1e-14 * np.max(np.abs(g))
 
     def test_rejects_points_off_the_chart(self):
         params = ModelParams(2, 1.0)
@@ -390,8 +472,10 @@ class TestStencilCounts:
 
 
 class TestStencilBits:
-    """The one reused stencil vector gives the same derivatives, bit for bit,
-    as a fresh copy per stencil point with the row-by-row Gram assembly."""
+    """The plain-Python stencils give the bits of numpy stencil loops on the
+    same Gram matrices, and leave the point where it was.  The Ricci
+    assembly contracts in another order than numpy's einsum over the full
+    Christoffel symbols and their derivatives, so it agrees to rounding."""
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_first_derivatives(self, n):
@@ -399,20 +483,20 @@ class TestStencilBits:
         for p in seeded_points(params, 2, seed=19):
             q = p.to_chart()
             assert np.array_equal(metric_first_derivatives(q, params),
-                                  first_derivatives_reference(q, params))
-            assert np.array_equal(q, p.to_chart())  # the point is not moved
+                                  first_derivatives_numpy(q, params))
+            assert q == p.to_chart()  # the point is not moved
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_ricci(self, n, monkeypatch):
+    def test_ricci(self, n):
         params = ModelParams(n, 1.0)
         p = seeded_points(params, 1, seed=23)[0]
-        ric = ricci_fd(p, params)
-        monkeypatch.setattr(geometry, "_gram_from_chart", gram_rows_reference)
-        monkeypatch.setattr(geometry, "metric_first_derivatives",
-                            first_derivatives_reference)
-        monkeypatch.setattr(geometry, "_metric_second_derivatives",
-                            second_derivatives_reference)
-        assert np.array_equal(ric, ricci_fd(p, params))
+        q = p.to_chart()
+        assert np.array_equal(geometry._metric_second_derivatives(q, params, 1e-3),
+                              second_derivatives_numpy(q, params, 1e-3))
+        ric = np.array(ricci_fd(p, params))
+        reference = ricci_numpy(p, params)
+        assert np.array_equal(ric, ric.T)
+        assert np.max(np.abs(ric - reference)) <= RICCI_TOLERANCE * np.max(np.abs(reference))
 
 
 class TestDeterminant:
@@ -488,8 +572,8 @@ class TestRicci:
         params = ModelParams(1, c)
         lams = []
         for p in seeded_points(params, 2, seed=5):
-            g = metric_gram(p, params)
-            ric = ricci_fd(p, params, step=1e-3)
+            g = np.array(metric_gram(p, params))
+            ric = np.array(ricci_fd(p, params, step=1e-3))
             lam, residual = einstein_diagnostic(p, params, step=1e-3)
             assert residual <= 1e-4
             assert lam < 0

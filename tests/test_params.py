@@ -70,10 +70,10 @@ for n, c in ((1, 0.5), (2, 1.0)):
     params = ModelParams(n=n, c=c)
     names = [GeneratorName(kind, k) for kind in ("VkRe", "VkIm") for k in range(n)]
     for p in seeded_points(params, 10, seed=42):
-        g = metric_gram(p, params)
+        g = np.array(metric_gram(p, params))
         for name in names:
-            q, J = flow(name, 0.37, p), flow_jacobian(name, 0.37, p)
-            gap = np.max(np.abs(J.T @ metric_gram(q, params) @ J - g)) / np.max(np.abs(g))
+            q, J = flow(name, 0.37, p), np.array(flow_jacobian(name, 0.37, p))
+            gap = np.max(np.abs(J.T @ np.array(metric_gram(q, params)) @ J - g)) / np.max(np.abs(g))
             pullback = max(pullback, float(gap))
 print(json.dumps([structure, killing, pullback]))
 """

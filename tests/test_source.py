@@ -56,6 +56,42 @@ def test_no_numpy_random():
         "from numpy import linalg, random"))), "the pattern must catch these"
 
 
+def _numpy_imports(tree):
+    """Line numbers of the imports of numpy, or of a numpy submodule, in a
+    module's syntax tree, at any depth."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(module.split(".")[0] == "numpy" for module in modules):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_numpy():
+    # The float commands run in plain Python: numpy's import costs more
+    # than their whole computation at the matrix sizes they use.
+    sources = sorted(Path(oneloop.__file__).parent.rglob("*.py"))
+    assert any(path.name == "geometry.py" for path in sources)
+    found = [f"{path.name}:{line}" for path in sources
+             for line in _numpy_imports(_parse(path))]
+    assert found == []
+
+
+def test_no_numpy_on_a_synthetic_source():
+    tree = ast.parse("import os\n"
+                     "import numpy as np\n"
+                     "from numpy.linalg import inv\n"
+                     "from . import numpy_free\n"
+                     "def f():\n"
+                     "    import numpy.random\n")
+    assert _numpy_imports(tree) == [2, 3, 6]
+
+
 def _is_all(node):
     """Is node an assignment to ``__all__``?"""
     targets = getattr(node, "targets", None) or [getattr(node, "target", None)]

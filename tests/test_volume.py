@@ -294,29 +294,32 @@ class TestQuadratureOracle:
         assert result.stdout.startswith("rho,density,closed_tail,")
 
     def test_exact_commands_never_load_numpy(self):
-        # Only the float commands (verify-killing, curvature) import numpy,
-        # the exact fields and the algebra load none, and import alone loads
-        # no suite; the last line shows the check can fail.  No command
-        # loads dataclasses or inspect, whose imports cost every process
-        # start-up time.
+        # The exact commands load neither numpy nor the float geometry, the
+        # exact fields and the algebra load none, and import alone loads no
+        # suite.  No command loads dataclasses or inspect, whose imports
+        # cost every process start-up time.  The last lines show that the
+        # geometry check can fail: a float command loads it.
         script = (
             "import contextlib, io, sys\n"
             "import oneloop.cli\n"
-            "suites = {'numpy', 'oneloop.liealg', 'oneloop.quatarith', 'oneloop.volume'}\n"
+            "suites = {'numpy', 'oneloop.geometry', 'oneloop.liealg', 'oneloop.quatarith',\n"
+            "          'oneloop.volume'}\n"
             "assert not suites & set(sys.modules)\n"
             "unused = {'dataclasses', 'inspect'}\n"
             "assert not unused & set(sys.modules)\n"
             "import oneloop.polyfields, oneloop.liealg\n"
-            "assert 'numpy' not in sys.modules\n"
+            "float_layer = {'numpy', 'oneloop.geometry'}\n"
+            "assert not float_layer & set(sys.modules)\n"
             "for argv in (['center', '--n', '2'], ['lattice', '--bound', '2'],\n"
             "             ['volume-table', '--n', '1'], ['structure', '--n', '2']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert oneloop.cli.main(argv) == 0, argv\n"
-            "    assert 'numpy' not in sys.modules, argv\n"
+            "    assert not float_layer & set(sys.modules), argv\n"
             "    assert not unused & set(sys.modules), (argv, unused & set(sys.modules))\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    oneloop.cli.main(['verify-killing', '--n', '1', '--points', '1'])\n"
-            "assert 'numpy' in sys.modules\n"
+            "assert 'oneloop.geometry' in sys.modules\n"
+            "assert not unused & set(sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(oneloop.__file__))
         env = dict(os.environ, PYTHONPATH=src)
