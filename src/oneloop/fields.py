@@ -13,18 +13,8 @@ from typing import List, Sequence, Tuple
 
 from .exact import VarTable
 from .geometry import (
-    ModelParams,
-    PointBarN,
-    _max_abs,
-    _weighted_sum,
-    ix_phi,
-    ix_rho,
-    ix_u,
-    ix_v,
-    ix_x,
-    ix_y,
-    metric_first_derivatives,
-    metric_gram,
+    ModelParams, PointBarN, _max_abs, _upper, _weighted_sum, ix_phi, ix_rho, ix_u, ix_v,
+    ix_x, ix_y, metric_first_derivatives, metric_gram,
 )
 from .params import VK_SHEAR
 from .polyfields import (  # noqa: F401 -- bracket is re-exported
@@ -136,7 +126,7 @@ class _ChartEvaluator:
                 vec.append((re, z.real))
                 if im is not None:
                     vec.append((im, z.imag))
-            vecs.append(vec)
+            vecs.append([entry for entry in vec if entry[1]])
         jacs = []
         for spec in self.jacobians:
             jac = []
@@ -146,7 +136,7 @@ class _ChartEvaluator:
                 jac += [(re, re_col, d_x.real), (re, im_col, -d_diff.imag)]
                 if im is not None:
                     jac += [(im, re_col, d_x.imag), (im, im_col, d_diff.real)]
-            jacs.append(jac)
+            jacs.append([entry for entry in jac if entry[2]])
         return vecs, jacs
 
 
@@ -185,42 +175,29 @@ def real_killing_catalogue(params: ModelParams) -> List[Tuple[str, PolyVectorFie
 
 # --- Killing verification ---------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _upper_positions(dim: int):
-    """(index of (i, j), i <= j, in the row-by-row upper triangle; for each b,
-    the index of the pair {x, b} for every x)."""
-    index = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            index[i, j] = len(index)
-    cross = tuple(tuple(index[min(x, b), max(x, b)] for x in range(dim)) for b in range(dim))
-    return index, cross
-
-
 def _lie_derivatives(evaluate: _ChartEvaluator, p: PointBarN,
                      params: ModelParams, D1, g) -> List[List[float]]:
     """L_F g = F^k d_k g + J^T g + g J for every field of ``evaluate``, as its
-    upper triangle row by row.
+    flat upper triangle, like each D1[k] (``metric_first_derivatives``).
 
     Only the nonzero entries of F and J are visited.  An entry J_ab adds
     J_ab g_xa to (g J)_xb and to (J^T g)_bx for every x, which is the pair
     {x, b} of the upper triangle, twice on the diagonal.
     """
-    index, cross = _upper_positions(len(g))
-    D1_upper = [[x for i, row in enumerate(Dk) for x in row[i:]] for Dk in D1]
+    index = _upper(len(g))[0]
     vecs, jacs = evaluate(p, params.c)
     out = []
     for vec, jac in zip(vecs, jacs):
         if vec:
             ks, values = zip(*vec)
-            L = _weighted_sum(len(vec))(values, [D1_upper[k] for k in ks], 1.0)
+            L = _weighted_sum(len(vec))(values, [D1[k] for k in ks], 1.0)
         else:
-            L = [0.0] * len(index)
+            L = [0.0] * len(D1[0])
         for a, b, value in jac:
             row = g[a]
-            for position, x in zip(cross[b], row):
+            for position, x in zip(index[b], row):
                 L[position] += value * x
-            L[index[b, b]] += value * row[b]
+            L[index[b][b]] += value * row[b]
         out.append(L)
     return out
 
@@ -247,7 +224,7 @@ def killing_residuals(params: ModelParams, points: Sequence[PointBarN],
             rel = _max_abs(Lf) / ginf
             if rel > residuals[label] or math.isnan(rel):
                 residuals[label] = rel
-        rel_control = _max_abs([x for row in D1[ix_rho()] for x in row]) / ginf
+        rel_control = _max_abs(D1[ix_rho()]) / ginf
         if rel_control > control or math.isnan(rel_control):
             control = rel_control
     return residuals, control

@@ -10,7 +10,8 @@ chart ordering
 with X^a = x^a + i y^a and w^k = u^k + i v^k.  The module evaluates the
 deformed metric, its determinant at the base point, the fiber volume-density
 factorization, and a finite-difference Ricci tensor for Einstein diagnostics.
-Everything is plain Python floats, a matrix a list of rows: at the sizes the
+Everything is plain Python floats, a matrix a list of rows (a symmetric one
+inside the module often its flat upper triangle, ``_upper``): at the sizes the
 commands use (12x12 at n = 3) numpy's import would cost more than the work.
 """
 
@@ -21,7 +22,7 @@ import functools
 import math
 import random
 from itertools import chain
-from operator import mul
+from operator import itemgetter, mul
 
 from .params import THETA_SHEAR, ModelParams  # noqa: F401 -- ModelParams is re-exported
 from .record import record
@@ -140,12 +141,13 @@ def _gram_kernel(n):
     """The Gram matrix at fixed n as straight-line code, written once from
     ``_gram_layout(n)``.
 
-    The kernel takes the chart vector q, c and 1 - s.  Entry g[i][j], i <= j,
-    is the sum over the rows r of V, in order, of (k_r V[r][i]) V[r][j],
-    leaving out the rows where either factor is structurally 0, plus the
-    diagonal value; g[j][i] is the same value, so the matrix is exactly
-    symmetric.  Factors of 1 are left out, which changes no bit.  The code
-    holds only +, -, *, /, integer powers and integer literals.
+    The kernel takes the chart vector q, c and 1 - s and returns the upper
+    triangle, g[i][j] for i <= j row by row, as one flat list (``_upper``).
+    Entry g[i][j] is the sum over the rows r of V, in order, of
+    (k_r V[r][i]) V[r][j], leaving out the rows where either factor is
+    structurally 0 (an entry with none is the integer 0), plus the diagonal
+    value.  Factors of 1 are left out, which changes no bit.  The code holds
+    only +, -, *, /, integer powers and integer literals.
     """
     ones, entries, pick = _gram_layout(n)
     dim = 4 * n
@@ -170,7 +172,7 @@ def _gram_kernel(n):
             value = f"v{row}_{col}"
         V[row][col] = value
         lines.append(f"    w{row}_{col} = {_ROW_WEIGHTS[row]} * {value}")
-    nonzero = set()
+    upper = []
     for i in range(dim):
         for j in range(i, dim):
             terms = []
@@ -183,18 +185,8 @@ def _gram_kernel(n):
             if diagonal is not None:
                 sign, name = diagonal
                 expr = f"{expr} {sign} {name}" if expr else f"{sign.strip('+')}{name}"
-            if expr:
-                lines.append(f"    g{i}_{j} = {expr}")
-                nonzero.add((i, j))
-
-    def entry(i, j):
-        i, j = min(i, j), max(i, j)
-        return f"g{i}_{j}" if (i, j) in nonzero else "0"
-
-    lines.append("    return [")
-    lines += ["        [" + ", ".join(entry(i, j) for j in range(dim)) + "],"
-              for i in range(dim)]
-    lines.append("    ]")
+            upper.append(expr or "0")
+    lines.append("    return [" + ",\n        ".join(upper) + "]")
     namespace = {}
     exec("\n".join(lines), namespace)
     return namespace[f"gram_n{n}"]
@@ -213,8 +205,8 @@ def _gram_from_chart(q, params):
 
     Each |A|^2 = (Re A)^2 + (Im A)^2, so the non-constant part is V^T diag(k) V
     over the five real rows Re sigma, Im sigma, Re pi, Im pi, theta; the rest
-    is diagonal.  ``q`` is a sequence of 4n floats; the result is a list of
-    rows, from the kernel ``_gram_kernel(n)``.
+    is diagonal.  ``q`` is a sequence of 4n floats; the result is the flat
+    upper triangle from the kernel ``_gram_kernel(n)``.
     """
     n = params.n
     if len(q) != 4 * n:
@@ -230,12 +222,54 @@ def _gram_from_chart(q, params):
     return _gram_kernel(n)(q, params.c, 1.0 - s)
 
 
-def _mirror(upper):
-    """The symmetric matrix whose row i from the diagonal on is upper[i]."""
-    rows = []
-    for i, tail in enumerate(upper):
-        rows.append([row[i] for row in rows] + tail)
-    return rows
+@functools.lru_cache(maxsize=None)
+def _upper(dim):
+    """The flat upper triangle g[i][j], i <= j, row by row, of a symmetric
+    dim x dim matrix: index[i][j] = index[j][i] is the position of {i, j},
+    pairs[e] the (i, j) at e, and rows[i] reads row i from the triangle."""
+    index = [[0] * dim for _ in range(dim)]
+    pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
+    for e, (i, j) in enumerate(pairs):
+        index[i][j] = index[j][i] = e
+    return index, pairs, [itemgetter(*row) for row in index]
+
+
+def _symmetric(upper, dim):
+    """The symmetric matrix, as a list of rows, of a flat upper triangle."""
+    return [list(row(upper)) for row in _upper(dim)[2]]
+
+
+class _Depends(frozenset):
+    """A number that is only the set of chart indices it depends on: the
+    union of its operands' sets, none for an integer literal (``_pattern``)."""
+
+    def __add__(self, other):
+        return _Depends(self | other) if isinstance(other, frozenset) else self
+
+    __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __truediv__ = __rtruediv__ = __add__
+    __pow__ = __add__
+
+    def __neg__(self):
+        return self
+
+
+@functools.lru_cache(maxsize=None)
+def _pattern(n):
+    """The entries of the flat Gram triangle that each derivative can make
+    non-zero: first[k] lists those whose value depends on q_k, second[k][l]
+    those that depend on q_k and q_l (second[k][k] is first[k]), from
+    ``_gram_kernel(n)`` run over ``_Depends`` with q_i depending on {i}, c on
+    nothing and 1 - s on the X coordinates.  Another entry keeps its bits at
+    every stencil point along k (or l), so its derivative is exactly 0."""
+    dim = 4 * n
+    q = [_Depends({i}) for i in range(dim)]
+    on = _gram_kernel(n)(q, _Depends(), _Depends(range(1, 2 * n - 1)))
+    first = [[e for e, deps in enumerate(on) if k in (deps or ())] for k in range(dim)]
+    second = [[None] * dim for _ in range(dim)]
+    for k in range(dim):
+        for l in range(k, dim):
+            second[k][l] = second[l][k] = [e for e in first[k] if l in on[e]]
+    return first, second
 
 
 @functools.lru_cache(maxsize=None)
@@ -292,8 +326,8 @@ def _spd_inverse(g, params):
         inv = 1.0 / row[i]
         M.append([-sum(row[k] * M[k][j] for k in range(j, i)) * inv for j in range(i)] + [inv])
     cols = [[M[k][j] for k in range(j, dim)] for j in range(dim)]  # from the diagonal down
-    return _mirror([[sum(map(mul, cols[i][j - i:], cols[j])) for j in range(i, dim)]
-                    for i in range(dim)])
+    return _symmetric([sum(map(mul, cols[i][j - i:], cols[j]))
+                       for i in range(dim) for j in range(i, dim)], dim)
 
 
 def metric_gram(p, params):
@@ -302,8 +336,9 @@ def metric_gram(p, params):
     if p.n != params.n:
         raise ValueError(f"point has n={p.n} but params has n={params.n}")
     g = _gram_from_chart(p.to_chart(), params)
-    if not all(math.isfinite(x) for row in g for x in row):
+    if not all(map(math.isfinite, g)):
         raise OverflowError(f"Gram matrix leaves the float range at c = {params.c!r}")
+    g = _symmetric(g, 4 * params.n)
     _cholesky(g, params)
     return g
 
@@ -344,83 +379,72 @@ _D2_WEIGHTS = (-1.0, 16.0, -30.0, 16.0, -1.0)
 _MIXED_WEIGHTS = tuple(w1 * w2 for w1 in _D1_WEIGHTS for w2 in _D1_WEIGHTS)
 
 
-def _stencil_eval(q, params):
-    try:
-        return _gram_from_chart(q, params)
-    except ValueError as exc:
-        raise ValueError(f"finite-difference stencil leaves the chart: {exc}") from exc
-    except OverflowError as exc:  # only rho**2 can overflow in the assembly
-        raise OverflowError(
-            f"finite-difference stencil leaves the float range: rho**2 "
-            f"overflows at chart coordinate rho = {q[0]!r}") from exc
-
-
 def _fd_steps(q, step):
     if not step > 0:
         raise ValueError("step must be positive")
     return [step * max(1.0, abs(x)) for x in q]
 
 
-def _stencil_sum(weights, grams, divisor):
-    """sum_t weights[t] * grams[t] / divisor, entry by entry, the terms added
-    in stencil order, as a list of rows.  Entries (i, j) and (j, i) are the
-    same sums of the same numbers, so the result is exactly symmetric."""
-    dim = len(grams[0])
-    flat = _weighted_sum(len(weights))(
-        weights, [chain.from_iterable(gram) for gram in grams], divisor)
-    return [flat[start:start + dim] for start in range(0, dim * dim, dim)]
+def _stencil(q, params, points, weights, divisor, entries):
+    """One stencil: a Gram evaluation at q with coordinates k and l set to
+    q_k and q_l for each (k, q_k, l, q_l) of ``points``, then
+    sum_t weights[t] * G_t[e] / divisor on each entry e of ``entries``, the
+    terms added in stencil order, and exact 0.0 on the other entries."""
+    qq = list(q)
+    grams = []
+    try:
+        for k, qk, l, ql in points:
+            qq[k], qq[l] = qk, ql
+            grams.append(_gram_from_chart(qq, params))
+    except ValueError as exc:
+        raise ValueError(f"finite-difference stencil leaves the chart: {exc}") from exc
+    except OverflowError as exc:  # only rho**2 can overflow in the assembly
+        raise OverflowError(
+            f"finite-difference stencil leaves the float range: rho**2 "
+            f"overflows at chart coordinate rho = {qq[0]!r}") from exc
+    out = [0.0] * len(grams[0])
+    if entries:
+        pick = itemgetter(*entries) if len(entries) > 1 else lambda g, e=entries[0]: (g[e],)
+        values = _weighted_sum(len(weights))(weights, [pick(g) for g in grams], divisor)
+        for e, value in zip(entries, values):
+            out[e] = value
+    return out
 
 
 def metric_first_derivatives(q, params, step=1e-3):
     """d_k g_{ij} at a chart point via 4th-order central differences.
 
     Returns D1 with D1[k] the derivative of the Gram matrix along chart
-    coordinate k (a list of rows), using per-coordinate steps
-    step*max(1, |q_k|).
+    coordinate k as a flat upper triangle (``_upper``), using per-coordinate
+    steps step*max(1, |q_k|).  Each coordinate costs four Gram evaluations;
+    the stencil is summed only on the entries of ``_pattern(n)[0][k]``, and
+    every other one, which cannot depend on q_k (all of d_phi g), is 0.0.
     """
     q = [float(x) for x in q]
-    h = _fd_steps(q, step)
-    D1 = []
-    qq = list(q)  # the stencil point; each loop restores what it shifts
-    for k, (qk, hk) in enumerate(zip(q, h)):
-        grams = []
-        for off in _D1_OFFSETS:
-            qq[k] = qk + off * hk
-            grams.append(_stencil_eval(qq, params))
-        qq[k] = qk
-        D1.append(_stencil_sum(_D1_WEIGHTS, grams, 12.0 * hk))
-    return D1
+    first = _pattern(params.n)[0]
+    return [_stencil(q, params, [(k, q[k] + off * hk) * 2 for off in _D1_OFFSETS], _D1_WEIGHTS,
+                     12.0 * hk, first[k]) for k, hk in enumerate(_fd_steps(q, step))]
 
 
 def _metric_second_derivatives(q, params, step):
     """d_k d_l g_{ij}: 5-point diagonal and tensor-product mixed stencils.
 
-    D2[k][l] is the matrix of second derivatives along k and l; D2[l][k] is
-    the same list.
+    D2[k][l] is the flat upper triangle of second derivatives along k and l,
+    exact 0.0 off ``_pattern(n)[1][k][l]``; D2[l][k] is the same list.
     """
     q = [float(x) for x in q]
-    dim = len(q)
     h = _fd_steps(q, step)
-    D2 = [[None] * dim for _ in range(dim)]
-    qq = list(q)  # the stencil point; each loop restores what it shifts
-    for k, (qk, hk) in enumerate(zip(q, h)):
-        grams = []
-        for off in _D2_OFFSETS:
-            qq[k] = qk + off * hk
-            grams.append(_stencil_eval(qq, params))
-        qq[k] = qk
-        D2[k][k] = _stencil_sum(_D2_WEIGHTS, grams, 12.0 * hk ** 2)
-    for k, (qk, hk) in enumerate(zip(q, h)):
-        for l in range(k + 1, dim):
-            ql, hl = q[l], h[l]
-            grams = []
-            for off1 in _D1_OFFSETS:
-                qq[k] = qk + off1 * hk
-                for off2 in _D1_OFFSETS:
-                    qq[l] = ql + off2 * hl
-                    grams.append(_stencil_eval(qq, params))
-            qq[k], qq[l] = qk, ql
-            D2[k][l] = D2[l][k] = _stencil_sum(_MIXED_WEIGHTS, grams, 144.0 * hk * hl)
+    second = _pattern(params.n)[1]
+    D2 = [[None] * len(q) for _ in q]
+    for k, hk in enumerate(h):
+        D2[k][k] = _stencil(q, params, [(k, q[k] + off * hk) * 2 for off in _D2_OFFSETS],
+                            _D2_WEIGHTS, 12.0 * hk ** 2, second[k][k])
+    for k, hk in enumerate(h):
+        for l in range(k + 1, len(q)):
+            points = [(k, q[k] + o1 * hk, l, q[l] + o2 * h[l])
+                      for o1 in _D1_OFFSETS for o2 in _D1_OFFSETS]
+            D2[k][l] = D2[l][k] = _stencil(q, params, points, _MIXED_WEIGHTS, 144.0 * hk * h[l],
+                                           second[k][l])
     return D2
 
 
@@ -428,63 +452,62 @@ def ricci_fd(p, params, step=1e-3):
     """Ricci tensor at p from finite differences of the Gram matrix.
 
     Ric_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kl Gamma^l_ij
-    - Gamma^k_il Gamma^l_kj, from the first and second metric derivatives
-    through g^-1, S_jlk = d_j g_lk + d_k g_lj - d_l g_jk and its derivatives;
-    the trace Gamma^k_kj is (1/2) tr(g^-1 d_j g).  Each entry is formed once,
-    on the upper triangle.  Rejects configurations whose stencil leaves the
-    chart.
+    - Gamma^k_il Gamma^l_kj, through g^-1 and the first and second metric
+    derivatives, each entry formed once, on the upper triangle.  Every
+    stencil point costs one Gram evaluation, 1 + 9d + 8d(d-1) in all for
+    d = 4n, the mixed pairs whose derivatives all vanish structurally
+    included; the derivatives are summed, and the second ones contracted,
+    only on the entries ``_pattern(n)`` lets be non-zero.  Rejects
+    configurations whose stencil leaves the chart.
     """
     q = p.to_chart()
-    ginv = _spd_inverse(_gram_from_chart(q, params), params)
-    D1 = metric_first_derivatives(q, params, step)
-    D2 = _metric_second_derivatives(q, params, step)
     dim = len(q)
     span = range(dim)
-
-    def dot(a, b):
-        return sum(map(mul, a, b))
-
-    def flat(matrix):
-        return list(chain.from_iterable(matrix))
-
-    # lowered[i][j][l] = Gamma_{l,ij} = S_ilj / 2 and gamma[i][j][k] =
-    # Gamma^k_ij = g^kl Gamma_{l,ij}; [i][j] and [j][i] are one list.
-    lowered = [[None] * dim for _ in span]
-    gamma = [[None] * dim for _ in span]
-    for i in span:
-        for j in range(i, dim):
-            low = [0.5 * (D1[i][l][j] + D1[j][l][i] - D1[l][i][j]) for l in span]
-            lowered[i][j] = lowered[j][i] = low
-            gamma[i][j] = gamma[j][i] = [dot(row, low) for row in ginv]
-    # A_m = g^-1 d_m g (d_m g is symmetric: its rows are its columns).  With
-    # G_i[k][l] = Gamma^k_il, tr(A_i A_j) and tr(G_i G_j) are dot products of
-    # one flattened matrix and another's transpose.
-    A = [[[dot(row, col) for col in D1[m]] for row in ginv] for m in span]
-    flat_A = [flat(A[m]) for m in span]
-    flat_AT = [flat(zip(*A[m])) for m in span]
-    flat_G = [flat(zip(*gamma[i])) for i in span]
-    flat_GT = [flat(gamma[i]) for i in span]
-    flat_ginv = flat(ginv)
-    # d_k g^kl = -(g^-1 u)_l with u_b = sum_k A_k[k][b]; contracted_l = Gamma^k_kl.
-    u = [sum(A[k][k][b] for k in span) for b in span]
-    div_ginv = [-dot(row, u) for row in ginv]
-    contracted = [sum(gamma[k][l][k] for k in span) for l in span]
-    # Row-major d x d: P_ij = g^kl d_k d_l g_ij and Q_ij = g^kl d_k d_i g_lj.
-    P = [dot(flat_ginv, column)
-         for column in zip(*[flat(D2[k][l]) for k in span for l in span])]
-    Q = [dot(flat_ginv, column)
-         for i in span for column in zip(*[D2[k][i][l] for k in span for l in span])]
-    ric = []
-    for i in span:
-        row = []
-        for j in range(i, dim):
-            d_gamma = (dot(div_ginv, lowered[i][j])
-                       + 0.5 * (Q[i * dim + j] + Q[j * dim + i] - P[i * dim + j]))
-            d_trace = 0.5 * (dot(flat_ginv, flat(D2[i][j])) - dot(flat_A[i], flat_AT[j]))
-            row.append(d_gamma - d_trace + dot(contracted, gamma[i][j])
-                       - dot(flat_G[i], flat_GT[j]))
-        ric.append(row)
-    return _mirror(ric)
+    index, pairs, rows = _upper(dim)
+    second = _pattern(params.n)[1]
+    ginv = _spd_inverse(_symmetric(_gram_from_chart(q, params), dim), params)
+    D1 = metric_first_derivatives(q, params, step)
+    D2 = _metric_second_derivatives(q, params, step)
+    combine = _weighted_sum(dim)
+    # lowered[e][l] = Gamma_{l,ij} for each entry e = (i, j) of the triangle,
+    # gamma[k][e] = Gamma^k_ij and G[i][k * dim + l] = Gamma^k_il.
+    M = [[row(Dm) for row in rows] for Dm in D1]  # M[m][a]: row a of d_m g
+    lowered = [[0.5 * (x + y - z) for x, y, z in zip(M[i][j], M[j][i], by_l)]
+               for (i, j), by_l in zip(pairs, zip(*D1))]
+    by_l = list(zip(*lowered))
+    gamma = [combine(row, by_l, 1.0) for row in ginv]
+    G = [list(chain.from_iterable(row(gamma_k) for gamma_k in gamma)) for row in rows]
+    # Y[k][i * dim + l] = Y_i[k][l], Y_i = A_i - G_i = g^-1 Lambda_i for A_m = g^-1 d_m g
+    # and Lambda_i[m][l] = Gamma_{l,im}; YT[i] is Y_i^T.  tr(A_i A_j)/2 - tr(G_i G_j) =
+    # tr(Y_i G_j): g^-1 d_i g g^-1 is symmetric, Gamma_{.,j.} - d_j g / 2 antisymmetric.
+    by_m = [list(chain.from_iterable(lowered[index[i][m]] for i in span)) for m in span]
+    Y = [combine(row, by_m, 1.0) for row in ginv]
+    YT = [list(chain.from_iterable(zip(*[Yk[i * dim:(i + 1) * dim] for Yk in Y]))) for i in span]
+    # With d_k g^kl = -(g^-1 u)_l, u_l = sum_k A_k[k][l], the terms holding Gamma_{l,ij}
+    # undifferentiated are v . lowered[e], v = g^-1 (Gamma^k_k. - u) = -g^-1 sum_k Y_k[k].
+    shift = [-sum(Y[k][k * dim + l] for k in span) for l in span]
+    v = [sum(map(mul, row, shift)) for row in ginv]
+    # The terms linear in d d g, on the entries of the pattern only: P_e =
+    # g^kl d_k d_l g_e, T_ij = g^kl d_i d_j g_kl and Q[i][j] = g^kl d_k d_i g_lj.
+    weight = [ginv[i][j] if i == j else 2.0 * ginv[i][j] for i, j in pairs]
+    P, T, Q = [0.0] * len(pairs), [0.0] * len(pairs), [[0.0] * dim for _ in span]
+    for f, (k, i) in enumerate(pairs):
+        D, gk, gi, Qi, Qk = D2[k][i], ginv[k], ginv[i], Q[i], Q[k]
+        for e in second[k][i]:
+            a, b = pairs[e]
+            value = D[e]
+            P[e] += weight[f] * value
+            T[f] += weight[e] * value
+            Qi[b] += gk[a] * value
+            if a != b:
+                Qi[a] += gk[b] * value
+            if k != i:
+                Qk[b] += gi[a] * value
+                if a != b:
+                    Qk[a] += gi[b] * value
+    return _symmetric([sum(map(mul, v, low)) + sum(map(mul, YT[i], G[j]))
+                       + 0.5 * (Q[i][j] + Q[j][i] - P[e] - T[e])
+                       for e, ((i, j), low) in enumerate(zip(pairs, lowered))], dim)
 
 
 def einstein_diagnostic(p, params, step=1e-3):

@@ -331,6 +331,19 @@ class TestKillingCommand:
         assert [row[0] for row in rows[1:]] == labels + [report["control"]["generator"]]
         assert "re Comm(1,1)" in labels
 
+    @pytest.mark.parametrize("c", ["1e8", "1e12"])
+    def test_yc_passes_at_large_c(self, capsys, c):
+        # The metric does not depend on phi_tilde, so d_phi g is stored as an
+        # exact 0.0 and YC's angle component -2c multiplies no stencil
+        # rounding: its residual stays at rounding level instead of growing
+        # in proportion to c.
+        _, out, _ = run_cli(capsys, ["verify-killing", "--n", "1", "--points", "3", "--c", c])
+        rows = {row["generator"]: row for row in json.loads(out)["rows"]}
+        for label in ("YC", "T", "C1", "C2"):
+            assert rows[label]["pass"] is True
+            assert rows[label]["max_residual"] <= 1e-12
+        assert rows["T"]["max_residual"] == 0.0
+
     def test_tolerances_embedded(self, capsys):
         _, out, _ = run_cli(
             capsys, ["verify-killing", "--n", "1", "--c", "0", "--points", "2"]
@@ -721,8 +734,10 @@ GOLDEN = [
      "error: n must be a positive integer, got 0\n"),
     (["center", "--n", "2", "--c", "nan"], 2, EMPTY_SHA256,
      "error: c must be a finite non-negative real, got nan\n"),
-    (["verify-killing", "--n", "1", "--points", "1", "--c", "1e300"], 2, EMPTY_SHA256,
-     "error: Killing residual of YC leaves the float range at c = 1e+300: inf\n"),
+    # d_phi g is an exact zero, so YC's angle component -2c multiplies no
+    # stencil rounding: a report, not a float-range error.
+    (["verify-killing", "--n", "1", "--points", "1", "--c", "1e300"], 0,
+     "c3695ec6a29433a670b229a0f9b2ab10406c27d6a0d3f0e9d3fd91857d1d2559", ""),
     (["curvature", "--n", "1", "--points", "1", "--c", "1e308"], 2, EMPTY_SHA256,
      "error: Gram matrix leaves the float range at c = 1e+308\n"),
     (["verify-killing", "--n", "1", "--points", "1", "--c", "1e308"], 2, EMPTY_SHA256,

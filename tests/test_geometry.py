@@ -14,8 +14,9 @@ from oneloop.geometry import (ModelParams, PointBarN, _gram_from_chart,
                               seeded_points)
 from oneloop.params import THETA_SHEAR
 
-# ricci_fd against the numpy einsum assembly on the same derivatives, relative
-# to max |Ric|; measured <= 2.3e-15 at n = 1, 2, 3 and c = 0, 1, 3.
+# ricci_fd against the numpy einsum assembly on the same pattern-zeroed
+# derivatives, relative to max |Ric|; measured <= 2.4e-15 at n = 1, 2, 3 and
+# c = 0, 1, 3.
 RICCI_TOLERANCE = 1e-12
 
 
@@ -143,9 +144,27 @@ def gram_termwise(q, params):
     return g
 
 
+def gram_matrix(q, params):
+    """The Gram matrix at q as a numpy array, mirrored from the kernel's
+    flat upper triangle."""
+    return np.array(geometry._symmetric(_gram_from_chart(list(q), params), len(q)))
+
+
+def on_pattern(entries, dim):
+    """Boolean dim x dim mask of the triangle entries ``entries``, both
+    (i, j) and (j, i)."""
+    mask = np.zeros((dim, dim), dtype=bool)
+    pairs = geometry._upper(dim)[1]
+    for e in entries:
+        i, j = pairs[e]
+        mask[i, j] = mask[j, i] = True
+    return mask
+
+
 def first_derivatives_numpy(q, params, step=1e-3):
-    """metric_first_derivatives as numpy stencil loops, on the same Gram
-    matrices: the oracle for the plain-Python stencils."""
+    """metric_first_derivatives as dense numpy stencil loops, on the same
+    Gram matrices, as an array D1[k, i, j]: the oracle for the plain-Python
+    stencils."""
     q = np.asarray(q, dtype=float)
     dim = q.size
     h = step * np.maximum(1.0, np.abs(q))
@@ -156,14 +175,15 @@ def first_derivatives_numpy(q, params, step=1e-3):
         acc = np.zeros((dim, dim))
         for off, wgt in zip(geometry._D1_OFFSETS, geometry._D1_WEIGHTS):
             qq[k] = qk + off * hk
-            acc += wgt * np.array(_gram_from_chart(qq.tolist(), params))
+            acc += wgt * gram_matrix(qq, params)
         qq[k] = qk
         D1[k] = acc / (12.0 * h[k])
     return D1
 
 
 def second_derivatives_numpy(q, params, step):
-    """geometry._metric_second_derivatives as numpy stencil loops."""
+    """geometry._metric_second_derivatives as dense numpy stencil loops, as
+    an array D2[k, l, i, j]."""
     q = np.asarray(q, dtype=float)
     dim = q.size
     h = step * np.maximum(1.0, np.abs(q))
@@ -174,7 +194,7 @@ def second_derivatives_numpy(q, params, step):
         acc = np.zeros((dim, dim))
         for off, wgt in zip(geometry._D2_OFFSETS, geometry._D2_WEIGHTS):
             qq[k] = qk + off * hk
-            acc += wgt * np.array(_gram_from_chart(qq.tolist(), params))
+            acc += wgt * gram_matrix(qq, params)
         qq[k] = qk
         D2[k, k] = acc / (12.0 * h[k] ** 2)
     for k in range(dim):
@@ -186,20 +206,18 @@ def second_derivatives_numpy(q, params, step):
                 qq[k] = qk + off1 * hk
                 for off2, wgt2 in zip(geometry._D1_OFFSETS, geometry._D1_WEIGHTS):
                     qq[l] = ql + off2 * hl
-                    acc += wgt1 * wgt2 * np.array(_gram_from_chart(qq.tolist(), params))
+                    acc += wgt1 * wgt2 * gram_matrix(qq, params)
             qq[k], qq[l] = qk, ql
             D2[k, l] = D2[l, k] = acc / (144.0 * h[k] * h[l])
     return D2
 
 
-def ricci_numpy(p, params, step=1e-3):
+def ricci_numpy(p, params, D1, D2):
     """The Ricci tensor by numpy's einsum contractions of the full
-    Christoffel symbols and their derivatives, from the numpy stencils: the
-    oracle for ricci_fd's assembly."""
-    q = p.to_chart()
-    ginv = np.linalg.inv(np.array(_gram_from_chart(q, params)))
-    D1 = first_derivatives_numpy(q, params, step)
-    D2 = second_derivatives_numpy(q, params, step)
+    Christoffel symbols and their derivatives, from metric derivatives given
+    as arrays D1[k, i, j] and D2[k, l, i, j]: the oracle for ricci_fd's
+    assembly."""
+    ginv = np.linalg.inv(gram_matrix(p.to_chart(), params))
 
     # S[j,l,k] = d_j g_{lk} + d_k g_{lj} - d_l g_{jk}
     S = D1 + np.transpose(D1, (2, 1, 0)) - np.transpose(D1, (1, 0, 2))
@@ -325,7 +343,7 @@ class TestMetricGram:
         params = ModelParams(n, c)
         p = seeded_points(params, 1, seed=seed)[0]
         try:
-            np.linalg.cholesky(np.array(_gram_from_chart(p.to_chart(), params)))
+            np.linalg.cholesky(gram_matrix(p.to_chart(), params))
         except np.linalg.LinAlgError:
             with pytest.raises(ArithmeticError, match="positive-definiteness"):
                 metric_gram(p, params)
@@ -398,7 +416,7 @@ class TestGramAssembly:
         for p in self.gram_points(params):
             q = p.to_chart()
             ref = gram_oracle(q, params)
-            g = np.array(_gram_from_chart(q, params))
+            g = gram_matrix(q, params)
             assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
             assert np.array_equal(g, g.T)
 
@@ -406,7 +424,7 @@ class TestGramAssembly:
     @pytest.mark.parametrize("c", [0.0, 0.5, 3.0])
     def test_cached_layout_is_bit_identical_to_row_assembly(self, n, c):
         # The generated kernel forms each upper entry as the term-by-term
-        # sum of the formula and mirrors it: equal bits, exact symmetry.
+        # sum of the formula: equal bits, and exact symmetry once mirrored.
         params = ModelParams(n, c)
         for p in self.gram_points(params):
             q = p.to_chart()
@@ -415,7 +433,7 @@ class TestGramAssembly:
                 for off in (2, 1, 0, -1, -2):
                     qq = list(q)
                     qq[k] += off * h[k]
-                    g = _gram_from_chart(qq, params)
+                    g = geometry._symmetric(_gram_from_chart(qq, params), 4 * n)
                     assert g == gram_termwise(qq, params)
                     assert g == [list(column) for column in zip(*g)]
 
@@ -428,7 +446,7 @@ class TestGramAssembly:
         q = [Fraction(x) for x in p.to_chart()]
         s = sum(x * x for x in q[1:2 * n - 1])
         exact = geometry._gram_kernel(n)(q, Fraction(1, 2), 1 - s)
-        assert all(isinstance(x, (Fraction, int)) for row in exact for x in row)
+        assert all(isinstance(x, (Fraction, int)) for x in exact)
         g = np.array(_gram_from_chart(p.to_chart(), params))
         assert np.max(np.abs(np.array(exact, dtype=float) - g)) <= 1e-14 * np.max(np.abs(g))
 
@@ -471,30 +489,154 @@ class TestStencilCounts:
         assert len(calls) == 1 + 9 * d + 8 * d * (d - 1)
 
 
+class TestPattern:
+    """The structural zeros of the derivatives: an entry outside the pattern
+    of a coordinate is computed from the same numbers at every stencil point
+    along it, so the kernel gives it the same bits there, and the stencil
+    sum of equal values is 0 in exact arithmetic."""
+
+    @staticmethod
+    def stencil_grams(q, params, shifts):
+        """The Gram triangles at q moved by each {index: offset} of shifts,
+        in steps of 1e-3 max(1, |q_k|)."""
+        h = [1e-3 * max(1.0, abs(x)) for x in q]
+        out = []
+        for shift in shifts:
+            qq = list(q)
+            for k, off in shift.items():
+                qq[k] = q[k] + off * h[k]
+            out.append(_gram_from_chart(qq, params))
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("c", [0.0, 1.0, 3.0])
+    def test_entries_off_the_pattern_keep_their_bits(self, n, c):
+        params = ModelParams(n, c)
+        first, second = geometry._pattern(n)
+        dim = 4 * n
+        for p in seeded_points(params, 2, seed=29 + n):
+            q = p.to_chart()
+            for k in range(dim):
+                grams = self.stencil_grams(q, params, [{k: off} for off in geometry._D1_OFFSETS])
+                for e in set(range(len(grams[0]))) - set(first[k]):
+                    assert len({g[e] for g in grams}) == 1, (k, e)
+                for l in range(k + 1, dim):
+                    # Off the pair's pattern an entry depends on at most one of
+                    # q_k and q_l: the 4 x 4 grid of the mixed stencil holds
+                    # it constant along the other.
+                    grams = self.stencil_grams(q, params, [
+                        {k: o1, l: o2} for o1 in geometry._D1_OFFSETS for o2 in geometry._D1_OFFSETS])
+                    for e in set(range(len(grams[0]))) - set(second[k][l]):
+                        grid = [[g[e] for g in grams[row:row + 4]] for row in range(0, 16, 4)]
+                        along_l = all(len(set(row)) == 1 for row in grid)
+                        along_k = all(len(set(column)) == 1 for column in zip(*grid))
+                        assert along_k or along_l, (k, l, e)
+                        if e not in first[k] and e not in first[l]:
+                            assert along_k and along_l, (k, l, e)
+
+    def test_pattern_shape(self):
+        # Only 39 % of the first and 21 % of the second derivatives at n = 3
+        # can be non-zero; d_phi g and 11 of the 66 mixed pairs vanish.
+        first, second = geometry._pattern(3)
+        assert [len(entries) for entries in first] == [67] + [58] * 4 + [11] * 6 + [0]
+        assert all(second[k][k] == first[k] for k in range(12))
+        assert sum(not second[k][l] for k in range(12) for l in range(k + 1, 12)) == 11
+        for k in range(12):
+            for l in range(12):
+                assert second[k][l] == second[l][k]
+                assert set(second[k][l]) <= set(first[k]) & set(first[l])
+
+    def test_ricci_keeps_every_gram_evaluation_at_n3(self, monkeypatch):
+        # 1 + 9d + 8d(d - 1) = 1165 at d = 12: the all-zero pairs are still
+        # evaluated, one Gram per stencil point.
+        params = ModelParams(3, 1.0)
+        p = seeded_points(params, 1, seed=2)[0]
+        calls = [0]
+        original = geometry._gram_from_chart
+
+        def counting(q, params):
+            calls[0] += 1
+            return original(q, params)
+
+        monkeypatch.setattr(geometry, "_gram_from_chart", counting)
+        ricci_fd(p, params)
+        assert calls[0] == 1165
+
+
+def rounding_bound(weights, gram, divisor):
+    """Largest rounding a dense stencil sum (sum_t weights[t] * G) / divisor
+    can leave on entries where every G_t equals ``gram``: each of the
+    len(weights) additions rounds by at most eps times sum_t |weights[t]| |G|."""
+    return (len(weights) * np.finfo(float).eps * sum(map(abs, weights))
+            * np.abs(gram) / divisor)
+
+
 class TestStencilBits:
-    """The plain-Python stencils give the bits of numpy stencil loops on the
-    same Gram matrices, and leave the point where it was.  The Ricci
-    assembly contracts in another order than numpy's einsum over the full
-    Christoffel symbols and their derivatives, so it agrees to rounding."""
+    """On the pattern, the plain-Python stencils give the bits of dense
+    numpy stencil loops on the same Gram matrices; off it they are exact
+    0.0, where the dense loops hold only the rounding of terms that cancel.
+    The stencils leave the point where it was."""
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_first_derivatives(self, n):
         params = ModelParams(n, 0.5)
+        dim = 4 * n
+        first = geometry._pattern(n)[0]
         for p in seeded_points(params, 2, seed=19):
             q = p.to_chart()
-            assert np.array_equal(metric_first_derivatives(q, params),
-                                  first_derivatives_numpy(q, params))
+            D1 = metric_first_derivatives(q, params)
+            oracle = first_derivatives_numpy(q, params)
+            g = gram_matrix(q, params)
             assert q == p.to_chart()  # the point is not moved
+            for k in range(dim):
+                mask = on_pattern(first[k], dim)
+                Dk = np.array(geometry._symmetric(D1[k], dim))
+                assert np.array_equal(Dk[mask], oracle[k][mask])
+                assert np.all(Dk[~mask] == 0.0)
+                bound = rounding_bound(geometry._D1_WEIGHTS, g, 12.0 * 1e-3 * max(1.0, abs(q[k])))
+                assert np.all(np.abs(oracle[k][~mask]) <= bound[~mask])
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_ricci(self, n):
+    def test_second_derivatives(self, n):
         params = ModelParams(n, 1.0)
+        dim = 4 * n
+        second = geometry._pattern(n)[1]
         p = seeded_points(params, 1, seed=23)[0]
         q = p.to_chart()
-        assert np.array_equal(geometry._metric_second_derivatives(q, params, 1e-3),
-                              second_derivatives_numpy(q, params, 1e-3))
+        D2 = geometry._metric_second_derivatives(q, params, 1e-3)
+        oracle = second_derivatives_numpy(q, params, 1e-3)
+        g = gram_matrix(q, params)
+        h = [1e-3 * max(1.0, abs(x)) for x in q]
+        for k in range(dim):
+            for l in range(dim):
+                mask = on_pattern(second[k][l], dim)
+                Dkl = np.array(geometry._symmetric(D2[k][l], dim))
+                assert np.array_equal(Dkl[mask], oracle[k, l][mask])
+                assert np.all(Dkl[~mask] == 0.0)
+                if k == l:
+                    bound = rounding_bound(geometry._D2_WEIGHTS, g, 12.0 * h[k] ** 2)
+                else:
+                    bound = rounding_bound(geometry._MIXED_WEIGHTS, g, 144.0 * h[k] * h[l])
+                assert np.all(np.abs(oracle[k, l][~mask]) <= bound[~mask])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_ricci(self, n):
+        # The einsum oracle gets the pattern-zeroed derivatives: on dense
+        # ones the rounding of the cancelling second-derivative sums, about
+        # 1e-11 |g| at h = 1e-3, would exceed the tolerance.
+        params = ModelParams(n, 1.0)
+        dim = 4 * n
+        first, second = geometry._pattern(n)
+        p = seeded_points(params, 1, seed=23)[0]
+        q = p.to_chart()
+        D1 = first_derivatives_numpy(q, params)
+        D2 = second_derivatives_numpy(q, params, 1e-3)
+        for k in range(dim):
+            D1[k][~on_pattern(first[k], dim)] = 0.0
+            for l in range(dim):
+                D2[k, l][~on_pattern(second[k][l], dim)] = 0.0
         ric = np.array(ricci_fd(p, params))
-        reference = ricci_numpy(p, params)
+        reference = ricci_numpy(p, params, D1, D2)
         assert np.array_equal(ric, ric.T)
         assert np.max(np.abs(ric - reference)) <= RICCI_TOLERANCE * np.max(np.abs(reference))
 
