@@ -495,7 +495,19 @@ class Rad:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        if type(other) is not Rad:
+            if type(other) is RadC:
+                return NotImplemented
+            other = self.coerce(other)
+        elif self.a != other.a or self.b != other.b:
+            raise ValueError("mixed radical parameters")
+        d, e = self._d, other._d
+        if d == e:
+            return _radical(self.a, self.b, self._n1 - other._n1, self._na - other._na,
+                            self._nb - other._nb, self._nab - other._nab, d)
+        return _radical(self.a, self.b, self._n1 * e - other._n1 * d,
+                        self._na * e - other._na * d, self._nb * e - other._nb * d,
+                        self._nab * e - other._nab * d, d * e)
 
     def __rsub__(self, other):
         return self.coerce(other) - self

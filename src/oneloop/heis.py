@@ -70,12 +70,9 @@ class HermForm:
     def h(self, v: Sequence, w: Sequence):
         if len(v) != self.n or len(w) != self.n:
             raise ValueError("vector length does not match the form dimension")
-        total = None
-        for sign, vj, wj in zip(self.signs, v, w):
-            term = vj.conj() * wj
-            if sign < 0:
-                term = -term
-            total = term if total is None else total + term
+        total = v[0].conj() * w[0]
+        for vj, wj in zip(v[1:], w[1:]):
+            total = total - vj.conj() * wj
         return total
 
     def omega(self, v: Sequence, w: Sequence):
@@ -160,10 +157,12 @@ class LatticeDescription:
     def _coordinate_system(self):
         """The basis solve of ``lattice_coordinates``, built once per lattice.
 
-        (matrix, mu, rows, solve, delta): the basis vectors' rational
-        coordinates are the columns of matrix / mu, with integer entries;
-        ``rows`` are pivot rows of matrix, and the inverse of that square
-        block is solve / (mu * delta), again with integer entries.
+        (matrix, mu, solve, delta): the basis vectors' rational coordinates
+        are the columns of matrix / mu, with integer entries; the inverse of
+        a square block of pivot rows of matrix is solve / (mu * delta), again
+        with integer entries.  A row of matrix is kept as its nonzero
+        (column, entry) pairs and a row of solve as its nonzero (pivot row,
+        weight) pairs: for Gamma_2, 12 of the 16 rows of matrix are zero.
         """
         numerators, mu = _numerators(
             [part for vec in self.basis for part in _real_parts(vec)]
@@ -172,8 +171,10 @@ class LatticeDescription:
         matrix = [numerators[i::m] for i in range(m)]
         rows, inverse = pivot_inverse(matrix)
         delta = math.lcm(*(x.denominator for row in inverse for x in row))
-        solve = [[int(x * delta) * mu for x in row] for row in inverse]
-        return matrix, mu, rows, solve, delta
+        solve = [[(i, int(x * delta) * mu) for i, x in zip(rows, row) if x]
+                 for row in inverse]
+        sparse = [[(k, x) for k, x in enumerate(row) if x] for row in matrix]
+        return sparse, mu, solve, delta
 
     def omega_table(self) -> List[List[object]]:
         """Exact matrix omega(B_i, B_j) over the lattice basis."""
@@ -300,14 +301,14 @@ def lattice_coordinates(
     lifted = [template.coerce(z) for z in p.v]
     t = lattice.r.coerce(p.t)
 
-    matrix, mu, rows, solve, delta = lattice._coordinate_system
+    matrix, mu, solve, delta = lattice._coordinate_system
     rhs, den = _numerators(_real_parts(lifted))
     # The basis is matrix / mu and v is rhs / den, so the solution is
-    # solve . rhs[rows] / (delta * den).  It is floored here; the row check
-    # then holds only if the floor is the exact, integral solution.
-    coords = [sum(w * rhs[i] for w, i in zip(weights, rows)) // (delta * den)
-              for weights in solve]
-    if any(den * sum(m * x for m, x in zip(row, coords)) != mu * value
+    # solve . rhs / (delta * den).  It is floored here; the row check
+    # then holds only if the floor is the exact, integral solution; a zero
+    # row of matrix holds only if its value is zero.
+    coords = [sum(w * rhs[i] for i, w in weights) // (delta * den) for weights in solve]
+    if any(den * sum(m * coords[k] for k, m in row) != mu * value if row else value
            for row, value in zip(matrix, rhs)):
         return None
 
@@ -342,13 +343,15 @@ def form_defect(g) -> Optional[Tuple[int, int]]:
     eta = diag(1, -1, ..., -1) is the Gram matrix of the Hermitian form, so
     entry (j, k) of g^H eta g is h(column j, column k).  ``g`` is a square
     exact matrix (QI or RadC entries), and None means that g preserves the
-    form exactly.
+    form exactly.  g^H eta g and eta are Hermitian, so a defect at (k, j)
+    is one at (j, k): only j <= k is visited, and the first defect in
+    row-major order is still the one returned.
     """
     form = HermForm(len(g))
     zero, one = g[0][0].coerce(0), g[0][0].coerce(1)
     cols = list(zip(*g))
     for j, col_j in enumerate(cols):
-        for k, col_k in enumerate(cols):
+        for k, col_k in enumerate(cols[j:], j):
             expected = zero if j != k else (one if form.signs[j] > 0 else -one)
             if form.h(col_j, col_k) != expected:
                 return j, k

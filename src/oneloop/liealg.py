@@ -278,18 +278,23 @@ def structure_check(n: int) -> StructureReport:
 
     Exact polynomial arithmetic with the deformation parameter symbolic;
     -[x, y] is the commutator [y, x], and alpha of a basis element is its
-    image.
+    image.  Every pair is bracketed, but alpha runs once per distinct
+    commutator (83 among the 625 pairs at n = 4), kept for this call only.
     """
     from .polyfields import bracket
 
     basis = algebra_basis(n)
     mismatches: List[Tuple[str, str]] = []
+    images: Dict[MatGl, PolyVectorField] = {}
     pairs = 0
     for label_x, x, image_x in basis:
         for label_y, y, image_y in basis:
             pairs += 1
             lhs = bracket(image_x, image_y)
-            rhs = alpha(y.commutator(x))
+            commutator = y.commutator(x)
+            rhs = images.get(commutator)
+            if rhs is None:
+                rhs = images[commutator] = alpha(commutator)
             if lhs != rhs:
                 mismatches.append((label_x, label_y))
     return StructureReport(n=n, pairs_checked=pairs, mismatches=tuple(mismatches))

@@ -6,6 +6,8 @@ and their exact Lie brackets; :mod:`oneloop.fields` evaluates them in the chart.
 A field computes the nonzero partial derivatives of its components once, on
 first use, and keeps them (``PolyVectorField.partials``): every bracket with
 the field and the chart evaluator of :mod:`oneloop.fields` read them there.
+The term lists that ``bracket`` multiplies, negated for the right operand,
+are kept the same way (``PolyVectorField.operands``).
 ``bracket`` and ``combination`` add their products and scaled terms into one
 term dict per component through ``Poly._accumulate``, so the term order of a
 result is the one that summing ``Poly`` products would give.
@@ -74,7 +76,7 @@ class PolyVectorField:
     the radial coordinate.
     """
 
-    __slots__ = ("n", "comps", "_partials")
+    __slots__ = ("n", "comps", "_partials", "_operands")
 
     def __init__(self, n: int, comps: Sequence[Poly]):
         comps = tuple(comps)
@@ -89,6 +91,7 @@ class PolyVectorField:
         self.n = n
         self.comps = comps
         self._partials = None
+        self._operands = None
 
     # --- algebra ---------------------------------------------------------
     def _check(self, other: "PolyVectorField"):
@@ -149,6 +152,16 @@ class PolyVectorField:
             )
         return self._partials
 
+    def operands(self) -> tuple:
+        """The (direction, terms) and (direction, negated terms) lists of the
+        nonzero variable-direction components, built once: ``bracket`` reads
+        the first when the field is on its left, the second on its right."""
+        if self._operands is None:
+            comps = [(j, list(Fj.terms.items()))
+                     for j, Fj in enumerate(self.comps[:-1]) if Fj]
+            self._operands = comps, [(j, [(m, -c) for m, c in items]) for j, items in comps]
+        return self._operands
+
     def __repr__(self):
         n_nonzero = sum(1 for c in self.comps if c)
         return f"PolyVectorField(n={self.n}, nonzero_dirs={n_nonzero})"
@@ -166,9 +179,7 @@ def bracket(F: PolyVectorField, G: PolyVectorField) -> PolyVectorField:
     F._check(G)
     nv = 4 * F.n - 1
     # Only the nonzero variable-direction components can contribute.
-    F_terms = [(j, Fj.terms.items()) for j, Fj in enumerate(F.comps[: nv - 1]) if Fj]
-    G_neg = [(j, [(m, -c) for m, c in Gj.terms.items()])
-             for j, Gj in enumerate(G.comps[: nv - 1]) if Gj]
+    F_terms, G_neg = F.operands()[0], G.operands()[1]
     accumulate, products = Poly._accumulate, Poly._products
     zero = Poly.zero(nv)
     comps = []

@@ -718,6 +718,13 @@ GOLDEN = [
      "4f93b2be53e81bdc12048c6288a251ad4115e9ad90eb4e53b6a26b7526ace2d8", ""),
     (["lattice", "--c-exact", "1:3:7", "--bound", "3", "--format", "json"], 0,
      "21ac942a7c78be62ea960102c674879be620d2abb4c12aca560feef3e96a0478", ""),
+    # The three lattice jobs of the benchmark's exact workload.
+    (["lattice", "--c-exact", "1:2:3", "--bound", "5"], 0,
+     "4f1d03faa1a60526603bae70e004d63029de2158e73f34635354394f057fc262", ""),
+    (["lattice", "--c-exact", "1:2:5", "--bound", "6"], 0,
+     "e4bd9bcbfc6f7006babdb7c77cf85cde3842a97ad1f40a89419c224413b640ee", ""),
+    (["lattice", "--c-exact", "1:3:7", "--bound", "8"], 0,
+     "4b6e98736fdc5248b72b71002fe7e5aa567030419f1a8acea817b5e543ec731b", ""),
     (["lattice", "--c-exact", "1:2:1", "--bound", "2"], 0,
      "58ccf65d937a5d2a1fe703773ac1159b351b25caa4f0cff133f6eb52ceb2b1f1",
      "warning: b = 1 is not a prime (division-algebra hypothesis unmet); "

@@ -13,6 +13,7 @@ from oneloop.heis import (
     HeisLatticePoint,
     HeisPoint,
     HermForm,
+    form_defect,
     heis_identity,
     heis_inverse,
     heis_mul,
@@ -22,7 +23,7 @@ from oneloop.heis import (
     su_action,
     unipotent_witness,
 )
-from oneloop.quatarith import QuatInt, QuatParams, embed_matrix
+from oneloop.quatarith import QuatInt, QuatParams, embed_matrix, enumerate_norm_one
 
 
 def random_qi_vector(n, rng):
@@ -429,6 +430,107 @@ class TestSuAction:
         )
         with pytest.raises(ValueError, match="size"):
             su_action(identity3, HeisPoint((QI(1), QI(0)), Fraction(0)))
+
+
+def full_scan_defect(g):
+    """First (j, k) in row-major order over all n^2 entries at which
+    g^H eta g differs from eta = diag(1, -1, ..., -1), each entry summed
+    term by term."""
+    n = len(g)
+    zero = g[0][0].coerce(0)
+    for j in range(n):
+        for k in range(n):
+            value = sum_entries([g[m][j].conj() * g[m][k] * (1 if m == 0 else -1)
+                                 for m in range(n)])
+            expected = zero if j != k else zero + (1 if j == 0 else -1)
+            if value != expected:
+                return j, k
+    return None
+
+
+def embedded(n, rows, cols, block, one, zero):
+    """The n x n identity with the given block written into (rows, cols)."""
+    out = [[one if j == k else zero for k in range(n)] for j in range(n)]
+    for j, row in zip(rows, block):
+        for k, x in zip(cols, row):
+            out[j][k] = one * x
+    return tuple(map(tuple, out))
+
+
+def qi_form_preservers(n):
+    """Exact QI matrices preserving diag(1, -1, ..., -1): a boost, a rotation
+    of two negative directions, unit phases and a swap."""
+    one, zero = QI(1), QI(0)
+    f = Fraction
+    out = [embedded(n, (0, m), (0, m), ((f(5, 4), f(3, 4)), (f(3, 4), f(5, 4))), one, zero)
+           for m in range(1, n)]
+    out += [embedded(n, (m,), (m,), ((u,),), one, zero)
+            for m in range(n) for u in (QI(-1), QI(0, 1))]
+    if n > 2:
+        out.append(embedded(n, (1, 2), (1, 2), ((f(3, 5), f(-4, 5)), (f(4, 5), f(3, 5))),
+                            one, zero))
+        out.append(embedded(n, (1, 2), (1, 2), ((0, 1), (1, 0)), one, zero))
+    return out
+
+
+def single_defect(n, j, k, one, zero):
+    """A matrix M whose M^H eta M differs from eta at (j, k) and (k, j) only:
+    column k is a unit-length vector that is not orthogonal to column j."""
+    f = Fraction
+    if j == 0:
+        return embedded(n, (0, k), (0, k), ((1, f(3, 4)), (0, f(5, 4))), one, zero)
+    return embedded(n, (j, k), (j, k), ((1, f(3, 5)), (0, f(4, 5))), one, zero)
+
+
+class TestFormDefect:
+    """``form_defect`` visits only j <= k; it must return the entry that a
+    row-major scan over all n^2 entries returns."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", [61, 62, 63])
+    def test_gaussian_rational_matrices(self, n, seed):
+        rng = random.Random(seed)
+        one, zero = QI(1), QI(0)
+        preservers = qi_form_preservers(n)
+
+        def preserver():
+            g = rng.choice(preservers)
+            for _ in range(3):
+                g = mat_mul(g, rng.choice(preservers))
+            return g
+
+        cases = [(preserver(), None) for _ in range(6)]
+        cases += [(mat_mul(preserver(), single_defect(n, j, k, one, zero)), (j, k))
+                  for j in range(n) for k in range(j + 1, n)]
+        cases += [(mat_mul(preserver(), embedded(n, (m,), (m,), ((2,),), one, zero)), (m, m))
+                  for m in range(n)]
+        cases += [(tuple(random_qi_vector(n, rng) for _ in range(n)), "any")
+                  for _ in range(6)]
+        for g, expected in cases:
+            found = form_defect(g)
+            assert found == full_scan_defect(g)
+            if expected != "any":
+                assert found == expected
+
+    @pytest.mark.parametrize("seed", [71, 72])
+    def test_radical_matrices(self, seed):
+        rng = random.Random(seed)
+        preservers = [embed_matrix(q)
+                      for q in rng.sample(enumerate_norm_one(QuatParams(2, 3), 3), 6)]
+        one, zero = preservers[0][0][0].coerce(1), preservers[0][0][0].coerce(0)
+        cases = [(g, None) for g in preservers]
+        cases += [(mat_mul(g, single_defect(2, 0, 1, one, zero)), (0, 1)) for g in preservers]
+
+        def entry():
+            parts = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(8)]
+            return RadC(Rad(2, 3, *parts[:4]), Rad(2, 3, *parts[4:]))
+
+        cases += [(((entry(), entry()), (entry(), entry())), "any") for _ in range(6)]
+        for g, expected in cases:
+            found = form_defect(g)
+            assert found == full_scan_defect(g)
+            if expected != "any":
+                assert found == expected
 
 
 class TestUnipotentWitness:

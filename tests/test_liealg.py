@@ -17,6 +17,7 @@ from oneloop.fields import GeneratorName, generator
 from oneloop.liealg import (
     CenterVector,
     MatGl,
+    StructureReport,
     algebra_basis,
     alpha,
     blocks,
@@ -30,6 +31,7 @@ from oneloop.liealg import (
     sigma,
     structure_check,
 )
+from oneloop.polyfields import bracket
 
 
 def random_qi(rng):
@@ -493,6 +495,47 @@ class TestStructureCheck:
             ("B(1,2)", "U(2)"), ("B(1,3)", "U(3)"), ("B(2,1)", "U(1)"),
             ("B(3,1)", "U(1)"), ("E(0)", "U(1)"), ("Ebar(1)", "U(1)"),
         )
+
+
+def per_pair_structure_check(n):
+    """The structure check with alpha evaluated once per pair, no memo."""
+    basis = liealg.algebra_basis(n)
+    mismatches = tuple((label_x, label_y)
+                       for label_x, x, image_x in basis for label_y, y, image_y in basis
+                       if bracket(image_x, image_y) != alpha(y.commutator(x)))
+    return StructureReport(n=n, pairs_checked=len(basis) ** 2, mismatches=mismatches)
+
+
+class TestStructureMemo:
+    """``structure_check`` runs alpha once per distinct commutator; it must
+    report what the per-pair loop reports."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_the_per_pair_loop(self, n):
+        assert structure_check(n) == per_pair_structure_check(n)
+
+    @pytest.mark.parametrize("n, distinct", [(1, 7), (2, 25), (3, 53), (4, 83)])
+    def test_alpha_runs_once_per_distinct_commutator(self, monkeypatch, n, distinct):
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return alpha(x)
+
+        monkeypatch.setattr(liealg, "alpha", counting)
+        report = structure_check(n)
+        assert report.pairs_checked == len(algebra_basis(n)) ** 2
+        assert len(calls) == len(set(calls)) == distinct
+
+    def test_wrong_image_is_reported_by_both(self, monkeypatch):
+        # The memo holds right-hand sides only: with the image of one basis
+        # element negated, both loops must flag the same pairs.
+        basis = tuple((label, x, -image if label == "B(1,2)" else image)
+                      for label, x, image in algebra_basis(3))
+        monkeypatch.setattr(liealg, "algebra_basis", lambda n: basis)
+        report = structure_check(3)
+        assert report.mismatches
+        assert report == per_pair_structure_check(3)
 
 
 class TestCenterVector:

@@ -551,6 +551,37 @@ class TestPreservesGamma2:
             members += expected is not None
         assert 0 < members < 40
 
+    @pytest.mark.parametrize("ab", [(2, 3), (2, 5), (3, 7), (2, 1)])
+    def test_every_row_is_checked(self, ab):
+        # Twelve of the sixteen rows of the Gamma_2 coordinate matrix are
+        # zero and the solve reads only pivot rows, so a half added to any
+        # one rational coordinate of a member, in a zero row or not, must
+        # be caught by the row check.  Each basis image at bound 3 must get
+        # the coordinates of the dense solve.
+        params = QuatParams(*ab)
+        lattice = gamma2_basis(params)
+        rows = [[part for z in vec for part in z.components()] for vec in lattice.basis]
+        assert sum(not any(row) for row in zip(*rows)) == 12
+
+        def shifted(point, i):
+            j, comp = divmod(i, 8)
+            parts = list(point.v[j].components())
+            parts[comp] += Fraction(1, 2)
+            entry = RadC(rad(params, *parts[:4]), rad(params, *parts[4:]))
+            return HeisPoint(point.v[:j] + (entry,) + point.v[j + 1:], point.t)
+
+        for q in enumerate_norm_one(params, 3):
+            matrix = embed_matrix(q)
+            for vec in lattice.basis:
+                image = tuple(matrix[j][0] * vec[0] + matrix[j][1] * vec[1]
+                              for j in range(2))
+                point = HeisPoint(image, Fraction(0))
+                expected = solve_uncached(lattice, point)
+                assert expected is not None
+                assert lattice_coordinates(lattice, point) == expected
+                for i in range(16):
+                    assert lattice_coordinates(lattice, shifted(point, i)) is None
+
     @pytest.mark.parametrize("params", [P23, P37, P25])
     def test_exhaustive_over_enumeration(self, params):
         elements = enumerate_norm_one(params, 5)
