@@ -72,10 +72,11 @@ class QuatParams:
             raise ValueError("b must be a positive integer")
 
 
-# Slotted and not frozen, like QI, Rad and RadC: the norm-one scan builds
-# one per candidate, so each one should be small and cheap to build.
-# Nothing assigns to a QuatInt after construction, so its field hash stays
-# its value hash.
+# Slotted and not frozen, like QI, Rad and RadC, so each one is small and
+# cheap to build.  Nothing assigns to a QuatInt after construction, so its
+# field hash stays its value hash, with one exception: the norm-one scan
+# refills the coordinates of a single candidate that it never hashes,
+# stores or returns.
 @record(slots=True)
 class QuatInt:
     """Integral quaternion q0 + q1*I + q2*J + q3*K over fixed (a, b)."""
@@ -142,16 +143,18 @@ def enumerate_norm_one(params: QuatParams, bound: int) -> List[QuatInt]:
     """All integral quaternions of reduced norm 1 with max |q_i| <= bound.
 
     Exhaustive scan in lexicographic (q0, q1, q2, q3) order, so results are
-    deterministic.
+    deterministic.  The scan refills one candidate in place and builds a
+    new QuatInt only for each norm-one hit.
     """
     if not (type(bound) is int and bound >= 1):
         raise ValueError("bound must be a positive integer")
     rng = range(-bound, bound + 1)
     found = []
-    for q0, q1, q2, q3 in product(rng, rng, rng, rng):
-        q = QuatInt(q0, q1, q2, q3, params)
-        if reduced_norm(q) == 1:
-            found.append(q)
+    candidate = QuatInt(0, 0, 0, 0, params)
+    for candidate.q0, candidate.q1, candidate.q2, candidate.q3 in product(rng, repeat=4):
+        if reduced_norm(candidate) == 1:
+            found.append(QuatInt(candidate.q0, candidate.q1, candidate.q2, candidate.q3,
+                                 params))
     return found
 
 

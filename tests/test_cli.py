@@ -712,6 +712,11 @@ GOLDEN = [
      "50265bb421c7f3274df023696870877ec6836235afe5e7a632f693ae2bfdafe0", ""),
     (["structure", "--n", "4"], 0,
      "b90c76842e8c79c83320450e7a021aec546b9a65a8fc717289f8f5fac49cba69", ""),
+    # Past the benchmark's sizes: 1296 and 2401 ordered pairs.
+    (["structure", "--n", "5"], 0,
+     "9f6b7df4c5375772ccc3d729dbf5c78279c882da057d964ed04d8921297991ad", ""),
+    (["structure", "--n", "6"], 0,
+     "0b96f0a3e36af2c401fa143ecf31fd847971d076e0344e0160797db0e439f0a7", ""),
     (["lattice", "--bound", "2"], 0,
      "42f7d76e728d3be4fddf67933ee0a53ecb65d0160dd8df4626d10276feca767b", ""),
     (["lattice", "--bound", "2", "--format", "json"], 0,

@@ -507,14 +507,15 @@ def per_pair_structure_check(n):
 
 
 class TestStructureMemo:
-    """``structure_check`` runs alpha once per distinct commutator; it must
-    report what the per-pair loop reports."""
+    """``structure_check`` brackets each unordered pair once and runs alpha
+    once per distinct commutator; it must report what the per-pair loop over
+    every ordered pair reports."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_the_per_pair_loop(self, n):
         assert structure_check(n) == per_pair_structure_check(n)
 
-    @pytest.mark.parametrize("n, distinct", [(1, 7), (2, 25), (3, 53), (4, 83)])
+    @pytest.mark.parametrize("n, distinct", [(1, 4), (2, 16), (3, 32), (4, 51)])
     def test_alpha_runs_once_per_distinct_commutator(self, monkeypatch, n, distinct):
         calls = []
 
@@ -536,6 +537,16 @@ class TestStructureMemo:
         report = structure_check(3)
         assert report.mismatches
         assert report == per_pair_structure_check(3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_both_sides_are_antisymmetric(self, n):
+        # The identities that let one unordered pair decide its mirror,
+        # over every ordered basis pair.
+        basis = algebra_basis(n)
+        for _, x, image_x in basis:
+            for _, y, image_y in basis:
+                assert bracket(image_x, image_y) == -bracket(image_y, image_x)
+                assert alpha(y.commutator(x)) == -alpha(x.commutator(y))
 
 
 class TestCenterVector:

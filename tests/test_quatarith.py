@@ -268,6 +268,27 @@ class TestEnumerateNormOne:
             y = rng.choice(elements)
             assert reduced_norm(quat_mul(x, y)) == 1
 
+    def test_reduced_norm_runs_once_per_candidate(self, monkeypatch):
+        counted = []
+
+        def counting(q):
+            counted.append(q.coords())
+            return reduced_norm(q)
+
+        monkeypatch.setattr(quatarith, "reduced_norm", counting)
+        enumerate_norm_one(P37, 3)
+        assert len(counted) == len(set(counted)) == 7 ** 4
+
+    @pytest.mark.parametrize("params, bound", [(P23, 3), (P37, 3), (P25, 4)])
+    def test_every_result_is_its_own_object(self, params, bound):
+        # The scan refills one candidate in place; what it returns must be
+        # fresh values that no later step of the scan changes.
+        found = enumerate_norm_one(params, bound)
+        assert len(found) > 4
+        assert len({id(q) for q in found}) == len(found)
+        assert all(type(value) is int for q in found for value in q.coords())
+        assert all(q.params is params for q in found)
+
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             enumerate_norm_one(P23, 0)

@@ -479,13 +479,92 @@ def test_fact_checks_on_a_synthetic_source():
     assert _model_params_lines(tree) == [12, 17, 18]
 
 
+QUAT_COORDINATES = {"q0", "q1", "q2", "q3"}
+
+
+def _coordinate_stores(tree):
+    """(function, line) of each assignment to or deletion of a QuatInt
+    coordinate attribute in a tree, ``setattr`` and ``__setattr__`` calls
+    with a coordinate name included, at any depth; a store in the target of
+    a ``for`` loop of ``enumerate_norm_one`` is tagged "scan" instead.
+
+    Records hash by value, so a QuatInt that changes after it is hashed
+    breaks every set and dict it is in; only the scan's candidate, which is
+    never hashed, stored or returned, is refilled.
+    """
+    found = []
+
+    def visit(node, function, scan):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and node.attr in QUAT_COORDINATES
+                and isinstance(node.ctx, (ast.Store, ast.Del))):
+            found.append(("scan" if scan else function, node.lineno))
+        elif (isinstance(node, ast.Call) and len(node.args) >= 2
+              and (isinstance(node.func, ast.Name) and node.func.id == "setattr"
+                   or isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__")
+              and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value in QUAT_COORDINATES):
+            found.append((function, node.lineno))
+        for field, value in ast.iter_fields(node):
+            in_target = (scan or isinstance(node, ast.For) and field == "target"
+                         and function == "enumerate_norm_one")
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    visit(child, function, in_target)
+
+    visit(tree, None, False)
+    return found
+
+
+def test_only_the_scan_refills_a_quaternion():
+    found = {path.name: _coordinate_stores(_parse(path))
+             for path in sorted((ROOT / "src" / "oneloop").glob("*.py"))}
+    stores = {name: sorted({where for where, _ in spots})
+              for name, spots in found.items() if spots}
+    assert stores == {"quatarith.py": ["scan"]}
+    assert len(found["quatarith.py"]) == 4, "the scan refills all four coordinates"
+
+
+STORES = """
+def enumerate_norm_one(params, bound):
+    candidate = make()
+    for candidate.q0, candidate.q1, (candidate.q2, candidate.q3) in rows():
+        candidate.q0 += 1
+        for inner in candidate.coords():
+            keep(inner.q1)
+    candidate.q3 = 0
+    return [candidate.q0]
+
+
+def elsewhere(q, p):
+    for q.q2, label in pairs():
+        p.value = q.q0
+    setattr(q, "q1", 2)
+    object.__setattr__(q, "q3", 3)
+    setattr(q, "params", None)
+    del q.q0
+    q.q9 = 1
+"""
+
+
+def test_coordinate_stores_on_a_synthetic_source():
+    # The scan's loop target is tagged; a store in the loop's body or after
+    # it, and every store in any other function, is named with its line.
+    assert _coordinate_stores(ast.parse(STORES)) == [
+        ("scan", 4), ("scan", 4), ("scan", 4), ("scan", 4),
+        ("enumerate_norm_one", 5), ("enumerate_norm_one", 8),
+        ("elsewhere", 13), ("elsewhere", 15), ("elsewhere", 16), ("elsewhere", 18)]
+
+
 @pytest.mark.parametrize("value", [
     QI(1, 2), Rad(2, 3, 1), RadC(Rad(2, 3, 1)), QuatInt(1, 0, 0, 0, QuatParams(2, 3)),
 ], ids=lambda value: type(value).__name__)
 def test_per_term_values_are_slotted_and_unfrozen(value):
-    # These are built once per scan candidate or per product term, so an
-    # instance __dict__ or a frozen dataclass's per-field object.__setattr__
-    # would cost on every one of them.
+    # These are built once per product term or per norm-one hit, and the
+    # scan refills one candidate per step, so an instance __dict__ or a
+    # frozen dataclass's per-field object.__setattr__ would cost on every
+    # one of them.
     cls = type(value)
     assert "__slots__" in vars(cls)
     assert not hasattr(value, "__dict__")
