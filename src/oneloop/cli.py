@@ -18,8 +18,8 @@ Subcommands:
 
 Each command returns one record (JSON report, CSV rows, exit code), and
 ``main`` renders it once, as JSON or through the command's CSV columns.
-Every report embeds the tolerances it used and the full numeric
-configuration, so identical configurations (including the seed) produce
+Every report embeds the tolerances it used and the numeric configuration
+that its command read, so identical configurations (including the seed) produce
 byte-identical output.  The seeded points come from Python's ``random``,
 whose sequence Python keeps across versions, and the float commands run in
 plain Python floats, with no numpy.  The process exit status is 0 exactly
@@ -28,9 +28,11 @@ flags verify (lattice) or unconditionally on success (volume-table).
 Invalid input and an ``--out`` path that cannot be written exit 2, with
 nothing on stdout.
 
-Configuration may come from flags or from a JSON file (``--config``) whose
-keys match the flag names with underscores (any other key is an error);
-explicit flags win.
+Each subcommand takes only the flags it reads, listed in its ``_COMMANDS``
+entry, plus ``--out`` and ``--config``; any other flag, or a prefix of one,
+exits 2 through argparse.  Configuration may come from those flags or from a
+JSON file (``--config``) whose keys are the same flag names with underscores
+(any other key is an error); explicit flags win.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import sys
 from typing import TYPE_CHECKING, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .params import ModelParams
-from .record import fields, record
+from .record import record
 
 if TYPE_CHECKING:  # json and fractions load only where they are used
     from fractions import Fraction
@@ -138,25 +140,19 @@ class RunConfig:
 
     @property
     def effective_format(self) -> str:
-        return self.format or _COMMANDS[self.command][1]
+        return self.format or _COMMANDS[self.command][2]
 
     def echo(self) -> Dict:
-        """The numeric configuration, embedded in every report."""
-        payload = {
-            "n": self.n,
-            "c": self.effective_c,
-            "seed": self.seed,
-            "points": self.points,
-            "step": self.step,
-        }
+        """The numeric configuration that decided the report: the command's
+        own flags among n, seed, points and step, then c and any c_exact."""
+        flags = _COMMANDS[self.command][1]
+        payload = {name: getattr(self, name)
+                   for name in ("n", "seed", "points", "step") if name in flags}
+        payload["c"] = self.effective_c
         if self.c_exact is not None:
             lam, a, b = self.c_exact
             payload["c_exact"] = {"lam": str(lam), "a": a, "b": b}
         return payload
-
-
-# Each default is written once, on the RunConfig field.
-_DEFAULTS = {name: getattr(RunConfig, name) for name in fields(RunConfig) if name != "command"}
 
 
 def _json_text(report: Dict) -> str:
@@ -383,22 +379,25 @@ _VOLUME_COLUMNS = tuple(
     for name in ("rho", "density", "closed_tail", "quadrature_tail", "ratio_to_asymptote")
 )
 
-# name: (handler, default format, CSV columns or None for JSON only)
+# name: (handler, the flags it reads besides --out and --config, default
+# format, CSV columns or None for JSON only)
 _COMMANDS = {
-    "verify-killing": (cmd_verify_killing, "json", (
+    "verify-killing": (cmd_verify_killing,
+                       ("n", "c", "c_exact", "seed", "points", "step", "format"), "json", (
         ("generator", str),
         ("max_residual", "{:.6e}".format),
         ("tolerance", "{:.1e}".format),
         ("pass", _flag),
     )),
-    "structure": (cmd_structure, "json", None),
-    "center": (cmd_center, "json", None),
-    "curvature": (cmd_curvature, "json", None),
-    "lattice": (cmd_lattice, "csv", (
+    "structure": (cmd_structure, ("n",), "json", None),
+    "center": (cmd_center, ("n", "c", "c_exact"), "json", None),
+    "curvature": (cmd_curvature, ("n", "c", "c_exact", "seed", "points", "step"), "json", None),
+    "lattice": (cmd_lattice, ("c_exact", "bound", "format"), "csv", (
         ("q0", str), ("q1", str), ("q2", str), ("q3", str), ("norm", str),
         ("su11_ok", _flag), ("preserves_gamma2", _flag),
     )),
-    "volume-table": (cmd_volume_table, "csv", _VOLUME_COLUMNS),
+    "volume-table": (cmd_volume_table, ("n", "c", "c_exact", "grid", "vd", "format"), "csv",
+                     _VOLUME_COLUMNS),
 }
 
 
@@ -431,41 +430,51 @@ def _parse_grid(text: str) -> Tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad rho grid: {exc}") from exc
 
 
+# The argparse arguments of each flag, declared once.  A subcommand gets the
+# flags of its _COMMANDS entry, plus --out and --config; an absent flag reads
+# None, so that build_config can tell it was not given.
+_FLAGS = {
+    "n": dict(type=int, help="complex dimension parameter"),
+    "c": dict(type=float, help="deformation parameter"),
+    "c_exact": dict(type=_parse_c_exact, metavar="LAM:A:B",
+                    help="exact deformation: c solves 4*pi*c = LAM*sqrt(A*B)/2; "
+                    "also selects the quaternion algebra for 'lattice'"),
+    "seed": dict(type=int, help="PRNG seed"),
+    "points": dict(type=int, help="seeded point count"),
+    "step": dict(type=float, help="finite-difference step"),
+    "bound": dict(type=int, help="enumeration bound"),
+    "out": dict(help="also write output to this path"),
+    "format": dict(choices=("json", "csv")),
+    "grid": dict(type=_parse_grid, metavar="R1,R2,...", help="rho grid for volume-table"),
+    "vd": dict(type=float, help="fundamental-domain volume"),
+    "config": dict(help="JSON file with the same keys as the flags (flags win)"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    # The flags are declared once, on a parent that every subcommand copies;
-    # an absent flag reads None, so that build_config can tell it was not given.
-    common = argparse.ArgumentParser(add_help=False)
-    add = common.add_argument
-    add("--n", type=int, help="complex dimension parameter")
-    add("--c", type=float, help="deformation parameter")
-    add("--c-exact", type=_parse_c_exact, metavar="LAM:A:B",
-        help="exact deformation: c solves 4*pi*c = LAM*sqrt(A*B)/2; "
-        "also selects the quaternion algebra for 'lattice'")
-    add("--seed", type=int, help="PRNG seed")
-    add("--points", type=int, help="seeded point count")
-    add("--step", type=float, help="finite-difference step")
-    add("--bound", type=int, help="enumeration bound")
-    add("--out", help="also write output to this path")
-    add("--format", choices=("json", "csv"))
-    add("--grid", type=_parse_grid, metavar="R1,R2,...", help="rho grid for volume-table")
-    add("--vd", type=float, help="fundamental-domain volume")
-    add("--config", help="JSON file with the same keys as the flags (flags win)")
+    # No prefix abbreviations: --c would otherwise read as --config on a
+    # command that does not take --c.
     parser = argparse.ArgumentParser(
         prog="oneloop",
         description="Verification suites and tables for the one-loop "
         "deformed metric family and its arithmetic lattices.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sub.add_parser(name, parents=[common])
+    for name, (_, flags, _, _) in _COMMANDS.items():
+        command = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags + ("out", "config"):
+            command.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
     return parser
 
 
-def _load_config_file(path: str) -> Dict:
-    """The JSON object of a config file, with c_exact and grid parsed.
+def _load_config_file(path: str, keys: Sequence[str]) -> Dict:
+    """The JSON object of a config file, with c_exact and grid parsed and
+    null values dropped (a null is the same as an absent key).
 
-    Unreadable files, unknown keys and values that cannot be parsed raise
-    ConfigError naming the field; the other fields are checked by RunConfig.
+    Unreadable files, keys outside ``keys`` and values that cannot be parsed
+    raise ConfigError naming the field; the other fields are checked by
+    RunConfig.
     """
     import json
     from fractions import Fraction
@@ -477,9 +486,10 @@ def _load_config_file(path: str) -> Dict:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
-    unknown = sorted(set(data) - set(_DEFAULTS))
+    unknown = sorted(set(data) - set(keys))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(map(repr, unknown))}")
+    data = {key: value for key, value in data.items() if value is not None}
     raw = data.get("c_exact")
     if raw is not None:
         try:
@@ -504,23 +514,14 @@ def _load_config_file(path: str) -> Dict:
 
 
 def build_config(argv: Sequence[str]) -> RunConfig:
-    args = _build_parser().parse_args(argv)
-    file_values: Dict = {}
-    if args.config is not None:
-        file_values = _load_config_file(args.config)
-    merged = {}
-    for key, default in _DEFAULTS.items():
-        explicit = getattr(args, key)
-        if explicit is not None:
-            merged[key] = explicit
-        elif key in file_values and file_values[key] is not None:
-            merged[key] = file_values[key]
-        else:
-            merged[key] = default
-    config = RunConfig(command=args.command, **merged)
-    if config.format == "csv" and _COMMANDS[config.command][2] is None:
-        raise ConfigError(f"command {config.command!r} reports JSON only")
-    return config
+    args = vars(_build_parser().parse_args(argv))
+    command = args.pop("command")
+    path = args.pop("config")
+    # What remains are the command's flags; its config file takes the same
+    # keys.  A key that neither gives keeps its RunConfig default.
+    values = _load_config_file(path, tuple(args)) if path is not None else {}
+    values.update((key, value) for key, value in args.items() if value is not None)
+    return RunConfig(command=command, **values)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -529,7 +530,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    handler, _, columns = _COMMANDS[config.command]
+    handler, _, _, columns = _COMMANDS[config.command]
     try:
         report, rows, code = handler(config)
     except (ValueError, ArithmeticError) as exc:

@@ -7,7 +7,7 @@ for the options the package uses.  Importing ``dataclasses`` pulls in
 which cost every process several milliseconds of start-up.
 """
 
-__all__ = ["record", "fields"]
+__all__ = ["record"]
 
 
 def record(*, frozen=False, slots=False):
@@ -67,12 +67,7 @@ def record(*, frozen=False, slots=False):
             function = namespace[name]
             function.__qualname__ = f"{cls.__qualname__}.{name}"
             setattr(cls, name, function)
-        cls.__record_fields__ = names
         return cls
 
     return wrap
 
-
-def fields(cls):
-    """The field names of a record class, in declaration order."""
-    return cls.__record_fields__

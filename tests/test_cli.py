@@ -31,6 +31,28 @@ def run_cli(capsys, args):
     return code, captured.out, captured.err
 
 
+# The flags that each command reads and takes, besides --out and --config.
+FLAGS = {
+    "verify-killing": ("n", "c", "c_exact", "seed", "points", "step", "format"),
+    "curvature": ("n", "c", "c_exact", "seed", "points", "step"),
+    "structure": ("n",),
+    "center": ("n", "c", "c_exact"),
+    "lattice": ("c_exact", "bound", "format"),
+    "volume-table": ("n", "c", "c_exact", "grid", "vd", "format"),
+}
+ALL_FLAGS = ("n", "c", "c_exact", "seed", "points", "step", "bound", "out", "format",
+             "grid", "vd", "config")
+
+
+def option(flag):
+    return "--" + flag.replace("_", "-")
+
+
+def config_keys(command):
+    """The keys that a config file of the command may hold."""
+    return FLAGS[command] + ("out",)
+
+
 class TestConfig:
     def test_defaults(self):
         config = build_config(["structure"])
@@ -91,12 +113,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(command="nonsense")
 
-    def test_json_only_commands_reject_csv(self, capsys):
+    def test_json_only_commands_reject_csv(self, capsys, monkeypatch):
+        # A command that reports JSON only takes no --format.
         for command in ("structure", "center", "curvature"):
-            code, out, err = run_cli(capsys, [command, "--format", "csv"])
-            assert code == 2
-            assert "JSON only" in err
-            assert out == ""
+            code, out, err = run_parser(capsys, monkeypatch, [command, "--format", "csv"])
+            assert (code, out) == (2, "")
+            assert err.endswith("\noneloop: error: unrecognized arguments: --format csv\n")
 
     def test_validation_error_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["structure", "--n", "0"])
@@ -115,8 +137,8 @@ class TestConfig:
             (["volume-table", "--vd", "nan"], "vd"),
             (["center", "--n", "2", "--c", "nan"], "c"),
             (["center", "--n", "2", "--c", "inf"], "c"),
-            (["lattice", "--bound", "1", "--c", "inf"], "c"),
-            (["structure", "--n", "1", "--c", "inf"], "c"),
+            (["volume-table", "--n", "1", "--c", "inf"], "c"),
+            (["volume-table", "--n", "1", "--c", "nan"], "c"),
         ],
     )
     def test_non_finite_values_rejected(self, capsys, args, field):
@@ -183,6 +205,15 @@ class TestConfigFile:
         ({"c": float("inf")}, "c"),
     ])
     def test_wrong_type_is_a_config_error(self, capsys, tmp_path, command, payload, field):
+        [key] = payload
+        if key not in config_keys(command[0]):
+            # An unknown key there (test_config_keys_are_the_flags): the type
+            # is checked on a command that reads the key.
+            command = {"step": ["curvature", "--n", "1", "--points", "1"],
+                       "seed": ["curvature", "--n", "1", "--points", "1"],
+                       "grid": ["volume-table", "--n", "1"],
+                       "vd": ["volume-table", "--n", "1"],
+                       "bound": ["lattice"]}[key]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(payload))
         code, out, err = run_cli(capsys, command + ["--config", str(path)])
@@ -674,7 +705,7 @@ class TestOneRecord:
         ["volume-table", "--n", "3", "--grid", "0.5,1,7"],
     ], ids=lambda args: args[0])
     def test_csv_rows_are_the_json_rows_formatted(self, capsys, args):
-        columns = _COMMANDS[args[0]][2]
+        columns = _COMMANDS[args[0]][3]
         csv_code, csv_out, _ = run_cli(capsys, args + ["--format", "csv"])
         json_code, json_out, _ = run_cli(capsys, args + ["--format", "json"])
         assert csv_code == json_code
@@ -737,11 +768,15 @@ GOLDEN = [
     (["volume-table", "--n", "3"], 0,
      "72b695e9d8ee50ddd18521fc13c327e6f098f8da3db592bf85afea777fc9919e", ""),
     (["volume-table", "--n", "3", "--format", "json"], 0,
-     "a71f996065e5fe486c808a6b5a949eb20784114e82eae10bb1c9a5a9721ce2eb", ""),
+     "4617ffb919ba804bdc12359db2af4ca144d53e8402706b75e4cb53303ddb43ce", ""),
     (["volume-table", "--n", "2", "--c-exact", "1:3:7", "--format", "json"], 0,
-     "db58e4e5296d82f83cc06c9cd69519f3a5e28e6dea8ff0cb6829b0cffdc02f3a", ""),
+     "27e04d2da3dea76a428f46302ebff640313379f6fb3c5bca6585c5ba8cb8674a", ""),
+    # A command that reports JSON only takes no --format.
     (["structure", "--format", "csv"], 2, EMPTY_SHA256,
-     "error: command 'structure' reports JSON only\n"),
+     "usage: oneloop [-h]\n"
+     "               {verify-killing,structure,center,curvature,lattice,volume-table}\n"
+     "               ...\n"
+     "oneloop: error: unrecognized arguments: --format csv\n"),
     (["center", "--n", "0"], 2, EMPTY_SHA256,
      "error: n must be a positive integer, got 0\n"),
     (["center", "--n", "2", "--c", "nan"], 2, EMPTY_SHA256,
@@ -779,10 +814,15 @@ GOLDEN = [
 
 @pytest.mark.parametrize("args, code, digest, err", GOLDEN,
                          ids=[" ".join(g[0]) for g in GOLDEN])
-def test_golden_output(capsys, args, code, digest, err):
-    got_code, out, got_err = run_cli(capsys, args)
-    assert (got_code, hashlib.sha256(out.encode("utf-8")).hexdigest(), got_err) == (
-        code, digest, err)
+def test_golden_output(capsys, monkeypatch, args, code, digest, err):
+    monkeypatch.setenv("COLUMNS", "80")  # the width of argparse's usage lines
+    try:
+        got_code = main(args)
+    except SystemExit as stop:  # an invocation that argparse rejects
+        got_code = stop.code
+    captured = capsys.readouterr()
+    assert (got_code, hashlib.sha256(captured.out.encode("utf-8")).hexdigest(),
+            captured.err) == (code, digest, err)
 
 
 def run_parser(capsys, monkeypatch, args):
@@ -794,17 +834,18 @@ def run_parser(capsys, monkeypatch, args):
     return stop.value.code, captured.out, captured.err
 
 
-# sha256 of the --help text at 80 columns, taken from the parent of the
-# change that moved the flags onto one shared parent parser (Python 3.11;
-# another argparse version may lay help out differently).
+# sha256 of the --help text at 80 columns (Python 3.11; another argparse
+# version may lay help out differently).  The top-level text is the one from
+# before the flags moved onto one shared parent parser; each subcommand's
+# text lists the flags that command takes.
 HELP_SHA256 = {
     (): "9913284e225edbadca4fefde66826506f9ab95355fdb11db1b52b0cf8c289f68",
-    ("verify-killing",): "6f48045ef97a22dcc97ac5ddfac71d39a72f8f894d7292ef11b8a737e3908341",
-    ("structure",): "cd16be82a465e27dbd994d91b544873a9ed2cedc88c5e103fb45b3c0ddeaf755",
-    ("center",): "c73de415eb4f2b16e95d1ce4f9a3c253e77fe8f38a854df9dc640027db8990d1",
-    ("curvature",): "ee0bb025140b12a9cf82aa6f4c9f2ec2b94bdedfbe49f8cb978f393dc8513ee5",
-    ("lattice",): "0e72a275c42568d402005c9c055cd8eb46e69cea8a1e2b4b2a28e5499afd7157",
-    ("volume-table",): "69b886b5d7844cf556ae8150919a990edfc9a486eb6849e7a2e5efab86ef7176",
+    ("verify-killing",): "017d22983427939a602de87ecba3f75f52ad311b8b48969b2b9fe4dcde5b78fd",
+    ("structure",): "65b0176cec7b44010ec283e554449c94ef98178d76959d32a91ad468ab61c0ac",
+    ("center",): "efecb2e1787256c260a3b23312a7bd997576092433b8ab06d03e71f1f6c9a23b",
+    ("curvature",): "72f656460550cc1ae33e660ef4b51b8a9fd6c5c71e8da1f1d6cb90669dd29c65",
+    ("lattice",): "a8472115f22b4bc8866d1b9bbbde51486fb23b2868e9415326e186689ea84aa0",
+    ("volume-table",): "0f454950f4f3dfcada6215ba0ed2e1002c3e25b18e8539a37359d6bc60a7f899",
 }
 
 
@@ -826,11 +867,81 @@ class TestArgparseOutput:
             "               ...\n"
             "oneloop: error: unrecognized arguments: --bogus\n"))
 
+    @pytest.mark.parametrize("args, rest", [
+        (["lattice", "--bou", "1"], "--bou 1"),
+        # --c is no prefix of --c-exact or --config where --c is not taken.
+        (["structure", "--n", "1", "--c", "7"], "--c 7"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+    def test_no_prefix_abbreviations(self, capsys, monkeypatch, args, rest):
+        def read(path, keys):
+            raise AssertionError(f"read config file {path!r}")
+        monkeypatch.setattr(oneloop.cli, "_load_config_file", read)
+        code, out, err = run_parser(capsys, monkeypatch, args)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"\noneloop: error: unrecognized arguments: {rest}\n")
+
     def test_invalid_choice(self, capsys, monkeypatch):
         assert run_parser(capsys, monkeypatch, ["lattice", "--format", "xml"]) == (2, "", (
-            "usage: oneloop lattice [-h] [--n N] [--c C] [--c-exact LAM:A:B] [--seed SEED]\n"
-            "                       [--points POINTS] [--step STEP] [--bound BOUND]\n"
-            "                       [--out OUT] [--format {json,csv}] [--grid R1,R2,...]\n"
-            "                       [--vd VD] [--config CONFIG]\n"
+            "usage: oneloop lattice [-h] [--c-exact LAM:A:B] [--bound BOUND]\n"
+            "                       [--format {json,csv}] [--out OUT] [--config CONFIG]\n"
             "oneloop lattice: error: argument --format: invalid choice: 'xml' "
             "(choose from 'json', 'csv')\n"))
+
+
+# Two values of each flag at which every command that reads the flag reports
+# differently, and the smallest sizes of the other flags.
+VALUES = {"n": ("1", "2"), "c": ("0", "1"), "c_exact": ("0:2:3", "1:3:7"),
+          "seed": ("1", "2"), "points": ("1", "2"), "step": ("1e-3", "2e-3"),
+          "bound": ("1", "2"), "grid": ("1", "2"), "vd": ("1", "2"),
+          "format": ("json", "csv")}
+SMALL = {"n": "1", "points": "1", "bound": "1"}
+
+
+class TestFlagTable:
+    """Each command takes the flags it reads and no other."""
+
+    def test_table(self):
+        assert {name: entry[1] for name, entry in _COMMANDS.items()} == FLAGS
+        assert sum(len(flags) + 2 for flags in FLAGS.values()) == 38
+        for _, flags, _, columns in _COMMANDS.values():
+            assert ("format" in flags) == (columns is not None)
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in FLAGS.items() for flag in flags
+        if flag != "format"])
+    def test_every_declared_flag_is_read(self, capsys, command, flag):
+        base = [command, *(["--format", "json"] if "format" in FLAGS[command] else [])]
+        base += [arg for name, value in SMALL.items()
+                 if name in FLAGS[command] and name != flag for arg in (option(name), value)]
+        reports = []
+        for value in VALUES[flag]:
+            code, out, _ = run_cli(capsys, base + [option(flag), value])
+            report = json.loads(out)
+            report.pop("config", None)
+            reports.append((code, report))
+        assert reports[0] != reports[1]
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in FLAGS.items() for flag in ALL_FLAGS
+        if flag not in flags + ("out", "config")])
+    def test_every_undeclared_flag_is_rejected(self, capsys, monkeypatch, command, flag):
+        value = VALUES[flag][0]
+        code, out, err = run_parser(capsys, monkeypatch, [command, option(flag), value])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"\noneloop: error: unrecognized arguments: {option(flag)} {value}\n")
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_config_keys_are_the_flags(self, capsys, tmp_path, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict.fromkeys(ALL_FLAGS, 1)))
+        code, out, err = run_cli(capsys, [command, "--config", str(path)])
+        unknown = sorted(set(ALL_FLAGS) - set(config_keys(command)))
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown config keys: {', '.join(map(repr, unknown))}\n"
+        # The command's own keys, and those alone, configure as its flags do.
+        values = {"n": 2, "c": 1, "c_exact": "1:3:7", "seed": 2, "points": 2, "step": 2e-3,
+                  "bound": 2, "grid": [2], "vd": 2, "format": "csv", "out": "report"}
+        path.write_text(json.dumps({key: values[key] for key in config_keys(command)}))
+        flags = [arg for key in FLAGS[command] for arg in (option(key), VALUES[key][1])]
+        assert build_config([command, "--config", str(path)]) == build_config(
+            [command, *flags, "--out", "report"])

@@ -13,7 +13,6 @@ from oneloop.liealg import CenterVector, MatGl, StructureReport
 from oneloop.params import ModelParams
 from oneloop.polyfields import GeneratorName
 from oneloop.quatarith import QuatInt, QuatParams
-from oneloop.record import fields
 
 P23 = QuatParams(2, 3)
 
@@ -42,8 +41,7 @@ CASES = [
                          ids=[case[0].__name__ for case in CASES])
 def test_record_value_semantics(cls, args, other, bad):
     value = cls(*args)
-    names = fields(cls)
-    assert names == tuple(cls.__annotations__)
+    names = tuple(cls.__annotations__)
     values = tuple(getattr(value, name) for name in names)
     assert hash(value) == hash(values)
     assert value == cls(*args) and hash(value) == hash(cls(*args))
