@@ -450,6 +450,12 @@ _FLAGS = {
     "config": dict(help="JSON file with the same keys as the flags (flags win)"),
 }
 
+# Help text of a flag that one command reads differently from the others.
+_COMMAND_HELP = {
+    ("center", "c_exact"): "exact deformation; 'center' reads only whether LAM > 0",
+    ("lattice", "c_exact"): "'lattice' reads only A:B, the quaternion algebra; LAM is unused",
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     # No prefix abbreviations: --c would otherwise read as --config on a
@@ -464,7 +470,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, flags, _, _) in _COMMANDS.items():
         command = sub.add_parser(name, allow_abbrev=False)
         for flag in flags + ("out", "config"):
-            command.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
+            options = dict(_FLAGS[flag])
+            if (name, flag) in _COMMAND_HELP:
+                options["help"] = _COMMAND_HELP[name, flag]
+            command.add_argument("--" + flag.replace("_", "-"), **options)
     return parser
 
 

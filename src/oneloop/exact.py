@@ -7,16 +7,18 @@ exact rational/integer linear solvers.  Everything here refuses floats on
 input: these types exist so that algebraic identities can be checked with no
 tolerance at all.
 
-``QI`` and ``Rad`` keep integer numerators over one positive denominator, in
-lowest terms, so their ring operations run on Python ints alone; Fraction
-appears only in their component views and at construction from Fractions.
+``QI``, ``Rad`` and ``RadC`` keep integer numerators over one positive
+denominator, in lowest terms (eight for a ``RadC``: its real part's four,
+then its imaginary part's), so their ring operations run on Python ints
+alone; Fraction appears only in their component views and at construction
+from Fractions, and a ``RadC``'s ``re`` and ``im`` are ``Rad`` views.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 _new = object.__new__
 
@@ -392,6 +394,16 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
+def _fold(a, b, n1, na, nb, nab):
+    """Numerators with a parameter equal to 1 folded in: b = 1 makes sb = 1
+    and sab = sa, a = 1 makes sa = 1 and sab = sb."""
+    if b == 1:
+        n1, na, nb, nab = n1 + nb, na + nab, 0, 0
+    if a == 1:
+        n1, nb, na, nab = n1 + na, nb + nab, 0, 0
+    return n1, na, nb, nab
+
+
 def _radical(a, b, n1, na, nb, nab, d, x=None):
     """A Rad from integer numerators over d > 0, in lowest terms.
 
@@ -449,11 +461,7 @@ class Rad:
             parts = [_rational(r) for r in (r1, ra, rb, rab)]
             d = math.lcm(*(r.denominator for r in parts))
             n1, na, nb, nab = (r.numerator * (d // r.denominator) for r in parts)
-        if b == 1:
-            n1, na, nb, nab = n1 + nb, na + nab, 0, 0
-        if a == 1:
-            n1, nb, na, nab = n1 + na, nb + nab, 0, 0
-        _radical(a, b, n1, na, nb, nab, d, self)
+        _radical(a, b, *_fold(a, b, n1, na, nb, nab), d, self)
 
     r1 = property(lambda self: Fraction(self._n1, self._d))
     ra = property(lambda self: Fraction(self._na, self._d))
@@ -477,7 +485,7 @@ class Rad:
             f"got {type(x).__name__}"
         )
 
-    def __add__(self, other):
+    def __add__(self, other, op=add):
         if type(other) is not Rad:
             if type(other) is RadC:
                 return NotImplemented
@@ -486,28 +494,16 @@ class Rad:
             raise ValueError("mixed radical parameters")
         d, e = self._d, other._d
         if d == e:
-            return _radical(self.a, self.b, self._n1 + other._n1, self._na + other._na,
-                            self._nb + other._nb, self._nab + other._nab, d)
-        return _radical(self.a, self.b, self._n1 * e + other._n1 * d,
-                        self._na * e + other._na * d, self._nb * e + other._nb * d,
-                        self._nab * e + other._nab * d, d * e)
+            return _radical(self.a, self.b, op(self._n1, other._n1), op(self._na, other._na),
+                            op(self._nb, other._nb), op(self._nab, other._nab), d)
+        return _radical(self.a, self.b, op(self._n1 * e, other._n1 * d),
+                        op(self._na * e, other._na * d), op(self._nb * e, other._nb * d),
+                        op(self._nab * e, other._nab * d), d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not Rad:
-            if type(other) is RadC:
-                return NotImplemented
-            other = self.coerce(other)
-        elif self.a != other.a or self.b != other.b:
-            raise ValueError("mixed radical parameters")
-        d, e = self._d, other._d
-        if d == e:
-            return _radical(self.a, self.b, self._n1 - other._n1, self._na - other._na,
-                            self._nb - other._nb, self._nab - other._nab, d)
-        return _radical(self.a, self.b, self._n1 * e - other._n1 * d,
-                        self._na * e - other._na * d, self._nb * e - other._nb * d,
-                        self._nab * e - other._nab * d, d * e)
+        return self.__add__(other, sub)
 
     def __rsub__(self, other):
         return self.coerce(other) - self
@@ -579,20 +575,58 @@ class Rad:
                 f" + {self.rb}*sb + {self.rab}*sab)")
 
 
+def _complex_radical(a, b, nums, d):
+    """A RadC from eight integer numerators over d > 0, in lowest terms.
+
+    The numerators, the real part's four and then the imaginary part's,
+    must already carry the a = 1 / b = 1 folds, as in ``_radical``.
+    """
+    if d != 1:
+        g = math.gcd(*nums, d)
+        if g != 1:
+            nums = tuple(n // g for n in nums)
+            d //= g
+    z = _new(RadC)
+    z.a = a
+    z.b = b
+    z._n = nums
+    z._d = d
+    return z
+
+
 class RadC:
-    """Complex number re + i*im with Rad real and imaginary parts."""
+    """Complex number re + i*im with re and im in one ring Rad[a, b].
 
-    __slots__ = ("re", "im")
-    re: Rad
-    im: Rad
+    Stored as Rad is: the eight coordinates, re's four and then im's four,
+    are integer numerators over one denominator d > 0 in lowest terms, so
+    each ring operation is integer arithmetic alone.  ``re`` and ``im`` are
+    Rad views and ``numerators()`` gives all eight.
+    """
 
-    def __init__(self, re, im=None):
+    __slots__ = ("a", "b", "_n", "_d")
+
+    def __init__(self, re, im=0):
         if not isinstance(re, Rad):
             raise TypeError("RadC requires Rad components")
-        if im is None:
-            im = _radical(re.a, re.b, 0, 0, 0, 0, 1)
-        self.re = re
-        self.im = im
+        # coerce refuses an imaginary part from another ring.
+        (u, d), (v, e) = re.numerators(), re.coerce(im).numerators()
+        z = (_complex_radical(re.a, re.b, u + (0, 0, 0, 0), d)
+             + _complex_radical(re.a, re.b, (0, 0, 0, 0) + v, e))
+        self.a, self.b, self._n, self._d = z.a, z.b, z._n, z._d
+
+    @staticmethod
+    def from_ints(a, b, re, im=(0, 0, 0, 0)):
+        """re + i*im over Rad[a, b] from integer quadruples (n1, na, nb, nab),
+        folded as ``Rad`` folds a parameter equal to 1."""
+        nums = _fold(a, b, *re) + _fold(a, b, *im)
+        # A sum of ints is an int; a Fraction or float among them is not.
+        if not (type(a) is type(b) is type(sum(nums)) is int and a > 0 and b > 0):
+            raise ValueError("RadC.from_ints requires positive integer parameters "
+                             "and integer numerators")
+        return _complex_radical(a, b, nums, 1)
+
+    re = property(lambda self: _radical(self.a, self.b, *self._n[:4], self._d))
+    im = property(lambda self: _radical(self.a, self.b, *self._n[4:], self._d))
 
     def coerce(self, x):
         """x in this ring: int/Fraction/QI/Rad lift, same-ring values pass.
@@ -600,58 +634,93 @@ class RadC:
         Floats, complex numbers and mixed radical parameters raise
         ValueError, as in ``Rad.coerce``.
         """
-        lift = self.re.coerce
         if isinstance(x, RadC):
-            lift(x.re)  # rejects mixed (a, b)
+            if x.a != self.a or x.b != self.b:
+                raise ValueError("mixed radical parameters")
             return x
         if isinstance(x, QI):
-            return RadC(lift(x.re), lift(x.im))
-        return RadC(lift(x))
+            return _complex_radical(self.a, self.b, (x._x, 0, 0, 0, x._y, 0, 0, 0), x._d)
+        nums, d = self.re.coerce(x).numerators()
+        return _complex_radical(self.a, self.b, nums + (0, 0, 0, 0), d)
 
-    def __add__(self, other):
+    def __add__(self, other, op=add):
         if type(other) is not RadC:
             other = self.coerce(other)
-        return RadC(self.re + other.re, self.im + other.im)
+        elif self.a != other.a or self.b != other.b:
+            raise ValueError("mixed radical parameters")
+        d, e = self._d, other._d
+        if d == e:
+            return _complex_radical(self.a, self.b, tuple(map(op, self._n, other._n)), d)
+        return _complex_radical(self.a, self.b,
+                                tuple(op(x * e, y * d) for x, y in zip(self._n, other._n)),
+                                d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not RadC:
-            other = self.coerce(other)
-        return RadC(self.re - other.re, self.im - other.im)
+        return self.__add__(other, sub)
 
     def __rsub__(self, other):
         return self.coerce(other) - self
 
     def __neg__(self):
-        return RadC(-self.re, -self.im)
+        return self * -1
 
     def __mul__(self, other):
         if type(other) is not RadC:
             if isinstance(other, (int, Fraction)):
-                return RadC(self.re * other, self.im * other)
+                p = other.numerator
+                return _complex_radical(self.a, self.b, tuple(n * p for n in self._n),
+                                        self._d * other.denominator)
             other = self.coerce(other)
-        return RadC(self.re * other.re - self.im * other.im,
-                    self.re * other.im + self.im * other.re)
+        elif self.a != other.a or self.b != other.b:
+            raise ValueError("mixed radical parameters")
+        # (x + i*y)(u + i*v) = (xu - yv) + i*(xv + yu), with each Rad product
+        # written out as in Rad.__mul__.
+        a, b = self.a, self.b
+        x1, xa, xb, xab, y1, ya, yb, yab = self._n
+        u1, ua, ub, uab, v1, va, vb, vab = other._n
+        return _complex_radical(a, b, (
+            x1 * u1 - y1 * v1 + a * (xa * ua - ya * va) + b * (xb * ub - yb * vb)
+            + a * b * (xab * uab - yab * vab),
+            x1 * ua + xa * u1 - y1 * va - ya * v1 + b * (xb * uab + xab * ub - yb * vab - yab * vb),
+            x1 * ub + xb * u1 - y1 * vb - yb * v1 + a * (xa * uab + xab * ua - ya * vab - yab * va),
+            x1 * uab + xab * u1 + xa * ub + xb * ua - y1 * vab - yab * v1 - ya * vb - yb * va,
+            x1 * v1 + y1 * u1 + a * (xa * va + ya * ua) + b * (xb * vb + yb * ub)
+            + a * b * (xab * vab + yab * uab),
+            x1 * va + xa * v1 + y1 * ua + ya * u1 + b * (xb * vab + xab * vb + yb * uab + yab * ub),
+            x1 * vb + xb * v1 + y1 * ub + yb * u1 + a * (xa * vab + xab * va + ya * uab + yab * ua),
+            x1 * vab + xab * v1 + xa * vb + xb * va + y1 * uab + yab * u1 + ya * ub + yb * ua,
+        ), self._d * other._d)
 
     __rmul__ = __mul__
 
     def conj(self):
-        return RadC(self.re, -self.im)
+        x1, xa, xb, xab, y1, ya, yb, yab = self._n
+        return _complex_radical(self.a, self.b, (x1, xa, xb, xab, -y1, -ya, -yb, -yab),
+                                self._d)
 
     def is_zero(self):
-        return self.re.is_zero() and self.im.is_zero()
+        return not any(self._n)
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # A rational compares on the numerators; no ring element is built.
+            return self._d == other.denominator and self._n == (other.numerator,) + (0,) * 7
         if not isinstance(other, RadC):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return (self.a, self.b, self._n, self._d) == (other.a, other.b, other._n, other._d)
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self._n, self._d))
 
     def components(self):
         return self.re.components() + self.im.components()
+
+    def numerators(self):
+        """((re's n1, na, nb, nab, im's n1, na, nb, nab), d): the
+        components are the n_k / d."""
+        return self._n, self._d
 
     def __repr__(self):
         return f"RadC({self.re!r}, {self.im!r})"

@@ -157,24 +157,25 @@ class LatticeDescription:
     def _coordinate_system(self):
         """The basis solve of ``lattice_coordinates``, built once per lattice.
 
-        (matrix, mu, solve, delta): the basis vectors' rational coordinates
-        are the columns of matrix / mu, with integer entries; the inverse of
-        a square block of pivot rows of matrix is solve / (mu * delta), again
-        with integer entries.  A row of matrix is kept as its nonzero
-        (column, entry) pairs and a row of solve as its nonzero (pivot row,
-        weight) pairs: for Gamma_2, 12 of the 16 rows of matrix are zero.
+        (nonzero, zero, mu, solve, delta): the basis vectors' rational
+        coordinates are the columns of a matrix / mu with integer entries,
+        and the inverse of a square block of its pivot rows is solve /
+        (mu * delta), again with integer entries.  The matrix is split into
+        its nonzero rows, each as (row index, nonzero (column, entry) pairs),
+        and the indices of its zero rows (12 of the 16 for Gamma_2); a row of
+        solve is kept as its nonzero (pivot row, weight) pairs.
         """
-        numerators, mu = _numerators(
-            [part for vec in self.basis for part in _real_parts(vec)]
-        )
+        numerators, mu = _numerators([z for vec in self.basis for z in vec])
         m = len(numerators) // self.rank
         matrix = [numerators[i::m] for i in range(m)]
         rows, inverse = pivot_inverse(matrix)
         delta = math.lcm(*(x.denominator for row in inverse for x in row))
         solve = [[(i, int(x * delta) * mu) for i, x in zip(rows, row) if x]
                  for row in inverse]
-        sparse = [[(k, x) for k, x in enumerate(row) if x] for row in matrix]
-        return sparse, mu, solve, delta
+        nonzero = [(i, [(k, x) for k, x in enumerate(row) if x])
+                   for i, row in enumerate(matrix) if any(row)]
+        zero = [i for i, row in enumerate(matrix) if not any(row)]
+        return nonzero, zero, mu, solve, delta
 
     def omega_table(self) -> List[List[object]]:
         """Exact matrix omega(B_i, B_j) over the lattice basis."""
@@ -259,18 +260,16 @@ def lattice_Ld(n: int, d: int) -> LatticeDescription:
 
 
 def _numerators(values):
-    """Component numerators of Rad values over one common denominator.
+    """Component numerators of RadC values over one common denominator.
 
-    Returns (numerators, den), four integers per value in order, such that
+    Returns (numerators, den), eight integers per value in order, such that
     the components are numerator / den.
     """
     parts = [x.numerators() for x in values]
-    den = math.lcm(*(d for _, d in parts))
+    den = math.lcm(*[d for _, d in parts])
+    if den == 1:
+        return [num for nums, _ in parts for num in nums], 1
     return [num * (den // d) for nums, d in parts for num in nums], den
-
-
-def _real_parts(vector):
-    return [part for z in vector for part in (z.re, z.im)]
 
 
 def _integer_multiple(x: Rad, unit: Rad) -> Optional[int]:
@@ -301,18 +300,23 @@ def lattice_coordinates(
     lifted = [template.coerce(z) for z in p.v]
     t = lattice.r.coerce(p.t)
 
-    matrix, mu, solve, delta = lattice._coordinate_system
-    rhs, den = _numerators(_real_parts(lifted))
+    nonzero, zero, mu, solve, delta = lattice._coordinate_system
+    rhs, den = _numerators(lifted)
     # The basis is matrix / mu and v is rhs / den, so the solution is
     # solve . rhs / (delta * den).  It is floored here; the row check
     # then holds only if the floor is the exact, integral solution; a zero
     # row of matrix holds only if its value is zero.
-    coords = [sum(w * rhs[i] for i, w in weights) // (delta * den) for weights in solve]
-    if any(den * sum(m * coords[k] for k, m in row) != mu * value if row else value
-           for row, value in zip(matrix, rhs)):
-        return None
+    scale = delta * den
+    coords = [sum([w * rhs[i] for i, w in weights]) // scale for weights in solve]
+    for i in zero:
+        if rhs[i]:
+            return None
+    for i, row in nonzero:
+        if den * sum([m * coords[k] for k, m in row]) != mu * rhs[i]:
+            return None
 
-    center = _integer_multiple(t * 2, lattice.r)
+    # t is coerced first, so a center from another ring is still refused.
+    center = 0 if t.is_zero() else _integer_multiple(t * 2, lattice.r)
     if center is None:
         return None
     return HeisLatticePoint(tuple(coords), center)
@@ -348,12 +352,11 @@ def form_defect(g) -> Optional[Tuple[int, int]]:
     row-major order is still the one returned.
     """
     form = HermForm(len(g))
-    zero, one = g[0][0].coerce(0), g[0][0].coerce(1)
     cols = list(zip(*g))
     for j, col_j in enumerate(cols):
         for k, col_k in enumerate(cols[j:], j):
-            expected = zero if j != k else (one if form.signs[j] > 0 else -one)
-            if form.h(col_j, col_k) != expected:
+            value = form.h(col_j, col_k)
+            if not (value == form.signs[j] if j == k else value.is_zero()):
                 return j, k
     return None
 

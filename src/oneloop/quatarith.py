@@ -178,16 +178,13 @@ def embed_matrix(q: QuatInt) -> Tuple[Tuple[RadC, RadC], Tuple[RadC, RadC]]:
 
     with det(Q) equal to the reduced norm.
     """
-    p = q.params
+    a, b = q.params.a, q.params.b
+    entry = RadC.from_ints
     return (
-        (
-            RadC(_rad(p, r1=q.q0), _rad(p, rab=q.q3)),
-            RadC(_rad(p, rb=q.q2), _rad(p, ra=q.q1)),
-        ),
-        (
-            RadC(_rad(p, rb=q.q2), _rad(p, ra=-q.q1)),
-            RadC(_rad(p, r1=q.q0), _rad(p, rab=-q.q3)),
-        ),
+        (entry(a, b, (q.q0, 0, 0, 0), (0, 0, 0, q.q3)),
+         entry(a, b, (0, 0, q.q2, 0), (0, q.q1, 0, 0))),
+        (entry(a, b, (0, 0, q.q2, 0), (0, -q.q1, 0, 0)),
+         entry(a, b, (q.q0, 0, 0, 0), (0, 0, 0, -q.q3))),
     )
 
 
@@ -262,7 +259,7 @@ def preserves_gamma2(q: QuatInt, matrix=None) -> bool:
         # image entry is one product.
         terms = [(k, x) for k, x in enumerate(vec) if not x.is_zero()]
         image = tuple(reduce(add, [row[k] * x for k, x in terms]) for row in Q)
-        point = HeisPoint(image, Fraction(0))
+        point = HeisPoint(image, 0)
         if lattice_coordinates(lattice, point) is None:
             return False
     return True

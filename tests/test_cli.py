@@ -842,9 +842,9 @@ HELP_SHA256 = {
     (): "9913284e225edbadca4fefde66826506f9ab95355fdb11db1b52b0cf8c289f68",
     ("verify-killing",): "017d22983427939a602de87ecba3f75f52ad311b8b48969b2b9fe4dcde5b78fd",
     ("structure",): "65b0176cec7b44010ec283e554449c94ef98178d76959d32a91ad468ab61c0ac",
-    ("center",): "efecb2e1787256c260a3b23312a7bd997576092433b8ab06d03e71f1f6c9a23b",
+    ("center",): "113eb0d8882f2e24e56d94b364d3b0027b9f3efcb6ce3ef1791099f251bc18ea",
     ("curvature",): "72f656460550cc1ae33e660ef4b51b8a9fd6c5c71e8da1f1d6cb90669dd29c65",
-    ("lattice",): "a8472115f22b4bc8866d1b9bbbde51486fb23b2868e9415326e186689ea84aa0",
+    ("lattice",): "084d8fcea3684f77d688b02187a53fc52f9d5718de7b576ae47f6187effe073a",
     ("volume-table",): "0f454950f4f3dfcada6215ba0ed2e1002c3e25b18e8539a37359d6bc60a7f899",
 }
 

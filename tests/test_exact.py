@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oneloop.exact import (QI, Poly, Rad, RadC, VarTable,
@@ -281,6 +281,14 @@ class TestCoerce:
         with pytest.raises(ValueError, match="mixed"):
             RadC(Rad(5, 1)).coerce(RadC(Rad(6, 1, 1)))
 
+    def test_radc_parts_from_different_rings_rejected(self):
+        # Otherwise coerce and components would answer from two rings while
+        # + and * refuse the value.
+        with pytest.raises(ValueError, match="mixed radical parameters"):
+            RadC(Rad(2, 3, 1), Rad(5, 7, 1))
+        with pytest.raises(ValueError, match="mixed radical parameters"):
+            RadC(Rad(5, 1), Rad(5, 2))
+
     # Every binary operator lifts a foreign operand through its ring's coerce.
     def test_radc_operators_lift_rationals(self):
         z = RadC(Rad(2, 3, 1))
@@ -418,6 +426,51 @@ class TestIntegerForm:
             assert value == Rad(a, b, *expected), name
             assert hash(value) == hash(Rad(a, b, *expected)), name
             assert value.is_zero() == (expected == (0, 0, 0, 0)), name
+
+    # The reference computes on the two Rad parts of each value, with the
+    # Rad operations: (x + iy)(u + iv) = (xu - yv) + i(xv + yu), and so on.
+    @given(radical_params, radical_params, quads, quads, quads, quads, rationals)
+    @example(1, 1, (1, Fraction(1, 2), 3, 4), (0, 0, Fraction(2, 3), 0),
+             (Fraction(5, 6), 1, 0, 0), (0, 1, 1, 1), Fraction(3, 4))
+    @example(5, 1, (Fraction(1, 2), 1, 1, Fraction(1, 3)), (0, Fraction(1, 4), 0, 1),
+             (1, 0, Fraction(1, 5), 0), (Fraction(2, 7), 0, 0, 3), -2)
+    @example(1, 3, (1, Fraction(1, 2), 0, 1), (Fraction(1, 9), 0, 1, 0),
+             (0, 1, Fraction(1, 4), 0), (1, 1, 0, Fraction(1, 8)), Fraction(-1, 6))
+    @settings(max_examples=120)
+    def test_radc_matches_two_rad_reference(self, a, b, p, q, r, s, k):
+        x, y, u, v = (Rad(a, b, *c) for c in (p, q, r, s))
+        z, w = RadC(x, y), RadC(u, v)
+        cases = {
+            "init": (z, (x, y)),
+            "add": (z + w, (x + u, y + v)),
+            "sub": (z - w, (x - u, y - v)),
+            "mul": (z * w, (x * u - y * v, x * v + y * u)),
+            "neg": (-z, (-x, -y)),
+            "conj": (z.conj(), (x, -y)),
+            "scale": (z * k, (x * k, y * k)),
+            "rscale": (k * z, (x * k, y * k)),
+        }
+        for name, (value, (re, im)) in cases.items():
+            assert value.components() == re.components() + im.components(), name
+            assert (value.re, value.im) == (re, im), name
+            assert value == RadC(re, im), name
+            assert hash(value) == hash(RadC(re, im)), name
+            assert value.is_zero() == (re.is_zero() and im.is_zero()), name
+            assert_canonical(value)
+
+    @given(radical_params, radical_params,
+           st.tuples(*[st.integers(-9, 9)] * 4), st.tuples(*[st.integers(-9, 9)] * 4))
+    @settings(max_examples=60)
+    def test_radc_from_ints_folds_as_rad(self, a, b, re, im):
+        assert RadC.from_ints(a, b, re, im) == RadC(Rad(a, b, *re), Rad(a, b, *im))
+        assert RadC.from_ints(a, b, re) == RadC(Rad(a, b, *re))
+
+    @pytest.mark.parametrize("args", [
+        (2, 3, (1, Fraction(1, 2), 0, 0)), (2, 3, (1, 0, 0, 0), (0.5, 0, 0, 0)),
+        (0, 3, (1, 0, 0, 0)), (2, 3.0, (1, 0, 0, 0)), (True, 3, (1, 0, 0, 0))])
+    def test_radc_from_ints_rejects_non_integers(self, args):
+        with pytest.raises(ValueError, match="positive integer parameters"):
+            RadC.from_ints(*args)
 
     @given(radical_params, radical_params, quads, st.integers(1, 12))
     @settings(max_examples=60)

@@ -323,6 +323,20 @@ class TestLatticeMembership:
         with pytest.raises(ValueError, match="mixed"):
             lattice_contains(lat, HeisPoint((quadc(5, 1), quadc(5)), Fraction(0)))
 
+    def test_zero_center_from_another_ring_rejected(self):
+        # The center is coerced into the lattice's ring before a zero center
+        # is read as center 0.
+        lat = lattice_Ld(2, 6)
+        with pytest.raises(ValueError, match="mixed"):
+            lattice_coordinates(lat, HeisPoint((quadc(6, 1), quadc(6)), Rad(5, 1)))
+        with pytest.raises(ValueError, match="mixed"):
+            lattice_coordinates(lat, HeisPoint((quadc(6, 1), quadc(6)), Rad(6, 2)))
+
+    def test_zero_center_in_the_lattice_ring(self):
+        lat = lattice_Ld(2, 6)
+        point = HeisPoint((quadc(6, 1), quadc(6, 0, 0, 0, 1)), Rad(6, 1))
+        assert lattice_coordinates(lat, point) == HeisLatticePoint((1, 0, 0, 1), 0)
+
     def test_lattice_point_round_trip(self):
         rng = random.Random(21)
         lat = lattice_Ld(3, 2)

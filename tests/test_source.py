@@ -3,6 +3,7 @@
 import ast
 import re
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -569,3 +570,20 @@ def test_per_term_values_are_slotted_and_unfrozen(value):
     assert "__slots__" in vars(cls)
     assert not hasattr(value, "__dict__")
     assert cls.__setattr__ is object.__setattr__
+
+
+@pytest.mark.parametrize("value", [
+    QI(Fraction(1, 2), 3),
+    Rad(2, 3, 1, Fraction(-1, 4), 0, 5),
+    RadC(Rad(2, 3, 1), Rad(2, 3, 0, Fraction(1, 6))),
+    RadC(Rad(5, 1, 1, 2), Rad(5, 1, 0, 1)) * RadC(Rad(5, 1, Fraction(2, 3))),
+], ids=["QI", "Rad", "RadC", "RadC-product"])
+def test_exact_scalars_hold_integers(value):
+    # The ring operations run on Python ints alone: every slot holds an int
+    # or a tuple of ints, never a nested scalar object, and the one
+    # denominator is positive.
+    for name in type(value).__slots__:
+        held = getattr(value, name)
+        assert type(held) is int or (
+            type(held) is tuple and all(type(n) is int for n in held)), name
+    assert value._d > 0
