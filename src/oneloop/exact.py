@@ -1,24 +1,26 @@
 """Exact arithmetic cores shared across the toolkit.
 
-Provides Gaussian rationals, sparse polynomials with Gaussian-rational
-coefficients, one formal radical ring Q + Q*sqrt(a) + Q*sqrt(b) + Q*sqrt(ab)
-(with b = 1 it is the quadratic ring Q(sqrt(a))) and its complex form, and
-exact rational/integer linear solvers.  Everything here refuses floats on
-input: these types exist so that algebraic identities can be checked with no
-tolerance at all.
+Provides one exact ring type with three generator lists -- Gaussian
+rationals ``QI`` = Q(i), the formal radical ring ``Rad`` = Q(sa, sb) with
+sa^2 = a and sb^2 = b (with b = 1 it is the quadratic ring Q(sqrt(a))) and
+its complex form ``RadC`` = Q(sa, sb, i) -- together with sparse polynomials
+with ``QI`` coefficients and exact rational/integer linear solvers.
+Everything here refuses floats on input: these types exist so that
+algebraic identities can be checked with no tolerance at all.
 
-``QI``, ``Rad`` and ``RadC`` keep integer numerators over one positive
-denominator, in lowest terms (eight for a ``RadC``: its real part's four,
-then its imaginary part's), so their ring operations run on Python ints
-alone; Fraction appears only in their component views and at construction
-from Fractions, and a ``RadC``'s ``re`` and ``im`` are ``Rad`` views.
+A ring value holds integer numerators over one positive denominator, in
+lowest terms, so ring operations run on Python ints alone; Fraction appears
+only in the component views and at construction from Fractions.  Lowest
+terms, equality, coercion and the a = 1 / b = 1 fold are written once; each
+ring's +, -, *, conjugation and hash are straight-line code that ``_build``
+writes out from its generators.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, sub
+from operator import add, neg
 
 _new = object.__new__
 
@@ -43,140 +45,346 @@ def _rational(x):
     return x if isinstance(x, (int, Fraction)) else as_fraction(x)
 
 
-def _lowest(x, y, d):
-    """A QI from integers x/d + (y/d)*i with d > 0, in lowest terms."""
+def _element(cls, p, nums, d):
+    """The ``cls`` value with parameters ``p`` and integer numerators over
+    d > 0, in lowest terms: the one constructor behind every ring value."""
     if d != 1:
-        g = math.gcd(x, y, d)
+        g = math.gcd(math.gcd(*nums), d)
         if g != 1:
-            x //= g
-            y //= g
+            nums = tuple([n // g for n in nums])
             d //= g
-    z = _new(QI)
-    z._x = x
-    z._y = y
+    z = _new(cls)
+    z._p = p
+    z._n = nums
     z._d = d
     return z
 
 
-class QI:
-    """Gaussian rational (x + y*i)/d with integers x, y and one denominator.
+def _numerators(values):
+    """Exact rationals (ints, Fractions or fraction strings) as integer
+    numerators over their least common denominator, and that denominator."""
+    values = [_rational(v) for v in values]
+    d = math.lcm(*[v.denominator for v in values])
+    return tuple([v.numerator * (d // v.denominator) for v in values]), d
 
-    The stored form is canonical: d > 0 and gcd(x, y, d) = 1, so equality
-    and hashing are componentwise.  ``re`` and ``im`` are Fraction views.
-    """
 
-    __slots__ = ("_x", "_y", "_d")
+def _view(k):
+    return property(lambda self: Fraction(self._n[k], self._d))
 
-    def __init__(self, re=0, im=0):
+
+class _Ring:
+    """A value of a multiquadratic ring Q[s_1..s_k]/(s_j^2 - g_j).
+
+    A ring class lists its generators in bit order as ``_gens``: i squares to
+    -1, and sa (sb) to the value's parameter a (b).  A value holds its
+    parameters ``_p`` and 2^k integer numerators ``_n`` over one denominator
+    ``_d`` > 0 in lowest terms, numerator S being the coefficient of the
+    product of the generators in the bits of S; this form is canonical, so
+    equality compares it."""
+
+    __slots__ = ("_p", "_n", "_d")
+    _embeds = {}
+
+    def _operand(self, x):
+        """x in this value's ring, for a binary operator: an int, a Fraction
+        or a narrower ring's value embeds, and a wider ring's value gives
+        NotImplemented, so that its reflected operator decides; anything else
+        goes to ``_refuse``."""
+        cls = type(self)
+        if type(x) is cls:
+            if x._p != self._p:
+                raise ValueError("mixed radical parameters")
+            return x
+        if isinstance(x, (int, Fraction)):
+            return _element(cls, self._p, (x.numerator,) + cls._tail, x.denominator)
+        embed = cls._embeds.get(type(x))
+        if embed is not None:
+            # A narrower ring with parameters (Rad into RadC) must share them.
+            if x._p and x._p != self._p:
+                raise ValueError("mixed radical parameters")
+            nums = list(cls._zero)
+            for k, n in zip(embed, x._n):
+                nums[k] = n
+            return _element(cls, self._p, tuple(nums), x._d)
+        if isinstance(x, _Ring) and cls in type(x)._embeds:
+            return NotImplemented
+        return self._refuse(x)
+
+    def __rsub__(self, other):
+        other = self._operand(other)
+        return other if other is NotImplemented else other - self
+
+    def __neg__(self):
+        return _element(type(self), self._p, tuple(map(neg, self._n)), self._d)
+
+    def scale(self, k):
+        """This value times the exact rational k."""
+        k = _rational(k)
+        p = k.numerator
+        return _element(type(self), self._p, tuple([n * p for n in self._n]),
+                        self._d * k.denominator)
+
+    def is_zero(self):
+        return self._n == self._zero
+
+    def __bool__(self):
+        return self._n != self._zero
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._n == other._n and self._d == other._d and self._p == other._p
+        if isinstance(other, (int, Fraction)):
+            # A rational compares on the numerators; no ring value is built.
+            return self._d == other.denominator and self._n == (other.numerator,) + self._tail
+        return NotImplemented
+
+    def numerators(self):
+        """(numerators, d): the components are the numerators over d."""
+        return self._n, self._d
+
+    def __reduce__(self):
+        # copy and pickle rebuild the stored form; the constructors take other arguments.
+        return _element, (type(self), self._p, self._n, self._d)
+
+    def components(self):
+        """The rational coefficients, as Fractions, in numerator order."""
+        return tuple([Fraction(n, self._d) for n in self._n])
+
+
+class QI(_Ring):
+    """Gaussian rational (x + y*i)/d; ``re`` and ``im`` are Fraction views."""
+
+    __slots__ = ()
+    _gens = ("i",)
+
+    def __new__(cls, re=0, im=0):
         if type(re) is int and type(im) is int:
-            self._x, self._y, self._d = re, im, 1
-            return
-        re = _rational(re)
-        im = _rational(im)
-        q, s = re.denominator, im.denominator
-        d = q * s // math.gcd(q, s)
-        self._x = re.numerator * (d // q)
-        self._y = im.numerator * (d // s)
-        self._d = d
+            return _element(cls, (), (re, im), 1)
+        return _element(cls, (), *_numerators((re, im)))
 
-    re = property(lambda self: Fraction(self._x, self._d))
-    im = property(lambda self: Fraction(self._y, self._d))
+    re, im = _view(0), _view(1)
 
     @staticmethod
     def coerce(x):
-        if isinstance(x, QI):
-            return x
-        return QI(as_fraction(x))
+        return x if type(x) is QI else QI(x)
 
-    @staticmethod
-    def _try_coerce(x):
-        if isinstance(x, QI):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QI(x)
-        return None
-
-    @staticmethod
-    def _operand(x):
-        """x as a QI for a binary operator, or None to let the reflected
-        operator of a wider type (Poly, RadC) decide; a float or complex
-        operand raises the ``coerce`` error."""
-        if isinstance(x, (float, complex)):
-            return QI.coerce(x)
-        return QI._try_coerce(x)
-
-    def __add__(self, other):
-        if type(other) is not QI:
-            other = QI._operand(other)
-            if other is None:
-                return NotImplemented
-        d, e = self._d, other._d
-        if d == e:
-            return _lowest(self._x + other._x, self._y + other._y, d)
-        return _lowest(self._x * e + other._x * d, self._y * e + other._y * d, d * e)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if type(other) is not QI:
-            other = QI._operand(other)
-            if other is None:
-                return NotImplemented
-        d, e = self._d, other._d
-        if d == e:
-            return _lowest(self._x - other._x, self._y - other._y, d)
-        return _lowest(self._x * e - other._x * d, self._y * e - other._y * d, d * e)
-
-    def __rsub__(self, other):
-        return QI.coerce(other) - self
-
-    def __mul__(self, other):
-        if type(other) is not QI:
-            other = QI._operand(other)
-            if other is None:
-                return NotImplemented
-        x, y, u, v = self._x, self._y, other._x, other._y
-        return _lowest(x * u - y * v, x * v + y * u, self._d * other._d)
-
-    __rmul__ = __mul__
+    def _refuse(self, x):
+        # A float or complex raises the coerce error; any other operand may be
+        # a wider type's (Poly's), whose reflected operator decides.
+        return QI.coerce(x) if isinstance(x, (float, complex)) else NotImplemented
 
     def __truediv__(self, other):
         other = QI.coerce(other)
-        u, v = other._x, other._y
+        u, v = other._n
         n2 = u * u + v * v
         if n2 == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        x, y, e = self._x, self._y, other._d
-        return _lowest((x * u + y * v) * e, (y * u - x * v) * e, self._d * n2)
-
-    def __neg__(self):
-        return _lowest(-self._x, -self._y, self._d)
-
-    def conj(self):
-        return _lowest(self._x, -self._y, self._d)
-
-    def is_zero(self):
-        return self._x == 0 and self._y == 0
-
-    def __bool__(self):
-        return self._x != 0 or self._y != 0
-
-    def __eq__(self, other):
-        other = QI._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._x == other._x and self._y == other._y and self._d == other._d
-
-    def __hash__(self):
-        return hash((self._x, self._y, self._d))
+        x, y = self._n
+        e = other._d
+        return _element(QI, (), ((x * u + y * v) * e, (y * u - x * v) * e), self._d * n2)
 
     def to_complex(self):
-        return complex(self._x / self._d, self._y / self._d)
+        x, y = self._n
+        return complex(x / self._d, y / self._d)
 
     def __repr__(self):
         return f"QI({self.re}, {self.im})"
 
 
+def _folded(cls, a, b, nums, d):
+    """The ``cls`` value over Rad[a, b] from integer numerators over d, with
+    each parameter equal to 1 folded in: that root is 1, so b = 1 makes sb = 1
+    and sab = sa, and a = 1 makes sa = 1 and sab = sb.  Ring operations keep
+    folded values folded.  The parameters are positive ints, and not bools."""
+    if not (type(a) is int and type(b) is int and a > 0 and b > 0):
+        raise ValueError(f"Rad[a, b] requires positive integer parameters, got {a!r}, {b!r}")
+    for j, g in enumerate((a, b)):
+        if g == 1:
+            m = 1 << j
+            nums = tuple([0 if s & m else n + nums[s | m] for s, n in enumerate(nums)])
+    return _element(cls, (a, b), nums, d)
+
+
+class _Radical(_Ring):
+    """A value over the formal square roots sa, sb of positive integers a, b."""
+
+    __slots__ = ()
+
+    a = property(lambda self: self._p[0])
+    b = property(lambda self: self._p[1])
+
+    def coerce(self, x):
+        """x in this ring: ints, Fractions and narrower rings' values embed and
+        a same-ring value passes; anything else raises ValueError, so that
+        nothing inexact or from another ring enters an exact solve."""
+        if type(x) is type(self) and x._p == self._p:
+            return x
+        y = self._operand(x)
+        return self._refuse(x) if y is NotImplemented else y
+
+    def _refuse(self, x):
+        raise ValueError(
+            f"exact value over Rad[{self.a},{self.b}] required; got {type(x).__name__}")
+
+
+class Rad(_Radical):
+    """Element of the formal radical ring Q + Q*sa + Q*sb + Q*sab.
+
+    sa*sa = a, sb*sb = b and sab = sa*sb for positive integers a, b.  No
+    squarefreeness of a, b is assumed; equality is componentwise in this
+    formal ring.  A parameter equal to 1 folds its root into the rational
+    part: Rad(d, 1) is the quadratic ring Q(sqrt(d)) carried on (r1, ra),
+    and Rad(1, 1) is Q.  ``r1``, ``ra``, ``rb``, ``rab`` and
+    ``components()`` are Fraction views.
+    """
+
+    __slots__ = ()
+    _gens = ("sa", "sb")
+
+    def __new__(cls, a, b, r1=0, ra=0, rb=0, rab=0):
+        return _folded(cls, a, b, *_numerators((r1, ra, rb, rab)))
+
+    r1, ra, rb, rab = map(_view, range(4))
+
+    def to_float(self):
+        a, b = self._p
+        n1, na, nb, nab = self._n
+        d = self._d
+        return n1 / d + na / d * math.sqrt(a) + nb / d * math.sqrt(b) + nab / d * math.sqrt(a * b)
+
+    def __repr__(self):
+        return (f"Rad[{self.a},{self.b}]({self.r1} + {self.ra}*sa"
+                f" + {self.rb}*sb + {self.rab}*sab)")
+
+
+class RadC(_Radical):
+    """Complex number re + i*im with re and im in one ring Rad[a, b].
+
+    Its numerators are re's four and then im's four; ``re`` and ``im`` are
+    Rad views.
+    """
+
+    __slots__ = ()
+    _gens = ("sa", "sb", "i")
+    # The index here of each numerator of a narrower ring: QI's i goes to
+    # index 4, and Rad's 1, sa, sb, sab keep theirs.
+    _embeds = {QI: (0, 4), Rad: (0, 1, 2, 3)}
+
+    def __new__(cls, re, im=0):
+        if type(re) is not Rad:
+            raise TypeError("RadC requires Rad components")
+        im = re.coerce(im)  # refuses an imaginary part from another ring
+        zero = (0, 0, 0, 0)
+        return (_element(cls, re._p, re._n + zero, re._d)
+                + _element(cls, re._p, zero + im._n, im._d))
+
+    @staticmethod
+    def from_ints(a, b, re, im=(0, 0, 0, 0)):
+        """re + i*im over Rad[a, b] from integer quadruples (n1, na, nb, nab),
+        folded as ``Rad`` folds a parameter equal to 1."""
+        nums = (*re, *im)
+        # A sum of ints is an int; a Fraction or float among them is not.
+        if len(nums) != 8 or type(sum(nums)) is not int:
+            raise ValueError("RadC.from_ints requires positive integer parameters "
+                             "and integer numerators")
+        return _folded(RadC, a, b, nums, 1)
+
+    re = property(lambda self: _element(Rad, self._p, self._n[:4], self._d))
+    im = property(lambda self: _element(Rad, self._p, self._n[4:], self._d))
+
+    def __repr__(self):
+        return f"RadC({self.re!r}, {self.im!r})"
+
+
+# A ring's straight-line methods, written out by ``_build``: bracketed text
+# repeats for each numerator index #, with ~ a minus sign where # holds i.  x
+# and y are the operands' numerators, d and e their denominators, s is 1 for
+# + and -1 for -.  A value with no nonzero numerator after the first equals a
+# rational and hashes as that rational does.
+_METHODS = """
+def {ring}_sum(s):
+    def {ring}_sum(self, other):
+        if (type(other) is not {ring}{mixed}) and (other := self._operand(other)) is NotImplemented:
+            return other
+        [x#, ] = self._n
+        [y#, ] = other._n
+        d, e = self._d, other._d
+        if d == e:
+            e, f = 1, s
+        else:
+            f = s * d
+            d *= e
+        return _element({ring}, self._p, ([x# * e + y# * f, ]), d)
+    return {ring}_sum
+
+def {ring}_mul(self, other):
+    if (type(other) is not {ring}{mixed}) and (other := self._operand(other)) is NotImplemented:
+        return other
+    [x#, ] = self._n
+    [y#, ] = other._n
+    {params}return _element({ring}, self._p, ({product}), self._d * other._d)
+
+def {ring}_hash(self):
+    [x#, ] = self._n
+    if {tail}:
+        return hash((self._n, self._d))
+    return hash(x0 if self._d == 1 else Fraction(x0, self._d))
+"""
+_CONJ = """
+def {ring}_conj(self):
+    [x#, ] = self._n
+    return _element({ring}, self._p, ([~x#, ]), self._d)
+"""
+_SQUARES = {"sa": "a * ", "sb": "b * "}  # and i*i = -1
+
+
+def _build(rings):
+    """Each ring's zero and its straight-line methods, from its generators."""
+    source = []
+    for ring in rings:
+        gens = ring._gens
+        width = 1 << len(gens)
+        i = 1 << gens.index("i") if "i" in gens else 0
+        ring._zero, ring._tail = (0,) * width, (0,) * (width - 1)
+        # x_s * y_t goes to index s ^ t, times the squares of the generators
+        # in m = s & t: the terms with a common factor a, b or a*b are summed
+        # first, and i*i = -1 gives the sign.
+        factor = ["".join([_SQUARES.get(g, "") for j, g in enumerate(gens) if m >> j & 1])
+                  for m in range(width)]
+        product = []
+        for k in range(width):
+            groups = {}
+            for s in range(width):
+                m = s & (s ^ k)
+                groups[factor[m]] = groups.get(factor[m], "") + " %s x%d * y%d" % (
+                    "-" if m & i else "+", s, s ^ k)
+            product.append(" + ".join([f + "(%s)" % t.lstrip(" +") if f else t.lstrip(" +")
+                                       for f, t in groups.items()]))
+        radical = "sa" in gens
+        head, *parts = (_METHODS + (_CONJ if i else "")).format(
+            ring=ring.__name__, product=", ".join(product),
+            tail=" or ".join(["x%d" % s for s in range(1, width)]),
+            mixed=" or other._p != self._p" if radical else "",
+            params="a, b = self._p\n    " if radical else "").split("[")
+        for part in parts:
+            body, rest = part.split("]")
+            head += "".join([body.replace("#", str(s)).replace("~", "-" if s & i else "")
+                             for s in range(width)]) + rest
+        source.append(head)
+    methods = {}
+    exec("".join(source), globals(), methods)
+    for ring in rings:
+        name = ring.__name__
+        # One function per ring and operator: bench/tracer.py rebinds them by identity.
+        ring.__add__ = ring.__radd__ = methods[name + "_sum"](1)
+        ring.__sub__ = methods[name + "_sum"](-1)
+        ring.__mul__ = ring.__rmul__ = methods[name + "_mul"]
+        ring.__hash__ = methods[name + "_hash"]
+        if name + "_conj" in methods:
+            ring.conj = methods[name + "_conj"]
+
+
+_build((QI, Rad, RadC))
 QI_ZERO = QI(0)
 QI_ONE = QI(1)
 QI_I = QI(0, 1)
@@ -392,338 +600,6 @@ class Poly:
             return "Poly(0)"
         bits = [f"{c!r}*{m}" for m, c in self.sorted_items()]
         return "Poly(" + " + ".join(bits) + ")"
-
-
-def _fold(a, b, n1, na, nb, nab):
-    """Numerators with a parameter equal to 1 folded in: b = 1 makes sb = 1
-    and sab = sa, a = 1 makes sa = 1 and sab = sb."""
-    if b == 1:
-        n1, na, nb, nab = n1 + nb, na + nab, 0, 0
-    if a == 1:
-        n1, nb, na, nab = n1 + na, nb + nab, 0, 0
-    return n1, na, nb, nab
-
-
-def _radical(a, b, n1, na, nb, nab, d, x=None):
-    """A Rad from integer numerators over d > 0, in lowest terms.
-
-    The numerators must already carry the a = 1 / b = 1 folds; ring
-    operations on folded operands keep them folded.  ``x`` is filled in
-    place of a new Rad when given.
-    """
-    if d != 1:
-        g = math.gcd(n1, na, nb, nab, d)
-        if g != 1:
-            n1 //= g
-            na //= g
-            nb //= g
-            nab //= g
-            d //= g
-    if x is None:
-        x = _new(Rad)
-    x.a = a
-    x.b = b
-    x._n1 = n1
-    x._na = na
-    x._nb = nb
-    x._nab = nab
-    x._d = d
-    return x
-
-
-class Rad:
-    """Element of the formal radical ring Q + Q*sa + Q*sb + Q*sab.
-
-    sa, sb are formal square roots of the positive integers a and b with
-    sa*sa = a, sb*sb = b, sa*sb = sab, sa*sab = a*sb, sb*sab = b*sa,
-    sab*sab = a*b.  No squarefreeness of a, b is assumed; equality is
-    componentwise in this formal ring.
-
-    A parameter equal to 1 folds its root into the rational part: with
-    b = 1, sb = 1 and sab = sa, so Rad(d, 1) is the quadratic ring
-    Q(sqrt(d)) carried on (r1, ra) with rb = rab = 0; with a = 1 likewise
-    sa = 1, and Rad(1, 1) is Q.
-
-    The four coordinates are stored as integer numerators over one
-    denominator d > 0 whose gcd with them is 1, so the stored form is
-    canonical; ``r1``, ``ra``, ``rb``, ``rab`` and ``components()`` are
-    Fraction views.
-    """
-
-    __slots__ = ("a", "b", "_n1", "_na", "_nb", "_nab", "_d")
-
-    def __init__(self, a, b, r1=0, ra=0, rb=0, rab=0):
-        if not (isinstance(a, int) and isinstance(b, int) and a > 0 and b > 0):
-            raise ValueError("radical parameters must be positive integers")
-        if type(r1) is int and type(ra) is int and type(rb) is int and type(rab) is int:
-            n1, na, nb, nab, d = r1, ra, rb, rab, 1
-        else:
-            parts = [_rational(r) for r in (r1, ra, rb, rab)]
-            d = math.lcm(*(r.denominator for r in parts))
-            n1, na, nb, nab = (r.numerator * (d // r.denominator) for r in parts)
-        _radical(a, b, *_fold(a, b, n1, na, nb, nab), d, self)
-
-    r1 = property(lambda self: Fraction(self._n1, self._d))
-    ra = property(lambda self: Fraction(self._na, self._d))
-    rb = property(lambda self: Fraction(self._nb, self._d))
-    rab = property(lambda self: Fraction(self._nab, self._d))
-
-    def coerce(self, x):
-        """x in this ring: int/Fraction lift, same-ring values pass.
-
-        Floats and values over other radical parameters raise ValueError, so
-        that nothing inexact or from another ring enters an exact solve.
-        """
-        if isinstance(x, Rad):
-            if (x.a, x.b) != (self.a, self.b):
-                raise ValueError("mixed radical parameters")
-            return x
-        if isinstance(x, (int, Fraction)):
-            return _radical(self.a, self.b, x.numerator, 0, 0, 0, x.denominator)
-        raise ValueError(
-            f"exact value over Rad[{self.a},{self.b}] required; "
-            f"got {type(x).__name__}"
-        )
-
-    def __add__(self, other, op=add):
-        if type(other) is not Rad:
-            if type(other) is RadC:
-                return NotImplemented
-            other = self.coerce(other)
-        elif self.a != other.a or self.b != other.b:
-            raise ValueError("mixed radical parameters")
-        d, e = self._d, other._d
-        if d == e:
-            return _radical(self.a, self.b, op(self._n1, other._n1), op(self._na, other._na),
-                            op(self._nb, other._nb), op(self._nab, other._nab), d)
-        return _radical(self.a, self.b, op(self._n1 * e, other._n1 * d),
-                        op(self._na * e, other._na * d), op(self._nb * e, other._nb * d),
-                        op(self._nab * e, other._nab * d), d * e)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self.__add__(other, sub)
-
-    def __rsub__(self, other):
-        return self.coerce(other) - self
-
-    def __neg__(self):
-        return _radical(self.a, self.b, -self._n1, -self._na, -self._nb, -self._nab,
-                        self._d)
-
-    def __mul__(self, other):
-        if type(other) is not Rad:
-            if isinstance(other, (int, Fraction)):
-                return self.scale(other)
-            if type(other) is RadC:
-                return NotImplemented
-            other = self.coerce(other)
-        elif self.a != other.a or self.b != other.b:
-            raise ValueError("mixed radical parameters")
-        a, b = self.a, self.b
-        u1, ua, ub, uab = self._n1, self._na, self._nb, self._nab
-        v1, va, vb, vab = other._n1, other._na, other._nb, other._nab
-        return _radical(
-            a, b,
-            u1 * v1 + a * ua * va + b * ub * vb + a * b * uab * vab,
-            u1 * va + ua * v1 + b * (ub * vab + uab * vb),
-            u1 * vb + ub * v1 + a * (ua * vab + uab * va),
-            u1 * vab + uab * v1 + ua * vb + ub * va,
-            self._d * other._d,
-        )
-
-    __rmul__ = __mul__
-
-    def scale(self, k):
-        k = _rational(k)
-        p = k.numerator
-        return _radical(self.a, self.b, self._n1 * p, self._na * p, self._nb * p,
-                        self._nab * p, self._d * k.denominator)
-
-    def is_zero(self):
-        return self._n1 == 0 and self._na == 0 and self._nb == 0 and self._nab == 0
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.coerce(other)
-        if not isinstance(other, Rad):
-            return NotImplemented
-        return (self.a == other.a and self.b == other.b and self._d == other._d
-                and self._n1 == other._n1 and self._na == other._na
-                and self._nb == other._nb and self._nab == other._nab)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self._n1, self._na, self._nb, self._nab, self._d))
-
-    def components(self):
-        return (self.r1, self.ra, self.rb, self.rab)
-
-    def numerators(self):
-        """((n1, na, nb, nab), d): the components are the n_k / d."""
-        return (self._n1, self._na, self._nb, self._nab), self._d
-
-    def to_float(self):
-        sa = math.sqrt(self.a)
-        sb = math.sqrt(self.b)
-        d = self._d
-        return (self._n1 / d + self._na / d * sa + self._nb / d * sb
-                + self._nab / d * sa * sb)
-
-    def __repr__(self):
-        return (f"Rad[{self.a},{self.b}]({self.r1} + {self.ra}*sa"
-                f" + {self.rb}*sb + {self.rab}*sab)")
-
-
-def _complex_radical(a, b, nums, d):
-    """A RadC from eight integer numerators over d > 0, in lowest terms.
-
-    The numerators, the real part's four and then the imaginary part's,
-    must already carry the a = 1 / b = 1 folds, as in ``_radical``.
-    """
-    if d != 1:
-        g = math.gcd(*nums, d)
-        if g != 1:
-            nums = tuple(n // g for n in nums)
-            d //= g
-    z = _new(RadC)
-    z.a = a
-    z.b = b
-    z._n = nums
-    z._d = d
-    return z
-
-
-class RadC:
-    """Complex number re + i*im with re and im in one ring Rad[a, b].
-
-    Stored as Rad is: the eight coordinates, re's four and then im's four,
-    are integer numerators over one denominator d > 0 in lowest terms, so
-    each ring operation is integer arithmetic alone.  ``re`` and ``im`` are
-    Rad views and ``numerators()`` gives all eight.
-    """
-
-    __slots__ = ("a", "b", "_n", "_d")
-
-    def __init__(self, re, im=0):
-        if not isinstance(re, Rad):
-            raise TypeError("RadC requires Rad components")
-        # coerce refuses an imaginary part from another ring.
-        (u, d), (v, e) = re.numerators(), re.coerce(im).numerators()
-        z = (_complex_radical(re.a, re.b, u + (0, 0, 0, 0), d)
-             + _complex_radical(re.a, re.b, (0, 0, 0, 0) + v, e))
-        self.a, self.b, self._n, self._d = z.a, z.b, z._n, z._d
-
-    @staticmethod
-    def from_ints(a, b, re, im=(0, 0, 0, 0)):
-        """re + i*im over Rad[a, b] from integer quadruples (n1, na, nb, nab),
-        folded as ``Rad`` folds a parameter equal to 1."""
-        nums = _fold(a, b, *re) + _fold(a, b, *im)
-        # A sum of ints is an int; a Fraction or float among them is not.
-        if not (type(a) is type(b) is type(sum(nums)) is int and a > 0 and b > 0):
-            raise ValueError("RadC.from_ints requires positive integer parameters "
-                             "and integer numerators")
-        return _complex_radical(a, b, nums, 1)
-
-    re = property(lambda self: _radical(self.a, self.b, *self._n[:4], self._d))
-    im = property(lambda self: _radical(self.a, self.b, *self._n[4:], self._d))
-
-    def coerce(self, x):
-        """x in this ring: int/Fraction/QI/Rad lift, same-ring values pass.
-
-        Floats, complex numbers and mixed radical parameters raise
-        ValueError, as in ``Rad.coerce``.
-        """
-        if isinstance(x, RadC):
-            if x.a != self.a or x.b != self.b:
-                raise ValueError("mixed radical parameters")
-            return x
-        if isinstance(x, QI):
-            return _complex_radical(self.a, self.b, (x._x, 0, 0, 0, x._y, 0, 0, 0), x._d)
-        nums, d = self.re.coerce(x).numerators()
-        return _complex_radical(self.a, self.b, nums + (0, 0, 0, 0), d)
-
-    def __add__(self, other, op=add):
-        if type(other) is not RadC:
-            other = self.coerce(other)
-        elif self.a != other.a or self.b != other.b:
-            raise ValueError("mixed radical parameters")
-        d, e = self._d, other._d
-        if d == e:
-            return _complex_radical(self.a, self.b, tuple(map(op, self._n, other._n)), d)
-        return _complex_radical(self.a, self.b,
-                                tuple(op(x * e, y * d) for x, y in zip(self._n, other._n)),
-                                d * e)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self.__add__(other, sub)
-
-    def __rsub__(self, other):
-        return self.coerce(other) - self
-
-    def __neg__(self):
-        return self * -1
-
-    def __mul__(self, other):
-        if type(other) is not RadC:
-            if isinstance(other, (int, Fraction)):
-                p = other.numerator
-                return _complex_radical(self.a, self.b, tuple(n * p for n in self._n),
-                                        self._d * other.denominator)
-            other = self.coerce(other)
-        elif self.a != other.a or self.b != other.b:
-            raise ValueError("mixed radical parameters")
-        # (x + i*y)(u + i*v) = (xu - yv) + i*(xv + yu), with each Rad product
-        # written out as in Rad.__mul__.
-        a, b = self.a, self.b
-        x1, xa, xb, xab, y1, ya, yb, yab = self._n
-        u1, ua, ub, uab, v1, va, vb, vab = other._n
-        return _complex_radical(a, b, (
-            x1 * u1 - y1 * v1 + a * (xa * ua - ya * va) + b * (xb * ub - yb * vb)
-            + a * b * (xab * uab - yab * vab),
-            x1 * ua + xa * u1 - y1 * va - ya * v1 + b * (xb * uab + xab * ub - yb * vab - yab * vb),
-            x1 * ub + xb * u1 - y1 * vb - yb * v1 + a * (xa * uab + xab * ua - ya * vab - yab * va),
-            x1 * uab + xab * u1 + xa * ub + xb * ua - y1 * vab - yab * v1 - ya * vb - yb * va,
-            x1 * v1 + y1 * u1 + a * (xa * va + ya * ua) + b * (xb * vb + yb * ub)
-            + a * b * (xab * vab + yab * uab),
-            x1 * va + xa * v1 + y1 * ua + ya * u1 + b * (xb * vab + xab * vb + yb * uab + yab * ub),
-            x1 * vb + xb * v1 + y1 * ub + yb * u1 + a * (xa * vab + xab * va + ya * uab + yab * ua),
-            x1 * vab + xab * v1 + xa * vb + xb * va + y1 * uab + yab * u1 + ya * ub + yb * ua,
-        ), self._d * other._d)
-
-    __rmul__ = __mul__
-
-    def conj(self):
-        x1, xa, xb, xab, y1, ya, yb, yab = self._n
-        return _complex_radical(self.a, self.b, (x1, xa, xb, xab, -y1, -ya, -yb, -yab),
-                                self._d)
-
-    def is_zero(self):
-        return not any(self._n)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # A rational compares on the numerators; no ring element is built.
-            return self._d == other.denominator and self._n == (other.numerator,) + (0,) * 7
-        if not isinstance(other, RadC):
-            return NotImplemented
-        return (self.a, self.b, self._n, self._d) == (other.a, other.b, other._n, other._d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self._n, self._d))
-
-    def components(self):
-        return self.re.components() + self.im.components()
-
-    def numerators(self):
-        """((re's n1, na, nb, nab, im's n1, na, nb, nab), d): the
-        components are the n_k / d."""
-        return self._n, self._d
-
-    def __repr__(self):
-        return f"RadC({self.re!r}, {self.im!r})"
 
 
 def pivot_inverse(matrix):

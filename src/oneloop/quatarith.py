@@ -72,11 +72,11 @@ class QuatParams:
             raise ValueError("b must be a positive integer")
 
 
-# Slotted and not frozen, like QI, Rad and RadC, so each one is small and
-# cheap to build.  Nothing assigns to a QuatInt after construction, so its
-# field hash stays its value hash, with one exception: the norm-one scan
-# refills the coordinates of a single candidate that it never hashes,
-# stores or returns.
+# Slotted and not frozen, as the exact ring values (QI, Rad, RadC, which
+# share one slotted base) are, so each one is small and cheap to build.
+# Nothing assigns to a QuatInt after construction, so its field hash stays
+# its value hash, with one exception: the norm-one scan refills the
+# coordinates of a single candidate that it never hashes, stores or returns.
 @record(slots=True)
 class QuatInt:
     """Integral quaternion q0 + q1*I + q2*J + q3*K over fixed (a, b)."""

@@ -1,7 +1,10 @@
 """Exact-arithmetic core: Gaussian rationals, polynomials, radicals, solvers."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -310,6 +313,14 @@ class TestCoerce:
         with pytest.raises(ValueError, match="exact value over Rad"):
             op(RadC(Rad(2, 3, 1)))
 
+    @pytest.mark.parametrize("a, b", [(True, 3), (2, True), (2.0, 3), (0, 3), (2, -1)])
+    def test_radical_parameters_are_positive_ints(self, a, b):
+        # One check for every radical constructor; a bool is not a parameter.
+        with pytest.raises(ValueError, match="positive integer parameters"):
+            Rad(a, b, 1)
+        with pytest.raises(ValueError, match="positive integer parameters"):
+            RadC.from_ints(a, b, (1, 0, 0, 0))
+
     @pytest.mark.parametrize("op", [
         lambda x: x + 0.5, lambda x: x * 0.5, lambda x: 0.5 - x,
         lambda x: x - 0.5j])
@@ -347,116 +358,109 @@ class TestSolvers:
         assert solve_rational(m, rhs) == [Fraction(x0), Fraction(x1)]
 
 
-MONOMIALS = ((0, 0), (1, 0), (0, 1), (1, 1))   # 1, sa, sb, sab as (i, j) exponents
 radical_params = st.integers(1, 7)
 quads = st.tuples(rationals, rationals, rationals, rationals)
+octets = st.tuples(*[rationals] * 8)
+
+# Each ring as the squares of its generators, in bit order, a builder from
+# Fraction coordinates (numerator S is the coefficient of the product of the
+# generators in the bits of S) and its coordinate views.
+RINGS = {
+    "QI": lambda a, b: ((-1,), lambda c: QI(*c), lambda z: (z.re, z.im)),
+    "Rad": lambda a, b: ((a, b), lambda c: Rad(a, b, *c), lambda z: (z.r1, z.ra, z.rb, z.rab)),
+    "RadC": lambda a, b: ((a, b, -1), lambda c: RadC(Rad(a, b, *c[:4]), Rad(a, b, *c[4:])),
+                          lambda z: z.re.components() + z.im.components()),
+}
 
 
-def folded(a, b, coords):
-    """Reference fold of Fraction coordinates: a root equal to 1 joins the rationals."""
-    r1, ra, rb, rab = (Fraction(c) for c in coords)
-    if b == 1:
-        r1, ra, rb, rab = r1 + rb, ra + rab, Fraction(0), Fraction(0)
-    if a == 1:
-        r1, rb, ra, rab = r1 + ra, rb + rab, Fraction(0), Fraction(0)
-    return (r1, ra, rb, rab)
+def oracle_fold(squares, coords):
+    """Coordinates with every generator whose square is 1 set to 1."""
+    out = [Fraction(c) for c in coords]
+    for j, square in enumerate(squares):
+        if square == 1:
+            for s in range(len(out)):
+                if s >> j & 1:
+                    out[s ^ 1 << j] += out[s]
+                    out[s] = Fraction(0)
+    return tuple(out)
 
 
-def reference_product(a, b, u, v):
-    """Product in Fractions, monomial by monomial: sa^2 = a, sb^2 = b."""
-    out = [Fraction(0)] * 4
-    for (i1, j1), x in zip(MONOMIALS, u):
-        for (i2, j2), y in zip(MONOMIALS, v):
-            i, j = i1 + i2, j1 + j2
-            out[MONOMIALS.index((i % 2, j % 2))] += x * y * a ** (i // 2) * b ** (j // 2)
-    return folded(a, b, out)
+def oracle(squares, op, u, v=None):
+    """op on Fraction coordinates, term by term: x_s * y_t goes to s ^ t,
+    times the squares of the generators in s & t; conj negates the terms
+    holding the generator whose square is -1."""
+    if op == "mul":
+        out = [Fraction(0)] * len(u)
+        for s, x in enumerate(u):
+            for t, y in enumerate(v):
+                both = s & t
+                out[s ^ t] += x * y * math.prod(q for j, q in enumerate(squares) if both >> j & 1)
+    elif op == "conj":
+        out = [-x if any(q == -1 and s >> j & 1 for j, q in enumerate(squares)) else x
+               for s, x in enumerate(u)]
+    else:
+        out = [x + y if op == "add" else x - y for x, y in zip(u, v)]
+    return oracle_fold(squares, out)
 
 
 def assert_canonical(value):
     """The stored numerators and denominator are integers in lowest terms."""
-    if isinstance(value, QI):
-        nums, d = (value._x, value._y), value._d
-    else:
-        nums, d = value.numerators()
+    nums, d = value.numerators()
     assert d > 0
     assert math.gcd(*nums, d) == 1
     assert all(type(n) is int for n in nums) and type(d) is int
 
 
 class TestIntegerForm:
-    """QI and Rad hold integer numerators over one denominator, in lowest terms."""
+    """Ring values hold integer numerators over one denominator, in lowest terms."""
 
-    @given(rationals, rationals, rationals, rationals, rationals)
+    @pytest.mark.parametrize("ring", RINGS)
+    @given(radical_params, radical_params, octets, octets, rationals)
+    @example(1, 1, (1, Fraction(1, 2), 3, 4, 0, 1, 1, 1), (0, 0, Fraction(2, 3), 0, 5, 1, 0, 0),
+             Fraction(3, 4))
+    @example(5, 1, (Fraction(1, 2), 1, 1, Fraction(1, 3), 1, 0, Fraction(1, 5), 0),
+             (0, Fraction(1, 4), 0, 1, Fraction(2, 7), 0, 0, 3), -2)
+    @example(1, 3, (1, Fraction(1, 2), 0, 1, 0, 1, Fraction(1, 4), 0),
+             (Fraction(1, 9), 0, 1, 0, 1, 1, 0, Fraction(1, 8)), Fraction(-1, 6))
     @settings(max_examples=80)
-    def test_qi_matches_fraction_reference(self, p, q, r, s, k):
-        x, y = QI(p, q), QI(r, s)
-        cases = {
-            "add": (x + y, (p + r, q + s)),
-            "sub": (x - y, (p - r, q - s)),
-            "mul": (x * y, (p * r - q * s, p * s + q * r)),
-            "neg": (-x, (-p, -q)),
-            "conj": (x.conj(), (p, -q)),
-            "scale": (x * k, (p * k, q * k)),
-            "rscale": (k * x, (p * k, q * k)),
-        }
-        for name, (value, (re, im)) in cases.items():
-            assert (value.re, value.im) == (re, im), name
-            assert_canonical(value)
-            assert value == QI(re, im), name
-            assert hash(value) == hash(QI(re, im)), name
-            assert value.to_complex() == complex(float(re), float(im)), name
-
-    @given(radical_params, radical_params, quads, quads, rationals)
-    @settings(max_examples=120)
-    def test_rad_matches_fraction_reference(self, a, b, u, v, k):
-        x, y = Rad(a, b, *u), Rad(a, b, *v)
-        fu, fv = folded(a, b, u), folded(a, b, v)
+    def test_matches_fraction_oracle(self, ring, a, b, u, v, k):
+        squares, build, views = RINGS[ring](a, b)
+        u, v = u[:1 << len(squares)], v[:1 << len(squares)]
+        x, y = build(u), build(v)
+        fu, fv, fk = oracle_fold(squares, u), oracle_fold(squares, v), oracle_fold(
+            squares, (k,) + (0,) * (len(u) - 1))
         cases = {
             "init": (x, fu),
-            "add": (x + y, tuple(s + t for s, t in zip(fu, fv))),
-            "sub": (x - y, tuple(s - t for s, t in zip(fu, fv))),
-            "mul": (x * y, reference_product(a, b, fu, fv)),
-            "neg": (-x, tuple(-s for s in fu)),
-            "scale": (x.scale(k), tuple(s * k for s in fu)),
-            "rscale": (k * x, tuple(s * k for s in fu)),
+            "add": (x + y, oracle(squares, "add", fu, fv)),
+            "sub": (x - y, oracle(squares, "sub", fu, fv)),
+            "mul": (x * y, oracle(squares, "mul", fu, fv)),
+            "neg": (-x, oracle(squares, "sub", (0,) * len(fu), fu)),
+            "radd": (k + x, oracle(squares, "add", fk, fu)),
+            "rsub": (k - x, oracle(squares, "sub", fk, fu)),
+            "mul k": (x * k, oracle(squares, "mul", fu, fk)),
+            "rmul k": (k * x, oracle(squares, "mul", fk, fu)),
+            "scale": (x.scale(k), oracle(squares, "mul", fu, fk)),
         }
+        if ring != "Rad":
+            cases["conj"] = (x.conj(), oracle(squares, "conj", fu))
+        if ring == "RadC":
+            # A narrower ring's value embeds under every operator, on either side.
+            q, r = QI(*u[:2]), Rad(a, b, *u[:4])
+            for name, narrow, coords in (("QI", q, (u[0], 0, 0, 0, u[1], 0, 0, 0)),
+                                         ("Rad", r, u[:4] + (0,) * 4)):
+                coords = oracle_fold(squares, coords)
+                for op, f in (("add", add), ("sub", sub), ("mul", mul)):
+                    cases[f"{op} {name}"] = (f(y, narrow), oracle(squares, op, fv, coords))
+                    cases[f"r{op} {name}"] = (f(narrow, y), oracle(squares, op, coords, fv))
         for name, (value, expected) in cases.items():
-            assert value.components() == expected, name
+            assert type(value) is type(x), name
+            assert value.components() == expected == views(value), name
             assert_canonical(value)
-            assert value == Rad(a, b, *expected), name
-            assert hash(value) == hash(Rad(a, b, *expected)), name
-            assert value.is_zero() == (expected == (0, 0, 0, 0)), name
-
-    # The reference computes on the two Rad parts of each value, with the
-    # Rad operations: (x + iy)(u + iv) = (xu - yv) + i(xv + yu), and so on.
-    @given(radical_params, radical_params, quads, quads, quads, quads, rationals)
-    @example(1, 1, (1, Fraction(1, 2), 3, 4), (0, 0, Fraction(2, 3), 0),
-             (Fraction(5, 6), 1, 0, 0), (0, 1, 1, 1), Fraction(3, 4))
-    @example(5, 1, (Fraction(1, 2), 1, 1, Fraction(1, 3)), (0, Fraction(1, 4), 0, 1),
-             (1, 0, Fraction(1, 5), 0), (Fraction(2, 7), 0, 0, 3), -2)
-    @example(1, 3, (1, Fraction(1, 2), 0, 1), (Fraction(1, 9), 0, 1, 0),
-             (0, 1, Fraction(1, 4), 0), (1, 1, 0, Fraction(1, 8)), Fraction(-1, 6))
-    @settings(max_examples=120)
-    def test_radc_matches_two_rad_reference(self, a, b, p, q, r, s, k):
-        x, y, u, v = (Rad(a, b, *c) for c in (p, q, r, s))
-        z, w = RadC(x, y), RadC(u, v)
-        cases = {
-            "init": (z, (x, y)),
-            "add": (z + w, (x + u, y + v)),
-            "sub": (z - w, (x - u, y - v)),
-            "mul": (z * w, (x * u - y * v, x * v + y * u)),
-            "neg": (-z, (-x, -y)),
-            "conj": (z.conj(), (x, -y)),
-            "scale": (z * k, (x * k, y * k)),
-            "rscale": (k * z, (x * k, y * k)),
-        }
-        for name, (value, (re, im)) in cases.items():
-            assert value.components() == re.components() + im.components(), name
-            assert (value.re, value.im) == (re, im), name
-            assert value == RadC(re, im), name
-            assert hash(value) == hash(RadC(re, im)), name
-            assert value.is_zero() == (re.is_zero() and im.is_zero()), name
-            assert_canonical(value)
+            assert value == build(expected), name
+            assert hash(value) == hash(build(expected)), name
+            assert value.is_zero() == (not any(expected)), name
+            if ring == "QI":
+                assert value.to_complex() == complex(*map(float, expected)), name
 
     @given(radical_params, radical_params,
            st.tuples(*[st.integers(-9, 9)] * 4), st.tuples(*[st.integers(-9, 9)] * 4))
@@ -484,6 +488,26 @@ class TestIntegerForm:
         g = QI(u[0], u[1])
         h = (g * m) * QI(Fraction(1, m))
         assert h == g and hash(h) == hash(g)
+
+    @pytest.mark.parametrize("value, rational", [
+        (QI(3), 3), (QI(-1), -1), (QI(0), 0), (QI(Fraction(1, 2)), Fraction(1, 2)),
+        (QI(Fraction(-5, 3)), Fraction(-5, 3)), (Rad(2, 3, 3), 3), (Rad(2, 3, -1), -1),
+        (Rad(5, 7, Fraction(-3, 4)), Fraction(-3, 4)), (Rad(1, 3, 2, 5), 7),
+        (RadC(Rad(2, 3, 3)), 3), (RadC(Rad(2, 3, -2)), -2),
+        (RadC(Rad(5, 1, Fraction(7, 6))), Fraction(7, 6)),
+    ])
+    def test_rational_values_hash_as_the_rational(self, value, rational):
+        # Values that compare equal must hash equal, so a set or dict key
+        # holds one of them.
+        assert value == rational and hash(value) == hash(rational)
+        assert len({value, rational}) == 1
+
+    @pytest.mark.parametrize("value", [
+        QI(Fraction(1, 2), 3), Rad(2, 3, 1, Fraction(-1, 4), 0, 5), Rad(5, 1, 1, 2),
+        RadC(Rad(2, 3, 1), Rad(2, 3, 0, Fraction(1, 6)))], ids=["QI", "Rad", "Rad-folded", "RadC"])
+    def test_values_copy_and_pickle(self, value):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
 
     def test_views_are_fractions(self):
         z = QI(Fraction(3, 4), 2) * QI(1, Fraction(-1, 6))
@@ -513,3 +537,13 @@ class TestIntegerForm:
             r.to_float(), hash(r)
             z + w, z - w, z * w, -z, z.conj(), z * 2, z == w, z.is_zero()
         assert built == []
+
+
+def test_each_ring_owns_the_operators_the_tracer_rebinds():
+    # bench/tracer.py times QI's + and each ring's * by rebinding the function
+    # objects in the class dicts by identity: one function shared by two rings
+    # would merge their traced metrics.
+    products = [vars(cls)["__mul__"] for cls in (QI, Rad, RadC)]
+    assert len(set(products)) == 3
+    assert "__add__" in vars(QI)
+    assert QI.__rmul__ is QI.__mul__

@@ -19,8 +19,6 @@ ROOT = Path(__file__).resolve().parents[1]
 UNUSED_ALLOWED = {
     "Poly.subs": "exact substitution, for deciding the Killing equation "
                  "exactly (ROADMAP Direction 3)",
-    "RadC.components": "the rational coordinates of a value, as "
-                       "Rad.components gives them",
 }
 
 
@@ -132,8 +130,8 @@ def _annotated_class(annotation, classes):
 
 
 def _classes(package):
-    """Each package class by name: its method names and the package classes
-    of its annotated fields."""
+    """Each package class by name: its method names, the package classes of
+    its annotated fields and its package base classes."""
     tops = [top for tree in package.values() for top in tree.body
             if isinstance(top, ast.ClassDef)]
     names = {top.name for top in tops}
@@ -141,7 +139,22 @@ def _classes(package):
         {node.name for node in top.body if isinstance(node, ast.FunctionDef)},
         {node.target.id: _annotated_class(node.annotation, names) for node in top.body
          if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)},
+        [base.id for base in top.bases if isinstance(base, ast.Name) and base.id in names],
     ) for top in tops}
+
+
+def _ancestors(classes, cls):
+    """cls and its package base classes, nearest first."""
+    return [cls] + [c for base in classes[cls][2] for c in _ancestors(classes, base)]
+
+
+def _reached(classes, cls, name):
+    """The package classes whose method ``name`` a read of it on an instance
+    of cls can run: the nearest definition in cls and its bases, and every
+    override in a subclass of cls."""
+    inherited = [c for c in _ancestors(classes, cls) if name in classes[c][0]][:1]
+    return inherited + [c for c in classes if name in classes[c][0]
+                        and cls in _ancestors(classes, c)[1:]]
 
 
 def _method_reads(tree, classes):
@@ -224,12 +237,13 @@ def _unused(package, users):
     tree) that no tree of ``users`` (which includes them) uses.
 
     A method whose name two or more package classes define is used only
-    through a read whose receiver is an instance of its class, or, where
-    the receiver's class cannot be seen, of a class the reading module
-    defines or imports.
+    through a read that can run it (``_reached``): one whose receiver is an
+    instance of its class, of a subclass that inherits it or of a base
+    class that it overrides, or, where the receiver's class cannot be
+    seen, of a class the reading module defines or imports.
     """
     classes = _classes(package)
-    owners = Counter(name for methods, _ in classes.values() for name in methods)
+    owners = Counter(name for methods, *_ in classes.values() for name in methods)
     uses = Counter(name for tree in users for name in _names(tree))
     class_uses = set()
     for tree in users:
@@ -237,9 +251,10 @@ def _unused(package, users):
         for cls, name, reader in _method_reads(tree, classes):
             if owners[name] < 2:
                 continue
-            for owner in [cls] if cls else visible:
-                if name in classes[owner][0] and reader != f"{owner}.{name}":
-                    class_uses.add((owner, name))
+            for receiver in [cls] if cls else visible:
+                for owner in _reached(classes, receiver, name):
+                    if reader != f"{owner}.{name}":
+                        class_uses.add((owner, name))
     unused = []
     for module, tree in package.items():
         for top in tree.body:
@@ -387,6 +402,50 @@ def test_method_receivers_on_a_synthetic_source():
              if read[1] == "zero"]
     assert reads == [("Ring", "zero", "Ring.zero"), (None, "zero", "Ring.make")] + [
         ("Ring", "zero", None)] * 4 + [(None, "zero", None)] * 2
+
+
+INHERITANCE = """
+class Shape:
+    def area(self):
+        return 0
+
+    def describe(self):
+        return self.label()
+
+    def label(self):
+        return "shape"
+
+
+class Square(Shape):
+    def label(self):
+        return "square"
+
+    def area(self):
+        return 1
+
+
+class Circle(Shape):
+    def area(self):
+        return 3
+
+
+class Dot(Shape):
+    pass
+
+
+def total(circle: Circle, dot: Dot):
+    return circle.area() + dot.area() + Square().describe()
+
+
+print(total(Circle(), Dot()))
+"""
+
+
+def test_unused_overrides_on_a_synthetic_source():
+    # Shape.describe's self.label() can run Square's override, and dot.area()
+    # runs the area that Dot inherits from Shape; nothing can run Square.area.
+    tree = ast.parse(INHERITANCE)
+    assert _unused({"shapes.py": tree}, [tree]) == ["shapes.py: Square.area"]
 
 
 def _dead_imports(tree):
@@ -579,10 +638,12 @@ def test_per_term_values_are_slotted_and_unfrozen(value):
     RadC(Rad(5, 1, 1, 2), Rad(5, 1, 0, 1)) * RadC(Rad(5, 1, Fraction(2, 3))),
 ], ids=["QI", "Rad", "RadC", "RadC-product"])
 def test_exact_scalars_hold_integers(value):
-    # The ring operations run on Python ints alone: every slot holds an int
-    # or a tuple of ints, never a nested scalar object, and the one
-    # denominator is positive.
-    for name in type(value).__slots__:
+    # The ring operations run on Python ints alone: every slot, the ring
+    # base's included, holds an int or a tuple of ints, never a nested scalar
+    # object, and the one denominator is positive.
+    slots = [name for cls in type(value).__mro__ for name in vars(cls).get("__slots__", ())]
+    assert {"_p", "_n", "_d"} <= set(slots)
+    for name in slots:
         held = getattr(value, name)
         assert type(held) is int or (
             type(held) is tuple and all(type(n) is int for n in held)), name
