@@ -135,7 +135,17 @@ class RunConfig:
             from .quatarith import QuatParams, c_compatible
 
             lam, a, b = self.c_exact
-            return c_compatible(QuatParams(a, b), lam)
+            try:
+                c = c_compatible(QuatParams(a, b), lam)
+            except OverflowError:  # LAM, A or B leaves the float range
+                c = math.inf
+            if not math.isfinite(c):
+                from decimal import Decimal
+
+                shown = (Decimal(lam.numerator) / lam.denominator).normalize()
+                raise ConfigError(f"c-exact {shown:.6g}:{a}:{b} gives a c that leaves the "
+                                  "float range")
+            return c
         return self.c
 
     @property

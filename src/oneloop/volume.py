@@ -7,10 +7,8 @@ where P(x) = (1+x)^(n-1) * (1+2x) is a degree-n polynomial with positive
 integer coefficients and constant term 1.  This module expands P exactly,
 evaluates the density, integrates it in closed form over slabs
 [rho1, rho0] and tails [rho0, infinity), cross-checks the closed forms by
-adaptive Gauss-Kronrod 7/15 quadrature (relative target 1e-10; the tail
-is mapped onto (0, 1] by rho = rho0/t, which keeps rho0 exact at every
-scale and turns the integrand into a polynomial in t), and exposes the
-asymptotic constants:
+a Gauss-Legendre rule, exact for the polynomial in t that each integral
+becomes under rho = rho_i/t, and exposes the asymptotic constants:
 
 * the tail coefficient V_D / (n+1): rho0^(n+1) * tail -> V_D/(n+1);
 * the near-origin constant 2 c^n V_D / (2n+1) (``near_zero_constant``):
@@ -23,7 +21,6 @@ computing it from a lattice is out of scope.
 
 from __future__ import annotations
 
-import heapq
 import math
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
@@ -50,10 +47,9 @@ def poly_P(n: int) -> Tuple[int, ...]:
     """Exact coefficients p_0..p_n of P(x) = (1+x)^(n-1) * (1+2x), n >= 1.
 
     The coefficient of x^k is C(n-1, k) + 2*C(n-1, k-1): all positive, with
-    p_0 = 1 and p_n = 2.  The tuple is built once per n: ``density`` asks
-    for it at every quadrature node.
+    p_0 = 1 and p_n = 2.  The tuple is built once per n.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("n must be a positive integer")
     return tuple(
         math.comb(n - 1, k) + 2 * (math.comb(n - 1, k - 1) if k >= 1 else 0)
@@ -138,82 +134,62 @@ def slab_closed(rho1: float, rho0: float, params: ModelParams, V_D: float) -> fl
     return _finite("slab volume", rho1, n, V_D * total)
 
 
-# Gauss-Kronrod 7/15 rule (QUADPACK qk15) on [-1, 1]: the Kronrod nodes from
-# the outermost inwards, their weights, and the weights of the 7-point Gauss
-# rule on the odd-indexed nodes.
-_XGK = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.000000000000000000000000000000000,
-)
-_WGK = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-)
-_WG = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-)
-_QUAD_REL_TOL = 1e-10
-_QUAD_MAX_PANELS = 200
+@lru_cache(maxsize=None)
+def _gauss_legendre(m: int) -> Tuple[Tuple[float, float], ...]:
+    """The m-point Gauss-Legendre rule on [0, 1] as (node, weight) pairs.
 
-
-def _gk15(f, lo: float, hi: float) -> Tuple[float, float]:
-    """K15 integral of f over [lo, hi] and its error estimate |K15 - G7|."""
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    f_center = f(center)
-    kronrod = _WGK[7] * f_center
-    gauss = _WG[3] * f_center
-    for j in range(7):
-        dx = half * _XGK[j]
-        pair = f(center - dx) + f(center + dx)
-        kronrod += _WGK[j] * pair
-        if j % 2:
-            gauss += _WG[j // 2] * pair
-    return kronrod * half, abs(kronrod - gauss) * half
-
-
-def _integrate(f, lo: float, hi: float) -> float:
-    """Adaptive Gauss-Kronrod 7/15 integral of f over [lo, hi].
-
-    Bisects the panel with the largest error estimate until the summed
-    estimates are at most 1e-10 of |value|.  The rule never evaluates f at
-    lo or hi.  Raises ValueError when an estimate is not finite or 200
-    panels do not reach the target.
+    Exact up to rounding below degree 2m (Davis & Rabinowitz, Methods of
+    Numerical Integration, 2nd ed., 1984, section 2.7).  Each root
+    x = 1 - u > 0 of P_m, found by Newton's method in u, gives the nodes u/2
+    and 1 - u/2, both of weight 1/((1 - x^2) P_m'(x)^2).
     """
-    value, error = _gk15(f, lo, hi)
-    panels = [(-error, lo, hi, value)]
-    while True:
-        total = math.fsum(panel[3] for panel in panels)
-        total_error = math.fsum(-panel[0] for panel in panels)
-        if not (math.isfinite(total) and math.isfinite(total_error)):
-            raise ValueError("quadrature estimate is not finite")
-        if total_error <= _QUAD_REL_TOL * abs(total):
-            return total
-        if len(panels) == _QUAD_MAX_PANELS:
-            raise ValueError(
-                f"quadrature missed relative error {_QUAD_REL_TOL} "
-                f"with {_QUAD_MAX_PANELS} panels"
-            )
-        _, a, b, _ = heapq.heappop(panels)
-        mid = 0.5 * (a + b)
-        for sub_lo, sub_hi in ((a, mid), (mid, b)):
-            value, error = _gk15(f, sub_lo, sub_hi)
-            heapq.heappush(panels, (-error, sub_lo, sub_hi, value))
+    def legendre(u: float) -> Tuple[float, float]:
+        # P_m(1 - u) and its u-derivative by (k+1) P_(k+1) = (2k+1) x P_k -
+        # k P_(k-1), run on P_(k+1) - P_k so that u is never rounded to 1 - u.
+        lower, difference = 1.0, -u  # P_0 and P_1 - P_0
+        for k in range(1, m):
+            lower += difference
+            difference = (k * difference - (2 * k + 1) * u * lower) / (k + 1)
+        value = lower + difference  # P_m, and lower is P_(m-1)
+        return value, m * ((1.0 - u) * value - lower) / (u * (2.0 - u))
+
+    rule = [(0.5, 1.0 / legendre(1.0)[1] ** 2)] if m % 2 else []
+    for i in range(1, m // 2 + 1):
+        u = 2.0 * math.sin(math.pi * (i - 0.25) / (2 * m + 1)) ** 2
+        step = u
+        while abs(step) > 1e-13 * u:
+            value, slope = legendre(u)
+            step = value / slope
+            u -= step
+        weight = 1.0 / (u * (2.0 - u) * legendre(u)[1] ** 2)
+        rule += [(u / 2, weight), (1.0 - u / 2, weight)]
+    return tuple(rule)
+
+
+def _scaled_quadrature(
+    what: str, rho: float, lo: float, power: int, params: ModelParams, V_D: float
+) -> float:
+    """V_D rho^-(n+1) times the integral of t^n P(c t/rho) over [lo, 1].
+
+    The (n+1)-point rule integrates this polynomial of degree 2n exactly up
+    to rounding.  FloatRangeError names rho and n where the result leaves
+    the float range, and wherever the closed form raises it: where a term
+    p_k c^k or rho^power overflows, or a divisor rho^power (power > 0)
+    underflows to 0.
+    """
+    _check_vd(V_D)
+    n, poly, x = params.n, poly_P(params.n), params.c / rho
+    width, total = 1.0 - lo, 0.0
+    try:
+        if not ((rho**power > 0 or power < 0) and _horner(poly, params.c) < math.inf):
+            raise OverflowError
+        for node, weight in _gauss_legendre(n + 1):
+            t = lo + width * node
+            total += weight * t**n * _horner(poly, x * t)
+        value = V_D * width * total * rho ** -(n + 1)
+    except ArithmeticError:
+        value = math.inf
+    return _finite(what, rho, n, value)
 
 
 def slab_quadrature(
@@ -221,33 +197,26 @@ def slab_quadrature(
 ) -> float:
     """Quadrature oracle for slab_closed on [rho1, rho0].
 
-    Adaptive Gauss-Kronrod 7/15 quadrature of the density, relative target
-    1e-10; ValueError if 200 panels do not reach it.
+    rho = rho1/t maps the slab onto t in [rho1/rho0, 1].
     """
     if not 0 < rho1 < rho0:
         raise ValueError(
             f"slab bounds must satisfy 0 < rho1 < rho0, got [{rho1}, {rho0}]"
         )
-    _check_vd(V_D)
-    return V_D * _integrate(lambda rho: density(rho, params), rho1, rho0)
+    power = -(2 * params.n + 1)  # slab_closed multiplies by rho1^-(n+1+k)
+    return _scaled_quadrature("slab volume", rho1, rho1 / rho0, power, params, V_D)
 
 
 def tail_quadrature(rho0: float, params: ModelParams, V_D: float) -> float:
     """Quadrature oracle for tail_closed on [rho0, infinity).
 
-    Adaptive Gauss-Kronrod 7/15 quadrature, relative target 1e-10, over
-    t in (0, 1] after the substitution rho = rho0/t, whose Jacobian is
-    rho0/t^2.  The integrand becomes rho0^-(n+1) t^n P(c t/rho0); the
-    factor rho0^-(n+1) is taken out of the integral, so no node loses
-    rho0 to rounding.  ValueError if 200 panels do not reach the target.
+    rho = rho0/t maps the tail onto t in (0, 1], and rho0 is never rounded
+    into a node, so the oracle holds at every scale.
     """
     if not rho0 > 0:
         raise ValueError(f"rho0 must be positive, got {rho0}")
-    _check_vd(V_D)
-    n, x = params.n, params.c / rho0
-    poly = poly_P(n)
-    integral = _integrate(lambda t: t**n * _horner(poly, x * t), 0.0, 1.0)
-    return V_D * integral / rho0 ** (n + 1)
+    power = 2 * params.n + 1  # tail_closed divides by rho0^(n+1+k)
+    return _scaled_quadrature("tail volume", rho0, 0.0, power, params, V_D)
 
 
 def near_zero_constant(params: ModelParams, V_D: float) -> float:

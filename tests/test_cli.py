@@ -182,6 +182,16 @@ class TestConfigFile:
         assert from_file == from_flag
         assert json.loads(from_file[1])["config"]["c_exact"]["lam"] == "1/10"
 
+    @pytest.mark.parametrize("command", ["verify-killing", "curvature", "volume-table"])
+    def test_c_exact_beyond_the_float_range_in_file(self, capsys, tmp_path, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"c_exact": {"lam": "1e400", "a": 2, "b": 3}}))
+        argv = [command, "--n", "1", "--config", str(path)]
+        if command != "volume-table":
+            argv += ["--points", "1"]
+        assert run_cli(capsys, argv) == (
+            2, "", "error: c-exact 1e+400:2:3 gives a c that leaves the float range\n")
+
     @pytest.mark.parametrize("command", [
         ["verify-killing", "--n", "1", "--points", "2"],
         ["volume-table"],
@@ -765,12 +775,29 @@ GOLDEN = [
      "58ccf65d937a5d2a1fe703773ac1159b351b25caa4f0cff133f6eb52ceb2b1f1",
      "warning: b = 1 is not a prime (division-algebra hypothesis unmet); "
      "enumeration still runs\n"),
+    # The two volume-table jobs of the benchmark's cold-cli workload.
+    (["volume-table", "--n", "1"], 0,
+     "6767c8d60f68f07278f9bd27c00d04b6d152e58f16f5c461cd591afbdc77fcf8", ""),
+    (["volume-table", "--n", "1", "--format", "json"], 0,
+     "98d82f4df3a55eb240eb5860dae93b3e203e6edd381cf10c9926501259c961ac", ""),
     (["volume-table", "--n", "3"], 0,
      "72b695e9d8ee50ddd18521fc13c327e6f098f8da3db592bf85afea777fc9919e", ""),
     (["volume-table", "--n", "3", "--format", "json"], 0,
      "4617ffb919ba804bdc12359db2af4ca144d53e8402706b75e4cb53303ddb43ce", ""),
     (["volume-table", "--n", "2", "--c-exact", "1:3:7", "--format", "json"], 0,
      "27e04d2da3dea76a428f46302ebff640313379f6fb3c5bca6585c5ba8cb8674a", ""),
+    # Twelve decades of rho at n = 6.
+    (["volume-table", "--n", "6", "--c", "2.5", "--grid", "1e-6,1e-3,1,1e3,1e6"], 0,
+     "4569f75c90cfd8fc448890bbef432567d3decc8879f4b036c6c23f1247806829", ""),
+    # A LAM whose c leaves the float range; center reads only its sign.
+    (["center", "--n", "2", "--c-exact", "1e400:2:3"], 0,
+     "5cada451a0062a06c972269b0913bd36dba51c549b205736f92f9d12698d073d", ""),
+    (["verify-killing", "--n", "1", "--points", "1", "--c-exact", "1e400:2:3"], 2,
+     EMPTY_SHA256, "error: c-exact 1e+400:2:3 gives a c that leaves the float range\n"),
+    (["curvature", "--n", "1", "--points", "1", "--c-exact", "1e400:2:3"], 2,
+     EMPTY_SHA256, "error: c-exact 1e+400:2:3 gives a c that leaves the float range\n"),
+    (["volume-table", "--n", "1", "--c-exact", "1e400:2:3"], 2,
+     EMPTY_SHA256, "error: c-exact 1e+400:2:3 gives a c that leaves the float range\n"),
     # A command that reports JSON only takes no --format.
     (["structure", "--format", "csv"], 2, EMPTY_SHA256,
      "usage: oneloop [-h]\n"

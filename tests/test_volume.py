@@ -23,8 +23,8 @@ from oneloop.geometry import (
 )
 from oneloop.volume import (
     FloatRangeError,
+    _gauss_legendre,
     _horner,
-    _integrate,
     bounds_check,
     density,
     near_zero_constant,
@@ -77,6 +77,8 @@ class TestVolumePolynomial:
     def test_validation(self):
         with pytest.raises(ValueError):
             poly_P(0)
+        with pytest.raises(ValueError):
+            poly_P(True)
 
     def test_built_once_per_n(self):
         assert poly_P(3) is poly_P(3)
@@ -268,13 +270,72 @@ class TestQuadratureOracle:
         # 448 cases in all; allow quad to flag a few in other versions.
         assert compared >= 392
 
-    def test_non_integrable_integrand_exhausts_panels(self):
-        with pytest.raises(ValueError, match="200 panels"):
-            _integrate(lambda x: 1.0 / x, 0.0, 1.0)
+    @pytest.mark.parametrize("m", range(1, 31))
+    def test_rule_integrates_its_degree(self, m):
+        # t^k turns a node's half-ulp rounding into k/2 ulps, hence the bound.
+        rule = _gauss_legendre(m)
+        assert len(rule) == m
+        for k in range(2 * m):
+            exact = 1.0 / (k + 1)
+            value = sum(weight * t**k for t, weight in rule)
+            assert abs(value - exact) <= (4 + k / 2) * math.ulp(exact), (m, k)
 
-    def test_nan_integrand_rejected(self):
-        with pytest.raises(ValueError, match="not finite"):
-            _integrate(lambda x: math.nan, 0.0, 1.0)
+    def test_oracles_match_closed_forms_to_rounding(self):
+        compared = 0
+        for n, c in itertools.product(range(1, 21), (0.0, 0.5, 1.0, 3.0)):
+            params = ModelParams(n=n, c=c)
+            for k in range(-6, 7):
+                rho = 10.0**k
+                for closed, oracle, bounds in (
+                    (tail_closed, tail_quadrature, (rho,)),
+                    (slab_closed, slab_quadrature, (rho, 3 * rho)),
+                ):
+                    try:
+                        expected = closed(*bounds, params, 2.0)
+                    except FloatRangeError:
+                        continue
+                    got = oracle(*bounds, params, 2.0)
+                    assert got == pytest.approx(expected, rel=1e-12), (n, c, bounds)
+                    compared += 1
+        assert compared >= 1500  # of 2080
+
+    @pytest.mark.parametrize("closed, oracle, args, n, message", [
+        (tail_closed, tail_quadrature, (1e300,), 3, r"rho = 1e\+300 .* n = 3$"),
+        (tail_closed, tail_quadrature, (1e-320,), 1, r"rho = 1e-320 .* n = 1$"),
+        (slab_closed, slab_quadrature, (1e-320, 1.0), 1, r"rho = 1e-320 .* n = 1$"),
+    ], ids=["tail-1e300", "tail-1e-320", "slab-1e-320"])
+    def test_oracle_fails_where_the_closed_form_fails(self, closed, oracle, args, n,
+                                                      message):
+        # These used to escape as a bare OverflowError, a non-finite estimate
+        # and a missed panel target.
+        params = ModelParams(n=n, c=1.0)
+        with pytest.raises(FloatRangeError, match=message):
+            closed(*args, params, 1.0)
+        with pytest.raises(FloatRangeError, match=message):
+            oracle(*args, params, 1.0)
+
+    def test_oracles_fail_wherever_the_closed_forms_fail(self):
+        # Across the float range, including where a closed form gives up on
+        # a power of rho or c although the volume itself is finite.
+        failures = 0
+        for n, c in itertools.product((1, 2, 5, 20), (0.0, 1e-200, 1.0, 1e100)):
+            params = ModelParams(n=n, c=c)
+            for k in range(-323, 308, 5):
+                rho = 10.0**k
+                for closed, oracle, bounds in (
+                    (tail_closed, tail_quadrature, (rho,)),
+                    (slab_closed, slab_quadrature, (rho, 2 * rho)),
+                ):
+                    try:
+                        closed(*bounds, params, 1.0)
+                    except FloatRangeError as exc:
+                        with pytest.raises(FloatRangeError) as caught:
+                            oracle(*bounds, params, 1.0)
+                        assert str(caught.value) == str(exc)
+                        failures += 1
+                    else:
+                        oracle(*bounds, params, 1.0)
+        assert failures >= 1000
 
     def test_cli_never_loads_scipy(self):
         # The oracle is in-house, so no subcommand pays for importing scipy.
