@@ -89,12 +89,11 @@ class RunConfig:
     out: Optional[str] = None
     format: Optional[str] = None
     grid: Tuple[float, ...] = (1.0, 2.0, 4.0)
-    vd: float = 1.0
 
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        for name in ("c", "step", "vd"):
+        for name in ("c", "step"):
             value = getattr(self, name)
             if not _is_number(value):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
@@ -120,8 +119,6 @@ class RunConfig:
             raise ConfigError(
                 "grid must be a nonempty list of positive finite rho values"
             )
-        if not (math.isfinite(self.vd) and self.vd > 0):
-            raise ConfigError(f"vd must be positive and finite, got {self.vd!r}")
         if self.c_exact is not None:
             lam, a, b = self.c_exact
             if lam < 0:
@@ -139,7 +136,9 @@ class RunConfig:
                 c = c_compatible(QuatParams(a, b), lam)
             except OverflowError:  # LAM, A or B leaves the float range
                 c = math.inf
-            if not math.isfinite(c):
+            # A positive LAM whose c underflows to 0.0 would run the
+            # undeformed metric.
+            if not math.isfinite(c) or (c == 0 and lam > 0):
                 from decimal import Decimal
 
                 shown = (Decimal(lam.numerator) / lam.denominator).normalize()
@@ -373,14 +372,9 @@ def cmd_volume_table(config: RunConfig) -> Record:
     # JSON carries the same 12 significant digits as the CSV columns.
     rows = [
         {name: float(fmt(row[name])) for name, fmt in _VOLUME_COLUMNS}
-        for row in volume_rows(config.grid, params, config.vd)
+        for row in volume_rows(config.grid, params)
     ]
-    report = {
-        "command": "volume-table",
-        "config": config.echo(),
-        "vd": config.vd,
-        "rows": rows,
-    }
+    report = {"command": "volume-table", "config": config.echo(), "rows": rows}
     return report, rows, 0
 
 
@@ -406,7 +400,7 @@ _COMMANDS = {
         ("q0", str), ("q1", str), ("q2", str), ("q3", str), ("norm", str),
         ("su11_ok", _flag), ("preserves_gamma2", _flag),
     )),
-    "volume-table": (cmd_volume_table, ("n", "c", "c_exact", "grid", "vd", "format"), "csv",
+    "volume-table": (cmd_volume_table, ("n", "c", "c_exact", "grid", "format"), "csv",
                      _VOLUME_COLUMNS),
 }
 
@@ -456,7 +450,6 @@ _FLAGS = {
     "out": dict(help="also write output to this path"),
     "format": dict(choices=("json", "csv")),
     "grid": dict(type=_parse_grid, metavar="R1,R2,...", help="rho grid for volume-table"),
-    "vd": dict(type=float, help="fundamental-domain volume"),
     "config": dict(help="JSON file with the same keys as the flags (flags win)"),
 }
 

@@ -196,9 +196,9 @@ class HeisLatticePoint:
     center: int
 
     def __post_init__(self):
-        if not all(isinstance(c, int) for c in self.coords):
+        if not all(type(c) is int for c in self.coords):
             raise ValueError("lattice coordinates must be integers")
-        if not isinstance(self.center, int):
+        if type(self.center) is not int:
             raise ValueError("center coordinate must be an integer")
         object.__setattr__(self, "coords", tuple(self.coords))
 
@@ -212,7 +212,7 @@ class HeisLatticePoint:
 
 
 def _validate_d(d: int) -> None:
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise ValueError("d must be a positive integer")
     if d % 4 == 3:
         raise ValueError(

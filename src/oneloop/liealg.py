@@ -318,7 +318,7 @@ class CenterVector:
 
     def __post_init__(self):
         object.__setattr__(self, "u", Fraction(self.u))
-        if not isinstance(self.m, int):
+        if type(self.m) is not int:
             raise ValueError("the discrete slot must be an exact integer")
         object.__setattr__(self, "z", Fraction(self.z))
 
@@ -333,7 +333,7 @@ class CenterVector:
         return CenterVector(-self.u, -self.m, -self.z)
 
     def scale_int(self, k: int) -> "CenterVector":
-        if not isinstance(k, int):
+        if type(k) is not int:
             raise ValueError("lattice vectors scale by integers only")
         return CenterVector(k * self.u, k * self.m, k * self.z)
 

@@ -10,13 +10,17 @@ evaluates the density, integrates it in closed form over slabs
 a Gauss-Legendre rule, exact for the polynomial in t that each integral
 becomes under rho = rho_i/t, and exposes the asymptotic constants:
 
-* the tail coefficient V_D / (n+1): rho0^(n+1) * tail -> V_D/(n+1);
-* the near-origin constant 2 c^n V_D / (2n+1) (``near_zero_constant``):
+* the tail coefficient 1/(n+1): rho0^(n+1) * tail -> 1/(n+1);
+* the near-origin constant 2 c^n / (2n+1) (``near_zero_constant``):
   for c > 0, rho1^(2n+1) * slab -> that value as rho1 -> 0, since only the
   k = n term of the slab integral (p_n = 2) carries rho1^-(2n+1).
 
-The fundamental-domain volume V_D is a caller-supplied positive scalar;
-computing it from a lattice is out of scope.
+Volumes are per unit of the fundamental-domain volume V_D.  Each quantity
+is rho^-p * F(c/rho) for a polynomial F: the density has p = n+2 and F = P,
+a tail p = n+1 and F = H, H(x) = sum_k p_k x^k / (n+1+k), and a slab is the
+difference of two tails.  One helper forms rho^-p * F without a power of
+rho on its own, and each function raises FloatRangeError naming rho and n
+exactly when its value is not a normal positive float.
 """
 
 from __future__ import annotations
@@ -57,81 +61,96 @@ def poly_P(n: int) -> Tuple[int, ...]:
     )
 
 
-def _horner(coefficients: Tuple[int, ...], x: float) -> float:
-    """The polynomial with these coefficients (constant term first) at x."""
+@lru_cache(maxsize=None)
+def _tail_poly(n: int) -> Tuple[float, ...]:
+    """Coefficients p_k / (n+1+k) of H: the tail over [rho0, infinity) is
+    rho0^-(n+1) * H(c/rho0)."""
+    try:
+        return tuple(p / (n + 1 + k) for k, p in enumerate(poly_P(n)))
+    except OverflowError:  # from n = 1040 on, a coefficient leaves the float range
+        return (math.inf,)
+
+
+def _horner(coefficients: Tuple[float, ...], x: float) -> float:
+    """The polynomial with these coefficients (constant term first) at x;
+    inf where a coefficient leaves the float range (P from n = 1029 on)."""
     total = 0.0
-    for coeff in reversed(coefficients):
-        total = total * x + coeff
+    try:
+        for coeff in reversed(coefficients):
+            total = total * x + coeff
+    except OverflowError:
+        return math.inf
     return total
 
 
 class FloatRangeError(ArithmeticError):
-    """A volume quantity at the given rho does not fit in a float."""
+    """A volume quantity at the given rho is not a normal positive float."""
 
 
-def _finite(what: str, rho: float, n: int, value: float) -> float:
-    if not math.isfinite(value):
+def _normal(what: str, rho: float, n: int, value: float) -> float:
+    """value, or FloatRangeError naming rho and n unless it is a normal
+    positive float; 0.0, subnormals, inf and nan all fail."""
+    if not 2.0**-1022 <= value < math.inf:
         raise FloatRangeError(f"{what} at rho = {rho!r} leaves the float range at n = {n}")
     return value
+
+
+def _scaled(rho: float, p: int, value: float) -> float:
+    """rho^-p * value as f m^-p 2^(g - e p), where rho = m 2^e with m in
+    [1/sqrt(2), sqrt(2)) and value = f 2^g (``math.frexp``): no power of rho
+    is formed on its own, m^-p lies within a factor 2^(|p|/2) of 1, and only
+    the final ``ldexp`` leaves the float range, giving 0.0, a subnormal or
+    inf, exactly where the product does."""
+    m, e = math.frexp(rho)
+    if m < 0.7071067811865476:
+        m, e = 2 * m, e - 1
+    f, g = math.frexp(value)
+    try:
+        return math.ldexp(f * m**-p, g - e * p)
+    except OverflowError:
+        return math.inf
 
 
 def density(rho: float, params: ModelParams) -> float:
     """The rho-dependent volume density factor rho^-(n+2) * P(c/rho).
 
     The full density sqrt(det g) is this factor times the rho-independent
-    invariant fiber density, so slab volumes are V_D times the integral of
-    this function.
+    invariant fiber density; slab volumes per unit V_D integrate it.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     n = params.n
-    try:
-        value = rho ** (-(n + 2)) * _horner(poly_P(n), params.c / rho)
-    except OverflowError:
-        value = math.inf
-    return _finite("density", rho, n, value)
+    value = _scaled(rho, n + 2, _horner(poly_P(n), params.c / rho))
+    return _normal("density", rho, n, value)
 
 
-def _check_vd(V_D: float) -> None:
-    if not V_D > 0:
-        raise ValueError("the fundamental-domain volume V_D must be positive")
-
-
-def tail_closed(rho0: float, params: ModelParams, V_D: float) -> float:
+def tail_closed(rho0: float, params: ModelParams) -> float:
     """Exact antiderivative of the density over [rho0, infinity).
 
-    Equals V_D * sum_k p_k c^k / ((n+1+k) * rho0^(n+1+k)); the k = 0 term
-    V_D / ((n+1) rho0^(n+1)) dominates as rho0 grows.
+    Equals rho0^-(n+1) H(c/rho0) = sum_k p_k c^k / ((n+1+k) * rho0^(n+1+k));
+    the k = 0 term 1 / ((n+1) rho0^(n+1)) dominates as rho0 grows.
     """
     if not rho0 > 0:
         raise ValueError(f"rho0 must be positive, got {rho0}")
-    _check_vd(V_D)
-    n, c = params.n, params.c
-    total = 0.0
-    try:
-        for k, p_k in enumerate(poly_P(n)):
-            total += p_k * c**k / ((n + 1 + k) * rho0 ** (n + 1 + k))
-    except ArithmeticError:  # a power overflows or underflows to zero
-        total = math.inf
-    return _finite("tail volume", rho0, n, V_D * total)
+    n = params.n
+    value = _scaled(rho0, n + 1, _horner(_tail_poly(n), params.c / rho0))
+    return _normal("tail volume", rho0, n, value)
 
 
-def slab_closed(rho1: float, rho0: float, params: ModelParams, V_D: float) -> float:
-    """Exact antiderivative of the density over [rho1, rho0], 0 < rho1 < rho0."""
+def slab_closed(rho1: float, rho0: float, params: ModelParams) -> float:
+    """Exact antiderivative of the density over [rho1, rho0], 0 < rho1 < rho0.
+
+    The tail at rho1 minus the tail at rho0, both in units of rho1^-(n+1):
+    rho1^-(n+1) * (H(c/rho1) - (rho0/rho1)^-(n+1) H(c/rho0)).
+    """
     if not 0 < rho1 < rho0:
         raise ValueError(
             f"slab bounds must satisfy 0 < rho1 < rho0, got [{rho1}, {rho0}]"
         )
-    _check_vd(V_D)
-    n, c = params.n, params.c
-    total = 0.0
-    try:
-        for k, p_k in enumerate(poly_P(n)):
-            power = n + 1 + k
-            total += p_k * c**k / power * (rho1 ** (-power) - rho0 ** (-power))
-    except OverflowError:  # a power of 1/rho1 leaves the float range
-        total = math.inf
-    return _finite("slab volume", rho1, n, V_D * total)
+    n, tail = params.n, _tail_poly(params.n)
+    outer = _scaled(rho0 / rho1, n + 1, _horner(tail, params.c / rho0))
+    value = _scaled(rho1, n + 1, _horner(tail, params.c / rho1) - outer)
+    return _normal("slab volume", rho1, n, value)
 
 
 @lru_cache(maxsize=None)
@@ -166,35 +185,21 @@ def _gauss_legendre(m: int) -> Tuple[Tuple[float, float], ...]:
     return tuple(rule)
 
 
-def _scaled_quadrature(
-    what: str, rho: float, lo: float, power: int, params: ModelParams, V_D: float
-) -> float:
-    """V_D rho^-(n+1) times the integral of t^n P(c t/rho) over [lo, 1].
+def _scaled_quadrature(what: str, rho: float, lo: float, params: ModelParams) -> float:
+    """rho^-(n+1) times the integral of t^n P(c t/rho) over [lo, 1].
 
     The (n+1)-point rule integrates this polynomial of degree 2n exactly up
-    to rounding.  FloatRangeError names rho and n where the result leaves
-    the float range, and wherever the closed form raises it: where a term
-    p_k c^k or rho^power overflows, or a divisor rho^power (power > 0)
-    underflows to 0.
+    to rounding, and the result follows the closed forms' range rule.
     """
-    _check_vd(V_D)
     n, poly, x = params.n, poly_P(params.n), params.c / rho
     width, total = 1.0 - lo, 0.0
-    try:
-        if not ((rho**power > 0 or power < 0) and _horner(poly, params.c) < math.inf):
-            raise OverflowError
-        for node, weight in _gauss_legendre(n + 1):
-            t = lo + width * node
-            total += weight * t**n * _horner(poly, x * t)
-        value = V_D * width * total * rho ** -(n + 1)
-    except ArithmeticError:
-        value = math.inf
-    return _finite(what, rho, n, value)
+    for node, weight in _gauss_legendre(n + 1):
+        t = lo + width * node
+        total += weight * t**n * _horner(poly, x * t)
+    return _normal(what, rho, n, _scaled(rho, n + 1, width * total))
 
 
-def slab_quadrature(
-    rho1: float, rho0: float, params: ModelParams, V_D: float
-) -> float:
+def slab_quadrature(rho1: float, rho0: float, params: ModelParams) -> float:
     """Quadrature oracle for slab_closed on [rho1, rho0].
 
     rho = rho1/t maps the slab onto t in [rho1/rho0, 1].
@@ -203,11 +208,10 @@ def slab_quadrature(
         raise ValueError(
             f"slab bounds must satisfy 0 < rho1 < rho0, got [{rho1}, {rho0}]"
         )
-    power = -(2 * params.n + 1)  # slab_closed multiplies by rho1^-(n+1+k)
-    return _scaled_quadrature("slab volume", rho1, rho1 / rho0, power, params, V_D)
+    return _scaled_quadrature("slab volume", rho1, rho1 / rho0, params)
 
 
-def tail_quadrature(rho0: float, params: ModelParams, V_D: float) -> float:
+def tail_quadrature(rho0: float, params: ModelParams) -> float:
     """Quadrature oracle for tail_closed on [rho0, infinity).
 
     rho = rho0/t maps the tail onto t in (0, 1], and rho0 is never rounded
@@ -215,28 +219,26 @@ def tail_quadrature(rho0: float, params: ModelParams, V_D: float) -> float:
     """
     if not rho0 > 0:
         raise ValueError(f"rho0 must be positive, got {rho0}")
-    power = 2 * params.n + 1  # tail_closed divides by rho0^(n+1+k)
-    return _scaled_quadrature("tail volume", rho0, 0.0, power, params, V_D)
+    return _scaled_quadrature("tail volume", rho0, 0.0, params)
 
 
-def near_zero_constant(params: ModelParams, V_D: float) -> float:
+def near_zero_constant(params: ModelParams) -> float:
     """The near-origin constant: the limit of rho1^(2n+1) * slab, c > 0.
 
     The density's strongest pole at rho = 0 comes from the top coefficient
     p_n = 2 of P, giving 2 c^n / rho^(2n+2): the k-th term of
     ``slab_closed`` scales as rho1^-(n+1+k), so only k = n survives the
-    rho1^(2n+1) scaling, and the limit is 2 c^n V_D / (2n+1) for every
+    rho1^(2n+1) scaling, and the limit is 2 c^n / (2n+1) for every
     n >= 1.  c = 0 is a different asymptotic regime (the slab then grows
     like rho1^-(n+1)) and is rejected.
     """
-    _check_vd(V_D)
     n, c = params.n, params.c
     if c == 0:
         raise ValueError(
             "the near-origin coefficient applies to c > 0 only; for c = 0 "
-            "the slab volume grows like V_D * rho1**-(n+1) / (n+1) instead"
+            "the slab volume grows like rho1**-(n+1) / (n+1) instead"
         )
-    return 2 * c**n * V_D / (2 * n + 1)
+    return 2 * c**n / (2 * n + 1)
 
 
 def upper_bound_constant(rho_floor: float, params: ModelParams) -> float:
@@ -249,7 +251,7 @@ def upper_bound_constant(rho_floor: float, params: ModelParams) -> float:
         raise ValueError(f"rho_floor must be positive, got {rho_floor}")
     # c / rho_floor overflows to inf for a tiny floor, and P(inf) is nan.
     value = _horner(poly_P(params.n), params.c / rho_floor)
-    return _finite("upper bound constant", rho_floor, params.n, value)
+    return _normal("upper bound constant", rho_floor, params.n, value)
 
 
 _BOUND_SLACK = 1e-12
@@ -274,39 +276,36 @@ def bounds_check(
             f"the upper bound applies for rho >= rho_floor, got rho = {rho} "
             f"< rho_floor = {rho_floor}"
         )
-    normalized = density(rho, params) * rho ** (params.n + 2)
+    normalized = _scaled(rho, -(params.n + 2), density(rho, params))
     ceiling = upper_bound_constant(rho_floor, params)
     lower_ok = normalized >= 1.0 - _BOUND_SLACK
     upper_ok = normalized <= ceiling * (1.0 + _BOUND_SLACK)
     return lower_ok, upper_ok
 
 
-def volume_rows(
-    rho_grid: Sequence[float], params: ModelParams, V_D: float
-) -> List[Dict[str, float]]:
-    """The volume table over the rho grid, one dict per value.
+def volume_rows(rho_grid: Sequence[float], params: ModelParams) -> List[Dict[str, float]]:
+    """The volume table over the rho grid, one dict per value, per unit V_D.
 
     Keys: rho, density, closed_tail, quadrature_tail, ratio_to_asymptote,
     where the last divides the closed tail by its leading asymptote
-    V_D / ((n+1) rho^(n+1)) and tends to 1 for large rho.  A grid value
-    at which any entry leaves the float range raises ValueError naming it.
+    1 / ((n+1) rho^(n+1)), which leaves (n+1) H(c/rho), and tends to 1 for
+    large rho.  A grid value at which any entry is not a normal float
+    raises ValueError naming it.
     """
-    _check_vd(V_D)
     n = params.n
     rows = []
     for rho in rho_grid:
         try:
-            closed = tail_closed(rho, params, V_D)
             row = {
                 "rho": rho,
                 "density": density(rho, params),
-                "closed_tail": closed,
-                "quadrature_tail": tail_quadrature(rho, params, V_D),
-                "ratio_to_asymptote": closed / (V_D / ((n + 1) * rho ** (n + 1))),
+                "closed_tail": tail_closed(rho, params),
+                "quadrature_tail": tail_quadrature(rho, params),
+                "ratio_to_asymptote": (n + 1) * _horner(_tail_poly(n), params.c / rho),
             }
-        except ArithmeticError:
+        except FloatRangeError:
             row = None
-        if row is None or not all(map(math.isfinite, row.values())):
+        if row is None or not row["ratio_to_asymptote"] < math.inf:
             raise ValueError(f"rho = {rho!r} leaves the float range at n = {n}")
         rows.append(row)
     return rows

@@ -8,6 +8,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -38,8 +39,9 @@ FLAGS = {
     "structure": ("n",),
     "center": ("n", "c", "c_exact"),
     "lattice": ("c_exact", "bound", "format"),
-    "volume-table": ("n", "c", "c_exact", "grid", "vd", "format"),
+    "volume-table": ("n", "c", "c_exact", "grid", "format"),
 }
+# Every flag, and the retired --vd, which no command takes.
 ALL_FLAGS = ("n", "c", "c_exact", "seed", "points", "step", "bound", "out", "format",
              "grid", "vd", "config")
 
@@ -66,7 +68,6 @@ class TestConfig:
         assert config.format is None
         assert config.effective_format == "json"
         assert config.grid == (1.0, 2.0, 4.0)
-        assert config.vd == 1.0
 
     def test_default_formats_per_command(self):
         assert build_config(["lattice"]).effective_format == "csv"
@@ -107,8 +108,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(command="lattice", bound=0)
         with pytest.raises(ConfigError):
-            RunConfig(command="volume-table", vd=0.0)
-        with pytest.raises(ConfigError):
             RunConfig(command="volume-table", grid=(1.0, -2.0))
         with pytest.raises(ConfigError):
             RunConfig(command="nonsense")
@@ -133,8 +132,8 @@ class TestConfig:
             (["curvature", "--n", "1", "--points", "1", "--step", "inf"], "step"),
             (["volume-table", "--grid", "nan"], "grid"),
             (["volume-table", "--grid", "1,inf"], "grid"),
-            (["volume-table", "--vd", "inf"], "vd"),
-            (["volume-table", "--vd", "nan"], "vd"),
+            (["volume-table", "--grid", "1,-inf"], "grid"),
+            (["curvature", "--n", "1", "--points", "1", "--c", "inf"], "c"),
             (["center", "--n", "2", "--c", "nan"], "c"),
             (["center", "--n", "2", "--c", "inf"], "c"),
             (["volume-table", "--n", "1", "--c", "inf"], "c"),
@@ -151,12 +150,12 @@ class TestConfig:
 class TestConfigFile:
     def test_file_values_used_and_flags_override(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n": 1, "c": 0.0, "vd": 2.0, "grid": [9, 9]}))
+        path.write_text(json.dumps({"n": 1, "c": 0.0, "grid": [9, 9]}))
         code_a, out_a, _ = run_cli(
             capsys, ["volume-table", "--config", str(path), "--grid", "1,2"]
         )
         code_b, out_b, _ = run_cli(
-            capsys, ["volume-table", "--n", "1", "--c", "0", "--vd", "2", "--grid", "1,2"]
+            capsys, ["volume-table", "--n", "1", "--c", "0", "--grid", "1,2"]
         )
         assert code_a == code_b == 0
         assert out_a == out_b
@@ -184,13 +183,15 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command", ["verify-killing", "curvature", "volume-table"])
     def test_c_exact_beyond_the_float_range_in_file(self, capsys, tmp_path, command):
+        # c overflows, or underflows to 0.0 from a positive LAM.
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"c_exact": {"lam": "1e400", "a": 2, "b": 3}}))
         argv = [command, "--n", "1", "--config", str(path)]
         if command != "volume-table":
             argv += ["--points", "1"]
-        assert run_cli(capsys, argv) == (
-            2, "", "error: c-exact 1e+400:2:3 gives a c that leaves the float range\n")
+        for lam, shown in (("1e400", "1e+400"), ("1e-400", "1e-400")):
+            path.write_text(json.dumps({"c_exact": {"lam": lam, "a": 2, "b": 3}}))
+            assert run_cli(capsys, argv) == (
+                2, "", f"error: c-exact {shown}:2:3 gives a c that leaves the float range\n")
 
     @pytest.mark.parametrize("command", [
         ["verify-killing", "--n", "1", "--points", "2"],
@@ -201,7 +202,7 @@ class TestConfigFile:
         ({"grid": "1,2"}, "grid"),
         ({"grid": [1, "2"]}, "grid"),
         ({"c": [1]}, "c"),
-        ({"vd": True}, "vd"),
+        ({"c": True}, "c"),
         ({"out": 5}, "out"),
         ({"c_exact": "1:2"}, "c_exact"),
         ({"c_exact": {"lam": 1, "a": 2}}, "c_exact"),
@@ -222,7 +223,6 @@ class TestConfigFile:
             command = {"step": ["curvature", "--n", "1", "--points", "1"],
                        "seed": ["curvature", "--n", "1", "--points", "1"],
                        "grid": ["volume-table", "--n", "1"],
-                       "vd": ["volume-table", "--n", "1"],
                        "bound": ["lattice"]}[key]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(payload))
@@ -323,7 +323,9 @@ class TestCenterCommand:
 
     def test_c_positive_follows_the_exact_lam(self, capsys):
         # This LAM is positive, but its float c underflows to 0.0.
-        assert build_config(["center", "--c-exact", "1e-400:2:3"]).effective_c == 0.0
+        with pytest.raises(ConfigError, match="^c-exact 1e-400:2:3 gives a c that leaves "
+                           "the float range$"):
+            build_config(["center", "--c-exact", "1e-400:2:3"]).effective_c
         code, out, _ = run_cli(capsys, ["center", "--n", "2", "--c-exact", "1e-400:2:3"])
         assert code == 0
         assert out == run_cli(capsys, ["center", "--n", "2", "--c-exact", "1:2:3"])[1]
@@ -689,16 +691,15 @@ class TestVolumeTableCommand:
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            ["volume-table", "--n", "1", "--c", "0", "--grid", "1,2", "--vd", "2",
-             "--format", "json"],
+            ["volume-table", "--n", "1", "--c", "0", "--grid", "1,2", "--format", "json"],
         )
         assert code == 0
         report = json.loads(out)
-        assert report["vd"] == 2.0
-        assert [row["closed_tail"] for row in report["rows"]] == [1.0, 0.25]
+        assert sorted(report) == ["command", "config", "rows"]
+        assert [row["closed_tail"] for row in report["rows"]] == [0.5, 0.125]
 
 
-    @pytest.mark.parametrize("grid", ["1e60", "1e-50"])
+    @pytest.mark.parametrize("grid", ["1e80", "1e-50"])
     def test_grid_outside_float_range_names_the_value(self, capsys, grid):
         code, out, err = run_cli(
             capsys, ["volume-table", "--n", "3", "--grid", f"1,{grid}"]
@@ -779,16 +780,24 @@ GOLDEN = [
     (["volume-table", "--n", "1"], 0,
      "6767c8d60f68f07278f9bd27c00d04b6d152e58f16f5c461cd591afbdc77fcf8", ""),
     (["volume-table", "--n", "1", "--format", "json"], 0,
-     "98d82f4df3a55eb240eb5860dae93b3e203e6edd381cf10c9926501259c961ac", ""),
+     "3197f14a2a603a6840869ecc462e6356315926a481769ff86372adb8732acfc8", ""),
     (["volume-table", "--n", "3"], 0,
      "72b695e9d8ee50ddd18521fc13c327e6f098f8da3db592bf85afea777fc9919e", ""),
     (["volume-table", "--n", "3", "--format", "json"], 0,
-     "4617ffb919ba804bdc12359db2af4ca144d53e8402706b75e4cb53303ddb43ce", ""),
+     "9892b71e1775f8832231fe482613b0c9bd4d114265cf979b791371a5a6c1c4f7", ""),
     (["volume-table", "--n", "2", "--c-exact", "1:3:7", "--format", "json"], 0,
-     "27e04d2da3dea76a428f46302ebff640313379f6fb3c5bca6585c5ba8cb8674a", ""),
+     "d59deb83883b476d104bc2392654bc08035f5de31567b29e806b8e9118ac8f11", ""),
     # Twelve decades of rho at n = 6.
     (["volume-table", "--n", "6", "--c", "2.5", "--grid", "1e-6,1e-3,1,1e3,1e6"], 0,
      "4569f75c90cfd8fc448890bbef432567d3decc8879f4b036c6c23f1247806829", ""),
+    # Every entry of these rows is a normal float, though rho^(n+1+k) on its
+    # own is not; a density of 1.5625e-308 is subnormal.
+    (["volume-table", "--n", "6", "--c", "0", "--grid", "1e-30,1e30"], 0,
+     "874512be1902b6aee0f406cc855f40a797db50ccab7d84f263af1a8a669697b4", ""),
+    (["volume-table", "--n", "3", "--grid", "1,1e60"], 0,
+     "61390e842f7655e232276464fd83d3c1e009ff7a6a8989055f43ad8fbce9b626", ""),
+    (["volume-table", "--n", "1", "--c", "0", "--grid", "4e102"], 2, EMPTY_SHA256,
+     "error: rho = 4e+102 leaves the float range at n = 1\n"),
     # A LAM whose c leaves the float range; center reads only its sign.
     (["center", "--n", "2", "--c-exact", "1e400:2:3"], 0,
      "5cada451a0062a06c972269b0913bd36dba51c549b205736f92f9d12698d073d", ""),
@@ -798,6 +807,15 @@ GOLDEN = [
      EMPTY_SHA256, "error: c-exact 1e+400:2:3 gives a c that leaves the float range\n"),
     (["volume-table", "--n", "1", "--c-exact", "1e400:2:3"], 2,
      EMPTY_SHA256, "error: c-exact 1e+400:2:3 gives a c that leaves the float range\n"),
+    # A positive LAM whose c underflows to 0.0; center reads only its sign.
+    (["center", "--n", "2", "--c-exact", "1e-400:2:3"], 0,
+     "5cada451a0062a06c972269b0913bd36dba51c549b205736f92f9d12698d073d", ""),
+    (["verify-killing", "--n", "1", "--points", "1", "--c-exact", "1e-400:2:3"], 2,
+     EMPTY_SHA256, "error: c-exact 1e-400:2:3 gives a c that leaves the float range\n"),
+    (["curvature", "--n", "1", "--points", "1", "--c-exact", "1e-400:2:3"], 2,
+     EMPTY_SHA256, "error: c-exact 1e-400:2:3 gives a c that leaves the float range\n"),
+    (["volume-table", "--n", "1", "--c-exact", "1e-400:2:3"], 2,
+     EMPTY_SHA256, "error: c-exact 1e-400:2:3 gives a c that leaves the float range\n"),
     # A command that reports JSON only takes no --format.
     (["structure", "--format", "csv"], 2, EMPTY_SHA256,
      "usage: oneloop [-h]\n"
@@ -872,7 +890,7 @@ HELP_SHA256 = {
     ("center",): "113eb0d8882f2e24e56d94b364d3b0027b9f3efcb6ce3ef1791099f251bc18ea",
     ("curvature",): "72f656460550cc1ae33e660ef4b51b8a9fd6c5c71e8da1f1d6cb90669dd29c65",
     ("lattice",): "084d8fcea3684f77d688b02187a53fc52f9d5718de7b576ae47f6187effe073a",
-    ("volume-table",): "0f454950f4f3dfcada6215ba0ed2e1002c3e25b18e8539a37359d6bc60a7f899",
+    ("volume-table",): "b61d5dfd0e6ed1e01a704a19ff2e30bb05f29642ace3d406157a4da12f9b86fe",
 }
 
 
@@ -929,9 +947,19 @@ class TestFlagTable:
 
     def test_table(self):
         assert {name: entry[1] for name, entry in _COMMANDS.items()} == FLAGS
-        assert sum(len(flags) + 2 for flags in FLAGS.values()) == 38
+        assert sum(len(flags) + 2 for flags in FLAGS.values()) == 37
         for _, flags, _, columns in _COMMANDS.values():
             assert ("format" in flags) == (columns is not None)
+
+    def test_readme_table(self):
+        # README's flag table lists, row by row, what _COMMANDS declares.
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("Each subcommand takes the flags that it reads", 1)[1]
+        table = section.split("\n\n")[1].splitlines()
+        rows = [re.fullmatch(r"\| `([a-z-]+)` \| `([^`]*)` \|", line) for line in table[2:]]
+        assert all(rows), table
+        assert sorted(row.groups() for row in rows) == sorted(
+            (name, " ".join(map(option, entry[1]))) for name, entry in _COMMANDS.items())
 
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command, flags in FLAGS.items() for flag in flags
@@ -967,7 +995,7 @@ class TestFlagTable:
         assert err == f"error: unknown config keys: {', '.join(map(repr, unknown))}\n"
         # The command's own keys, and those alone, configure as its flags do.
         values = {"n": 2, "c": 1, "c_exact": "1:3:7", "seed": 2, "points": 2, "step": 2e-3,
-                  "bound": 2, "grid": [2], "vd": 2, "format": "csv", "out": "report"}
+                  "bound": 2, "grid": [2], "format": "csv", "out": "report"}
         path.write_text(json.dumps({key: values[key] for key in config_keys(command)}))
         flags = [arg for key in FLAGS[command] for arg in (option(key), VALUES[key][1])]
         assert build_config([command, "--config", str(path)]) == build_config(

@@ -354,6 +354,14 @@ class TestLatticeMembership:
         with pytest.raises(ValueError):
             HeisLatticePoint((1, 0), Fraction(1, 2))
 
+    def test_bools_are_not_integers(self):
+        with pytest.raises(ValueError, match="lattice coordinates"):
+            HeisLatticePoint((True, 0, 0, 0), 0)
+        with pytest.raises(ValueError, match="center coordinate"):
+            HeisLatticePoint((1, 0, 0, 0), False)
+        with pytest.raises(ValueError, match="^d must be a positive integer$"):
+            lattice_Ld(2, True)
+
 
 class TestSuAction:
     def test_identity_matrices_fix_points(self):

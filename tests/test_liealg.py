@@ -578,6 +578,12 @@ class TestCenterVector:
         with pytest.raises(ValueError, match="integer"):
             CenterVector(Fraction(0), 0, Fraction(0)).scale_int(Fraction(2))
 
+    def test_bools_are_not_integers(self):
+        with pytest.raises(ValueError, match="integer"):
+            CenterVector(1, True, 0)
+        with pytest.raises(ValueError, match="integers only"):
+            CenterVector.zero().scale_int(True)
+
     def test_lattice_arithmetic(self):
         g1, g2 = kernel_generators(3)
         v = g1.scale_int(2) + (-g2)

@@ -139,18 +139,28 @@ class TestDensity:
 class TestClosedForms:
     def test_undeformed_tail_value(self):
         # integral of rho^-3 from 1 to infinity = 1/2.
-        assert tail_closed(1.0, ModelParams(n=1, c=0.0), 1.0) == pytest.approx(0.5)
+        assert tail_closed(1.0, ModelParams(n=1, c=0.0)) == pytest.approx(0.5)
 
     def test_underflowing_power_names_rho_and_n(self):
-        # rho0^13 underflows to 0, which used to escape as ZeroDivisionError.
+        # The tail, about 1e390, overflows.
         with pytest.raises(FloatRangeError, match=r"rho = 1e-30 .* n = 6$"):
-            tail_closed(1e-30, ModelParams(n=6, c=1.0), 1.0)
+            tail_closed(1e-30, ModelParams(n=6, c=1.0))
         assert issubclass(FloatRangeError, ArithmeticError)
 
     def test_overflowing_slab_names_rho_and_n(self):
-        # rho1^-3 overflows, which used to escape as a bare OverflowError.
+        # The slab, about 1e1000, overflows.
         with pytest.raises(FloatRangeError, match=r"rho = 1e-200 .* n = 2$"):
-            slab_closed(1e-200, 1.0, ModelParams(n=2, c=1.0), 1.0)
+            slab_closed(1e-200, 1.0, ModelParams(n=2, c=1.0))
+
+    def test_no_power_of_rho_on_its_own(self):
+        # Here rho^(n+1+k) on its own underflows or is subnormal, though each
+        # volume is an ordinary float.
+        assert tail_closed(1e-148, ModelParams(n=1, c=0.0)) == pytest.approx(5e295, rel=1e-15)
+        slab = slab_closed(1e111, 2e111, ModelParams(n=1, c=1e300))
+        assert slab == pytest.approx(7 / 12 * 1e-33, rel=1e-12)
+        params = ModelParams(n=5, c=1e-5)
+        assert tail_closed(1e-29, params) == pytest.approx(
+            tail_quadrature(1e-29, params), rel=1e-12)
 
     def test_undeformed_slab_formula(self):
         rng = np.random.default_rng(11)
@@ -159,40 +169,34 @@ class TestClosedForms:
             for _ in range(5):
                 r1 = float(rng.uniform(0.2, 1.0))
                 r0 = r1 + float(rng.uniform(0.5, 3.0))
-                vd = float(rng.uniform(0.5, 4.0))
-                expected = vd * (r1 ** (-n - 1) - r0 ** (-n - 1)) / (n + 1)
-                assert slab_closed(r1, r0, params, vd) == pytest.approx(
-                    expected, rel=1e-12
-                )
+                expected = (r1 ** (-n - 1) - r0 ** (-n - 1)) / (n + 1)
+                assert slab_closed(r1, r0, params) == pytest.approx(expected, rel=1e-12)
 
     def test_slab_additivity(self):
         params = ModelParams(n=2, c=1.5)
         r1, r2, r3 = 0.4, 1.3, 3.7
-        vd = 2.0
-        lhs = slab_closed(r1, r2, params, vd) + slab_closed(r2, r3, params, vd)
-        assert lhs == pytest.approx(slab_closed(r1, r3, params, vd), rel=1e-12)
+        lhs = slab_closed(r1, r2, params) + slab_closed(r2, r3, params)
+        assert lhs == pytest.approx(slab_closed(r1, r3, params), rel=1e-12)
 
     def test_slab_converges_to_tail(self):
         params = ModelParams(n=2, c=1.0)
-        tail = tail_closed(0.8, params, 1.0)
-        assert slab_closed(0.8, 1e8, params, 1.0) == pytest.approx(tail, rel=1e-6)
+        tail = tail_closed(0.8, params)
+        assert slab_closed(0.8, 1e8, params) == pytest.approx(tail, rel=1e-6)
 
     def test_tail_monotone_decreasing(self):
         params = ModelParams(n=2, c=2.0)
         grid = [0.3, 0.5, 1.0, 2.0, 5.0, 10.0]
-        values = [tail_closed(r, params, 1.0) for r in grid]
+        values = [tail_closed(r, params) for r in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_bound_validation(self):
         params = ModelParams(n=1, c=1.0)
         with pytest.raises(ValueError):
-            slab_closed(2.0, 1.0, params, 1.0)
+            slab_closed(2.0, 1.0, params)
         with pytest.raises(ValueError):
-            slab_closed(-1.0, 1.0, params, 1.0)
+            slab_closed(-1.0, 1.0, params)
         with pytest.raises(ValueError):
-            tail_closed(0.0, params, 1.0)
-        with pytest.raises(ValueError):
-            tail_closed(1.0, params, -2.0)
+            tail_closed(0.0, params)
 
 
 class TestQuadratureOracle:
@@ -205,9 +209,8 @@ class TestQuadratureOracle:
                 for _ in range(6):
                     r1 = float(rng.uniform(0.05, 1.0))
                     r0 = r1 + float(rng.uniform(0.1, 9.0))
-                    vd = float(rng.uniform(0.1, 5.0))
-                    closed = slab_closed(r1, r0, params, vd)
-                    quad = slab_quadrature(r1, r0, params, vd)
+                    closed = slab_closed(r1, r0, params)
+                    quad = slab_quadrature(r1, r0, params)
                     assert quad == pytest.approx(closed, rel=1e-8)
                     checked += 1
         assert checked >= 50
@@ -218,8 +221,8 @@ class TestQuadratureOracle:
             for c in (0.0, 0.5, 2.0):
                 params = ModelParams(n=n, c=c)
                 r0 = float(rng.uniform(0.3, 3.0))
-                assert tail_quadrature(r0, params, 1.0) == pytest.approx(
-                    tail_closed(r0, params, 1.0), rel=1e-8
+                assert tail_quadrature(r0, params) == pytest.approx(
+                    tail_closed(r0, params), rel=1e-8
                 )
 
     def test_tail_quadrature_holds_at_every_scale(self):
@@ -231,14 +234,13 @@ class TestQuadratureOracle:
             for k in range(-30, 31, 3):
                 rho0 = 10.0**k
                 try:
-                    closed = tail_closed(rho0, params, 1.0)
-                except ArithmeticError:  # a power of rho0 leaves the float range
+                    closed = tail_closed(rho0, params)
+                except FloatRangeError:  # the tail is not a normal float
                     continue
-                if math.isfinite(closed):
-                    quad = tail_quadrature(rho0, params, 1.0)
-                    assert quad == pytest.approx(closed, rel=1e-8), (n, c, rho0)
-                    compared += 1
-        assert compared >= 450  # of 504
+                quad = tail_quadrature(rho0, params)
+                assert quad == pytest.approx(closed, rel=1e-8), (n, c, rho0)
+                compared += 1
+        assert compared >= 480  # of 504
 
     def test_agrees_with_scipy_quad_at_cli_precision(self):
         # scipy's QUADPACK quad is the oracle's oracle: at the CLI's 12
@@ -262,9 +264,9 @@ class TestQuadratureOracle:
                     except integrate.IntegrationWarning:
                         continue
                 if hi == math.inf:
-                    value = tail_quadrature(lo, params, 1.0)
+                    value = tail_quadrature(lo, params)
                 else:
-                    value = slab_quadrature(lo, hi, params, 1.0)
+                    value = slab_quadrature(lo, hi, params)
                 assert f"{value:.12g}" == f"{expected:.12g}", (n, c, lo, hi)
                 compared += 1
         # 448 cases in all; allow quad to flag a few in other versions.
@@ -291,10 +293,10 @@ class TestQuadratureOracle:
                     (slab_closed, slab_quadrature, (rho, 3 * rho)),
                 ):
                     try:
-                        expected = closed(*bounds, params, 2.0)
+                        expected = closed(*bounds, params)
                     except FloatRangeError:
                         continue
-                    got = oracle(*bounds, params, 2.0)
+                    got = oracle(*bounds, params)
                     assert got == pytest.approx(expected, rel=1e-12), (n, c, bounds)
                     compared += 1
         assert compared >= 1500  # of 2080
@@ -310,13 +312,13 @@ class TestQuadratureOracle:
         # and a missed panel target.
         params = ModelParams(n=n, c=1.0)
         with pytest.raises(FloatRangeError, match=message):
-            closed(*args, params, 1.0)
+            closed(*args, params)
         with pytest.raises(FloatRangeError, match=message):
-            oracle(*args, params, 1.0)
+            oracle(*args, params)
 
     def test_oracles_fail_wherever_the_closed_forms_fail(self):
-        # Across the float range, including where a closed form gives up on
-        # a power of rho or c although the volume itself is finite.
+        # Across the float range, including where the volume is 0.0 or a
+        # subnormal.
         failures = 0
         for n, c in itertools.product((1, 2, 5, 20), (0.0, 1e-200, 1.0, 1e100)):
             params = ModelParams(n=n, c=c)
@@ -327,14 +329,14 @@ class TestQuadratureOracle:
                     (slab_closed, slab_quadrature, (rho, 2 * rho)),
                 ):
                     try:
-                        closed(*bounds, params, 1.0)
+                        closed(*bounds, params)
                     except FloatRangeError as exc:
                         with pytest.raises(FloatRangeError) as caught:
-                            oracle(*bounds, params, 1.0)
+                            oracle(*bounds, params)
                         assert str(caught.value) == str(exc)
                         failures += 1
                     else:
-                        oracle(*bounds, params, 1.0)
+                        oracle(*bounds, params)
         assert failures >= 1000
 
     def test_cli_never_loads_scipy(self):
@@ -390,55 +392,121 @@ class TestQuadratureOracle:
         assert result.returncode == 0, result.stderr
 
 
+def _exact_horner(coefficients, x):
+    total = Fraction(0)
+    for coeff in reversed(coefficients):
+        total = total * x + coeff
+    return total
+
+
+class TestRangeRule:
+    def test_values_match_the_exact_sums_or_are_refused(self):
+        # Every other rho = 10^k of the sweep k = -323, -318, ..., 307, with
+        # each slab over [rho, 2 rho], against the exact sums at the same
+        # floats.  A function returns a normal float within 1e-12 of the
+        # exact value, or refuses where that value is not a normal float or
+        # P(c/rho) overflows, and an oracle refuses where its closed form
+        # does, with the same message.
+        checked = refused = 0
+        for n, c in itertools.product((1, 2, 5, 20), (0.0, 1e-200, 1.0, 1e100)):
+            params = ModelParams(n=n, c=c)
+            P = poly_P(n)
+            H = [Fraction(p, n + 1 + k) for k, p in enumerate(P)]
+
+            def tail(r):
+                return _exact_horner(H, Fraction(c) / r) / r ** (n + 1)
+
+            for k in range(-323, 308, 10):
+                rho = 10.0**k
+                r = Fraction(rho)
+                polynomial = _exact_horner(P, Fraction(c) / r)
+                slab = tail(r) - tail(2 * r)
+                messages = {}
+                for function, bounds, exact in (
+                    (density, (rho,), polynomial / r ** (n + 2)),
+                    (tail_closed, (rho,), tail(r)),
+                    (tail_quadrature, (rho,), tail(r)),
+                    (slab_closed, (rho, 2 * rho), slab),
+                    (slab_quadrature, (rho, 2 * rho), slab),
+                ):
+                    case = (function.__name__, n, c, rho)
+                    try:
+                        value = function(*bounds, params)
+                    except FloatRangeError as exc:
+                        messages[function] = str(exc)
+                        try:
+                            rounded = float(exact)
+                        except OverflowError:
+                            rounded = math.inf
+                        assert (not 2.0**-1022 <= rounded < math.inf
+                                or polynomial > sys.float_info.max), case
+                        refused += 1
+                        continue
+                    messages[function] = None
+                    assert 2.0**-1022 <= value < math.inf, case
+                    assert abs(Fraction(value) - exact) <= exact / 10**12, case
+                    checked += 1
+                assert messages[tail_quadrature] == messages[tail_closed]
+                assert messages[slab_quadrature] == messages[slab_closed]
+        assert checked >= 1000 and refused >= 4000
+
+    def test_large_n(self):
+        # The frexp mantissa 0.50000005 of rho, raised to -1027, overflows;
+        # taken in [1/sqrt(2), sqrt(2)) it does not.
+        assert density(1.0000001, ModelParams(n=1025)) == pytest.approx(
+            1.0000001**-1027, rel=1e-12)
+        # From n = 1029 on, P has a coefficient beyond the largest float.
+        params = ModelParams(n=1100)
+        for call in (lambda: density(1.0, params), lambda: tail_closed(1.0, params),
+                     lambda: slab_closed(1.0, 2.0, params)):
+            with pytest.raises(FloatRangeError, match=r"rho = 1.0 .* n = 1100$"):
+                call()
+
+
 class TestAsymptotics:
     @pytest.mark.parametrize("n", [1, 2])
     def test_tail_coefficient_at_large_rho(self, n):
         params = ModelParams(n=n, c=1.0)
         rho0 = 1e3
-        scaled = rho0 ** (n + 1) * tail_closed(rho0, params, 1.0)
+        scaled = rho0 ** (n + 1) * tail_closed(rho0, params)
         assert abs(scaled - 1.0 / (n + 1)) <= 0.01 * (1.0 / (n + 1))
 
     @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("vd", [1.0, 2.5])
-    def test_near_origin_limit_is_the_leading_coefficient(self, n, vd):
-        params = ModelParams(n=n, c=1.0)
+    @pytest.mark.parametrize("c", [1.0, 2.5])
+    def test_near_origin_limit_is_the_leading_coefficient(self, n, c):
+        params = ModelParams(n=n, c=c)
         rho1 = 1e-3
-        scaled = rho1 ** (2 * n + 1) * slab_closed(rho1, 1.0, params, vd)
-        limit = near_zero_constant(params, vd)
+        scaled = rho1 ** (2 * n + 1) * slab_closed(rho1, 1.0, params)
+        limit = near_zero_constant(params)
         assert abs(scaled - limit) <= 0.01 * limit
 
     def test_leading_coefficient_values(self):
-        assert near_zero_constant(ModelParams(n=1, c=1.0), 1.0) == pytest.approx(
-            2.0 / 3.0
-        )
-        assert near_zero_constant(ModelParams(n=2, c=1.0), 1.0) == pytest.approx(
-            0.4
-        )
+        assert near_zero_constant(ModelParams(n=1, c=1.0)) == pytest.approx(2.0 / 3.0)
+        assert near_zero_constant(ModelParams(n=2, c=1.0)) == pytest.approx(0.4)
 
     def test_claimed_constant_value_and_discrepancy(self):
         # The near-origin constant is the limit it is defined to be:
-        # 2 c^n V_D / (2n+1), the leading coefficient of the slab at
-        # rho1 -> 0.
+        # 2 c^n / (2n+1), the leading coefficient of the slab at rho1 -> 0.
         for n in (1, 2, 3):
-            claimed = near_zero_constant(ModelParams(n=n, c=0.5), 2.0)
-            assert claimed == pytest.approx(2 * 0.5**n * 2.0 / (2 * n + 1), rel=1e-14)
+            claimed = near_zero_constant(ModelParams(n=n, c=0.5))
+            assert claimed == pytest.approx(2 * 0.5**n / (2 * n + 1), rel=1e-14)
         params = ModelParams(n=1, c=1.0)
-        assert near_zero_constant(params, 1.0) == pytest.approx(2.0 / 3.0)
+        assert near_zero_constant(params) == pytest.approx(2.0 / 3.0)
         rho1 = 1e-3
-        scaled = rho1**3 * slab_closed(rho1, 1.0, params, 1.0)
+        scaled = rho1**3 * slab_closed(rho1, 1.0, params)
         # The scaled slab converges to the constant itself.
-        assert scaled / near_zero_constant(params, 1.0) == pytest.approx(
+        assert scaled / near_zero_constant(params) == pytest.approx(
             1.0, abs=0.01
         )
 
     def test_near_origin_undeformed_branch(self):
         # For c = 0 the constants are rejected and the slab grows like
-        # V_D * rho1^-(n+1) / (n+1) instead.
+        # rho1^-(n+1) / (n+1) instead.
         params = ModelParams(n=2, c=0.0)
         with pytest.raises(ValueError, match="c > 0"):
-            near_zero_constant(params, 1.0)
+            near_zero_constant(params)
         rho1 = 1e-3
-        scaled = rho1 ** (params.n + 1) * slab_closed(rho1, 1.0, params, 1.0)
+        scaled = rho1 ** (params.n + 1) * slab_closed(rho1, 1.0, params)
         assert abs(scaled - 1.0 / (params.n + 1)) <= 0.01 / (params.n + 1)
 
 
@@ -480,6 +548,11 @@ class TestBounds:
         with pytest.raises(FloatRangeError, match=r"rho = 1e-320 .* n = 3$"):
             upper_bound_constant(1e-320, ModelParams(n=3, c=1.0))
 
+    def test_normalized_density_without_a_power_of_rho(self):
+        # rho^3 alone overflows, though the density and P(c/rho) are floats.
+        params = ModelParams(n=1, c=1.7e308)
+        assert bounds_check(5.7e102, 1e102, params) == (True, True)
+
     def test_below_floor_rejected(self):
         with pytest.raises(ValueError, match="rho_floor"):
             bounds_check(0.3, 0.5, ModelParams(n=1, c=1.0))
@@ -487,20 +560,18 @@ class TestBounds:
 
 class TestVolumeTable:
     def test_pinned_undeformed_column(self):
-        rows = volume_rows([1.0, 2.0, 4.0], ModelParams(n=1, c=0.0), 1.0)
+        rows = volume_rows([1.0, 2.0, 4.0], ModelParams(n=1, c=0.0))
         keys = ["rho", "density", "closed_tail", "quadrature_tail", "ratio_to_asymptote"]
         assert all(list(row) == keys for row in rows)
         tails = [row["closed_tail"] for row in rows]
         assert tails == pytest.approx([0.5, 0.125, 0.03125], rel=1e-12)
 
     def test_ratio_column_tends_to_one(self):
-        rows = volume_rows([1.0, 10.0, 100.0], ModelParams(n=2, c=1.0), 1.0)
+        rows = volume_rows([1.0, 10.0, 100.0], ModelParams(n=2, c=1.0))
         ratios = [row["ratio_to_asymptote"] for row in rows]
         assert ratios[0] > ratios[1] > ratios[2] > 1.0
         assert ratios[2] == pytest.approx(1.0, abs=0.05)
 
     def test_deterministic(self):
         params = ModelParams(n=2, c=0.5)
-        assert volume_rows([0.5, 1.5], params, 2.0) == volume_rows(
-            [0.5, 1.5], params, 2.0
-        )
+        assert volume_rows([0.5, 1.5], params) == volume_rows([0.5, 1.5], params)
