@@ -97,6 +97,13 @@ class RunConfig:
             value = getattr(self, name)
             if not _is_number(value):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
+            # A float with no negative zero: the echo must not depend on
+            # whether the value was written 2, 2.0 or -0.0.
+            try:
+                value = float(value) + 0.0
+            except OverflowError:  # an int beyond the float range
+                value = math.inf
+            object.__setattr__(self, name, value)
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out must be a path, got {self.out!r}")
         if not _is_int(self.n) or self.n < 1:

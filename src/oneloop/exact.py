@@ -10,10 +10,12 @@ algebraic identities can be checked with no tolerance at all.
 
 A ring value holds integer numerators over one positive denominator, in
 lowest terms, so ring operations run on Python ints alone; Fraction appears
-only in the component views and at construction from Fractions.  Lowest
+only in the component views and at construction.  Lowest
 terms, equality, coercion and the a = 1 / b = 1 fold are written once; each
 ring's +, -, *, conjugation and hash are straight-line code that ``_build``
-writes out from its generators.
+writes out from its generators.  An operator takes a value of its own ring
+over the same parameters, an int or a Fraction; ``RadC.coerce`` alone lifts
+a ``QI`` or ``Rad`` value into ``RadC``.
 """
 
 from __future__ import annotations
@@ -26,23 +28,17 @@ _new = object.__new__
 
 
 def as_fraction(x):
-    """Coerce int/Fraction (or a fraction string like '2/3') to Fraction.
+    """An int or a Fraction as a Fraction.
 
-    Floats are rejected: silent float->Fraction conversion would defeat the
-    exactness guarantees of every class in this module.
+    Anything else, a float or a string included, raises TypeError: silent
+    float->Fraction conversion would defeat the exactness guarantees of every
+    class in this module.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"exact rational required, got {type(x).__name__}")
-
-
-def _rational(x):
-    """x itself if it is an int or a Fraction, else ``as_fraction(x)``."""
-    return x if isinstance(x, (int, Fraction)) else as_fraction(x)
 
 
 def _element(cls, p, nums, d):
@@ -61,9 +57,9 @@ def _element(cls, p, nums, d):
 
 
 def _numerators(values):
-    """Exact rationals (ints, Fractions or fraction strings) as integer
-    numerators over their least common denominator, and that denominator."""
-    values = [_rational(v) for v in values]
+    """Ints and Fractions as integer numerators over their least common
+    denominator, and that denominator."""
+    values = [as_fraction(v) for v in values]
     d = math.lcm(*[v.denominator for v in values])
     return tuple([v.numerator * (d // v.denominator) for v in values]), d
 
@@ -83,13 +79,12 @@ class _Ring:
     equality compares it."""
 
     __slots__ = ("_p", "_n", "_d")
-    _embeds = {}
 
     def _operand(self, x):
-        """x in this value's ring, for a binary operator: an int, a Fraction
-        or a narrower ring's value embeds, and a wider ring's value gives
-        NotImplemented, so that its reflected operator decides; anything else
-        goes to ``_refuse``."""
+        """x in this value's ring, for a binary operator: a value of this ring
+        over the same parameters passes, an int or a Fraction embeds, and
+        anything else goes to ``_refuse``; a narrower ring's value enters only
+        through ``coerce``."""
         cls = type(self)
         if type(x) is cls:
             if x._p != self._p:
@@ -97,32 +92,13 @@ class _Ring:
             return x
         if isinstance(x, (int, Fraction)):
             return _element(cls, self._p, (x.numerator,) + cls._tail, x.denominator)
-        embed = cls._embeds.get(type(x))
-        if embed is not None:
-            # A narrower ring with parameters (Rad into RadC) must share them.
-            if x._p and x._p != self._p:
-                raise ValueError("mixed radical parameters")
-            nums = list(cls._zero)
-            for k, n in zip(embed, x._n):
-                nums[k] = n
-            return _element(cls, self._p, tuple(nums), x._d)
-        if isinstance(x, _Ring) and cls in type(x)._embeds:
-            return NotImplemented
         return self._refuse(x)
 
     def __rsub__(self, other):
-        other = self._operand(other)
-        return other if other is NotImplemented else other - self
+        return self._operand(other) - self
 
     def __neg__(self):
         return _element(type(self), self._p, tuple(map(neg, self._n)), self._d)
-
-    def scale(self, k):
-        """This value times the exact rational k."""
-        k = _rational(k)
-        p = k.numerator
-        return _element(type(self), self._p, tuple([n * p for n in self._n]),
-                        self._d * k.denominator)
 
     def is_zero(self):
         return self._n == self._zero
@@ -169,9 +145,7 @@ class QI(_Ring):
         return x if type(x) is QI else QI(x)
 
     def _refuse(self, x):
-        # A float or complex raises the coerce error; any other operand may be
-        # a wider type's (Poly's), whose reflected operator decides.
-        return QI.coerce(x) if isinstance(x, (float, complex)) else NotImplemented
+        return QI.coerce(x)  # raises: x is neither a QI nor a rational
 
     def __truediv__(self, other):
         other = QI.coerce(other)
@@ -209,18 +183,28 @@ class _Radical(_Ring):
     """A value over the formal square roots sa, sb of positive integers a, b."""
 
     __slots__ = ()
+    _embeds = {}
 
     a = property(lambda self: self._p[0])
     b = property(lambda self: self._p[1])
 
     def coerce(self, x):
-        """x in this ring: ints, Fractions and narrower rings' values embed and
-        a same-ring value passes; anything else raises ValueError, so that
-        nothing inexact or from another ring enters an exact solve."""
+        """x in this ring: the one way a value changes ring.  A same-ring
+        value passes, ints, Fractions and narrower rings' values embed, and
+        anything else raises ValueError, so that nothing inexact or from
+        another ring enters an exact solve."""
         if type(x) is type(self) and x._p == self._p:
             return x
-        y = self._operand(x)
-        return self._refuse(x) if y is NotImplemented else y
+        embed = self._embeds.get(type(x))
+        if embed is None:
+            return self._operand(x)
+        # A narrower ring with parameters (Rad into RadC) must share them.
+        if x._p and x._p != self._p:
+            raise ValueError("mixed radical parameters")
+        nums = list(self._zero)
+        for k, n in zip(embed, x._n):
+            nums[k] = n
+        return _element(type(self), self._p, tuple(nums), x._d)
 
     def _refuse(self, x):
         raise ValueError(
@@ -304,8 +288,8 @@ class RadC(_Radical):
 _METHODS = """
 def {ring}_sum(s):
     def {ring}_sum(self, other):
-        if (type(other) is not {ring}{mixed}) and (other := self._operand(other)) is NotImplemented:
-            return other
+        if type(other) is not {ring}{mixed}:
+            other = self._operand(other)
         [x#, ] = self._n
         [y#, ] = other._n
         d, e = self._d, other._d
@@ -318,8 +302,8 @@ def {ring}_sum(s):
     return {ring}_sum
 
 def {ring}_mul(self, other):
-    if (type(other) is not {ring}{mixed}) and (other := self._operand(other)) is NotImplemented:
-        return other
+    if type(other) is not {ring}{mixed}:
+        other = self._operand(other)
     [x#, ] = self._n
     [y#, ] = other._n
     {params}return _element({ring}, self._p, ({product}), self._d * other._d)
@@ -479,6 +463,9 @@ class Poly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def _check(self, other):
+        # A coefficient goes through ``scale``.
+        if not isinstance(other, Poly):
+            raise TypeError(f"Poly operand required, got {type(other).__name__}")
         if self.nvars != other.nvars:
             raise ValueError("polynomials over different variable tables")
 
@@ -520,32 +507,23 @@ class Poly:
         return out
 
     def __add__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(self.nvars, other)
         self._check(other)
         return Poly._wrap(
             self.nvars, Poly._accumulate(dict(self.terms), other.terms.items())
         )
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(self.nvars, other)
         return self + (-other)
 
     def __neg__(self):
         return Poly._wrap(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QI)):
-            return self.scale(other)
         self._check(other)
         terms = Poly._accumulate(
             {}, Poly._products(self.terms.items(), other.terms.items())
         )
         return Poly._wrap(self.nvars, terms)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def scale(self, coeff):
         coeff = QI.coerce(coeff)

@@ -62,24 +62,22 @@ def poly_P(n: int) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _tail_poly(n: int) -> Tuple[float, ...]:
-    """Coefficients p_k / (n+1+k) of H: the tail over [rho0, infinity) is
-    rho0^-(n+1) * H(c/rho0)."""
+def _coefficients(n: int, tail: bool) -> Tuple[float, ...]:
+    """P's coefficients p_k as floats, or with ``tail`` H's, p_k / (n+1+k):
+    the tail over [rho0, infinity) is rho0^-(n+1) * H(c/rho0).  (inf,) where
+    a coefficient leaves the float range, P from n = 1029 on and H from
+    n = 1040 on; p_0 = 1, so a leading inf marks it."""
     try:
-        return tuple(p / (n + 1 + k) for k, p in enumerate(poly_P(n)))
-    except OverflowError:  # from n = 1040 on, a coefficient leaves the float range
+        return tuple([p / (n + 1 + k if tail else 1) for k, p in enumerate(poly_P(n))])
+    except OverflowError:
         return (math.inf,)
 
 
 def _horner(coefficients: Tuple[float, ...], x: float) -> float:
-    """The polynomial with these coefficients (constant term first) at x;
-    inf where a coefficient leaves the float range (P from n = 1029 on)."""
+    """The polynomial with these coefficients (constant term first) at x."""
     total = 0.0
-    try:
-        for coeff in reversed(coefficients):
-            total = total * x + coeff
-    except OverflowError:
-        return math.inf
+    for coeff in reversed(coefficients):
+        total = total * x + coeff
     return total
 
 
@@ -87,11 +85,12 @@ class FloatRangeError(ArithmeticError):
     """A volume quantity at the given rho is not a normal positive float."""
 
 
-def _normal(what: str, rho: float, n: int, value: float) -> float:
-    """value, or FloatRangeError naming rho and n unless it is a normal
-    positive float; 0.0, subnormals, inf and nan all fail."""
+def _normal(what: str, rho: float, n: int, value: float, name: str = "rho") -> float:
+    """value, or FloatRangeError naming rho (or the input ``name``) and n
+    unless it is a normal positive float; 0.0, subnormals, inf and nan all
+    fail."""
     if not 2.0**-1022 <= value < math.inf:
-        raise FloatRangeError(f"{what} at rho = {rho!r} leaves the float range at n = {n}")
+        raise FloatRangeError(f"{what} at {name} = {rho!r} leaves the float range at n = {n}")
     return value
 
 
@@ -120,7 +119,7 @@ def density(rho: float, params: ModelParams) -> float:
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     n = params.n
-    value = _scaled(rho, n + 2, _horner(poly_P(n), params.c / rho))
+    value = _scaled(rho, n + 2, _horner(_coefficients(n, False), params.c / rho))
     return _normal("density", rho, n, value)
 
 
@@ -133,7 +132,7 @@ def tail_closed(rho0: float, params: ModelParams) -> float:
     if not rho0 > 0:
         raise ValueError(f"rho0 must be positive, got {rho0}")
     n = params.n
-    value = _scaled(rho0, n + 1, _horner(_tail_poly(n), params.c / rho0))
+    value = _scaled(rho0, n + 1, _horner(_coefficients(n, True), params.c / rho0))
     return _normal("tail volume", rho0, n, value)
 
 
@@ -147,7 +146,7 @@ def slab_closed(rho1: float, rho0: float, params: ModelParams) -> float:
         raise ValueError(
             f"slab bounds must satisfy 0 < rho1 < rho0, got [{rho1}, {rho0}]"
         )
-    n, tail = params.n, _tail_poly(params.n)
+    n, tail = params.n, _coefficients(params.n, True)
     outer = _scaled(rho0 / rho1, n + 1, _horner(tail, params.c / rho0))
     value = _scaled(rho1, n + 1, _horner(tail, params.c / rho1) - outer)
     return _normal("slab volume", rho1, n, value)
@@ -189,9 +188,12 @@ def _scaled_quadrature(what: str, rho: float, lo: float, params: ModelParams) ->
     """rho^-(n+1) times the integral of t^n P(c t/rho) over [lo, 1].
 
     The (n+1)-point rule integrates this polynomial of degree 2n exactly up
-    to rounding, and the result follows the closed forms' range rule.
+    to rounding, and the result follows the closed forms' range rule.  A P
+    beyond the float range is refused before any rule is built.
     """
-    n, poly, x = params.n, poly_P(params.n), params.c / rho
+    n, poly, x = params.n, _coefficients(params.n, False), params.c / rho
+    if poly[0] == math.inf:
+        return _normal(what, rho, n, math.inf)
     width, total = 1.0 - lo, 0.0
     for node, weight in _gauss_legendre(n + 1):
         t = lo + width * node
@@ -230,7 +232,8 @@ def near_zero_constant(params: ModelParams) -> float:
     ``slab_closed`` scales as rho1^-(n+1+k), so only k = n survives the
     rho1^(2n+1) scaling, and the limit is 2 c^n / (2n+1) for every
     n >= 1.  c = 0 is a different asymptotic regime (the slab then grows
-    like rho1^-(n+1)) and is rejected.
+    like rho1^-(n+1)) and is rejected.  c^n is not formed on its own, and
+    the range rule names c and n.
     """
     n, c = params.n, params.c
     if c == 0:
@@ -238,7 +241,7 @@ def near_zero_constant(params: ModelParams) -> float:
             "the near-origin coefficient applies to c > 0 only; for c = 0 "
             "the slab volume grows like rho1**-(n+1) / (n+1) instead"
         )
-    return 2 * c**n / (2 * n + 1)
+    return _normal("near-origin constant", c, n, _scaled(c, -n, 2 / (2 * n + 1)), "c")
 
 
 def upper_bound_constant(rho_floor: float, params: ModelParams) -> float:
@@ -250,7 +253,7 @@ def upper_bound_constant(rho_floor: float, params: ModelParams) -> float:
     if not rho_floor > 0:
         raise ValueError(f"rho_floor must be positive, got {rho_floor}")
     # c / rho_floor overflows to inf for a tiny floor, and P(inf) is nan.
-    value = _horner(poly_P(params.n), params.c / rho_floor)
+    value = _horner(_coefficients(params.n, False), params.c / rho_floor)
     return _normal("upper bound constant", rho_floor, params.n, value)
 
 
@@ -301,7 +304,7 @@ def volume_rows(rho_grid: Sequence[float], params: ModelParams) -> List[Dict[str
                 "density": density(rho, params),
                 "closed_tail": tail_closed(rho, params),
                 "quadrature_tail": tail_quadrature(rho, params),
-                "ratio_to_asymptote": (n + 1) * _horner(_tail_poly(n), params.c / rho),
+                "ratio_to_asymptote": (n + 1) * _horner(_coefficients(n, True), params.c / rho),
             }
         except FloatRangeError:
             row = None

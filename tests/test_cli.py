@@ -214,6 +214,8 @@ class TestConfigFile:
         ({"c_exact": {"lam": 0.1, "a": 2, "b": 3}}, "c_exact"),
         ({"c": float("nan")}, "c"),
         ({"c": float("inf")}, "c"),
+        ({"c": 10**400}, "c"),
+        ({"step": 10**400}, "step"),
     ])
     def test_wrong_type_is_a_config_error(self, capsys, tmp_path, command, payload, field):
         [key] = payload
@@ -265,6 +267,20 @@ class TestDeterminism:
         _, out_a, _ = run_cli(capsys, args)
         _, out_b, _ = run_cli(capsys, args)
         assert out_a == out_b
+
+    @pytest.mark.parametrize("args", [
+        ["verify-killing", "--n", "2", "--points", "2"],
+        ["curvature", "--n", "1", "--points", "1"],
+        ["volume-table", "--n", "2", "--format", "json"]], ids=lambda args: args[0])
+    def test_echo_does_not_depend_on_how_c_is_written(self, capsys, tmp_path, args):
+        # An int c from a config file and a negative zero echo as the flag's
+        # float does.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"c": 2}))
+        for spellings in ((["--config", str(path)], ["--c", "2"]),
+                          (["--c", "-0.0"], ["--c", "0"])):
+            outputs = {run_cli(capsys, args + spelling)[1] for spelling in spellings}
+            assert len(outputs) == 1, spellings
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "report.json"

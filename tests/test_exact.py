@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oneloop import exact
 from oneloop.exact import (QI, Poly, Rad, RadC, VarTable,
                            as_fraction, integer_solution,
                            solve_rational)
@@ -94,15 +95,25 @@ class TestPoly:
     def test_mul_and_diff(self):
         p = (self.X + self.w0) * (self.X - self.w0)
         assert p == self.X * self.X - self.w0 * self.w0
-        assert p.diff(self.t.x(1)) == 2 * self.X
-        assert p.diff(self.t.w(0)) == (-2) * self.w0
+        assert p.diff(self.t.x(1)) == self.X.scale(2)
+        assert p.diff(self.t.w(0)) == self.w0.scale(-2)
         assert not p.diff(self.t.c)
 
+    @pytest.mark.parametrize("op", [
+        lambda p: p + 3, lambda p: p - 3, lambda p: p * 3, lambda p: 3 * p,
+        lambda p: 3 + p, lambda p: p * QI(0, 1), lambda p: QI(0, 1) * p,
+        lambda p: p - QI(1)])
+    def test_operators_take_only_polys(self, op):
+        # A coefficient goes through scale.
+        with pytest.raises(TypeError):
+            op(self.X)
+        assert self.X.scale(3) == self.X + self.X + self.X
+
     def test_subs_exact(self):
-        p = self.X * self.w0 + QI(0, 2) * self.c
+        p = self.X * self.w0 + self.c.scale(QI(0, 2))
         q = p.subs({self.t.x(1): QI(1, 1), self.t.w(0): QI(0, 1)})
         # (1+i)*i = -1+i, plus the untouched 2i*c term
-        expected = Poly.const(self.t.nvars, QI(-1, 1)) + QI(0, 2) * self.c
+        expected = Poly.const(self.t.nvars, QI(-1, 1)) + self.c.scale(QI(0, 2))
         assert q == expected
 
     def test_eval_complex(self):
@@ -111,7 +122,7 @@ class TestPoly:
         from oneloop.fields import PolyVectorField, _ChartEvaluator
         from oneloop.geometry import PointBarN
 
-        p = self.X * self.X + QI(0, 1) * self.w0
+        p = self.X * self.X + self.w0.scale(QI(0, 1))
         comps = [Poly.zero(self.t.nvars)] * (self.t.nvars - 1) + [p]
         point = PointBarN((0.5 + 0.25j,), (1 - 1j, 0), 0.0, 1.0)
         table = _ChartEvaluator([PolyVectorField(2, comps)]).table(point, 0.0)
@@ -119,17 +130,17 @@ class TestPoly:
         assert table[-1] == (0.5 + 0.25j) ** 2 + 1j * (1 - 1j)
 
     def test_conj_swap(self):
-        p = QI(0, 1) * self.X * self.w0 + self.c
+        p = self.X.scale(QI(0, 1)) * self.w0 + self.c
         q = p.conj_swap(self.t.conj_perm())
-        expected = (QI(0, -1) * self.Xb
+        expected = (self.Xb.scale(QI(0, -1))
                     * Poly.variable(self.t.nvars, self.t.wb(0)) + self.c)
         assert q == expected
         assert q.conj_swap(self.t.conj_perm()) == p
 
     @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
     def test_product_rule(self, a, b, d):
-        p = a * self.X + b * self.w0 * self.X
-        q = d * self.X * self.X + self.w0
+        p = self.X.scale(a) + (self.w0 * self.X).scale(b)
+        q = (self.X * self.X).scale(d) + self.w0
         i = self.t.x(1)
         lhs = (p * q).diff(i)
         rhs = p.diff(i) * q + p * q.diff(i)
@@ -292,13 +303,16 @@ class TestCoerce:
         with pytest.raises(ValueError, match="mixed radical parameters"):
             RadC(Rad(5, 1), Rad(5, 2))
 
-    # Every binary operator lifts a foreign operand through its ring's coerce.
+    # Every binary operator lifts an int or a Fraction; a narrower ring's
+    # value lifts through coerce.
     def test_radc_operators_lift_rationals(self):
         z = RadC(Rad(2, 3, 1))
         assert z + 1 == 1 + z == RadC(Rad(2, 3, 2))
         assert z - 1 == RadC(Rad(2, 3)) and 1 - z == RadC(Rad(2, 3))
-        assert z * QI(0, 2) == QI(0, 2) * z == RadC(Rad(2, 3), Rad(2, 3, 2))
-        assert Rad(2, 3, 1) + z == z + Rad(2, 3, 1) == RadC(Rad(2, 3, 2))
+        i2 = z.coerce(QI(0, 2))
+        assert z * i2 == i2 * z == RadC(Rad(2, 3), Rad(2, 3, 2))
+        one = z.coerce(Rad(2, 3, 1))
+        assert one + z == z + one == RadC(Rad(2, 3, 2))
 
     def test_rad_reflected_subtraction(self):
         assert 1 - Rad(2, 3, 1) == Rad(2, 3)
@@ -327,6 +341,60 @@ class TestCoerce:
     def test_qi_operators_reject_floats_through_coerce(self, op):
         with pytest.raises(TypeError, match="exact rational required"):
             op(QI(1))
+
+
+ONE_OF_EACH = {"QI": QI(1, 2), "Rad": Rad(2, 3, 1, 1),
+               "RadC": RadC(Rad(2, 3, 1), Rad(2, 3, 2))}
+
+# Values that often equal each other or a rational: most components are 0.
+parts = st.tuples(*[st.sampled_from([0, 0, 0, 1, -1, Fraction(1, 2)])] * 8)
+radical_pairs = st.sampled_from([(2, 3), (5, 1)])
+exact_values = st.one_of(
+    st.integers(-1, 2), st.sampled_from([Fraction(1, 2), Fraction(-1, 2)]),
+    st.builds(lambda c: QI(*c[:2]), parts),
+    st.builds(lambda p, c: Rad(*p, *c[:4]), radical_pairs, parts),
+    st.builds(lambda p, c: RadC(Rad(*p, *c[:4]), Rad(*p, *c[4:])), radical_pairs, parts))
+
+
+class TestOneDoor:
+    """Operators stay inside their ring; coerce alone lifts into a wider one."""
+
+    @pytest.mark.parametrize("op", [add, sub, mul])
+    @pytest.mark.parametrize("left, right", [
+        (x, y) for x in ONE_OF_EACH for y in ONE_OF_EACH if x != y])
+    def test_operators_refuse_another_ring(self, left, right, op):
+        # The left operand's ring decides the error, whichever ring is wider.
+        error, message = ((TypeError, "exact rational required") if left == "QI"
+                          else (ValueError, "exact value over Rad"))
+        with pytest.raises(error, match=message):
+            op(ONE_OF_EACH[left], ONE_OF_EACH[right])
+        assert ONE_OF_EACH[left] != ONE_OF_EACH[right]
+
+    @given(exact_values, exact_values)
+    @example(RadC(Rad(2, 3, 1), Rad(2, 3, 2)), QI(1, 2))
+    @settings(max_examples=300)
+    def test_difference_and_equality_agree(self, x, y):
+        try:
+            difference = x - y
+        except (TypeError, ValueError):
+            pass
+        else:
+            assert (difference == 0) == (x == y)
+        if x == y:
+            assert hash(x) == hash(y)
+
+    @pytest.mark.parametrize("build", [
+        lambda: QI("1/2"), lambda: QI(1, "1/2"), lambda: Rad(2, 3, "1/2"),
+        lambda: as_fraction("1/2")])
+    def test_constructors_take_ints_and_fractions(self, build):
+        with pytest.raises(TypeError, match="exact rational required, got str"):
+            build()
+
+    def test_no_second_path(self):
+        # No operator defers to another ring, and each job has one spelling.
+        assert "NotImplemented" not in exact._METHODS
+        assert not hasattr(exact._Ring, "scale") and not hasattr(exact, "_rational")
+        assert "__rmul__" not in vars(Poly)
 
 
 class TestSolvers:
@@ -439,19 +507,24 @@ class TestIntegerForm:
             "rsub": (k - x, oracle(squares, "sub", fk, fu)),
             "mul k": (x * k, oracle(squares, "mul", fu, fk)),
             "rmul k": (k * x, oracle(squares, "mul", fk, fu)),
-            "scale": (x.scale(k), oracle(squares, "mul", fu, fk)),
         }
         if ring != "Rad":
             cases["conj"] = (x.conj(), oracle(squares, "conj", fu))
         if ring == "RadC":
-            # A narrower ring's value embeds under every operator, on either side.
+            # A narrower ring's value is refused by every operator, on either
+            # side, and lifted by coerce.
             q, r = QI(*u[:2]), Rad(a, b, *u[:4])
             for name, narrow, coords in (("QI", q, (u[0], 0, 0, 0, u[1], 0, 0, 0)),
                                          ("Rad", r, u[:4] + (0,) * 4)):
                 coords = oracle_fold(squares, coords)
+                lifted = y.coerce(narrow)
                 for op, f in (("add", add), ("sub", sub), ("mul", mul)):
-                    cases[f"{op} {name}"] = (f(y, narrow), oracle(squares, op, fv, coords))
-                    cases[f"r{op} {name}"] = (f(narrow, y), oracle(squares, op, coords, fv))
+                    with pytest.raises(ValueError, match="exact value over Rad"):
+                        f(y, narrow)
+                    with pytest.raises((TypeError, ValueError), match="exact"):
+                        f(narrow, y)
+                    cases[f"{op} {name}"] = (f(y, lifted), oracle(squares, op, fv, coords))
+                    cases[f"r{op} {name}"] = (f(lifted, y), oracle(squares, op, coords, fv))
         for name, (value, expected) in cases.items():
             assert type(value) is type(x), name
             assert value.components() == expected == views(value), name
@@ -483,7 +556,7 @@ class TestIntegerForm:
         # the same value with every coordinate written over an unreduced denominator
         y = Rad(a, b, *(Fraction(c.numerator * m, c.denominator * m) for c in u))
         assert x == y and hash(x) == hash(y)
-        z = (x * Rad(a, b, m)).scale(Fraction(1, m))
+        z = (x * Rad(a, b, m)) * Fraction(1, m)
         assert z == x and hash(z) == hash(x)
         g = QI(u[0], u[1])
         h = (g * m) * QI(Fraction(1, m))
@@ -533,7 +606,7 @@ class TestIntegerForm:
         for _ in range(3):
             x + y, x - y, x * y, -x, x.conj(), x * k, 3 * x, x == y, x.is_zero()
             x.to_complex(), x == k, hash(x)
-            r + s, r - s, r * s, -r, r.scale(k), r * 3, r == s, r.is_zero(), r == k
+            r + s, r - s, r * s, -r, r * k, r * 3, r == s, r.is_zero(), r == k
             r.to_float(), hash(r)
             z + w, z - w, z * w, -z, z.conj(), z * 2, z == w, z.is_zero()
         assert built == []

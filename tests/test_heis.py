@@ -184,6 +184,16 @@ class TestHeisMul:
         with pytest.raises(ValueError):
             heis_mul(heis_identity(2), heis_identity(3))
 
+    def test_gaussian_and_radical_points_do_not_mix(self):
+        # A QI entry enters RadC only through RadC.coerce, which
+        # lattice_coordinates and su_action call; the group law lifts nothing.
+        x = HeisPoint((QI(1), QI(0, 1)), Fraction(0))
+        y = HeisPoint((quadc(5, 1), quadc(5, 0, 1)), Fraction(0))
+        with pytest.raises(TypeError, match="exact rational required"):
+            heis_mul(x, y)
+        with pytest.raises(ValueError, match="exact value over Rad"):
+            heis_mul(y, x)
+
 
 class TestHeisPoint:
     @pytest.mark.parametrize(

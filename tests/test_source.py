@@ -539,6 +539,54 @@ def test_fact_checks_on_a_synthetic_source():
     assert _model_params_lines(tree) == [12, 17, 18]
 
 
+RING_PRIVATE = {"_n", "_d", "_p", "_embeds", "_operand", "_refuse", "_element"}
+
+
+def _ring_private_names(tree):
+    """(line, name) of each ring-private name that a tree reads or writes as
+    an attribute (``x._n``, ``getattr(x, "_n")``) or imports, in source
+    order; whole names only."""
+    found = [(node.lineno, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in RING_PRIVATE]
+    found += [(node.lineno, node.args[1].value) for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "setattr") and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value in RING_PRIVATE]
+    found += [(node.lineno, alias.name) for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom)
+              for alias in node.names if alias.name in RING_PRIVATE]
+    return sorted(found)
+
+
+def test_ring_storage_belongs_to_exact():
+    # coerce and the public constructors are the only ways into a ring value;
+    # no other module reads or builds its numerators.
+    found = {path.name: _ring_private_names(_parse(path))
+             for path in sorted((ROOT / "src" / "oneloop").glob("*.py"))}
+    assert found.pop("exact.py"), "exact.py itself uses these names"
+    assert {name: spots for name, spots in found.items() if spots} == {}
+
+
+RING_ACCESS = """
+from .exact import QI, _element
+from .exact import _operand as lift
+
+
+def f(x, y):
+    y._operands = x._n
+    y._dense = x.numerators()
+    return x._d, getattr(x, "_p"), x._embeds, exact._refuse
+"""
+
+
+def test_ring_private_names_on_a_synthetic_source():
+    # A slot named _operands is not the ring's _operand.
+    assert _ring_private_names(ast.parse(RING_ACCESS)) == [
+        (2, "_element"), (3, "_operand"), (7, "_n"), (9, "_d"), (9, "_embeds"),
+        (9, "_p"), (9, "_refuse")]
+
+
 QUAT_COORDINATES = {"q0", "q1", "q2", "q3"}
 
 

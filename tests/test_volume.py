@@ -5,6 +5,7 @@ density bounds."""
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -462,6 +463,23 @@ class TestRangeRule:
             with pytest.raises(FloatRangeError, match=r"rho = 1.0 .* n = 1100$"):
                 call()
 
+    @pytest.mark.parametrize("n", [1029, 1100])
+    def test_oracles_refuse_before_building_a_rule(self, n):
+        # From n = 1029 on, P has a coefficient beyond the largest float, and
+        # no (n+1)-point rule is built for it.
+        params = ModelParams(n=n)
+        _gauss_legendre.cache_clear()
+        messages = []
+        for oracle, bounds in ((tail_quadrature, (1.0,)), (slab_quadrature, (1.0, 2.0))):
+            with pytest.raises(FloatRangeError, match=rf"rho = 1.0 .* n = {n}$") as caught:
+                oracle(*bounds, params)
+            messages.append(str(caught.value))
+        assert _gauss_legendre.cache_info().currsize == 0
+        if n == 1100:
+            with pytest.raises(FloatRangeError) as caught:
+                tail_closed(1.0, params)
+            assert messages[0] == str(caught.value)
+
 
 class TestAsymptotics:
     @pytest.mark.parametrize("n", [1, 2])
@@ -479,6 +497,35 @@ class TestAsymptotics:
         scaled = rho1 ** (2 * n + 1) * slab_closed(rho1, 1.0, params)
         limit = near_zero_constant(params)
         assert abs(scaled - limit) <= 0.01 * limit
+
+    def test_near_origin_constant_follows_the_range_rule(self):
+        # A normal 2 c^n / (2n+1) within 1e-14 of the exact value, or a
+        # FloatRangeError naming c and n exactly where that value is not a
+        # normal float; c^n alone is not formed.
+        value = near_zero_constant(ModelParams(n=5, c=1e61))
+        assert abs(Fraction(value) - 2 * Fraction(1e61) ** 5 / 11) <= value / 10**15
+        assert f"{value:.13e}" == "1.8181818181818e+304"
+        for n, c in ((5, 1e100), (2, 1e-200)):
+            with pytest.raises(FloatRangeError, match=re.escape(f"c = {c!r}") + f" .* n = {n}$"):
+                near_zero_constant(ModelParams(n=n, c=c))
+        checked = refused = 0
+        for n in (1, 2, 5, 20):
+            for k in range(-323, 308, 3):
+                c = 10.0**k
+                exact = 2 * Fraction(c) ** n / (2 * n + 1)
+                try:
+                    rounded = float(exact)
+                except OverflowError:
+                    rounded = math.inf
+                if 2.0**-1022 <= rounded < math.inf:
+                    value = near_zero_constant(ModelParams(n=n, c=c))
+                    assert abs(Fraction(value) - exact) <= exact / 10**14, (n, c)
+                    checked += 1
+                else:
+                    with pytest.raises(FloatRangeError):
+                        near_zero_constant(ModelParams(n=n, c=c))
+                    refused += 1
+        assert checked >= 300 and refused >= 300
 
     def test_leading_coefficient_values(self):
         assert near_zero_constant(ModelParams(n=1, c=1.0)) == pytest.approx(2.0 / 3.0)
