@@ -23,16 +23,15 @@ that its command read, so identical configurations (including the seed) produce
 byte-identical output.  The seeded points come from Python's ``random``,
 whose sequence Python keeps across versions, and the float commands run in
 plain Python floats, with no numpy.  The process exit status is 0 exactly
-when every check in the invoked suite passes; table generators exit 0 when all row
-flags verify (lattice) or unconditionally on success (volume-table).
-Invalid input and an ``--out`` path that cannot be written exit 2, with
-nothing on stdout.
+when every check in the invoked suite passes: for the table generators,
+when all row flags verify (lattice) or each row's closed tail agrees with
+its quadrature (volume-table).  Invalid input and an ``--out`` path that
+cannot be written exit 2, with nothing on stdout.
 
-Each subcommand takes only the flags it reads, listed in its ``_COMMANDS``
-entry, plus ``--out`` and ``--config``; any other flag, or a prefix of one,
-exits 2 through argparse.  Configuration may come from those flags or from a
-JSON file (``--config``) whose keys are the same flag names with underscores
-(any other key is an error); explicit flags win.
+Every value comes from argv, parsed once by argparse.  Each subcommand takes
+only the flags it reads, listed in its ``_COMMANDS`` entry, plus ``--out``;
+any other flag, or a prefix of one, exits 2 through argparse.  A flag that
+is not given keeps its ``RunConfig`` default.
 """
 
 from __future__ import annotations
@@ -54,6 +53,8 @@ __all__ = ["RunConfig", "ConfigError", "main", "run"]
 KILLING_TOLERANCE = 1e-6
 CONTROL_THRESHOLD = 1e-2
 EINSTEIN_TOLERANCE = 1e-4
+# Relative agreement of volume-table's closed tail with its quadrature.
+VOLUME_TOLERANCE = 1e-12
 
 # A CSV column: its header name and the formatter of its cells.
 Column = Tuple[str, Callable[[object], str]]
@@ -64,14 +65,6 @@ Record = Tuple[Dict, Optional[List[Dict]], int]
 
 class ConfigError(ValueError):
     """A configuration value failed validation before dispatch."""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @record(frozen=True)
@@ -91,47 +84,28 @@ class RunConfig:
     grid: Tuple[float, ...] = (1.0, 2.0, 4.0)
 
     def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}")
-        for name in ("c", "step"):
-            value = getattr(self, name)
-            if not _is_number(value):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-            # A float with no negative zero: the echo must not depend on
-            # whether the value was written 2, 2.0 or -0.0.
-            try:
-                value = float(value) + 0.0
-            except OverflowError:  # an int beyond the float range
-                value = math.inf
-            object.__setattr__(self, name, value)
-        if self.out is not None and not isinstance(self.out, str):
-            raise ConfigError(f"out must be a path, got {self.out!r}")
-        if not _is_int(self.n) or self.n < 1:
+        # No negative zero: the echo of --c -0.0 must read 0.0, as --c 0 does.
+        object.__setattr__(self, "c", self.c + 0.0)
+        if self.n < 1:
             raise ConfigError(f"n must be a positive integer, got {self.n!r}")
         if not (math.isfinite(self.c) and self.c >= 0):
             raise ConfigError(f"c must be a finite non-negative real, got {self.c!r}")
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit integer, got {self.seed!r}")
-        if not _is_int(self.points) or self.points < 1:
+        if self.points < 1:
             raise ConfigError(f"points must be a positive integer, got {self.points!r}")
         if not (math.isfinite(self.step) and self.step > 0):
             raise ConfigError(f"step must be positive and finite, got {self.step!r}")
-        if not _is_int(self.bound) or self.bound < 1:
+        if self.bound < 1:
             raise ConfigError(f"bound must be a positive integer, got {self.bound!r}")
-        if self.format is not None and self.format not in ("json", "csv"):
-            raise ConfigError(f"format must be json or csv, got {self.format!r}")
-        if not self.grid or not all(
-            _is_number(r) and math.isfinite(r) and r > 0 for r in self.grid
-        ):
+        if not self.grid or not all(math.isfinite(r) and r > 0 for r in self.grid):
             raise ConfigError(
                 "grid must be a nonempty list of positive finite rho values"
             )
-        if self.c_exact is not None:
-            lam, a, b = self.c_exact
-            if lam < 0:
-                raise ConfigError("c-exact scaling factor must be nonnegative")
-            if not (_is_int(a) and a > 0 and _is_int(b) and b > 0):
-                raise ConfigError("c-exact algebra parameters must be positive integers")
+        # Every command that takes --c-exact reads A:B; only some read LAM,
+        # which effective_c checks.
+        if self.c_exact is not None and not (self.c_exact[1] > 0 and self.c_exact[2] > 0):
+            raise ConfigError("c-exact algebra parameters must be positive integers")
 
     @property
     def effective_c(self) -> float:
@@ -139,6 +113,8 @@ class RunConfig:
             from .quatarith import QuatParams, c_compatible
 
             lam, a, b = self.c_exact
+            if lam < 0:
+                raise ConfigError("c-exact scaling factor must be nonnegative")
             try:
                 c = c_compatible(QuatParams(a, b), lam)
             except OverflowError:  # LAM, A or B leaves the float range
@@ -274,9 +250,7 @@ def cmd_center(config: RunConfig) -> Record:
     )
 
     n = config.n
-    # c > 0 exactly when LAM > 0, so the exact LAM decides it without the
-    # float c (whose computation loads quatarith and heis).
-    positive_c = config.c_exact[0] > 0 if config.c_exact is not None else config.c > 0
+    positive_c = config.c > 0
     n1 = n == 1
     if n1:
         kernel = [kernel_generators_n1()]
@@ -341,12 +315,7 @@ def cmd_curvature(config: RunConfig) -> Record:
 def cmd_lattice(config: RunConfig) -> Record:
     from .quatarith import QuatParams, is_nonresidue, norm_one_rows
 
-    if config.c_exact is not None:
-        lam, a, b = config.c_exact
-    else:
-        from fractions import Fraction
-
-        lam, a, b = Fraction(1), 2, 3
+    a, b = (2, 3) if config.c_exact is None else config.c_exact[1:]
     warning = None
     try:
         if not is_nonresidue(a, b):
@@ -376,13 +345,16 @@ def cmd_volume_table(config: RunConfig) -> Record:
     from .volume import volume_rows
 
     params = ModelParams(n=config.n, c=config.effective_c)
+    computed = volume_rows(config.grid, params)
+    # The verdict compares the unrounded tails: the printed ones are rounded.
+    all_pass = all(abs(row["closed_tail"] - row["quadrature_tail"])
+                   <= VOLUME_TOLERANCE * row["closed_tail"] for row in computed)
     # JSON carries the same 12 significant digits as the CSV columns.
-    rows = [
-        {name: float(fmt(row[name])) for name, fmt in _VOLUME_COLUMNS}
-        for row in volume_rows(config.grid, params)
-    ]
-    report = {"command": "volume-table", "config": config.echo(), "rows": rows}
-    return report, rows, 0
+    rows = [{name: float(fmt(row[name])) for name, fmt in _VOLUME_COLUMNS}
+            for row in computed]
+    report = {"command": "volume-table", "config": config.echo(),
+              "tolerance": VOLUME_TOLERANCE, "rows": rows, "all_pass": all_pass}
+    return report, rows, 0 if all_pass else 1
 
 
 _VOLUME_COLUMNS = tuple(
@@ -390,7 +362,7 @@ _VOLUME_COLUMNS = tuple(
     for name in ("rho", "density", "closed_tail", "quadrature_tail", "ratio_to_asymptote")
 )
 
-# name: (handler, the flags it reads besides --out and --config, default
+# name: (handler, the flags it reads besides --out, default
 # format, CSV columns or None for JSON only)
 _COMMANDS = {
     "verify-killing": (cmd_verify_killing,
@@ -401,7 +373,7 @@ _COMMANDS = {
         ("pass", _flag),
     )),
     "structure": (cmd_structure, ("n",), "json", None),
-    "center": (cmd_center, ("n", "c", "c_exact"), "json", None),
+    "center": (cmd_center, ("n", "c"), "json", None),
     "curvature": (cmd_curvature, ("n", "c", "c_exact", "seed", "points", "step"), "json", None),
     "lattice": (cmd_lattice, ("c_exact", "bound", "format"), "csv", (
         ("q0", str), ("q1", str), ("q2", str), ("q3", str), ("norm", str),
@@ -442,8 +414,8 @@ def _parse_grid(text: str) -> Tuple[float, ...]:
 
 
 # The argparse arguments of each flag, declared once.  A subcommand gets the
-# flags of its _COMMANDS entry, plus --out and --config; an absent flag reads
-# None, so that build_config can tell it was not given.
+# flags of its _COMMANDS entry, plus --out; an absent flag reads None, so
+# that build_config can tell it was not given.
 _FLAGS = {
     "n": dict(type=int, help="complex dimension parameter"),
     "c": dict(type=float, help="deformation parameter"),
@@ -457,19 +429,17 @@ _FLAGS = {
     "out": dict(help="also write output to this path"),
     "format": dict(choices=("json", "csv")),
     "grid": dict(type=_parse_grid, metavar="R1,R2,...", help="rho grid for volume-table"),
-    "config": dict(help="JSON file with the same keys as the flags (flags win)"),
 }
 
 # Help text of a flag that one command reads differently from the others.
 _COMMAND_HELP = {
-    ("center", "c_exact"): "exact deformation; 'center' reads only whether LAM > 0",
     ("lattice", "c_exact"): "'lattice' reads only A:B, the quaternion algebra; LAM is unused",
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # No prefix abbreviations: --c would otherwise read as --config on a
-    # command that does not take --c.
+    # No prefix abbreviations: --c would otherwise read as --c-exact on
+    # lattice, which does not take --c.
     parser = argparse.ArgumentParser(
         prog="oneloop",
         description="Verification suites and tables for the one-loop "
@@ -479,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags, _, _) in _COMMANDS.items():
         command = sub.add_parser(name, allow_abbrev=False)
-        for flag in flags + ("out", "config"):
+        for flag in flags + ("out",):
             options = dict(_FLAGS[flag])
             if (name, flag) in _COMMAND_HELP:
                 options["help"] = _COMMAND_HELP[name, flag]
@@ -487,60 +457,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: str, keys: Sequence[str]) -> Dict:
-    """The JSON object of a config file, with c_exact and grid parsed and
-    null values dropped (a null is the same as an absent key).
-
-    Unreadable files, keys outside ``keys`` and values that cannot be parsed
-    raise ConfigError naming the field; the other fields are checked by
-    RunConfig.
-    """
-    import json
-    from fractions import Fraction
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config file must contain a JSON object")
-    unknown = sorted(set(data) - set(keys))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(map(repr, unknown))}")
-    data = {key: value for key, value in data.items() if value is not None}
-    raw = data.get("c_exact")
-    if raw is not None:
-        try:
-            if isinstance(raw, str):
-                data["c_exact"] = _parse_c_exact(raw)
-            elif _is_int(raw["lam"]) or isinstance(raw["lam"], str):
-                # A JSON float is rejected: Fraction would take its binary value.
-                data["c_exact"] = (Fraction(raw["lam"]), raw["a"], raw["b"])
-            else:
-                raise TypeError("lam must be an integer or a string")
-        except (argparse.ArgumentTypeError, KeyError, TypeError, ValueError,
-                ArithmeticError) as exc:
-            raise ConfigError(f"c_exact must be 'lam:a:b' or an object with lam "
-                              f"(an integer or a string such as '1/10'), a and b, "
-                              f"got {raw!r}") from exc
-    grid = data.get("grid")
-    if grid is not None:
-        if not (isinstance(grid, list) and all(_is_number(r) for r in grid)):
-            raise ConfigError(f"grid must be a list of numbers, got {grid!r}")
-        data["grid"] = tuple(float(r) for r in grid)
-    return data
-
-
 def build_config(argv: Sequence[str]) -> RunConfig:
     args = vars(_build_parser().parse_args(argv))
-    command = args.pop("command")
-    path = args.pop("config")
-    # What remains are the command's flags; its config file takes the same
-    # keys.  A key that neither gives keeps its RunConfig default.
-    values = _load_config_file(path, tuple(args)) if path is not None else {}
-    values.update((key, value) for key, value in args.items() if value is not None)
-    return RunConfig(command=command, **values)
+    if args.get("c") is not None and args.get("c_exact") is not None:
+        raise ConfigError("--c and --c-exact both set c; give one of them")
+    # A flag that is not given keeps its RunConfig default.
+    return RunConfig(**{key: value for key, value in args.items() if value is not None})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,5 +1,5 @@
-"""Driver tests: configuration precedence, determinism, report shapes,
-exit-code semantics, and the pinned example outputs."""
+"""Driver tests: configuration, determinism, report shapes, exit-code
+semantics, and the pinned example outputs."""
 
 import ast
 import csv
@@ -32,27 +32,22 @@ def run_cli(capsys, args):
     return code, captured.out, captured.err
 
 
-# The flags that each command reads and takes, besides --out and --config.
+# The flags that each command reads and takes, besides --out.
 FLAGS = {
     "verify-killing": ("n", "c", "c_exact", "seed", "points", "step", "format"),
     "curvature": ("n", "c", "c_exact", "seed", "points", "step"),
     "structure": ("n",),
-    "center": ("n", "c", "c_exact"),
+    "center": ("n", "c"),
     "lattice": ("c_exact", "bound", "format"),
     "volume-table": ("n", "c", "c_exact", "grid", "format"),
 }
-# Every flag, and the retired --vd, which no command takes.
+# Every flag, and the retired --vd and --config, which no command takes.
 ALL_FLAGS = ("n", "c", "c_exact", "seed", "points", "step", "bound", "out", "format",
              "grid", "vd", "config")
 
 
 def option(flag):
     return "--" + flag.replace("_", "-")
-
-
-def config_keys(command):
-    """The keys that a config file of the command may hold."""
-    return FLAGS[command] + ("out",)
 
 
 class TestConfig:
@@ -109,8 +104,13 @@ class TestConfig:
             RunConfig(command="lattice", bound=0)
         with pytest.raises(ConfigError):
             RunConfig(command="volume-table", grid=(1.0, -2.0))
-        with pytest.raises(ConfigError):
-            RunConfig(command="nonsense")
+        with pytest.raises(ConfigError, match="algebra parameters"):
+            RunConfig(command="lattice", c_exact=(Fraction(1), 0, 3))
+        # LAM is checked where it is read, so lattice, which reads only A:B,
+        # takes a negative one.
+        config = RunConfig(command="curvature", c_exact=(Fraction(-1), 2, 3))
+        with pytest.raises(ConfigError, match="scaling factor must be nonnegative"):
+            config.effective_c
 
     def test_json_only_commands_reject_csv(self, capsys, monkeypatch):
         # A command that reports JSON only takes no --format.
@@ -147,114 +147,6 @@ class TestConfig:
         assert err.startswith(f"error: {field} must be")
 
 
-class TestConfigFile:
-    def test_file_values_used_and_flags_override(self, capsys, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"n": 1, "c": 0.0, "grid": [9, 9]}))
-        code_a, out_a, _ = run_cli(
-            capsys, ["volume-table", "--config", str(path), "--grid", "1,2"]
-        )
-        code_b, out_b, _ = run_cli(
-            capsys, ["volume-table", "--n", "1", "--c", "0", "--grid", "1,2"]
-        )
-        assert code_a == code_b == 0
-        assert out_a == out_b
-        assert "9" not in out_a.split("\n")[1]
-
-    def test_c_exact_in_file(self, capsys, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"c_exact": "1:2:3", "bound": 1}))
-        code, out, _ = run_cli(capsys, ["lattice", "--config", str(path)])
-        assert code == 0
-        assert out.startswith("q0,q1,q2,q3,norm,su11_ok,preserves_gamma2\n")
-        # header + the two units + the eight (0,±1,±1,±1) elements of norm
-        # 0 - a - b + ab = 1
-        assert len(out.strip().split("\n")) == 11
-
-    def test_c_exact_lam_string_parsed_as_the_flag(self, capsys, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"c_exact": {"lam": "0.1", "a": 2, "b": 3}}))
-        from_file = run_cli(capsys, ["volume-table", "--format", "json",
-                                     "--config", str(path)])
-        from_flag = run_cli(capsys, ["volume-table", "--format", "json",
-                                     "--c-exact", "0.1:2:3"])
-        assert from_file == from_flag
-        assert json.loads(from_file[1])["config"]["c_exact"]["lam"] == "1/10"
-
-    @pytest.mark.parametrize("command", ["verify-killing", "curvature", "volume-table"])
-    def test_c_exact_beyond_the_float_range_in_file(self, capsys, tmp_path, command):
-        # c overflows, or underflows to 0.0 from a positive LAM.
-        path = tmp_path / "cfg.json"
-        argv = [command, "--n", "1", "--config", str(path)]
-        if command != "volume-table":
-            argv += ["--points", "1"]
-        for lam, shown in (("1e400", "1e+400"), ("1e-400", "1e-400")):
-            path.write_text(json.dumps({"c_exact": {"lam": lam, "a": 2, "b": 3}}))
-            assert run_cli(capsys, argv) == (
-                2, "", f"error: c-exact {shown}:2:3 gives a c that leaves the float range\n")
-
-    @pytest.mark.parametrize("command", [
-        ["verify-killing", "--n", "1", "--points", "2"],
-        ["volume-table"],
-    ])
-    @pytest.mark.parametrize("payload, field", [
-        ({"step": "abc"}, "step"),
-        ({"grid": "1,2"}, "grid"),
-        ({"grid": [1, "2"]}, "grid"),
-        ({"c": [1]}, "c"),
-        ({"c": True}, "c"),
-        ({"out": 5}, "out"),
-        ({"c_exact": "1:2"}, "c_exact"),
-        ({"c_exact": {"lam": 1, "a": 2}}, "c_exact"),
-        ({"c_exact": {"lam": 1, "a": 2.7, "b": 3}}, "c-exact algebra parameters"),
-        ({"c_exact": {"lam": float("inf"), "a": 2, "b": 3}}, "c_exact"),
-        ({"c_exact": {"lam": True, "a": 2, "b": 3}}, "c_exact"),
-        ({"bound": True}, "bound"),
-        ({"seed": True}, "seed"),
-        ({"c_exact": {"lam": 0.1, "a": 2, "b": 3}}, "c_exact"),
-        ({"c": float("nan")}, "c"),
-        ({"c": float("inf")}, "c"),
-        ({"c": 10**400}, "c"),
-        ({"step": 10**400}, "step"),
-    ])
-    def test_wrong_type_is_a_config_error(self, capsys, tmp_path, command, payload, field):
-        [key] = payload
-        if key not in config_keys(command[0]):
-            # An unknown key there (test_config_keys_are_the_flags): the type
-            # is checked on a command that reads the key.
-            command = {"step": ["curvature", "--n", "1", "--points", "1"],
-                       "seed": ["curvature", "--n", "1", "--points", "1"],
-                       "grid": ["volume-table", "--n", "1"],
-                       "bound": ["lattice"]}[key]
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(payload))
-        code, out, err = run_cli(capsys, command + ["--config", str(path)])
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: {field} must be")
-
-    def test_unknown_key_is_a_config_error(self, capsys, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"pointz": 3, "n": 1, "sead": 1}))
-        code, out, err = run_cli(
-            capsys, ["verify-killing", "--points", "1", "--config", str(path)]
-        )
-        assert code == 2
-        assert out == ""
-        assert err == "error: unknown config keys: 'pointz', 'sead'\n"
-
-    @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
-    def test_unreadable_file_is_a_config_error(self, capsys, tmp_path, text):
-        path = tmp_path / "cfg.json"
-        if text is not None:
-            path.write_text(text)
-        code, out, err = run_cli(capsys, ["volume-table", "--config", str(path)])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
-
-
 class TestDeterminism:
     def test_same_config_same_bytes(self, capsys):
         args = ["structure", "--n", "3"]
@@ -272,15 +164,10 @@ class TestDeterminism:
         ["verify-killing", "--n", "2", "--points", "2"],
         ["curvature", "--n", "1", "--points", "1"],
         ["volume-table", "--n", "2", "--format", "json"]], ids=lambda args: args[0])
-    def test_echo_does_not_depend_on_how_c_is_written(self, capsys, tmp_path, args):
-        # An int c from a config file and a negative zero echo as the flag's
-        # float does.
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"c": 2}))
-        for spellings in ((["--config", str(path)], ["--c", "2"]),
-                          (["--c", "-0.0"], ["--c", "0"])):
-            outputs = {run_cli(capsys, args + spelling)[1] for spelling in spellings}
-            assert len(outputs) == 1, spellings
+    def test_echo_does_not_depend_on_how_c_is_written(self, capsys, args):
+        # A negative zero echoes as 0.0.
+        outputs = {run_cli(capsys, args + ["--c", c])[1] for c in ("-0.0", "0")}
+        assert len(outputs) == 1
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -336,16 +223,6 @@ class TestCenterCommand:
         report = json.loads(out)
         assert report["c_positive"] is False
         assert report["F"] == "(0,0,0)"
-
-    def test_c_positive_follows_the_exact_lam(self, capsys):
-        # This LAM is positive, but its float c underflows to 0.0.
-        with pytest.raises(ConfigError, match="^c-exact 1e-400:2:3 gives a c that leaves "
-                           "the float range$"):
-            build_config(["center", "--c-exact", "1e-400:2:3"]).effective_c
-        code, out, _ = run_cli(capsys, ["center", "--n", "2", "--c-exact", "1e-400:2:3"])
-        assert code == 0
-        assert out == run_cli(capsys, ["center", "--n", "2", "--c-exact", "1:2:3"])[1]
-        assert json.loads(out)["c_positive"] is True
 
 
 class TestKillingCommand:
@@ -503,7 +380,8 @@ class TestProcessStart:
             "        assert oneloop.cli.main(argv) == 0, argv\n"
             "    assert not absent & set(sys.modules), (argv, absent & set(sys.modules))\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    oneloop.cli.main(['center', '--n', '1', '--c-exact', '1:2:3'])\n"
+            "    oneloop.cli.main(['volume-table', '--n', '1', '--c-exact', '1:2:3',\n"
+            "                      '--format', 'json'])\n"
             "assert {'json', 'fractions'} <= set(sys.modules)\n"
         )
         code, _, err = run_python(script)
@@ -528,23 +406,6 @@ class TestProcessStart:
         )
         assert sorted(_COMMANDS) == ["center", "curvature", "lattice", "structure",
                                      "verify-killing", "volume-table"]
-        code, _, err = run_python(script)
-        assert code == 0, err
-
-    def test_center_c_exact_leaves_quatarith_and_heis_unloaded(self):
-        # c > 0 is read from the exact LAM; the last lines show that the
-        # check can fail: the float c loads both modules.
-        script = (
-            "import contextlib, io, sys\n"
-            "import oneloop.cli\n"
-            "argv = ['center', '--n', '2', '--c-exact', '1:2:3']\n"
-            "modules = {'oneloop.quatarith', 'oneloop.heis'}\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert oneloop.cli.main(argv) == 0\n"
-            "assert not modules & set(sys.modules), modules & set(sys.modules)\n"
-            "oneloop.cli.build_config(argv).effective_c\n"
-            "assert modules <= set(sys.modules)\n"
-        )
         code, _, err = run_python(script)
         assert code == 0, err
 
@@ -711,8 +572,10 @@ class TestVolumeTableCommand:
         )
         assert code == 0
         report = json.loads(out)
-        assert sorted(report) == ["command", "config", "rows"]
+        assert sorted(report) == ["all_pass", "command", "config", "rows", "tolerance"]
         assert [row["closed_tail"] for row in report["rows"]] == [0.5, 0.125]
+        assert report["all_pass"] is True
+        assert report["tolerance"] == 1e-12
 
 
     @pytest.mark.parametrize("grid", ["1e80", "1e-50"])
@@ -756,9 +619,7 @@ class TestOneRecord:
 GOLDEN = [
     (["center", "--n", "2"], 0,
      "5cada451a0062a06c972269b0913bd36dba51c549b205736f92f9d12698d073d", ""),
-    (["center", "--n", "2", "--c-exact", "1:2:3"], 0,
-     "5cada451a0062a06c972269b0913bd36dba51c549b205736f92f9d12698d073d", ""),
-    (["center", "--n", "2", "--c-exact", "0:2:3"], 0,
+    (["center", "--n", "2", "--c", "0"], 0,
      "018d13605f9d2224f5cc2234dbb786ed86f3b21f94de9132e2ca4a171c5e3c7f", ""),
     (["center", "--n", "6"], 0,
      "60a035c63559c34cd71a482ee22c9a441aaebfeba4d256d215f5a5e901a55988", ""),
@@ -796,13 +657,13 @@ GOLDEN = [
     (["volume-table", "--n", "1"], 0,
      "6767c8d60f68f07278f9bd27c00d04b6d152e58f16f5c461cd591afbdc77fcf8", ""),
     (["volume-table", "--n", "1", "--format", "json"], 0,
-     "3197f14a2a603a6840869ecc462e6356315926a481769ff86372adb8732acfc8", ""),
+     "86da9487a64aae7b54781d2631a772057af1e841bd3403e5108e1815585f9903", ""),
     (["volume-table", "--n", "3"], 0,
      "72b695e9d8ee50ddd18521fc13c327e6f098f8da3db592bf85afea777fc9919e", ""),
     (["volume-table", "--n", "3", "--format", "json"], 0,
-     "9892b71e1775f8832231fe482613b0c9bd4d114265cf979b791371a5a6c1c4f7", ""),
+     "98c4a057c6ed01a36ae28bc51accabb19cd5f8738b2ba97d72dacc7fb807a779", ""),
     (["volume-table", "--n", "2", "--c-exact", "1:3:7", "--format", "json"], 0,
-     "d59deb83883b476d104bc2392654bc08035f5de31567b29e806b8e9118ac8f11", ""),
+     "1b6304794c1297c0c9384f988ed43bd68914ab667ecb73bf1377c7adeb50d0d5", ""),
     # Twelve decades of rho at n = 6.
     (["volume-table", "--n", "6", "--c", "2.5", "--grid", "1e-6,1e-3,1,1e3,1e6"], 0,
      "4569f75c90cfd8fc448890bbef432567d3decc8879f4b036c6c23f1247806829", ""),
@@ -814,24 +675,38 @@ GOLDEN = [
      "61390e842f7655e232276464fd83d3c1e009ff7a6a8989055f43ad8fbce9b626", ""),
     (["volume-table", "--n", "1", "--c", "0", "--grid", "4e102"], 2, EMPTY_SHA256,
      "error: rho = 4e+102 leaves the float range at n = 1\n"),
-    # A LAM whose c leaves the float range; center reads only its sign.
-    (["center", "--n", "2", "--c-exact", "1e400:2:3"], 0,
-     "5cada451a0062a06c972269b0913bd36dba51c549b205736f92f9d12698d073d", ""),
+    # center reads only whether c > 0, and takes --c alone.
+    (["center", "--n", "2", "--c-exact", "1e400:2:3"], 2, EMPTY_SHA256,
+     "usage: oneloop [-h]\n"
+     "               {verify-killing,structure,center,curvature,lattice,volume-table}\n"
+     "               ...\n"
+     "oneloop: error: unrecognized arguments: --c-exact 1e400:2:3\n"),
+    # A LAM whose c leaves the float range.
     (["verify-killing", "--n", "1", "--points", "1", "--c-exact", "1e400:2:3"], 2,
      EMPTY_SHA256, "error: c-exact 1e+400:2:3 gives a c that leaves the float range\n"),
     (["curvature", "--n", "1", "--points", "1", "--c-exact", "1e400:2:3"], 2,
      EMPTY_SHA256, "error: c-exact 1e+400:2:3 gives a c that leaves the float range\n"),
     (["volume-table", "--n", "1", "--c-exact", "1e400:2:3"], 2,
      EMPTY_SHA256, "error: c-exact 1e+400:2:3 gives a c that leaves the float range\n"),
-    # A positive LAM whose c underflows to 0.0; center reads only its sign.
-    (["center", "--n", "2", "--c-exact", "1e-400:2:3"], 0,
-     "5cada451a0062a06c972269b0913bd36dba51c549b205736f92f9d12698d073d", ""),
+    # A positive LAM whose c underflows to 0.0.
     (["verify-killing", "--n", "1", "--points", "1", "--c-exact", "1e-400:2:3"], 2,
      EMPTY_SHA256, "error: c-exact 1e-400:2:3 gives a c that leaves the float range\n"),
     (["curvature", "--n", "1", "--points", "1", "--c-exact", "1e-400:2:3"], 2,
      EMPTY_SHA256, "error: c-exact 1e-400:2:3 gives a c that leaves the float range\n"),
     (["volume-table", "--n", "1", "--c-exact", "1e-400:2:3"], 2,
      EMPTY_SHA256, "error: c-exact 1e-400:2:3 gives a c that leaves the float range\n"),
+    # Each part of --c-exact is checked where it is read: lattice reads A:B
+    # alone, and prints the bytes of LAM = 1; a command that reads c refuses
+    # a negative LAM.
+    (["lattice", "--c-exact=-1:2:3", "--bound", "1"], 0,
+     "ef6ba21309c6c391f460736864542e1ff81201233a8195af20e4ceacf64ed5a6", ""),
+    (["verify-killing", "--n", "1", "--points", "1", "--c-exact=-1:2:3"], 2,
+     EMPTY_SHA256, "error: c-exact scaling factor must be nonnegative\n"),
+    (["lattice", "--c-exact", "1:0:3", "--bound", "1"], 2, EMPTY_SHA256,
+     "error: c-exact algebra parameters must be positive integers\n"),
+    # Two flags that set c.
+    (["verify-killing", "--n", "1", "--points", "1", "--c", "5", "--c-exact", "1:2:3"], 2,
+     EMPTY_SHA256, "error: --c and --c-exact both set c; give one of them\n"),
     # A command that reports JSON only takes no --format.
     (["structure", "--format", "csv"], 2, EMPTY_SHA256,
      "usage: oneloop [-h]\n"
@@ -901,12 +776,12 @@ def run_parser(capsys, monkeypatch, args):
 # text lists the flags that command takes.
 HELP_SHA256 = {
     (): "9913284e225edbadca4fefde66826506f9ab95355fdb11db1b52b0cf8c289f68",
-    ("verify-killing",): "017d22983427939a602de87ecba3f75f52ad311b8b48969b2b9fe4dcde5b78fd",
-    ("structure",): "65b0176cec7b44010ec283e554449c94ef98178d76959d32a91ad468ab61c0ac",
-    ("center",): "113eb0d8882f2e24e56d94b364d3b0027b9f3efcb6ce3ef1791099f251bc18ea",
-    ("curvature",): "72f656460550cc1ae33e660ef4b51b8a9fd6c5c71e8da1f1d6cb90669dd29c65",
-    ("lattice",): "084d8fcea3684f77d688b02187a53fc52f9d5718de7b576ae47f6187effe073a",
-    ("volume-table",): "b61d5dfd0e6ed1e01a704a19ff2e30bb05f29642ace3d406157a4da12f9b86fe",
+    ("verify-killing",): "123ea67a4147091a675fd9fc055d594d8134f3f5821d5ecdecd4d0d22f66feff",
+    ("structure",): "2c0cc8a7eee382fbf89e1889934e44a474b42a796e3198d416139e12139ac20e",
+    ("center",): "5aede827fe57e7b39c383d5ddcee3c0a8775274c262c441e8efb63c865444b33",
+    ("curvature",): "87b0b3ed9346e31962ac46b04f7d388bc75e085bf3231a62ec2d8e6956c8d401",
+    ("lattice",): "f5f91d2efca12cd4774232824efea917a9e6ce6d5ec854ac5bd9fcce03dcbbe6",
+    ("volume-table",): "3dea0e2c0500374dcd5896b57d2ae3afb8d53cc59b293e4edb7fa3d5807e16b2",
 }
 
 
@@ -930,13 +805,11 @@ class TestArgparseOutput:
 
     @pytest.mark.parametrize("args, rest", [
         (["lattice", "--bou", "1"], "--bou 1"),
-        # --c is no prefix of --c-exact or --config where --c is not taken.
         (["structure", "--n", "1", "--c", "7"], "--c 7"),
+        # --c is no prefix of --c-exact where --c is not taken.
+        (["lattice", "--c", "7"], "--c 7"),
     ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
     def test_no_prefix_abbreviations(self, capsys, monkeypatch, args, rest):
-        def read(path, keys):
-            raise AssertionError(f"read config file {path!r}")
-        monkeypatch.setattr(oneloop.cli, "_load_config_file", read)
         code, out, err = run_parser(capsys, monkeypatch, args)
         assert (code, out) == (2, "")
         assert err.endswith(f"\noneloop: error: unrecognized arguments: {rest}\n")
@@ -944,7 +817,7 @@ class TestArgparseOutput:
     def test_invalid_choice(self, capsys, monkeypatch):
         assert run_parser(capsys, monkeypatch, ["lattice", "--format", "xml"]) == (2, "", (
             "usage: oneloop lattice [-h] [--c-exact LAM:A:B] [--bound BOUND]\n"
-            "                       [--format {json,csv}] [--out OUT] [--config CONFIG]\n"
+            "                       [--format {json,csv}] [--out OUT]\n"
             "oneloop lattice: error: argument --format: invalid choice: 'xml' "
             "(choose from 'json', 'csv')\n"))
 
@@ -954,7 +827,7 @@ class TestArgparseOutput:
 VALUES = {"n": ("1", "2"), "c": ("0", "1"), "c_exact": ("0:2:3", "1:3:7"),
           "seed": ("1", "2"), "points": ("1", "2"), "step": ("1e-3", "2e-3"),
           "bound": ("1", "2"), "grid": ("1", "2"), "vd": ("1", "2"),
-          "format": ("json", "csv")}
+          "config": ("cfg.json", "other.json"), "format": ("json", "csv")}
 SMALL = {"n": "1", "points": "1", "bound": "1"}
 
 
@@ -963,7 +836,7 @@ class TestFlagTable:
 
     def test_table(self):
         assert {name: entry[1] for name, entry in _COMMANDS.items()} == FLAGS
-        assert sum(len(flags) + 2 for flags in FLAGS.values()) == 37
+        assert sum(len(flags) + 1 for flags in FLAGS.values()) == 30
         for _, flags, _, columns in _COMMANDS.values():
             assert ("format" in flags) == (columns is not None)
 
@@ -994,25 +867,9 @@ class TestFlagTable:
 
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command, flags in FLAGS.items() for flag in ALL_FLAGS
-        if flag not in flags + ("out", "config")])
+        if flag not in flags + ("out",)])
     def test_every_undeclared_flag_is_rejected(self, capsys, monkeypatch, command, flag):
         value = VALUES[flag][0]
         code, out, err = run_parser(capsys, monkeypatch, [command, option(flag), value])
         assert (code, out) == (2, "")
         assert err.endswith(f"\noneloop: error: unrecognized arguments: {option(flag)} {value}\n")
-
-    @pytest.mark.parametrize("command", list(FLAGS))
-    def test_config_keys_are_the_flags(self, capsys, tmp_path, command):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(dict.fromkeys(ALL_FLAGS, 1)))
-        code, out, err = run_cli(capsys, [command, "--config", str(path)])
-        unknown = sorted(set(ALL_FLAGS) - set(config_keys(command)))
-        assert (code, out) == (2, "")
-        assert err == f"error: unknown config keys: {', '.join(map(repr, unknown))}\n"
-        # The command's own keys, and those alone, configure as its flags do.
-        values = {"n": 2, "c": 1, "c_exact": "1:3:7", "seed": 2, "points": 2, "step": 2e-3,
-                  "bound": 2, "grid": [2], "format": "csv", "out": "report"}
-        path.write_text(json.dumps({key: values[key] for key in config_keys(command)}))
-        flags = [arg for key in FLAGS[command] for arg in (option(key), VALUES[key][1])]
-        assert build_config([command, "--config", str(path)]) == build_config(
-            [command, *flags, "--out", "report"])

@@ -1,0 +1,87 @@
+"""Mutation audit of the CLI's verdicts (R. A. DeMillo, R. J. Lipton and
+F. G. Sayward, "Hints on test data selection", IEEE Computer 11(4), 1978).
+
+Each row of ``MUTANTS`` is a one-string edit of the package, the CLI jobs
+that audit it, the exit code that each job must give on the mutant, and what
+the CLI makes of the edit:
+
+* ``verdict``: the exit code differs from that of the unmutated package, so
+  the CLI's own verdict catches the fault;
+* ``unflagged``: the exit code is that of the unmutated package, though the
+  output differs; only the unit and acceptance tests catch the fault;
+* ``equivalent``: stdout is byte-identical, since the edit does not change
+  what the program computes.
+
+Each case copies the package to a temporary directory, applies its edit,
+which must match exactly once, and runs only its own jobs there with
+``python -m oneloop.cli``.  Every status is asserted, so a new verdict that
+catches an ``unflagged`` mutant must update its row.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import oneloop
+from oneloop.cli import main
+
+# (id, file, old, new, jobs, exit code of each job on the mutant, kind)
+MUTANTS = [
+    ("metric-k_w", "geometry.py", '"    k_w = 2 / rho",', '"    k_w = 2.25 / rho",',
+     [["curvature", "--n", "1", "--points", "1"]], 1, "verdict"),
+    ("central-scale-sign", "liealg.py", "_CENTRAL_SCALE = QI(0, -VK_SHEAR)",
+     "_CENTRAL_SCALE = QI(0, VK_SHEAR)", [["structure", "--n", "2"]], 1, "verdict"),
+    ("embed-matrix-q2-sign", "quatarith.py", "(0, 0, q.q2, 0), (0, -q.q1, 0, 0)",
+     "(0, 0, -q.q2, 0), (0, -q.q1, 0, 0)", [["lattice", "--bound", "1"]], 1, "verdict"),
+    # The closed tail leaves its quadrature column: volume-table's verdict.
+    ("tail-coefficients", "volume.py", "p / (n + 1 + k if tail else 1)",
+     "p / (n + k if tail else 1)", [["volume-table", "--n", "1"]], 1, "verdict"),
+    # The closed form and the quadrature read the same P, so they move
+    # together; a density check against the Gram determinant would catch it.
+    ("density-coefficients", "volume.py", "2 * (math.comb(n - 1, k - 1)",
+     "3 * (math.comb(n - 1, k - 1)", [["volume-table", "--n", "1"]], 0, "unflagged"),
+    # Row verdicts flip, but verify-killing exits 1 for every input until the
+    # catalogue's V_k shear is repaired.
+    ("Ya-angle-coefficient", "polyfields.py", "(var(vt.c) * var(ia)).scale(QI(0, 1))",
+     "(var(vt.c) * var(ia)).scale(QI(0, 2))",
+     [["verify-killing", "--n", "2", "--points", "1"]], 1, "unflagged"),
+    # Adds -c T to YC, and T is Killing.
+    ("YC-angle-coefficient", "polyfields.py", "var(vt.c).scale(-2)", "var(vt.c).scale(-3)",
+     [["verify-killing", "--n", "1", "--points", "1"]], 1, "equivalent"),
+]
+
+
+def mutant_package(tmp_path, file, old, new):
+    """A copy of the package under tmp_path with the one edit applied; the
+    directory to put on PYTHONPATH."""
+    package = tmp_path / "oneloop"
+    shutil.copytree(Path(oneloop.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = package / file
+    text = source.read_text(encoding="utf-8")
+    assert text.count(old) == 1, (file, old, text.count(old))
+    source.write_text(text.replace(old, new), encoding="utf-8")
+    return tmp_path
+
+
+@pytest.mark.parametrize("file, old, new, jobs, status, kind",
+                         [row[1:] for row in MUTANTS], ids=[row[0] for row in MUTANTS])
+def test_mutant(capsys, tmp_path, file, old, new, jobs, status, kind):
+    env = dict(os.environ, PYTHONPATH=str(mutant_package(tmp_path, file, old, new)))
+    for args in jobs:
+        child = subprocess.run([sys.executable, "-m", "oneloop.cli", *args], env=env,
+                               capture_output=True, encoding="utf-8")
+        code = main(args)
+        out = capsys.readouterr().out
+        # A report on stdout and nothing on stderr: the mutant ran to its verdict.
+        assert (child.returncode, child.stderr) == (status, ""), args
+        assert child.stdout, args
+        if kind == "verdict":
+            assert code != status, args
+        else:
+            assert code == status, args
+            assert (child.stdout == out) == (kind == "equivalent"), args
