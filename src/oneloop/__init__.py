@@ -7,17 +7,21 @@ Modules:
     geometry   the metric family, Gram matrices, determinants, FD curvature
     polyfields exact polynomial Killing fields and brackets
     fields     float Killing residuals and closed-form flows
-    liealg     exact matrix model of the isometry algebra and center lattices
+    matrices   exact matrix model of the isometry algebra
+    liealg     center lattices and the structure-constant check
     heis       Heisenberg groups, arithmetic lattices, unipotent witness
     quatarith  quaternion algebras over Q and their norm-one lattices
     volume     fiber volume density, closed-form and quadrature volumes
-    cli        batch driver with deterministic machine-readable reports
+    cli        batch driver with deterministic machine-readable reports; each
+               command's handler lives in the module of the suite it runs
 
 No module imports numpy: the float commands (verify-killing, curvature)
 compute in plain Python floats, on matrices so small (12x12 at n = 3) that
-numpy's import would cost more than the work.  The CLI imports geometry and fields
-inside those commands only, so importing the package and running any other
-command loads neither.  No module of the package imports dataclasses, whose
+numpy's import would cost more than the work.  The CLI imports the module of
+a command's handler at dispatch, so a process compiles only what its command
+runs: importing the package and running any other command loads neither
+geometry nor fields, and ``center`` loads neither the exact rings nor the
+matrix model.  No module of the package imports dataclasses, whose
 import pulls in inspect, ast and tokenize: the value classes come from the
 record decorator, so no command loads these modules.
 """

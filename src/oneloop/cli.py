@@ -16,8 +16,14 @@ Subcommands:
 * ``volume-table``: fiber-volume density and tail-volume table over a rho
   grid, as CSV.
 
-Each command returns one record (JSON report, CSV rows, exit code), and
-``main`` renders it once, as JSON or through the command's CSV columns.
+Each command's handler, ``cmd_<command>`` in the module of the suite it
+runs, takes the ``RunConfig`` and returns one record: the JSON report, its
+CSV rows (None for a JSON-only command) and the exit code.  ``main`` imports
+that one module at dispatch and renders the record once, as JSON or through
+the command's CSV columns.  No suite imports this module: under ``python -m
+oneloop.cli`` this file runs as ``__main__``, and such an import would
+compile it a second time.
+
 Every report embeds the tolerances it used and the numeric configuration
 that its command read, so identical configurations (including the seed) produce
 byte-identical output.  The seeded points come from Python's ``random``,
@@ -40,9 +46,8 @@ import argparse
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, NoReturn, Optional, Sequence, Tuple
 
-from .params import ModelParams
 from .record import record
 
 if TYPE_CHECKING:  # json and fractions load only where they are used
@@ -50,17 +55,8 @@ if TYPE_CHECKING:  # json and fractions load only where they are used
 
 __all__ = ["RunConfig", "ConfigError", "main", "run"]
 
-KILLING_TOLERANCE = 1e-6
-CONTROL_THRESHOLD = 1e-2
-EINSTEIN_TOLERANCE = 1e-4
-# Relative agreement of volume-table's closed tail with its quadrature.
-VOLUME_TOLERANCE = 1e-12
-
 # A CSV column: its header name and the formatter of its cells.
 Column = Tuple[str, Callable[[object], str]]
-# What every command returns: the JSON report, its CSV rows (None for a
-# JSON-only command) and the exit code.
-Record = Tuple[Dict, Optional[List[Dict]], int]
 
 
 class ConfigError(ValueError):
@@ -171,216 +167,33 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-# ---------------------------------------------------------------------------
-# commands: each returns a Record (JSON report, CSV rows or None, exit code)
-#
-# Each command imports the modules it needs inside its body, so a process
-# compiles and loads only its own suite: the float commands load geometry
-# (and fields), the exact ones liealg, quatarith or volume.  No command loads
-# numpy; the float commands' matrices are at most 12x12 at the n they run.
-# ---------------------------------------------------------------------------
-
-
-def cmd_verify_killing(config: RunConfig) -> Record:
-    from .fields import killing_residuals
-    from .geometry import seeded_points
-
-    params = ModelParams(n=config.n, c=config.effective_c)
-    points = seeded_points(params, config.points, seed=config.seed)
-    residuals, control = killing_residuals(params, points, step=config.step)
-    rows = [
-        {
-            "generator": label,
-            "max_residual": value,
-            "tolerance": KILLING_TOLERANCE,
-            "pass": value <= KILLING_TOLERANCE,
-        }
-        for label, value in residuals.items()
-    ]
-    control_row = {
-        "generator": "radial control (d/d rho)",
-        "max_residual": control,
-        "threshold": CONTROL_THRESHOLD,
-        "exceeds_threshold": control > CONTROL_THRESHOLD,
-        "pass": False,
-    }
-    for row in rows + [control_row]:
-        if not math.isfinite(row["max_residual"]):
-            raise OverflowError(
-                f"Killing residual of {row['generator']} leaves the float range "
-                f"at c = {params.c!r}: {row['max_residual']!r}")
-    all_pass = all(row["pass"] for row in rows) and control_row["exceeds_threshold"]
-    report = {
-        "command": "verify-killing",
-        "config": config.echo(),
-        "rows": rows,
-        "control": control_row,
-        "all_pass": all_pass,
-    }
-    csv_rows = rows + [dict(control_row, tolerance=CONTROL_THRESHOLD)]
-    return report, csv_rows, 0 if all_pass else 1
-
-
-def cmd_structure(config: RunConfig) -> Record:
-    from .liealg import structure_check
-
-    report = structure_check(config.n)
-    payload = {
-        "command": "structure",
-        "n": config.n,
-        "pairs_checked": report.pairs_checked,
-        "mismatch_count": len(report.mismatches),
-        "mismatches": [list(pair) for pair in report.mismatches],
-        "all_pass": report.ok,
-    }
-    return payload, None, 0 if report.ok else 1
-
-
-def _center_entry(vector, n1: bool) -> Dict:
-    return {"human": vector.human(n1=n1), "coordinates": vector.serialize()}
-
-
-def cmd_center(config: RunConfig) -> Record:
-    from .liealg import (
-        f_generator,
-        fprime_generator,
-        ker_cap_su,
-        kernel_generators,
-        kernel_generators_n1,
-    )
-
-    n = config.n
-    positive_c = config.c > 0
-    n1 = n == 1
-    if n1:
-        kernel = [kernel_generators_n1()]
-        ker_cap = None
-        fprime = None
-    else:
-        kernel = list(kernel_generators(n))
-        ker_cap = ker_cap_su(n)
-        fprime = fprime_generator(n, positive_c=positive_c)
-    f_vec = f_generator(n, positive_c=positive_c)
-    payload = {
-        "command": "center",
-        "n": n,
-        "c_positive": positive_c,
-        "kernel": [_center_entry(v, n1) for v in kernel],
-        "ker_cap_su": None if ker_cap is None else _center_entry(ker_cap, n1),
-        "F": f_vec.human(n1=n1),
-        "F_coordinates": f_vec.serialize(),
-        "Fprime": None if fprime is None else fprime.human(n1=n1),
-        "Fprime_coordinates": None if fprime is None else fprime.serialize(),
-    }
-    return payload, None, 0
-
-
-def cmd_curvature(config: RunConfig) -> Record:
-    from .geometry import einstein_diagnostic, seeded_points
-
-    params = ModelParams(n=config.n, c=config.effective_c)
-    points = seeded_points(params, config.points, seed=config.seed)
-    rows = []
-    lambdas = []
-    max_residual = 0.0
-    for index, p in enumerate(points):
-        lam, residual = einstein_diagnostic(p, params, step=config.step)
-        if not (math.isfinite(lam) and math.isfinite(residual)):
-            raise OverflowError(
-                f"curvature at point {index} leaves the float range at "
-                f"c = {params.c!r}: lambda = {lam!r}, residual = {residual!r}")
-        rows.append({"lambda": lam, "residual": residual})
-        lambdas.append(lam)
-        max_residual = max(max_residual, residual)
-    mean_lambda = sum(lambdas) / len(lambdas)
-    spread = (max(lambdas) - min(lambdas)) / abs(mean_lambda) if mean_lambda else float("inf")
-    all_pass = (
-        max_residual <= EINSTEIN_TOLERANCE
-        and mean_lambda < 0
-        and spread <= EINSTEIN_TOLERANCE
-    )
-    payload = {
-        "command": "curvature",
-        "config": config.echo(),
-        "tolerance": EINSTEIN_TOLERANCE,
-        "rows": rows,
-        "lambda_mean": mean_lambda,
-        "lambda_spread_relative": spread,
-        "max_residual": max_residual,
-        "all_pass": all_pass,
-    }
-    return payload, None, 0 if all_pass else 1
-
-
-def cmd_lattice(config: RunConfig) -> Record:
-    from .quatarith import QuatParams, is_nonresidue, norm_one_rows
-
-    a, b = (2, 3) if config.c_exact is None else config.c_exact[1:]
-    warning = None
-    try:
-        if not is_nonresidue(a, b):
-            warning = (
-                f"warning: is_nonresidue({a}, {b}) = false "
-                "(division-algebra hypothesis unmet); enumeration still runs"
-            )
-    except ValueError as exc:
-        warning = f"warning: {exc} (division-algebra hypothesis unmet); enumeration still runs"
-    if warning is not None:
-        print(warning, file=sys.stderr)
-    rows = norm_one_rows(QuatParams(a, b), config.bound)
-    all_pass = all(row["su11_ok"] and row["preserves_gamma2"] for row in rows)
-    report = {
-        "command": "lattice",
-        "a": a,
-        "b": b,
-        "bound": config.bound,
-        "nonresidue_warning": warning,
-        "rows": rows,
-        "all_pass": all_pass,
-    }
-    return report, rows, 0 if all_pass else 1
-
-
-def cmd_volume_table(config: RunConfig) -> Record:
-    from .volume import volume_rows
-
-    params = ModelParams(n=config.n, c=config.effective_c)
-    computed = volume_rows(config.grid, params)
-    # The verdict compares the unrounded tails: the printed ones are rounded.
-    all_pass = all(abs(row["closed_tail"] - row["quadrature_tail"])
-                   <= VOLUME_TOLERANCE * row["closed_tail"] for row in computed)
-    # JSON carries the same 12 significant digits as the CSV columns.
-    rows = [{name: float(fmt(row[name])) for name, fmt in _VOLUME_COLUMNS}
-            for row in computed]
-    report = {"command": "volume-table", "config": config.echo(),
-              "tolerance": VOLUME_TOLERANCE, "rows": rows, "all_pass": all_pass}
-    return report, rows, 0 if all_pass else 1
-
-
-_VOLUME_COLUMNS = tuple(
-    (name, "{:.12g}".format)
-    for name in ("rho", "density", "closed_tail", "quadrature_tail", "ratio_to_asymptote")
-)
-
-# name: (handler, the flags it reads besides --out, default
-# format, CSV columns or None for JSON only)
+# name: ((module, handler), the flags it reads besides --out, default
+# format, CSV columns or None for JSON only).  The handler lives next to the
+# suite it runs; main imports its module at dispatch, so a process compiles
+# and loads only its own command: the float commands geometry (and fields),
+# the exact ones liealg, quatarith or volume.  No command loads numpy; the
+# float commands' matrices are at most 12x12 at the n they run.
 _COMMANDS = {
-    "verify-killing": (cmd_verify_killing,
+    "verify-killing": (("fields", "cmd_verify_killing"),
                        ("n", "c", "c_exact", "seed", "points", "step", "format"), "json", (
         ("generator", str),
         ("max_residual", "{:.6e}".format),
         ("tolerance", "{:.1e}".format),
         ("pass", _flag),
     )),
-    "structure": (cmd_structure, ("n",), "json", None),
-    "center": (cmd_center, ("n", "c"), "json", None),
-    "curvature": (cmd_curvature, ("n", "c", "c_exact", "seed", "points", "step"), "json", None),
-    "lattice": (cmd_lattice, ("c_exact", "bound", "format"), "csv", (
+    "structure": (("liealg", "cmd_structure"), ("n",), "json", None),
+    "center": (("liealg", "cmd_center"), ("n", "c"), "json", None),
+    "curvature": (("geometry", "cmd_curvature"),
+                  ("n", "c", "c_exact", "seed", "points", "step"), "json", None),
+    "lattice": (("quatarith", "cmd_lattice"), ("c_exact", "bound", "format"), "csv", (
         ("q0", str), ("q1", str), ("q2", str), ("q3", str), ("norm", str),
         ("su11_ok", _flag), ("preserves_gamma2", _flag),
     )),
-    "volume-table": (cmd_volume_table, ("n", "c", "c_exact", "grid", "format"), "csv",
-                     _VOLUME_COLUMNS),
+    "volume-table": (("volume", "cmd_volume_table"),
+                     ("n", "c", "c_exact", "grid", "format"), "csv", tuple(
+        (name, "{:.12g}".format)
+        for name in ("rho", "density", "closed_tail", "quadrature_tail", "ratio_to_asymptote")
+    )),
 }
 
 
@@ -471,7 +284,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    handler, _, _, columns = _COMMANDS[config.command]
+    (module, name), _, _, columns = _COMMANDS[config.command]
+    # The relative __import__ of the handler's module, not
+    # importlib.import_module, which python -X importtime does not time.
+    handler = getattr(__import__(module, globals(), None, (name,), 1), name)
     try:
         report, rows, code = handler(config)
     except (ValueError, ArithmeticError) as exc:

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .exact import VarTable
 from .geometry import (
     ModelParams, PointBarN, _max_abs, _upper, _weighted_sum, ix_phi, ix_rho, ix_u, ix_v,
-    ix_x, ix_y, metric_first_derivatives, metric_gram,
+    ix_x, ix_y, metric_first_derivatives, metric_gram, seeded_points,
 )
 from .params import VK_SHEAR
 from .polyfields import (  # noqa: F401 -- bracket is re-exported
@@ -23,6 +23,8 @@ from .polyfields import (  # noqa: F401 -- bracket is re-exported
 )
 
 TAU = 2.0 * math.pi
+KILLING_TOLERANCE = 1e-6
+CONTROL_THRESHOLD = 1e-2
 
 
 def _chart_values(p: PointBarN, c_value) -> List[complex]:
@@ -228,6 +230,44 @@ def killing_residuals(params: ModelParams, points: Sequence[PointBarN],
         if rel_control > control or math.isnan(rel_control):
             control = rel_control
     return residuals, control
+
+
+def cmd_verify_killing(config) -> Tuple[Dict, List[Dict], int]:
+    """The ``verify-killing`` command of :mod:`oneloop.cli`, on its RunConfig."""
+    params = ModelParams(n=config.n, c=config.effective_c)
+    points = seeded_points(params, config.points, seed=config.seed)
+    residuals, control = killing_residuals(params, points, step=config.step)
+    rows = [
+        {
+            "generator": label,
+            "max_residual": value,
+            "tolerance": KILLING_TOLERANCE,
+            "pass": value <= KILLING_TOLERANCE,
+        }
+        for label, value in residuals.items()
+    ]
+    control_row = {
+        "generator": "radial control (d/d rho)",
+        "max_residual": control,
+        "threshold": CONTROL_THRESHOLD,
+        "exceeds_threshold": control > CONTROL_THRESHOLD,
+        "pass": False,
+    }
+    for row in rows + [control_row]:
+        if not math.isfinite(row["max_residual"]):
+            raise OverflowError(
+                f"Killing residual of {row['generator']} leaves the float range "
+                f"at c = {params.c!r}: {row['max_residual']!r}")
+    all_pass = all(row["pass"] for row in rows) and control_row["exceeds_threshold"]
+    report = {
+        "command": "verify-killing",
+        "config": config.echo(),
+        "rows": rows,
+        "control": control_row,
+        "all_pass": all_pass,
+    }
+    csv_rows = rows + [dict(control_row, tolerance=CONTROL_THRESHOLD)]
+    return report, csv_rows, 0 if all_pass else 1
 
 
 # --- flows -------------------------------------------------------------------

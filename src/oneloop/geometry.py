@@ -380,9 +380,18 @@ _MIXED_WEIGHTS = tuple(w1 * w2 for w1 in _D1_WEIGHTS for w2 in _D1_WEIGHTS)
 
 
 def _fd_steps(q, step):
+    """The per-coordinate steps step*max(1, |q_k|).  A step that q_k + h_k or
+    q_k - h_k rounds back to q_k, or whose square (the second-derivative
+    divisor) is below the normal floats, raises ValueError: the stencil
+    would divide rounding noise by it."""
     if not step > 0:
         raise ValueError("step must be positive")
-    return [step * max(1.0, abs(x)) for x in q]
+    steps = [step * max(1.0, abs(x)) for x in q]
+    for k, (x, h) in enumerate(zip(q, steps)):
+        if x + h == x or x - h == x or h * h < 2.0 ** -1022:
+            raise ValueError(f"finite-difference step {step!r} is too small to move "
+                             f"chart coordinate q[{k}] = {x!r}")
+    return steps
 
 
 def _stencil(q, params, points, weights, divisor, entries):
@@ -565,3 +574,42 @@ def seeded_points(params, count, seed=42):
         rho = 0.5 + 3.5 * rng.random()
         points.append(PointBarN(X=X, w=w, phi_tilde=phi, rho=rho))
     return points
+
+
+EINSTEIN_TOLERANCE = 1e-4
+
+
+def cmd_curvature(config) -> tuple[dict, None, int]:
+    """The ``curvature`` command of :mod:`oneloop.cli`, on its RunConfig."""
+    params = ModelParams(n=config.n, c=config.effective_c)
+    points = seeded_points(params, config.points, seed=config.seed)
+    rows = []
+    lambdas = []
+    max_residual = 0.0
+    for index, p in enumerate(points):
+        lam, residual = einstein_diagnostic(p, params, step=config.step)
+        if not (math.isfinite(lam) and math.isfinite(residual)):
+            raise OverflowError(
+                f"curvature at point {index} leaves the float range at "
+                f"c = {params.c!r}: lambda = {lam!r}, residual = {residual!r}")
+        rows.append({"lambda": lam, "residual": residual})
+        lambdas.append(lam)
+        max_residual = max(max_residual, residual)
+    mean_lambda = sum(lambdas) / len(lambdas)
+    spread = (max(lambdas) - min(lambdas)) / abs(mean_lambda) if mean_lambda else float("inf")
+    all_pass = (
+        max_residual <= EINSTEIN_TOLERANCE
+        and mean_lambda < 0
+        and spread <= EINSTEIN_TOLERANCE
+    )
+    payload = {
+        "command": "curvature",
+        "config": config.echo(),
+        "tolerance": EINSTEIN_TOLERANCE,
+        "rows": rows,
+        "lambda_mean": mean_lambda,
+        "lambda_spread_relative": spread,
+        "max_residual": max_residual,
+        "all_pass": all_pass,
+    }
+    return payload, None, 0 if all_pass else 1

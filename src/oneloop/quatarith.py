@@ -26,6 +26,7 @@ Everything is exact: no floating point enters any decision in this module.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
@@ -49,6 +50,7 @@ __all__ = [
     "preserves_gamma2",
     "c_compatible",
     "norm_one_rows",
+    "cmd_lattice",
 ]
 
 
@@ -308,3 +310,31 @@ def norm_one_rows(params: QuatParams, bound: int) -> List[Dict[str, object]]:
 
 # The benchmark tracer binds this name; it is the same function.
 norm_one_csv = norm_one_rows
+
+
+def cmd_lattice(config) -> Tuple[Dict, List[Dict[str, object]], int]:
+    """The ``lattice`` command of :mod:`oneloop.cli`, on its RunConfig."""
+    a, b = (2, 3) if config.c_exact is None else config.c_exact[1:]
+    warning = None
+    try:
+        if not is_nonresidue(a, b):
+            warning = (
+                f"warning: is_nonresidue({a}, {b}) = false "
+                "(division-algebra hypothesis unmet); enumeration still runs"
+            )
+    except ValueError as exc:
+        warning = f"warning: {exc} (division-algebra hypothesis unmet); enumeration still runs"
+    if warning is not None:
+        print(warning, file=sys.stderr)
+    rows = norm_one_rows(QuatParams(a, b), config.bound)
+    all_pass = all(row["su11_ok"] and row["preserves_gamma2"] for row in rows)
+    report = {
+        "command": "lattice",
+        "a": a,
+        "b": b,
+        "bound": config.bound,
+        "nonresidue_warning": warning,
+        "rows": rows,
+        "all_pass": all_pass,
+    }
+    return report, rows, 0 if all_pass else 1

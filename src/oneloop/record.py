@@ -1,13 +1,54 @@
 """Record classes without the dataclasses module.
 
-``record`` writes ``__init__``, ``__eq__``, ``__hash__`` and ``__repr__``
-from a class's field annotations, the way ``dataclasses.dataclass`` does
-for the options the package uses.  Importing ``dataclasses`` pulls in
+``record`` gives a class ``__init__``, ``__eq__``, ``__hash__`` and
+``__repr__`` over its field annotations, the way ``dataclasses.dataclass``
+does for the options the package uses.  Importing ``dataclasses`` pulls in
 ``inspect``, ``ast``, ``dis`` and ``tokenize``, which no command needs and
 which cost every process several milliseconds of start-up.
+
+Only ``__init__`` is generated source, one ``exec`` per class: every other
+method is a function of this module shared by all records, which reads the
+class's field names and field getter.  A process compiles none of them per
+class.
 """
 
+from operator import attrgetter
+
 __all__ = ["record"]
+
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        values = self.__record_values__
+        return values(self) == values(other)
+    return NotImplemented
+
+
+def _hash(self):
+    return hash(self.__record_values__(self))
+
+
+def _repr(self):
+    fields = ", ".join(f"{name}={value!r}" for name, value
+                       in zip(self.__record_fields__, self.__record_values__(self)))
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _values(names):
+    """The getter of an instance's field tuple: attrgetter gives a bare value
+    for one name, so that tuple is built around it."""
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda obj: (get(obj),)
+    return attrgetter(*names)
 
 
 def record(*, frozen=False, slots=False):
@@ -31,9 +72,6 @@ def record(*, frozen=False, slots=False):
                     if key not in ("__dict__", "__weakref__")}
             cls = type(cls)(cls.__name__, cls.__bases__, dict(body, __slots__=names))
 
-        def field_tuple(obj):
-            return "(" + "".join(f"{obj}.{name}," for name in names) + ")"
-
         lines = ["def __init__(self, " + ", ".join(
             f"{name}=_d_{name}" if name in defaults else name for name in names) + "):"]
         # A frozen record's fields go in through object.__setattr__, as in
@@ -43,31 +81,18 @@ def record(*, frozen=False, slots=False):
                   for name in names]
         if hasattr(cls, "__post_init__"):
             lines.append("    self.__post_init__()")
-        lines += [
-            "def __eq__(self, other):",
-            "    if other.__class__ is self.__class__:",
-            f"        return {field_tuple('self')} == {field_tuple('other')}",
-            "    return NotImplemented",
-            "def __hash__(self):",
-            f"    return hash({field_tuple('self')})",
-            "def __repr__(self):",
-            "    return f'{self.__class__.__qualname__}("
-            + ", ".join(f"{name}={{self.{name}!r}}" for name in names) + ")'",
-            "def __setattr__(self, name, value):",
-            "    raise AttributeError(f'cannot assign to field {name!r}')",
-            "def __delattr__(self, name):",
-            "    raise AttributeError(f'cannot delete field {name!r}')",
-        ]
         namespace = {f"_d_{name}": value for name, value in defaults.items()}
         namespace["_setattr"] = object.__setattr__
         exec("\n".join(lines), namespace)
-        generated = ["__init__", "__eq__", "__hash__", "__repr__"]
-        generated += ["__setattr__", "__delattr__"] if frozen else []
-        for name in generated:
-            function = namespace[name]
-            function.__qualname__ = f"{cls.__qualname__}.{name}"
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        methods = {"__init__": init, "__eq__": _eq, "__hash__": _hash, "__repr__": _repr}
+        if frozen:
+            methods.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
+        for name, function in methods.items():
             setattr(cls, name, function)
+        cls.__record_fields__ = names
+        cls.__record_values__ = staticmethod(_values(names))
         return cls
 
     return wrap
-

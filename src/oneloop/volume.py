@@ -43,6 +43,7 @@ __all__ = [
     "upper_bound_constant",
     "bounds_check",
     "volume_rows",
+    "cmd_volume_table",
 ]
 
 
@@ -316,3 +317,22 @@ def volume_rows(rho_grid: Sequence[float], params: ModelParams) -> List[Dict[str
 
 # The benchmark tracer binds this name; it is the same function.
 volume_table_csv = volume_rows
+
+
+# Relative agreement of volume-table's closed tail with its quadrature.
+VOLUME_TOLERANCE = 1e-12
+
+
+def cmd_volume_table(config) -> Tuple[Dict, List[Dict[str, float]], int]:
+    """The ``volume-table`` command of :mod:`oneloop.cli`, on its RunConfig."""
+    params = ModelParams(n=config.n, c=config.effective_c)
+    computed = volume_rows(config.grid, params)
+    # The verdict compares the unrounded tails: the printed ones are rounded.
+    all_pass = all(abs(row["closed_tail"] - row["quadrature_tail"])
+                   <= VOLUME_TOLERANCE * row["closed_tail"] for row in computed)
+    # JSON carries the 12 significant digits of the CSV columns.
+    rows = [{name: float(f"{value:.12g}") for name, value in row.items()}
+            for row in computed]
+    report = {"command": "volume-table", "config": config.echo(),
+              "tolerance": VOLUME_TOLERANCE, "rows": rows, "all_pass": all_pass}
+    return report, rows, 0 if all_pass else 1

@@ -349,6 +349,18 @@ class TestStencilErrors:
                               "rho must be positive, got -")
         assert err.count("\n") == 1 and err.endswith("\n")
 
+    @pytest.mark.parametrize("step", ["1e-20", "1e-170"])
+    @pytest.mark.parametrize("command", ["curvature", "verify-killing"])
+    def test_step_too_small(self, capsys, command, step):
+        # q_k + h_k rounds to q_k (or h_k**2 underflows): the stencil would
+        # divide rounding noise by 12 h_k or 12 h_k**2.
+        code, out, err = run_cli(
+            capsys, [command, "--n", "1", "--points", "1", "--step", step])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: finite-difference step {float(step)!r} is too small "
+                              "to move chart coordinate q[")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
 
 def child_env():
     """This environment with the package on the path."""
@@ -365,7 +377,54 @@ def run_python(script):
     return result.returncode, result.stdout, result.stderr
 
 
+# The package modules that a fresh process running each command loads.
+MODULE_BUDGET = {
+    "center": {"liealg"},
+    "structure": {"liealg", "matrices", "polyfields", "exact", "params"},
+    "verify-killing": {"fields", "geometry", "polyfields", "exact", "params"},
+    "curvature": {"geometry", "params"},
+    "lattice": {"quatarith", "heis", "exact", "params"},
+    "volume-table": {"volume", "params"},
+}
+SMALL_RUNS = {
+    "center": ["--n", "2"], "structure": ["--n", "1"],
+    "verify-killing": ["--n", "1", "--points", "1"],
+    "curvature": ["--n", "1", "--points", "1"],
+    "lattice": ["--bound", "1"], "volume-table": ["--n", "1"],
+}
+
+
+def loaded_modules(argv, preamble=""):
+    """The oneloop modules, without the package prefix, in sys.modules of a
+    fresh interpreter that runs preamble and then main(argv)."""
+    script = (
+        "import contextlib, io, sys\n"
+        f"{preamble}\n"
+        "from oneloop.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) in (0, 1)\n"
+        "print(*sorted(name for name in sys.modules if name.split('.')[0] == 'oneloop'))\n"
+    )
+    code, out, err = run_python(script)
+    assert code == 0, err
+    return {name.partition(".")[2] or name for name in out.split()}
+
+
 class TestProcessStart:
+    @pytest.mark.parametrize("command", sorted(MODULE_BUDGET))
+    def test_module_budget(self, command):
+        # Each process compiles only what its command runs: center loads
+        # neither the exact rings nor the matrix model.
+        assert sorted(MODULE_BUDGET) == sorted(_COMMANDS)
+        loaded = loaded_modules([command, *SMALL_RUNS[command]])
+        assert loaded == {"oneloop", "cli", "record"} | MODULE_BUDGET[command]
+
+    def test_module_budget_check_can_fail(self):
+        # A module loaded before the run shows up in the set.
+        loaded = loaded_modules(["center", "--n", "2"], "import oneloop.matrices")
+        assert loaded - {"oneloop", "cli", "record"} - MODULE_BUDGET["center"] == {
+            "matrices", "polyfields", "exact", "params"}
+
     def test_json_and_fractions_load_only_when_used(self):
         # The CSV tables need neither json nor fractions, and lattice's
         # default algebra needs only fractions; the last lines show that

@@ -11,25 +11,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oneloop import liealg
+from oneloop import liealg, matrices
 from oneloop.exact import QI, QI_I
 from oneloop.fields import GeneratorName, generator
 from oneloop.liealg import (
     CenterVector,
+    f_generator,
+    fprime_generator,
+    ker_cap_su,
+    kernel_generators,
+    kernel_generators_n1,
+    structure_check,
+)
+from oneloop.matrices import (
     MatGl,
     StructureReport,
     algebra_basis,
     alpha,
     blocks,
-    f_generator,
-    fprime_generator,
     gl_decompose,
-    ker_cap_su,
-    kernel_generators,
-    kernel_generators_n1,
     semidirect,
     sigma,
-    structure_check,
 )
 from oneloop.polyfields import bracket
 
@@ -455,8 +457,8 @@ class TestStructureCheck:
         # instead of VK_SHEAR i eps_k T) must break exactly the four E/Ebar
         # pairs at n = 2.  The cached basis holds the elements built at the
         # shipped scale, so it is rebuilt on each side of the patch.
-        monkeypatch.setattr(liealg, "_CENTRAL_SCALE", liealg._CENTRAL_SCALE * 2)
-        liealg.algebra_basis.cache_clear()
+        monkeypatch.setattr(matrices, "_CENTRAL_SCALE", matrices._CENTRAL_SCALE * 2)
+        matrices.algebra_basis.cache_clear()
         report = structure_check(2)
         assert set(report.mismatches) == {
             ("E(0)", "Ebar(0)"), ("E(1)", "Ebar(1)"),
@@ -464,7 +466,7 @@ class TestStructureCheck:
         }
         assert len(report.mismatches) == 4
         monkeypatch.undo()
-        liealg.algebra_basis.cache_clear()
+        matrices.algebra_basis.cache_clear()
 
         # Rescaling the image of the central generator by 2 must break
         # exactly the translation pairs that bracket into the center.
@@ -474,7 +476,7 @@ class TestStructureCheck:
 
         basis4 = doubled(4, "U(1)")
         basis2 = doubled(2, "T")
-        monkeypatch.setattr(liealg, "algebra_basis", lambda n: basis2)
+        monkeypatch.setattr(matrices, "algebra_basis", lambda n: basis2)
         report = structure_check(2)
         assert not report.ok
         assert len(report.mismatches) == 4
@@ -484,7 +486,7 @@ class TestStructureCheck:
 
         # Doubling the image of U(1) at n = 4 breaks exactly these ordered
         # pairs: those whose bracket or whose factors involve U(1).
-        monkeypatch.setattr(liealg, "algebra_basis", lambda n: basis4)
+        monkeypatch.setattr(matrices, "algebra_basis", lambda n: basis4)
         report = structure_check(4)
         assert report.pairs_checked == 625
         assert report.mismatches == (
@@ -499,7 +501,7 @@ class TestStructureCheck:
 
 def per_pair_structure_check(n):
     """The structure check with alpha evaluated once per pair, no memo."""
-    basis = liealg.algebra_basis(n)
+    basis = matrices.algebra_basis(n)
     mismatches = tuple((label_x, label_y)
                        for label_x, x, image_x in basis for label_y, y, image_y in basis
                        if bracket(image_x, image_y) != alpha(y.commutator(x)))
@@ -523,7 +525,7 @@ class TestStructureMemo:
             calls.append(x)
             return alpha(x)
 
-        monkeypatch.setattr(liealg, "alpha", counting)
+        monkeypatch.setattr(matrices, "alpha", counting)
         report = structure_check(n)
         assert report.pairs_checked == len(algebra_basis(n)) ** 2
         assert len(calls) == len(set(calls)) == distinct
@@ -533,7 +535,7 @@ class TestStructureMemo:
         # element negated, both loops must flag the same pairs.
         basis = tuple((label, x, -image if label == "B(1,2)" else image)
                       for label, x, image in algebra_basis(3))
-        monkeypatch.setattr(liealg, "algebra_basis", lambda n: basis)
+        monkeypatch.setattr(matrices, "algebra_basis", lambda n: basis)
         report = structure_check(3)
         assert report.mismatches
         assert report == per_pair_structure_check(3)

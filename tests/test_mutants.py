@@ -33,7 +33,7 @@ from oneloop.cli import main
 MUTANTS = [
     ("metric-k_w", "geometry.py", '"    k_w = 2 / rho",', '"    k_w = 2.25 / rho",',
      [["curvature", "--n", "1", "--points", "1"]], 1, "verdict"),
-    ("central-scale-sign", "liealg.py", "_CENTRAL_SCALE = QI(0, -VK_SHEAR)",
+    ("central-scale-sign", "matrices.py", "_CENTRAL_SCALE = QI(0, -VK_SHEAR)",
      "_CENTRAL_SCALE = QI(0, VK_SHEAR)", [["structure", "--n", "2"]], 1, "verdict"),
     ("embed-matrix-q2-sign", "quatarith.py", "(0, 0, q.q2, 0), (0, -q.q1, 0, 0)",
      "(0, 0, -q.q2, 0), (0, -q.q1, 0, 0)", [["lattice", "--bound", "1"]], 1, "verdict"),

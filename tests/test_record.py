@@ -9,7 +9,8 @@ from oneloop.cli import RunConfig
 from oneloop.exact import QI
 from oneloop.geometry import PointBarN
 from oneloop.heis import HeisLatticePoint, HeisPoint, LatticeDescription
-from oneloop.liealg import CenterVector, MatGl, StructureReport
+from oneloop.liealg import CenterVector
+from oneloop.matrices import MatGl, StructureReport
 from oneloop.params import ModelParams
 from oneloop.polyfields import GeneratorName
 from oneloop.quatarith import QuatInt, QuatParams
@@ -71,3 +72,15 @@ def test_repr_and_defaults():
         "QuatInt(q0=1, q1=0, q2=0, q3=0, params=QuatParams(a=2, b=3))")
     assert repr(ModelParams(1)) == "ModelParams(n=1, c=0.0)"
     assert GeneratorName("T") == GeneratorName("T", None, None)
+
+
+def test_only_init_is_generated():
+    # One __eq__, __hash__ and __repr__ (and, when frozen, one __setattr__
+    # and __delattr__) serve every record; each class gets its own __init__.
+    classes = [case[0] for case in CASES]
+    for name in ("__eq__", "__hash__", "__repr__"):
+        assert len({vars(cls)[name] for cls in classes}) == 1, name
+    frozen = [cls for cls in classes if cls is not QuatInt]
+    for name in ("__setattr__", "__delattr__"):
+        assert len({vars(cls)[name] for cls in frozen}) == 1, name
+    assert len({vars(cls)["__init__"] for cls in classes}) == len(classes)

@@ -91,6 +91,65 @@ def test_no_numpy_on_a_synthetic_source():
     assert _numpy_imports(tree) == [2, 3, 6]
 
 
+def _cli_imports(tree):
+    """Line numbers of the imports of ``oneloop.cli`` in a package module's
+    syntax tree, absolute or relative, at any depth."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # A relative import is read as one from the package root.
+            base = ".".join(filter(None, ["oneloop" if node.level else None, node.module]))
+            targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(target.split(".")[:2] == ["oneloop", "cli"] for target in targets):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_module_imports_the_cli():
+    # Under python -m oneloop.cli the driver runs as __main__, so a suite
+    # that imported oneloop.cli would compile and execute the driver a
+    # second time in every process.
+    sources = sorted(Path(oneloop.__file__).parent.rglob("*.py"))
+    assert any(path.name == "cli.py" for path in sources)
+    found = [f"{path.name}:{line}" for path in sources
+             for line in _cli_imports(_parse(path))]
+    assert found == []
+
+
+def test_no_cli_import_on_a_synthetic_source():
+    tree = ast.parse("import os\n"
+                     "import oneloop.cli\n"
+                     "from oneloop.cli import main\n"
+                     "from oneloop import cli, geometry\n"
+                     "from .cli import RunConfig\n"
+                     "from . import cli as driver\n"
+                     "from .client import connect\n"
+                     "import oneloop.client\n"
+                     "from oneloop import clients\n"
+                     "def f():\n"
+                     "    from .cli import main\n")
+    assert _cli_imports(tree) == [2, 3, 4, 5, 6, 11]
+
+
+def test_handlers_live_with_their_suites():
+    # cli.py holds the table of commands; each handler is defined in the
+    # module that the table names, and none in cli.py.
+    from oneloop.cli import _COMMANDS
+
+    package = ROOT / "src" / "oneloop"
+    defined = {path.stem: {node.name for node in _parse(path).body
+                           if isinstance(node, ast.FunctionDef)}
+               for path in package.glob("*.py")}
+    assert not {name for name in defined["cli"] if name.startswith("cmd_")}
+    placed = [(module, handler) for (module, handler), *_ in _COMMANDS.values()]
+    assert len(placed) == 6
+    assert [entry for entry in placed if entry[1] not in defined[entry[0]]] == []
+
+
 def _is_all(node):
     """Is node an assignment to ``__all__``?"""
     targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
@@ -499,8 +558,8 @@ def test_exact_layer_takes_n_not_model_params():
     # that it ignores.
     package = ROOT / "src" / "oneloop"
     found = {name: _model_params_lines(_parse(package / name))
-             for name in ("polyfields.py", "liealg.py")}
-    assert found == {"polyfields.py": [], "liealg.py": []}
+             for name in ("polyfields.py", "matrices.py", "liealg.py")}
+    assert found == {"polyfields.py": [], "matrices.py": [], "liealg.py": []}
 
 
 def test_shears_and_signature_are_defined_once():
