@@ -73,7 +73,6 @@ class RunConfig:
     c_exact: Optional[Tuple[Fraction, int, int]] = None
     seed: int = 42
     points: int = 20
-    step: float = 1e-3
     bound: int = 3
     out: Optional[str] = None
     format: Optional[str] = None
@@ -90,8 +89,6 @@ class RunConfig:
             raise ConfigError(f"seed must be a 64-bit integer, got {self.seed!r}")
         if self.points < 1:
             raise ConfigError(f"points must be a positive integer, got {self.points!r}")
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ConfigError(f"step must be positive and finite, got {self.step!r}")
         if self.bound < 1:
             raise ConfigError(f"bound must be a positive integer, got {self.bound!r}")
         if not self.grid or not all(math.isfinite(r) and r > 0 for r in self.grid):
@@ -132,10 +129,10 @@ class RunConfig:
 
     def echo(self) -> Dict:
         """The numeric configuration that decided the report: the command's
-        own flags among n, seed, points and step, then c and any c_exact."""
+        own flags among n, seed and points, then c and any c_exact."""
         flags = _COMMANDS[self.command][1]
         payload = {name: getattr(self, name)
-                   for name in ("n", "seed", "points", "step") if name in flags}
+                   for name in ("n", "seed", "points") if name in flags}
         payload["c"] = self.effective_c
         if self.c_exact is not None:
             lam, a, b = self.c_exact
@@ -175,7 +172,7 @@ def _flag(value: bool) -> str:
 # float commands' matrices are at most 12x12 at the n they run.
 _COMMANDS = {
     "verify-killing": (("fields", "cmd_verify_killing"),
-                       ("n", "c", "c_exact", "seed", "points", "step", "format"), "json", (
+                       ("n", "c", "c_exact", "seed", "points", "format"), "json", (
         ("generator", str),
         ("max_residual", "{:.6e}".format),
         ("tolerance", "{:.1e}".format),
@@ -184,7 +181,7 @@ _COMMANDS = {
     "structure": (("liealg", "cmd_structure"), ("n",), "json", None),
     "center": (("liealg", "cmd_center"), ("n", "c"), "json", None),
     "curvature": (("geometry", "cmd_curvature"),
-                  ("n", "c", "c_exact", "seed", "points", "step"), "json", None),
+                  ("n", "c", "c_exact", "seed", "points"), "json", None),
     "lattice": (("quatarith", "cmd_lattice"), ("c_exact", "bound", "format"), "csv", (
         ("q0", str), ("q1", str), ("q2", str), ("q3", str), ("norm", str),
         ("su11_ok", _flag), ("preserves_gamma2", _flag),
@@ -237,7 +234,6 @@ _FLAGS = {
                     "also selects the quaternion algebra for 'lattice'"),
     "seed": dict(type=int, help="PRNG seed"),
     "points": dict(type=int, help="seeded point count"),
-    "step": dict(type=float, help="finite-difference step"),
     "bound": dict(type=int, help="enumeration bound"),
     "out": dict(help="also write output to this path"),
     "format": dict(choices=("json", "csv")),

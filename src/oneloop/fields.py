@@ -13,8 +13,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from .exact import VarTable
 from .geometry import (
-    ModelParams, PointBarN, _max_abs, _upper, _weighted_sum, ix_phi, ix_rho, ix_u, ix_v,
-    ix_x, ix_y, metric_first_derivatives, metric_gram, seeded_points,
+    FD_STEP, ModelParams, PointBarN, _max_abs, _upper, _weighted_sum, ix_phi, ix_rho, ix_u,
+    ix_v, ix_x, ix_y, metric_first_derivatives, metric_gram, seeded_points,
 )
 from .params import VK_SHEAR
 from .polyfields import (  # noqa: F401 -- bracket is re-exported
@@ -204,8 +204,7 @@ def _lie_derivatives(evaluate: _ChartEvaluator, p: PointBarN,
     return out
 
 
-def killing_residuals(params: ModelParams, points: Sequence[PointBarN],
-                      step: float = 1e-3):
+def killing_residuals(params: ModelParams, points: Sequence[PointBarN]):
     """Max relative Killing residual per catalogued real generator.
 
     Returns (ordered dict label -> max over points of |L_F g|_inf / |g|_inf,
@@ -218,7 +217,7 @@ def killing_residuals(params: ModelParams, points: Sequence[PointBarN],
     control = 0.0
     for p in points:
         q = p.to_chart()
-        D1 = metric_first_derivatives(q, params, step=step)
+        D1 = metric_first_derivatives(q, params)
         g = metric_gram(p, params)
         ginf = _max_abs([x for row in g for x in row])
         L = _lie_derivatives(evaluate, p, params, D1, g)
@@ -236,7 +235,7 @@ def cmd_verify_killing(config) -> Tuple[Dict, List[Dict], int]:
     """The ``verify-killing`` command of :mod:`oneloop.cli`, on its RunConfig."""
     params = ModelParams(n=config.n, c=config.effective_c)
     points = seeded_points(params, config.points, seed=config.seed)
-    residuals, control = killing_residuals(params, points, step=config.step)
+    residuals, control = killing_residuals(params, points)
     rows = [
         {
             "generator": label,
@@ -261,7 +260,7 @@ def cmd_verify_killing(config) -> Tuple[Dict, List[Dict], int]:
     all_pass = all(row["pass"] for row in rows) and control_row["exceeds_threshold"]
     report = {
         "command": "verify-killing",
-        "config": config.echo(),
+        "config": dict(config.echo(), step=FD_STEP),
         "rows": rows,
         "control": control_row,
         "all_pass": all_pass,

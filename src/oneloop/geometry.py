@@ -369,8 +369,10 @@ def fiber_density_split(p, params):
     return rho_factor, math.exp(log_root_det) / rho_factor
 
 
-# Fourth-order central stencils; first-derivative weights divide by 12h, the
-# second-derivative weights by 12h^2.
+# Fourth-order central stencils with steps FD_STEP*max(1, |q_k|); the
+# verdicts' tolerances are calibrated at this step.  First-derivative weights
+# divide by 12h, the second-derivative weights by 12h^2.
+FD_STEP = 1e-3
 _D1_OFFSETS = (2, 1, -1, -2)
 _D1_WEIGHTS = (-1.0, 8.0, -8.0, 1.0)
 _D2_OFFSETS = (2, 1, 0, -1, -2)
@@ -379,19 +381,14 @@ _D2_WEIGHTS = (-1.0, 16.0, -30.0, 16.0, -1.0)
 _MIXED_WEIGHTS = tuple(w1 * w2 for w1 in _D1_WEIGHTS for w2 in _D1_WEIGHTS)
 
 
-def _fd_steps(q, step):
-    """The per-coordinate steps step*max(1, |q_k|).  A step that q_k + h_k or
-    q_k - h_k rounds back to q_k, or whose square (the second-derivative
-    divisor) is below the normal floats, raises ValueError: the stencil
-    would divide rounding noise by it."""
-    if not step > 0:
-        raise ValueError("step must be positive")
-    steps = [step * max(1.0, abs(x)) for x in q]
-    for k, (x, h) in enumerate(zip(q, steps)):
-        if x + h == x or x - h == x or h * h < 2.0 ** -1022:
-            raise ValueError(f"finite-difference step {step!r} is too small to move "
-                             f"chart coordinate q[{k}] = {x!r}")
-    return steps
+def _fd_steps(q):
+    """The per-coordinate steps FD_STEP*max(1, |q_k|).  A non-finite q_k
+    raises ValueError: no stencil around it is finite."""
+    for k, x in enumerate(q):
+        if not math.isfinite(x):
+            raise ValueError(f"finite-difference stencil needs finite chart coordinates, "
+                             f"got q[{k}] = {x!r}")
+    return [FD_STEP * max(1.0, abs(x)) for x in q]
 
 
 def _stencil(q, params, points, weights, divisor, entries):
@@ -420,29 +417,29 @@ def _stencil(q, params, points, weights, divisor, entries):
     return out
 
 
-def metric_first_derivatives(q, params, step=1e-3):
+def metric_first_derivatives(q, params):
     """d_k g_{ij} at a chart point via 4th-order central differences.
 
     Returns D1 with D1[k] the derivative of the Gram matrix along chart
     coordinate k as a flat upper triangle (``_upper``), using per-coordinate
-    steps step*max(1, |q_k|).  Each coordinate costs four Gram evaluations;
+    steps FD_STEP*max(1, |q_k|).  Each coordinate costs four Gram evaluations;
     the stencil is summed only on the entries of ``_pattern(n)[0][k]``, and
     every other one, which cannot depend on q_k (all of d_phi g), is 0.0.
     """
     q = [float(x) for x in q]
     first = _pattern(params.n)[0]
     return [_stencil(q, params, [(k, q[k] + off * hk) * 2 for off in _D1_OFFSETS], _D1_WEIGHTS,
-                     12.0 * hk, first[k]) for k, hk in enumerate(_fd_steps(q, step))]
+                     12.0 * hk, first[k]) for k, hk in enumerate(_fd_steps(q))]
 
 
-def _metric_second_derivatives(q, params, step):
+def _metric_second_derivatives(q, params):
     """d_k d_l g_{ij}: 5-point diagonal and tensor-product mixed stencils.
 
     D2[k][l] is the flat upper triangle of second derivatives along k and l,
     exact 0.0 off ``_pattern(n)[1][k][l]``; D2[l][k] is the same list.
     """
     q = [float(x) for x in q]
-    h = _fd_steps(q, step)
+    h = _fd_steps(q)
     second = _pattern(params.n)[1]
     D2 = [[None] * len(q) for _ in q]
     for k, hk in enumerate(h):
@@ -457,7 +454,7 @@ def _metric_second_derivatives(q, params, step):
     return D2
 
 
-def ricci_fd(p, params, step=1e-3):
+def ricci_fd(p, params):
     """Ricci tensor at p from finite differences of the Gram matrix.
 
     Ric_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kl Gamma^l_ij
@@ -475,8 +472,8 @@ def ricci_fd(p, params, step=1e-3):
     index, pairs, rows = _upper(dim)
     second = _pattern(params.n)[1]
     ginv = _spd_inverse(_symmetric(_gram_from_chart(q, params), dim), params)
-    D1 = metric_first_derivatives(q, params, step)
-    D2 = _metric_second_derivatives(q, params, step)
+    D1 = metric_first_derivatives(q, params)
+    D2 = _metric_second_derivatives(q, params)
     combine = _weighted_sum(dim)
     # lowered[e][l] = Gamma_{l,ij} for each entry e = (i, j) of the triangle,
     # gamma[k][e] = Gamma^k_ij and G[i][k * dim + l] = Gamma^k_il.
@@ -519,14 +516,14 @@ def ricci_fd(p, params, step=1e-3):
                        for e, ((i, j), low) in enumerate(zip(pairs, lowered))], dim)
 
 
-def einstein_diagnostic(p, params, step=1e-3):
+def einstein_diagnostic(p, params):
     """(lambda, relative residual) of the Einstein condition Ric = lambda*g at p.
 
     lambda = trace(g^{-1} Ric)/(4n); the residual is max|Ric - lambda*g|
     relative to max|g|.
     """
     g = metric_gram(p, params)
-    ric = ricci_fd(p, params, step)
+    ric = ricci_fd(p, params)
     ginv = _spd_inverse(g, params)
     lam = sum(x * y for grow, rrow in zip(ginv, ric) for x, y in zip(grow, rrow)) / (4 * params.n)
     deviation = [r - lam * x for rrow, grow in zip(ric, g) for r, x in zip(rrow, grow)]
@@ -587,7 +584,7 @@ def cmd_curvature(config) -> tuple[dict, None, int]:
     lambdas = []
     max_residual = 0.0
     for index, p in enumerate(points):
-        lam, residual = einstein_diagnostic(p, params, step=config.step)
+        lam, residual = einstein_diagnostic(p, params)
         if not (math.isfinite(lam) and math.isfinite(residual)):
             raise OverflowError(
                 f"curvature at point {index} leaves the float range at "
@@ -604,7 +601,7 @@ def cmd_curvature(config) -> tuple[dict, None, int]:
     )
     payload = {
         "command": "curvature",
-        "config": config.echo(),
+        "config": dict(config.echo(), step=FD_STEP),
         "tolerance": EINSTEIN_TOLERANCE,
         "rows": rows,
         "lambda_mean": mean_lambda,

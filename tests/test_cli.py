@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -19,6 +20,11 @@ import pytest
 import oneloop
 import oneloop.cli
 from oneloop.cli import _COMMANDS, ConfigError, RunConfig, build_config, main
+from oneloop.fields import killing_residuals
+from oneloop.geometry import (
+    ModelParams, PointBarN, _gram_from_chart, _metric_second_derivatives,
+    metric_first_derivatives,
+)
 from oneloop.quatarith import QuatParams, c_compatible
 
 
@@ -34,14 +40,14 @@ def run_cli(capsys, args):
 
 # The flags that each command reads and takes, besides --out.
 FLAGS = {
-    "verify-killing": ("n", "c", "c_exact", "seed", "points", "step", "format"),
-    "curvature": ("n", "c", "c_exact", "seed", "points", "step"),
+    "verify-killing": ("n", "c", "c_exact", "seed", "points", "format"),
+    "curvature": ("n", "c", "c_exact", "seed", "points"),
     "structure": ("n",),
     "center": ("n", "c"),
     "lattice": ("c_exact", "bound", "format"),
     "volume-table": ("n", "c", "c_exact", "grid", "format"),
 }
-# Every flag, and the retired --vd and --config, which no command takes.
+# Every flag, and the retired --step, --vd and --config, which no command takes.
 ALL_FLAGS = ("n", "c", "c_exact", "seed", "points", "step", "bound", "out", "format",
              "grid", "vd", "config")
 
@@ -58,7 +64,6 @@ class TestConfig:
         assert config.c == 1.0
         assert config.seed == 42
         assert config.points == 20
-        assert config.step == 1e-3
         assert config.bound == 3
         assert config.format is None
         assert config.effective_format == "json"
@@ -99,8 +104,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(command="structure", points=0)
         with pytest.raises(ConfigError):
-            RunConfig(command="structure", step=0.0)
-        with pytest.raises(ConfigError):
             RunConfig(command="lattice", bound=0)
         with pytest.raises(ConfigError):
             RunConfig(command="volume-table", grid=(1.0, -2.0))
@@ -127,9 +130,9 @@ class TestConfig:
     @pytest.mark.parametrize(
         "args, field",
         [
-            (["verify-killing", "--n", "1", "--points", "2", "--step", "nan",
-              "--format", "csv"], "step"),
-            (["curvature", "--n", "1", "--points", "1", "--step", "inf"], "step"),
+            (["verify-killing", "--n", "1", "--points", "2", "--c", "nan",
+              "--format", "csv"], "c"),
+            (["curvature", "--n", "1", "--points", "1", "--c", "nan"], "c"),
             (["volume-table", "--grid", "nan"], "grid"),
             (["volume-table", "--grid", "1,inf"], "grid"),
             (["volume-table", "--grid", "1,-inf"], "grid"),
@@ -308,7 +311,7 @@ class TestCurvatureCommand:
         # not a reported result.
         calls = iter([(-6.0, 0.0), (-6.0, float("nan")), (-6.0, 0.0)])
         monkeypatch.setattr(
-            "oneloop.geometry.einstein_diagnostic", lambda p, params, step: next(calls)
+            "oneloop.geometry.einstein_diagnostic", lambda p, params: next(calls)
         )
         code, out, err = run_cli(capsys, ["curvature", "--n", "1", "--points", "3"])
         assert (code, out) == (2, "")
@@ -327,39 +330,29 @@ class TestCurvatureCommand:
 
 
 class TestStencilErrors:
-    """A stencil that leaves the chart or the float range exits 2 with one
-    line on stderr and nothing on stdout."""
+    """The stencils behind each float command raise one OverflowError when a
+    stencil point leaves the float range, which main reports as exit 2; no
+    seeded point reaches it."""
 
     @pytest.mark.parametrize("command", ["curvature", "verify-killing"])
-    def test_overflowing_step(self, capsys, command):
-        code, out, err = run_cli(
-            capsys, [command, "--n", "1", "--points", "1", "--step", "1e200"])
-        assert (code, out) == (2, "")
-        prefix = ("error: finite-difference stencil leaves the float range: "
+    def test_overflowing_step(self, command):
+        # The Gram entries are finite at this rho, but rho + 2h, h = 1e-3 rho,
+        # squares past the float range.
+        params = ModelParams(1, 1.0)
+        p = PointBarN(X=(), w=(0.5 + 0.5j,), phi_tilde=0.3, rho=1.34e154)
+        q = p.to_chart()
+        assert all(map(math.isfinite, _gram_from_chart(q, params)))
+        calls = {"curvature": [lambda: metric_first_derivatives(q, params),
+                               lambda: _metric_second_derivatives(q, params)],
+                 "verify-killing": [lambda: killing_residuals(params, [p])]}[command]
+        prefix = ("finite-difference stencil leaves the float range: "
                   "rho**2 overflows at chart coordinate rho = ")
-        assert err.startswith(prefix) and err.endswith("\n")
-        assert float(err[len(prefix):]) > 1e154  # the shifted rho, squared past the range
-
-    @pytest.mark.parametrize("command", ["curvature", "verify-killing"])
-    def test_step_leaving_the_chart(self, capsys, command):
-        code, out, err = run_cli(
-            capsys, [command, "--n", "1", "--points", "1", "--step", "0.7"])
-        assert (code, out) == (2, "")
-        assert err.startswith("error: finite-difference stencil leaves the chart: "
-                              "rho must be positive, got -")
-        assert err.count("\n") == 1 and err.endswith("\n")
-
-    @pytest.mark.parametrize("step", ["1e-20", "1e-170"])
-    @pytest.mark.parametrize("command", ["curvature", "verify-killing"])
-    def test_step_too_small(self, capsys, command, step):
-        # q_k + h_k rounds to q_k (or h_k**2 underflows): the stencil would
-        # divide rounding noise by 12 h_k or 12 h_k**2.
-        code, out, err = run_cli(
-            capsys, [command, "--n", "1", "--points", "1", "--step", step])
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: finite-difference step {float(step)!r} is too small "
-                              "to move chart coordinate q[")
-        assert err.count("\n") == 1 and err.endswith("\n")
+        for call in calls:
+            with pytest.raises(OverflowError) as info:
+                call()
+            message = str(info.value)
+            assert message.startswith(prefix)
+            assert float(message[len(prefix):]) > 1.34e154  # a shifted rho
 
 
 def child_env():
@@ -835,10 +828,10 @@ def run_parser(capsys, monkeypatch, args):
 # text lists the flags that command takes.
 HELP_SHA256 = {
     (): "9913284e225edbadca4fefde66826506f9ab95355fdb11db1b52b0cf8c289f68",
-    ("verify-killing",): "123ea67a4147091a675fd9fc055d594d8134f3f5821d5ecdecd4d0d22f66feff",
+    ("verify-killing",): "ee78bea18c7f81f811ccdc87854184e48829acf13fde538369729f55fca13047",
     ("structure",): "2c0cc8a7eee382fbf89e1889934e44a474b42a796e3198d416139e12139ac20e",
     ("center",): "5aede827fe57e7b39c383d5ddcee3c0a8775274c262c441e8efb63c865444b33",
-    ("curvature",): "87b0b3ed9346e31962ac46b04f7d388bc75e085bf3231a62ec2d8e6956c8d401",
+    ("curvature",): "932c55bbb3752ec83f141f271cad0dba74ffdbdb494ff40cda9f184f003993dc",
     ("lattice",): "f5f91d2efca12cd4774232824efea917a9e6ce6d5ec854ac5bd9fcce03dcbbe6",
     ("volume-table",): "3dea0e2c0500374dcd5896b57d2ae3afb8d53cc59b293e4edb7fa3d5807e16b2",
 }
@@ -895,7 +888,7 @@ class TestFlagTable:
 
     def test_table(self):
         assert {name: entry[1] for name, entry in _COMMANDS.items()} == FLAGS
-        assert sum(len(flags) + 1 for flags in FLAGS.values()) == 30
+        assert sum(len(flags) + 1 for flags in FLAGS.values()) == 28
         for _, flags, _, columns in _COMMANDS.values():
             assert ("format" in flags) == (columns is not None)
 

@@ -212,13 +212,13 @@ def complex_components(F, p, c_value):
     return evaluator_table(_ChartEvaluator([F]), p, c_value)[0, :, -1]
 
 
-def killing_oracle(params, points, step=1e-3):
+def killing_oracle(params, points):
     """killing_residuals with one field at a time and the oracles above."""
     catalogue = real_killing_catalogue(params)
     residuals = {label: 0.0 for label, _ in catalogue}
     control = 0.0
     for p in points:
-        D1 = metric_first_derivatives(p.to_chart(), params, step=step)
+        D1 = metric_first_derivatives(p.to_chart(), params)
         g = metric_gram(p, params)
         ginf = float(np.max(np.abs(g)))
         for label, F in catalogue:
@@ -231,7 +231,7 @@ def killing_oracle(params, points, step=1e-3):
     return residuals, control
 
 
-def killing_one_field_at_a_time(params, points, step=1e-3):
+def killing_one_field_at_a_time(params, points):
     """killing_residuals through the same plain-Python path, with one chart
     evaluator per field instead of one for the catalogue."""
     max_abs = oneloop.geometry._max_abs
@@ -240,7 +240,7 @@ def killing_one_field_at_a_time(params, points, step=1e-3):
     residuals = {label: 0.0 for label, _ in catalogue}
     control = 0.0
     for p in points:
-        D1 = metric_first_derivatives(p.to_chart(), params, step=step)
+        D1 = metric_first_derivatives(p.to_chart(), params)
         g = metric_gram(p, params)
         ginf = max_abs([x for row in g for x in row])
         for label, evaluate in evaluators:
@@ -683,17 +683,11 @@ class TestKilling:
         params = ModelParams(1, 1.0)
         points = seeded_points(params, 2)
         monkeypatch.setattr(oneloop.fields, "metric_first_derivatives",
-                            lambda q, params, step: [[math.nan] * 10] * 4)
+                            lambda q, params: [[math.nan] * 10] * 4)
         residuals, control = killing_residuals(params, points)
         assert residuals and all(math.isnan(res) for res in residuals.values())
         assert not any(res <= 1e-6 for res in residuals.values())
         assert math.isnan(control)
-
-    def test_nan_step_is_rejected(self):
-        # A NaN step fails the step check instead of yielding NaN rows.
-        params = ModelParams(1, 1.0)
-        with pytest.raises(ValueError, match="step must be positive"):
-            killing_residuals(params, seeded_points(params, 1), step=float("nan"))
 
     def test_fiber_translations_miss_by_angle_shear_mismatch(self):
         # Characterization: a fiber translation with half the metric's angle

@@ -1,6 +1,7 @@
 """Metric family: Bergman block, full Gram matrix, determinant, fiber data, Ricci."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -161,13 +162,13 @@ def on_pattern(entries, dim):
     return mask
 
 
-def first_derivatives_numpy(q, params, step=1e-3):
+def first_derivatives_numpy(q, params):
     """metric_first_derivatives as dense numpy stencil loops, on the same
-    Gram matrices, as an array D1[k, i, j]: the oracle for the plain-Python
-    stencils."""
+    Gram matrices and steps 1e-3 max(1, |q_k|), as an array D1[k, i, j]: the
+    oracle for the plain-Python stencils."""
     q = np.asarray(q, dtype=float)
     dim = q.size
-    h = step * np.maximum(1.0, np.abs(q))
+    h = 1e-3 * np.maximum(1.0, np.abs(q))
     D1 = np.empty((dim, dim, dim))
     qq = q.copy()
     for k in range(dim):
@@ -181,12 +182,12 @@ def first_derivatives_numpy(q, params, step=1e-3):
     return D1
 
 
-def second_derivatives_numpy(q, params, step):
+def second_derivatives_numpy(q, params):
     """geometry._metric_second_derivatives as dense numpy stencil loops, as
     an array D2[k, l, i, j]."""
     q = np.asarray(q, dtype=float)
     dim = q.size
-    h = step * np.maximum(1.0, np.abs(q))
+    h = 1e-3 * np.maximum(1.0, np.abs(q))
     D2 = np.empty((dim, dim, dim, dim))
     qq = q.copy()
     for k in range(dim):
@@ -603,8 +604,8 @@ class TestStencilBits:
         second = geometry._pattern(n)[1]
         p = seeded_points(params, 1, seed=23)[0]
         q = p.to_chart()
-        D2 = geometry._metric_second_derivatives(q, params, 1e-3)
-        oracle = second_derivatives_numpy(q, params, 1e-3)
+        D2 = geometry._metric_second_derivatives(q, params)
+        oracle = second_derivatives_numpy(q, params)
         g = gram_matrix(q, params)
         h = [1e-3 * max(1.0, abs(x)) for x in q]
         for k in range(dim):
@@ -630,7 +631,7 @@ class TestStencilBits:
         p = seeded_points(params, 1, seed=23)[0]
         q = p.to_chart()
         D1 = first_derivatives_numpy(q, params)
-        D2 = second_derivatives_numpy(q, params, 1e-3)
+        D2 = second_derivatives_numpy(q, params)
         for k in range(dim):
             D1[k][~on_pattern(first[k], dim)] = 0.0
             for l in range(dim):
@@ -715,8 +716,8 @@ class TestRicci:
         lams = []
         for p in seeded_points(params, 2, seed=5):
             g = np.array(metric_gram(p, params))
-            ric = np.array(ricci_fd(p, params, step=1e-3))
-            lam, residual = einstein_diagnostic(p, params, step=1e-3)
+            ric = np.array(ricci_fd(p, params))
+            lam, residual = einstein_diagnostic(p, params)
             assert residual <= 1e-4
             assert lam < 0
             assert abs(lam + 6.0) <= 1e-6 * 6.0
@@ -731,14 +732,24 @@ class TestRicci:
         params = ModelParams(n, c)
         expected = -2.0 * (n + 2)
         for p in seeded_points(params, count, seed=5):
-            lam, residual = einstein_diagnostic(p, params, step=1e-3)
+            lam, residual = einstein_diagnostic(p, params)
             assert residual <= 1e-4
             assert abs(lam - expected) <= 1e-6 * abs(expected)
 
     def test_stencil_range_error(self):
         p = PointBarN(X=(), w=(0,), phi_tilde=0.0, rho=1e-5)
         with pytest.raises(ValueError, match="stencil"):
-            ricci_fd(p, ModelParams(1, 0.0), step=1e-3)
+            ricci_fd(p, ModelParams(1, 0.0))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_error(self, x):
+        # One error naming the coordinate, before any Gram evaluation, in
+        # place of NaN derivatives mixed with finite ones.
+        q = [1.0, x, 0.5, 0.1]
+        message = rf"^finite-difference stencil needs finite chart coordinates, got q\[1\] = {x!r}$"
+        for derivatives in (metric_first_derivatives, geometry._metric_second_derivatives):
+            with pytest.raises(ValueError, match=message):
+                derivatives(q, ModelParams(1, 1.0))
 
 
 class TestSampling:

@@ -33,6 +33,10 @@ from oneloop.cli import main
 MUTANTS = [
     ("metric-k_w", "geometry.py", '"    k_w = 2 / rho",', '"    k_w = 2.25 / rho",',
      [["curvature", "--n", "1", "--points", "1"]], 1, "verdict"),
+    # The Einstein tolerance is calibrated at the step 1e-3; at 1e-1 the
+    # truncation error alone fails curvature's verdict.
+    ("fd-step", "geometry.py", "FD_STEP = 1e-3", "FD_STEP = 1e-1",
+     [["curvature", "--n", "1", "--points", "1"]], 1, "verdict"),
     ("central-scale-sign", "matrices.py", "_CENTRAL_SCALE = QI(0, -VK_SHEAR)",
      "_CENTRAL_SCALE = QI(0, VK_SHEAR)", [["structure", "--n", "2"]], 1, "verdict"),
     ("embed-matrix-q2-sign", "quatarith.py", "(0, 0, q.q2, 0), (0, -q.q1, 0, 0)",

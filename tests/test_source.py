@@ -598,6 +598,49 @@ def test_fact_checks_on_a_synthetic_source():
     assert _model_params_lines(tree) == [12, 17, 18]
 
 
+def _step_facts(tree):
+    """Lines of a tree's parameters named ``step`` (of functions and lambdas)
+    and of its assignments to a name or attribute FD_STEP, at any depth."""
+    params = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.arg) and node.arg == "step"]
+    assigned = [target.lineno for node in ast.walk(tree)
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+                for root in getattr(node, "targets", None) or [node.target]
+                for target in ast.walk(root)
+                if isinstance(target, ast.Name) and target.id == "FD_STEP"
+                or isinstance(target, ast.Attribute) and target.attr == "FD_STEP"]
+    return sorted(params), sorted(assigned)
+
+
+def test_finite_difference_step_is_one_constant():
+    # The float verdicts' tolerances are calibrated at one step, FD_STEP in
+    # geometry.py: no function takes a step that would move it.
+    found = {path.name: _step_facts(_parse(path))
+             for path in sorted((ROOT / "src" / "oneloop").glob("*.py"))}
+    assert {name: params for name, (params, _) in found.items() if params} == {}
+    assert {name: len(lines) for name, (_, lines) in found.items() if lines} == {
+        "geometry.py": 1}
+
+
+STEPS = """
+FD_STEP = 1e-3
+
+
+def derivative(q, params, step=FD_STEP):
+    return [x + step for x in q]
+
+
+def rescale(h, *, step):
+    geometry.FD_STEP = step
+    FD_STEP, other = 2e-3, lambda step: step
+    return h * FD_STEP
+"""
+
+
+def test_step_checks_on_a_synthetic_source():
+    assert _step_facts(ast.parse(STEPS)) == ([5, 9, 11], [2, 10, 11])
+
+
 RING_PRIVATE = {"_n", "_d", "_p", "_embeds", "_operand", "_refuse", "_element"}
 
 
