@@ -34,15 +34,19 @@ when all row flags verify (lattice) or each row's closed tail agrees with
 its quadrature (volume-table).  Invalid input and an ``--out`` path that
 cannot be written exit 2, with nothing on stdout.
 
-Every value comes from argv, parsed once by argparse.  Each subcommand takes
-only the flags it reads, listed in its ``_COMMANDS`` entry, plus ``--out``;
-any other flag, or a prefix of one, exits 2 through argparse.  A flag that
-is not given keeps its ``RunConfig`` default.
+Every value comes from argv.  Each subcommand takes only the flags it reads,
+listed in its ``_COMMANDS`` entry, plus ``--out``.  An argv of the form
+``COMMAND (--flag VALUE)*`` is read straight from ``_COMMANDS`` and
+``_FLAGS``, so such a process never loads argparse.  Anything else (help,
+``--flag=value``, a value that starts with ``-``, a flag given twice, a flag
+the command does not take or a prefix of one, a value that does not convert)
+goes to the argparse parser built from the same tables, which gives the same
+values or exits 2 with its usage message.  A flag that is not given keeps its
+``RunConfig`` default.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -50,7 +54,8 @@ from typing import TYPE_CHECKING, Callable, Dict, NoReturn, Optional, Sequence, 
 
 from .record import record
 
-if TYPE_CHECKING:  # json and fractions load only where they are used
+if TYPE_CHECKING:  # argparse, json and fractions load only where they are used
+    import argparse
     from fractions import Fraction
 
 __all__ = ["RunConfig", "ConfigError", "main", "run"]
@@ -204,6 +209,8 @@ def _parse_c_exact(text: str) -> Tuple[Fraction, int, int]:
 
     parts = text.split(":")
     if len(parts) != 3:
+        import argparse
+
         raise argparse.ArgumentTypeError(
             "expected lam:a:b, e.g. 1:2:3 or 1/2:3:7"
         )
@@ -212,6 +219,8 @@ def _parse_c_exact(text: str) -> Tuple[Fraction, int, int]:
         a = int(parts[1])
         b = int(parts[2])
     except (ValueError, ZeroDivisionError) as exc:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"bad lam:a:b value: {exc}") from exc
     return lam, a, b
 
@@ -220,6 +229,8 @@ def _parse_grid(text: str) -> Tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"bad rho grid: {exc}") from exc
 
 
@@ -247,6 +258,8 @@ _COMMAND_HELP = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     # No prefix abbreviations: --c would otherwise read as --c-exact on
     # lattice, which does not take --c.
     parser = argparse.ArgumentParser(
@@ -266,8 +279,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_argv(argv: Sequence[str]) -> Optional[Dict[str, object]]:
+    """``vars(_build_parser().parse_args(argv))`` read from the tables, for
+    argv of the form COMMAND (--flag VALUE)*: each flag spelled in full, one
+    that the command takes, given once, and each value not starting with "-"
+    and converted by its flag's type or among its choices.  None for any
+    other argv, which argparse then parses."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    flags = _COMMANDS[argv[0]][1] + ("out",)
+    args = {"command": argv[0], **dict.fromkeys(flags)}
+    unread = {"--" + flag.replace("_", "-"): flag for flag in flags}
+    for option, text in zip(argv[1::2], argv[2::2]):
+        flag = unread.pop(option, None)
+        if flag is None or text.startswith("-"):
+            return None
+        spec = _FLAGS[flag]
+        try:
+            value = spec.get("type", str)(text)
+        except Exception:  # argparse calls the same type on the same text
+            return None  # and reports the failure, or raises it, as before
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        args[flag] = value
+    return args
+
+
 def build_config(argv: Sequence[str]) -> RunConfig:
-    args = vars(_build_parser().parse_args(argv))
+    args = _read_argv(argv)
+    if args is None:
+        args = vars(_build_parser().parse_args(argv))
     if args.get("c") is not None and args.get("c_exact") is not None:
         raise ConfigError("--c and --c-exact both set c; give one of them")
     # A flag that is not given keeps its RunConfig default.

@@ -295,10 +295,11 @@ def _max_abs(values):
     return max(map(abs, values))
 
 
-def _cholesky(g, params):
+def _cholesky(g, params, rho):
     """Lower-triangular L with L L^T = g, as rows, column by column as
     LAPACK's unblocked Cholesky forms it.  A pivot that is not positive
-    fails the floating-point positive-definiteness test: ArithmeticError."""
+    fails the floating-point positive-definiteness test: ArithmeticError,
+    naming c, n and the rho of the point where g was evaluated."""
     dim = len(g)
     L = [[] for _ in range(dim)]
     for j in range(dim):
@@ -306,9 +307,9 @@ def _cholesky(g, params):
         pivot = g[j][j] - sum(map(mul, Lj, Lj))
         if not pivot > 0:
             raise ArithmeticError(
-                f"Gram matrix at c = {params.c!r}, n = {params.n} is finite but fails "
-                "the floating-point positive-definiteness test: it is too "
-                "ill-conditioned at this c")
+                f"Gram matrix at c = {params.c!r}, n = {params.n}, rho = {rho!r} is finite "
+                "but fails the floating-point positive-definiteness test: it is too "
+                "ill-conditioned at this c and rho")
         pivot = math.sqrt(pivot)
         scale = 1.0 / pivot
         for i in range(j + 1, dim):
@@ -317,9 +318,9 @@ def _cholesky(g, params):
     return L
 
 
-def _spd_inverse(g, params):
+def _spd_inverse(g, params, rho):
     """g^-1 = L^-T L^-1 from the Cholesky factor; exactly symmetric."""
-    L = _cholesky(g, params)
+    L = _cholesky(g, params, rho)
     dim = len(L)
     M = []  # L^-1, lower triangular, by forward substitution
     for i, row in enumerate(L):
@@ -339,7 +340,7 @@ def metric_gram(p, params):
     if not all(map(math.isfinite, g)):
         raise OverflowError(f"Gram matrix leaves the float range at c = {params.c!r}")
     g = _symmetric(g, 4 * params.n)
-    _cholesky(g, params)
+    _cholesky(g, params, p.rho)
     return g
 
 
@@ -365,7 +366,7 @@ def fiber_density_split(p, params):
 
     g = metric_gram(p, params)
     rho_factor = density(p.rho, params)
-    log_root_det = sum(math.log(row[-1]) for row in _cholesky(g, params))
+    log_root_det = sum(math.log(row[-1]) for row in _cholesky(g, params, p.rho))
     return rho_factor, math.exp(log_root_det) / rho_factor
 
 
@@ -471,7 +472,7 @@ def ricci_fd(p, params):
     span = range(dim)
     index, pairs, rows = _upper(dim)
     second = _pattern(params.n)[1]
-    ginv = _spd_inverse(_symmetric(_gram_from_chart(q, params), dim), params)
+    ginv = _spd_inverse(_symmetric(_gram_from_chart(q, params), dim), params, p.rho)
     D1 = metric_first_derivatives(q, params)
     D2 = _metric_second_derivatives(q, params)
     combine = _weighted_sum(dim)
@@ -524,7 +525,7 @@ def einstein_diagnostic(p, params):
     """
     g = metric_gram(p, params)
     ric = ricci_fd(p, params)
-    ginv = _spd_inverse(g, params)
+    ginv = _spd_inverse(g, params, p.rho)
     lam = sum(x * y for grow, rrow in zip(ginv, ric) for x, y in zip(grow, rrow)) / (4 * params.n)
     deviation = [r - lam * x for rrow, grow in zip(ric, g) for r, x in zip(rrow, grow)]
     return lam, _max_abs(deviation) / _max_abs([x for row in g for x in row])

@@ -2,6 +2,7 @@
 semantics, and the pinned example outputs."""
 
 import ast
+import contextlib
 import csv
 import hashlib
 import importlib
@@ -16,10 +17,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oneloop
 import oneloop.cli
-from oneloop.cli import _COMMANDS, ConfigError, RunConfig, build_config, main
+from oneloop.cli import (_COMMANDS, _FLAGS, ConfigError, RunConfig, _build_parser, _read_argv,
+                         build_config, main)
 from oneloop.fields import killing_residuals
 from oneloop.geometry import (
     ModelParams, PointBarN, _gram_from_chart, _metric_second_derivatives,
@@ -439,6 +443,34 @@ class TestProcessStart:
         code, _, err = run_python(script)
         assert code == 0, err
 
+    def test_argparse_loads_only_for_help_and_errors(self):
+        # A well-formed argv is read from the flag table: no process that
+        # runs one loads argparse, or the gettext and locale it brings.  Help
+        # and a rejected flag still go through argparse.
+        parser_modules = {"argparse", "gettext", "locale"}
+        script = (
+            "import contextlib, io, sys\n"
+            "from oneloop.cli import main\n"
+            f"for argv in {[[command, *args] for command, args in SMALL_RUNS.items()]!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) in (0, 1), argv\n"
+            f"print(*sorted({parser_modules!r} & set(sys.modules)))\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            "        main(sys.argv[1:])\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            f"print(*sorted({parser_modules!r} & set(sys.modules)))\n"
+        )
+        assert sorted(SMALL_RUNS) == sorted(_COMMANDS)
+        for rejected in (["--help"], ["center", "--bound", "3"]):
+            result = subprocess.run([sys.executable, "-c", script, *rejected],
+                                    env=child_env(), capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            before, after = result.stdout.splitlines()
+            assert (before, after) == ("", "argparse gettext locale"), rejected
+
     def test_no_command_loads_numpy(self):
         # Every subcommand, the float ones included, runs in plain Python:
         # no process has numpy in sys.modules.  The last lines show that the
@@ -788,13 +820,13 @@ GOLDEN = [
      "a power of degree <= 2 overflows\n"),
     # Finite, but the Cholesky test fails in floating point.
     (["verify-killing", "--n", "2", "--points", "1", "--c", "1e103"], 2, EMPTY_SHA256,
-     "error: Gram matrix at c = 1e+103, n = 2 is finite but fails the "
-     "floating-point positive-definiteness test: it is too ill-conditioned "
-     "at this c\n"),
+     "error: Gram matrix at c = 1e+103, n = 2, rho = 1.9767263688984464 is finite "
+     "but fails the floating-point positive-definiteness test: it is too "
+     "ill-conditioned at this c and rho\n"),
     (["curvature", "--n", "2", "--points", "1", "--c", "1e103"], 2, EMPTY_SHA256,
-     "error: Gram matrix at c = 1e+103, n = 2 is finite but fails the "
-     "floating-point positive-definiteness test: it is too ill-conditioned "
-     "at this c\n"),
+     "error: Gram matrix at c = 1e+103, n = 2, rho = 1.9767263688984464 is finite "
+     "but fails the floating-point positive-definiteness test: it is too "
+     "ill-conditioned at this c and rho\n"),
     (["curvature", "--n", "3", "--points", "1", "--c", "1e155"], 2, EMPTY_SHA256,
      "error: Gram matrix leaves the float range at c = 1e+155\n"),
 ]
@@ -872,6 +904,70 @@ class TestArgparseOutput:
             "                       [--format {json,csv}] [--out OUT]\n"
             "oneloop lattice: error: argument --format: invalid choice: 'xml' "
             "(choose from 'json', 'csv')\n"))
+
+
+def parse_with_argparse(parser, argv):
+    """vars() of argparse's namespace for argv, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# Tokens of argv: every command, every flag spelling and spellings that no
+# command takes, and values that convert, fail to convert or start with "-".
+ARGV_COMMANDS = sorted(_COMMANDS) + ["bogus"]
+ARGV_FLAGS = sorted(option(flag) for flag in _FLAGS) + ["--c_exact", "--n=2", "-h", "--",
+                                                         "--poi"]
+ARGV_VALUES = ["1", "2", "0", "-1", "-0.0", "", " 3", "03", "1e300", "nan", "1:2", "1/2:3:7",
+               "1:2:3", "-1:2:3", "1,2", "json", "csv", "xml", "a b"]
+
+
+class TestTableRead:
+    """build_config reads well-formed argv from _COMMANDS and _FLAGS and
+    leaves the rest to argparse, with the same values."""
+
+    PARSER = _build_parser()
+
+    @given(st.tuples(
+        st.sampled_from(ARGV_COMMANDS),
+        st.lists(st.one_of(
+            st.tuples(st.sampled_from(ARGV_FLAGS), st.sampled_from(ARGV_VALUES)),
+            st.tuples(st.sampled_from(ARGV_COMMANDS + ARGV_FLAGS + ARGV_VALUES))),
+            max_size=5)))
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_argparse(self, parts):
+        command, pairs = parts
+        argv = [command, *(token for pair in pairs for token in pair)]
+        read = _read_argv(argv)
+        expected = parse_with_argparse(self.PARSER, argv)
+        # repr: NaN values compare equal, and the key order counts too.
+        assert read is None or repr(read) == repr(expected), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["center", "--n", "2"], ["structure"], ["lattice", "--bound", "1", "--out", ""],
+        ["verify-killing", "--points", "03", "--n", " 3", "--c", "nan", "--format", "csv"],
+        ["curvature", "--c-exact", "1/2:3:7", "--seed", "7"],
+        ["volume-table", "--grid", "1,2", "--c", "1e300", "--out", "a b"],
+    ], ids=" ".join)
+    def test_reads_well_formed_argv(self, argv):
+        read = _read_argv(argv)
+        assert read is not None
+        assert repr(read) == repr(parse_with_argparse(self.PARSER, argv))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["-h"], ["center", "-h"], ["center", "--help"],
+        ["center", "--n=2"], ["center", "--n", "-1"], ["center", "--c", "-0.0"],
+        ["lattice", "--c-exact", "-1:2:3"], ["center", "--n", "2", "--n", "3"],
+        ["center", "--poi", "1"], ["center", "--c_exact", "1:2:3"],
+        ["center", "--bound", "3"], ["structure", "--format", "json"],
+        ["center", "--n", "1.5"], ["center", "--n", ""], ["center", "--n"],
+        ["lattice", "--c-exact", "1:2"], ["volume-table", "--grid", "a b"],
+        ["lattice", "--format", "xml"], ["center", "--", "--n", "2"],
+    ], ids=lambda argv: " ".join(argv) or "empty")
+    def test_declines_other_argv(self, argv):
+        assert _read_argv(argv) is None
 
 
 # Two values of each flag at which every command that reads the flag reports

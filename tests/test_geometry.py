@@ -351,15 +351,28 @@ class TestMetricGram:
         else:
             metric_gram(p, params)
 
+    @pytest.mark.parametrize("function", [metric_gram, ricci_fd, einstein_diagnostic,
+                                          fiber_density_split])
+    def test_ill_conditioning_names_rho(self, function):
+        # c = 0 is the undeformed metric: the entries of order 1/rho^2 have
+        # left the normal floats, so the message names rho with c and n.
+        p = PointBarN(X=(), w=(0.5 + 0.5j,), phi_tilde=0.3, rho=1e154)
+        with pytest.raises(ArithmeticError) as error:
+            function(p, ModelParams(1, 0.0))
+        assert str(error.value) == (
+            "Gram matrix at c = 0.0, n = 1, rho = 1e+154 is finite but fails the "
+            "floating-point positive-definiteness test: it is too ill-conditioned "
+            "at this c and rho")
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_cholesky_factor_and_inverse(self, n):
         params = ModelParams(n, 0.5)
         for p in seeded_points(params, 3, seed=4):
             g = metric_gram(p, params)
             L = np.zeros((4 * n, 4 * n))
-            for i, row in enumerate(geometry._cholesky(g, params)):
+            for i, row in enumerate(geometry._cholesky(g, params, p.rho)):
                 L[i, :i + 1] = row
-            ginv = geometry._spd_inverse(g, params)
+            ginv = geometry._spd_inverse(g, params, p.rho)
             assert np.max(np.abs(L @ L.T - np.array(g))) <= 1e-14 * np.max(np.abs(g))
             assert ginv == [list(column) for column in zip(*ginv)]
             assert np.allclose(np.array(ginv) @ np.array(g), np.eye(4 * n), rtol=0, atol=1e-12)

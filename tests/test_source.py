@@ -135,6 +135,60 @@ def test_no_cli_import_on_a_synthetic_source():
     assert _cli_imports(tree) == [2, 3, 4, 5, 6, 11]
 
 
+def _import_time_imports(tree, module):
+    """Line numbers of the imports of ``module``, or of a submodule, that run
+    when the tree's module is imported: outside function bodies and outside
+    ``if TYPE_CHECKING:`` blocks (their ``else`` branch does run)."""
+    found, pending = [], list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+                "TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            pending.extend(node.orelse)
+        elif isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == module for alias in node.names):
+                found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module.split(".")[0] == module:
+                found.append(node.lineno)
+        else:
+            pending.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_no_module_imports_argparse_at_import_time():
+    # A well-formed argv is read from the CLI's flag table; argparse, with
+    # the gettext and locale it loads, is imported only where help, a usage
+    # error or another spelling needs it.
+    sources = sorted(Path(oneloop.__file__).parent.rglob("*.py"))
+    assert any(path.name == "cli.py" for path in sources)
+    found = [f"{path.name}:{line}" for path in sources
+             for line in _import_time_imports(_parse(path), "argparse")]
+    assert found == []
+
+
+def test_import_time_imports_on_a_synthetic_source():
+    tree = ast.parse("import os\n"
+                     "import argparse\n"
+                     "if TYPE_CHECKING:\n"
+                     "    import argparse\n"
+                     "else:\n"
+                     "    from argparse import Namespace\n"
+                     "try:\n"
+                     "    import os, argparse as ap\n"
+                     "except ImportError:\n"
+                     "    pass\n"
+                     "class Parser:\n"
+                     "    import argparse\n"
+                     "def parse():\n"
+                     "    import argparse\n"
+                     "from . import argparse_free\n"
+                     "import argparser\n")
+    assert _import_time_imports(tree, "argparse") == [2, 6, 8, 12]
+
+
 def test_handlers_live_with_their_suites():
     # cli.py holds the table of commands; each handler is defined in the
     # module that the table names, and none in cli.py.
