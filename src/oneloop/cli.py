@@ -17,22 +17,23 @@ Subcommands:
   grid, as CSV.
 
 Each command's handler, ``cmd_<command>`` in the module of the suite it
-runs, takes the ``RunConfig`` and returns one record: the JSON report, its
-CSV rows (None for a JSON-only command) and the exit code.  ``main`` imports
-that one module at dispatch and renders the record once, as JSON or through
-the command's CSV columns.  No suite imports this module: under ``python -m
-oneloop.cli`` this file runs as ``__main__``, and such an import would
-compile it a second time.
+runs, takes the ``RunConfig`` and returns the JSON report and its CSV rows
+(None for a JSON-only command).  ``main`` imports that one module at
+dispatch, sets the report's ``command`` field and renders the report once,
+as JSON or through the command's CSV columns.  ``main`` alone derives the
+exit status: 1 exactly when the report's ``all_pass`` is False, else 0.  No
+suite imports this module: under ``python -m oneloop.cli`` this file runs as
+``__main__``, and such an import would compile it a second time.
 
 Every report embeds the tolerances it used and the numeric configuration
 that its command read, so identical configurations (including the seed) produce
 byte-identical output.  The seeded points come from Python's ``random``,
 whose sequence Python keeps across versions, and the float commands run in
-plain Python floats, with no numpy.  The process exit status is 0 exactly
-when every check in the invoked suite passes: for the table generators,
-when all row flags verify (lattice) or each row's closed tail agrees with
-its quadrature (volume-table).  Invalid input and an ``--out`` path that
-cannot be written exit 2, with nothing on stdout.
+plain Python floats, with no numpy.  Every report but ``center``'s carries
+``all_pass``, True exactly when every check in the invoked suite passes: for
+the table generators, when all row flags verify (lattice) or each row's
+closed tail agrees with its quadrature (volume-table).  Invalid input and an
+``--out`` path that cannot be written exit 2, with nothing on stdout.
 
 Every value comes from argv.  Each subcommand takes only the flags it reads,
 listed in its ``_COMMANDS`` entry, plus ``--out``.  An argv of the form
@@ -170,11 +171,13 @@ def _flag(value: bool) -> str:
 
 
 # name: ((module, handler), the flags it reads besides --out, default
-# format, CSV columns or None for JSON only).  The handler lives next to the
-# suite it runs; main imports its module at dispatch, so a process compiles
-# and loads only its own command: the float commands geometry (and fields),
-# the exact ones liealg, quatarith or volume.  No command loads numpy; the
-# float commands' matrices are at most 12x12 at the n they run.
+# format, CSV columns or None for JSON only).  The handler returns the report
+# and CSV rows; main adds the command field and exits 1 exactly when
+# all_pass is False.  The handler lives next to the suite it runs; main
+# imports its module at dispatch, so a process compiles and loads only its
+# own command: the float commands geometry (and fields), the exact ones
+# liealg, quatarith or volume.  No command loads numpy; the float commands'
+# matrices are at most 12x12 at the n they run.
 _COMMANDS = {
     "verify-killing": (("fields", "cmd_verify_killing"),
                        ("n", "c", "c_exact", "seed", "points", "format"), "json", (
@@ -326,10 +329,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # importlib.import_module, which python -X importtime does not time.
     handler = getattr(__import__(module, globals(), None, (name,), 1), name)
     try:
-        report, rows, code = handler(config)
+        report, rows = handler(config)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report["command"] = config.command
     if config.effective_format == "csv":
         text = _csv_text(columns, rows)
     else:
@@ -343,7 +347,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   file=sys.stderr)
             return 2
     sys.stdout.write(text)
-    return code
+    return 1 if report.get("all_pass") is False else 0
 
 
 def run() -> NoReturn:

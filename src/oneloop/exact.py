@@ -543,23 +543,6 @@ class Poly:
             terms[tuple(new)] = coeff * e
         return Poly._wrap(self.nvars, terms)
 
-    def subs(self, assign):
-        """Substitute exact QI values for some variables; returns a Poly.
-
-        assign maps variable index -> QI/int/Fraction value.
-        """
-        assign = {i: QI.coerce(v) for i, v in assign.items()}
-        out = Poly.zero(self.nvars)
-        for mono, coeff in self.terms.items():
-            factor = coeff
-            new = list(mono)
-            for i, val in assign.items():
-                for _ in range(mono[i]):
-                    factor = factor * val
-                new[i] = 0
-            out = out + Poly(self.nvars, {tuple(new): factor})
-        return out
-
     def conj_swap(self, perm):
         """Conjugate coefficients and permute variables by perm (bar-partner swap)."""
         terms = {}

@@ -7,7 +7,6 @@ metric derivatives.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Dict, List, Sequence, Tuple
 
@@ -34,7 +33,6 @@ def _chart_values(p: PointBarN, c_value) -> List[complex]:
             + [complex(c_value)])
 
 
-@functools.lru_cache(maxsize=None)
 def _chart_pairs(n: int):
     """(holomorphic variable, antiholomorphic variable, real chart index,
     imaginary chart index) of each complex coordinate X^a, w^k.
@@ -231,8 +229,10 @@ def killing_residuals(params: ModelParams, points: Sequence[PointBarN]):
     return residuals, control
 
 
-def cmd_verify_killing(config) -> Tuple[Dict, List[Dict], int]:
-    """The ``verify-killing`` command of :mod:`oneloop.cli`, on its RunConfig."""
+def cmd_verify_killing(config) -> Tuple[Dict, List[Dict]]:
+    """The ``verify-killing`` report and CSV rows of :mod:`oneloop.cli`, on
+    its RunConfig; ``all_pass`` (every generator within tolerance and the
+    radial control above its threshold) decides the exit status."""
     params = ModelParams(n=config.n, c=config.effective_c)
     points = seeded_points(params, config.points, seed=config.seed)
     residuals, control = killing_residuals(params, points)
@@ -259,14 +259,13 @@ def cmd_verify_killing(config) -> Tuple[Dict, List[Dict], int]:
                 f"at c = {params.c!r}: {row['max_residual']!r}")
     all_pass = all(row["pass"] for row in rows) and control_row["exceeds_threshold"]
     report = {
-        "command": "verify-killing",
         "config": dict(config.echo(), step=FD_STEP),
         "rows": rows,
         "control": control_row,
         "all_pass": all_pass,
     }
     csv_rows = rows + [dict(control_row, tolerance=CONTROL_THRESHOLD)]
-    return report, csv_rows, 0 if all_pass else 1
+    return report, csv_rows
 
 
 # --- flows -------------------------------------------------------------------

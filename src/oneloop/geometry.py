@@ -100,7 +100,6 @@ def ix_phi(n):
     return 4 * n - 1
 
 
-@functools.lru_cache(maxsize=None)
 def _gram_layout(n):
     """The five rows V and the diagonal at fixed n, as a table.
 
@@ -577,8 +576,10 @@ def seeded_points(params, count, seed=42):
 EINSTEIN_TOLERANCE = 1e-4
 
 
-def cmd_curvature(config) -> tuple[dict, None, int]:
-    """The ``curvature`` command of :mod:`oneloop.cli`, on its RunConfig."""
+def cmd_curvature(config) -> tuple[dict, None]:
+    """The ``curvature`` report of :mod:`oneloop.cli`, on its RunConfig;
+    ``all_pass`` (residuals and lambda spread within tolerance, mean lambda
+    negative) decides the exit status."""
     params = ModelParams(n=config.n, c=config.effective_c)
     points = seeded_points(params, config.points, seed=config.seed)
     rows = []
@@ -601,7 +602,6 @@ def cmd_curvature(config) -> tuple[dict, None, int]:
         and spread <= EINSTEIN_TOLERANCE
     )
     payload = {
-        "command": "curvature",
         "config": dict(config.echo(), step=FD_STEP),
         "tolerance": EINSTEIN_TOLERANCE,
         "rows": rows,
@@ -610,4 +610,4 @@ def cmd_curvature(config) -> tuple[dict, None, int]:
         "max_residual": max_residual,
         "all_pass": all_pass,
     }
-    return payload, None, 0 if all_pass else 1
+    return payload, None

@@ -246,26 +246,27 @@ def fprime_generator(n: int, positive_c: bool = True) -> CenterVector:
 # ---------------------------------------------------------------------------
 
 
-def cmd_structure(config) -> Tuple[Dict, None, int]:
-    """The ``structure`` command of :mod:`oneloop.cli`, on its RunConfig."""
+def cmd_structure(config) -> Tuple[Dict, None]:
+    """The ``structure`` report of :mod:`oneloop.cli`, on its RunConfig;
+    ``all_pass`` (no mismatched bracket) decides the exit status."""
     report = structure_check(config.n)
     payload = {
-        "command": "structure",
         "n": config.n,
         "pairs_checked": report.pairs_checked,
         "mismatch_count": len(report.mismatches),
         "mismatches": [list(pair) for pair in report.mismatches],
         "all_pass": report.ok,
     }
-    return payload, None, 0 if report.ok else 1
+    return payload, None
 
 
 def _center_entry(vector: CenterVector, n1: bool) -> Dict:
     return {"human": vector.human(n1=n1), "coordinates": vector.serialize()}
 
 
-def cmd_center(config) -> Tuple[Dict, None, int]:
-    """The ``center`` command of :mod:`oneloop.cli`, on its RunConfig."""
+def cmd_center(config) -> Tuple[Dict, None]:
+    """The ``center`` report of :mod:`oneloop.cli`, on its RunConfig; it has
+    no ``all_pass``, so the command exits 0."""
     n = config.n
     positive_c = config.c > 0
     n1 = n == 1
@@ -279,7 +280,6 @@ def cmd_center(config) -> Tuple[Dict, None, int]:
         fprime = fprime_generator(n, positive_c=positive_c)
     f_vec = f_generator(n, positive_c=positive_c)
     payload = {
-        "command": "center",
         "n": n,
         "c_positive": positive_c,
         "kernel": [_center_entry(v, n1) for v in kernel],
@@ -289,4 +289,4 @@ def cmd_center(config) -> Tuple[Dict, None, int]:
         "Fprime": None if fprime is None else fprime.human(n1=n1),
         "Fprime_coordinates": None if fprime is None else fprime.serialize(),
     }
-    return payload, None, 0
+    return payload, None

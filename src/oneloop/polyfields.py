@@ -309,11 +309,12 @@ def generator(name: GeneratorName, n: int) -> PolyVectorField:
 
 
 def real_part(F: PolyVectorField) -> PolyVectorField:
-    """Unnormalized real combination F + conj(F) (used for flows)."""
+    """Unnormalized real combination F + conj(F) (the catalogue's re fields, VkRe)."""
     return F + F.conjugate()
 
 
 def imag_part(F: PolyVectorField) -> PolyVectorField:
-    """Unnormalized imaginary combination i(F - conj(F)) (used for flows)."""
+    """Unnormalized imaginary combination i(F - conj(F)) (the catalogue's im
+    fields, VkIm)."""
     return (F - F.conjugate()).scale(QI_I)
 

@@ -312,8 +312,10 @@ def norm_one_rows(params: QuatParams, bound: int) -> List[Dict[str, object]]:
 norm_one_csv = norm_one_rows
 
 
-def cmd_lattice(config) -> Tuple[Dict, List[Dict[str, object]], int]:
-    """The ``lattice`` command of :mod:`oneloop.cli`, on its RunConfig."""
+def cmd_lattice(config) -> Tuple[Dict, List[Dict[str, object]]]:
+    """The ``lattice`` report and CSV rows of :mod:`oneloop.cli`, on its
+    RunConfig; ``all_pass`` (every row's su11_ok and preserves_gamma2)
+    decides the exit status."""
     a, b = (2, 3) if config.c_exact is None else config.c_exact[1:]
     warning = None
     try:
@@ -329,7 +331,6 @@ def cmd_lattice(config) -> Tuple[Dict, List[Dict[str, object]], int]:
     rows = norm_one_rows(QuatParams(a, b), config.bound)
     all_pass = all(row["su11_ok"] and row["preserves_gamma2"] for row in rows)
     report = {
-        "command": "lattice",
         "a": a,
         "b": b,
         "bound": config.bound,
@@ -337,4 +338,4 @@ def cmd_lattice(config) -> Tuple[Dict, List[Dict[str, object]], int]:
         "rows": rows,
         "all_pass": all_pass,
     }
-    return report, rows, 0 if all_pass else 1
+    return report, rows

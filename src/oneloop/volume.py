@@ -323,8 +323,10 @@ volume_table_csv = volume_rows
 VOLUME_TOLERANCE = 1e-12
 
 
-def cmd_volume_table(config) -> Tuple[Dict, List[Dict[str, float]], int]:
-    """The ``volume-table`` command of :mod:`oneloop.cli`, on its RunConfig."""
+def cmd_volume_table(config) -> Tuple[Dict, List[Dict[str, float]]]:
+    """The ``volume-table`` report and CSV rows of :mod:`oneloop.cli`, on its
+    RunConfig; ``all_pass`` (each row's closed tail within VOLUME_TOLERANCE of
+    its quadrature) decides the exit status."""
     params = ModelParams(n=config.n, c=config.effective_c)
     computed = volume_rows(config.grid, params)
     # The verdict compares the unrounded tails: the printed ones are rounded.
@@ -333,6 +335,6 @@ def cmd_volume_table(config) -> Tuple[Dict, List[Dict[str, float]], int]:
     # JSON carries the 12 significant digits of the CSV columns.
     rows = [{name: float(f"{value:.12g}") for name, value in row.items()}
             for row in computed]
-    report = {"command": "volume-table", "config": config.echo(),
-              "tolerance": VOLUME_TOLERANCE, "rows": rows, "all_pass": all_pass}
-    return report, rows, 0 if all_pass else 1
+    report = {"config": config.echo(), "tolerance": VOLUME_TOLERANCE, "rows": rows,
+              "all_pass": all_pass}
+    return report, rows

@@ -843,6 +843,12 @@ def test_golden_output(capsys, monkeypatch, args, code, digest, err):
     captured = capsys.readouterr()
     assert (got_code, hashlib.sha256(captured.out.encode("utf-8")).hexdigest(),
             captured.err) == (code, digest, err)
+    # The exit status follows the printed verdict, and the report names the
+    # command it ran.
+    if got_code in (0, 1) and captured.out.startswith("{"):
+        report = json.loads(captured.out)
+        assert got_code == (1 if report.get("all_pass") is False else 0)
+        assert report["command"] == args[0]
 
 
 def run_parser(capsys, monkeypatch, args):

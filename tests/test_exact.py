@@ -109,13 +109,6 @@ class TestPoly:
             op(self.X)
         assert self.X.scale(3) == self.X + self.X + self.X
 
-    def test_subs_exact(self):
-        p = self.X * self.w0 + self.c.scale(QI(0, 2))
-        q = p.subs({self.t.x(1): QI(1, 1), self.t.w(0): QI(0, 1)})
-        # (1+i)*i = -1+i, plus the untouched 2i*c term
-        expected = Poly.const(self.t.nvars, QI(-1, 1)) + self.c.scale(QI(0, 2))
-        assert q == expected
-
     def test_eval_complex(self):
         # Polynomials are evaluated by the chart evaluator, here as the
         # angle component of a field.

@@ -14,13 +14,6 @@ from oneloop.quatarith import QuatInt, QuatParams
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Definitions that nothing in src/, the acceptance suite or bench/ uses yet,
-# kept on purpose.  Dunder methods are always exempt: Python calls them.
-UNUSED_ALLOWED = {
-    "Poly.subs": "exact substitution, for deciding the Killing equation "
-                 "exactly (ROADMAP Direction 3)",
-}
-
 
 def test_no_assert_statements():
     # python -O strips assert statements, so a check written as one would
@@ -204,6 +197,59 @@ def test_handlers_live_with_their_suites():
     assert [entry for entry in placed if entry[1] not in defined[entry[0]]] == []
 
 
+def _outcome_writes(tree):
+    """Lines of a module tree that decide a process outcome outside
+    ``cli.main``: a ``cmd_*`` function's return of a three-element tuple (a
+    report, rows and an exit status) and a write of a ``"command"`` dict key,
+    as a dict display key, a subscript store or a ``dict(command=...)``."""
+    returns = [node.lineno for top in ast.walk(tree)
+               if isinstance(top, ast.FunctionDef) and top.name.startswith("cmd_")
+               for node in ast.walk(top)
+               if isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple)
+               and len(node.value.elts) == 3]
+    writes = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Dict) and any(
+                  isinstance(key, ast.Constant) and key.value == "command"
+                  for key in node.keys)
+              or isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.slice, ast.Constant) and node.slice.value == "command"
+              or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "dict"
+              and any(kw.arg == "command" for kw in node.keywords)]
+    return sorted(returns), sorted(writes)
+
+
+def test_main_alone_owns_the_outcome():
+    # A handler returns its report and CSV rows; cli.main alone names the
+    # command in the report and maps its all_pass to the exit status.
+    found = {path.name: _outcome_writes(_parse(path))
+             for path in sorted((ROOT / "src" / "oneloop").glob("*.py"))}
+    assert {name: returns for name, (returns, _) in found.items() if returns} == {}
+    assert [name for name, (_, writes) in found.items() if writes] == ["cli.py"]
+
+
+OUTCOMES = """
+def cmd_check(config):
+    if config.quick:
+        return {"command": "check"}, None, 0
+    report = {"all_pass": True}
+    report["command"] = "check"
+    return report, None
+
+
+def cmd_rows(config):
+    return dict(command="rows"), [], 1
+
+
+def helper():
+    return 1, 2, 3
+"""
+
+
+def test_outcome_checks_on_a_synthetic_source():
+    assert _outcome_writes(ast.parse(OUTCOMES)) == ([4, 11], [4, 6, 11])
+
+
 def _is_all(node):
     """Is node an assignment to ``__all__``?"""
     targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
@@ -347,7 +393,8 @@ def _visible(tree, classes):
 
 def _unused(package, users):
     """Qualified names of the definitions in the ``package`` trees (name ->
-    tree) that no tree of ``users`` (which includes them) uses.
+    tree) that no tree of ``users`` (which includes them) uses.  Dunder
+    methods are exempt: Python calls them.
 
     A method whose name two or more package classes define is used only
     through a read that can run it (``_reached``): one whose receiver is an
@@ -385,8 +432,7 @@ def _unused(package, users):
                         continue
                 elif uses[node.name] > Counter(_names(node))[node.name]:
                     continue
-                if qualname not in UNUSED_ALLOWED:
-                    unused.append(f"{module}: {qualname}")
+                unused.append(f"{module}: {qualname}")
     return unused
 
 
