@@ -1,8 +1,8 @@
 """Float half of the symmetry fields: Killing residuals and flows.
 
-Evaluates the exact fields of :mod:`oneloop.polyfields` (re-exported here) in
-the real chart, in Python complex arithmetic, against finite-difference
-metric derivatives.
+Evaluates the exact fields of :mod:`oneloop.polyfields` in the real chart,
+from per-field term lists in Python complex arithmetic, against
+finite-difference metric derivatives.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from .geometry import (
     ix_v, ix_x, ix_y, metric_first_derivatives, metric_gram, seeded_points,
 )
 from .params import VK_SHEAR
-from .polyfields import (  # noqa: F401 -- bracket is re-exported
-    GeneratorName, PolyVectorField, _phi_dir, bracket, generator, imag_part,
-    real_part,
+from .polyfields import (
+    GeneratorName, PolyVectorField, _phi_dir, generator, imag_part, real_part,
 )
 
 TAU = 2.0 * math.pi
@@ -49,54 +48,47 @@ def _chart_pairs(n: int):
 class _ChartEvaluator:
     """Real chart vectors and Jacobians of a list of fields, all at once.
 
-    The polynomial terms of every component and partial are compiled into
-    one program over a flat table: slot (f*nv + i)*nv + j holds
-    d(comp_i)/d(var_j) of field f for j < nv - 1 and comp_i itself for
-    j = nv - 1 (the c slot: no field is differentiated by c).  Each slot
-    lists its terms as a coefficient and the powers it multiplies, where
-    power 1 + (e - 1)*nv + v is var_v**e.  At a point each term is its
-    coefficient times the powers of its variables, taken in variable order,
-    and the terms are summed into their slot in the order of ``Poly.terms``,
-    in Python complex arithmetic: the termwise evaluation of every component
-    and partial, bit for bit.
-
-    The fields are real, so the chart projections (``_chart_pairs``) read
-    only the holomorphic and angle components; per field they list only the
-    vector and Jacobian entries that some term can make nonzero.  The radial
-    and angle columns of a Jacobian are zero.
+    The fields are real, so their chart projections (``_chart_pairs``) read
+    only the holomorphic and angle components.  Per field the evaluator
+    keeps those components, and the (d/dz, d/dzbar) partial pairs of each
+    along every complex coordinate z, as compiled term lists, with the
+    vector and Jacobian entries they fill; a component or a pair without
+    terms is left out, and the radial and angle columns of a Jacobian are
+    zero.  A term is a coefficient and the powers it multiplies, where power
+    1 + (e - 1)*nv + v is var_v**e (nv = 4n - 1 variables, c last).  At a
+    point each term is its coefficient times the powers of its variables,
+    taken in variable order, and the terms are summed in the order of
+    ``Poly.terms``, in Python complex arithmetic: the termwise evaluation of
+    every component and partial, bit for bit.
     """
 
     def __init__(self, fields: Sequence[PolyVectorField]):
         n = fields[0].n
         nv = 4 * n - 1
-        self.shape = (len(fields), nv, nv)
-        self.program = []
-        for f, F in enumerate(fields):
-            for i, (comp, partials) in enumerate(zip(F.comps, F.partials())):
-                for j, poly in [*partials.items(), (nv - 1, comp)]:
-                    terms = tuple((coeff.to_complex(),
-                                   tuple(1 + (e - 1) * nv + v for v, e in enumerate(mono) if e))
-                                  for mono, coeff in poly.terms.items())
-                    if terms:
-                        self.program.append(((f * nv + i) * nv + j, terms))
-        self.emax = max(((index - 1) // nv + 1 for _, terms in self.program
-                         for _, factors in terms for index in factors), default=1)
-        nonzero = {slot for slot, _ in self.program}
+
+        def compiled(poly):
+            return tuple((coeff.to_complex(),
+                          tuple(1 + (e - 1) * nv + v for v, e in enumerate(mono) if e))
+                         for mono, coeff in poly.terms.items())
+
+        self.emax = max([1, *(e for F in fields for comp in F.comps
+                              for mono in comp.terms for e in mono)])
         pairs = _chart_pairs(n)
         components = [(h, re, im) for h, _, re, im in pairs] + [(_phi_dir(n), ix_phi(n), None)]
         self.vectors, self.jacobians = [], []
-        for f in range(len(fields)):
-            comp_slot = [(f * nv + h) * nv for h in range(nv)]
-            self.vectors.append([(comp_slot[h] + nv - 1, re, im) for h, re, im in components
-                                 if comp_slot[h] + nv - 1 in nonzero])
+        for F in fields:
+            partials = F.partials()
+            self.vectors.append([(compiled(F.comps[h]), re, im)
+                                 for h, re, im in components if F.comps[h]])
             self.jacobians.append([
-                (comp_slot[h] + hv, comp_slot[h] + av, re, im, re_col, im_col)
-                for h, re, im in components for hv, av, re_col, im_col in pairs
-                if comp_slot[h] + hv in nonzero or comp_slot[h] + av in nonzero])
+                (compiled(d[hv]) if hv in d else (), compiled(d[av]) if av in d else (),
+                 re, im, re_col, im_col)
+                for h, re, im in components for d in [partials[h]]
+                for hv, av, re_col, im_col in pairs if hv in d or av in d])
 
-    def table(self, p: PointBarN, c_value) -> List[complex]:
-        """Flat complex table of every field's components and partials (see
-        the class docstring for the slots); slots without terms hold 0j."""
+    def __call__(self, p: PointBarN, c_value):
+        """Per field, the nonzero entries of its real chart vector, as
+        (chart index, value), and of its Jacobian, as (row, column, value)."""
         vals = _chart_values(p, c_value)
         try:
             powers = [1 + 0j] + [z**e for e in range(1, self.emax + 1) for z in vals]
@@ -104,25 +96,20 @@ class _ChartEvaluator:
             raise OverflowError(
                 f"symmetry field terms leave the float range at c = {c_value!r}: "
                 f"a power of degree <= {self.emax} overflows") from exc
-        out = [0j] * (self.shape[0] * self.shape[1] * self.shape[2])
-        for slot, terms in self.program:
+
+        def value(terms):
             total = 0j
             for term, factors in terms:
                 for index in factors:
                     term *= powers[index]
                 total += term
-            out[slot] = total
-        return out
+            return total
 
-    def __call__(self, p: PointBarN, c_value):
-        """Per field, the nonzero entries of its real chart vector, as
-        (chart index, value), and of its Jacobian, as (row, column, value)."""
-        T = self.table(p, c_value)
         vecs = []
         for spec in self.vectors:
             vec = []
-            for slot, re, im in spec:
-                z = T[slot]
+            for terms, re, im in spec:
+                z = value(terms)
                 vec.append((re, z.real))
                 if im is not None:
                     vec.append((im, z.imag))
@@ -131,7 +118,7 @@ class _ChartEvaluator:
         for spec in self.jacobians:
             jac = []
             for hol, antihol, re, im, re_col, im_col in spec:
-                d_hol, d_antihol = T[hol], T[antihol]
+                d_hol, d_antihol = value(hol), value(antihol)
                 d_x, d_diff = d_hol + d_antihol, d_hol - d_antihol  # d/dy = i * d_diff
                 jac += [(re, re_col, d_x.real), (re, im_col, -d_diff.imag)]
                 if im is not None:

@@ -455,7 +455,7 @@ def _metric_second_derivatives(q, params):
 
 
 def ricci_fd(p, params):
-    """Ricci tensor at p from finite differences of the Gram matrix.
+    """(Ricci tensor, g^-1) at p from finite differences of the Gram matrix.
 
     Ric_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kl Gamma^l_ij
     - Gamma^k_il Gamma^l_kj, through g^-1 and the first and second metric
@@ -464,7 +464,9 @@ def ricci_fd(p, params):
     d = 4n, the mixed pairs whose derivatives all vanish structurally
     included; the derivatives are summed, and the second ones contracted,
     only on the entries ``_pattern(n)`` lets be non-zero.  Rejects
-    configurations whose stencil leaves the chart.
+    configurations whose stencil leaves the chart.  g^-1 is the inverse
+    ``_spd_inverse`` gives of ``metric_gram(p, params)``, returned for
+    ``einstein_diagnostic``.
     """
     q = p.to_chart()
     dim = len(q)
@@ -513,7 +515,7 @@ def ricci_fd(p, params):
                     Qk[a] += gi[b] * value
     return _symmetric([sum(map(mul, v, low)) + sum(map(mul, YT[i], G[j]))
                        + 0.5 * (Q[i][j] + Q[j][i] - P[e] - T[e])
-                       for e, ((i, j), low) in enumerate(zip(pairs, lowered))], dim)
+                       for e, ((i, j), low) in enumerate(zip(pairs, lowered))], dim), ginv
 
 
 def einstein_diagnostic(p, params):
@@ -523,8 +525,7 @@ def einstein_diagnostic(p, params):
     relative to max|g|.
     """
     g = metric_gram(p, params)
-    ric = ricci_fd(p, params)
-    ginv = _spd_inverse(g, params, p.rho)
+    ric, ginv = ricci_fd(p, params)
     lam = sum(x * y for grow, rrow in zip(ginv, ric) for x, y in zip(grow, rrow)) / (4 * params.n)
     deviation = [r - lam * x for rrow, grow in zip(ric, g) for r, x in zip(rrow, grow)]
     return lam, _max_abs(deviation) / _max_abs([x for row in g for x in row])

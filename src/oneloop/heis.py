@@ -45,7 +45,6 @@ __all__ = [
     "heis_identity",
     "heis_inverse",
     "lattice_Ld",
-    "lattice_contains",
     "lattice_coordinates",
     "form_defect",
     "su_action",
@@ -320,11 +319,6 @@ def lattice_coordinates(
     if center is None:
         return None
     return HeisLatticePoint(tuple(coords), center)
-
-
-def lattice_contains(lattice: LatticeDescription, p: HeisPoint) -> bool:
-    """Exact membership: is (v, t) an integer point of the lattice group?"""
-    return lattice_coordinates(lattice, p) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ and their exact Lie brackets; :mod:`oneloop.fields` evaluates them in the chart.
 
 A field computes the nonzero partial derivatives of its components once, on
 first use, and keeps them (``PolyVectorField.partials``): every bracket with
-the field and the chart evaluator of :mod:`oneloop.fields` read them there.
+the field reads them there, and the chart evaluator of :mod:`oneloop.fields`
+compiles those of the holomorphic and angle components from there.
 The term lists that ``bracket`` multiplies, negated for the right operand,
 are kept the same way (``PolyVectorField.operands``).
 ``bracket`` and ``combination`` add their products and scaled terms into one

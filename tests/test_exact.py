@@ -110,17 +110,19 @@ class TestPoly:
         assert self.X.scale(3) == self.X + self.X + self.X
 
     def test_eval_complex(self):
-        # Polynomials are evaluated by the chart evaluator, here as the
-        # angle component of a field.
+        # Polynomials are evaluated term by term in the chart; the chart
+        # evaluator reads the real part of an angle component.
         from oneloop.fields import PolyVectorField, _ChartEvaluator
-        from oneloop.geometry import PointBarN
+        from oneloop.geometry import PointBarN, ix_phi
+        from test_fields import chart_values, termwise
 
         p = self.X * self.X + self.w0.scale(QI(0, 1))
         comps = [Poly.zero(self.t.nvars)] * (self.t.nvars - 1) + [p]
         point = PointBarN((0.5 + 0.25j,), (1 - 1j, 0), 0.0, 1.0)
-        table = _ChartEvaluator([PolyVectorField(2, comps)]).table(point, 0.0)
-        # the last slot: the angle component's own value
-        assert table[-1] == (0.5 + 0.25j) ** 2 + 1j * (1 - 1j)
+        value = (0.5 + 0.25j) ** 2 + 1j * (1 - 1j)
+        assert termwise(p, chart_values(point, 0.0, self.t)) == value
+        vecs, _ = _ChartEvaluator([PolyVectorField(2, comps)])(point, 0.0)
+        assert vecs == [[(ix_phi(2), value.real)]]
 
     def test_conj_swap(self):
         p = self.X.scale(QI(0, 1)) * self.w0 + self.c

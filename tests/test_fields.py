@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oneloop.fields
 import oneloop.geometry
@@ -15,7 +17,6 @@ from oneloop.fields import (
     GeneratorName,
     PolyVectorField,
     _ChartEvaluator,
-    bracket,
     flow,
     flow_jacobian,
     generator,
@@ -38,7 +39,7 @@ from oneloop.geometry import (
     seeded_points,
 )
 from oneloop.params import THETA_SHEAR
-from oneloop.polyfields import _two_c_dphi
+from oneloop.polyfields import _two_c_dphi, bracket
 
 TAU = 2.0 * math.pi
 
@@ -202,14 +203,11 @@ def chart_jacobian(F, p, c_value):
     return dense_jacobian(_ChartEvaluator([F])(p, c_value)[1][0], F.n)
 
 
-def evaluator_table(evaluate, p, c_value):
-    """The evaluator's flat table as an array T[f, i, j]."""
-    return np.array(evaluate.table(p, c_value)).reshape(evaluate.shape)
-
-
 def complex_components(F, p, c_value):
-    """Complex components (on dX, dXbar, dw, dwbar, dphi) of one field."""
-    return evaluator_table(_ChartEvaluator([F]), p, c_value)[0, :, -1]
+    """Complex components (on dX, dXbar, dw, dwbar, dphi) of one field,
+    termwise."""
+    vals = chart_values(p, c_value, VarTable(F.n))
+    return np.array([termwise(comp, vals) for comp in F.comps])
 
 
 def killing_oracle(params, points):
@@ -570,10 +568,6 @@ class TestBatchedEvaluation:
                     assert np.array_equal(jac, jacobian_oracle(F, p, c)), label
                     assert np.array_equal(chart_vector(F, p, c), vec)
                     assert np.array_equal(chart_jacobian(F, p, c), jac)
-                    vt = VarTable(n)
-                    values = [termwise(comp, chart_values(p, c, vt))
-                              for comp in F.comps]
-                    assert np.array_equal(complex_components(F, p, c), values)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_killing_residuals_match_one_field_at_a_time(self, n):
@@ -608,6 +602,62 @@ class TestBatchedEvaluation:
             assert np.array_equal(chart_vector(F, p, 1.5), vector_oracle(F, p, 1.5))
             assert np.array_equal(chart_jacobian(F, p, 1.5),
                                   jacobian_oracle(F, p, 1.5))
+
+    @pytest.mark.parametrize("n, polys, terms", [(1, 16, 18), (2, 55, 63), (3, 126, 140)])
+    def test_compiles_only_what_the_chart_reads(self, n, polys, terms):
+        # The holomorphic and angle components and their partials along
+        # the complex coordinates; the antiholomorphic components are the
+        # conjugates and are never compiled.
+        catalogue = real_killing_catalogue(ModelParams(n=n, c=0.0))
+        evaluate = _ChartEvaluator([F for _, F in catalogue])
+        compiled = [comp for spec in evaluate.vectors for comp, _, _ in spec]
+        compiled += [d for spec in evaluate.jacobians for pair in spec for d in pair[:2] if d]
+        assert (len(compiled), sum(map(len, compiled))) == (polys, terms)
+
+    def test_power_table_covers_every_component(self):
+        # The only cube sits in an antiholomorphic component, which the
+        # chart never reads; the power table still reaches degree 3.
+        n = 2
+        vt = VarTable(n)
+        nv = vt.nvars
+        mono = [0] * nv
+        mono[vt.xb(1)] = 3
+        comps = [Poly.zero(nv)] * nv
+        comps[vt.xb(1)] = Poly(nv, {tuple(mono): 1})
+        evaluate = _ChartEvaluator([PolyVectorField(n, comps)])
+        p = PointBarN((0.5,), (0j, 0j), 0.0, 1.0)
+        assert evaluate(p, 0.0) == ([[]], [[]])
+        with pytest.raises(OverflowError, match=r"a power of degree <= 3 overflows"):
+            evaluate(p, 1e103)
+
+
+def small_polys(nv):
+    """Polynomials in nv variables (c last) of degree <= 2 with small
+    Gaussian-rational coefficients; c-linear terms included."""
+    monomial = st.lists(st.integers(0, nv - 1), max_size=2).map(
+        lambda factors: tuple(factors.count(v) for v in range(nv)))
+    part = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    return st.dictionaries(monomial, st.builds(QI, part, part), max_size=3).map(
+        lambda terms: Poly(nv, terms))
+
+
+@st.composite
+def small_real_fields(draw):
+    """real_part(F) or imag_part(F) of a random field F with small_polys
+    components."""
+    n = draw(st.integers(1, 3))
+    F = PolyVectorField(n, draw(st.lists(small_polys(4 * n - 1), min_size=4 * n - 1,
+                                         max_size=4 * n - 1)))
+    return draw(st.sampled_from([real_part, imag_part]))(F)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_real_fields(), st.integers(0, 2**16), st.sampled_from([0.0, 0.75, 2.0]))
+def test_random_real_fields_match_termwise_oracles(F, seed, c):
+    p = seeded_points(ModelParams(n=F.n, c=c), 1, seed=seed)[0]
+    (vec,), (jac,) = _ChartEvaluator([F])(p, c)
+    assert np.array_equal(dense_vector(vec, F.n), vector_oracle(F, p, c))
+    assert np.array_equal(dense_jacobian(jac, F.n), jacobian_oracle(F, p, c))
 
 
 def _is_fiber_translation(label):
@@ -730,7 +780,7 @@ def frame_rank(p, params, tol=1e-8):
     names += [GeneratorName("Vk", k) for k in range(n)]
     fields = [generator(name, n) for name in names]
     fields += [F.conjugate() for F in fields] + [generator(GeneratorName("T"), n)]
-    M = evaluator_table(_ChartEvaluator(fields), p, params.c)[:, :, -1]
+    M = np.array([complex_components(F, p, params.c) for F in fields])
     return int(np.linalg.matrix_rank(M, tol=tol))
 
 
@@ -905,8 +955,8 @@ class TestFlows:
 
 
 class TestModuleBindings:
-    """The float module keeps the names the benchmark tracer wraps, and
-    re-exports the exact half as the very objects of polyfields."""
+    """The float module keeps the names the benchmark tracer wraps, and the
+    polyfields names it uses are the very objects of polyfields."""
 
     def test_float_bindings(self):
         fields = oneloop.fields
@@ -915,7 +965,6 @@ class TestModuleBindings:
         assert fields.metric_first_derivatives is oneloop.geometry.metric_first_derivatives
 
     @pytest.mark.parametrize("name", ["PolyVectorField", "GeneratorName",
-                                      "generator", "bracket", "real_part",
-                                      "imag_part"])
+                                      "generator", "real_part", "imag_part"])
     def test_exact_names_are_reexported(self, name):
         assert getattr(oneloop.fields, name) is getattr(oneloop.polyfields, name)

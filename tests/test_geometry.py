@@ -649,7 +649,7 @@ class TestStencilBits:
             D1[k][~on_pattern(first[k], dim)] = 0.0
             for l in range(dim):
                 D2[k, l][~on_pattern(second[k][l], dim)] = 0.0
-        ric = np.array(ricci_fd(p, params))
+        ric = np.array(ricci_fd(p, params)[0])
         reference = ricci_numpy(p, params, D1, D2)
         assert np.array_equal(ric, ric.T)
         assert np.max(np.abs(ric - reference)) <= RICCI_TOLERANCE * np.max(np.abs(reference))
@@ -729,7 +729,7 @@ class TestRicci:
         lams = []
         for p in seeded_points(params, 2, seed=5):
             g = np.array(metric_gram(p, params))
-            ric = np.array(ricci_fd(p, params))
+            ric = np.array(ricci_fd(p, params)[0])
             lam, residual = einstein_diagnostic(p, params)
             assert residual <= 1e-4
             assert lam < 0
@@ -737,6 +737,25 @@ class TestRicci:
             assert np.max(np.abs(ric - lam * g)) <= 1e-4 * np.max(np.abs(g))
             lams.append(lam)
         assert abs(lams[0] - lams[1]) <= 1e-4 * abs(lams[0])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_gram_inverse_per_point(self, n, monkeypatch):
+        # ricci_fd returns the inverse of metric_gram's matrix, bit for bit,
+        # and einstein_diagnostic reads it instead of inverting again.
+        params = ModelParams(n, 0.5)
+        p = seeded_points(params, 1, seed=4)[0]
+        ginv = ricci_fd(p, params)[1]
+        assert ginv == geometry._spd_inverse(metric_gram(p, params), params, p.rho)
+        calls = []
+        original = geometry._spd_inverse
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(geometry, "_spd_inverse", counting)
+        einstein_diagnostic(p, params)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("c", [0.0, 1.0])
     @pytest.mark.parametrize("n, count", [(2, 2), (3, 1)])

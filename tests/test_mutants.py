@@ -53,6 +53,10 @@ MUTANTS = [
     ("Ya-angle-coefficient", "polyfields.py", "(var(vt.c) * var(ia)).scale(QI(0, 1))",
      "(var(vt.c) * var(ia)).scale(QI(0, 2))",
      [["verify-killing", "--n", "2", "--points", "1"]], 1, "unflagged"),
+    # The d/dy Jacobian columns of each component's real row flip sign:
+    # 2 of 12 rows pass instead of 8, and the exit code stays 1.
+    ("chart-dy-sign", "fields.py", "(re, im_col, -d_diff.imag)", "(re, im_col, d_diff.imag)",
+     [["verify-killing", "--n", "2", "--points", "1"]], 1, "unflagged"),
     # Adds -c T to YC, and T is Killing.
     ("YC-angle-coefficient", "polyfields.py", "var(vt.c).scale(-2)", "var(vt.c).scale(-3)",
      [["verify-killing", "--n", "1", "--points", "1"]], 1, "equivalent"),
