@@ -157,10 +157,6 @@ class QI(_Ring):
         e = other._d
         return _element(QI, (), ((x * u + y * v) * e, (y * u - x * v) * e), self._d * n2)
 
-    def to_complex(self):
-        x, y = self._n
-        return complex(x / self._d, y / self._d)
-
     def __repr__(self):
         return f"QI({self.re}, {self.im})"
 

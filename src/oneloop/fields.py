@@ -1,24 +1,26 @@
 """Float half of the symmetry fields: Killing residuals and flows.
 
-Evaluates the exact fields of :mod:`oneloop.polyfields` in the real chart,
-from per-field term lists in Python complex arithmetic, against
-finite-difference metric derivatives.
+Builds the real symmetry catalogue from closed forms, as float term lists
+with the monomials, coefficients and term order of the exact fields of
+:mod:`oneloop.polyfields`, and evaluates it in the real chart, in Python
+complex arithmetic, against finite-difference metric derivatives.  The exact
+catalogue (``real_killing_catalogue``) stays the reference; a process that
+only verifies the Killing property never loads the exact layer.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from .exact import VarTable
 from .geometry import (
     FD_STEP, ModelParams, PointBarN, _max_abs, _upper, _weighted_sum, ix_phi, ix_rho, ix_u,
     ix_v, ix_x, ix_y, metric_first_derivatives, metric_gram, seeded_points,
 )
 from .params import VK_SHEAR
-from .polyfields import (
-    GeneratorName, PolyVectorField, _phi_dir, generator, imag_part, real_part,
-)
+
+if TYPE_CHECKING:  # imported where used, so that verify-killing does not compile them
+    from .polyfields import GeneratorName, PolyVectorField
 
 TAU = 2.0 * math.pi
 KILLING_TOLERANCE = 1e-6
@@ -34,57 +36,188 @@ def _chart_values(p: PointBarN, c_value) -> List[complex]:
 
 def _chart_pairs(n: int):
     """(holomorphic variable, antiholomorphic variable, real chart index,
-    imaginary chart index) of each complex coordinate X^a, w^k.
+    imaginary chart index) of each complex coordinate X^a, w^k, in the
+    variable order of ``_chart_values``.
 
     A real field's chart component along x + iy is the holomorphic
     component A, read as (Re A, Im A); the chart partials of a component B
     are d/dx B = dB/dX + dB/dXbar and d/dy B = i(dB/dX - dB/dXbar).
     """
-    vt = VarTable(n)
-    return tuple([(vt.x(a), vt.xb(a), ix_x(a), ix_y(a)) for a in range(1, n)]
-                 + [(vt.w(k), vt.wb(k), ix_u(k, n), ix_v(k, n)) for k in range(n)])
+    return tuple([(a - 1, n - 2 + a, ix_x(a), ix_y(a)) for a in range(1, n)]
+                 + [(2 * n - 2 + k, 3 * n - 2 + k, ix_u(k, n), ix_v(k, n)) for k in range(n)])
+
+
+def _accumulate(terms, items):
+    """Add (monomial, (re, im)) pairs into the dict ``terms``, in order, as
+    ``Poly._accumulate`` adds terms: a new monomial is appended and a sum
+    that cancels removes its monomial."""
+    for mono, (x, y) in items:
+        if mono not in terms:
+            terms[mono] = (x, y)
+            continue
+        u, v = terms[mono]
+        if u + x or v + y:
+            terms[mono] = (u + x, v + y)
+        else:
+            del terms[mono]
+    return terms
+
+
+def _re_im(F, perm):
+    """F + conj(F) and i(F - conj(F)) of a field given as one dict of
+    monomial -> (re, im) per direction, summed in the order of
+    ``polyfields.real_part`` and ``imag_part``; conj swaps each variable
+    and direction with its partner under ``perm``."""
+    conj = [None] * len(F)
+    for i, comp in enumerate(F):
+        conj[perm[i]] = [(tuple([mono[j] for j in perm]), (x, -y))
+                         for mono, (x, y) in comp.items()]
+    re = [_accumulate(dict(comp), bar) for comp, bar in zip(F, conj)]
+    im = [{mono: (-y, x) for mono, (x, y) in
+           _accumulate(dict(comp), [(mono, (-x, -y)) for mono, (x, y) in bar]).items()}
+          for comp, bar in zip(F, conj)]
+    return re, im
+
+
+def _real_catalogue_terms(n: int):
+    """The fields of ``real_killing_catalogue``, labelled, each as its
+    per-direction term lists of (monomial, complex coefficient): the
+    monomials, coefficient bits and term order of the exact fields'
+    ``Poly.terms``, built from closed forms.
+
+    Every coefficient is a Gaussian integer, kept as an (re, im) pair of
+    ints until one ``complex(re, im)`` converts it exactly; the V(k) angle
+    coefficients +-VK_SHEAR/2 are held as floats, which are exact halves.
+    The shear commutator [Ya, conj(Yb)] has one term per component.
+    """
+    nv = 4 * n - 1
+    c = phi = nv - 1  # c is the last variable, the angle the last direction
+    pairs = _chart_pairs(n)
+    perm = list(range(nv))
+    for hv, av, _, _ in pairs:
+        perm[hv], perm[av] = av, hv
+
+    def x(a):
+        return a - 1
+
+    def xb(a):
+        return n - 2 + a
+
+    def w(k):
+        return 2 * n - 2 + k
+
+    def wb(k):
+        return 3 * n - 2 + k
+
+    def mono(*variables):
+        return tuple([variables.count(v) for v in range(nv)])
+
+    def field():
+        return [{} for _ in range(nv)]
+
+    yc, t, c2 = field(), field(), field()
+    for k in range(n):
+        yc[w(k)] = {mono(w(k)): (0, -1)}
+        yc[wb(k)] = {mono(wb(k)): (0, 1)}
+    c1 = list(yc)  # C1 = YC + 2c d/dphi: the angle terms cancel
+    yc[phi] = {mono(c): (-2, 0)}
+    t[phi] = {mono(): (1, 0)}
+    for a in range(1, n):
+        c2[x(a)] = {mono(x(a)): (0, -n)}
+        c2[xb(a)] = {mono(xb(a)): (0, n)}
+    c2[w(0)] = {mono(w(0)): (0, -n)}
+    c2[wb(0)] = {mono(wb(0)): (0, n)}
+    items = [("YC", yc), ("T", t), ("C1", c1), ("C2", c2)]
+
+    for a in range(1, n):
+        ya = field()
+        for b in range(1, n):
+            ya[x(b)] = {mono(x(a), x(b)): (-1, 0)}
+        ya[xb(a)] = {mono(): (1, 0)}
+        ya[w(a)] = {mono(w(0)): (-1, 0)}
+        ya[wb(0)] = {mono(wb(a)): (-1, 0)}
+        ya[phi] = {mono(c, x(a)): (0, 1)}
+        re, im = _re_im(ya, perm)
+        items += [(f"re Ya({a})", re), (f"im Ya({a})", im)]
+    half = VK_SHEAR / 2
+    for k in range(n):
+        vk = field()
+        vk[w(k)] = {mono(): (1, 0)}
+        vk[phi] = {mono(wb(k)): (0, half if k == 0 else -half)}
+        re, im = _re_im(vk, perm)
+        items += [(f"re V({k})", re), (f"im V({k})", im)]
+    for a in range(1, n):
+        for b in range(a, n):
+            comm = field()
+            if a == b:
+                for d in range(1, n):
+                    scale = 2 if d == a else 1
+                    comm[x(d)] = {mono(x(d)): (scale, 0)}
+                    comm[xb(d)] = {mono(xb(d)): (-scale, 0)}
+                comm[w(0)] = {mono(w(0)): (1, 0)}
+                comm[w(a)] = {mono(w(a)): (-1, 0)}
+                comm[wb(0)] = {mono(wb(0)): (-1, 0)}
+                comm[wb(a)] = {mono(wb(a)): (1, 0)}
+                comm[phi] = {mono(c): (0, -2)}
+            else:
+                comm[x(b)] = {mono(x(a)): (1, 0)}
+                comm[xb(a)] = {mono(xb(b)): (-1, 0)}
+                comm[w(a)] = {mono(w(b)): (-1, 0)}
+                comm[wb(b)] = {mono(wb(a)): (1, 0)}
+            re, im = _re_im(comm, perm)
+            items += [(f"re Comm({a},{b})", re), (f"im Comm({a},{b})", im)]
+    return [(label, tuple([(m, complex(re, im)) for m, (re, im) in comp.items()] for comp in F))
+            for label, F in items]
 
 
 class _ChartEvaluator:
     """Real chart vectors and Jacobians of a list of fields, all at once.
 
-    The fields are real, so their chart projections (``_chart_pairs``) read
-    only the holomorphic and angle components.  Per field the evaluator
-    keeps those components, and the (d/dz, d/dzbar) partial pairs of each
-    along every complex coordinate z, as compiled term lists, with the
-    vector and Jacobian entries they fill; a component or a pair without
-    terms is left out, and the radial and angle columns of a Jacobian are
-    zero.  A term is a coefficient and the powers it multiplies, where power
-    1 + (e - 1)*nv + v is var_v**e (nv = 4n - 1 variables, c last).  At a
-    point each term is its coefficient times the powers of its variables,
-    taken in variable order, and the terms are summed in the order of
-    ``Poly.terms``, in Python complex arithmetic: the termwise evaluation of
-    every component and partial, bit for bit.
+    A field is given as its per-direction term lists of (monomial, complex
+    coefficient), directions and variables in the order of
+    ``_chart_values`` (X, Xbar, w, wbar), the angle direction last, and c
+    the last variable.  The fields are real, so their chart projections
+    (``_chart_pairs``) read only the holomorphic and angle components.  Per
+    field the evaluator keeps those components, and the (d/dz, d/dzbar)
+    partial pairs of each along every complex coordinate z, as compiled
+    term lists, with the vector and Jacobian entries they fill; a component
+    or a pair without terms is left out, and the radial and angle columns
+    of a Jacobian are zero.  A compiled term is a coefficient and the
+    powers it multiplies, where power 1 + (e - 1)*nv + v is var_v**e
+    (nv = 4n - 1 variables).  At a point each term is its coefficient times
+    the powers of its variables, taken in variable order, and the terms are
+    summed in list order, in Python complex arithmetic: the termwise
+    evaluation of every component and partial, bit for bit.
     """
 
-    def __init__(self, fields: Sequence[PolyVectorField]):
-        n = fields[0].n
-        nv = 4 * n - 1
+    def __init__(self, fields: Sequence[Sequence[list]]):
+        nv = len(fields[0])
+        n = (nv + 1) // 4
 
-        def compiled(poly):
-            return tuple((coeff.to_complex(),
-                          tuple(1 + (e - 1) * nv + v for v, e in enumerate(mono) if e))
-                         for mono, coeff in poly.terms.items())
+        def compiled(terms):
+            return tuple((coeff, tuple(1 + (e - 1) * nv + v for v, e in enumerate(mono) if e))
+                         for mono, coeff in terms)
 
-        self.emax = max([1, *(e for F in fields for comp in F.comps
-                              for mono in comp.terms for e in mono)])
+        def partial(terms, v):
+            return [(mono[:v] + (mono[v] - 1,) + mono[v + 1:], coeff * mono[v])
+                    for mono, coeff in terms if mono[v]]
+
+        self.emax = max([1, *(e for F in fields for comp in F
+                              for mono, _ in comp for e in mono)])
         pairs = _chart_pairs(n)
-        components = [(h, re, im) for h, _, re, im in pairs] + [(_phi_dir(n), ix_phi(n), None)]
+        components = [(h, re, im) for h, _, re, im in pairs] + [(nv - 1, ix_phi(n), None)]
         self.vectors, self.jacobians = [], []
         for F in fields:
-            partials = F.partials()
-            self.vectors.append([(compiled(F.comps[h]), re, im)
-                                 for h, re, im in components if F.comps[h]])
-            self.jacobians.append([
-                (compiled(d[hv]) if hv in d else (), compiled(d[av]) if av in d else (),
-                 re, im, re_col, im_col)
-                for h, re, im in components for d in [partials[h]]
-                for hv, av, re_col, im_col in pairs if hv in d or av in d])
+            self.vectors.append([(compiled(F[h]), re, im)
+                                 for h, re, im in components if F[h]])
+            jac = []
+            for h, re, im in components:
+                for hv, av, re_col, im_col in pairs:
+                    d_hol, d_antihol = partial(F[h], hv), partial(F[h], av)
+                    if d_hol or d_antihol:
+                        jac.append((compiled(d_hol), compiled(d_antihol),
+                                    re, im, re_col, im_col))
+            self.jacobians.append(jac)
 
     def __call__(self, p: PointBarN, c_value):
         """Per field, the nonzero entries of its real chart vector, as
@@ -133,8 +266,12 @@ def real_killing_catalogue(params: ModelParams) -> List[Tuple[str, PolyVectorFie
     Contains the real fields YC, T, C1, C2 plus the real/imaginary
     combinations of the base shears Ya, the fiber translations Vk, and the
     shear commutators.  Every entry satisfies the reality condition.  Only
-    ``params.n`` is read: the fields are polynomial in the symbol c.
+    ``params.n`` is read: the fields are polynomial in the symbol c.  The
+    exact reference of the catalogue that ``killing_residuals`` evaluates
+    from ``_real_catalogue_terms``.
     """
+    from .polyfields import GeneratorName, generator, imag_part, real_part
+
     n = params.n
     items: List[Tuple[str, PolyVectorField]] = [
         ("YC", generator(GeneratorName("YC"), n)),
@@ -196,7 +333,7 @@ def killing_residuals(params: ModelParams, points: Sequence[PointBarN]):
     same quantity for the radial negative control).  A NaN residual at any
     point makes its maximum NaN, so that no tolerance check passes it.
     """
-    catalogue = real_killing_catalogue(params)
+    catalogue = _real_catalogue_terms(params.n)
     evaluate = _ChartEvaluator([F for _, F in catalogue])
     residuals = {label: 0.0 for label, _ in catalogue}
     control = 0.0

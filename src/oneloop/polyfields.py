@@ -1,12 +1,13 @@
 """Exact polynomial vector fields on the fibered chart, without floats.
 
 The symmetry generators, with coefficients polynomial in (X, Xbar, w, wbar, c),
-and their exact Lie brackets; :mod:`oneloop.fields` evaluates them in the chart.
+and their exact Lie brackets.  :mod:`oneloop.fields` builds the same real
+catalogue in floats from closed forms and keeps ``real_killing_catalogue``,
+built from here, as its exact reference.
 
 A field computes the nonzero partial derivatives of its components once, on
 first use, and keeps them (``PolyVectorField.partials``): every bracket with
-the field reads them there, and the chart evaluator of :mod:`oneloop.fields`
-compiles those of the holomorphic and angle components from there.
+the field reads them there.
 The term lists that ``bracket`` multiplies, negated for the right operand,
 are kept the same way (``PolyVectorField.operands``).
 ``bracket`` and ``combination`` add their products and scaled terms into one
@@ -142,8 +143,8 @@ class PolyVectorField:
 
         Entry i maps each coordinate variable j (every variable but c) with
         d(comps[i])/d(var_j) != 0 to that partial, in increasing j.  The
-        fields are immutable, so the cache is never stale; ``bracket`` and
-        the chart evaluator both read it.
+        fields are immutable, so the cache is never stale; ``bracket``
+        reads it.
         """
         if self._partials is None:
             coord = range(4 * self.n - 2)

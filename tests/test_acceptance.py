@@ -19,12 +19,7 @@ from itertools import product
 import numpy as np
 
 from oneloop.exact import QI, Rad, RadC
-from oneloop.fields import (
-    GeneratorName,
-    flow,
-    flow_jacobian,
-    killing_residuals,
-)
+from oneloop.fields import flow, flow_jacobian, killing_residuals
 from oneloop.geometry import (
     ModelParams,
     PointBarN,
@@ -56,6 +51,7 @@ from oneloop.liealg import (
     structure_check,
 )
 from oneloop.params import THETA_SHEAR, VK_SHEAR
+from oneloop.polyfields import GeneratorName
 from oneloop.quatarith import (
     QuatInt,
     QuatParams,

@@ -378,7 +378,7 @@ def run_python(script):
 MODULE_BUDGET = {
     "center": {"liealg"},
     "structure": {"liealg", "matrices", "polyfields", "exact", "params"},
-    "verify-killing": {"fields", "geometry", "polyfields", "exact", "params"},
+    "verify-killing": {"fields", "geometry", "params"},
     "curvature": {"geometry", "params"},
     "lattice": {"quatarith", "heis", "exact", "params"},
     "volume-table": {"volume", "params"},
@@ -439,6 +439,21 @@ class TestProcessStart:
             "    oneloop.cli.main(['volume-table', '--n', '1', '--c-exact', '1:2:3',\n"
             "                      '--format', 'json'])\n"
             "assert {'json', 'fractions'} <= set(sys.modules)\n"
+        )
+        code, _, err = run_python(script)
+        assert code == 0, err
+
+    def test_verify_killing_loads_no_fractions(self):
+        # The float catalogue is built from Gaussian-integer pairs; the last
+        # lines show that the check can fail.
+        script = (
+            "import contextlib, io, sys\n"
+            "from oneloop.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['verify-killing', '--n', '3', '--points', '1']) in (0, 1)\n"
+            "assert 'fractions' not in sys.modules\n"
+            "import oneloop.polyfields\n"
+            "assert 'fractions' in sys.modules\n"
         )
         code, _, err = run_python(script)
         assert code == 0, err

@@ -14,16 +14,12 @@ import oneloop.geometry
 import oneloop.polyfields
 from oneloop.exact import QI, QI_I, Poly, VarTable
 from oneloop.fields import (
-    GeneratorName,
-    PolyVectorField,
     _ChartEvaluator,
+    _real_catalogue_terms,
     flow,
     flow_jacobian,
-    generator,
-    imag_part,
     killing_residuals,
     real_killing_catalogue,
-    real_part,
 )
 from oneloop.geometry import (
     ModelParams,
@@ -39,7 +35,15 @@ from oneloop.geometry import (
     seeded_points,
 )
 from oneloop.params import THETA_SHEAR
-from oneloop.polyfields import _two_c_dphi, bracket
+from oneloop.polyfields import (
+    GeneratorName,
+    PolyVectorField,
+    _two_c_dphi,
+    bracket,
+    generator,
+    imag_part,
+    real_part,
+)
 
 TAU = 2.0 * math.pi
 
@@ -91,11 +95,17 @@ def chart_values(p, c_value, vt):
     return vals
 
 
+def qi_complex(q):
+    """A Gaussian rational's float value, each part rounded once."""
+    (x, y), d = q.numerators()
+    return complex(x / d, y / d)
+
+
 def termwise(poly, values):
     """A polynomial's value, term by term, in Python complex arithmetic."""
     total = 0j
     for mono, coeff in poly.terms.items():
-        term = coeff.to_complex()
+        term = qi_complex(coeff)
         for i, e in enumerate(mono):
             if e:
                 term *= values[i] ** e
@@ -193,14 +203,22 @@ def dense_jacobian(entries, n):
     return out
 
 
+def term_lists(F):
+    """The per-direction term lists of an exact field, as the chart
+    evaluator takes them: (monomial, qi_complex(coefficient)) in Poly.terms
+    order."""
+    return tuple([(mono, qi_complex(coeff)) for mono, coeff in comp.terms.items()]
+                 for comp in F.comps)
+
+
 def chart_vector(F, p, c_value):
     """Real chart vector of one field through the chart evaluator."""
-    return dense_vector(_ChartEvaluator([F])(p, c_value)[0][0], F.n)
+    return dense_vector(_ChartEvaluator([term_lists(F)])(p, c_value)[0][0], F.n)
 
 
 def chart_jacobian(F, p, c_value):
     """Real chart Jacobian of one field through the chart evaluator."""
-    return dense_jacobian(_ChartEvaluator([F])(p, c_value)[1][0], F.n)
+    return dense_jacobian(_ChartEvaluator([term_lists(F)])(p, c_value)[1][0], F.n)
 
 
 def complex_components(F, p, c_value):
@@ -234,7 +252,7 @@ def killing_one_field_at_a_time(params, points):
     evaluator per field instead of one for the catalogue."""
     max_abs = oneloop.geometry._max_abs
     catalogue = real_killing_catalogue(params)
-    evaluators = [(label, _ChartEvaluator([F])) for label, F in catalogue]
+    evaluators = [(label, _ChartEvaluator([term_lists(F)])) for label, F in catalogue]
     residuals = {label: 0.0 for label, _ in catalogue}
     control = 0.0
     for p in points:
@@ -559,7 +577,7 @@ class TestBatchedEvaluation:
         for c in (0.0, 0.75):
             params = ModelParams(n=n, c=c)
             catalogue = real_killing_catalogue(params)
-            evaluate = _ChartEvaluator([F for _, F in catalogue])
+            evaluate = _ChartEvaluator([F for _, F in _real_catalogue_terms(n)])
             for p in seeded_points(params, 3, seed=n) + [base_point(n)]:
                 vecs, jacs = evaluate(p, c)
                 for (label, F), vec, jac in zip(catalogue, vecs, jacs):
@@ -608,8 +626,7 @@ class TestBatchedEvaluation:
         # The holomorphic and angle components and their partials along
         # the complex coordinates; the antiholomorphic components are the
         # conjugates and are never compiled.
-        catalogue = real_killing_catalogue(ModelParams(n=n, c=0.0))
-        evaluate = _ChartEvaluator([F for _, F in catalogue])
+        evaluate = _ChartEvaluator([F for _, F in _real_catalogue_terms(n)])
         compiled = [comp for spec in evaluate.vectors for comp, _, _ in spec]
         compiled += [d for spec in evaluate.jacobians for pair in spec for d in pair[:2] if d]
         assert (len(compiled), sum(map(len, compiled))) == (polys, terms)
@@ -624,11 +641,41 @@ class TestBatchedEvaluation:
         mono[vt.xb(1)] = 3
         comps = [Poly.zero(nv)] * nv
         comps[vt.xb(1)] = Poly(nv, {tuple(mono): 1})
-        evaluate = _ChartEvaluator([PolyVectorField(n, comps)])
+        evaluate = _ChartEvaluator([term_lists(PolyVectorField(n, comps))])
         p = PointBarN((0.5,), (0j, 0j), 0.0, 1.0)
         assert evaluate(p, 0.0) == ([[]], [[]])
         with pytest.raises(OverflowError, match=r"a power of degree <= 3 overflows"):
             evaluate(p, 1e103)
+
+
+class TestFloatCatalogue:
+    """The closed-form float catalogue that killing_residuals evaluates is
+    the exact catalogue, term for term and bit for bit."""
+
+    @staticmethod
+    def assert_identical(n):
+        exact = [(label, term_lists(F))
+                 for label, F in real_killing_catalogue(ModelParams(n=n))]
+        floats = _real_catalogue_terms(n)
+        assert [label for label, _ in floats] == [label for label, _ in exact]
+        for (label, got), (_, want) in zip(floats, exact):
+            # repr tells the signed zeros apart, which == does not.
+            assert repr(got) == repr(want), label
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_exact_catalogue(self, n):
+        self.assert_identical(n)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_at_the_metric_shear(self, monkeypatch, n):
+        # The V(k) repair of criterion 1 sets VK_SHEAR = THETA_SHEAR; both
+        # catalogues follow it.
+        for module in (oneloop.fields, oneloop.polyfields):
+            monkeypatch.setattr(module, "VK_SHEAR", THETA_SHEAR)
+        self.assert_identical(n)
+        angle = dict(_real_catalogue_terms(n))["re V(0)"][-1]
+        half = THETA_SHEAR / 2
+        assert [coeff for _, coeff in angle] == [half * 1j, -half * 1j]
 
 
 def small_polys(nv):
@@ -655,7 +702,7 @@ def small_real_fields(draw):
 @given(small_real_fields(), st.integers(0, 2**16), st.sampled_from([0.0, 0.75, 2.0]))
 def test_random_real_fields_match_termwise_oracles(F, seed, c):
     p = seeded_points(ModelParams(n=F.n, c=c), 1, seed=seed)[0]
-    (vec,), (jac,) = _ChartEvaluator([F])(p, c)
+    (vec,), (jac,) = _ChartEvaluator([term_lists(F)])(p, c)
     assert np.array_equal(dense_vector(vec, F.n), vector_oracle(F, p, c))
     assert np.array_equal(dense_jacobian(jac, F.n), jacobian_oracle(F, p, c))
 
@@ -955,8 +1002,7 @@ class TestFlows:
 
 
 class TestModuleBindings:
-    """The float module keeps the names the benchmark tracer wraps, and the
-    polyfields names it uses are the very objects of polyfields."""
+    """The float module keeps the names the benchmark tracer wraps."""
 
     def test_float_bindings(self):
         fields = oneloop.fields
@@ -964,7 +1010,3 @@ class TestModuleBindings:
         assert callable(fields.real_killing_catalogue)
         assert fields.metric_first_derivatives is oneloop.geometry.metric_first_derivatives
 
-    @pytest.mark.parametrize("name", ["PolyVectorField", "GeneratorName",
-                                      "generator", "real_part", "imag_part"])
-    def test_exact_names_are_reexported(self, name):
-        assert getattr(oneloop.fields, name) is getattr(oneloop.polyfields, name)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from oneloop import liealg, matrices
 from oneloop.exact import QI, QI_I
-from oneloop.fields import GeneratorName, generator
 from oneloop.liealg import (
     CenterVector,
     f_generator,
@@ -33,7 +32,7 @@ from oneloop.matrices import (
     semidirect,
     sigma,
 )
-from oneloop.polyfields import bracket
+from oneloop.polyfields import GeneratorName, bracket, generator
 
 
 def random_qi(rng):

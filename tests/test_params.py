@@ -54,9 +54,10 @@ import oneloop.params
 if sys.argv[1] == "repaired":
     oneloop.params.VK_SHEAR = oneloop.params.THETA_SHEAR
 import numpy as np
-from oneloop.fields import GeneratorName, flow, flow_jacobian, killing_residuals
+from oneloop.fields import flow, flow_jacobian, killing_residuals
 from oneloop.geometry import ModelParams, metric_gram, seeded_points
 from oneloop.liealg import structure_check
+from oneloop.polyfields import GeneratorName
 
 structure = [structure_check(n).ok for n in (1, 2, 3)]
 killing = 0.0
