@@ -5,6 +5,7 @@ Modules:
     record     the class decorator behind every value class
     params     the model parameters (n, c)
     geometry   the metric family, Gram matrices, determinants, FD curvature
+    generators the generators' closed forms and chart-variable layout, once
     polyfields exact polynomial Killing fields and brackets
     fields     float Killing residuals and closed-form flows
     matrices   exact matrix model of the isometry algebra

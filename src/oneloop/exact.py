@@ -4,7 +4,8 @@ Provides one exact ring type with three generator lists -- Gaussian
 rationals ``QI`` = Q(i), the formal radical ring ``Rad`` = Q(sa, sb) with
 sa^2 = a and sb^2 = b (with b = 1 it is the quadratic ring Q(sqrt(a))) and
 its complex form ``RadC`` = Q(sa, sb, i) -- together with sparse polynomials
-with ``QI`` coefficients and exact rational/integer linear solvers.
+with ``QI`` coefficients and exact rational/integer linear solvers.  The
+polynomials' variable layout is :mod:`oneloop.generators`' ``VarTable``.
 Everything here refuses floats on input: these types exist so that
 algebraic identities can be checked with no tolerance at all.
 
@@ -370,52 +371,6 @@ QI_ONE = QI(1)
 QI_I = QI(0, 1)
 
 
-class VarTable:
-    """Variable layout for coordinate polynomials at a fixed fiber dimension n.
-
-    Variables, in index order: the holomorphic base coordinates X_1..X_{n-1},
-    their conjugates, the fiber coordinates w_0..w_{n-1}, their conjugates,
-    and the deformation parameter c (kept symbolic).  Total 4n-1 variables.
-    """
-
-    __slots__ = ("n", "nvars")
-
-    def __init__(self, n):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.n = n
-        self.nvars = 4 * n - 1
-
-    def x(self, a):
-        if not 1 <= a <= self.n - 1:
-            raise IndexError(f"X index {a} out of range 1..{self.n - 1}")
-        return a - 1
-
-    def xb(self, a):
-        return (self.n - 1) + self.x(a)
-
-    def w(self, k):
-        if not 0 <= k <= self.n - 1:
-            raise IndexError(f"w index {k} out of range 0..{self.n - 1}")
-        return 2 * (self.n - 1) + k
-
-    def wb(self, k):
-        return self.w(k) + self.n
-
-    @property
-    def c(self):
-        return self.nvars - 1
-
-    def conj_perm(self):
-        """Index permutation swapping each variable with its conjugate (c is fixed)."""
-        perm = list(range(self.nvars))
-        for a in range(1, self.n):
-            perm[self.x(a)], perm[self.xb(a)] = perm[self.xb(a)], perm[self.x(a)]
-        for k in range(self.n):
-            perm[self.w(k)], perm[self.wb(k)] = perm[self.wb(k)], perm[self.w(k)]
-        return tuple(perm)
-
-
 class Poly:
     """Sparse multivariate polynomial with QI coefficients.
 
@@ -436,16 +391,6 @@ class Poly:
     @staticmethod
     def zero(nvars):
         return Poly(nvars)
-
-    @staticmethod
-    def const(nvars, coeff):
-        return Poly(nvars, {(0,) * nvars: QI.coerce(coeff)})
-
-    @staticmethod
-    def variable(nvars, i):
-        mono = [0] * nvars
-        mono[i] = 1
-        return Poly(nvars, {tuple(mono): QI_ONE})
 
     def __bool__(self):
         return bool(self.terms)

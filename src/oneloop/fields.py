@@ -1,9 +1,10 @@
 """Float half of the symmetry fields: Killing residuals and flows.
 
-Builds the real symmetry catalogue from closed forms, as float term lists
-with the monomials, coefficients and term order of the exact fields of
-:mod:`oneloop.polyfields`, and evaluates it in the real chart, in Python
-complex arithmetic, against finite-difference metric derivatives.  The exact
+Builds the real symmetry catalogue as float term lists from the closed forms
+of :mod:`oneloop.generators`, which the exact fields of
+:mod:`oneloop.polyfields` read too, with their monomials, coefficients and
+term order, and evaluates it in the real chart, in Python complex
+arithmetic, against finite-difference metric derivatives.  The exact
 catalogue (``real_killing_catalogue``) stays the reference; a process that
 only verifies the Killing property never loads the exact layer.
 """
@@ -17,6 +18,7 @@ from .geometry import (
     FD_STEP, ModelParams, PointBarN, _max_abs, _upper, _weighted_sum, ix_phi, ix_rho, ix_u,
     ix_v, ix_x, ix_y, metric_first_derivatives, metric_gram, seeded_points,
 )
+from .generators import VarTable, generator_terms
 from .params import VK_SHEAR
 
 if TYPE_CHECKING:  # imported where used, so that verify-killing does not compile them
@@ -37,14 +39,15 @@ def _chart_values(p: PointBarN, c_value) -> List[complex]:
 def _chart_pairs(n: int):
     """(holomorphic variable, antiholomorphic variable, real chart index,
     imaginary chart index) of each complex coordinate X^a, w^k, in the
-    variable order of ``_chart_values``.
+    variable order of ``_chart_values`` (``VarTable``).
 
     A real field's chart component along x + iy is the holomorphic
     component A, read as (Re A, Im A); the chart partials of a component B
     are d/dx B = dB/dX + dB/dXbar and d/dy B = i(dB/dX - dB/dXbar).
     """
-    return tuple([(a - 1, n - 2 + a, ix_x(a), ix_y(a)) for a in range(1, n)]
-                 + [(2 * n - 2 + k, 3 * n - 2 + k, ix_u(k, n), ix_v(k, n)) for k in range(n)])
+    vt = VarTable(n)
+    return tuple([(vt.x(a), vt.xb(a), ix_x(a), ix_y(a)) for a in range(1, n)]
+                 + [(vt.w(k), vt.wb(k), ix_u(k, n), ix_v(k, n)) for k in range(n)])
 
 
 def _accumulate(terms, items):
@@ -79,93 +82,36 @@ def _re_im(F, perm):
     return re, im
 
 
+def _catalogue_generators(n: int):
+    """The generators of the real catalogue, as (label, kind, indices), in
+    catalogue order: YC, T, C1 and C2 are real and enter as they are; Ya(a),
+    V(k) and Comm(a,b) = [Ya, conj(Yb)] for a <= b enter as their real and
+    imaginary parts, labelled "re ..." and "im ..."."""
+    return ([(kind, kind, ()) for kind in ("YC", "T", "C1", "C2")]
+            + [(f"Ya({a})", "Ya", (a,)) for a in range(1, n)]
+            + [(f"V({k})", "Vk", (k,)) for k in range(n)]
+            + [(f"Comm({a},{b})", "CommYaYbBar", (a, b))
+               for a in range(1, n) for b in range(a, n)])
+
+
 def _real_catalogue_terms(n: int):
     """The fields of ``real_killing_catalogue``, labelled, each as its
     per-direction term lists of (monomial, complex coefficient): the
     monomials, coefficient bits and term order of the exact fields'
-    ``Poly.terms``, built from closed forms.
+    ``Poly.terms``, from the closed forms of ``generator_terms``.
 
     Every coefficient is a Gaussian integer, kept as an (re, im) pair of
-    ints until one ``complex(re, im)`` converts it exactly; the V(k) angle
-    coefficients +-VK_SHEAR/2 are held as floats, which are exact halves.
-    The shear commutator [Ya, conj(Yb)] has one term per component.
+    ints until one ``complex(re, im)`` converts it exactly.
     """
-    nv = 4 * n - 1
-    c = phi = nv - 1  # c is the last variable, the angle the last direction
-    pairs = _chart_pairs(n)
-    perm = list(range(nv))
-    for hv, av, _, _ in pairs:
-        perm[hv], perm[av] = av, hv
-
-    def x(a):
-        return a - 1
-
-    def xb(a):
-        return n - 2 + a
-
-    def w(k):
-        return 2 * n - 2 + k
-
-    def wb(k):
-        return 3 * n - 2 + k
-
-    def mono(*variables):
-        return tuple([variables.count(v) for v in range(nv)])
-
-    def field():
-        return [{} for _ in range(nv)]
-
-    yc, t, c2 = field(), field(), field()
-    for k in range(n):
-        yc[w(k)] = {mono(w(k)): (0, -1)}
-        yc[wb(k)] = {mono(wb(k)): (0, 1)}
-    c1 = list(yc)  # C1 = YC + 2c d/dphi: the angle terms cancel
-    yc[phi] = {mono(c): (-2, 0)}
-    t[phi] = {mono(): (1, 0)}
-    for a in range(1, n):
-        c2[x(a)] = {mono(x(a)): (0, -n)}
-        c2[xb(a)] = {mono(xb(a)): (0, n)}
-    c2[w(0)] = {mono(w(0)): (0, -n)}
-    c2[wb(0)] = {mono(wb(0)): (0, n)}
-    items = [("YC", yc), ("T", t), ("C1", c1), ("C2", c2)]
-
-    for a in range(1, n):
-        ya = field()
-        for b in range(1, n):
-            ya[x(b)] = {mono(x(a), x(b)): (-1, 0)}
-        ya[xb(a)] = {mono(): (1, 0)}
-        ya[w(a)] = {mono(w(0)): (-1, 0)}
-        ya[wb(0)] = {mono(wb(a)): (-1, 0)}
-        ya[phi] = {mono(c, x(a)): (0, 1)}
-        re, im = _re_im(ya, perm)
-        items += [(f"re Ya({a})", re), (f"im Ya({a})", im)]
-    half = VK_SHEAR / 2
-    for k in range(n):
-        vk = field()
-        vk[w(k)] = {mono(): (1, 0)}
-        vk[phi] = {mono(wb(k)): (0, half if k == 0 else -half)}
-        re, im = _re_im(vk, perm)
-        items += [(f"re V({k})", re), (f"im V({k})", im)]
-    for a in range(1, n):
-        for b in range(a, n):
-            comm = field()
-            if a == b:
-                for d in range(1, n):
-                    scale = 2 if d == a else 1
-                    comm[x(d)] = {mono(x(d)): (scale, 0)}
-                    comm[xb(d)] = {mono(xb(d)): (-scale, 0)}
-                comm[w(0)] = {mono(w(0)): (1, 0)}
-                comm[w(a)] = {mono(w(a)): (-1, 0)}
-                comm[wb(0)] = {mono(wb(0)): (-1, 0)}
-                comm[wb(a)] = {mono(wb(a)): (1, 0)}
-                comm[phi] = {mono(c): (0, -2)}
-            else:
-                comm[x(b)] = {mono(x(a)): (1, 0)}
-                comm[xb(a)] = {mono(xb(b)): (-1, 0)}
-                comm[w(a)] = {mono(w(b)): (-1, 0)}
-                comm[wb(b)] = {mono(wb(a)): (1, 0)}
-            re, im = _re_im(comm, perm)
-            items += [(f"re Comm({a},{b})", re), (f"im Comm({a},{b})", im)]
+    perm = VarTable(n).conj_perm()
+    items = []
+    for label, kind, indices in _catalogue_generators(n):
+        F = generator_terms(kind, n, *indices)
+        if indices:
+            re, im = _re_im(F, perm)
+            items += [(f"re {label}", re), (f"im {label}", im)]
+        else:
+            items.append((label, F))
     return [(label, tuple([(m, complex(re, im)) for m, (re, im) in comp.items()] for comp in F))
             for label, F in items]
 
@@ -272,25 +218,13 @@ def real_killing_catalogue(params: ModelParams) -> List[Tuple[str, PolyVectorFie
     """
     from .polyfields import GeneratorName, generator, imag_part, real_part
 
-    n = params.n
-    items: List[Tuple[str, PolyVectorField]] = [
-        ("YC", generator(GeneratorName("YC"), n)),
-        ("T", generator(GeneratorName("T"), n)),
-        ("C1", generator(GeneratorName("C1"), n)),
-        ("C2", generator(GeneratorName("C2"), n)),
-    ]
-    for a in range(1, n):
-        F = generator(GeneratorName("Ya", a), n)
-        items.append((f"re Ya({a})", real_part(F)))
-        items.append((f"im Ya({a})", imag_part(F)))
-    for k in range(n):
-        items.append((f"re V({k})", generator(GeneratorName("VkRe", k), n)))
-        items.append((f"im V({k})", generator(GeneratorName("VkIm", k), n)))
-    for a in range(1, n):
-        for b in range(a, n):
-            K = generator(GeneratorName("CommYaYbBar", a, b), n)
-            items.append((f"re Comm({a},{b})", real_part(K)))
-            items.append((f"im Comm({a},{b})", imag_part(K)))
+    items: List[Tuple[str, PolyVectorField]] = []
+    for label, kind, indices in _catalogue_generators(params.n):
+        F = generator(GeneratorName(kind, *indices), params.n)
+        if indices:
+            items += [(f"re {label}", real_part(F)), (f"im {label}", imag_part(F))]
+        else:
+            items.append((label, F))
     for label, field in items:
         if not field.is_real():
             raise AssertionError(f"catalogue field {label} is not real")

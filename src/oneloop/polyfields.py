@@ -1,9 +1,10 @@
 """Exact polynomial vector fields on the fibered chart, without floats.
 
 The symmetry generators, with coefficients polynomial in (X, Xbar, w, wbar, c),
-and their exact Lie brackets.  :mod:`oneloop.fields` builds the same real
-catalogue in floats from closed forms and keeps ``real_killing_catalogue``,
-built from here, as its exact reference.
+and their exact Lie brackets.  ``generator`` wraps the closed forms of
+:mod:`oneloop.generators` as ``Poly`` components over ``QI``;
+:mod:`oneloop.fields` converts the same closed forms to floats and keeps
+``real_killing_catalogue``, built from here, as its exact reference.
 
 A field computes the nonzero partial derivatives of its components once, on
 first use, and keeps them (``PolyVectorField.partials``): every bracket with
@@ -17,11 +18,10 @@ result is the one that summing ``Poly`` products would give.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import QI, QI_I, Poly, VarTable
-from .params import VK_SHEAR
+from .exact import QI, QI_I, Poly
+from .generators import VarTable, generator_terms
 from .record import record
 
 # Number of indices each generator kind takes.
@@ -61,11 +61,6 @@ class GeneratorName:
         if self.a is not None:
             return f"{self.kind}({self.a})"
         return self.kind
-
-
-def _phi_dir(n: int) -> int:
-    """Direction slot of the angle coordinate (last slot of comps)."""
-    return 4 * n - 2
 
 
 class PolyVectorField:
@@ -226,90 +221,6 @@ def combination(n: int, pairs) -> PolyVectorField:
     return PolyVectorField(n, comps)
 
 
-def _two_c_dphi(n: int) -> PolyVectorField:
-    """The field 2c * d/dphi."""
-    nv = 4 * n - 1
-    vt = VarTable(n)
-    comps = [Poly.zero(nv)] * nv
-    comps[_phi_dir(n)] = Poly.variable(nv, vt.c).scale(2)
-    return PolyVectorField(n, comps)
-
-
-def generator(name: GeneratorName, n: int) -> PolyVectorField:
-    """Exact coefficient table of a catalogued generator at dimension index n
-    (c symbolic)."""
-    vt = VarTable(n)
-    nv = vt.nvars
-
-    def var(j):
-        return Poly.variable(nv, j)
-
-    def one():
-        return Poly.const(nv, 1)
-
-    comps = [Poly.zero(nv)] * nv
-    kind = name.kind
-
-    if kind == "YC":
-        for k in range(n):
-            comps[vt.w(k)] = var(vt.w(k)).scale(QI(0, -1))
-            comps[vt.wb(k)] = var(vt.wb(k)).scale(QI(0, 1))
-        comps[_phi_dir(n)] = var(vt.c).scale(-2)
-        return PolyVectorField(n, comps)
-
-    if kind == "Ya":
-        a = name.a
-        ia = vt.x(a)  # validates the range
-        comps[vt.xb(a)] = one()
-        for b in range(1, n):
-            comps[vt.x(b)] = comps[vt.x(b)] - var(ia) * var(vt.x(b))
-        comps[vt.w(a)] = comps[vt.w(a)] - var(vt.w(0))
-        comps[vt.wb(0)] = comps[vt.wb(0)] - var(vt.wb(a))
-        comps[_phi_dir(n)] = (var(vt.c) * var(ia)).scale(QI(0, 1))
-        return PolyVectorField(n, comps)
-
-    if kind == "YaBar":
-        return generator(GeneratorName("Ya", name.a), n).conjugate()
-
-    if kind == "Vk":
-        k = name.a
-        comps[vt.w(k)] = one()
-        half_shear = QI(0, Fraction(VK_SHEAR, 2))
-        comps[_phi_dir(n)] = var(vt.wb(k)).scale(half_shear if k == 0 else -half_shear)
-        return PolyVectorField(n, comps)
-
-    if kind == "VkBar":
-        return generator(GeneratorName("Vk", name.a), n).conjugate()
-
-    if kind == "T":
-        comps[_phi_dir(n)] = one()
-        return PolyVectorField(n, comps)
-
-    if kind == "C1":
-        return generator(GeneratorName("YC"), n) + _two_c_dphi(n)
-
-    if kind == "C2":
-        for a in range(1, n):
-            comps[vt.x(a)] = var(vt.x(a)).scale(QI(0, -n))
-            comps[vt.xb(a)] = var(vt.xb(a)).scale(QI(0, n))
-        comps[vt.w(0)] = var(vt.w(0)).scale(QI(0, -n))
-        comps[vt.wb(0)] = var(vt.wb(0)).scale(QI(0, n))
-        return PolyVectorField(n, comps)
-
-    if kind == "CommYaYbBar":
-        Fa = generator(GeneratorName("Ya", name.a), n)
-        Gb = generator(GeneratorName("YaBar", name.b), n)
-        return bracket(Fa, Gb)
-
-    if kind == "VkRe":
-        return real_part(generator(GeneratorName("Vk", name.a), n))
-
-    if kind == "VkIm":
-        return imag_part(generator(GeneratorName("Vk", name.a), n))
-
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
 def real_part(F: PolyVectorField) -> PolyVectorField:
     """Unnormalized real combination F + conj(F) (the catalogue's re fields, VkRe)."""
     return F + F.conjugate()
@@ -320,3 +231,25 @@ def imag_part(F: PolyVectorField) -> PolyVectorField:
     fields, VkIm)."""
     return (F - F.conjugate()).scale(QI_I)
 
+
+# Kinds built from another kind's closed form: that kind, and the map that
+# takes its field to theirs.
+_DERIVED = {"YaBar": ("Ya", PolyVectorField.conjugate),
+            "VkBar": ("Vk", PolyVectorField.conjugate),
+            "VkRe": ("Vk", real_part),
+            "VkIm": ("Vk", imag_part)}
+
+
+def generator(name: GeneratorName, n: int) -> PolyVectorField:
+    """Exact coefficient table of a catalogued generator at dimension index n
+    (c symbolic): the closed form of ``generators.generator_terms`` over
+    ``QI``, or the conjugate, real or imaginary part of one."""
+    derived = _DERIVED.get(name.kind)
+    if derived is not None:
+        kind, part = derived
+        return part(generator(GeneratorName(kind, name.a), n))
+    nv = 4 * n - 1
+    zero = Poly.zero(nv)
+    return PolyVectorField(n, [
+        Poly(nv, {mono: QI(re, im) for mono, (re, im) in comp.items()}) if comp else zero
+        for comp in generator_terms(name.kind, n, name.a, name.b)])

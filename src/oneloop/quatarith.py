@@ -190,8 +190,9 @@ def embed_matrix(q: QuatInt) -> Tuple[Tuple[RadC, RadC], Tuple[RadC, RadC]]:
     )
 
 
-def su11_check(q: QuatInt, matrix=None) -> bool:
-    """Does the matrix realization of q preserve the form diag(1, -1)?
+def su11_check(q: QuatInt, matrix) -> bool:
+    """Does ``matrix``, the realization Q = ``embed_matrix(q)`` of q,
+    preserve the form diag(1, -1)?
 
     Requires reduced norm 1 (the determinant condition); then checks
     conj-transpose(Q) * diag(1,-1) * Q == diag(1,-1) exactly in the radical
@@ -199,11 +200,10 @@ def su11_check(q: QuatInt, matrix=None) -> bool:
     diag(1,-1) is the one consistent with the generator matrices; if this
     check ever fails for a norm-one element, the alternative form
     diag(-1,1) should be examined rather than silently substituted.
-    ``matrix``, when given, is ``embed_matrix(q)`` built by the caller.
     """
     if reduced_norm(q) != 1:
         raise ValueError("the unitary check applies to norm-one elements only")
-    return form_defect(embed_matrix(q) if matrix is None else matrix) is None
+    return form_defect(matrix) is None
 
 
 # ---------------------------------------------------------------------------
@@ -240,27 +240,26 @@ def gamma2_basis(params: QuatParams) -> LatticeDescription:
     return LatticeDescription(n=2, basis=basis, r=_rad(params, rab=1))
 
 
-def preserves_gamma2(q: QuatInt, matrix=None) -> bool:
-    """Does the matrix realization of q map the lattice onto itself?
+def preserves_gamma2(q: QuatInt, matrix) -> bool:
+    """Does ``matrix``, the realization ``embed_matrix(q)`` of q, map the
+    lattice onto itself?
 
     Requires reduced norm 1.  Each basis vector's image under the matrix is
     solved for integer lattice coordinates exactly: the image of every
     basis vector must be an integer combination of the four basis vectors.
     For integral quaternions this agrees with
     quaternion multiplication: the image of (r e_1) is ((q r) e_1), whose
-    coordinates are the coefficients of q*r in the order.  ``matrix``,
-    when given, is ``embed_matrix(q)`` built by the caller.
+    coordinates are the coefficients of q*r in the order.
     """
     if reduced_norm(q) != 1:
         raise ValueError("lattice stabilization applies to norm-one elements only")
-    Q = embed_matrix(q) if matrix is None else matrix
     lattice = gamma2_basis(q.params)
     for vec in lattice.basis:
         # Products with the zero entries of vec are skipped, as MatGl skips
         # zero entries: each basis vector has one nonzero entry, so every
         # image entry is one product.
         terms = [(k, x) for k, x in enumerate(vec) if not x.is_zero()]
-        image = tuple(reduce(add, [row[k] * x for k, x in terms]) for row in Q)
+        image = tuple(reduce(add, [row[k] * x for k, x in terms]) for row in matrix)
         point = HeisPoint(image, 0)
         if lattice_coordinates(lattice, point) is None:
             return False

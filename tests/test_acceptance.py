@@ -55,6 +55,7 @@ from oneloop.polyfields import GeneratorName
 from oneloop.quatarith import (
     QuatInt,
     QuatParams,
+    embed_matrix,
     enumerate_norm_one,
     gamma2_basis,
     preserves_gamma2,
@@ -264,7 +265,8 @@ def test_criterion_6_quaternion_suite(capsys):
         params = QuatParams(a, b)
         for q in enumerate_norm_one(params, 5):
             unit_rows += 1
-            if not (su11_check(q) and preserves_gamma2(q)):
+            matrix = embed_matrix(q)
+            if not (su11_check(q, matrix) and preserves_gamma2(q, matrix)):
                 unit_failures += 1
     rng = random.Random(42)
     mult_ok = True

@@ -377,8 +377,8 @@ def run_python(script):
 # The package modules that a fresh process running each command loads.
 MODULE_BUDGET = {
     "center": {"liealg"},
-    "structure": {"liealg", "matrices", "polyfields", "exact", "params"},
-    "verify-killing": {"fields", "geometry", "params"},
+    "structure": {"liealg", "matrices", "polyfields", "generators", "exact", "params"},
+    "verify-killing": {"fields", "generators", "geometry", "params"},
     "curvature": {"geometry", "params"},
     "lattice": {"quatarith", "heis", "exact", "params"},
     "volume-table": {"volume", "params"},
@@ -420,7 +420,7 @@ class TestProcessStart:
         # A module loaded before the run shows up in the set.
         loaded = loaded_modules(["center", "--n", "2"], "import oneloop.matrices")
         assert loaded - {"oneloop", "cli", "record"} - MODULE_BUDGET["center"] == {
-            "matrices", "polyfields", "exact", "params"}
+            "matrices", "polyfields", "generators", "exact", "params"}
 
     def test_json_and_fractions_load_only_when_used(self):
         # The CSV tables need neither json nor fractions, and lattice's

@@ -11,9 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oneloop import exact
-from oneloop.exact import (QI, Poly, Rad, RadC, VarTable,
-                           as_fraction, integer_solution,
+from oneloop.exact import (QI, Poly, Rad, RadC, as_fraction, integer_solution,
                            solve_rational)
+from oneloop.generators import VarTable
+
+
+def variable(nv, i):
+    """The polynomial var_i in nv variables."""
+    return Poly(nv, {tuple(int(j == i) for j in range(nv)): 1})
+
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 gaussians = st.builds(QI, rationals, rationals)
@@ -87,10 +93,10 @@ class TestVarTable:
 class TestPoly:
     def setup_method(self):
         self.t = VarTable(2)
-        self.X = Poly.variable(self.t.nvars, self.t.x(1))
-        self.Xb = Poly.variable(self.t.nvars, self.t.xb(1))
-        self.w0 = Poly.variable(self.t.nvars, self.t.w(0))
-        self.c = Poly.variable(self.t.nvars, self.t.c)
+        self.X = variable(self.t.nvars, self.t.x(1))
+        self.Xb = variable(self.t.nvars, self.t.xb(1))
+        self.w0 = variable(self.t.nvars, self.t.w(0))
+        self.c = variable(self.t.nvars, self.t.c)
 
     def test_mul_and_diff(self):
         p = (self.X + self.w0) * (self.X - self.w0)
@@ -129,7 +135,7 @@ class TestPoly:
         p = self.X.scale(QI(0, 1)) * self.w0 + self.c
         q = p.conj_swap(self.t.conj_perm())
         expected = (self.Xb.scale(QI(0, -1))
-                    * Poly.variable(self.t.nvars, self.t.wb(0)) + self.c)
+                    * variable(self.t.nvars, self.t.wb(0)) + self.c)
         assert q == expected
         assert q.conj_swap(self.t.conj_perm()) == p
 

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oneloop.fields
+import oneloop.generators
 import oneloop.geometry
-import oneloop.polyfields
-from oneloop.exact import QI, QI_I, Poly, VarTable
+from oneloop.exact import QI, QI_I, Poly
 from oneloop.fields import (
     _ChartEvaluator,
     _real_catalogue_terms,
@@ -34,11 +34,11 @@ from oneloop.geometry import (
     metric_gram,
     seeded_points,
 )
+from oneloop.generators import VarTable
 from oneloop.params import THETA_SHEAR
 from oneloop.polyfields import (
     GeneratorName,
     PolyVectorField,
-    _two_c_dphi,
     bracket,
     generator,
     imag_part,
@@ -48,11 +48,26 @@ from oneloop.polyfields import (
 TAU = 2.0 * math.pi
 
 
+def variable(nv, i):
+    """The polynomial var_i in nv variables."""
+    return Poly(nv, {tuple(int(j == i) for j in range(nv)): 1})
+
+
+def constant(nv, coeff):
+    """The constant polynomial coeff in nv variables."""
+    return Poly(nv, {(0,) * nv: coeff})
+
+
 def zero_field_with_phi(n, phi_poly):
     nv = 4 * n - 1
     comps = [Poly.zero(nv)] * nv
     comps[nv - 1] = phi_poly
     return PolyVectorField(n, comps)
+
+
+def two_c_dphi(n):
+    """The field 2c * d/dphi."""
+    return zero_field_with_phi(n, variable(4 * n - 1, 4 * n - 2).scale(2))
 
 
 def comm_closed_form(a, b, params):
@@ -66,7 +81,7 @@ def comm_closed_form(a, b, params):
     nv = vt.nvars
 
     def var(j):
-        return Poly.variable(nv, j)
+        return variable(nv, j)
 
     comps = [Poly.zero(nv)] * nv
     if a == b:
@@ -280,9 +295,9 @@ class TestGeneratorTables:
         vt = VarTable(3)
         F = generator(GeneratorName("YC"), n)
         for k in range(3):
-            assert F.comps[vt.w(k)] == Poly.variable(vt.nvars, vt.w(k)).scale(QI(0, -1))
-            assert F.comps[vt.wb(k)] == Poly.variable(vt.nvars, vt.wb(k)).scale(QI(0, 1))
-        assert F.comps[4 * 3 - 2] == Poly.variable(vt.nvars, vt.c).scale(-2)
+            assert F.comps[vt.w(k)] == variable(vt.nvars, vt.w(k)).scale(QI(0, -1))
+            assert F.comps[vt.wb(k)] == variable(vt.nvars, vt.wb(k)).scale(QI(0, 1))
+        assert F.comps[4 * 3 - 2] == variable(vt.nvars, vt.c).scale(-2)
         for a in range(1, 3):
             assert not F.comps[vt.x(a)]
             assert not F.comps[vt.xb(a)]
@@ -291,20 +306,20 @@ class TestGeneratorTables:
         n = 2
         vt = VarTable(2)
         F = generator(GeneratorName("Vk", 0), n)
-        assert F.comps[vt.w(0)] == Poly.const(vt.nvars, 1)
-        assert F.comps[4 * 2 - 2] == Poly.variable(vt.nvars, vt.wb(0)).scale(QI(0, 1))
+        assert F.comps[vt.w(0)] == constant(vt.nvars, 1)
+        assert F.comps[4 * 2 - 2] == variable(vt.nvars, vt.wb(0)).scale(QI(0, 1))
         assert not F.comps[vt.w(1)]
 
     def test_va_phi_sign_flips_for_positive_index(self):
         n = 3
         vt = VarTable(3)
         F = generator(GeneratorName("Vk", 2), n)
-        assert F.comps[4 * 3 - 2] == Poly.variable(vt.nvars, vt.wb(2)).scale(QI(0, -1))
+        assert F.comps[4 * 3 - 2] == variable(vt.nvars, vt.wb(2)).scale(QI(0, -1))
 
     def test_t_is_unit_angle_field(self):
         n = 2
         F = generator(GeneratorName("T"), n)
-        assert F.comps[-1] == Poly.const(4 * 2 - 1, 1)
+        assert F.comps[-1] == constant(4 * 2 - 1, 1)
         assert not any(F.comps[:-1])
 
     def test_c1_has_no_angle_component(self):
@@ -312,20 +327,20 @@ class TestGeneratorTables:
         vt = VarTable(2)
         F = generator(GeneratorName("C1"), n)
         assert not F.comps[-1]
-        assert F.comps[vt.w(0)] == Poly.variable(vt.nvars, vt.w(0)).scale(QI(0, -1))
+        assert F.comps[vt.w(0)] == variable(vt.nvars, vt.w(0)).scale(QI(0, -1))
 
     def test_ya_full_table_n3(self):
         n = 3
         vt = VarTable(3)
         nv = vt.nvars
         F = generator(GeneratorName("Ya", 1), n)
-        assert F.comps[vt.xb(1)] == Poly.const(nv, 1)
+        assert F.comps[vt.xb(1)] == constant(nv, 1)
         for b in (1, 2):
-            expect = (Poly.variable(nv, vt.x(1)) * Poly.variable(nv, vt.x(b))).scale(-1)
+            expect = (variable(nv, vt.x(1)) * variable(nv, vt.x(b))).scale(-1)
             assert F.comps[vt.x(b)] == expect
-        assert F.comps[vt.w(1)] == Poly.variable(nv, vt.w(0)).scale(-1)
-        assert F.comps[vt.wb(0)] == Poly.variable(nv, vt.wb(1)).scale(-1)
-        phi = (Poly.variable(nv, vt.c) * Poly.variable(nv, vt.x(1))).scale(QI(0, 1))
+        assert F.comps[vt.w(1)] == variable(nv, vt.w(0)).scale(-1)
+        assert F.comps[vt.wb(0)] == variable(nv, vt.wb(1)).scale(-1)
+        phi = (variable(nv, vt.c) * variable(nv, vt.x(1))).scale(QI(0, 1))
         assert F.comps[nv - 1] == phi
         assert not F.comps[vt.xb(2)]
         assert not F.comps[vt.w(2)]
@@ -340,6 +355,9 @@ class TestGeneratorTables:
             generator(GeneratorName("Vk", 2), n)
         with pytest.raises(IndexError):
             generator(GeneratorName("Vk", -1), n)
+        for a, b in ((0, 0), (1, 2), (2, 1)):
+            with pytest.raises(IndexError):
+                generator(GeneratorName("CommYaYbBar", a, b), n)
 
     def test_generator_name_validation(self):
         with pytest.raises(ValueError):
@@ -433,7 +451,7 @@ class TestBracket:
         n = 2
         V0 = generator(GeneratorName("Vk", 0), n)
         V0b = generator(GeneratorName("VkBar", 0), n)
-        expected = zero_field_with_phi(2, Poly.const(4 * 2 - 1, QI(0, -2)))
+        expected = zero_field_with_phi(2, constant(4 * 2 - 1, QI(0, -2)))
         assert bracket(V0, V0b) == expected
 
     def test_shears_commute(self):
@@ -444,19 +462,24 @@ class TestBracket:
                 G = generator(GeneratorName("Ya", b), n)
                 assert not any(bracket(F, G).comps)
 
+    @staticmethod
+    def assert_comm_closed_forms(params):
+        # The exact bracket [Ya, conj(Yb)] is the table's closed form, which
+        # structure checks it against, and the independent oracle, for
+        # every pair, a > b included.
+        n = params.n
+        for a in range(1, n):
+            for b in range(1, n):
+                K = bracket(generator(GeneratorName("Ya", a), n),
+                            generator(GeneratorName("YaBar", b), n))
+                assert K == generator(GeneratorName("CommYaYbBar", a, b), n), (a, b)
+                assert K == comm_closed_form(a, b, params), (a, b)
+
     def test_comm_matches_closed_form(self):
-        params = ModelParams(n=3, c=1.0)
-        for a in (1, 2):
-            for b in (1, 2):
-                K = generator(GeneratorName("CommYaYbBar", a, b), params.n)
-                assert K == comm_closed_form(a, b, params)
+        self.assert_comm_closed_forms(ModelParams(n=3, c=1.0))
 
     def test_comm_matches_closed_form_n4(self):
-        params = ModelParams(n=4, c=0.0)
-        for a in (1, 3):
-            for b in (2, 3):
-                K = generator(GeneratorName("CommYaYbBar", a, b), params.n)
-                assert K == comm_closed_form(a, b, params)
+        self.assert_comm_closed_forms(ModelParams(n=4, c=0.0))
 
     def test_antisymmetry(self):
         n = 2
@@ -669,13 +692,22 @@ class TestFloatCatalogue:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_at_the_metric_shear(self, monkeypatch, n):
         # The V(k) repair of criterion 1 sets VK_SHEAR = THETA_SHEAR; both
-        # catalogues follow it.
-        for module in (oneloop.fields, oneloop.polyfields):
-            monkeypatch.setattr(module, "VK_SHEAR", THETA_SHEAR)
+        # catalogues read it from the one table.
+        monkeypatch.setattr(oneloop.generators, "VK_SHEAR", THETA_SHEAR)
         self.assert_identical(n)
         angle = dict(_real_catalogue_terms(n))["re V(0)"][-1]
         half = THETA_SHEAR / 2
         assert [coeff for _, coeff in angle] == [half * 1j, -half * 1j]
+
+    @pytest.mark.parametrize("shear", [3, 4.0])
+    def test_a_shear_the_table_cannot_hold_is_refused(self, monkeypatch, shear):
+        # The V(k) angle coefficients +-(VK_SHEAR/2) i are held as Gaussian
+        # integers: an odd or non-integer shear is refused, never floored.
+        monkeypatch.setattr(oneloop.generators, "VK_SHEAR", shear)
+        for build in (lambda: _real_catalogue_terms(2),
+                      lambda: generator(GeneratorName("Vk", 1), 2)):
+            with pytest.raises(ValueError, match="VK_SHEAR must be an even integer"):
+                build()
 
 
 def small_polys(nv):
@@ -718,9 +750,9 @@ def sheared_fiber_translation(k, n, shear):
     vt = VarTable(n)
     nv = vt.nvars
     comps = [Poly.zero(nv)] * nv
-    comps[vt.w(k)] = Poly.const(nv, 1)
+    comps[vt.w(k)] = constant(nv, 1)
     half = QI(0, Fraction(shear if k == 0 else -shear, 2))
-    comps[nv - 1] = Poly.variable(nv, vt.wb(k)).scale(half)
+    comps[nv - 1] = variable(nv, vt.wb(k)).scale(half)
     return PolyVectorField(n, comps)
 
 
@@ -853,14 +885,14 @@ def stabilizer_basis(params):
     YC + 2c dphi and the normalized real and imaginary parts of the shear
     commutators, the diagonal imaginary parts corrected by 2c dphi."""
     n = params.n
-    out = [generator(GeneratorName("YC"), n) + _two_c_dphi(n)]
+    out = [generator(GeneratorName("YC"), n) + two_c_dphi(n)]
     for a in range(1, n):
         for b in range(a, n):
             K = generator(GeneratorName("CommYaYbBar", a, b), n)
             if a < b:  # (K + conj K)/2 and (K - conj K)/2i
                 out.append(real_part(K).scale(Fraction(1, 2)))
             im = imag_part(K).scale(Fraction(-1, 2))
-            out.append(im + _two_c_dphi(n) if a == b else im)
+            out.append(im + two_c_dphi(n) if a == b else im)
     return out
 
 

@@ -50,23 +50,25 @@ MUTANTS = [
      "3 * (math.comb(n - 1, k - 1)", [["volume-table", "--n", "1"]], 0, "unflagged"),
     # Row verdicts flip, but verify-killing exits 1 for every input until the
     # catalogue's V_k shear is repaired.
-    ("Ya-angle-coefficient", "fields.py", "ya[phi] = {mono(c, x(a)): (0, 1)}",
-     "ya[phi] = {mono(c, x(a)): (0, 2)}",
+    ("Ya-angle-coefficient", "generators.py", "comps[phi] = {mono(c, x(a)): (0, 1)}",
+     "comps[phi] = {mono(c, x(a)): (0, 2)}",
      [["verify-killing", "--n", "2", "--points", "1"]], 1, "unflagged"),
-    # The same edit in the exact layer, which verify-killing does not read.
-    # structure prints the same bytes: the commutators it checks are
-    # brackets of the edited generators on both sides.  Only the unit tests
-    # (the float catalogue's identity with the exact one) catch it.
-    ("Ya-angle-coefficient-exact", "polyfields.py", "(var(vt.c) * var(ia)).scale(QI(0, 1))",
-     "(var(vt.c) * var(ia)).scale(QI(0, 2))", [["structure", "--n", "2"]], 0, "equivalent"),
+    # The same edit under the exact layer's check: the brackets [Ya, conj(Yb)]
+    # of the edited shears no longer match the commutators' closed forms.
+    ("Ya-angle-coefficient-exact", "generators.py", "comps[phi] = {mono(c, x(a)): (0, 1)}",
+     "comps[phi] = {mono(c, x(a)): (0, 2)}", [["structure", "--n", "2"]], 1, "verdict"),
     # The d/dy Jacobian columns of each component's real row flip sign:
     # 2 of 12 rows pass instead of 8, and the exit code stays 1.
     ("chart-dy-sign", "fields.py", "(re, im_col, -d_diff.imag)", "(re, im_col, d_diff.imag)",
      [["verify-killing", "--n", "2", "--points", "1"]], 1, "unflagged"),
     # Adds -c T to YC, and T is Killing.
-    ("YC-angle-coefficient", "fields.py", "yc[phi] = {mono(c): (-2, 0)}",
-     "yc[phi] = {mono(c): (-3, 0)}",
+    ("YC-angle-coefficient", "generators.py", "comps[phi] = {mono(c): (-2, 0)}",
+     "comps[phi] = {mono(c): (-3, 0)}",
      [["verify-killing", "--n", "1", "--points", "1"]], 1, "equivalent"),
+    # The same edit under structure: T is central and no commutator has a
+    # component along YC, the image of the trace part C.
+    ("YC-angle-coefficient-exact", "generators.py", "comps[phi] = {mono(c): (-2, 0)}",
+     "comps[phi] = {mono(c): (-3, 0)}", [["structure", "--n", "2"]], 0, "equivalent"),
 ]
 
 

@@ -361,29 +361,31 @@ class TestEmbedMatrix:
 
 class TestSu11Check:
     def test_unit_passes(self):
-        assert su11_check(quat(1, 0, 0, 0)) is True
+        q = quat(1, 0, 0, 0)
+        assert su11_check(q, embed_matrix(q)) is True
 
     def test_search_hit_passes(self):
-        assert su11_check(quat(3, 2, 0, 0)) is True
+        q = quat(3, 2, 0, 0)
+        assert su11_check(q, embed_matrix(q)) is True
 
     def test_norm_precondition(self):
+        q = quat(0, 1, 0, 0)
         with pytest.raises(ValueError, match="norm-one"):
-            su11_check(quat(0, 1, 0, 0))
+            su11_check(q, embed_matrix(q))
 
     @pytest.mark.parametrize("params", [P23, P37, P25])
     def test_exhaustive_over_enumeration(self, params):
         elements = enumerate_norm_one(params, 5)
         assert elements, "enumeration should not be empty"
-        assert all(su11_check(q) for q in elements)
+        assert all(su11_check(q, embed_matrix(q)) for q in elements)
 
-    def test_det_one_non_unitary_matrix_fails(self, monkeypatch):
+    def test_det_one_non_unitary_matrix_fails(self):
         # [[1, 1], [0, 1]] has determinant 1 but does not preserve
         # diag(1, -1); the check must say so rather than trust the norm.
         one, zero = RadC(Rad(2, 3, 1)), RadC(Rad(2, 3))
         shear = ((one, one), (zero, one))
-        monkeypatch.setattr(quatarith, "embed_matrix", lambda q: shear)
         assert det2(shear) == one
-        assert su11_check(quat(1, 0, 0, 0)) is False
+        assert su11_check(quat(1, 0, 0, 0), shear) is False
 
     def test_matches_explicit_product_oracle(self):
         # The hand-built product conj-transpose(Q) * diag(1, -1) * Q.
@@ -398,7 +400,7 @@ class TestSu11Check:
                 )
                 for j in range(2)
             )
-            assert su11_check(q) is (product == eta)
+            assert su11_check(q, Q) is (product == eta)
 
 
 class TestGamma2Lattice:
@@ -451,7 +453,8 @@ class TestGamma2Lattice:
 
 class TestPreservesGamma2:
     def test_identity_preserves(self):
-        assert preserves_gamma2(quat(1, 0, 0, 0)) is True
+        q = quat(1, 0, 0, 0)
+        assert preserves_gamma2(q, embed_matrix(q)) is True
 
     def test_image_coordinates_match_quaternion_multiplication(self):
         params = P23
@@ -520,7 +523,7 @@ class TestPreservesGamma2:
         assert len(elements) > 2
         for q in elements:
             solved.clear()
-            assert preserves_gamma2(q) is True
+            assert preserves_gamma2(q, embed_matrix(q)) is True
             assert [found.coords for found in solved] == [
                 quat_mul(q, r).coords() for r in units]
             assert all(found.center == 0 for found in solved)
@@ -536,12 +539,14 @@ class TestPreservesGamma2:
             return original(self, other)
 
         monkeypatch.setattr(RadC, "__mul__", counting)
-        assert preserves_gamma2(QuatInt(2, 1, 0, 0, P37)) is True
+        q = QuatInt(2, 1, 0, 0, P37)
+        assert preserves_gamma2(q, embed_matrix(q)) is True
         assert counted[0] == 8
 
     def test_norm_precondition(self):
+        q = quat(0, 0, 1, 0)
         with pytest.raises(ValueError, match="norm-one"):
-            preserves_gamma2(quat(0, 0, 1, 0))
+            preserves_gamma2(q, embed_matrix(q))
 
     @pytest.mark.parametrize("name", ["gamma2-2-3", "gamma2-4-7", "gamma2-1-3", "Ld-2-5",
                                       "Ld-3-2"])
@@ -606,7 +611,7 @@ class TestPreservesGamma2:
     @pytest.mark.parametrize("params", [P23, P37, P25])
     def test_exhaustive_over_enumeration(self, params):
         elements = enumerate_norm_one(params, 5)
-        assert all(preserves_gamma2(q) for q in elements)
+        assert all(preserves_gamma2(q, embed_matrix(q)) for q in elements)
 
 
 class TestCCompatible:

@@ -639,9 +639,9 @@ def _model_params_lines(tree):
         or isinstance(node, ast.alias) and node.name == "ModelParams"))
 
 
-def _fact_definitions(tree):
-    """Names of shears (any name holding SHEAR) and of ``signature`` that a
-    tree assigns or defines, at any depth, in order."""
+def _defined_names(tree):
+    """Names of the functions and classes that a tree defines and of the
+    names it assigns, at any depth, in order."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -650,7 +650,13 @@ def _fact_definitions(tree):
             targets = getattr(node, "targets", None) or [node.target]
             found += [t.id for target in targets for t in ast.walk(target)
                       if isinstance(t, ast.Name)]
-    return [name for name in found if "SHEAR" in name or name == "signature"]
+    return found
+
+
+def _fact_definitions(tree):
+    """Names of shears (any name holding SHEAR) and of ``signature`` that a
+    tree assigns or defines, at any depth, in order."""
+    return [name for name in _defined_names(tree) if "SHEAR" in name or name == "signature"]
 
 
 def test_exact_layer_takes_n_not_model_params():
@@ -669,6 +675,17 @@ def test_shears_and_signature_are_defined_once():
              for path in sorted((ROOT / "src" / "oneloop").glob("*.py"))}
     assert {name: defs for name, defs in found.items() if defs} == {
         "params.py": ["THETA_SHEAR", "VK_SHEAR", "signature"]}
+
+
+def test_generator_closed_forms_are_defined_once():
+    # The chart-variable layout and the generators' coefficients are each
+    # stated once, in generators.py; the exact fields and the float
+    # catalogue read them there.
+    names = {"VarTable", "generator_terms"}
+    found = {path.name: [name for name in _defined_names(_parse(path)) if name in names]
+             for path in sorted((ROOT / "src" / "oneloop").glob("*.py"))}
+    assert {name: defs for name, defs in found.items() if defs} == {
+        "generators.py": ["VarTable", "generator_terms"]}
 
 
 FACTS = """
