@@ -6,7 +6,9 @@ of :mod:`oneloop.generators`, which the exact fields of
 term order, and evaluates it in the real chart, in Python complex
 arithmetic, against finite-difference metric derivatives.  The exact
 catalogue (``real_killing_catalogue``) stays the reference; a process that
-only verifies the Killing property never loads the exact layer.
+only verifies the Killing property never loads the exact layer.  The flows
+integrate the catalogue's own affine fields, named by their labels, so the
+module states no coefficient or shear of its own.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from .geometry import (
     ix_v, ix_x, ix_y, metric_first_derivatives, metric_gram, seeded_points,
 )
 from .generators import VarTable, generator_terms
-from .params import VK_SHEAR
 
-if TYPE_CHECKING:  # imported where used, so that verify-killing does not compile them
-    from .polyfields import GeneratorName, PolyVectorField
+if TYPE_CHECKING:  # imported where used, so that verify-killing does not compile it
+    from .polyfields import PolyVectorField
 
 TAU = 2.0 * math.pi
 KILLING_TOLERANCE = 1e-6
@@ -216,11 +217,11 @@ def real_killing_catalogue(params: ModelParams) -> List[Tuple[str, PolyVectorFie
     exact reference of the catalogue that ``killing_residuals`` evaluates
     from ``_real_catalogue_terms``.
     """
-    from .polyfields import GeneratorName, generator, imag_part, real_part
+    from .polyfields import generator, imag_part, real_part
 
     items: List[Tuple[str, PolyVectorField]] = []
     for label, kind, indices in _catalogue_generators(params.n):
-        F = generator(GeneratorName(kind, *indices), params.n)
+        F = generator(kind, params.n, *indices)
         if indices:
             items += [(f"re {label}", real_part(F)), (f"im {label}", imag_part(F))]
         else:
@@ -334,64 +335,62 @@ def _rotation(theta: float) -> complex:
     return complex(math.cos(ang), math.sin(ang))
 
 
-def _flow_map(name: GeneratorName, t: float,
+def _flow_map(label: str, t: float,
               n: int) -> Tuple[List[List[float]], List[float]]:
-    """The closed-form flow for time t as the real-chart affine map J q + b,
-    J as a list of rows.
+    """The time-t flow of the catalogue field ``label`` as the real-chart
+    affine map J q + t b, J as a list of rows.
 
-    Supported: C1 (fiber rotation), C2 (base and leading-fiber rotation),
-    T (angle translation), VkRe/VkIm (fiber translation with angle shear).
-    The radial coordinate never moves.
+    The field must have coordinate degree <= 1 and no c, so that it is A q + b
+    with A its Jacobian and b its vector at the chart origin, where every
+    entry is a small integer.  A must split into rotations of disjoint
+    coordinate planes (A_pq = a = -A_qp) and a part N off those planes that
+    reads no coordinate it moves (so N^2 = 0), and b must vanish on every
+    column of A (so A b = 0).  Then J = exp(tA) is the rotation through -a t
+    on each plane, exact at full periods, and I + tN elsewhere.  The radial
+    coordinate never moves.
     """
+    F = dict(_real_catalogue_terms(n)).get(label)
+    if F is None or any(sum(mono) - mono[-1] > 1 or mono[-1] for comp in F for mono, _ in comp):
+        raise ValueError(f"no closed-form flow implemented for generator {label}")
+    origin = PointBarN((0.0,) * (n - 1), (0.0,) * n, 0.0, 1.0)
+    (vec,), (jac,) = _ChartEvaluator([F])(origin, 0.0)
+    A = {(row, col): value for row, col, value in jac}
+    planes = [(p, q, a) for (p, q), a in A.items() if p < q and A.get((q, p)) == -a]
+    on_planes = {i for p, q, _ in planes for i in (p, q)}
+    rest = [(row, col, value) for (row, col), value in A.items()
+            if row not in on_planes and col not in on_planes]
+    if (len(on_planes) < 2 * len(planes) or len(rest) + 2 * len(planes) < len(A)
+            or {row for row, _, _ in rest} & {col for _, col, _ in rest}
+            or {i for i, _ in vec} & {col for _, col in A}):
+        raise ValueError(f"no closed-form flow implemented for generator {label}")
     m = 4 * n
     J = [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
+    for p, q, a in planes:
+        z = _rotation(-(a * t))
+        J[p][p] = J[q][q] = z.real
+        J[p][q], J[q][p] = -z.imag, z.imag
+    for row, col, value in rest:
+        J[row][col] = t * value
     b = [0.0] * m
-    kind = name.kind
-    if kind == "T":
-        b[ix_phi(n)] = t
-    elif kind in ("C1", "C2"):
-        if kind == "C1":
-            z = _rotation(-t)
-            planes = [(ix_u(k, n), ix_v(k, n)) for k in range(n)]
-        else:
-            z = _rotation(-n * t)
-            planes = [(ix_x(a), ix_y(a)) for a in range(1, n)]
-            planes.append((ix_u(0, n), ix_v(0, n)))
-        for iu, iv in planes:
-            J[iu][iu] = J[iv][iv] = z.real
-            J[iu][iv], J[iv][iu] = -z.imag, z.imag
-    elif kind in ("VkRe", "VkIm"):
-        k = name.a
-        if not 0 <= k <= n - 1:
-            raise ValueError(f"fiber index {k} out of range 0..{n - 1}")
-        # The angle moves by shear * v^k (VkRe) or -shear * u^k (VkIm).
-        shear = (VK_SHEAR if k == 0 else -VK_SHEAR) * t
-        if kind == "VkRe":
-            b[ix_u(k, n)] = t
-            J[ix_phi(n)][ix_v(k, n)] = shear
-        else:
-            b[ix_v(k, n)] = t
-            J[ix_phi(n)][ix_u(k, n)] = -shear
-    else:
-        raise ValueError(
-            f"no closed-form flow implemented for generator {name.label()}"
-        )
+    for i, value in vec:
+        b[i] = t * value
     return J, b
 
 
-def flow(name: GeneratorName, t: float, p: PointBarN) -> PointBarN:
-    """Closed-form flow of a supported generator for time t (see _flow_map).
+def flow(label: str, t: float, p: PointBarN) -> PointBarN:
+    """Closed-form flow for time t of the catalogue field that
+    ``verify-killing`` labels ``label`` (see _flow_map).
 
     Each coordinate sums its row's nonzero entries of J in plain float
     arithmetic, so a full-period rotation (J = identity) returns p exactly.
     """
-    J, b = _flow_map(name, t, p.n)
+    J, b = _flow_map(label, t, p.n)
     q = p.to_chart()
     return PointBarN.from_chart([
         sum(x * y for x, y in zip(row, q) if x) + shift for row, shift in zip(J, b)
     ])
 
 
-def flow_jacobian(name: GeneratorName, t: float, p: PointBarN) -> List[List[float]]:
+def flow_jacobian(label: str, t: float, p: PointBarN) -> List[List[float]]:
     """Exact Jacobian of the closed-form flow in the real chart at p."""
-    return _flow_map(name, t, p.n)[0]
+    return _flow_map(label, t, p.n)[0]

@@ -1,10 +1,12 @@
 """The closed forms of the symmetry generators, written once.
 
-:mod:`oneloop.polyfields` wraps them as exact polynomials and
-:mod:`oneloop.fields` converts them to floats, so the exact fields, the float
-Killing catalogue and the commutator images that ``structure`` checks its
-brackets against read the same coefficients.  No floats and no exact types:
-a process that verifies the Killing property loads no exact ring.
+A generator is named by its kind and indices, the arguments of
+``generator_terms``, which checks them.  :mod:`oneloop.polyfields` wraps the
+closed forms as exact polynomials and :mod:`oneloop.fields` converts them to
+floats, so the exact fields, the float Killing catalogue, its flows and the
+commutator images that ``structure`` checks its brackets against read the
+same coefficients.  No floats and no exact types: a process that verifies
+the Killing property loads no exact ring.
 """
 
 from .params import VK_SHEAR
@@ -56,17 +58,29 @@ class VarTable:
         return tuple(perm)
 
 
+# Number of indices each generator kind takes.
+_ARITY = {"YC": 0, "T": 0, "C1": 0, "C2": 0, "Ya": 1, "Vk": 1, "CommYaYbBar": 2}
+
+
 def generator_terms(kind: str, n: int, a=None, b=None):
     """The coefficients of a catalogued generator at dimension index n.
 
     kind is YC, T, C1, C2, Ya (base index a), Vk (fiber index k = a) or
-    CommYaYbBar, the shear commutator [Ya, conj(Yb)] (any a, b).  Returns
+    CommYaYbBar, the shear commutator [Ya, conj(Yb)] (any a, b); an unknown
+    kind, or indices other than the kind's ``_ARITY``, raise ValueError, and
+    an index out of range raises IndexError.  Returns
     one dict per direction, in ``VarTable`` order with the angle direction
     last, mapping monomials (exponent tuples over the 4n - 1 variables, c
     last) to Gaussian-integer coefficients (re, im).  Every component has at
     most one term.  The V(k) angle coefficients are +-(VK_SHEAR/2) i, so an
     odd VK_SHEAR is refused.
     """
+    arity = _ARITY.get(kind)
+    if arity is None:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    if [a is not None, b is not None] != [arity > 0, arity > 1]:
+        raise ValueError(f"generator {kind} takes {arity} of the indices a, b; "
+                         f"got a={a!r}, b={b!r}")
     vt = VarTable(n)
     nv = vt.nvars
     x, xb, w, wb = vt.x, vt.xb, vt.w, vt.wb
@@ -104,7 +118,7 @@ def generator_terms(kind: str, n: int, a=None, b=None):
         half = VK_SHEAR // 2
         comps[w(a)] = {mono(): (1, 0)}
         comps[phi] = {mono(wb(a)): (0, half if a == 0 else -half)}
-    elif kind == "CommYaYbBar":
+    else:  # CommYaYbBar
         if x(a) == x(b):  # validates both indices
             for d in range(1, n):
                 scale = 2 if d == a else 1
@@ -120,6 +134,4 @@ def generator_terms(kind: str, n: int, a=None, b=None):
             comps[xb(a)] = {mono(xb(b)): (-1, 0)}
             comps[w(a)] = {mono(w(b)): (-1, 0)}
             comps[wb(b)] = {mono(wb(a)): (1, 0)}
-    else:
-        raise ValueError(f"no closed form for generator kind {kind!r}")
     return comps

@@ -17,7 +17,7 @@ from typing import Tuple
 
 from .exact import QI, QI_I, QI_ONE, QI_ZERO
 from .params import VK_SHEAR, signature
-from .polyfields import GeneratorName, PolyVectorField, combination, generator
+from .polyfields import PolyVectorField, combination, generator
 from .record import record
 
 __all__ = [
@@ -182,7 +182,7 @@ def algebra_basis(n: int) -> Tuple[Tuple[str, MatGl, PolyVectorField], ...]:
         return semidirect(A, vE, vEbar, t)
 
     def image(kind, *indices):
-        return generator(GeneratorName(kind, *indices), n)
+        return generator(kind, n, *indices)
 
     units = [tuple(QI_ONE if j == k else QI_ZERO for j in range(n)) for k in range(n)]
     shears = [matrix((0, a, QI_ONE)) for a in range(1, n)]

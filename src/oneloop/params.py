@@ -23,8 +23,9 @@ THETA_SHEAR = 4
 
 # Angle shear of the fiber translations V_k in the symmetry catalogue:
 # Re V_0 = d/du + VK_SHEAR * v d/dphi.  Their angle coefficients
-# +-(VK_SHEAR/2) i wbar_k, their flows' angle shear +-VK_SHEAR * t and the
-# central scale of the matrix algebra all follow from it.  Since
+# +-(VK_SHEAR/2) i wbar_k in generators.generator_terms (and so the angle
+# shear +-VK_SHEAR * t of the flows that fields integrates from them) and
+# the central scale of the matrix algebra all follow from it.  Since
 # L_{d/du + s v d/dphi} theta = (s - THETA_SHEAR) dv, the V_k are Killing
 # only at VK_SHEAR = THETA_SHEAR; at 2 their Killing and flow rows fail
 # until the catalogue is repaired by setting it to THETA_SHEAR.

@@ -1,10 +1,11 @@
 """Exact polynomial vector fields on the fibered chart, without floats.
 
 The symmetry generators, with coefficients polynomial in (X, Xbar, w, wbar, c),
-and their exact Lie brackets.  ``generator`` wraps the closed forms of
-:mod:`oneloop.generators` as ``Poly`` components over ``QI``;
-:mod:`oneloop.fields` converts the same closed forms to floats and keeps
-``real_killing_catalogue``, built from here, as its exact reference.
+and their exact Lie brackets.  ``generator(kind, n, a, b)`` wraps the closed
+forms of :mod:`oneloop.generators`, under that table's own key, as ``Poly``
+components over ``QI``; :mod:`oneloop.fields` converts the same closed
+forms to floats and keeps ``real_killing_catalogue``, built from here, as
+its exact reference.
 
 A field computes the nonzero partial derivatives of its components once, on
 first use, and keeps them (``PolyVectorField.partials``): every bracket with
@@ -18,49 +19,10 @@ result is the one that summing ``Poly`` products would give.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exact import QI, QI_I, Poly
 from .generators import VarTable, generator_terms
-from .record import record
-
-# Number of indices each generator kind takes.
-_INDEX_COUNT = {"YC": 0, "T": 0, "C1": 0, "C2": 0, "Ya": 1, "YaBar": 1,
-                "Vk": 1, "VkBar": 1, "VkRe": 1, "VkIm": 1, "CommYaYbBar": 2}
-
-
-@record(frozen=True)
-class GeneratorName:
-    """Name of a catalogued symmetry generator, with optional indices.
-
-    kind is one of YC, Ya, YaBar, Vk, VkBar, T, C1, C2, CommYaYbBar plus the
-    real/imaginary fiber-translation combinations VkRe, VkIm.  Index `a`
-    doubles as the fiber index k for the Vk family.
-    """
-
-    kind: str
-    a: Optional[int] = None
-    b: Optional[int] = None
-
-    def __post_init__(self):
-        count = _INDEX_COUNT.get(self.kind)
-        if count is None:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if count and self.a is None:
-            raise ValueError(f"generator {self.kind} requires an index")
-        if count == 2 and self.b is None:
-            raise ValueError("CommYaYbBar requires two indices")
-        if not count and self.a is not None:
-            raise ValueError(f"generator {self.kind} takes no index")
-        if count < 2 and self.b is not None:
-            raise ValueError(f"generator {self.kind} takes no second index")
-
-    def label(self) -> str:
-        if self.kind == "CommYaYbBar":
-            return f"Comm({self.a},{self.b})"
-        if self.a is not None:
-            return f"{self.kind}({self.a})"
-        return self.kind
 
 
 class PolyVectorField:
@@ -222,34 +184,28 @@ def combination(n: int, pairs) -> PolyVectorField:
 
 
 def real_part(F: PolyVectorField) -> PolyVectorField:
-    """Unnormalized real combination F + conj(F) (the catalogue's re fields, VkRe)."""
+    """Unnormalized real combination F + conj(F) (the catalogue's re fields)."""
     return F + F.conjugate()
 
 
 def imag_part(F: PolyVectorField) -> PolyVectorField:
     """Unnormalized imaginary combination i(F - conj(F)) (the catalogue's im
-    fields, VkIm)."""
+    fields)."""
     return (F - F.conjugate()).scale(QI_I)
 
 
-# Kinds built from another kind's closed form: that kind, and the map that
-# takes its field to theirs.
-_DERIVED = {"YaBar": ("Ya", PolyVectorField.conjugate),
-            "VkBar": ("Vk", PolyVectorField.conjugate),
-            "VkRe": ("Vk", real_part),
-            "VkIm": ("Vk", imag_part)}
+# The conjugate kinds: the kind whose field they conjugate.
+_DERIVED = {"YaBar": "Ya", "VkBar": "Vk"}
 
 
-def generator(name: GeneratorName, n: int) -> PolyVectorField:
+def generator(kind: str, n: int, a=None, b=None) -> PolyVectorField:
     """Exact coefficient table of a catalogued generator at dimension index n
-    (c symbolic): the closed form of ``generators.generator_terms`` over
-    ``QI``, or the conjugate, real or imaginary part of one."""
-    derived = _DERIVED.get(name.kind)
-    if derived is not None:
-        kind, part = derived
-        return part(generator(GeneratorName(kind, name.a), n))
+    (c symbolic): the closed form of ``generators.generator_terms(kind, n, a,
+    b)`` over ``QI``, or, for YaBar and VkBar, the conjugate of Ya or Vk."""
+    if kind in _DERIVED:
+        return generator(_DERIVED[kind], n, a, b).conjugate()
     nv = 4 * n - 1
     zero = Poly.zero(nv)
     return PolyVectorField(n, [
         Poly(nv, {mono: QI(re, im) for mono, (re, im) in comp.items()}) if comp else zero
-        for comp in generator_terms(name.kind, n, name.a, name.b)])
+        for comp in generator_terms(kind, n, a, b)])

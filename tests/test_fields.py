@@ -37,7 +37,6 @@ from oneloop.geometry import (
 from oneloop.generators import VarTable
 from oneloop.params import THETA_SHEAR
 from oneloop.polyfields import (
-    GeneratorName,
     PolyVectorField,
     bracket,
     generator,
@@ -293,7 +292,7 @@ class TestGeneratorTables:
     def test_yc_components(self):
         n = 3
         vt = VarTable(3)
-        F = generator(GeneratorName("YC"), n)
+        F = generator("YC", n)
         for k in range(3):
             assert F.comps[vt.w(k)] == variable(vt.nvars, vt.w(k)).scale(QI(0, -1))
             assert F.comps[vt.wb(k)] == variable(vt.nvars, vt.wb(k)).scale(QI(0, 1))
@@ -305,7 +304,7 @@ class TestGeneratorTables:
     def test_v0_components(self):
         n = 2
         vt = VarTable(2)
-        F = generator(GeneratorName("Vk", 0), n)
+        F = generator("Vk", n, 0)
         assert F.comps[vt.w(0)] == constant(vt.nvars, 1)
         assert F.comps[4 * 2 - 2] == variable(vt.nvars, vt.wb(0)).scale(QI(0, 1))
         assert not F.comps[vt.w(1)]
@@ -313,19 +312,19 @@ class TestGeneratorTables:
     def test_va_phi_sign_flips_for_positive_index(self):
         n = 3
         vt = VarTable(3)
-        F = generator(GeneratorName("Vk", 2), n)
+        F = generator("Vk", n, 2)
         assert F.comps[4 * 3 - 2] == variable(vt.nvars, vt.wb(2)).scale(QI(0, -1))
 
     def test_t_is_unit_angle_field(self):
         n = 2
-        F = generator(GeneratorName("T"), n)
+        F = generator("T", n)
         assert F.comps[-1] == constant(4 * 2 - 1, 1)
         assert not any(F.comps[:-1])
 
     def test_c1_has_no_angle_component(self):
         n = 2
         vt = VarTable(2)
-        F = generator(GeneratorName("C1"), n)
+        F = generator("C1", n)
         assert not F.comps[-1]
         assert F.comps[vt.w(0)] == variable(vt.nvars, vt.w(0)).scale(QI(0, -1))
 
@@ -333,7 +332,7 @@ class TestGeneratorTables:
         n = 3
         vt = VarTable(3)
         nv = vt.nvars
-        F = generator(GeneratorName("Ya", 1), n)
+        F = generator("Ya", n, 1)
         assert F.comps[vt.xb(1)] == constant(nv, 1)
         for b in (1, 2):
             expect = (variable(nv, vt.x(1)) * variable(nv, vt.x(b))).scale(-1)
@@ -348,31 +347,36 @@ class TestGeneratorTables:
     def test_index_range_errors(self):
         n = 2
         with pytest.raises(IndexError):
-            generator(GeneratorName("Ya", 0), n)
+            generator("Ya", n, 0)
         with pytest.raises(IndexError):
-            generator(GeneratorName("Ya", 2), n)
+            generator("Ya", n, 2)
         with pytest.raises(IndexError):
-            generator(GeneratorName("Vk", 2), n)
+            generator("Vk", n, 2)
         with pytest.raises(IndexError):
-            generator(GeneratorName("Vk", -1), n)
+            generator("Vk", n, -1)
         for a, b in ((0, 0), (1, 2), (2, 1)):
             with pytest.raises(IndexError):
-                generator(GeneratorName("CommYaYbBar", a, b), n)
+                generator("CommYaYbBar", n, a, b)
 
     def test_generator_name_validation(self):
-        with pytest.raises(ValueError):
-            GeneratorName("bogus")
-        with pytest.raises(ValueError):
-            GeneratorName("Ya")
-        with pytest.raises(ValueError):
-            GeneratorName("T", 1)
-        with pytest.raises(ValueError):
-            GeneratorName("CommYaYbBar", 1)
+        # The table checks the kind and how many indices it takes; a
+        # conjugate kind hands its indices to the kind it conjugates.
+        cases = [("bogus", (), "unknown generator kind 'bogus'"),
+                 ("Ya", (), "generator Ya takes 1 "), ("YaBar", (), "generator Ya takes 1 "),
+                 ("T", (1,), "generator T takes 0 "), ("C2", (None, 1), "generator C2 takes 0 "),
+                 ("Vk", (0, 1), "generator Vk takes 1 "),
+                 ("CommYaYbBar", (1,), "generator CommYaYbBar takes 2 ")]
+        for kind, indices, message in cases:
+            with pytest.raises(ValueError, match=message):
+                generator(kind, 3, *indices)
 
     def test_labels(self):
-        assert GeneratorName("YC").label() == "YC"
-        assert GeneratorName("Ya", 2).label() == "Ya(2)"
-        assert GeneratorName("CommYaYbBar", 1, 2).label() == "Comm(1,2)"
+        # One label per catalogue field: the verify-killing row, and the
+        # name that flow takes.
+        labels = [label for label, _ in _real_catalogue_terms(3)]
+        assert labels[:4] == ["YC", "T", "C1", "C2"]
+        assert {"re Ya(2)", "im V(0)", "re Comm(1,2)", "im Comm(2,2)"} <= set(labels)
+        assert len(set(labels)) == len(labels)
 
 
 class TestReality:
@@ -381,22 +385,31 @@ class TestReality:
         items = real_killing_catalogue(ModelParams(n=3, c=0.5))
         assert len(items) == 4 + 2 * 2 + 2 * 3 + 2 * 3
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_the_zero_fields_are_the_diagonal_re_commutators(self, n):
+        # [Ya, conj(Ya)] is minus its own conjugate, so its real part
+        # F + conj(F) vanishes: the verify-killing row of re Comm(a,a) reads
+        # 0 and cannot fail.  No other catalogue field is zero.
+        want = [f"re Comm({a},{a})" for a in range(1, n)]
+        assert [label for label, F in _real_catalogue_terms(n) if not any(F)] == want
+        assert [label for label, F in real_killing_catalogue(ModelParams(n=n))
+                if not any(F.comps)] == want
+
     def test_yc_real_ya_not(self):
         n = 2
-        assert generator(GeneratorName("YC"), n).is_real()
-        assert not generator(GeneratorName("Ya", 1), n).is_real()
+        assert generator("YC", n).is_real()
+        assert not generator("Ya", n, 1).is_real()
 
     def test_conjugate_involution(self):
         n = 3
-        for name in (GeneratorName("Ya", 2), GeneratorName("Vk", 1),
-                     GeneratorName("CommYaYbBar", 1, 2)):
-            F = generator(name, n)
+        for kind, *indices in (("Ya", 2), ("Vk", 1), ("CommYaYbBar", 1, 2)):
+            F = generator(kind, n, *indices)
             assert F.conjugate().conjugate() == F
 
     def test_conjugate_of_ya_is_yabar(self):
         n = 3
-        F = generator(GeneratorName("Ya", 2), n)
-        G = generator(GeneratorName("YaBar", 2), n)
+        F = generator("Ya", n, 2)
+        G = generator("YaBar", n, 2)
         assert F.conjugate() == G
 
     def test_no_radial_component_structurally(self):
@@ -424,11 +437,11 @@ def bracket_catalogue(params):
     """The real Killing catalogue plus the complex shears and translations."""
     fields = [field for _, field in real_killing_catalogue(params)]
     for a in range(1, params.n):
-        fields.append(generator(GeneratorName("Ya", a), params.n))
-        fields.append(generator(GeneratorName("YaBar", a), params.n))
+        fields.append(generator("Ya", params.n, a))
+        fields.append(generator("YaBar", params.n, a))
     for k in range(params.n):
-        fields.append(generator(GeneratorName("Vk", k), params.n))
-        fields.append(generator(GeneratorName("VkBar", k), params.n))
+        fields.append(generator("Vk", params.n, k))
+        fields.append(generator("VkBar", params.n, k))
     return fields
 
 
@@ -442,15 +455,15 @@ class TestBracket:
 
     def test_yc_with_vk_gives_i_vk(self):
         n = 3
-        YC = generator(GeneratorName("YC"), n)
+        YC = generator("YC", n)
         for k in range(3):
-            Vk = generator(GeneratorName("Vk", k), n)
+            Vk = generator("Vk", n, k)
             assert bracket(YC, Vk) == Vk.scale(QI_I)
 
     def test_v0_with_v0bar(self):
         n = 2
-        V0 = generator(GeneratorName("Vk", 0), n)
-        V0b = generator(GeneratorName("VkBar", 0), n)
+        V0 = generator("Vk", n, 0)
+        V0b = generator("VkBar", n, 0)
         expected = zero_field_with_phi(2, constant(4 * 2 - 1, QI(0, -2)))
         assert bracket(V0, V0b) == expected
 
@@ -458,8 +471,8 @@ class TestBracket:
         n = 3
         for a in (1, 2):
             for b in (1, 2):
-                F = generator(GeneratorName("Ya", a), n)
-                G = generator(GeneratorName("Ya", b), n)
+                F = generator("Ya", n, a)
+                G = generator("Ya", n, b)
                 assert not any(bracket(F, G).comps)
 
     @staticmethod
@@ -470,9 +483,8 @@ class TestBracket:
         n = params.n
         for a in range(1, n):
             for b in range(1, n):
-                K = bracket(generator(GeneratorName("Ya", a), n),
-                            generator(GeneratorName("YaBar", b), n))
-                assert K == generator(GeneratorName("CommYaYbBar", a, b), n), (a, b)
+                K = bracket(generator("Ya", n, a), generator("YaBar", n, b))
+                assert K == generator("CommYaYbBar", n, a, b), (a, b)
                 assert K == comm_closed_form(a, b, params), (a, b)
 
     def test_comm_matches_closed_form(self):
@@ -483,29 +495,27 @@ class TestBracket:
 
     def test_antisymmetry(self):
         n = 2
-        F = generator(GeneratorName("Ya", 1), n)
-        G = generator(GeneratorName("VkBar", 1), n)
+        F = generator("Ya", n, 1)
+        G = generator("VkBar", n, 1)
         assert bracket(F, G) == -bracket(G, F)
 
     def test_jacobi_identity(self):
         n = 3
         triples = [
-            (GeneratorName("Ya", 1), GeneratorName("YaBar", 2), GeneratorName("Vk", 0)),
-            (GeneratorName("Ya", 1), GeneratorName("YaBar", 1), GeneratorName("YC")),
-            (GeneratorName("Vk", 0), GeneratorName("VkBar", 0), GeneratorName("Ya", 2)),
+            (("Ya", 1), ("YaBar", 2), ("Vk", 0)),
+            (("Ya", 1), ("YaBar", 1), ("YC",)),
+            (("Vk", 0), ("VkBar", 0), ("Ya", 2)),
         ]
-        for na, nb, nc in triples:
-            A = generator(na, n)
-            B = generator(nb, n)
-            C = generator(nc, n)
+        for names in triples:
+            A, B, C = (generator(kind, n, *indices) for kind, *indices in names)
             J = (bracket(A, bracket(B, C)) + bracket(B, bracket(C, A))
                  + bracket(C, bracket(A, B)))
             assert not any(J.comps)
 
     def test_scale_linearity(self):
         n = 2
-        F = generator(GeneratorName("Ya", 1), n)
-        G = generator(GeneratorName("Vk", 0), n)
+        F = generator("Ya", n, 1)
+        G = generator("Vk", n, 0)
         q = QI(Fraction(2, 3), Fraction(-1, 5))
         assert bracket(F.scale(q), G) == bracket(F, G).scale(q)
 
@@ -541,7 +551,7 @@ class TestBracket:
 class TestEval:
     def test_t_unit_vector(self):
         params = ModelParams(n=2, c=1.0)
-        F = generator(GeneratorName("T"), params.n)
+        F = generator("T", params.n)
         p = seeded_points(params, 1)[0]
         vec = complex_components(F, p, params.c)
         assert vec[-1] == 1.0
@@ -549,7 +559,7 @@ class TestEval:
 
     def test_yc_at_base_point(self):
         params = ModelParams(n=2, c=0.7)
-        F = generator(GeneratorName("YC"), params.n)
+        F = generator("YC", params.n)
         vec = complex_components(F, base_point(2), params.c)
         assert vec[-1] == pytest.approx(-1.4)
         assert np.allclose(vec[:-1], 0.0)
@@ -558,7 +568,7 @@ class TestEval:
         params = ModelParams(n=3, c=0.8)
         for a in (1, 2):
             for b in (1, 2):
-                F = generator(GeneratorName("CommYaYbBar", a, b), params.n)
+                F = generator("CommYaYbBar", params.n, a, b)
                 vec = complex_components(F, base_point(3), params.c)
                 expect = -2j * params.c if a == b else 0.0
                 assert vec[-1] == pytest.approx(expect)
@@ -566,7 +576,7 @@ class TestEval:
 
     def test_real_chart_vector_of_re_v0(self):
         params = ModelParams(n=1, c=0.0)
-        F = generator(GeneratorName("VkRe", 0), params.n)
+        F = real_part(generator("Vk", params.n, 0))
         p = PointBarN((), (1j,), 0.0, 1.0)
         vec = chart_vector(F, p, params.c)
         assert vec[ix_u(0, 1)] == 1.0
@@ -576,7 +586,7 @@ class TestEval:
 
     def test_real_chart_jacobian_matches_finite_difference(self):
         params = ModelParams(n=2, c=0.75)
-        F = imag_part(generator(GeneratorName("Ya", 1), params.n))
+        F = imag_part(generator("Ya", params.n, 1))
         p = seeded_points(params, 1)[0]
         J = chart_jacobian(F, p, params.c)
         q0 = p.to_chart()
@@ -705,7 +715,7 @@ class TestFloatCatalogue:
         # integers: an odd or non-integer shear is refused, never floored.
         monkeypatch.setattr(oneloop.generators, "VK_SHEAR", shear)
         for build in (lambda: _real_catalogue_terms(2),
-                      lambda: generator(GeneratorName("Vk", 1), 2)):
+                      lambda: generator("Vk", 2, 1)):
             with pytest.raises(ValueError, match="VK_SHEAR must be an even integer"):
                 build()
 
@@ -855,10 +865,9 @@ def frame_rank(p, params, tol=1e-8):
     """Rank of the complex coefficient matrix of the fiberwise frame: base
     shears, fiber translations, their conjugates and the angle field."""
     n = params.n
-    names = [GeneratorName("Ya", a) for a in range(1, n)]
-    names += [GeneratorName("Vk", k) for k in range(n)]
-    fields = [generator(name, n) for name in names]
-    fields += [F.conjugate() for F in fields] + [generator(GeneratorName("T"), n)]
+    fields = [generator("Ya", n, a) for a in range(1, n)]
+    fields += [generator("Vk", n, k) for k in range(n)]
+    fields += [F.conjugate() for F in fields] + [generator("T", n)]
     M = np.array([complex_components(F, p, params.c) for F in fields])
     return int(np.linalg.matrix_rank(M, tol=tol))
 
@@ -885,10 +894,10 @@ def stabilizer_basis(params):
     YC + 2c dphi and the normalized real and imaginary parts of the shear
     commutators, the diagonal imaginary parts corrected by 2c dphi."""
     n = params.n
-    out = [generator(GeneratorName("YC"), n) + two_c_dphi(n)]
+    out = [generator("YC", n) + two_c_dphi(n)]
     for a in range(1, n):
         for b in range(a, n):
-            K = generator(GeneratorName("CommYaYbBar", a, b), n)
+            K = generator("CommYaYbBar", n, a, b)
             if a < b:  # (K + conj K)/2 and (K - conj K)/2i
                 out.append(real_part(K).scale(Fraction(1, 2)))
             im = imag_part(K).scale(Fraction(-1, 2))
@@ -933,35 +942,33 @@ class TestFlows:
 
     def test_c1_full_period_is_identity_exactly(self):
         for p in self.seeded(2, 0.5):
-            q = flow(GeneratorName("C1"), TAU, p)
+            q = flow("C1", TAU, p)
             assert q.X == p.X and q.w == p.w
             assert q.phi_tilde == p.phi_tilde and q.rho == p.rho
 
     def test_c2_period_is_identity_exactly(self):
         for n in (1, 2, 3):
             for p in self.seeded(n, 1.0):
-                q = flow(GeneratorName("C2"), TAU / n, p)
+                q = flow("C2", TAU / n, p)
                 assert q.X == p.X and q.w == p.w
                 assert q.phi_tilde == p.phi_tilde and q.rho == p.rho
 
     def test_t_translates_angle(self):
         p = self.seeded(2, 0.0)[0]
-        q = flow(GeneratorName("T"), 0.75, p)
+        q = flow("T", 0.75, p)
         assert q.phi_tilde == p.phi_tilde + 0.75
         assert q.X == p.X and q.w == p.w
 
     def test_re_v0_example(self):
         p = PointBarN((), (1j,), 0.0, 1.0)
-        q = flow(GeneratorName("VkRe", 0), 1.0, p)
+        q = flow("re V(0)", 1.0, p)
         assert q.w[0] == 1.0 + 1.0j
         assert q.phi_tilde == 2.0
 
     def test_translation_group_law_exact_at_dyadic_times(self):
         p = PointBarN((0.25,), (0.5 - 0.25j, 1.5j), 0.5, 2.0)
         s, t = 0.25, 0.5
-        for name in (GeneratorName("T"), GeneratorName("VkRe", 0),
-                      GeneratorName("VkIm", 0), GeneratorName("VkRe", 1),
-                      GeneratorName("VkIm", 1)):
+        for name in ("T", "re V(0)", "im V(0)", "re V(1)", "im V(1)"):
             one = flow(name, s + t, p)
             two = flow(name, s, flow(name, t, p))
             assert one.X == two.X and one.w == two.w
@@ -970,14 +977,14 @@ class TestFlows:
     def test_rotation_group_law_close_at_generic_times(self):
         p = self.seeded(3, 0.5)[0]
         s, t = 0.37, -1.21
-        for name in (GeneratorName("C1"), GeneratorName("C2")):
+        for name in ("C1", "C2"):
             one = flow(name, s + t, p)
             two = flow(name, s, flow(name, t, p))
             assert np.allclose(one.to_chart(), two.to_chart(), atol=1e-12)
 
     def test_rotation_and_angle_flows_are_isometries(self):
         params = ModelParams(n=2, c=0.5)
-        names = (GeneratorName("C1"), GeneratorName("C2"), GeneratorName("T"))
+        names = ("C1", "C2", "T")
         for p in seeded_points(params, 3):
             g_p = np.array(metric_gram(p, params))
             scale = np.max(np.abs(g_p))
@@ -1005,7 +1012,7 @@ class TestFlows:
     def test_flow_jacobian_matches_finite_difference(self):
         params = ModelParams(n=2, c=1.0)
         p = seeded_points(params, 1)[0]
-        for name in (GeneratorName("C2"), GeneratorName("VkIm", 1)):
+        for name in ("C2", "im V(1)"):
             t = 0.83
             J = np.array(flow_jacobian(name, t, p))
             q0 = p.to_chart()
@@ -1020,16 +1027,57 @@ class TestFlows:
                 assert np.allclose(J[:, j], (fp - fm) / (2 * h), atol=1e-6)
 
     def test_unsupported_flow_raises(self):
+        # re Ya(1) is quadratic, YC depends on c, and n = 2 has no V(2).
         p = PointBarN((0.1,), (0.0, 0.0), 0.0, 1.0)
-        with pytest.raises(ValueError, match="closed-form flow"):
-            flow(GeneratorName("Ya", 1), 1.0, p)
-        with pytest.raises(ValueError, match="closed-form flow"):
-            flow_jacobian(GeneratorName("YC"), 1.0, p)
+        for label in ("re Ya(1)", "YC", "re V(2)", "bogus"):
+            for call in (flow, flow_jacobian):
+                with pytest.raises(ValueError, match="closed-form flow"):
+                    call(label, 1.0, p)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_flows_integrate_the_affine_fields(self, n):
+        # Every catalogue field of coordinate degree <= 1 without c flows, and
+        # its flow is q -> exp(tA) q + t b for the field A q + b, with A and b
+        # read from the exact catalogue.  The times are small: scipy's expm
+        # itself drifts by ~1e-13 at rotation angles near 8.
+        from scipy.linalg import expm
+
+        pairs = [(a, b) for a in range(1, n) for b in range(a, n)]
+        want = ({"T", "C1", "C2"} | {f"{part} V({k})" for part in ("re", "im") for k in range(n)}
+                | {f"re Comm({a},{b})" for a, b in pairs}
+                | {f"im Comm({a},{b})" for a, b in pairs if a < b})
+        origin = PointBarN((0.0,) * (n - 1), (0.0,) * n, 0.0, 1.0)
+        flowing = set()
+        for label, F in real_killing_catalogue(ModelParams(n=n)):
+            try:
+                flow(label, 0.0, origin)
+            except ValueError:
+                continue
+            flowing.add(label)
+            A, b = chart_jacobian(F, origin, 0.0), chart_vector(F, origin, 0.0)
+            for t in (0.37, -0.37):
+                assert np.max(np.abs(np.array(flow_jacobian(label, t, origin))
+                                     - expm(t * A))) <= 1e-14, (label, t)
+                moved = np.array(flow(label, t, origin).to_chart()) - origin.to_chart()
+                assert np.max(np.abs(moved - t * b)) <= 1e-14, (label, t)
+        assert flowing == want
+
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    def test_commutator_flows_are_isometries(self, c):
+        from test_acceptance import PULLBACK_TOL
+
+        params = ModelParams(n=3, c=c)
+        for p in seeded_points(params, 5):
+            g_p = np.array(metric_gram(p, params))
+            for label in ("re Comm(1,2)", "im Comm(1,2)"):
+                q = flow(label, 0.37, p)
+                J = np.array(flow_jacobian(label, 0.37, p))
+                pulled = J.T @ np.array(metric_gram(q, params)) @ J
+                assert np.max(np.abs(pulled - g_p)) <= PULLBACK_TOL * np.max(np.abs(g_p))
 
     def test_flow_preserves_radius(self):
         p = self.seeded(2, 2.0)[1]
-        for name in (GeneratorName("C1"), GeneratorName("C2"),
-                      GeneratorName("VkRe", 0)):
+        for name in ("C1", "C2", "re V(0)"):
             assert flow(name, 1.3, p).rho == p.rho
 
 

@@ -61,6 +61,15 @@ MUTANTS = [
     # 2 of 12 rows pass instead of 8, and the exit code stays 1.
     ("chart-dy-sign", "fields.py", "(re, im_col, -d_diff.imag)", "(re, im_col, d_diff.imag)",
      [["verify-killing", "--n", "2", "--points", "1"]], 1, "unflagged"),
+    # The C2 row flips, but verify-killing exits 1 for every input until the
+    # catalogue's V_k shear is repaired; criterion 5's C2 flow checks fail.
+    ("C2-coefficient", "generators.py", "comps[x(d)] = {mono(x(d)): (0, -n)}",
+     "comps[x(d)] = {mono(x(d)): (0, -n - 1)}",
+     [["verify-killing", "--n", "2", "--points", "1"]], 1, "unflagged"),
+    # C2 is the image of no matrix of the algebra basis, so structure never
+    # reads it.
+    ("C2-coefficient-exact", "generators.py", "comps[x(d)] = {mono(x(d)): (0, -n)}",
+     "comps[x(d)] = {mono(x(d)): (0, -n - 1)}", [["structure", "--n", "2"]], 0, "equivalent"),
     # Adds -c T to YC, and T is Killing.
     ("YC-angle-coefficient", "generators.py", "comps[phi] = {mono(c): (-2, 0)}",
      "comps[phi] = {mono(c): (-3, 0)}",

@@ -57,7 +57,6 @@ import numpy as np
 from oneloop.fields import flow, flow_jacobian, killing_residuals
 from oneloop.geometry import ModelParams, metric_gram, seeded_points
 from oneloop.liealg import structure_check
-from oneloop.polyfields import GeneratorName
 
 structure = [structure_check(n).ok for n in (1, 2, 3)]
 killing = 0.0
@@ -69,7 +68,7 @@ for n in (1, 2, 3):
 pullback = 0.0
 for n, c in ((1, 0.5), (2, 1.0)):
     params = ModelParams(n=n, c=c)
-    names = [GeneratorName(kind, k) for kind in ("VkRe", "VkIm") for k in range(n)]
+    names = [f"{part} V({k})" for part in ("re", "im") for k in range(n)]
     for p in seeded_points(params, 10, seed=42):
         g = np.array(metric_gram(p, params))
         for name in names:

@@ -12,7 +12,6 @@ from oneloop.heis import HeisLatticePoint, HeisPoint, LatticeDescription
 from oneloop.liealg import CenterVector
 from oneloop.matrices import MatGl, StructureReport
 from oneloop.params import ModelParams
-from oneloop.polyfields import GeneratorName
 from oneloop.quatarith import QuatInt, QuatParams
 
 P23 = QuatParams(2, 3)
@@ -26,7 +25,6 @@ CASES = [
     (MatGl, (((QI(1),),),), (((QI(2),),),), (((1,),),)),
     (StructureReport, (2, 16, ()), (2, 16, (("E1", "T"),)), None),
     (CenterVector, (Fraction(1, 2), 1, 0), (Fraction(1, 2), 2, 0), (0, 0.5, 0)),
-    (GeneratorName, ("Ya", 1), ("Ya", 2), ("Nope",)),
     (QuatParams, (2, 3), (3, 7), (0, 3)),
     (QuatInt, (1, 0, 0, 0, P23), (1, 0, 0, 0, QuatParams(3, 7)), (1.0, 0, 0, 0, P23)),
     (HeisPoint, ((QI(1), QI(0)), Fraction(0)), ((QI(1), QI(0)), Fraction(1)),
@@ -71,7 +69,8 @@ def test_repr_and_defaults():
     assert repr(QuatInt(1, 0, 0, 0, P23)) == (
         "QuatInt(q0=1, q1=0, q2=0, q3=0, params=QuatParams(a=2, b=3))")
     assert repr(ModelParams(1)) == "ModelParams(n=1, c=0.0)"
-    assert GeneratorName("T") == GeneratorName("T", None, None)
+    assert RunConfig("center") == RunConfig("center", 2, 1.0, None, 42, 20, 3, None, None,
+                                            (1.0, 2.0, 4.0))
 
 
 def test_only_init_is_generated():

@@ -10,6 +10,7 @@ import pytest
 
 import oneloop
 from oneloop.exact import QI, Rad, RadC
+from oneloop.generators import _ARITY
 from oneloop.quatarith import QuatInt, QuatParams
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -677,15 +678,61 @@ def test_shears_and_signature_are_defined_once():
         "params.py": ["THETA_SHEAR", "VK_SHEAR", "signature"]}
 
 
+def _kind_tables(tree):
+    """Lines of the dict displays in a tree that are keyed by a generator
+    kind of ``generators.generator_terms``, at any depth."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Dict)
+            and any(isinstance(key, ast.Constant) and key.value in _ARITY for key in node.keys)]
+
+
+def _shear_reads(tree):
+    """Lines where a tree imports a shear (any name holding SHEAR) or reads
+    one as an attribute, at any depth."""
+    imported = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names if "SHEAR" in alias.name]
+    read = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and "SHEAR" in node.attr]
+    return sorted(imported + read)
+
+
 def test_generator_closed_forms_are_defined_once():
-    # The chart-variable layout and the generators' coefficients are each
-    # stated once, in generators.py; the exact fields and the float
-    # catalogue read them there.
-    names = {"VarTable", "generator_terms"}
-    found = {path.name: [name for name in _defined_names(_parse(path)) if name in names]
-             for path in sorted((ROOT / "src" / "oneloop").glob("*.py"))}
-    assert {name: defs for name, defs in found.items() if defs} == {
-        "generators.py": ["VarTable", "generator_terms"]}
+    # The chart-variable layout, the generators' coefficients and the number
+    # of indices each kind takes are each stated once, in generators.py; the
+    # exact fields, the float catalogue and its flows read them there.
+    names = {"VarTable", "generator_terms", "_ARITY"}
+    found = {path.name: ([name for name in _defined_names(tree) if name in names],
+                         _kind_tables(tree))
+             for path in sorted((ROOT / "src" / "oneloop").glob("*.py"))
+             for tree in [_parse(path)]}
+    assert {name: defs for name, (defs, _) in found.items() if defs} == {
+        "generators.py": ["VarTable", "_ARITY", "generator_terms"]}
+    assert {name: len(lines) for name, (_, lines) in found.items() if lines} == {
+        "generators.py": 1}
+
+
+def test_fields_reads_no_shear():
+    # The float catalogue and its flows take every coefficient, the V(k)
+    # angle shear included, from generators.generator_terms.
+    assert _shear_reads(_parse(ROOT / "src" / "oneloop" / "fields.py")) == []
+
+
+SHEARS = """
+from .params import ModelParams, VK_SHEAR
+from oneloop.params import THETA_SHEAR as shear
+import oneloop.params
+
+_INDEX_COUNT = {"YC": 0, "Ya": 1}
+
+
+def flow_map(t):
+    return oneloop.params.VK_SHEAR * t, {"YaBar": "Ya"}
+"""
+
+
+def test_shear_and_kind_checks_on_a_synthetic_source():
+    tree = ast.parse(SHEARS)
+    assert _shear_reads(tree) == [2, 3, 10]
+    assert _kind_tables(tree) == [6]
 
 
 FACTS = """
