@@ -3,7 +3,7 @@
 Modules:
     exact      exact arithmetic (Gaussian rationals, polynomials, radical rings)
     record     the class decorator behind every value class
-    params     the model parameters (n, c)
+    params     the model parameters (n, c) and the c that fits a lattice
     geometry   the metric family, Gram matrices, determinants, FD curvature
     generators the generators' closed forms and chart-variable layout, once
     polyfields exact polynomial Killing fields and brackets

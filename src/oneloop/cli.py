@@ -109,13 +109,13 @@ class RunConfig:
     @property
     def effective_c(self) -> float:
         if self.c_exact is not None:
-            from .quatarith import QuatParams, c_compatible
+            from .params import c_compatible
 
             lam, a, b = self.c_exact
             if lam < 0:
                 raise ConfigError("c-exact scaling factor must be nonnegative")
             try:
-                c = c_compatible(QuatParams(a, b), lam)
+                c = c_compatible(lam, a, b)
             except OverflowError:  # LAM, A or B leaves the float range
                 c = math.inf
             # A positive LAM whose c underflows to 0.0 would run the

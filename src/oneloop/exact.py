@@ -227,12 +227,6 @@ class Rad(_Radical):
 
     r1, ra, rb, rab = map(_view, range(4))
 
-    def to_float(self):
-        a, b = self._p
-        n1, na, nb, nab = self._n
-        d = self._d
-        return n1 / d + na / d * math.sqrt(a) + nb / d * math.sqrt(b) + nab / d * math.sqrt(a * b)
-
     def __repr__(self):
         return (f"Rad[{self.a},{self.b}]({self.r1} + {self.ra}*sa"
                 f" + {self.rb}*sb + {self.rab}*sab)")

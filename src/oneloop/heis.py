@@ -9,7 +9,8 @@ by exact radical arithmetic rather than floating point.
 
 This module provides:
 
-* the Hermitian form and its symplectic imaginary part,
+* the Hermitian form ``hermitian``, whose imaginary part is the symplectic
+  form,
 * the exact group law on Gaussian-rational and radical points,
 * square-root-lattice constructions ``lattice_Ld`` (basis e_j, sqrt(d)*i*e_j)
   with decidable exact membership,
@@ -37,7 +38,7 @@ from .params import signature
 from .record import record
 
 __all__ = [
-    "HermForm",
+    "hermitian",
     "HeisPoint",
     "HeisLatticePoint",
     "LatticeDescription",
@@ -52,30 +53,19 @@ __all__ = [
 ]
 
 
-class HermForm:
-    """Indefinite Hermitian form of signature (1, n-1) on C^n.
+def hermitian(v: Sequence, w: Sequence):
+    """h(v, w) = conj(v_1) w_1 - sum_{j>=2} conj(v_j) w_j on C^n.
 
-    h(v, w) = conj(v_1) w_1 - sum_{j>=2} conj(v_j) w_j, antilinear in the
-    first slot, and omega = Im(h).  Vectors have exact QI or RadC entries,
-    so both h and omega are exact.
+    The indefinite form of signature (1, n-1) (signs ``params.signature``),
+    antilinear in the first slot; omega = Im(h).  Vectors have exact QI or
+    RadC entries, so h and omega are exact.
     """
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("the form needs at least one complex dimension")
-        self.n = n
-        self.signs: Tuple[int, ...] = signature(n)
-
-    def h(self, v: Sequence, w: Sequence):
-        if len(v) != self.n or len(w) != self.n:
-            raise ValueError("vector length does not match the form dimension")
-        total = v[0].conj() * w[0]
-        for vj, wj in zip(v[1:], w[1:]):
-            total = total - vj.conj() * wj
-        return total
-
-    def omega(self, v: Sequence, w: Sequence):
-        return self.h(v, w).im
+    if not v or len(v) != len(w):
+        raise ValueError("the form needs two vectors of one positive length")
+    total = v[0].conj() * w[0]
+    for vj, wj in zip(v[1:], w[1:]):
+        total = total - vj.conj() * wj
+    return total
 
 
 @record(frozen=True)
@@ -113,7 +103,7 @@ def heis_mul(x: HeisPoint, y: HeisPoint) -> HeisPoint:
     """Group law (v, t)(v', t') = (v + v', t + t' + omega(v, v')/2)."""
     if x.n != y.n:
         raise ValueError("points live on groups of different dimension")
-    omega = HermForm(x.n).omega(x.v, y.v)
+    omega = hermitian(x.v, y.v).im
     vsum = tuple(a + b for a, b in zip(x.v, y.v))
     return HeisPoint(vsum, x.t + y.t + omega * Fraction(1, 2))
 
@@ -178,8 +168,7 @@ class LatticeDescription:
 
     def omega_table(self) -> List[List[object]]:
         """Exact matrix omega(B_i, B_j) over the lattice basis."""
-        form = HermForm(self.n)
-        return [[form.omega(bi, bj) for bj in self.basis] for bi in self.basis]
+        return [[hermitian(bi, bj).im for bj in self.basis] for bi in self.basis]
 
 
 @record(frozen=True)
@@ -339,18 +328,20 @@ def form_defect(g) -> Optional[Tuple[int, int]]:
     """First entry (j, k) at which g^H eta g differs from eta, or None.
 
     eta = diag(1, -1, ..., -1) is the Gram matrix of the Hermitian form, so
-    entry (j, k) of g^H eta g is h(column j, column k).  ``g`` is a square
-    exact matrix (QI or RadC entries), and None means that g preserves the
-    form exactly.  g^H eta g and eta are Hermitian, so a defect at (k, j)
+    entry (j, k) of g^H eta g is hermitian(column j, column k).  ``g`` is a
+    square exact matrix (QI or RadC entries), and None means that g
+    preserves the form exactly.  g^H eta g and eta are Hermitian, so a defect at (k, j)
     is one at (j, k): only j <= k is visited, and the first defect in
     row-major order is still the one returned.
     """
-    form = HermForm(len(g))
+    if not g:
+        raise ValueError("the form needs at least one complex dimension")
+    signs = signature(len(g))
     cols = list(zip(*g))
     for j, col_j in enumerate(cols):
         for k, col_k in enumerate(cols[j:], j):
-            value = form.h(col_j, col_k)
-            if not (value == form.signs[j] if j == k else value.is_zero()):
+            value = hermitian(col_j, col_k)
+            if not (value == signs[j] if j == k else value.is_zero()):
                 return j, k
     return None
 
@@ -410,7 +401,7 @@ def unipotent_witness(n: int, d: int):
     zero, one, i_root = _root_constants(d)
     v = tuple(one if j < 2 else zero for j in range(n))
     w = tuple(i_root * vj for vj in v)
-    signs = HermForm(n).signs
+    signs = signature(n)
     A = tuple(
         tuple(
             (w[j] * v[k].conj() - v[j] * w[k].conj()) * signs[k]

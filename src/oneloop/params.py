@@ -3,9 +3,10 @@
 ``ModelParams`` lives here rather than in ``geometry`` so that the exact
 subcommands (``center``, ``lattice``, ``volume-table``) can validate their
 parameters without importing the float metric; ``geometry`` re-exports the
-name.  The
-two angle shears and the signature of the fiber form are stated here once,
-for the float metric and the exact symmetry layer alike.
+name.  The two angle shears, the signature of the fiber form and the
+compatibility ``c_compatible`` of the metric's angular period with a
+quaternion lattice are stated here once, for the float metric, the exact
+symmetry layer and the lattices alike.
 """
 
 from __future__ import annotations
@@ -35,6 +36,22 @@ VK_SHEAR = 2
 def signature(n: int) -> Tuple[int, ...]:
     """Signs (+1, -1, ..., -1) of the indefinite Hermitian form on C^n."""
     return (1,) + (-1,) * (n - 1)
+
+
+def c_compatible(lam, a: int, b: int) -> float:
+    """Deformation parameter c >= 0 with 4*pi*c = lam * sqrt(ab)/2.
+
+    4*pi*c is the angular period of the metric's fiber circle at n = 2, and
+    sqrt(ab)/2 the half-center generator of the quaternion lattice of (a, b).
+    ``lam`` is a nonnegative rational (an int, a Fraction or its string),
+    halved exactly; lam = 0 returns the undeformed c = 0.
+    """
+    from fractions import Fraction  # here, so that a run without --c-exact skips it
+
+    half = Fraction(lam) / 2
+    if half < 0:
+        raise ValueError("the scaling factor lam must be nonnegative")
+    return half.numerator / half.denominator * math.sqrt(a * b) / (4.0 * math.pi)
 
 
 @record(frozen=True)

@@ -16,18 +16,16 @@ form diag(1, -1), and they stabilize the rank-four lattice spanned by the
 quaternion orbit of the first basis vector; ``gamma2_basis`` builds that
 lattice as a Heisenberg lattice description (center scale sqrt(ab)) and
 ``preserves_gamma2`` certifies stabilization by exact integer solves.
-``c_compatible`` converts a rational multiple of the lattice's symplectic
-scale into the metric deformation parameter whose angular period matches
-it, the compatibility needed for compact quotients.
+The compatibility of the lattice's center scale with the metric's angular
+period, needed for compact quotients, is ``params.c_compatible``: the metric
+commands read it without loading this module.
 
 Everything is exact: no floating point enters any decision in this module.
 """
 
 from __future__ import annotations
 
-import math
 import sys
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
 from operator import add
@@ -48,7 +46,6 @@ __all__ = [
     "su11_check",
     "gamma2_basis",
     "preserves_gamma2",
-    "c_compatible",
     "norm_one_rows",
     "cmd_lattice",
 ]
@@ -264,27 +261,6 @@ def preserves_gamma2(q: QuatInt, matrix) -> bool:
         if lattice_coordinates(lattice, point) is None:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# deformation-parameter compatibility
-# ---------------------------------------------------------------------------
-
-
-def c_compatible(params: QuatParams, lam) -> float:
-    """Deformation parameter c >= 0 with 4*pi*c = lam * sqrt(ab)/2.
-
-    The angular period of the deformed metric's fiber circle at n = 2 is
-    4*pi*c, so c makes it the given rational multiple ``lam`` of the
-    lattice's half-center generator.  ``lam`` must be a nonnegative
-    rational; lam = 0 returns the undeformed c = 0.  4*pi*c is formed as
-    the exact radical lam/2 * sqrt(ab) and only then converted to a float.
-    """
-    lam = Fraction(lam)
-    if lam < 0:
-        raise ValueError("the scaling factor lam must be nonnegative")
-    four_pi_c = _rad(params, rab=Fraction(lam, 2))
-    return four_pi_c.to_float() / (4.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,10 @@ from oneloop.geometry import (
 from oneloop.heis import (
     HeisLatticePoint,
     HeisPoint,
-    HermForm,
     heis_identity,
     heis_inverse,
     heis_mul,
+    hermitian,
     lattice_Ld,
     lattice_coordinates,
     su_action,
@@ -413,14 +413,13 @@ def _witness_postconditions(n, d):
     )
     if any(a_squared[j][k] != zero for j in range(n) for k in range(n)):
         return False
-    form = HermForm(n)
     one = RadC(Rad(d, 1, 1), Rad(d, 1))
     basis = [
         tuple(one if m == j else zero for m in range(n)) for j in range(n)
     ]
     for x in basis:
         for y in basis:
-            lhs = form.h(_mat_vec(A, x), y) + form.h(x, _mat_vec(A, y))
+            lhs = hermitian(_mat_vec(A, x), y) + hermitian(x, _mat_vec(A, y))
             if lhs != zero:
                 return False
     lattice = lattice_Ld(n, d)

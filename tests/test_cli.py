@@ -29,7 +29,7 @@ from oneloop.geometry import (
     ModelParams, PointBarN, _gram_from_chart, _metric_second_derivatives,
     metric_first_derivatives,
 )
-from oneloop.quatarith import QuatParams, c_compatible
+from oneloop.params import c_compatible
 
 
 EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
@@ -81,7 +81,7 @@ class TestConfig:
     def test_c_exact_parsing_and_resolution(self):
         config = build_config(["curvature", "--c-exact", "1/2:3:7"])
         assert config.c_exact == (Fraction(1, 2), 3, 7)
-        expected = c_compatible(QuatParams(3, 7), Fraction(1, 2))
+        expected = c_compatible(Fraction(1, 2), 3, 7)
         assert config.effective_c == expected
 
     def test_c_exact_echoed_in_config(self):
@@ -408,12 +408,17 @@ def loaded_modules(argv, preamble=""):
 
 
 class TestProcessStart:
-    @pytest.mark.parametrize("command", sorted(MODULE_BUDGET))
-    def test_module_budget(self, command):
+    @pytest.mark.parametrize("command, extra", [
+        *(pytest.param(command, [], id=command) for command in sorted(MODULE_BUDGET)),
+        *(pytest.param(command, ["--c-exact", "1:2:3"], id=f"{command} --c-exact")
+          for command in ("curvature", "verify-killing", "volume-table")),
+    ])
+    def test_module_budget(self, command, extra):
         # Each process compiles only what its command runs: center loads
-        # neither the exact rings nor the matrix model.
+        # neither the exact rings nor the matrix model, and the metric
+        # commands read the c of --c-exact from params, with no lattice layer.
         assert sorted(MODULE_BUDGET) == sorted(_COMMANDS)
-        loaded = loaded_modules([command, *SMALL_RUNS[command]])
+        loaded = loaded_modules([command, *SMALL_RUNS[command], *extra])
         assert loaded == {"oneloop", "cli", "record"} | MODULE_BUDGET[command]
 
     def test_module_budget_check_can_fail(self):

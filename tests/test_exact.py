@@ -21,6 +21,12 @@ def variable(nv, i):
     return Poly(nv, {tuple(int(j == i) for j in range(nv)): 1})
 
 
+def as_float(x):
+    """The real value of a Rad, read from its Fraction components."""
+    r1, ra, rb, rab = map(float, x.components())
+    return r1 + ra * math.sqrt(x.a) + rb * math.sqrt(x.b) + rab * math.sqrt(x.a * x.b)
+
+
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 gaussians = st.builds(QI, rationals, rationals)
 
@@ -169,16 +175,16 @@ class TestRad:
         sa = Rad(4, 7, 0, 1)
         assert sa * sa == Rad(4, 7, 4)
         assert sa != Rad(4, 7, 2)
-        assert abs(sa.to_float() - 2.0) < 1e-15
+        assert abs(as_float(sa) - 2.0) < 1e-15
 
     @given(st.tuples(*[st.integers(-9, 9)] * 4), st.tuples(*[st.integers(-9, 9)] * 4))
     @settings(max_examples=60)
     def test_float_embedding_is_homomorphism(self, u, v):
         x = Rad(2, 3, *u)
         y = Rad(2, 3, *v)
-        assert math.isclose((x * y).to_float(), x.to_float() * y.to_float(),
+        assert math.isclose(as_float(x * y), as_float(x) * as_float(y),
                             rel_tol=1e-12, abs_tol=1e-9)
-        assert math.isclose((x + y).to_float(), x.to_float() + y.to_float(),
+        assert math.isclose(as_float(x + y), as_float(x) + as_float(y),
                             rel_tol=1e-12, abs_tol=1e-9)
 
     @pytest.mark.parametrize("ab", [(2, 3), (1, 3), (5, 1), (1, 1)])
@@ -202,7 +208,7 @@ class TestRad:
         w = RadC(Rad(a, b, 0, 0, 1), Rad(a, b, 2))     # sqrt(b) + 2i
         prod = z * w
         def value(u):
-            return u.re.to_float() + 1j * u.im.to_float()
+            return as_float(u.re) + 1j * as_float(u.im)
 
         assert abs(value(prod) - value(z) * value(w)) < 1e-12
         assert z.conj().im == -z.im
@@ -217,7 +223,7 @@ class TestQuad:
         y = Rad(5, 1, 3, -1)
         assert x * y == Rad(5, 1, 3 - 10, 6 - 1)
         assert x + y == Rad(5, 1, 4, 1)
-        assert abs(x.to_float() - (1 + 2 * math.sqrt(5))) < 1e-15
+        assert abs(as_float(x) - (1 + 2 * math.sqrt(5))) < 1e-15
 
     @given(st.integers(2, 7), rationals, rationals, rationals, rationals)
     @settings(max_examples=60)
@@ -607,7 +613,7 @@ class TestIntegerForm:
             x + y, x - y, x * y, -x, x.conj(), x * k, 3 * x, x == y, x.is_zero()
             x == k, hash(x)
             r + s, r - s, r * s, -r, r * k, r * 3, r == s, r.is_zero(), r == k
-            r.to_float(), hash(r)
+            hash(r)
             z + w, z - w, z * w, -z, z.conj(), z * 2, z == w, z.is_zero()
         assert built == []
 

@@ -12,16 +12,17 @@ from oneloop.exact import QI, Rad, RadC
 from oneloop.heis import (
     HeisLatticePoint,
     HeisPoint,
-    HermForm,
     form_defect,
     heis_identity,
     heis_inverse,
     heis_mul,
+    hermitian,
     lattice_Ld,
     lattice_coordinates,
     su_action,
     unipotent_witness,
 )
+from oneloop.params import signature
 from oneloop.quatarith import QuatInt, QuatParams, embed_matrix, enumerate_norm_one
 
 
@@ -75,45 +76,45 @@ def sum_entries(entries):
 
 
 class TestHermForm:
+    """The Hermitian form: ``hermitian`` and its signs ``params.signature``."""
+
     def test_signature_signs(self):
-        assert HermForm(1).signs == (1,)
-        assert HermForm(3).signs == (1, -1, -1)
+        assert signature(1) == (1,)
+        assert signature(3) == (1, -1, -1)
 
     def test_orientation_convention(self):
         # The documented convention: omega(e1, i*e1) is positive.
-        form = HermForm(2)
         e1 = (QI(1), QI(0))
         ie1 = (QI(0, 1), QI(0))
-        assert form.omega(e1, ie1) == 1
+        assert hermitian(e1, ie1).im == 1
 
     def test_second_slot_negative(self):
-        form = HermForm(2)
         e2 = (QI(0), QI(1))
-        assert form.h(e2, e2) == QI(-1)
-        assert form.omega(e2, (QI(0), QI(0, 1))) == -1
+        assert hermitian(e2, e2) == QI(-1)
+        assert hermitian(e2, (QI(0), QI(0, 1))).im == -1
 
     def test_omega_vanishes_on_diagonal(self):
         rng = random.Random(7)
-        form = HermForm(3)
         for _ in range(6):
             v = random_qi_vector(3, rng)
-            assert form.omega(v, v) == 0
+            assert hermitian(v, v).im == 0
 
     def test_hermitian_symmetry(self):
         rng = random.Random(8)
-        form = HermForm(3)
         for _ in range(6):
             v = random_qi_vector(3, rng)
             w = random_qi_vector(3, rng)
-            assert form.h(v, w) == form.h(w, v).conj()
+            assert hermitian(v, w) == hermitian(w, v).conj()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            HermForm(2).h((QI(1),), (QI(1), QI(0)))
+            hermitian((QI(1),), (QI(1), QI(0)))
 
     def test_dimension_at_least_one(self):
         with pytest.raises(ValueError):
-            HermForm(0)
+            hermitian((), ())
+        with pytest.raises(ValueError):
+            form_defect(())
 
 
 class TestHeisMul:
@@ -149,7 +150,6 @@ class TestHeisMul:
         # (v,0)(v',0)(-(v+v'),0) has trivial vector part and center value
         # omega(v,v')/2.
         rng = random.Random(14)
-        form = HermForm(2)
         for _ in range(5):
             v = random_qi_vector(2, rng)
             w = random_qi_vector(2, rng)
@@ -158,7 +158,7 @@ class TestHeisMul:
                 HeisPoint(tuple(-(a + b) for a, b in zip(v, w)), Fraction(0)),
             )
             assert all(z.is_zero() for z in word.v)
-            assert word.t == Fraction(form.omega(v, w), 2)
+            assert word.t == Fraction(hermitian(v, w).im, 2)
 
     def test_radical_center_values_stay_exact(self):
         d = 5
@@ -167,7 +167,7 @@ class TestHeisMul:
         prod = heis_mul(x, y)
         assert isinstance(prod.t, Rad)
         # t1 + t2 = 1/2; the twist is half of Im h(v, v'), exact in Q(sqrt 5).
-        half_omega = HermForm(2).omega(x.v, y.v) * Fraction(1, 2)
+        half_omega = hermitian(x.v, y.v).im * Fraction(1, 2)
         assert prod.t == Rad(d, 1, Fraction(1, 2)) + half_omega
 
     def test_mixed_rational_and_radical_centers_add_exactly(self):
@@ -391,13 +391,12 @@ class TestSuAction:
             (QI(Fraction(3, 4)), QI(Fraction(5, 4))),
         )
         rng = random.Random(31)
-        form = HermForm(2)
         for _ in range(5):
             v = random_qi_vector(2, rng)
             w = random_qi_vector(2, rng)
             gv = su_action(g, HeisPoint(v, Fraction(0))).v
             gw = su_action(g, HeisPoint(w, Fraction(0))).v
-            assert form.omega(gv, gw) == form.omega(v, w)
+            assert hermitian(gv, gw).im == hermitian(v, w).im
 
     def test_non_preserving_float_matrix_rejected(self):
         # Any non-exact matrix, form-preserving or not, gets one error.
@@ -581,14 +580,13 @@ class TestUnipotentWitness:
         )
 
         # Skew-Hermitian: h(Ax, y) + h(x, Ay) = 0 exactly on basis pairs.
-        form = HermForm(n)
         basis_vectors = [
             tuple(one if k == j else zero for k in range(n)) for j in range(n)
         ]
         for x in basis_vectors:
             for y in basis_vectors:
-                lhs = form.h(mat_vec(A, x), y)
-                rhs = form.h(x, mat_vec(A, y))
+                lhs = hermitian(mat_vec(A, x), y)
+                rhs = hermitian(x, mat_vec(A, y))
                 assert (lhs + rhs).is_zero()
 
         # A kills the isotropic pair it was built from.

@@ -41,6 +41,13 @@ MUTANTS = [
      "_CENTRAL_SCALE = QI(0, VK_SHEAR)", [["structure", "--n", "2"]], 1, "verdict"),
     ("embed-matrix-q2-sign", "quatarith.py", "(0, 0, q.q2, 0), (0, -q.q1, 0, 0)",
      "(0, 0, -q.q2, 0), (0, -q.q1, 0, 0)", [["lattice", "--bound", "1"]], 1, "verdict"),
+    # Every norm-one element fails the unitary check: lattice's verdict.
+    ("hermitian-second-slot-sign", "heis.py", "total - vj.conj() * wj",
+     "total + vj.conj() * wj", [["lattice", "--bound", "1"]], 1, "verdict"),
+    # c doubles and the table moves with it; no verdict reads the lattice
+    # normalization of c.
+    ("c-exact-half", "params.py", "half = Fraction(lam) / 2", "half = Fraction(lam)",
+     [["volume-table", "--n", "1", "--c-exact", "1:2:3"]], 0, "unflagged"),
     # The closed tail leaves its quadrature column: volume-table's verdict.
     ("tail-coefficients", "volume.py", "p / (n + 1 + k if tail else 1)",
      "p / (n + k if tail else 1)", [["volume-table", "--n", "1"]], 1, "verdict"),

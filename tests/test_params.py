@@ -1,16 +1,18 @@
-"""Tests for the numpy-free model parameters."""
+"""Tests for the numpy-free model parameters and the lattice compatibility
+of c."""
 
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import oneloop
 from oneloop import geometry
-from oneloop.params import THETA_SHEAR, VK_SHEAR, ModelParams
+from oneloop.params import THETA_SHEAR, VK_SHEAR, ModelParams, c_compatible
 
 
 class TestModelParams:
@@ -42,6 +44,22 @@ class TestModelParams:
     def test_bad_c_rejected(self, c):
         with pytest.raises(ValueError, match="c must be a finite non-negative real"):
             ModelParams(1, c)
+
+
+# c = lam * sqrt(ab) / (8 pi), as the reprs that the exact radical
+# lam/2 * sqrt(ab), converted to a float, gave.  The compatibility's other
+# cases, stated against the quaternion algebra, are in test_quatarith.py.
+@pytest.mark.parametrize("lam, a, b, c", [
+    (1, 2, 3, "0.0974621001542095"),
+    (Fraction(1, 2), 3, 7, "0.09116744674312494"),
+    (Fraction(2, 3), 5, 7, "0.15692889020105533"),
+    (7, 1, 1, "0.2785211504108169"),
+    (Fraction(3, 2), 2, 5, "0.18873454539182638"),
+    (Fraction(10**20, 3), 2, 3, "3.248736671806983e+18"),
+    (0, 2, 3, "0.0"),
+])
+def test_c_compatible_values(lam, a, b, c):
+    assert repr(c_compatible(lam, a, b)) == c
 
 
 # Sets the V_k shear before the rest of the package is imported, then

@@ -1,7 +1,7 @@
 """Tests for quaternion-algebra arithmetic: the multiplication table, the
 reduced norm, the norm-one enumeration, the exact matrix realization with
 its indefinite-unitary check, the stabilized Heisenberg lattice, and the
-deformation-parameter compatibility solver."""
+compatibility of the metric's deformation parameter with that lattice."""
 
 import math
 import random
@@ -14,10 +14,10 @@ import pytest
 from oneloop import quatarith
 from oneloop.exact import Rad, RadC, integer_solution
 from oneloop.heis import HeisLatticePoint, HeisPoint, lattice_coordinates, lattice_Ld
+from oneloop.params import c_compatible
 from oneloop.quatarith import (
     QuatInt,
     QuatParams,
-    c_compatible,
     embed_matrix,
     enumerate_norm_one,
     gamma2_basis,
@@ -615,24 +615,26 @@ class TestPreservesGamma2:
 
 
 class TestCCompatible:
+    """params.c_compatible, the c whose period fits the lattice of (a, b)."""
+
     def test_zero_is_undeformed(self):
-        assert c_compatible(P23, 0) == 0.0
+        assert c_compatible(0, 2, 3) == 0.0
 
     def test_pinned_example(self):
-        assert c_compatible(P23, 1) == pytest.approx(math.sqrt(6) / (8 * math.pi), rel=1e-14)
+        assert c_compatible(1, 2, 3) == pytest.approx(math.sqrt(6) / (8 * math.pi), rel=1e-14)
 
     def test_period_is_four_pi_c_at_n_two(self):
         # 4*pi*c, the fiber period at n = 2, is lam * sqrt(ab)/2.
-        period = 4 * math.pi * c_compatible(P23, Fraction(2, 3))
+        period = 4 * math.pi * c_compatible(Fraction(2, 3), 2, 3)
         assert period == pytest.approx(math.sqrt(6) / 3, rel=1e-12)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            c_compatible(P23, -1)
+            c_compatible(-1, 2, 3)
 
     def test_rational_input_accepted_as_string(self):
-        assert c_compatible(P25, "3/2") == c_compatible(P25, Fraction(3, 2))
-        assert c_compatible(P25, "3/2") == pytest.approx(
+        assert c_compatible("3/2", 2, 5) == c_compatible(Fraction(3, 2), 2, 5)
+        assert c_compatible("3/2", 2, 5) == pytest.approx(
             0.75 * math.sqrt(10) / (4 * math.pi), rel=1e-14)
 
 

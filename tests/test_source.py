@@ -85,9 +85,9 @@ def test_no_numpy_on_a_synthetic_source():
     assert _numpy_imports(tree) == [2, 3, 6]
 
 
-def _cli_imports(tree):
-    """Line numbers of the imports of ``oneloop.cli`` in a package module's
-    syntax tree, absolute or relative, at any depth."""
+def _package_imports(tree, module):
+    """Line numbers of the imports of ``oneloop.<module>`` in a package
+    module's syntax tree, absolute or relative, at any depth."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -98,7 +98,7 @@ def _cli_imports(tree):
             targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(target.split(".")[:2] == ["oneloop", "cli"] for target in targets):
+        if any(target.split(".")[:2] == ["oneloop", module] for target in targets):
             found.append(node.lineno)
     return found
 
@@ -110,7 +110,7 @@ def test_no_module_imports_the_cli():
     sources = sorted(Path(oneloop.__file__).parent.rglob("*.py"))
     assert any(path.name == "cli.py" for path in sources)
     found = [f"{path.name}:{line}" for path in sources
-             for line in _cli_imports(_parse(path))]
+             for line in _package_imports(_parse(path), "cli")]
     assert found == []
 
 
@@ -126,7 +126,36 @@ def test_no_cli_import_on_a_synthetic_source():
                      "from oneloop import clients\n"
                      "def f():\n"
                      "    from .cli import main\n")
-    assert _cli_imports(tree) == [2, 3, 4, 5, 6, 11]
+    assert _package_imports(tree, "cli") == [2, 3, 4, 5, 6, 11]
+
+
+def _lattice_importers(trees):
+    """For heis and quatarith, the sorted names of the modules in ``trees``
+    (module name to syntax tree) that import it."""
+    return {module: sorted(name for name, tree in trees.items()
+                           if _package_imports(tree, module))
+            for module in ("heis", "quatarith")}
+
+
+def test_the_lattice_layer_keeps_to_itself():
+    # The metric commands read c from params.c_compatible, so only quatarith
+    # imports heis, and the CLI reaches quatarith through its table of
+    # commands alone, which names the module as a string.
+    from oneloop.cli import _COMMANDS
+
+    trees = {path.stem: _parse(path) for path in (ROOT / "src" / "oneloop").glob("*.py")}
+    assert _COMMANDS["lattice"][0][0] == "quatarith"
+    assert _lattice_importers(trees) == {"heis": ["quatarith"], "quatarith": []}
+
+
+def test_lattice_importers_on_a_synthetic_source():
+    # An import inside a function body counts, as one at module level does.
+    trees = {"cli": ast.parse("def effective_c(config):\n"
+                              "    from .quatarith import c_compatible\n"),
+             "fields": ast.parse("from oneloop.heis import hermitian\n"),
+             "quatarith": ast.parse("from .heis import HeisPoint\n"),
+             "volume": ast.parse("from .heisenberg import group\nimport oneloop.params\n")}
+    assert _lattice_importers(trees) == {"heis": ["fields", "quatarith"], "quatarith": ["cli"]}
 
 
 def _import_time_imports(tree, module):
