@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING, Callable, Dict, NoReturn, Optional, Sequence, 
 
 from .record import record
 
-if TYPE_CHECKING:  # argparse, json and fractions load only where they are used
+if TYPE_CHECKING:  # argparse and fractions load only where they are used
     import argparse
     from fractions import Fraction
 
@@ -146,10 +146,46 @@ class RunConfig:
         return payload
 
 
-def _json_text(report: Dict) -> str:
-    import json
+# The escapes of json.dumps(..., ensure_ascii=False): quote, backslash and
+# the C0 controls; every other character, DEL and U+2028 included, is kept.
+_JSON_ESCAPES = {i: f"\\u{i:04x}" for i in range(0x20)}
+_JSON_ESCAPES.update({ord(char): "\\" + code for char, code in zip('"\\\b\f\n\r\t', '"\\bfnrt')})
 
-    return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+def _json_value(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2,
+    ensure_ascii=False)`` renders it, nested at ``indent``: the same
+    escapes, float reprs (NaN and Infinity for the non-finite), key order
+    and layout.  A dict key must be a str."""
+    if isinstance(value, str):
+        return '"' + value.translate(_JSON_ESCAPES) + '"'
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json_value(item, inner) for item in value]
+        ends = "[]"
+    elif isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("report keys must be str")
+        items = [_json_value(key, inner) + ": " + _json_value(value[key], inner)
+                 for key in sorted(value)]
+        ends = "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return ends
+    return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + ends[1]
+
+
+def _json_text(report: Dict) -> str:
+    return _json_value(report, "") + "\n"
 
 
 def _csv_field(text: str) -> str:

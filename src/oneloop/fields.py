@@ -1,4 +1,4 @@
-"""Float half of the symmetry fields: Killing residuals and flows.
+"""Float half of the symmetry fields: the catalogue's Killing residuals.
 
 Builds the real symmetry catalogue as float term lists from the closed forms
 of :mod:`oneloop.generators`, which the exact fields of
@@ -7,8 +7,8 @@ term order, and evaluates it in the real chart, in Python complex
 arithmetic, against finite-difference metric derivatives.  The exact
 catalogue (``real_killing_catalogue``) stays the reference; a process that
 only verifies the Killing property never loads the exact layer.  The flows
-integrate the catalogue's own affine fields, named by their labels, so the
-module states no coefficient or shear of its own.
+of the catalogue's affine fields live in :mod:`oneloop.flows`, which no
+command loads.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .generators import VarTable, generator_terms
 if TYPE_CHECKING:  # imported where used, so that verify-killing does not compile it
     from .polyfields import PolyVectorField
 
-TAU = 2.0 * math.pi
 KILLING_TOLERANCE = 1e-6
 CONTROL_THRESHOLD = 1e-2
 
@@ -325,72 +324,3 @@ def cmd_verify_killing(config) -> Tuple[Dict, List[Dict]]:
     }
     csv_rows = rows + [dict(control_row, tolerance=CONTROL_THRESHOLD)]
     return report, csv_rows
-
-
-# --- flows -------------------------------------------------------------------
-
-def _rotation(theta: float) -> complex:
-    """Unit complex number for the reduced angle; exact at full periods."""
-    ang = math.remainder(theta, TAU)
-    return complex(math.cos(ang), math.sin(ang))
-
-
-def _flow_map(label: str, t: float,
-              n: int) -> Tuple[List[List[float]], List[float]]:
-    """The time-t flow of the catalogue field ``label`` as the real-chart
-    affine map J q + t b, J as a list of rows.
-
-    The field must have coordinate degree <= 1 and no c, so that it is A q + b
-    with A its Jacobian and b its vector at the chart origin, where every
-    entry is a small integer.  A must split into rotations of disjoint
-    coordinate planes (A_pq = a = -A_qp) and a part N off those planes that
-    reads no coordinate it moves (so N^2 = 0), and b must vanish on every
-    column of A (so A b = 0).  Then J = exp(tA) is the rotation through -a t
-    on each plane, exact at full periods, and I + tN elsewhere.  The radial
-    coordinate never moves.
-    """
-    F = dict(_real_catalogue_terms(n)).get(label)
-    if F is None or any(sum(mono) - mono[-1] > 1 or mono[-1] for comp in F for mono, _ in comp):
-        raise ValueError(f"no closed-form flow implemented for generator {label}")
-    origin = PointBarN((0.0,) * (n - 1), (0.0,) * n, 0.0, 1.0)
-    (vec,), (jac,) = _ChartEvaluator([F])(origin, 0.0)
-    A = {(row, col): value for row, col, value in jac}
-    planes = [(p, q, a) for (p, q), a in A.items() if p < q and A.get((q, p)) == -a]
-    on_planes = {i for p, q, _ in planes for i in (p, q)}
-    rest = [(row, col, value) for (row, col), value in A.items()
-            if row not in on_planes and col not in on_planes]
-    if (len(on_planes) < 2 * len(planes) or len(rest) + 2 * len(planes) < len(A)
-            or {row for row, _, _ in rest} & {col for _, col, _ in rest}
-            or {i for i, _ in vec} & {col for _, col in A}):
-        raise ValueError(f"no closed-form flow implemented for generator {label}")
-    m = 4 * n
-    J = [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
-    for p, q, a in planes:
-        z = _rotation(-(a * t))
-        J[p][p] = J[q][q] = z.real
-        J[p][q], J[q][p] = -z.imag, z.imag
-    for row, col, value in rest:
-        J[row][col] = t * value
-    b = [0.0] * m
-    for i, value in vec:
-        b[i] = t * value
-    return J, b
-
-
-def flow(label: str, t: float, p: PointBarN) -> PointBarN:
-    """Closed-form flow for time t of the catalogue field that
-    ``verify-killing`` labels ``label`` (see _flow_map).
-
-    Each coordinate sums its row's nonzero entries of J in plain float
-    arithmetic, so a full-period rotation (J = identity) returns p exactly.
-    """
-    J, b = _flow_map(label, t, p.n)
-    q = p.to_chart()
-    return PointBarN.from_chart([
-        sum(x * y for x, y in zip(row, q) if x) + shift for row, shift in zip(J, b)
-    ])
-
-
-def flow_jacobian(label: str, t: float, p: PointBarN) -> List[List[float]]:
-    """Exact Jacobian of the closed-form flow in the real chart at p."""
-    return _flow_map(label, t, p.n)[0]

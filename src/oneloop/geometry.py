@@ -17,7 +17,6 @@ commands use (12x12 at n = 3) numpy's import would cost more than the work.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import random
@@ -46,7 +45,8 @@ class PointBarN:
         object.__setattr__(self, "rho", float(self.rho))
         if len(w) != len(X) + 1:
             raise ValueError("w must have one more component than X")
-        if not all(map(cmath.isfinite, X + w + (self.phi_tilde, self.rho))):
+        if not all(map(math.isfinite, [part for z in X + w for part in (z.real, z.imag)]
+                       + [self.phi_tilde, self.rho])):
             raise ValueError("point coordinates must be finite")
         if self.rho <= 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
@@ -566,8 +566,11 @@ def seeded_points(params, count, seed=42):
             X = tuple(scale * z for z in raw)
         else:
             X = ()
-        w = tuple(cmath.rect(2.0 * math.sqrt(rng.random()), 2.0 * math.pi * rng.random())
-                  for _ in range(n))
+        w = []
+        for _ in range(n):
+            r = 2.0 * math.sqrt(rng.random())
+            t = 2.0 * math.pi * rng.random()
+            w.append(complex(r * math.cos(t), r * math.sin(t)))  # cmath.rect(r, t)
         phi = -2.0 + 4.0 * rng.random()
         rho = 0.5 + 3.5 * rng.random()
         points.append(PointBarN(X=X, w=w, phi_tilde=phi, rho=rho))

@@ -336,6 +336,10 @@ def form_defect(g) -> Optional[Tuple[int, int]]:
     """
     if not g:
         raise ValueError("the form needs at least one complex dimension")
+    widths = sorted({len(row) for row in g})
+    if widths != [len(g)]:
+        raise ValueError(f"the form needs a square matrix, got {len(g)} x "
+                         f"{'/'.join(map(str, widths))}")
     signs = signature(len(g))
     cols = list(zip(*g))
     for j, col_j in enumerate(cols):

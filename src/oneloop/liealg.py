@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Dict, Tuple
 from .record import record
 
 if TYPE_CHECKING:  # imported where used, so that center does not compile them
-    from .matrices import MatGl, StructureReport
+    from .matrices import StructureReport
     from .polyfields import PolyVectorField
 
 __all__ = [
@@ -53,22 +53,24 @@ def structure_check(n: int) -> StructureReport:
     unordered pair is bracketed once and decides its mirror too:
     ``pairs_checked`` counts the ordered pairs decided, and the mismatches
     come in row-major order.  alpha runs once per distinct commutator (51
-    among the 325 unordered pairs at n = 4), kept for this call only.
+    among the 325 unordered pairs at n = 4), kept for this call only and
+    keyed on the commutator's nonzero numerators (``MatGl.terms``).
     """
     from .matrices import StructureReport, algebra_basis, alpha
     from .polyfields import bracket
 
     basis = algebra_basis(n)
     mismatched = set()
-    images: Dict[MatGl, PolyVectorField] = {}
+    images: Dict[tuple, PolyVectorField] = {}
     for j, (_, x, image_x) in enumerate(basis):
         for k in range(j, len(basis)):
             _, y, image_y = basis[k]
             lhs = bracket(image_x, image_y)
             commutator = y.commutator(x)
-            rhs = images.get(commutator)
+            key = commutator.terms()
+            rhs = images.get(key)
             if rhs is None:
-                rhs = images[commutator] = alpha(commutator)
+                rhs = images[key] = alpha(commutator)
             if lhs != rhs:
                 mismatched.update(((j, k), (k, j)))
     mismatches = tuple((basis[j][0], basis[k][0]) for j, k in sorted(mismatched))

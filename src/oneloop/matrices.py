@@ -55,17 +55,27 @@ class MatGl:
         return len(self.entries)
 
     @classmethod
-    def _wrap(cls, entries) -> "MatGl":
+    def _wrap(cls, entries, nonzero=None) -> "MatGl":
         """A MatGl around square rows of QI entries, taken unchecked: the
-        result of an operation on checked matrices."""
+        result of an operation on checked matrices, which may pass its
+        ``_nonzero`` too."""
         out = object.__new__(cls)
         object.__setattr__(out, "entries", entries)
+        if nonzero is not None:
+            out.__dict__["_nonzero"] = nonzero
         return out
 
     @cached_property
     def _nonzero(self):
         """The (column, entry) pairs of the nonzero entries of each row."""
         return [[(k, a) for k, a in enumerate(row) if a] for row in self.entries]
+
+    def terms(self):
+        """(row, column, numerators, denominator) of each nonzero entry, in
+        row-major order: equal exactly when the matrices are, and hashed
+        without a ring call, so it keys a memo of matrices."""
+        return tuple([(i, k) + a.numerators()
+                      for i, row in enumerate(self._nonzero) for k, a in row])
 
     def commutator(self, other: "MatGl") -> "MatGl":
         """self @ other - other @ self in one pass over the nonzero entries:
@@ -74,7 +84,7 @@ class MatGl:
             raise ValueError("matrix size mismatch")
         left, right = self._nonzero, other._nonzero
         zero = (QI_ZERO,) * self.n
-        rows = []
+        rows, nonzero = [], []
         for row_l, row_r in zip(left, right):
             acc = {}
             for j, a in row_l:
@@ -83,14 +93,16 @@ class MatGl:
             for j, b in row_r:
                 for k, a in left[j]:
                     acc[k] = acc[k] - b * a if k in acc else -(b * a)
-            if not acc:
+            pairs = sorted([(k, value) for k, value in acc.items() if value]) if acc else []
+            nonzero.append(pairs)
+            if not pairs:
                 rows.append(zero)
                 continue
             row = list(zero)
-            for k, value in acc.items():
+            for k, value in pairs:
                 row[k] = value
             rows.append(tuple(row))
-        return MatGl._wrap(tuple(rows))
+        return MatGl._wrap(tuple(rows), nonzero)
 
 
 def sigma(A: MatGl) -> MatGl:

@@ -19,7 +19,8 @@ from itertools import product
 import numpy as np
 
 from oneloop.exact import QI, Rad, RadC
-from oneloop.fields import flow, flow_jacobian, killing_residuals
+from oneloop.fields import killing_residuals
+from oneloop.flows import flow, flow_jacobian
 from oneloop.geometry import (
     ModelParams,
     PointBarN,

@@ -192,6 +192,58 @@ class TestDeterminism:
         assert err.count("\n") == 1
 
 
+# Strings that exercise every escape rule: the quote, the backslash, the C0
+# controls (the short escapes and the \u forms), DEL and the line and
+# paragraph separators, which stay as they are, and non-ASCII text.
+JSON_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\\x00\x01\x08\t\n\x0b\x0c\r\x1f\x7f\u2028\u2029 a\u00e9\u4e2d\U0001d53e'),
+    st.characters()))
+JSON_FLOAT = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 1e16]),
+    st.floats())
+JSON_VALUE = st.recursive(
+    st.one_of(JSON_TEXT, st.integers(), st.booleans(), st.none(), JSON_FLOAT),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(JSON_TEXT, children, max_size=4)),
+    max_leaves=24)
+
+
+class TestJsonText:
+    """cli renders its reports without the json package, byte for byte as
+    ``json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False)``."""
+
+    @given(JSON_VALUE)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_json_dumps(self, value):
+        expected = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        assert oneloop.cli._json_text(value) == expected
+
+    @pytest.mark.parametrize("value", [
+        {1: "a"}, {1.5: "a"}, {True: "a"}, {None: "a"}, {("a",): 1},
+        {"a": [{"b": 1, 2: 3}]}, {"a": 1, 2: "b"},
+    ], ids=["int", "float", "bool", "none", "tuple", "nested", "mixed"])
+    def test_non_str_key_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            oneloop.cli._json_text(value)
+
+    @pytest.mark.parametrize("value", [{"a": {1, 2}}, [object()], Fraction(1, 2)],
+                             ids=["set", "object", "fraction"])
+    def test_unserializable_value_raises_type_error_as_json_does(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value)
+        with pytest.raises(TypeError):
+            oneloop.cli._json_text(value)
+
+    def test_out_file_is_stdout_is_the_json_rendering(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        _, out, _ = run_cli(capsys, ["verify-killing", "--n", "2", "--points", "2",
+                                     "--out", str(path)])
+        assert path.read_bytes() == out.encode("utf-8")
+        report = json.loads(out)
+        assert out == json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
 class TestStructureCommand:
     def test_n2_all_pairs_clean(self, capsys):
         code, out, _ = run_cli(capsys, ["structure", "--n", "2"])
@@ -428,9 +480,13 @@ class TestProcessStart:
             "matrices", "polyfields", "generators", "exact", "params"}
 
     def test_json_and_fractions_load_only_when_used(self):
-        # The CSV tables need neither json nor fractions, and lattice's
-        # default algebra needs only fractions; the last lines show that
-        # the check can fail.
+        # No command loads json: cli renders every report itself, in
+        # --format json too.  The CSV tables need no fractions, and
+        # lattice's default algebra needs only fractions; the last lines
+        # show that the check can fail.
+        json_runs = [[command, *args, *(["--format", "json"] if "format" in FLAGS[command] else [])]
+                     for command, args in SMALL_RUNS.items()]
+        json_runs.append(["volume-table", "--n", "1", "--c-exact", "1:2:3", "--format", "json"])
         script = (
             "import contextlib, io, sys\n"
             "import oneloop.cli\n"
@@ -440,25 +496,32 @@ class TestProcessStart:
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert oneloop.cli.main(argv) == 0, argv\n"
             "    assert not absent & set(sys.modules), (argv, absent & set(sys.modules))\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    oneloop.cli.main(['volume-table', '--n', '1', '--c-exact', '1:2:3',\n"
-            "                      '--format', 'json'])\n"
-            "assert {'json', 'fractions'} <= set(sys.modules)\n"
+            f"for argv in {json_runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        assert oneloop.cli.main(argv) in (0, 1), argv\n"
+            "    assert out.getvalue().startswith('{'), argv\n"
+            "assert 'json' not in sys.modules\n"
+            "assert 'fractions' in sys.modules\n"
+            "import json\n"
+            "assert 'json' in sys.modules\n"
         )
+        assert sorted(SMALL_RUNS) == sorted(_COMMANDS)
         code, _, err = run_python(script)
         assert code == 0, err
 
     def test_verify_killing_loads_no_fractions(self):
-        # The float catalogue is built from Gaussian-integer pairs; the last
-        # lines show that the check can fail.
+        # The float catalogue is built from Gaussian-integer pairs, and the
+        # seeded points and their checks need math alone, not cmath; the
+        # last lines show that the check can fail.
         script = (
             "import contextlib, io, sys\n"
             "from oneloop.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert main(['verify-killing', '--n', '3', '--points', '1']) in (0, 1)\n"
-            "assert 'fractions' not in sys.modules\n"
-            "import oneloop.polyfields\n"
-            "assert 'fractions' in sys.modules\n"
+            "    assert main(['curvature', '--n', '2', '--points', '1']) == 0\n"
+            "assert not {'fractions', 'cmath'} & set(sys.modules)\n"
+            "import cmath, oneloop.polyfields\n"
+            "assert {'fractions', 'cmath'} <= set(sys.modules)\n"
         )
         code, _, err = run_python(script)
         assert code == 0, err

@@ -16,11 +16,10 @@ from oneloop.exact import QI, QI_I, Poly
 from oneloop.fields import (
     _ChartEvaluator,
     _real_catalogue_terms,
-    flow,
-    flow_jacobian,
     killing_residuals,
     real_killing_catalogue,
 )
+from oneloop.flows import flow, flow_jacobian
 from oneloop.geometry import (
     ModelParams,
     PointBarN,

@@ -116,6 +116,14 @@ class TestHermForm:
         with pytest.raises(ValueError):
             form_defect(())
 
+    @pytest.mark.parametrize("g, shape", [
+        (((QI(1), QI(0)),), "1 x 2"),
+        (((QI(1),), (QI(0), QI(1))), "2 x 1/2"),
+    ], ids=["1x2", "ragged"])
+    def test_non_square_matrix_rejected(self, g, shape):
+        with pytest.raises(ValueError, match=f"square matrix, got {shape}$"):
+            form_defect(g)
+
 
 class TestHeisMul:
     def test_identity_both_sides(self):

@@ -152,6 +152,30 @@ class TestMatGlArithmetic:
         assert MatGl(got.entries) == got  # entries pass the check
         assert B.commutator(A) == combine((-1, got))
 
+    @given(matrix_pairs)
+    @settings(max_examples=80)
+    def test_commutator_terms_are_those_of_its_entries(self, pair):
+        # The commutator records its nonzero entries as it sums them, sums
+        # that cancel included; structure_check keys its memo on them.
+        A, B = pair
+        got = A.commutator(B)
+        checked = MatGl(got.entries)
+        assert got._nonzero == checked._nonzero
+        assert got.terms() == checked.terms()
+        assert (got.terms() == A.terms()) == (got == A)
+        assert A.commutator(A).terms() == ()
+
+    def test_terms_tell_matrices_apart(self):
+        # Matrices that differ in one entry's denominator, its imaginary
+        # part or its position have different terms.
+        half = QI(Fraction(1, 2))
+        matrices = [MatGl(((a, b), (QI(0), QI(0)))) for a, b in (
+            (QI(1), QI(0)), (half, QI(0)), (QI(0, 1), QI(0)), (QI(0), QI(1)),
+            (QI(0), QI(0)), (QI(1), half))]
+        keys = [m.terms() for m in matrices]
+        assert len(set(keys)) == len(keys)
+        assert keys[4] == ()
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="size mismatch"):
             unit(2, 0, 1).commutator(unit(3, 0, 1))

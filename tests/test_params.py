@@ -72,7 +72,8 @@ import oneloop.params
 if sys.argv[1] == "repaired":
     oneloop.params.VK_SHEAR = oneloop.params.THETA_SHEAR
 import numpy as np
-from oneloop.fields import flow, flow_jacobian, killing_residuals
+from oneloop.fields import killing_residuals
+from oneloop.flows import flow, flow_jacobian
 from oneloop.geometry import ModelParams, metric_gram, seeded_points
 from oneloop.liealg import structure_check
 

@@ -212,6 +212,57 @@ def test_import_time_imports_on_a_synthetic_source():
     assert _import_time_imports(tree, "argparse") == [2, 6, 8, 12]
 
 
+def _imports(tree, module):
+    """Line numbers of the imports of ``module``, or of a submodule, at any
+    depth: in function bodies and ``if TYPE_CHECKING:`` blocks too."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Import)
+                  and any(alias.name.split(".")[0] == module for alias in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module.split(".")[0] == module)
+
+
+def test_no_module_imports_json_or_cmath():
+    # The CLI renders its JSON reports itself and geometry forms its complex
+    # numbers with math, so no process pays for the json package (its
+    # decoder and scanner included) or for cmath.
+    sources = sorted(Path(oneloop.__file__).parent.rglob("*.py"))
+    assert any(path.name == "cli.py" for path in sources)
+    found = [f"{path.name}:{line}" for path in sources for module in ("json", "cmath")
+             for line in _imports(_parse(path), module)]
+    assert found == []
+
+
+def test_no_command_module_imports_the_flows():
+    # No subcommand runs a flow: no module that a command process loads
+    # imports oneloop.flows, so only the tests compile it.
+    from test_cli import MODULE_BUDGET
+
+    package = Path(oneloop.__file__).parent
+    loaded = set().union(*MODULE_BUDGET.values()) | {"__init__", "cli", "record"}
+    assert "flows" not in loaded and (package / "flows.py").exists()
+    found = [f"{name}.py:{line}" for name in sorted(loaded)
+             for line in _package_imports(_parse(package / f"{name}.py"), "flows")]
+    assert found == []
+
+
+def test_json_cmath_and_flows_imports_on_a_synthetic_source():
+    tree = ast.parse("import os, json\n"
+                     "from json import dumps\n"
+                     "import jsonschema\n"
+                     "if TYPE_CHECKING:\n"
+                     "    import cmath as cm\n"
+                     "def render(report):\n"
+                     "    from json.encoder import JSONEncoder\n"
+                     "    from .flows import flow\n"
+                     "from . import json_free\n"
+                     "import oneloop.flows\n"
+                     "from oneloop import flowsheet\n")
+    assert _imports(tree, "json") == [1, 2, 7]
+    assert _imports(tree, "cmath") == [5]
+    assert sorted(_package_imports(tree, "flows")) == [8, 10]
+
+
 def test_handlers_live_with_their_suites():
     # cli.py holds the table of commands; each handler is defined in the
     # module that the table names, and none in cli.py.
@@ -742,7 +793,8 @@ def test_generator_closed_forms_are_defined_once():
 def test_fields_reads_no_shear():
     # The float catalogue and its flows take every coefficient, the V(k)
     # angle shear included, from generators.generator_terms.
-    assert _shear_reads(_parse(ROOT / "src" / "oneloop" / "fields.py")) == []
+    for module in ("fields", "flows"):
+        assert _shear_reads(_parse(ROOT / "src" / "oneloop" / f"{module}.py")) == [], module
 
 
 SHEARS = """
