@@ -570,7 +570,7 @@ def seeded_points(params, count, seed=42):
         for _ in range(n):
             r = 2.0 * math.sqrt(rng.random())
             t = 2.0 * math.pi * rng.random()
-            w.append(complex(r * math.cos(t), r * math.sin(t)))  # cmath.rect(r, t)
+            w.append(complex(r * math.cos(t), r * math.sin(t)))  # cmath.rect(r, t), bit for bit
         phi = -2.0 + 4.0 * rng.random()
         rho = 0.5 + 3.5 * rng.random()
         points.append(PointBarN(X=X, w=w, phi_tilde=phi, rho=rho))

@@ -484,7 +484,7 @@ class TestProcessStart:
         # --format json too.  The CSV tables need no fractions, and
         # lattice's default algebra needs only fractions; the last lines
         # show that the check can fail.
-        json_runs = [[command, *args, *(["--format", "json"] if "format" in FLAGS[command] else [])]
+        json_runs = [[command, *args, *(["--format", "json"] * ("format" in FLAGS[command]))]
                      for command, args in SMALL_RUNS.items()]
         json_runs.append(["volume-table", "--n", "1", "--c-exact", "1:2:3", "--format", "json"])
         script = (
