@@ -11,12 +11,12 @@ algebraic identities can be checked with no tolerance at all.
 
 A ring value holds integer numerators over one positive denominator, in
 lowest terms, so ring operations run on Python ints alone; Fraction appears
-only in the component views and at construction.  Lowest
-terms, equality, coercion and the a = 1 / b = 1 fold are written once; each
-ring's +, -, *, conjugation and hash are straight-line code that ``_build``
-writes out from its generators.  An operator takes a value of its own ring
-over the same parameters, an int or a Fraction; ``RadC.coerce`` alone lifts
-a ``QI`` or ``Rad`` value into ``RadC``.
+only in the named views and at construction.  Lowest terms, equality, the
+zero test (``bool``), coercion and the a = 1 / b = 1 fold are written once;
+each ring's +, -, *, conjugation and hash are straight-line code that
+``_build`` writes out from its generators.  An operator takes a value of its
+own ring over the same parameters, an int or a Fraction; ``RadC.coerce``
+alone lifts a ``QI`` or ``Rad`` value into ``RadC``.
 """
 
 from __future__ import annotations
@@ -101,9 +101,6 @@ class _Ring:
     def __neg__(self):
         return _element(type(self), self._p, tuple(map(neg, self._n)), self._d)
 
-    def is_zero(self):
-        return self._n == self._zero
-
     def __bool__(self):
         return self._n != self._zero
 
@@ -122,10 +119,6 @@ class _Ring:
     def __reduce__(self):
         # copy and pickle rebuild the stored form; the constructors take other arguments.
         return _element, (type(self), self._p, self._n, self._d)
-
-    def components(self):
-        """The rational coefficients, as Fractions, in numerator order."""
-        return tuple([Fraction(n, self._d) for n in self._n])
 
 
 class QI(_Ring):
@@ -215,8 +208,7 @@ class Rad(_Radical):
     squarefreeness of a, b is assumed; equality is componentwise in this
     formal ring.  A parameter equal to 1 folds its root into the rational
     part: Rad(d, 1) is the quadratic ring Q(sqrt(d)) carried on (r1, ra),
-    and Rad(1, 1) is Q.  ``r1``, ``ra``, ``rb``, ``rab`` and
-    ``components()`` are Fraction views.
+    and Rad(1, 1) is Q.  ``r1``, ``ra``, ``rb`` and ``rab`` are Fraction views.
     """
 
     __slots__ = ()
@@ -271,53 +263,17 @@ class RadC(_Radical):
         return f"RadC({self.re!r}, {self.im!r})"
 
 
-# A ring's straight-line methods, written out by ``_build``: bracketed text
-# repeats for each numerator index #, with ~ a minus sign where # holds i.  x
-# and y are the operands' numerators, d and e their denominators, s is 1 for
-# + and -1 for -.  A value with no nonzero numerator after the first equals a
-# rational and hashes as that rational does.
-_METHODS = """
-def {ring}_sum(s):
-    def {ring}_sum(self, other):
-        if type(other) is not {ring}{mixed}:
-            other = self._operand(other)
-        [x#, ] = self._n
-        [y#, ] = other._n
-        d, e = self._d, other._d
-        if d == e:
-            e, f = 1, s
-        else:
-            f = s * d
-            d *= e
-        return _element({ring}, self._p, ([x# * e + y# * f, ]), d)
-    return {ring}_sum
-
-def {ring}_mul(self, other):
-    if type(other) is not {ring}{mixed}:
-        other = self._operand(other)
-    [x#, ] = self._n
-    [y#, ] = other._n
-    {params}return _element({ring}, self._p, ({product}), self._d * other._d)
-
-def {ring}_hash(self):
-    [x#, ] = self._n
-    if {tail}:
-        return hash((self._n, self._d))
-    return hash(x0 if self._d == 1 else Fraction(x0, self._d))
-"""
-_CONJ = """
-def {ring}_conj(self):
-    [x#, ] = self._n
-    return _element({ring}, self._p, ([~x#, ]), self._d)
-"""
 _SQUARES = {"sa": "a * ", "sb": "b * "}  # and i*i = -1
 
 
 def _build(rings):
-    """Each ring's zero and its straight-line methods, from its generators."""
+    """Each ring's zero and its straight-line methods, from its generators:
+    x and y are the operands' numerators, d and e their denominators, s is 1
+    for + and -1 for -, and a value with no nonzero numerator after the
+    first equals a rational and hashes as that rational does."""
     source = []
     for ring in rings:
-        gens = ring._gens
+        name, gens = ring.__name__, ring._gens
         width = 1 << len(gens)
         i = 1 << gens.index("i") if "i" in gens else 0
         ring._zero, ring._tail = (0,) * width, (0,) * (width - 1)
@@ -331,21 +287,51 @@ def _build(rings):
             groups = {}
             for s in range(width):
                 m = s & (s ^ k)
-                groups[factor[m]] = groups.get(factor[m], "") + " %s x%d * y%d" % (
-                    "-" if m & i else "+", s, s ^ k)
-            product.append(" + ".join([f + "(%s)" % t.lstrip(" +") if f else t.lstrip(" +")
+                sign = "-" if m & i else "+"
+                groups[factor[m]] = groups.get(factor[m], "") + f" {sign} x{s} * y{s ^ k}"
+            product.append(" + ".join([f"{f}({t.lstrip(' +')})" if f else t.lstrip(" +")
                                        for f, t in groups.items()]))
-        radical = "sa" in gens
-        head, *parts = (_METHODS + (_CONJ if i else "")).format(
-            ring=ring.__name__, product=", ".join(product),
-            tail=" or ".join(["x%d" % s for s in range(1, width)]),
-            mixed=" or other._p != self._p" if radical else "",
-            params="a, b = self._p\n    " if radical else "").split("[")
-        for part in parts:
-            body, rest = part.split("]")
-            head += "".join([body.replace("#", str(s)).replace("~", "-" if s & i else "")
-                             for s in range(width)]) + rest
-        source.append(head)
+        x, y = ["".join([f"{v}{s}, " for s in range(width)]) for v in "xy"]
+        total = "".join([f"x{s} * e + y{s} * f, " for s in range(width)])
+        tail = " or ".join([f"x{s}" for s in range(1, width)])
+        mixed, params = ((" or other._p != self._p", "a, b = self._p\n    ")
+                         if "sa" in gens else ("", ""))
+        source.append(f"""
+def {name}_sum(s):
+    def {name}_sum(self, other):
+        if type(other) is not {name}{mixed}:
+            other = self._operand(other)
+        {x} = self._n
+        {y} = other._n
+        d, e = self._d, other._d
+        if d == e:
+            e, f = 1, s
+        else:
+            f = s * d
+            d *= e
+        return _element({name}, self._p, ({total}), d)
+    return {name}_sum
+
+def {name}_mul(self, other):
+    if type(other) is not {name}{mixed}:
+        other = self._operand(other)
+    {x} = self._n
+    {y} = other._n
+    {params}return _element({name}, self._p, ({", ".join(product)}), self._d * other._d)
+
+def {name}_hash(self):
+    {x} = self._n
+    if {tail}:
+        return hash((self._n, self._d))
+    return hash(x0 if self._d == 1 else Fraction(x0, self._d))
+""")
+        if i:
+            conj = "".join([f"{'-' if s & i else ''}x{s}, " for s in range(width)])
+            source.append(f"""
+def {name}_conj(self):
+    {x} = self._n
+    return _element({name}, self._p, ({conj}), self._d)
+""")
     methods = {}
     exec("".join(source), globals(), methods)
     for ring in rings:
@@ -368,8 +354,8 @@ QI_I = QI(0, 1)
 class Poly:
     """Sparse multivariate polynomial with QI coefficients.
 
-    terms maps exponent tuples (length nvars) to nonzero QI coefficients.
-    """
+    terms maps exponent tuples (length nvars) to nonzero QI coefficients;
+    ``Poly(nvars)``, with none, is the zero polynomial."""
 
     __slots__ = ("nvars", "terms")
 
@@ -379,12 +365,8 @@ class Poly:
         if terms:
             for mono, coeff in terms.items():
                 coeff = QI.coerce(coeff)
-                if not coeff.is_zero():
+                if coeff:
                     self.terms[tuple(mono)] = coeff
-
-    @staticmethod
-    def zero(nvars):
-        return Poly(nvars)
 
     def __bool__(self):
         return bool(self.terms)
@@ -462,7 +444,7 @@ class Poly:
 
     def scale(self, coeff):
         coeff = QI.coerce(coeff)
-        if coeff.is_zero():
+        if not coeff:
             return Poly(self.nvars)
         return Poly._wrap(self.nvars, {m: c * coeff for m, c in self.terms.items()})
 

@@ -304,7 +304,7 @@ def lattice_coordinates(
             return None
 
     # t is coerced first, so a center from another ring is still refused.
-    center = 0 if t.is_zero() else _integer_multiple(t * 2, lattice.r)
+    center = _integer_multiple(t * 2, lattice.r) if t else 0
     if center is None:
         return None
     return HeisLatticePoint(tuple(coords), center)
@@ -345,7 +345,7 @@ def form_defect(g) -> Optional[Tuple[int, int]]:
     for j, col_j in enumerate(cols):
         for k, col_k in enumerate(cols[j:], j):
             value = hermitian(col_j, col_k)
-            if not (value == signs[j] if j == k else value.is_zero()):
+            if (value != signs[j] if j == k else value):
                 return j, k
     return None
 

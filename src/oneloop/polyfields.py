@@ -140,7 +140,7 @@ def bracket(F: PolyVectorField, G: PolyVectorField) -> PolyVectorField:
     # Only the nonzero variable-direction components can contribute.
     F_terms, G_neg = F.operands()[0], G.operands()[1]
     accumulate, products = Poly._accumulate, Poly._products
-    zero = Poly.zero(nv)
+    zero = Poly(nv)
     comps = []
     for dFi, dGi in zip(F.partials(), G.partials()):
         terms = {}
@@ -171,7 +171,7 @@ def combination(n: int, pairs) -> PolyVectorField:
     for _, F in pairs:
         if F.n != n:
             raise ValueError("field dimension mismatch")
-    zero = Poly.zero(nv)
+    zero = Poly(nv)
     comps = []
     for i in range(nv):
         terms = {}
@@ -205,7 +205,7 @@ def generator(kind: str, n: int, a=None, b=None) -> PolyVectorField:
     if kind in _DERIVED:
         return generator(_DERIVED[kind], n, a, b).conjugate()
     nv = 4 * n - 1
-    zero = Poly.zero(nv)
+    zero = Poly(nv)
     return PolyVectorField(n, [
         Poly(nv, {mono: QI(re, im) for mono, (re, im) in comp.items()}) if comp else zero
         for comp in generator_terms(kind, n, a, b)])

@@ -255,7 +255,7 @@ def preserves_gamma2(q: QuatInt, matrix) -> bool:
         # Products with the zero entries of vec are skipped, as MatGl skips
         # zero entries: each basis vector has one nonzero entry, so every
         # image entry is one product.
-        terms = [(k, x) for k, x in enumerate(vec) if not x.is_zero()]
+        terms = [(k, x) for k, x in enumerate(vec) if x]
         image = tuple(reduce(add, [row[k] * x for k, x in terms]) for row in matrix)
         point = HeisPoint(image, 0)
         if lattice_coordinates(lattice, point) is None:

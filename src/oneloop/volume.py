@@ -20,7 +20,9 @@ is rho^-p * F(c/rho) for a polynomial F: the density has p = n+2 and F = P,
 a tail p = n+1 and F = H, H(x) = sum_k p_k x^k / (n+1+k), and a slab is the
 difference of two tails.  One helper forms rho^-p * F without a power of
 rho on its own, and each function raises FloatRangeError naming rho and n
-exactly when its value is not a normal positive float.
+exactly when its value is not a normal positive float.  The closed forms
+read P's coefficients; the density and the rule read P as its product, so
+the rule shares no coefficient with what it checks.
 """
 
 from __future__ import annotations
@@ -63,15 +65,23 @@ def poly_P(n: int) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _coefficients(n: int, tail: bool) -> Tuple[float, ...]:
-    """P's coefficients p_k as floats, or with ``tail`` H's, p_k / (n+1+k):
-    the tail over [rho0, infinity) is rho0^-(n+1) * H(c/rho0).  (inf,) where
-    a coefficient leaves the float range, P from n = 1029 on and H from
-    n = 1040 on; p_0 = 1, so a leading inf marks it."""
+def _coefficients(n: int) -> Tuple[float, ...]:
+    """H's coefficients p_k / (n+1+k) as floats: the tail over
+    [rho0, infinity) is rho0^-(n+1) * H(c/rho0).  (inf,) where a coefficient
+    leaves the float range, from n = 1040 on."""
     try:
-        return tuple([p / (n + 1 + k if tail else 1) for k, p in enumerate(poly_P(n))])
+        return tuple([p / (n + 1 + k) for k, p in enumerate(poly_P(n))])
     except OverflowError:
         return (math.inf,)
+
+
+def _product(n: int, x: float) -> float:
+    """P(x) = (1+x)^(n-1) * (1+2x) as that product, inf where the power
+    leaves the float range: the density's and the quadrature rule's P."""
+    try:
+        return (1.0 + x) ** (n - 1) * (1.0 + 2.0 * x)
+    except OverflowError:
+        return math.inf
 
 
 def _horner(coefficients: Tuple[float, ...], x: float) -> float:
@@ -120,7 +130,7 @@ def density(rho: float, params: ModelParams) -> float:
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     n = params.n
-    value = _scaled(rho, n + 2, _horner(_coefficients(n, False), params.c / rho))
+    value = _scaled(rho, n + 2, _product(n, params.c / rho))
     return _normal("density", rho, n, value)
 
 
@@ -133,7 +143,7 @@ def tail_closed(rho0: float, params: ModelParams) -> float:
     if not rho0 > 0:
         raise ValueError(f"rho0 must be positive, got {rho0}")
     n = params.n
-    value = _scaled(rho0, n + 1, _horner(_coefficients(n, True), params.c / rho0))
+    value = _scaled(rho0, n + 1, _horner(_coefficients(n), params.c / rho0))
     return _normal("tail volume", rho0, n, value)
 
 
@@ -147,7 +157,7 @@ def slab_closed(rho1: float, rho0: float, params: ModelParams) -> float:
         raise ValueError(
             f"slab bounds must satisfy 0 < rho1 < rho0, got [{rho1}, {rho0}]"
         )
-    n, tail = params.n, _coefficients(params.n, True)
+    n, tail = params.n, _coefficients(params.n)
     outer = _scaled(rho0 / rho1, n + 1, _horner(tail, params.c / rho0))
     value = _scaled(rho1, n + 1, _horner(tail, params.c / rho1) - outer)
     return _normal("slab volume", rho1, n, value)
@@ -189,16 +199,17 @@ def _scaled_quadrature(what: str, rho: float, lo: float, params: ModelParams) ->
     """rho^-(n+1) times the integral of t^n P(c t/rho) over [lo, 1].
 
     The (n+1)-point rule integrates this polynomial of degree 2n exactly up
-    to rounding, and the result follows the closed forms' range rule.  A P
-    beyond the float range is refused before any rule is built.
+    to rounding, and the result follows the closed forms' range rule.  Where
+    the closed forms' coefficients leave the float range, n >= 1040, the
+    oracle refuses before any rule is built.
     """
-    n, poly, x = params.n, _coefficients(params.n, False), params.c / rho
-    if poly[0] == math.inf:
+    n, x = params.n, params.c / rho
+    if _coefficients(n)[0] == math.inf:
         return _normal(what, rho, n, math.inf)
     width, total = 1.0 - lo, 0.0
     for node, weight in _gauss_legendre(n + 1):
         t = lo + width * node
-        total += weight * t**n * _horner(poly, x * t)
+        total += weight * t**n * _product(n, x * t)
     return _normal(what, rho, n, _scaled(rho, n + 1, width * total))
 
 
@@ -253,8 +264,7 @@ def upper_bound_constant(rho_floor: float, params: ModelParams) -> float:
     """
     if not rho_floor > 0:
         raise ValueError(f"rho_floor must be positive, got {rho_floor}")
-    # c / rho_floor overflows to inf for a tiny floor, and P(inf) is nan.
-    value = _horner(_coefficients(params.n, False), params.c / rho_floor)
+    value = _product(params.n, params.c / rho_floor)
     return _normal("upper bound constant", rho_floor, params.n, value)
 
 
@@ -305,7 +315,7 @@ def volume_rows(rho_grid: Sequence[float], params: ModelParams) -> List[Dict[str
                 "density": density(rho, params),
                 "closed_tail": tail_closed(rho, params),
                 "quadrature_tail": tail_quadrature(rho, params),
-                "ratio_to_asymptote": (n + 1) * _horner(_coefficients(n, True), params.c / rho),
+                "ratio_to_asymptote": (n + 1) * _horner(_coefficients(n), params.c / rho),
             }
         except FloatRangeError:
             row = None

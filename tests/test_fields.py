@@ -58,7 +58,7 @@ def constant(nv, coeff):
 
 def zero_field_with_phi(n, phi_poly):
     nv = 4 * n - 1
-    comps = [Poly.zero(nv)] * nv
+    comps = [Poly(nv)] * nv
     comps[nv - 1] = phi_poly
     return PolyVectorField(n, comps)
 
@@ -81,7 +81,7 @@ def comm_closed_form(a, b, params):
     def var(j):
         return variable(nv, j)
 
-    comps = [Poly.zero(nv)] * nv
+    comps = [Poly(nv)] * nv
     if a == b:
         for d in range(1, n):
             comps[vt.x(d)] = comps[vt.x(d)] + var(vt.x(d))
@@ -424,7 +424,7 @@ def dense_bracket(F, G):
     nv = 4 * F.n - 1
     comps = []
     for i in range(nv):
-        acc = Poly.zero(nv)
+        acc = Poly(nv)
         for j in range(nv - 1):
             acc = acc + F.comps[j] * G.comps[i].diff(j)
             acc = acc - G.comps[j] * F.comps[i].diff(j)
@@ -537,7 +537,7 @@ class TestBracket:
         for F in fields:
             for G in fields:
                 for i, comp in enumerate(bracket(F, G).comps):
-                    acc = Poly.zero(nv)
+                    acc = Poly(nv)
                     for j in range(nv - 1):
                         if F.comps[j] and G.comps[i].diff(j):
                             acc = acc + F.comps[j] * G.comps[i].diff(j)
@@ -645,7 +645,7 @@ class TestBatchedEvaluation:
         other = [0] * nv
         other[vt.x(1)] = other[vt.xb(1)] = other[vt.c] = 1
         poly = Poly(nv, {tuple(mono): 1, tuple(other): QI(Fraction(1, 3), 2)})
-        comps = [Poly.zero(nv)] * nv
+        comps = [Poly(nv)] * nv
         comps[vt.x(1)] = comps[nv - 1] = poly
         F = PolyVectorField(n, comps)
         for p in seeded_points(ModelParams(n=n, c=1.5), 4, seed=2):
@@ -671,7 +671,7 @@ class TestBatchedEvaluation:
         nv = vt.nvars
         mono = [0] * nv
         mono[vt.xb(1)] = 3
-        comps = [Poly.zero(nv)] * nv
+        comps = [Poly(nv)] * nv
         comps[vt.xb(1)] = Poly(nv, {tuple(mono): 1})
         evaluate = _ChartEvaluator([term_lists(PolyVectorField(n, comps))])
         p = PointBarN((0.5,), (0j, 0j), 0.0, 1.0)
@@ -758,7 +758,7 @@ def sheared_fiber_translation(k, n, shear):
     the checks below do not move with the catalogue's VK_SHEAR."""
     vt = VarTable(n)
     nv = vt.nvars
-    comps = [Poly.zero(nv)] * nv
+    comps = [Poly(nv)] * nv
     comps[vt.w(k)] = constant(nv, 1)
     half = QI(0, Fraction(shear if k == 0 else -shear, 2))
     comps[nv - 1] = variable(nv, vt.wb(k)).scale(half)

@@ -24,6 +24,7 @@ from oneloop.heis import (
 )
 from oneloop.params import signature
 from oneloop.quatarith import QuatInt, QuatParams, embed_matrix, enumerate_norm_one
+from test_exact import coefficients
 
 
 def random_qi_vector(n, rng):
@@ -140,7 +141,7 @@ class TestHeisMul:
         for _ in range(4):
             p = random_heis_point(3, rng)
             for prod in (heis_mul(p, heis_inverse(p)), heis_mul(heis_inverse(p), p)):
-                assert all(z.is_zero() for z in prod.v)
+                assert not any(prod.v)
                 assert prod.t == 0
 
     def test_associativity_exact_on_seeded_rational_points(self):
@@ -165,7 +166,7 @@ class TestHeisMul:
                 heis_mul(HeisPoint(v, Fraction(0)), HeisPoint(w, Fraction(0))),
                 HeisPoint(tuple(-(a + b) for a, b in zip(v, w)), Fraction(0)),
             )
-            assert all(z.is_zero() for z in word.v)
+            assert not any(word.v)
             assert word.t == Fraction(hermitian(v, w).im, 2)
 
     def test_radical_center_values_stay_exact(self):
@@ -245,18 +246,18 @@ class TestLatticeLd:
         for i in range(4):
             for j in range(4):
                 if (i, j) not in nonzero:
-                    assert table[i][j].is_zero()
+                    assert not table[i][j]
 
     def test_omega_values_generate_r_lattice(self):
         from oneloop.exact import integer_solution
 
         for n, d in ((2, 5), (3, 1), (2, 2)):
             lat = lattice_Ld(n, d)
-            r_col = [[comp] for comp in lat.r.components()]
+            r_col = [[comp] for comp in coefficients(lat.r)]
             for row in lat.omega_table():
                 for val in row:
                     # Every omega value is an integer multiple of r.
-                    assert integer_solution(r_col, list(val.components())) is not None
+                    assert integer_solution(r_col, list(coefficients(val))) is not None
 
     def test_integer_ring_stability(self):
         # Multiplication by i*sqrt(d) maps every generator into the lattice.
@@ -580,9 +581,9 @@ class TestUnipotentWitness:
         one = quadc(d, 1)
 
         # Nonzero and square-zero, so exp(A) = 1 + A is exact and unipotent.
-        assert any(not A[j][k].is_zero() for j in range(n) for k in range(n))
+        assert any(A[j][k] for j in range(n) for k in range(n))
         square = mat_mul(A, A)
-        assert all(square[j][k].is_zero() for j in range(n) for k in range(n))
+        assert not any(square[j][k] for j in range(n) for k in range(n))
         assert g != tuple(
             tuple(one if j == k else zero for k in range(n)) for j in range(n)
         )
@@ -595,13 +596,13 @@ class TestUnipotentWitness:
             for y in basis_vectors:
                 lhs = hermitian(mat_vec(A, x), y)
                 rhs = hermitian(x, mat_vec(A, y))
-                assert (lhs + rhs).is_zero()
+                assert not (lhs + rhs)
 
         # A kills the isotropic pair it was built from.
         v = tuple(one if j < 2 else zero for j in range(n))
         w = tuple(quadc(d, 0, 0, 0, 1) * z for z in v)
-        assert all(z.is_zero() for z in mat_vec(A, v))
-        assert all(z.is_zero() for z in mat_vec(A, w))
+        assert not any(mat_vec(A, v))
+        assert not any(mat_vec(A, w))
 
         # g and its inverse 1 - A stabilize the lattice, generator by
         # generator, with exact integer coordinates.
@@ -629,7 +630,7 @@ class TestUnipotentWitness:
         )
         prod = mat_mul(g, g_inv)
         assert prod[0][0] == one and prod[1][1] == one
-        assert prod[0][1].is_zero() and prod[1][0].is_zero()
+        assert not prod[0][1] and not prod[1][0]
 
     def test_dimension_and_d_validation(self):
         with pytest.raises(ValueError):

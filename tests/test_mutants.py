@@ -49,14 +49,24 @@ MUTANTS = [
     ("c-exact-half", "params.py", "half = Fraction(lam) / 2", "half = Fraction(lam)",
      [["volume-table", "--n", "1", "--c-exact", "1:2:3"]], 0, "unflagged"),
     # The closed tail leaves its quadrature column: volume-table's verdict.
-    ("tail-coefficients", "volume.py", "p / (n + 1 + k if tail else 1)",
-     "p / (n + k if tail else 1)", [["volume-table", "--n", "1"]], 1, "verdict"),
-    # The closed form and the quadrature read the same P, so they move
-    # together; a density check against the Gram determinant would catch it.
+    ("tail-coefficients", "volume.py", "p / (n + 1 + k)", "p / (n + k)",
+     [["volume-table", "--n", "1"]], 1, "verdict"),
+    # The closed tail reads P's coefficients and the quadrature P's product
+    # form, so the closed tail leaves its quadrature column.  The density
+    # column reads the product too; only a check against the Gram
+    # determinant reads P a third way.
     ("density-coefficients", "volume.py", "2 * (math.comb(n - 1, k - 1)",
-     "3 * (math.comb(n - 1, k - 1)", [["volume-table", "--n", "1"]], 0, "unflagged"),
+     "3 * (math.comb(n - 1, k - 1)", [["volume-table", "--n", "1"]], 1, "verdict"),
     # Row verdicts flip, but verify-killing exits 1 for every input until the
     # catalogue's V_k shear is repaired.
+    # i*i = +1 in every generated product: 8 of the 10 norm-one elements at
+    # bound 1 fail the unitary check, which is lattice's verdict.
+    ("ring-i-squared", "exact.py", '"-" if m & i else "+"', '"+" if m & i else "+"',
+     [["lattice", "--bound", "1"]], 1, "verdict"),
+    # The same edit under structure: the bracket identity it checks holds
+    # with i*i = +1 as well, and both sides are computed in the edited ring.
+    ("ring-i-squared-structure", "exact.py", '"-" if m & i else "+"', '"+" if m & i else "+"',
+     [["structure", "--n", "2"]], 0, "equivalent"),
     ("Ya-angle-coefficient", "generators.py", "comps[phi] = {mono(c, x(a)): (0, 1)}",
      "comps[phi] = {mono(c, x(a)): (0, 2)}",
      [["verify-killing", "--n", "2", "--points", "1"]], 1, "unflagged"),

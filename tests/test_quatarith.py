@@ -28,6 +28,7 @@ from oneloop.quatarith import (
     reduced_norm,
     su11_check,
 )
+from test_exact import coefficients
 
 P23 = QuatParams(2, 3)
 P37 = QuatParams(3, 7)
@@ -80,16 +81,16 @@ def solve_uncached(lattice, p):
     """Lattice coordinates from a fresh Fraction solve of the full system."""
     template = lattice.basis[0][0]
     lifted = [template.coerce(z) for z in p.v]
-    ncomp = len(template.components())
+    ncomp = len(coefficients(template))
     matrix, rhs = [], []
     for j in range(lattice.n):
         for comp in range(ncomp):
-            matrix.append([vec[j].components()[comp] for vec in lattice.basis])
-            rhs.append(lifted[j].components()[comp])
+            matrix.append([coefficients(vec[j])[comp] for vec in lattice.basis])
+            rhs.append(coefficients(lifted[j])[comp])
     coords = integer_solution(matrix, rhs)
     double_t = lattice.r.coerce(p.t) * 2
-    center = integer_solution([[rc] for rc in lattice.r.components()],
-                              list(double_t.components()))
+    center = integer_solution([[rc] for rc in coefficients(lattice.r)],
+                              list(coefficients(double_t)))
     if coords is None or center is None:
         return None
     return HeisLatticePoint(tuple(coords), center[0])
@@ -308,23 +309,23 @@ class TestEmbedMatrix:
         m = embed_matrix(quat(1, 0, 0, 0))
         assert m[0][0] == RadC(rad(P23, r1=1))
         assert m[1][1] == RadC(rad(P23, r1=1))
-        assert m[0][1].is_zero() and m[1][0].is_zero()
+        assert not m[0][1] and not m[1][0]
 
     def test_generator_images(self):
         i_img = embed_matrix(quat(0, 1, 0, 0))
         assert i_img[0][1] == RadC(rad(P23), rad(P23, ra=1))
         assert i_img[1][0] == RadC(rad(P23), rad(P23, ra=-1))
-        assert i_img[0][0].is_zero() and i_img[1][1].is_zero()
+        assert not i_img[0][0] and not i_img[1][1]
 
         j_img = embed_matrix(quat(0, 0, 1, 0))
         assert j_img[0][1] == RadC(rad(P23, rb=1))
         assert j_img[1][0] == RadC(rad(P23, rb=1))
-        assert j_img[0][0].is_zero() and j_img[1][1].is_zero()
+        assert not j_img[0][0] and not j_img[1][1]
 
         k_img = embed_matrix(quat(0, 0, 0, 1))
         assert k_img[0][0] == RadC(rad(P23), rad(P23, rab=1))
         assert k_img[1][1] == RadC(rad(P23), rad(P23, rab=-1))
-        assert k_img[0][1].is_zero() and k_img[1][0].is_zero()
+        assert not k_img[0][1] and not k_img[1][0]
 
     def test_determinant_equals_reduced_norm(self):
         rng = random.Random(46)
@@ -440,7 +441,7 @@ class TestGamma2Lattice:
         for i in range(4):
             for j in range(4):
                 if (i, j) not in nonzero:
-                    assert table[i][j].is_zero()
+                    assert not table[i][j]
 
     def test_omega_magnitudes_up_to_sign(self):
         # Convention-independent content: both nonzero omega values square
@@ -586,12 +587,12 @@ class TestPreservesGamma2:
         # the coordinates of the dense solve.
         params = QuatParams(*ab)
         lattice = gamma2_basis(params)
-        rows = [[part for z in vec for part in z.components()] for vec in lattice.basis]
+        rows = [[part for z in vec for part in coefficients(z)] for vec in lattice.basis]
         assert sum(not any(row) for row in zip(*rows)) == 12
 
         def shifted(point, i):
             j, comp = divmod(i, 8)
-            parts = list(point.v[j].components())
+            parts = list(coefficients(point.v[j]))
             parts[comp] += Fraction(1, 2)
             entry = RadC(rad(params, *parts[:4]), rad(params, *parts[4:]))
             return HeisPoint(point.v[:j] + (entry,) + point.v[j + 1:], point.t)

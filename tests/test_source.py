@@ -338,8 +338,10 @@ def _is_all(node):
             and any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets))
 
 
-def _names(tree):
-    """Every name that a tree reads, imports or looks up by string.
+def _names(tree, bare=True):
+    """Every name that a tree reads, imports or looks up by string; without
+    ``bare``, only its attribute reads and identifier strings, the two ways
+    to reach a method (a bare name is a local variable or another function).
 
     The strings of an ``__all__`` list export names; they do not use them.
     """
@@ -349,11 +351,11 @@ def _names(tree):
         if _is_all(node):
             continue
         stack.extend(ast.iter_child_nodes(node))
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and bare:
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        elif isinstance(node, ast.alias):
+        elif isinstance(node, ast.alias) and bare:
             yield node.name.rpartition(".")[2]
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier()):
@@ -475,7 +477,8 @@ def _visible(tree, classes):
 def _unused(package, users):
     """Qualified names of the definitions in the ``package`` trees (name ->
     tree) that no tree of ``users`` (which includes them) uses.  Dunder
-    methods are exempt: Python calls them.
+    methods are exempt: Python calls them.  A method that one package class
+    defines is used only through an attribute read or an identifier string.
 
     A method whose name two or more package classes define is used only
     through a read that can run it (``_reached``): one whose receiver is an
@@ -486,6 +489,7 @@ def _unused(package, users):
     classes = _classes(package)
     owners = Counter(name for methods, *_ in classes.values() for name in methods)
     uses = Counter(name for tree in users for name in _names(tree))
+    reads = Counter(name for tree in users for name in _names(tree, bare=False))
     class_uses = set()
     for tree in users:
         visible = _visible(tree, classes)
@@ -508,10 +512,12 @@ def _unused(package, users):
             for qualname, node in defs:
                 if node.name.startswith("__") and node.name.endswith("__"):
                     continue
-                if qualname != node.name and owners[node.name] >= 2:
+                method = qualname != node.name
+                if method and owners[node.name] >= 2:
                     if (top.name, node.name) in class_uses:
                         continue
-                elif uses[node.name] > Counter(_names(node))[node.name]:
+                elif ((reads if method else uses)[node.name]
+                      > Counter(_names(node, bare=not method))[node.name]):
                     continue
                 unused.append(f"{module}: {qualname}")
     return unused
@@ -611,6 +617,31 @@ def test_checks_on_a_synthetic_source():
         "synthetic.py: exported_only", "synthetic.py: caller",
         "synthetic.py: Box", "synthetic.py: Box.opened", "synthetic.py: Field.zero"]
     assert _missing_exports(tree) == ["gone"]
+
+
+SHADOWED = """
+class Table:
+    def rows(self):
+        return []
+
+    def columns(self):
+        return len(self.rows())
+
+
+def width(table: Table):
+    columns = table.rows()
+    return len(columns)
+
+
+print(width(Table()))
+"""
+
+
+def test_a_local_name_uses_no_method_on_a_synthetic_source():
+    # The local variable columns reads no method: only an attribute read or
+    # an identifier string uses Table.columns.
+    tree = ast.parse(SHADOWED)
+    assert _unused({"table.py": tree}, [tree]) == ["table.py: Table.columns"]
 
 
 RECEIVERS = """

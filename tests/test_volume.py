@@ -456,29 +456,41 @@ class TestRangeRule:
         # taken in [1/sqrt(2), sqrt(2)) it does not.
         assert density(1.0000001, ModelParams(n=1025)) == pytest.approx(
             1.0000001**-1027, rel=1e-12)
-        # From n = 1029 on, P has a coefficient beyond the largest float.
-        params = ModelParams(n=1100)
-        for call in (lambda: density(1.0, params), lambda: tail_closed(1.0, params),
-                     lambda: slab_closed(1.0, 2.0, params)):
+        # The density reads P as its product, which is 1 at c = 0 for every
+        # n.  From n = 1040 on, H has a coefficient beyond the largest float,
+        # and the closed tail and slab refuse.
+        params = ModelParams(n=1100, c=0.0)
+        assert density(1.0, params) == 1.0
+        for call in (lambda: tail_closed(1.0, params), lambda: slab_closed(1.0, 2.0, params)):
             with pytest.raises(FloatRangeError, match=r"rho = 1.0 .* n = 1100$"):
                 call()
 
-    @pytest.mark.parametrize("n", [1029, 1100])
+    @pytest.mark.parametrize("n", [1040, 1100])
     def test_oracles_refuse_before_building_a_rule(self, n):
-        # From n = 1029 on, P has a coefficient beyond the largest float, and
-        # no (n+1)-point rule is built for it.
+        # From n = 1040 on, H has a coefficient beyond the largest float: the
+        # closed forms refuse, and so do their oracles, with the same
+        # message, before any (n+1)-point rule is built.
         params = ModelParams(n=n)
         _gauss_legendre.cache_clear()
-        messages = []
-        for oracle, bounds in ((tail_quadrature, (1.0,)), (slab_quadrature, (1.0, 2.0))):
-            with pytest.raises(FloatRangeError, match=rf"rho = 1.0 .* n = {n}$") as caught:
-                oracle(*bounds, params)
-            messages.append(str(caught.value))
+        for oracle, closed, bounds in ((tail_quadrature, tail_closed, (1.0,)),
+                                       (slab_quadrature, slab_closed, (1.0, 2.0))):
+            messages = []
+            for function in (oracle, closed):
+                with pytest.raises(FloatRangeError, match=rf"rho = 1.0 .* n = {n}$") as caught:
+                    function(*bounds, params)
+                messages.append(str(caught.value))
+            assert messages[0] == messages[1]
         assert _gauss_legendre.cache_info().currsize == 0
-        if n == 1100:
-            with pytest.raises(FloatRangeError) as caught:
-                tail_closed(1.0, params)
-            assert messages[0] == str(caught.value)
+
+    @pytest.mark.parametrize("c", [0.0, 0.5])
+    def test_oracles_agree_where_p_has_no_float_coefficients(self, c):
+        # At n = 1030, P's coefficients p_k leave the float range but H's do
+        # not, and the oracles read P as its product: both forms agree.
+        params = ModelParams(n=1030, c=c)
+        for oracle, closed, bounds in ((tail_quadrature, tail_closed, (1.0,)),
+                                       (slab_quadrature, slab_closed, (1.0, 2.0))):
+            expected = closed(*bounds, params)
+            assert oracle(*bounds, params) == pytest.approx(expected, rel=1e-12)
 
 
 class TestAsymptotics:
