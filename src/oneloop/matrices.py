@@ -3,17 +3,18 @@
 The continuous symmetries of the deformed metric assemble into a semidirect
 sum: an indefinite-unitary matrix block acting on a Heisenberg translation
 part with one central direction.  This module realizes that algebra as
-(n+2)x(n+2) matrices with exact Gaussian-rational entries, so that its
+sparse (n+2)x(n+2) matrices with exact Gaussian-rational entries, so that its
 bracket is the matrix commutator; provides the antilinear involution that
 cuts out the real form, the labelled basis with its vector-field images in
-:mod:`oneloop.polyfields`, and the linear map ``alpha`` onto those fields,
-which ``liealg.structure_check`` compares bracket by bracket.
+:mod:`oneloop.polyfields`, the coordinates over that basis, and the linear
+map ``alpha`` onto those fields, which ``liealg.structure_check`` compares
+bracket by bracket.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from typing import Tuple
+from functools import lru_cache
+from typing import List, Tuple
 
 from .exact import QI, QI_I, QI_ONE, QI_ZERO
 from .params import VK_SHEAR, signature
@@ -25,9 +26,8 @@ __all__ = [
     "StructureReport",
     "sigma",
     "semidirect",
-    "blocks",
     "algebra_basis",
-    "gl_decompose",
+    "coordinates",
     "alpha",
 ]
 
@@ -39,70 +39,46 @@ __all__ = [
 
 @record(frozen=True)
 class MatGl:
-    """Square matrix with exact Gaussian-rational entries."""
+    """n x n matrix with exact Gaussian-rational entries, held as the
+    (row, column, value) triples of its nonzero entries (at most n in each
+    algebra basis matrix).  The constructor drops zero values and sorts the
+    rest in row-major order, so equal matrices have equal fields."""
 
-    entries: Tuple[Tuple[QI, ...], ...]
+    n: int
+    nonzero: Tuple[Tuple[int, int, QI], ...]
 
     def __post_init__(self):
-        n = len(self.entries)
-        if n == 0 or any(len(row) != n for row in self.entries):
-            raise ValueError("matrix must be square and non-empty")
-        if any(not isinstance(e, QI) for row in self.entries for e in row):
-            raise ValueError("entries must be exact Gaussian rationals")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @classmethod
-    def _wrap(cls, entries, nonzero=None) -> "MatGl":
-        """A MatGl around square rows of QI entries, taken unchecked: the
-        result of an operation on checked matrices, which may pass its
-        ``_nonzero`` too."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "entries", entries)
-        if nonzero is not None:
-            out.__dict__["_nonzero"] = nonzero
-        return out
-
-    @cached_property
-    def _nonzero(self):
-        """The (column, entry) pairs of the nonzero entries of each row."""
-        return [[(k, a) for k, a in enumerate(row) if a] for row in self.entries]
+        n = self.n
+        if type(n) is not int or n < 1:
+            raise ValueError("matrix size must be a positive integer")
+        cells = {}
+        for j, k, a in self.nonzero:
+            if not isinstance(a, QI):
+                raise ValueError("entries must be exact Gaussian rationals")
+            if j not in range(n) or k not in range(n) or (j, k) in cells:
+                raise ValueError(f"entry ({j}, {k}) lies outside the matrix or is repeated")
+            cells[j, k] = a
+        object.__setattr__(self, "nonzero", tuple(
+            [(j, k, a) for (j, k), a in sorted(cells.items()) if a]))
 
     def terms(self):
         """(row, column, numerators, denominator) of each nonzero entry, in
         row-major order: equal exactly when the matrices are, and hashed
         without a ring call, so it keys a memo of matrices."""
-        return tuple([(i, k) + a.numerators()
-                      for i, row in enumerate(self._nonzero) for k, a in row])
+        return tuple([(j, k) + a.numerators() for j, k, a in self.nonzero])
 
     def commutator(self, other: "MatGl") -> "MatGl":
-        """self @ other - other @ self in one pass over the nonzero entries:
-        the algebra basis matrices have at most n nonzeros each."""
+        """self @ other - other @ self, over the pairs of nonzero entries that meet."""
         if not isinstance(other, MatGl) or other.n != self.n:
             raise ValueError("matrix size mismatch")
-        left, right = self._nonzero, other._nonzero
-        zero = (QI_ZERO,) * self.n
-        rows, nonzero = [], []
-        for row_l, row_r in zip(left, right):
-            acc = {}
-            for j, a in row_l:
-                for k, b in right[j]:
-                    acc[k] = acc[k] + a * b if k in acc else a * b
-            for j, b in row_r:
-                for k, a in left[j]:
-                    acc[k] = acc[k] - b * a if k in acc else -(b * a)
-            pairs = sorted([(k, value) for k, value in acc.items() if value]) if acc else []
-            nonzero.append(pairs)
-            if not pairs:
-                rows.append(zero)
-                continue
-            row = list(zero)
-            for k, value in pairs:
-                row[k] = value
-            rows.append(tuple(row))
-        return MatGl._wrap(tuple(rows), nonzero)
+        acc = {}
+        for j, l, a in self.nonzero:
+            for m, k, b in other.nonzero:
+                if l == m:
+                    acc[j, k] = acc[j, k] + a * b if (j, k) in acc else a * b
+                if k == j:
+                    acc[m, l] = acc[m, l] - b * a if (m, l) in acc else -(b * a)
+        return MatGl(self.n, [(j, k, value) for (j, k), value in acc.items()])
 
 
 def sigma(A: MatGl) -> MatGl:
@@ -113,10 +89,8 @@ def sigma(A: MatGl) -> MatGl:
     (the overall sign of s cancels).
     """
     s = signature(A.n)
-    return MatGl._wrap(tuple(
-        tuple(a.conj() if sj != sk else -a.conj() for sk, a in zip(s, column))
-        for sj, column in zip(s, zip(*A.entries))
-    ))
+    return MatGl(A.n, [(k, j, a.conj() if s[j] != s[k] else -a.conj())
+                       for j, k, a in A.nonzero])
 
 
 # ---------------------------------------------------------------------------
@@ -145,21 +119,11 @@ def semidirect(A: MatGl, vE, vEbar, t) -> MatGl:
         raise ValueError("translation parts must have length n")
     if type(t) is not QI or not all(type(x) is QI for part in (vE, vEbar) for x in part):
         raise ValueError("vE, vEbar and t must be exact Gaussian rationals")
-    zero = QI_ZERO
-    rows = [(zero, *vE, t / _CENTRAL_SCALE)]
-    rows += [(zero, *row, -v if e > 0 else v)
-             for row, v, e in zip(A.entries, vEbar, signature(n))]
-    rows.append((zero,) * (n + 2))
-    return MatGl._wrap(tuple(rows))
-
-
-def blocks(X: MatGl) -> Tuple[MatGl, Tuple[QI, ...], Tuple[QI, ...], QI]:
-    """(A, vE, vEbar, t) of a semidirect element, as ``semidirect`` takes them."""
-    top, *middle, _ = X.entries
-    A = MatGl._wrap(tuple(row[1:-1] for row in middle))
-    vEbar = tuple(-row[-1] if e > 0 else row[-1]
-                  for row, e in zip(middle, signature(len(middle))))
-    return A, top[1:-1], vEbar, _CENTRAL_SCALE * top[-1]
+    triples = [(0, k, v) for k, v in enumerate(vE, 1)] + [(0, n + 1, t / _CENTRAL_SCALE)]
+    triples += [(j + 1, k + 1, a) for j, k, a in A.nonzero]
+    triples += [(j, n + 1, -v if e > 0 else v)
+                for j, (v, e) in enumerate(zip(vEbar, signature(n)), 1)]
+    return MatGl(n + 2, triples)
 
 
 # ---------------------------------------------------------------------------
@@ -183,24 +147,17 @@ def algebra_basis(n: int) -> Tuple[Tuple[str, MatGl, PolyVectorField], ...]:
         raise ValueError("n must be at least 1")
     zero = (QI_ZERO,) * n
 
-    def matrix(*entries):
-        """The n x n matrix with the given (row, column, value) entries."""
-        rows = [list(zero) for _ in range(n)]
-        for j, k, q in entries:
-            rows[j][k] = q
-        return MatGl._wrap(tuple(map(tuple, rows)))
-
-    def element(A=matrix(), vE=zero, vEbar=zero, t=QI_ZERO):
+    def element(A=MatGl(n, ()), vE=zero, vEbar=zero, t=QI_ZERO):
         return semidirect(A, vE, vEbar, t)
 
     def image(kind, *indices):
         return generator(kind, n, *indices)
 
     units = [tuple(QI_ONE if j == k else QI_ZERO for j in range(n)) for k in range(n)]
-    shears = [matrix((0, a, QI_ONE)) for a in range(1, n)]
+    shears = [MatGl(n, [(0, a, QI_ONE)]) for a in range(1, n)]
     U = [element(A) for A in shears]
     Us = [element(sigma(A)) for A in shears]
-    out = [("C", element(matrix(*((j, j, QI_I) for j in range(n)))), image("YC"))]
+    out = [("C", element(MatGl(n, [(j, j, QI_I) for j in range(n)])), image("YC"))]
     out += [(f"U({a})", x, image("Ya", a)) for a, x in enumerate(U, 1)]
     out += [(f"Us({a})", x, image("YaBar", a)) for a, x in enumerate(Us, 1)]
     out += [(f"B({a},{b})", x.commutator(y), -image("CommYaYbBar", a, b))
@@ -212,28 +169,43 @@ def algebra_basis(n: int) -> Tuple[Tuple[str, MatGl, PolyVectorField], ...]:
     return tuple(out)
 
 
-def gl_decompose(
-    M: MatGl,
-) -> Tuple[QI, Tuple[QI, ...], Tuple[QI, ...], Tuple[Tuple[QI, ...], ...]]:
-    """Coefficients of M over the basis {C, U_a, U_a^s, B(a,b)}.
+def coordinates(x: MatGl) -> List[QI]:
+    """Coefficients of a semidirect element over ``algebra_basis``, in its
+    order, read in one pass over the nonzero entries.
 
-    Returns (lam, m, s, kappa) with
-    M = lam*C + sum_a m_a U_a + sum_a s_a U_a^s + sum_{a,b} kappa_ab B(a,b).
-    The decomposition always exists and is unique; lam = tr(M) / (i n).
+    With x = semidirect(A, vE, vEbar, t) they are [lam, m, s, kappa, vE,
+    vEbar, t]: the block is A = lam*C + sum_a m_a U_a + sum_a s_a U_a^s +
+    sum_{a,b} kappa_ab B(a,b), where lam = tr(A) / (i n), m_a = A[0][a],
+    s_a = A[a][0] and kappa_ab = -A[b][a], plus i*lam when a = b.  A matrix
+    with an entry outside the semidirect pattern is refused.
     """
-    n, rows = M.n, M.entries
-    lam = sum((rows[j][j] for j in range(n)), QI_ZERO) / QI(0, n)
-    m = rows[0][1:]
-    s = tuple(row[0] for row in rows[1:])
-    i_lam = QI_I * lam
-    columns = tuple(zip(*rows))
-    # Zero entries are kept, not negated: the matrices are sparse.
-    kappa = tuple(
-        tuple(i_lam - x if a == b else -x if x else x
-              for b, x in enumerate(columns[a][1:], 1))
-        for a in range(1, n)
-    )
-    return lam, m, s, kappa
+    n = x.n - 2
+    eps = signature(n)
+    first_kappa, first_vE = 2 * n - 1, n * n
+    out = [QI_ZERO] * (n + 1) ** 2
+    trace = QI_ZERO
+    for j, k, a in x.nonzero:
+        if k == 0 or j == n + 1:
+            raise ValueError("not an element of the semidirect sum")
+        if j == 0 and k == n + 1:
+            out[-1] = _CENTRAL_SCALE * a
+        elif j == 0:
+            out[first_vE + k - 1] = a
+        elif k == n + 1:
+            out[first_vE + n + j - 1] = -a if eps[j - 1] > 0 else a
+        else:  # A[j - 1][k - 1]
+            if j == k:
+                trace += a
+            if j == 1 < k:
+                out[k - 1] = a
+            elif k == 1 < j:
+                out[n + j - 2] = a
+            elif j > 1:
+                out[first_kappa + (k - 2) * (n - 1) + j - 2] = -a
+    lam = out[0] = trace / QI(0, n)
+    for d in range(n - 1):
+        out[first_kappa + d * n] += QI_I * lam
+    return out
 
 
 def alpha(x: MatGl) -> PolyVectorField:
@@ -242,13 +214,10 @@ def alpha(x: MatGl) -> PolyVectorField:
     The basis goes to its images in ``algebra_basis``.  The bracket check is
     anti-equivariant: [alpha(x), alpha(y)] = -alpha([x, y]).  The result is
     one linear combination of the cached basis images, with the
-    coefficients collected in ``algebra_basis`` order.
+    coefficients read by ``coordinates``.
     """
-    A, vE, vEbar, t = blocks(x)
-    n = A.n
-    lam, m, s, kappa = gl_decompose(A)
-    coeffs = [lam, *m, *s, *(k for row in kappa for k in row), *vE, *vEbar, t]
-    return combination(n, zip(coeffs, (image for _, _, image in algebra_basis(n))))
+    n = x.n - 2
+    return combination(n, zip(coordinates(x), (image for _, _, image in algebra_basis(n))))
 
 
 @record(frozen=True)

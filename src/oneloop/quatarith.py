@@ -124,8 +124,9 @@ def reduced_norm(q: QuatInt) -> int:
 def is_nonresidue(a: int, b: int) -> bool:
     """True iff a is not a square mod the prime b (trial-division primality).
 
-    Exhausts the squares mod b, which is exact and fast at the scales this
-    package handles.  A non-prime b is rejected rather than answered.
+    Euler's criterion: for an odd prime b, a is a non-residue exactly when
+    a^((b-1)/2) = -1 mod b; every a is a square mod 2.  A non-prime b is
+    rejected rather than answered.
     """
     if not (isinstance(b, int) and b >= 2):
         raise ValueError(f"b = {b} is not a prime")
@@ -134,8 +135,7 @@ def is_nonresidue(a: int, b: int) -> bool:
         if b % k == 0:
             raise ValueError(f"b = {b} is not a prime (divisible by {k})")
         k += 1
-    squares = {(x * x) % b for x in range(b)}
-    return (a % b) not in squares
+    return b > 2 and pow(a, (b - 1) // 2, b) == b - 1
 
 
 def enumerate_norm_one(params: QuatParams, bound: int) -> List[QuatInt]:

@@ -65,14 +65,31 @@ def poly_P(n: int) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _coefficients(n: int) -> Tuple[float, ...]:
-    """H's coefficients p_k / (n+1+k) as floats: the tail over
-    [rho0, infinity) is rho0^-(n+1) * H(c/rho0).  (inf,) where a coefficient
-    leaves the float range, from n = 1040 on."""
+def _coefficients(n: int) -> Tuple[Tuple[float, ...], int]:
+    """H's coefficients p_k / (n+1+k) as floats, times 2^-s, and s: the tail
+    over [rho0, infinity) is rho0^-(n+1) * H(c/rho0).  s > 0 only where the
+    largest coefficient's binary exponent exceeds 1000, from n = 1016 on:
+    there Horner's partial sums, which exceed H itself for c/rho0 < 1, would
+    leave the float range before H does, and a larger s would make p_0/(n+1)
+    subnormal.  ((inf,), 0) where a coefficient leaves the float range, from
+    n = 1040 on."""
     try:
-        return tuple([p / (n + 1 + k) for k, p in enumerate(poly_P(n))])
+        coefficients = [p / (n + 1 + k) for k, p in enumerate(poly_P(n))]
     except OverflowError:
-        return (math.inf,)
+        return (math.inf,), 0
+    s = max(0, math.frexp(max(coefficients))[1] - 1000)
+    return tuple([math.ldexp(coeff, -s) for coeff in coefficients]), s
+
+
+def _tail_polynomial(n: int, x: float) -> float:
+    """H(x), from the scaled coefficients with 2^s put back: inf where it
+    leaves the float range.  The closed tail, the slab and the ratio column
+    all read H here."""
+    coefficients, s = _coefficients(n)
+    try:
+        return math.ldexp(_horner(coefficients, x), s)
+    except OverflowError:
+        return math.inf
 
 
 def _product(n: int, x: float) -> float:
@@ -143,7 +160,7 @@ def tail_closed(rho0: float, params: ModelParams) -> float:
     if not rho0 > 0:
         raise ValueError(f"rho0 must be positive, got {rho0}")
     n = params.n
-    value = _scaled(rho0, n + 1, _horner(_coefficients(n), params.c / rho0))
+    value = _scaled(rho0, n + 1, _tail_polynomial(n, params.c / rho0))
     return _normal("tail volume", rho0, n, value)
 
 
@@ -157,9 +174,9 @@ def slab_closed(rho1: float, rho0: float, params: ModelParams) -> float:
         raise ValueError(
             f"slab bounds must satisfy 0 < rho1 < rho0, got [{rho1}, {rho0}]"
         )
-    n, tail = params.n, _coefficients(params.n)
-    outer = _scaled(rho0 / rho1, n + 1, _horner(tail, params.c / rho0))
-    value = _scaled(rho1, n + 1, _horner(tail, params.c / rho1) - outer)
+    n = params.n
+    outer = _scaled(rho0 / rho1, n + 1, _tail_polynomial(n, params.c / rho0))
+    value = _scaled(rho1, n + 1, _tail_polynomial(n, params.c / rho1) - outer)
     return _normal("slab volume", rho1, n, value)
 
 
@@ -204,7 +221,7 @@ def _scaled_quadrature(what: str, rho: float, lo: float, params: ModelParams) ->
     oracle refuses before any rule is built.
     """
     n, x = params.n, params.c / rho
-    if _coefficients(n)[0] == math.inf:
+    if _coefficients(n)[0] == (math.inf,):
         return _normal(what, rho, n, math.inf)
     width, total = 1.0 - lo, 0.0
     for node, weight in _gauss_legendre(n + 1):
@@ -315,7 +332,7 @@ def volume_rows(rho_grid: Sequence[float], params: ModelParams) -> List[Dict[str
                 "density": density(rho, params),
                 "closed_tail": tail_closed(rho, params),
                 "quadrature_tail": tail_quadrature(rho, params),
-                "ratio_to_asymptote": (n + 1) * _horner(_coefficients(n), params.c / rho),
+                "ratio_to_asymptote": (n + 1) * _tail_polynomial(n, params.c / rho),
             }
         except FloatRangeError:
             row = None

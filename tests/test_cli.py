@@ -840,6 +840,11 @@ GOLDEN = [
      "874512be1902b6aee0f406cc855f40a797db50ccab7d84f263af1a8a669697b4", ""),
     (["volume-table", "--n", "3", "--grid", "1,1e60"], 0,
      "61390e842f7655e232276464fd83d3c1e009ff7a6a8989055f43ad8fbce9b626", ""),
+    # H's coefficients reach 2^1000 here, and Horner's partial sums would
+    # leave the float range before H does; this exited 2 before they were
+    # scaled.
+    (["volume-table", "--n", "1039", "--c", "0.5", "--grid", "1"], 0,
+     "98f4f4c60f31d5ff9bf42412ae048eb3c42615c04edfb373cd5d1f5a6ee2f357", ""),
     (["volume-table", "--n", "1", "--c", "0", "--grid", "4e102"], 2, EMPTY_SHA256,
      "error: rho = 4e+102 leaves the float range at n = 1\n"),
     # center reads only whether c > 0, and takes --c alone.

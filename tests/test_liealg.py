@@ -27,8 +27,7 @@ from oneloop.matrices import (
     StructureReport,
     algebra_basis,
     alpha,
-    blocks,
-    gl_decompose,
+    coordinates,
     semidirect,
     sigma,
 )
@@ -43,11 +42,21 @@ def random_qi(rng):
 
 
 def random_qi_matrix(n, rng):
-    return MatGl(tuple(tuple(random_qi(rng) for _ in range(n)) for _ in range(n)))
+    return MatGl(n, [(j, k, random_qi(rng)) for j in range(n) for k in range(n)])
 
 
 def matrix(rows):
-    return MatGl(tuple(tuple(QI.coerce(e) for e in row) for row in rows))
+    """The matrix with these rows of entries, zeros included."""
+    return MatGl(len(rows), [(j, k, QI.coerce(e))
+                             for j, row in enumerate(rows) for k, e in enumerate(row)])
+
+
+def dense(X):
+    """The rows of X, zeros included: what the entrywise oracles read."""
+    rows = [[QI(0)] * X.n for _ in range(X.n)]
+    for j, k, a in X.nonzero:
+        rows[j][k] = a
+    return tuple(map(tuple, rows))
 
 
 def unit(n, j, k):
@@ -62,15 +71,13 @@ def scalar(n, q):
 def combine(*terms):
     """The matrix sum of q * X over (q, X) pairs, entrywise."""
     n = terms[0][1].n
-    return MatGl(tuple(
-        tuple(sum((QI.coerce(q) * X.entries[j][k] for q, X in terms), QI(0))
-              for k in range(n))
-        for j in range(n)
-    ))
+    rows = [(QI.coerce(q), dense(X)) for q, X in terms]
+    return matrix([[sum((q * X[j][k] for q, X in rows), QI(0)) for k in range(n)]
+                   for j in range(n)])
 
 
 def is_zero(X):
-    return not any(map(any, X.entries))
+    return not X.nonzero
 
 
 def zeros(n):
@@ -110,11 +117,14 @@ def us_element(n, a):
     return block(sigma(unit(n, 0, a)))
 
 
-def basis_coordinates(X):
-    """Coefficients of a semidirect element over ``algebra_basis``, in order."""
-    A, vE, vEbar, t = blocks(X)
-    lam, m, s, kappa = gl_decompose(A)
-    return [lam, *m, *s, *(k for row in kappa for k in row), *vE, *vEbar, t]
+def split(coords, n):
+    """(lam, m, s, kappa, vE, vEbar, t) of a list of ``coordinates`` at
+    dimension index n, with kappa as n-1 rows."""
+    lam, *rest = coords
+    m, s, rest = rest[:n - 1], rest[n - 1:2 * n - 2], rest[2 * n - 2:]
+    kappa = [rest[a * (n - 1):(a + 1) * (n - 1)] for a in range(n - 1)]
+    rest = rest[(n - 1) ** 2:]
+    return lam, m, s, kappa, rest[:n], rest[n:2 * n], rest[2 * n]
 
 
 # Entries that are often zero, integral or fractional, as in the basis.
@@ -125,11 +135,45 @@ qi_entries = st.one_of(st.just(QI(0)), st.builds(QI, st.integers(-3, 3)),
 
 def qi_matrices(n):
     rows = st.lists(qi_entries, min_size=n, max_size=n).map(tuple)
-    return st.lists(rows, min_size=n, max_size=n).map(lambda r: MatGl(tuple(r)))
+    return st.lists(rows, min_size=n, max_size=n).map(matrix)
 
 
 matrix_pairs = st.integers(1, 4).flatmap(
     lambda n: st.tuples(qi_matrices(n), qi_matrices(n)))
+
+
+def dense_commutator(A, B):
+    """The rows of A @ B - B @ A, summed entry by entry over dense rows."""
+    n, X, Y = A.n, dense(A), dense(B)
+
+    def product(X, Y):
+        return [[sum((X[j][l] * Y[l][k] for l in range(n)), QI(0)) for k in range(n)]
+                for j in range(n)]
+
+    return tuple(tuple(x - y for x, y in zip(row_xy, row_yx))
+                 for row_xy, row_yx in zip(product(X, Y), product(Y, X)))
+
+
+class TestMatGlForm:
+    """One form: the nonzero entries, as (row, column, QI) triples."""
+
+    def test_zeros_dropped_and_entries_sorted(self):
+        got = MatGl(2, [(1, 0, QI(3)), (0, 1, QI(0)), (0, 0, QI(0, 1)), (1, 1, QI(2))])
+        assert got.nonzero == ((0, 0, QI(0, 1)), (1, 0, QI(3)), (1, 1, QI(2)))
+        assert got == MatGl(2, list(reversed(got.nonzero)))
+        assert MatGl(3, [(2, 2, QI(0))]) == MatGl(3, ()) != MatGl(2, ())
+
+    @pytest.mark.parametrize("n, nonzero, message", [
+        (2, [(0, 0, 1)], "exact Gaussian rationals"),
+        (2, [(0, 0, Fraction(1))], "exact Gaussian rationals"),
+        (2, [(2, 0, QI(1))], "outside the matrix"),
+        (2, [(0, -1, QI(1))], "outside the matrix"),
+        (2, [(0, 1, QI(1)), (0, 1, QI(0))], "repeated"),
+        (0, [], "positive integer"),
+    ], ids=["int", "fraction", "row", "column", "twice", "empty"])
+    def test_refused(self, n, nonzero, message):
+        with pytest.raises(ValueError, match=message):
+            MatGl(n, nonzero)
 
 
 class TestMatGlArithmetic:
@@ -139,29 +183,20 @@ class TestMatGlArithmetic:
     @settings(max_examples=80)
     def test_commutator_matches_dense_oracle(self, pair):
         A, B = pair
-        n = A.n
-
-        def product(X, Y):
-            return [[sum((X.entries[j][l] * Y.entries[l][k] for l in range(n)), QI(0))
-                     for k in range(n)] for j in range(n)]
-
         got = A.commutator(B)
-        assert got.entries == tuple(
-            tuple(x - y for x, y in zip(row_ab, row_ba))
-            for row_ab, row_ba in zip(product(A, B), product(B, A)))
-        assert MatGl(got.entries) == got  # entries pass the check
+        assert dense(got) == dense_commutator(A, B)
         assert B.commutator(A) == combine((-1, got))
 
     @given(matrix_pairs)
     @settings(max_examples=80)
     def test_commutator_terms_are_those_of_its_entries(self, pair):
-        # The commutator records its nonzero entries as it sums them, sums
-        # that cancel included; structure_check keys its memo on them.
+        # The commutator keeps only its nonzero entries, sums that cancel
+        # included; structure_check keys its memo on them.
         A, B = pair
         got = A.commutator(B)
-        checked = MatGl(got.entries)
-        assert got._nonzero == checked._nonzero
-        assert got.terms() == checked.terms()
+        rebuilt = matrix(dense_commutator(A, B))
+        assert rebuilt == got
+        assert rebuilt.terms() == got.terms()
         assert (got.terms() == A.terms()) == (got == A)
         assert A.commutator(A).terms() == ()
 
@@ -169,7 +204,7 @@ class TestMatGlArithmetic:
         # Matrices that differ in one entry's denominator, its imaginary
         # part or its position have different terms.
         half = QI(Fraction(1, 2))
-        matrices = [MatGl(((a, b), (QI(0), QI(0)))) for a, b in (
+        matrices = [matrix([[a, b], [0, 0]]) for a, b in (
             (QI(1), QI(0)), (half, QI(0)), (QI(0, 1), QI(0)), (QI(0), QI(1)),
             (QI(0), QI(0)), (QI(1), half))]
         keys = [m.terms() for m in matrices]
@@ -203,7 +238,7 @@ class TestSigma:
                 # sigma(A) = -I conj(A)^T I with I = diag(-1, 1, ..., 1).
                 signs = [-1] + [1] * (n - 1)
                 assert sigma(A) == matrix([
-                    [-signs[j] * signs[k] * A.entries[k][j].conj() for k in range(n)]
+                    [-signs[j] * signs[k] * dense(A)[k][j].conj() for k in range(n)]
                     for j in range(n)])
 
     def test_antilinear(self):
@@ -272,7 +307,8 @@ class TestSemiDirectElement:
             [0, 0, 0, 0],
         ])
 
-    def test_blocks_invert_the_constructor(self):
+    def test_coordinates_invert_the_constructor(self):
+        # The coefficients times the basis elements sum to the element.
         rng = random.Random(5)
         for n in (1, 2, 3, 4):
             A = random_qi_matrix(n, rng)
@@ -281,7 +317,15 @@ class TestSemiDirectElement:
             t = random_qi(rng)
             X = semidirect(A, vE, vEbar, t)
             assert X.n == n + 2
-            assert blocks(X) == (A, vE, vEbar, t)
+            coords = coordinates(X)
+            assert split(coords, n)[4:] == (list(vE), list(vEbar), t)
+            assert combine(*((q, x) for q, (_, x, _) in zip(coords, algebra_basis(n)))) == X
+
+    def test_coordinates_refuse_other_matrices(self):
+        # The first column and the last row of a semidirect element are zero.
+        for entry in ((1, 0, QI(1)), (3, 2, QI(1))):
+            with pytest.raises(ValueError, match="semidirect sum"):
+                coordinates(MatGl(4, [entry]))
 
 
 # sha256 of the bracket of every ordered basis pair for n = 1..4, each
@@ -299,7 +343,7 @@ class TestSemidirectBracket:
             labels = [label for label, _, _ in basis]
             for label_x, x, _ in basis:
                 for label_y, y, _ in basis:
-                    coords = basis_coordinates(x.commutator(y))
+                    coords = coordinates(x.commutator(y))
                     terms = " ".join(f"{label}:{q.re},{q.im}"
                                      for label, q in zip(labels, coords) if q)
                     lines.append(f"{n} [{label_x},{label_y}] {terms}")
@@ -372,13 +416,19 @@ class TestSemidirectBracket:
                     terms = (basis[i].commutator(inner[j][k]),
                              basis[j].commutator(inner[k][i]),
                              basis[k].commutator(inner[i][j]))
-                    flat = (sum(X.entries, ()) for X in terms)
+                    flat = (sum(dense(X), ()) for X in terms)
                     assert not any(p + q + r for p, q, r in zip(*flat))
 
     def test_real_form_membership(self):
         def is_real_form(x):
-            A, vE, vEbar, t = blocks(x)
-            return (sigma(A) == A and t == t.conj()
+            # sigma fixes C, swaps U_a and U_a^s and sends B(a,b) to -B(b,a),
+            # antilinearly; the real form also has vEbar = conj(vE), real t.
+            n = x.n - 2
+            lam, m, s, kappa, vE, vEbar, t = split(coordinates(x), n)
+            return (lam == lam.conj() and t == t.conj()
+                    and all(a.conj() == b for a, b in zip(m, s))
+                    and all(kappa[b][a] == -kappa[a][b].conj()
+                            for a in range(n - 1) for b in range(n - 1))
                     and all(a.conj() == b for a, b in zip(vE, vEbar)))
 
         n = 2
@@ -388,14 +438,23 @@ class TestSemidirectBracket:
         assert is_real_form(e_0)
         assert not is_real_form(e_translation(n, 0))
         assert not is_real_form(u_element(n, 1))
+        # The blocks that sigma fixes are exactly those of the real form.
+        rng = random.Random(12)
+        for n in (1, 2, 3, 4):
+            A = random_qi_matrix(n, rng)
+            re, im = re_im_sigma(A)
+            assert is_real_form(block(re)) and is_real_form(block(im))
+            assert not is_real_form(block(A))
 
 
-class TestGlDecompose:
+class TestBlockCoordinates:
+    """The coordinates of the matrix block over {C, U_a, U_a^s, B(a,b)}."""
+
     def test_reconstruction_random(self):
         rng = random.Random(11)
         for n in (1, 2, 3, 4):
             M = random_qi_matrix(n, rng)
-            lam, m, s, kappa = gl_decompose(M)
+            lam, m, s, kappa = split(coordinates(block(M)), n)[:4]
             terms = [(QI_I * lam, scalar(n, 1))]
             for a in range(1, n):
                 terms += [(m[a - 1], unit(n, 0, a)), (s[a - 1], unit(n, a, 0))]
@@ -410,7 +469,7 @@ class TestGlDecompose:
         for a in range(1, n):
             for b in range(1, n):
                 B = unit(n, 0, a).commutator(sigma(unit(n, 0, b)))
-                lam, m, s, kappa = gl_decompose(B)
+                lam, m, s, kappa = split(coordinates(block(B)), n)[:4]
                 assert not lam
                 assert not any(m)
                 assert not any(s)

@@ -39,6 +39,14 @@ MUTANTS = [
      [["curvature", "--n", "1", "--points", "1"]], 1, "verdict"),
     ("central-scale-sign", "matrices.py", "_CENTRAL_SCALE = QI(0, -VK_SHEAR)",
      "_CENTRAL_SCALE = QI(0, VK_SHEAR)", [["structure", "--n", "2"]], 1, "verdict"),
+    # coordinates reads kappa_ab = +A[b][a] (plus i*lam when a = b): a
+    # commutator with a B(a,b) part goes to the wrong image.
+    ("coordinates-kappa-sign", "matrices.py", "(k - 2) * (n - 1) + j - 2] = -a",
+     "(k - 2) * (n - 1) + j - 2] = a", [["structure", "--n", "2"]], 1, "verdict"),
+    # coordinates reads vEbar_0, where signature(n) is +1, with the wrong
+    # sign: a commutator with an Ebar(0) part goes to the wrong image.
+    ("coordinates-vEbar-sign", "matrices.py", "-a if eps[j - 1] > 0 else a",
+     "a if eps[j - 1] > 0 else a", [["structure", "--n", "2"]], 1, "verdict"),
     ("embed-matrix-q2-sign", "quatarith.py", "(0, 0, q.q2, 0), (0, -q.q1, 0, 0)",
      "(0, 0, -q.q2, 0), (0, -q.q1, 0, 0)", [["lattice", "--bound", "1"]], 1, "verdict"),
     # Every norm-one element fails the unitary check: lattice's verdict.

@@ -234,6 +234,21 @@ class TestIsNonresidue:
         for a in (3, 5, 6, 10):
             assert is_nonresidue(a, 7)
 
+    def test_matches_the_squares_mod_b(self):
+        # The definition, every square mod b, as the oracle: each prime b
+        # below 200 (b = 2 included) and -5 <= a < 3b.
+        for b in range(2, 200):
+            if any(b % k == 0 for k in range(2, b)):
+                continue
+            squares = {(x * x) % b for x in range(b)}
+            for a in range(-5, 3 * b):
+                assert is_nonresidue(a, b) is ((a % b) not in squares), (a, b)
+
+    def test_large_prime(self):
+        # b = 100000007 is 7 mod 8: 2 is a square mod b and -1 is not.
+        assert is_nonresidue(2, 100000007) is False
+        assert is_nonresidue(-1, 100000007) is True
+
     def test_composite_modulus_rejected(self):
         with pytest.raises(ValueError, match="not a prime"):
             is_nonresidue(2, 6)

@@ -22,7 +22,7 @@ P23 = QuatParams(2, 3)
 CASES = [
     (RunConfig, ("center",), ("lattice",), ("center", 0)),
     (ModelParams, (2, 1.0), (2, 0.5), (0,)),
-    (MatGl, (((QI(1),),),), (((QI(2),),),), (((1,),),)),
+    (MatGl, (1, ((0, 0, QI(1)),)), (1, ((0, 0, QI(2)),)), (1, ((0, 0, 1),))),
     (StructureReport, (2, 16, ()), (2, 16, (("E1", "T"),)), None),
     (CenterVector, (Fraction(1, 2), 1, 0), (Fraction(1, 2), 2, 0), (0, 0.5, 0)),
     (QuatParams, (2, 3), (3, 7), (0, 3)),

@@ -780,6 +780,85 @@ def test_exact_layer_takes_n_not_model_params():
     assert found == {"polyfields.py": [], "matrices.py": [], "liealg.py": []}
 
 
+SECOND_MATRIX_FORMS = {"blocks", "gl_decompose", "_wrap"}
+DENSE_MATRIX_NAMES = {"entries", "_nonzero"}
+
+
+def _second_matrix_forms(tree):
+    """(line, name) of what the matrix model's one sparse form replaces, in
+    source order: a function named blocks, gl_decompose or _wrap; an import
+    of cached_property; and a dense ``entries`` or a ``_nonzero`` cache,
+    defined in the body of a class MatGl, read or written as an attribute,
+    or named by a string."""
+    found = [(node.lineno, node.name) for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name in SECOND_MATRIX_FORMS]
+    found += [(node.lineno, alias.name) for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              for alias in node.names if alias.name.rpartition(".")[2] == "cached_property"]
+    body = [node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            and cls.name == "MatGl" for node in cls.body]
+    found += [(node.lineno, node.name) for node in body
+              if isinstance(node, ast.FunctionDef) and node.name in DENSE_MATRIX_NAMES]
+    found += [(node.lineno, target.id) for node in body if isinstance(node, ast.AnnAssign)
+              for target in [node.target] if target.id in DENSE_MATRIX_NAMES]
+    found += [(node.lineno, target.id) for node in body if isinstance(node, ast.Assign)
+              for target in node.targets
+              if isinstance(target, ast.Name) and target.id in DENSE_MATRIX_NAMES]
+    found += [(node.lineno, node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr in DENSE_MATRIX_NAMES]
+    found += [(node.lineno, node.value) for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and node.value in DENSE_MATRIX_NAMES]
+    return sorted(found)
+
+
+def test_the_matrix_model_has_one_form():
+    # A matrix is its sorted nonzero triples, made by its checking
+    # constructor, and coordinates is the one reader of an element.
+    assert _second_matrix_forms(_parse(ROOT / "src" / "oneloop" / "matrices.py")) == []
+
+
+DENSE_MATRIX = """
+from functools import cached_property, lru_cache
+
+
+class MatGl:
+    entries: tuple
+    rows = _nonzero = ()
+
+    @cached_property
+    def _nonzero(self):
+        return [row for row in self.entries if row]
+
+    @classmethod
+    def _wrap(cls, entries):
+        out = object.__new__(cls)
+        object.__setattr__(out, "entries", entries)
+        return out
+
+
+class Table:
+    entries: tuple
+
+
+def blocks(X, entries=()):
+    entries = X.rows
+    return entries
+
+
+def gl_decompose(M):
+    return M
+"""
+
+
+def test_second_matrix_forms_on_a_synthetic_source():
+    # A parameter, a local variable or another class's field named entries
+    # is not the dense form.
+    assert _second_matrix_forms(ast.parse(DENSE_MATRIX)) == [
+        (2, "cached_property"), (6, "entries"), (7, "_nonzero"), (10, "_nonzero"),
+        (11, "entries"),
+        (14, "_wrap"), (16, "entries"), (24, "blocks"), (29, "gl_decompose")]
+
+
 def test_shears_and_signature_are_defined_once():
     # The V_k shear, the metric's shear and the form's signature are each
     # stated once, in params.py; every other module imports them.

@@ -465,6 +465,28 @@ class TestRangeRule:
             with pytest.raises(FloatRangeError, match=r"rho = 1.0 .* n = 1100$"):
                 call()
 
+    @pytest.mark.parametrize("c, rho", [(0.5, 1.0), (0.5, 2.0), (1.0, 1.5)])
+    def test_closed_forms_where_horner_partial_sums_overflow(self, c, rho):
+        # At n = 1039 H's largest coefficient is within 2^24 of the largest
+        # float, and for c/rho < 1 Horner's partial sums exceed H itself.
+        # The closed tail, the slab and the ratio column read H from
+        # coefficients scaled by a power of two, and match the exact sums.
+        n = 1039
+        params = ModelParams(n=n, c=c)
+        H = [Fraction(p, n + 1 + k) for k, p in enumerate(poly_P(n))]
+
+        def tail(r):
+            return _exact_horner(H, Fraction(c) / r) / r ** (n + 1)
+
+        r = Fraction(rho)
+        ratio = (n + 1) * _exact_horner(H, Fraction(c) / r)
+        (row,) = volume_rows([rho], params)
+        for value, exact in ((tail_closed(rho, params), tail(r)),
+                             (slab_closed(rho, 2 * rho, params), tail(r) - tail(2 * r)),
+                             (row["quadrature_tail"], tail(r)),
+                             (row["ratio_to_asymptote"], ratio)):
+            assert abs(Fraction(value) - exact) <= exact / 10**12
+
     @pytest.mark.parametrize("n", [1040, 1100])
     def test_oracles_refuse_before_building_a_rule(self, n):
         # From n = 1040 on, H has a coefficient beyond the largest float: the
