@@ -480,59 +480,35 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-def pivot_inverse(matrix):
-    """Pivot rows and the exact inverse of a full-column-rank matrix.
-
-    matrix is m x k (rows of ints/Fractions) with independent columns.
-    Returns (rows, inverse): rows lists k row indices, each the first row
-    independent of the rows before it, and inverse is the k x k inverse of
-    the square submatrix [matrix[i] for i in rows], as Fractions.  Raises
-    ValueError on dependent columns.  This is Gauss-Jordan elimination on
-    [matrix^T | I]: its pivot columns are those rows, and the identity block
-    turns into the inverse of their transpose.
-    """
-    k = len(matrix[0]) if matrix else 0
-    work = [[as_fraction(row[j]) for row in matrix]
-            + [Fraction(int(i == j)) for i in range(k)] for j in range(k)]
-    rows = []
-    for col in range(len(matrix)):
-        r = len(rows)
-        if r == k:
-            break
-        pivot = next((i for i in range(r, k) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(k):
-            if i != r and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
-        rows.append(col)
-    if len(rows) < k:
-        raise ValueError("linearly dependent columns: no unique solution")
-    m = len(matrix)
-    return rows, [[work[j][m + i] for j in range(k)] for i in range(k)]
-
-
 def solve_rational(matrix, rhs):
     """Solve M x = rhs exactly over the rationals.
 
     matrix is a list of rows (each a list of Fractions/ints), possibly with
     more rows than columns; the columns must be linearly independent.
     Returns the unique solution as a list of Fractions, or None if the
-    system is inconsistent.  Raises ValueError on dependent columns.
+    system is inconsistent.  Raises ValueError on dependent columns, before
+    consistency is read.  This is Gauss-Jordan elimination on [M | rhs]:
+    each column gets a pivot row, and the rows past the last pivot must
+    reduce to zero.
     """
     rows = [[as_fraction(x) for x in row] for row in matrix]
-    values = [as_fraction(r) for r in rhs]
-    if len(rows) != len(values) or (rows and len({len(r) for r in rows}) != 1):
+    values = [as_fraction(v) for v in rhs]
+    if len(rows) != len(values) or len({len(row) for row in rows}) > 1:
         raise ValueError("ragged system")
-    pivots, inverse = pivot_inverse(rows)
-    x = [sum(w * values[i] for w, i in zip(weights, pivots)) for weights in inverse]
-    if any(sum(m * xj for m, xj in zip(row, x)) != v for row, v in zip(rows, values)):
+    work = [row + [v] for row, v in zip(rows, values)]
+    k = len(rows[0]) if rows else 0
+    for r in range(k):
+        pivot = next((i for i in range(r, len(work)) if work[i][r]), None)
+        if pivot is None:
+            raise ValueError("linearly dependent columns: no unique solution")
+        work[r], work[pivot] = work[pivot], work[r]
+        work[r] = [x / work[r][r] for x in work[r]]
+        for i, row in enumerate(work):
+            if i != r and row[r]:
+                work[i] = [x - row[r] * y for x, y in zip(row, work[r])]
+    if any(row[k] for row in work[k:]):
         return None
-    return x
+    return [row[k] for row in work[:k]]
 
 
 def integer_solution(matrix, rhs):

@@ -28,12 +28,10 @@ only up-to-sign statements are convention-independent.
 
 from __future__ import annotations
 
-import math
-from functools import cached_property
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import QI, Rad, RadC, pivot_inverse
+from .exact import QI, Rad, RadC
 from .params import signature
 from .record import record
 
@@ -122,11 +120,14 @@ def heis_inverse(p: HeisPoint) -> HeisPoint:
 class LatticeDescription:
     """A Z-lattice Lambda in C^n together with the center scale it generates.
 
-    ``basis`` is a tuple of C^n vectors with exact RadC entries over a
-    common (a, b); square-root lattices use b = 1, the ring Q(sqrt(a)).
+    ``basis`` is a nonempty tuple of C^n vectors with exact RadC entries over
+    a common (a, b); square-root lattices use b = 1, the ring Q(sqrt(a)).
     ``r`` is the exact positive generator of the value group
     omega(Lambda x Lambda) = r * Z; the group generated by (basis, 0) inside
-    the Heisenberg group meets the center in (r/2) * Z.
+    the Heisenberg group meets the center in (r/2) * Z.  Each basis vector,
+    and r, must be a rational multiple of one numerator of one entry (its
+    slot), and no two vectors may share a slot: the constructor keeps each
+    vector's (entry, numerator index, numerator, denominator), and r/2's.
     """
 
     n: int
@@ -134,37 +135,26 @@ class LatticeDescription:
     r: object
 
     def __post_init__(self):
-        for vec in self.basis:
+        if self.n < 1 or not self.basis:
+            raise ValueError(f"a lattice needs n >= 1 and a nonempty basis, got n = "
+                             f"{self.n} and {len(self.basis)} basis vectors")
+        slots = {}  # (entry, numerator index) -> slot, in basis order
+        for i, vec in enumerate(self.basis):
             if len(vec) != self.n:
-                raise ValueError("basis vector length does not match n")
+                raise ValueError(f"basis vector {i} has {len(vec)} entries, not n = {self.n}")
+            # Entries enter the ring of basis[0][0], which exists once i = 0 passed.
+            slot = _slot([self.basis[0][0].coerce(z) for z in vec], f"basis vector {i}")
+            if slot[:2] in slots:
+                raise ValueError(f"basis vectors {list(slots).index(slot[:2])} and {i} share "
+                                 f"numerator {slot[1]} of entry {slot[0]}")
+            slots[slot[:2]] = slot
+        _, k, num, den = _slot([self.basis[0][0].coerce(self.r)], "r")
+        object.__setattr__(self, "_slots", tuple(slots.values()))
+        object.__setattr__(self, "_center", ((0, k, num, 2 * den),))
 
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    @cached_property
-    def _coordinate_system(self):
-        """The basis solve of ``lattice_coordinates``, built once per lattice.
-
-        (nonzero, zero, mu, solve, delta): the basis vectors' rational
-        coordinates are the columns of a matrix / mu with integer entries,
-        and the inverse of a square block of its pivot rows is solve /
-        (mu * delta), again with integer entries.  The matrix is split into
-        its nonzero rows, each as (row index, nonzero (column, entry) pairs),
-        and the indices of its zero rows (12 of the 16 for Gamma_2); a row of
-        solve is kept as its nonzero (pivot row, weight) pairs.
-        """
-        numerators, mu = _numerators([z for vec in self.basis for z in vec])
-        m = len(numerators) // self.rank
-        matrix = [numerators[i::m] for i in range(m)]
-        rows, inverse = pivot_inverse(matrix)
-        delta = math.lcm(*(x.denominator for row in inverse for x in row))
-        solve = [[(i, int(x * delta) * mu) for i, x in zip(rows, row) if x]
-                 for row in inverse]
-        nonzero = [(i, [(k, x) for k, x in enumerate(row) if x])
-                   for i, row in enumerate(matrix) if any(row)]
-        zero = [i for i, row in enumerate(matrix) if not any(row)]
-        return nonzero, zero, mu, solve, delta
 
     def omega_table(self) -> List[List[object]]:
         """Exact matrix omega(B_i, B_j) over the lattice basis."""
@@ -247,29 +237,34 @@ def lattice_Ld(n: int, d: int) -> LatticeDescription:
     return LatticeDescription(n=n, basis=basis, r=i_root.im)
 
 
-def _numerators(values):
-    """Component numerators of RadC values over one common denominator.
+def _slot(values, name: str) -> Tuple[int, int, int, int]:
+    """(value index, numerator index, numerator, denominator) of the one
+    nonzero numerator among exact ring values; ``name`` names the values in
+    the ValueError raised when there is none, or more than one."""
+    found = [(j, k, x, d) for j, z in enumerate(values)
+             for nums, d in [z.numerators()] for k, x in enumerate(nums) if x]
+    if len(found) != 1:
+        raise ValueError(f"{name} has {len(found)} nonzero numerators; a lattice "
+                         "needs a rational multiple of one numerator slot")
+    return found[0]
 
-    Returns (numerators, den), eight integers per value in order, such that
-    the components are numerator / den.
-    """
-    parts = [x.numerators() for x in values]
-    den = math.lcm(*[d for _, d in parts])
-    if den == 1:
-        return [num for nums, _ in parts for num in nums], 1
-    return [num * (den // d) for nums, d in parts for num in nums], den
 
-
-def _integer_multiple(x: Rad, unit: Rad) -> Optional[int]:
-    """The integer k with x == k * unit, or None."""
-    (xs, dx), (us, du) = x.numerators(), unit.numerators()
-    p = next((i for i, u in enumerate(us) if u), None)
-    if p is None:
-        raise ValueError("the center scale r must be nonzero")
-    k = xs[p] * du // (us[p] * dx)
-    if any(xi * du != k * ui * dx for xi, ui in zip(xs, us)):
+def _multiples(parts, slots) -> Optional[List[int]]:
+    """The integers c_i with the (numerators, denominator) pairs ``parts``
+    equal to sum c_i * slot i, or None: each c_i is one exact quotient at
+    its slot (value index, numerator index, numerator, denominator)."""
+    coords = []
+    for j, k, num, den in slots:
+        nums, d = parts[j]
+        c, rem = divmod(nums[k] * den, num * d)
+        if rem:
+            return None
+        coords.append(c)
+    # The slots are distinct, so the nonzero numerators are those of the
+    # nonzero coordinates exactly when every other numerator is 0.
+    if sum([bool(x) for nums, _ in parts for x in nums]) != sum(map(bool, coords)):
         return None
-    return k
+    return coords
 
 
 def lattice_coordinates(
@@ -277,37 +272,19 @@ def lattice_coordinates(
 ) -> Optional[HeisLatticePoint]:
     """Exact lattice coordinates of p, or None when p is not in the lattice.
 
-    The vector part is an integer linear system over the rational
-    coordinates of the radical ring, solved with the lattice's cached basis
-    inverse and then checked row by row; the center part must be an integer
-    multiple of r/2.  Floating-point input is rejected.
+    Each coordinate is one exact integer quotient at its basis vector's slot,
+    every other numerator of the vector part must be 0, and the center is the
+    same quotient against r/2.  Floating-point input is rejected.
     """
     if p.n != lattice.n:
         raise ValueError("point dimension does not match the lattice")
     template = lattice.basis[0][0]
-    lifted = [template.coerce(z) for z in p.v]
-    t = lattice.r.coerce(p.t)
-
-    nonzero, zero, mu, solve, delta = lattice._coordinate_system
-    rhs, den = _numerators(lifted)
-    # The basis is matrix / mu and v is rhs / den, so the solution is
-    # solve . rhs / (delta * den).  It is floored here; the row check
-    # then holds only if the floor is the exact, integral solution; a zero
-    # row of matrix holds only if its value is zero.
-    scale = delta * den
-    coords = [sum([w * rhs[i] for i, w in weights]) // scale for weights in solve]
-    for i in zero:
-        if rhs[i]:
-            return None
-    for i, row in nonzero:
-        if den * sum([m * coords[k] for k, m in row]) != mu * rhs[i]:
-            return None
-
-    # t is coerced first, so a center from another ring is still refused.
-    center = _integer_multiple(t * 2, lattice.r) if t else 0
-    if center is None:
+    coords = _multiples([template.coerce(z).numerators() for z in p.v], lattice._slots)
+    # t is coerced whatever coords is, so a center from another ring is refused.
+    center = _multiples([template.coerce(p.t).numerators()], lattice._center)
+    if coords is None or center is None:
         return None
-    return HeisLatticePoint(tuple(coords), center)
+    return HeisLatticePoint(tuple(coords), center[0])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ The embedded matrices act on C^2 preserving the signature-(1,1) Hermitian
 form diag(1, -1), and they stabilize the rank-four lattice spanned by the
 quaternion orbit of the first basis vector; ``gamma2_basis`` builds that
 lattice as a Heisenberg lattice description (center scale sqrt(ab)) and
-``preserves_gamma2`` certifies stabilization by exact integer solves.
+``preserves_gamma2`` certifies stabilization by exact integer quotients.
 The compatibility of the lattice's center scale with the metric's angular
 period, needed for compact quotients, is ``params.c_compatible``: the metric
 commands read it without loading this module.
@@ -26,9 +26,8 @@ Everything is exact: no floating point enters any decision in this module.
 from __future__ import annotations
 
 import sys
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
-from operator import add
 from typing import Dict, List, Tuple
 
 from .exact import Rad, RadC
@@ -162,10 +161,6 @@ def enumerate_norm_one(params: QuatParams, bound: int) -> List[QuatInt]:
 # ---------------------------------------------------------------------------
 
 
-def _rad(params: QuatParams, r1=0, ra=0, rb=0, rab=0) -> Rad:
-    return Rad(params.a, params.b, r1, ra, rb, rab)
-
-
 def embed_matrix(q: QuatInt) -> Tuple[Tuple[RadC, RadC], Tuple[RadC, RadC]]:
     """The 2 x 2 complex-matrix realization of q, exact over radicals.
 
@@ -224,17 +219,20 @@ def gamma2_basis(params: QuatParams) -> LatticeDescription:
     every other pair, so the generated Heisenberg subgroup meets the center
     in (sqrt(ab)/2) * Z.
 
-    One lattice is built per (a, b) and reused, so ``preserves_gamma2``
-    solves against one cached basis inverse for every element.
+    Each basis vector is one radical of one entry, so a membership test
+    reads one numerator per vector; one lattice is built per (a, b) and
+    reused by ``preserves_gamma2`` for every element.
     """
-    zero = RadC(_rad(params))
+    a, b = params.a, params.b
+    entry = RadC.from_ints
+    zero = entry(a, b, (0, 0, 0, 0))
     basis = (
-        (RadC(_rad(params, r1=1)), zero),
-        (zero, RadC(_rad(params), _rad(params, ra=-1))),
-        (zero, RadC(_rad(params, rb=1))),
-        (RadC(_rad(params), _rad(params, rab=1)), zero),
+        (entry(a, b, (1, 0, 0, 0)), zero),
+        (zero, entry(a, b, (0, 0, 0, 0), (0, -1, 0, 0))),
+        (zero, entry(a, b, (0, 0, 1, 0))),
+        (entry(a, b, (0, 0, 0, 0), (0, 0, 0, 1)), zero),
     )
-    return LatticeDescription(n=2, basis=basis, r=_rad(params, rab=1))
+    return LatticeDescription(n=2, basis=basis, r=Rad(a, b, rab=1))
 
 
 def preserves_gamma2(q: QuatInt, matrix) -> bool:
@@ -242,7 +240,7 @@ def preserves_gamma2(q: QuatInt, matrix) -> bool:
     lattice onto itself?
 
     Requires reduced norm 1.  Each basis vector's image under the matrix is
-    solved for integer lattice coordinates exactly: the image of every
+    read for integer lattice coordinates exactly: the image of every
     basis vector must be an integer combination of the four basis vectors.
     For integral quaternions this agrees with
     quaternion multiplication: the image of (r e_1) is ((q r) e_1), whose
@@ -252,12 +250,10 @@ def preserves_gamma2(q: QuatInt, matrix) -> bool:
         raise ValueError("lattice stabilization applies to norm-one elements only")
     lattice = gamma2_basis(q.params)
     for vec in lattice.basis:
-        # Products with the zero entries of vec are skipped, as MatGl skips
-        # zero entries: each basis vector has one nonzero entry, so every
-        # image entry is one product.
-        terms = [(k, x) for k, x in enumerate(vec) if x]
-        image = tuple(reduce(add, [row[k] * x for k, x in terms]) for row in matrix)
-        point = HeisPoint(image, 0)
+        # Each basis vector has one nonzero entry, x = vec[k], so each image
+        # entry is one product; the zero entries are skipped, as MatGl skips them.
+        k, x = next((k, x) for k, x in enumerate(vec) if x)
+        point = HeisPoint(tuple([row[k] * x for row in matrix]), 0)
         if lattice_coordinates(lattice, point) is None:
             return False
     return True

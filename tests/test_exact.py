@@ -430,6 +430,12 @@ class TestSolvers:
         with pytest.raises(ValueError):
             solve_rational([[1, 2], [2, 4]], [1, 2])
 
+    def test_dependent_columns_raise_before_consistency_is_read(self):
+        # [[1, 1], [1, 1]] x = [1, 2] has no solution, but its columns are
+        # dependent, and that is what the solver reports.
+        with pytest.raises(ValueError, match="dependent"):
+            solve_rational([[1, 1], [1, 1]], [1, 2])
+
     def test_integer_solution(self):
         assert integer_solution([[2, 0], [0, 3]], [4, 9]) == [2, 3]
         assert integer_solution([[2, 0], [0, 3]], [3, 9]) is None

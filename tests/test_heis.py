@@ -12,6 +12,7 @@ from oneloop.exact import QI, Rad, RadC
 from oneloop.heis import (
     HeisLatticePoint,
     HeisPoint,
+    LatticeDescription,
     form_defect,
     heis_identity,
     heis_inverse,
@@ -23,7 +24,7 @@ from oneloop.heis import (
     unipotent_witness,
 )
 from oneloop.params import signature
-from oneloop.quatarith import QuatInt, QuatParams, embed_matrix, enumerate_norm_one
+from oneloop.quatarith import QuatInt, QuatParams, embed_matrix, enumerate_norm_one, gamma2_basis
 from test_exact import coefficients
 
 
@@ -292,6 +293,68 @@ class TestLatticeLd:
     def test_positive_dimension_required(self):
         with pytest.raises(ValueError):
             lattice_Ld(0, 5)
+
+
+ONE = quadc(5, 1)
+ROOT5 = Rad(5, 1, 0, 1)
+
+
+class TestLatticeDescriptionForm:
+    """Each basis vector, and r, is a rational multiple of one numerator of
+    one entry, and no two vectors share that slot; anything else is refused
+    when the lattice is built."""
+
+    @pytest.mark.parametrize("n, basis, r, message", [
+        (0, (), ROOT5, "a lattice needs n >= 1 and a nonempty basis, got n = 0 and 0 "),
+        (1, (), ROOT5, "a lattice needs n >= 1 and a nonempty basis, got n = 1 and 0 "),
+        (2, ((ONE, quadc(5)), (ONE,)), ROOT5, "basis vector 1 has 1 entries, not n = 2"),
+        (1, ((ONE,), (quadc(5),)), ROOT5, "basis vector 1 has 0 nonzero numerators"),
+        (1, ((quadc(5, 1, 1),),), ROOT5, "basis vector 0 has 2 nonzero numerators"),
+        (2, ((ONE, ONE),), ROOT5, "basis vector 0 has 2 nonzero numerators"),
+        (1, ((quadc(5, 0, 0, 1),), (ONE * 2,), (quadc(5, 0, 0, 3),)), ROOT5,
+         "basis vectors 0 and 2 share numerator 4 of entry 0"),
+        (1, ((ONE,),), Rad(5, 1, 1, 1), "r has 2 nonzero numerators"),
+        (1, ((ONE,),), Rad(5, 1), "r has 0 nonzero numerators"),
+    ], ids=["n0", "empty", "length", "zero-vector", "two-numerators", "two-entries",
+            "shared-slot", "r-two-numerators", "r-zero"])
+    def test_refused_at_construction(self, n, basis, r, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            LatticeDescription(n, basis, r)
+
+    def test_mixed_rings_refused(self):
+        with pytest.raises(ValueError, match="mixed"):
+            LatticeDescription(1, ((ONE,), (quadc(6, 0, 1),)), ROOT5)
+        with pytest.raises(ValueError, match="mixed"):
+            LatticeDescription(1, ((ONE,),), Rad(6, 1, 0, 1))
+
+    def test_every_built_lattice_has_one_slot_per_vector(self):
+        # Folded rings included: a = 1, b = 1 and d = 1.
+        for a in range(1, 13):
+            for b in range(1, 13):
+                assert gamma2_basis(QuatParams(a, b)).rank == 4
+        for n in range(1, 5):
+            for d in (1, 2, 5, 6, 10, 13):
+                assert lattice_Ld(n, d).rank == 2 * n
+
+    def test_rational_multiples_of_a_slot(self):
+        # Basis 2 and (3/2)*sqrt(5)*i in C^1, so omega takes the value
+        # 3*sqrt(5) = r: slots whose numerator or denominator is not 1, and
+        # negative coordinates.
+        lat = LatticeDescription(1, ((ONE * 2,), (quadc(5, 0, 0, 0, Fraction(3, 2)),)),
+                                 Rad(5, 1, 0, 3))
+        assert lat.omega_table()[0][1] == lat.r
+
+        def point(re, root_im, t):
+            return HeisPoint((quadc(5, re, 0, 0, root_im),), Rad(5, 1, 0, t))
+
+        assert lattice_coordinates(lat, point(-4, Fraction(9, 2), Fraction(-9, 2))) == \
+            HeisLatticePoint((-2, 3), -3)
+        assert lattice_coordinates(lat, point(3, 0, 0)) is None
+        assert lattice_coordinates(lat, point(2, 1, 0)) is None
+        assert lattice_coordinates(lat, point(2, 0, 1)) is None
+        # A nonzero numerator outside the slots: the rational imaginary part.
+        off = HeisPoint((quadc(5, 2, 0, 1),), Fraction(0))
+        assert lattice_coordinates(lat, off) is None
 
 
 class TestLatticeMembership:

@@ -52,6 +52,11 @@ MUTANTS = [
     # Every norm-one element fails the unitary check: lattice's verdict.
     ("hermitian-second-slot-sign", "heis.py", "total - vj.conj() * wj",
      "total + vj.conj() * wj", [["lattice", "--bound", "1"]], 1, "verdict"),
+    # K e_1 becomes 2*sqrt(ab)*i*e_1 in the lattice basis: the 8 elements
+    # with odd q3 at bound 1 map e_1 out of the lattice, and their rows read
+    # su11_ok = true, preserves_gamma2 = false: lattice's verdict.
+    ("gamma2-K-coefficient", "quatarith.py", "(0, 0, 0, 1)), zero)", "(0, 0, 0, 2)), zero)",
+     [["lattice", "--bound", "1"]], 1, "verdict"),
     # c doubles and the table moves with it; no verdict reads the lattice
     # normalization of c.
     ("c-exact-half", "params.py", "half = Fraction(lam) / 2", "half = Fraction(lam)",

@@ -564,9 +564,12 @@ class TestPreservesGamma2:
         with pytest.raises(ValueError, match="norm-one"):
             preserves_gamma2(q, embed_matrix(q))
 
-    @pytest.mark.parametrize("name", ["gamma2-2-3", "gamma2-4-7", "gamma2-1-3", "Ld-2-5",
-                                      "Ld-3-2"])
+    @pytest.mark.parametrize("name", ["gamma2-2-3", "gamma2-4-7", "gamma2-1-3", "gamma2-1-1",
+                                      "Ld-2-5", "Ld-3-2", "Ld-2-1", "Ld-1-1"])
     def test_cached_solve_agrees_with_uncached(self, name):
+        # lattice_coordinates reads one numerator per basis vector; a fresh
+        # dense Fraction solve of the whole system is the reference, on
+        # folded rings (a = 1, b = 1, d = 1) too.
         kind, x, y = name.split("-")
         if kind == "gamma2":
             lattice = gamma2_basis(QuatParams(int(x), int(y)))
@@ -593,13 +596,13 @@ class TestPreservesGamma2:
             members += expected is not None
         assert 0 < members < 40
 
-    @pytest.mark.parametrize("ab", [(2, 3), (2, 5), (3, 7), (2, 1)])
+    @pytest.mark.parametrize("ab", [(2, 3), (2, 5), (3, 7), (2, 1), (1, 1), (1, 3)])
     def test_every_row_is_checked(self, ab):
         # Twelve of the sixteen rows of the Gamma_2 coordinate matrix are
-        # zero and the solve reads only pivot rows, so a half added to any
-        # one rational coordinate of a member, in a zero row or not, must
-        # be caught by the row check.  Each basis image at bound 3 must get
-        # the coordinates of the dense solve.
+        # zero and membership reads one numerator per basis vector, so a
+        # half added to any one rational coordinate of a member, at a basis
+        # vector's numerator or not, must be caught.  Each basis image at
+        # bound 3 must get the coordinates of the dense solve.
         params = QuatParams(*ab)
         lattice = gamma2_basis(params)
         rows = [[part for z in vec for part in coefficients(z)] for vec in lattice.basis]
