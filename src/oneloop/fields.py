@@ -1,14 +1,15 @@
 """Float half of the symmetry fields: the catalogue's Killing residuals.
 
-Builds the real symmetry catalogue as float term lists from the closed forms
-of :mod:`oneloop.generators`, which the exact fields of
-:mod:`oneloop.polyfields` read too, with their monomials, coefficients and
-term order, and evaluates it in the real chart, in Python complex
-arithmetic, against finite-difference metric derivatives.  The exact
-catalogue (``real_killing_catalogue``) stays the reference; a process that
-only verifies the Killing property never loads the exact layer.  The flows
-of the catalogue's affine fields live in :mod:`oneloop.flows`, which no
-command loads.
+Substitutes X = x + iy and w = u + iv once, in integer arithmetic, into the
+closed forms of :mod:`oneloop.generators`, which the exact fields of
+:mod:`oneloop.polyfields` read too: ``_chart_catalogue`` holds each real
+catalogue field as real polynomials in the chart coordinates and c, with
+integer coefficients.  It evaluates them in float arithmetic against
+finite-difference metric derivatives.  The exact catalogue
+(``real_killing_catalogue``) stays the reference; a process that only
+verifies the Killing property never loads the exact layer.  The flows of the
+catalogue's affine fields live in :mod:`oneloop.flows`, which no command
+loads.
 """
 
 from __future__ import annotations
@@ -29,59 +30,6 @@ KILLING_TOLERANCE = 1e-6
 CONTROL_THRESHOLD = 1e-2
 
 
-def _chart_values(p: PointBarN, c_value) -> List[complex]:
-    """Values of the polynomial variables (X, Xbar, w, wbar, c) at a point."""
-    X, w = list(p.X), list(p.w)
-    return (X + [z.conjugate() for z in X] + w + [z.conjugate() for z in w]
-            + [complex(c_value)])
-
-
-def _chart_pairs(n: int):
-    """(holomorphic variable, antiholomorphic variable, real chart index,
-    imaginary chart index) of each complex coordinate X^a, w^k, in the
-    variable order of ``_chart_values`` (``VarTable``).
-
-    A real field's chart component along x + iy is the holomorphic
-    component A, read as (Re A, Im A); the chart partials of a component B
-    are d/dx B = dB/dX + dB/dXbar and d/dy B = i(dB/dX - dB/dXbar).
-    """
-    vt = VarTable(n)
-    return tuple([(vt.x(a), vt.xb(a), ix_x(a), ix_y(a)) for a in range(1, n)]
-                 + [(vt.w(k), vt.wb(k), ix_u(k, n), ix_v(k, n)) for k in range(n)])
-
-
-def _accumulate(terms, items):
-    """Add (monomial, (re, im)) pairs into the dict ``terms``, in order, as
-    ``Poly._accumulate`` adds terms: a new monomial is appended and a sum
-    that cancels removes its monomial."""
-    for mono, (x, y) in items:
-        if mono not in terms:
-            terms[mono] = (x, y)
-            continue
-        u, v = terms[mono]
-        if u + x or v + y:
-            terms[mono] = (u + x, v + y)
-        else:
-            del terms[mono]
-    return terms
-
-
-def _re_im(F, perm):
-    """F + conj(F) and i(F - conj(F)) of a field given as one dict of
-    monomial -> (re, im) per direction, summed in the order of
-    ``polyfields.real_part`` and ``imag_part``; conj swaps each variable
-    and direction with its partner under ``perm``."""
-    conj = [None] * len(F)
-    for i, comp in enumerate(F):
-        conj[perm[i]] = [(tuple([mono[j] for j in perm]), (x, -y))
-                         for mono, (x, y) in comp.items()]
-    re = [_accumulate(dict(comp), bar) for comp, bar in zip(F, conj)]
-    im = [{mono: (-y, x) for mono, (x, y) in
-           _accumulate(dict(comp), [(mono, (-x, -y)) for mono, (x, y) in bar]).items()}
-          for comp, bar in zip(F, conj)]
-    return re, im
-
-
 def _catalogue_generators(n: int):
     """The generators of the real catalogue, as (label, kind, indices), in
     catalogue order: YC, T, C1 and C2 are real and enter as they are; Ya(a),
@@ -94,115 +42,135 @@ def _catalogue_generators(n: int):
                for a in range(1, n) for b in range(a, n)])
 
 
-def _real_catalogue_terms(n: int):
-    """The fields of ``real_killing_catalogue``, labelled, each as its
-    per-direction term lists of (monomial, complex coefficient): the
-    monomials, coefficient bits and term order of the exact fields'
-    ``Poly.terms``, from the closed forms of ``generator_terms``.
+def _chart_catalogue(n: int):
+    """The fields of ``real_killing_catalogue``, labelled, in the real chart.
 
-    Every coefficient is a Gaussian integer, kept as an (re, im) pair of
-    ints until one ``complex(re, im)`` converts it exactly.
+    A field is 4n polynomials, one per chart coordinate in the order of
+    ``PointBarN.to_chart`` (the radial one is 0), each a dict mapping a
+    monomial to a nonzero int.  A monomial is the tuple of its variables in
+    increasing order, a variable being a chart index, or 4n for c.
+
+    The x and y components along a complex coordinate are Re H and Im H of
+    the field's holomorphic part H there: the component itself for a real
+    generator, and P + conj(Q) or i(P - conj(Q)) = iP + conj(iQ) for the
+    "re" or "im" row of a complex one, P and Q being its holomorphic and
+    antiholomorphic components after the substitution and conj conjugating
+    coefficients only.  The angle component enters as both P and Q.  H sums
+    P's terms, then Q's, and drops a sum that cancels.
     """
-    perm = VarTable(n).conj_perm()
-    items = []
+    vt = VarTable(n)
+    units = [None] * vt.nvars  # each variable as its (chart variable, unit) pairs
+    units[vt.c] = ((4 * n, (1, 0)),)
+    slots = []
+    for h, hb, x, y in ([(vt.x(a), vt.xb(a), ix_x(a), ix_y(a)) for a in range(1, n)]
+                        + [(vt.w(k), vt.wb(k), ix_u(k, n), ix_v(k, n)) for k in range(n)]):
+        units[h], units[hb] = ((x, (1, 0)), (y, (0, 1))), ((x, (1, 0)), (y, (0, -1)))
+        slots.append((h, hb, x, y))
+    slots.append((vt.nvars - 1, vt.nvars - 1, ix_phi(n), None))
+
+    def substituted(comp, scale, conj):
+        """The (monomial, (re, im)) terms of scale * comp, each conjugated
+        when ``conj``."""
+        for mono, (a, b) in comp.items():
+            terms = [((), (a * scale[0] - b * scale[1], a * scale[1] + b * scale[0]))]
+            for v, e in enumerate(mono):
+                for _ in range(e):
+                    terms = [(m + (i,), (a * p - b * q, a * q + b * p))
+                             for m, (a, b) in terms for i, (p, q) in units[v]]
+            for m, (a, b) in terms:
+                yield tuple(sorted(m)), (a, -b if conj else b)
+
+    table = []
     for label, kind, indices in _catalogue_generators(n):
         F = generator_terms(kind, n, *indices)
-        if indices:
-            re, im = _re_im(F, perm)
-            items += [(f"re {label}", re), (f"im {label}", im)]
-        else:
-            items.append((label, F))
-    return [(label, tuple([(m, complex(re, im)) for m, (re, im) in comp.items()] for comp in F))
-            for label, F in items]
+        for prefix, scale in [("re ", (1, 0)), ("im ", (0, 1))] if indices else [("", (1, 0))]:
+            comps = [{} for _ in range(4 * n)]
+            for h, hb, x, y in slots:
+                terms = [*substituted(F[h], scale, False),
+                         *(substituted(F[hb], scale, True) if indices else ())]
+                H = {}
+                for mono, (a, b) in terms:
+                    a0, b0 = H.get(mono, (0, 0))
+                    if a0 + a or b0 + b:
+                        H[mono] = (a0 + a, b0 + b)
+                    else:
+                        del H[mono]
+                comps[x] = {mono: a for mono, (a, _) in H.items() if a}
+                if y is not None:
+                    comps[y] = {mono: b for mono, (_, b) in H.items() if b}
+            table.append((prefix + label, comps))
+    return table
 
 
 class _ChartEvaluator:
     """Real chart vectors and Jacobians of a list of fields, all at once.
 
-    A field is given as its per-direction term lists of (monomial, complex
-    coefficient), directions and variables in the order of
-    ``_chart_values`` (X, Xbar, w, wbar), the angle direction last, and c
-    the last variable.  The fields are real, so their chart projections
-    (``_chart_pairs``) read only the holomorphic and angle components.  Per
-    field the evaluator keeps those components, and the (d/dz, d/dzbar)
-    partial pairs of each along every complex coordinate z, as compiled
-    term lists, with the vector and Jacobian entries they fill; a component
-    or a pair without terms is left out, and the radial and angle columns
-    of a Jacobian are zero.  A compiled term is a coefficient and the
-    powers it multiplies, where power 1 + (e - 1)*nv + v is var_v**e
-    (nv = 4n - 1 variables).  At a point each term is its coefficient times
-    the powers of its variables, taken in variable order, and the terms are
-    summed in list order, in Python complex arithmetic: the termwise
+    A field is given as ``_chart_catalogue`` gives it: 4n polynomials in the
+    chart coordinates and c, with numbers for coefficients, reading neither
+    the radial nor the angle coordinate.  Per field the evaluator keeps its
+    nonzero components, and their nonzero partials along the chart
+    coordinates, as term lists of (coefficient, monomial), with the vector
+    and Jacobian entries they fill.  The Jacobian entries come plane by
+    plane of (x, y) rows, the angle row last, and within that plane by plane
+    of columns, the x row before the y row and the x column before the y
+    column.  At a point each term is its coefficient times its variables,
+    taken in order, and the terms are summed in list order: the termwise
     evaluation of every component and partial, bit for bit.
     """
 
-    def __init__(self, fields: Sequence[Sequence[list]]):
-        nv = len(fields[0])
-        n = (nv + 1) // 4
+    def __init__(self, fields: Sequence[Sequence[dict]]):
+        c = len(fields[0])  # the variable after the last chart coordinate
 
-        def compiled(terms):
-            return tuple((coeff, tuple(1 + (e - 1) * nv + v for v, e in enumerate(mono) if e))
-                         for mono, coeff in terms)
+        def partials(comp):
+            """(column, terms) of the nonzero partials of comp."""
+            out = {}
+            for mono, coeff in comp.items():
+                for v in dict.fromkeys(mono):
+                    if v != c:
+                        k = mono.index(v)
+                        out.setdefault(v, []).append(
+                            (coeff * mono.count(v), mono[:k] + mono[k + 1:]))
+            return out.items()
 
-        def partial(terms, v):
-            return [(mono[:v] + (mono[v] - 1,) + mono[v + 1:], coeff * mono[v])
-                    for mono, coeff in terms if mono[v]]
+        def order(entry):
+            """The plane of the row, the plane of the column, the row, the
+            column: plane p holds the chart coordinates 2p + 1 and 2p + 2,
+            and the angle row 4n - 1 comes after every plane."""
+            row, col, _ = entry
+            return (row - 1) // 2, (col - 1) // 2, row, col
 
-        self.emax = max([1, *(e for F in fields for comp in F
-                              for mono, _ in comp for e in mono)])
-        pairs = _chart_pairs(n)
-        components = [(h, re, im) for h, _, re, im in pairs] + [(nv - 1, ix_phi(n), None)]
+        self.degree = max([1, *(mono.count(v) for F in fields for comp in F
+                                for mono in comp for v in mono)])
         self.vectors, self.jacobians = [], []
         for F in fields:
-            self.vectors.append([(compiled(F[h]), re, im)
-                                 for h, re, im in components if F[h]])
-            jac = []
-            for h, re, im in components:
-                for hv, av, re_col, im_col in pairs:
-                    d_hol, d_antihol = partial(F[h], hv), partial(F[h], av)
-                    if d_hol or d_antihol:
-                        jac.append((compiled(d_hol), compiled(d_antihol),
-                                    re, im, re_col, im_col))
-            self.jacobians.append(jac)
+            self.vectors.append([(i, [(coeff, mono) for mono, coeff in comp.items()])
+                                 for i, comp in enumerate(F) if comp])
+            self.jacobians.append(sorted([(row, col, terms) for row, comp in enumerate(F)
+                                          for col, terms in partials(comp)], key=order))
 
     def __call__(self, p: PointBarN, c_value):
         """Per field, the nonzero entries of its real chart vector, as
-        (chart index, value), and of its Jacobian, as (row, column, value)."""
-        vals = _chart_values(p, c_value)
-        try:
-            powers = [1 + 0j] + [z**e for e in range(1, self.emax + 1) for z in vals]
-        except OverflowError as exc:
+        (chart index, value), and of its Jacobian, as (row, column, value).
+
+        Where a term reaches degree 2 in a variable, a c whose square leaves
+        the float range is refused."""
+        if self.degree > 1 and math.isinf(c_value * c_value):
             raise OverflowError(
                 f"symmetry field terms leave the float range at c = {c_value!r}: "
-                f"a power of degree <= {self.emax} overflows") from exc
+                f"a power of degree <= {self.degree} overflows")
+        vals = p.to_chart() + [c_value]
 
         def value(terms):
-            total = 0j
-            for term, factors in terms:
-                for index in factors:
-                    term *= powers[index]
+            total = 0.0
+            for term, mono in terms:
+                for index in mono:
+                    term *= vals[index]
                 total += term
             return total
 
-        vecs = []
-        for spec in self.vectors:
-            vec = []
-            for terms, re, im in spec:
-                z = value(terms)
-                vec.append((re, z.real))
-                if im is not None:
-                    vec.append((im, z.imag))
-            vecs.append([entry for entry in vec if entry[1]])
-        jacs = []
-        for spec in self.jacobians:
-            jac = []
-            for hol, antihol, re, im, re_col, im_col in spec:
-                d_hol, d_antihol = value(hol), value(antihol)
-                d_x, d_diff = d_hol + d_antihol, d_hol - d_antihol  # d/dy = i * d_diff
-                jac += [(re, re_col, d_x.real), (re, im_col, -d_diff.imag)]
-                if im is not None:
-                    jac += [(im, re_col, d_x.imag), (im, im_col, d_diff.real)]
-            jacs.append([entry for entry in jac if entry[2]])
+        vecs = [[(i, x) for i, terms in spec if (x := value(terms))] for spec in self.vectors]
+        jacs = [[(row, col, x) for row, col, terms in spec if (x := value(terms))]
+                for spec in self.jacobians]
         return vecs, jacs
 
 
@@ -214,7 +182,7 @@ def real_killing_catalogue(params: ModelParams) -> List[Tuple[str, PolyVectorFie
     shear commutators.  Every entry satisfies the reality condition.  Only
     ``params.n`` is read: the fields are polynomial in the symbol c.  The
     exact reference of the catalogue that ``killing_residuals`` evaluates
-    from ``_real_catalogue_terms``.
+    from ``_chart_catalogue``.
     """
     from .polyfields import generator, imag_part, real_part
 
@@ -267,7 +235,7 @@ def killing_residuals(params: ModelParams, points: Sequence[PointBarN]):
     same quantity for the radial negative control).  A NaN residual at any
     point makes its maximum NaN, so that no tolerance check passes it.
     """
-    catalogue = _real_catalogue_terms(params.n)
+    catalogue = _chart_catalogue(params.n)
     evaluate = _ChartEvaluator([F for _, F in catalogue])
     residuals = {label: 0.0 for label, _ in catalogue}
     control = 0.0

@@ -12,16 +12,10 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
-from .fields import _ChartEvaluator, _real_catalogue_terms
+from .fields import _chart_catalogue
 from .geometry import PointBarN
 
 TAU = 2.0 * math.pi
-
-
-def _rotation(theta: float) -> complex:
-    """Unit complex number for the reduced angle; exact at full periods."""
-    ang = math.remainder(theta, TAU)
-    return complex(math.cos(ang), math.sin(ang))
 
 
 def _flow_map(label: str, t: float,
@@ -30,20 +24,20 @@ def _flow_map(label: str, t: float,
     affine map J q + t b, J as a list of rows.
 
     The field must have coordinate degree <= 1 and no c, so that it is A q + b
-    with A its Jacobian and b its vector at the chart origin, where every
-    entry is a small integer.  A must split into rotations of disjoint
+    with A and b its linear and constant terms in ``_chart_catalogue``,
+    small integers.  A must split into rotations of disjoint
     coordinate planes (A_pq = a = -A_qp) and a part N off those planes that
     reads no coordinate it moves (so N^2 = 0), and b must vanish on every
     column of A (so A b = 0).  Then J = exp(tA) is the rotation through -a t
     on each plane, exact at full periods, and I + tN elsewhere.  The radial
     coordinate never moves.
     """
-    F = dict(_real_catalogue_terms(n)).get(label)
-    if F is None or any(sum(mono) - mono[-1] > 1 or mono[-1] for comp in F for mono, _ in comp):
+    F = dict(_chart_catalogue(n)).get(label)
+    if F is None or any(len(mono) > 1 or 4 * n in mono for comp in F for mono in comp):
         raise ValueError(f"no closed-form flow implemented for generator {label}")
-    origin = PointBarN((0.0,) * (n - 1), (0.0,) * n, 0.0, 1.0)
-    (vec,), (jac,) = _ChartEvaluator([F])(origin, 0.0)
-    A = {(row, col): value for row, col, value in jac}
+    vec = [(row, comp[()]) for row, comp in enumerate(F) if () in comp]
+    A = {(row, col): coeff for row, comp in enumerate(F) for mono, coeff in comp.items()
+         for col in mono}
     planes = [(p, q, a) for (p, q), a in A.items() if p < q and A.get((q, p)) == -a]
     on_planes = {i for p, q, _ in planes for i in (p, q)}
     rest = [(row, col, value) for (row, col), value in A.items()
@@ -55,9 +49,9 @@ def _flow_map(label: str, t: float,
     m = 4 * n
     J = [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
     for p, q, a in planes:
-        z = _rotation(-(a * t))
-        J[p][p] = J[q][q] = z.real
-        J[p][q], J[q][p] = -z.imag, z.imag
+        angle = math.remainder(-(a * t), TAU)  # reduced, so exact at full periods
+        J[p][p] = J[q][q] = math.cos(angle)
+        J[p][q], J[q][p] = -math.sin(angle), math.sin(angle)
     for row, col, value in rest:
         J[row][col] = t * value
     b = [0.0] * m

@@ -143,12 +143,16 @@ class LatticeDescription:
             if len(vec) != self.n:
                 raise ValueError(f"basis vector {i} has {len(vec)} entries, not n = {self.n}")
             # Entries enter the ring of basis[0][0], which exists once i = 0 passed.
-            slot = _slot([self.basis[0][0].coerce(z) for z in vec], f"basis vector {i}")
+            if i == 0 and not isinstance(vec[0], (QI, Rad, RadC)):
+                raise ValueError("basis vector 0 entry 0 must be an exact QI, Rad or RadC "
+                                 f"value, got {type(vec[0]).__name__}")
+            slot = _slot([_coerce(self.basis[0][0], z, f"basis vector {i} entry {j}")
+                          for j, z in enumerate(vec)], f"basis vector {i}")
             if slot[:2] in slots:
                 raise ValueError(f"basis vectors {list(slots).index(slot[:2])} and {i} share "
                                  f"numerator {slot[1]} of entry {slot[0]}")
             slots[slot[:2]] = slot
-        _, k, num, den = _slot([self.basis[0][0].coerce(self.r)], "r")
+        _, k, num, den = _slot([_coerce(self.basis[0][0], self.r, "r")], "r")
         object.__setattr__(self, "_slots", tuple(slots.values()))
         object.__setattr__(self, "_center", ((0, k, num, 2 * den),))
 
@@ -237,6 +241,15 @@ def lattice_Ld(n: int, d: int) -> LatticeDescription:
     return LatticeDescription(n=n, basis=basis, r=i_root.im)
 
 
+def _coerce(template, z, name: str):
+    """z in the ring of the exact value ``template``, through its
+    ``coerce``; a refusal is a ValueError that names z as ``name``."""
+    try:
+        return template.coerce(z)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def _slot(values, name: str) -> Tuple[int, int, int, int]:
     """(value index, numerator index, numerator, denominator) of the one
     nonzero numerator among exact ring values; ``name`` names the values in
@@ -279,9 +292,10 @@ def lattice_coordinates(
     if p.n != lattice.n:
         raise ValueError("point dimension does not match the lattice")
     template = lattice.basis[0][0]
-    coords = _multiples([template.coerce(z).numerators() for z in p.v], lattice._slots)
+    coords = _multiples([_coerce(template, z, f"point entry {j}").numerators()
+                         for j, z in enumerate(p.v)], lattice._slots)
     # t is coerced whatever coords is, so a center from another ring is refused.
-    center = _multiples([template.coerce(p.t).numerators()], lattice._center)
+    center = _multiples([_coerce(template, p.t, "center").numerators()], lattice._center)
     if coords is None or center is None:
         return None
     return HeisLatticePoint(tuple(coords), center[0])

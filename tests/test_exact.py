@@ -129,18 +129,19 @@ class TestPoly:
 
     def test_eval_complex(self):
         # Polynomials are evaluated term by term in the chart; the chart
-        # evaluator reads the real part of an angle component.
+        # evaluator reads the real part of an angle component, substituted
+        # into the real chart (the value here is exact in floats).
         from oneloop.fields import _ChartEvaluator
         from oneloop.geometry import PointBarN, ix_phi
         from oneloop.polyfields import PolyVectorField
-        from test_fields import chart_values, term_lists, termwise
+        from test_fields import chart_polys, chart_values, termwise
 
         p = self.X * self.X + self.w0.scale(QI(0, 1))
         comps = [Poly(self.t.nvars)] * (self.t.nvars - 1) + [p]
         point = PointBarN((0.5 + 0.25j,), (1 - 1j, 0), 0.0, 1.0)
         value = (0.5 + 0.25j) ** 2 + 1j * (1 - 1j)
         assert termwise(p, chart_values(point, 0.0, self.t)) == value
-        vecs, _ = _ChartEvaluator([term_lists(PolyVectorField(2, comps))])(point, 0.0)
+        vecs, _ = _ChartEvaluator([chart_polys(PolyVectorField(2, comps))])(point, 0.0)
         assert vecs == [[(ix_phi(2), value.real)]]
 
     def test_conj_swap(self):

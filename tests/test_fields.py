@@ -2,6 +2,7 @@
 Killing-property checker."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ import oneloop.geometry
 from oneloop.exact import QI, QI_I, Poly
 from oneloop.fields import (
     _ChartEvaluator,
-    _real_catalogue_terms,
+    _chart_catalogue,
     killing_residuals,
     real_killing_catalogue,
 )
@@ -216,22 +217,91 @@ def dense_jacobian(entries, n):
     return out
 
 
-def term_lists(F):
-    """The per-direction term lists of an exact field, as the chart
-    evaluator takes them: (monomial, qi_complex(coefficient)) in Poly.terms
-    order."""
-    return tuple([(mono, qi_complex(coeff)) for mono, coeff in comp.terms.items()]
-                 for comp in F.comps)
+def chart_form(F):
+    """An exact field in the real chart, by Poly arithmetic: per chart
+    coordinate a Poly over the chart coordinates and c (variable 4n), with
+    real coefficients.  Along each complex coordinate they are Re and Im of
+    the holomorphic component with X = x + iy and Xbar = x - iy (likewise
+    w = u + iv) substituted; the angle coordinate takes the real part of the
+    angle component."""
+    n = F.n
+    vt = VarTable(n)
+    m = 4 * n + 1
+    image = [None] * vt.nvars
+    planes = []
+    for h, hb, x, y in ([(vt.x(a), vt.xb(a), ix_x(a), ix_y(a)) for a in range(1, n)]
+                        + [(vt.w(k), vt.wb(k), ix_u(k, n), ix_v(k, n)) for k in range(n)]):
+        iy = variable(m, y).scale(QI_I)
+        image[h], image[hb] = variable(m, x) + iy, variable(m, x) - iy
+        planes.append((h, x, y))
+    image[vt.c] = variable(m, 4 * n)
+    out = [Poly(m)] * (4 * n)
+    for h, x, y in planes + [(vt.nvars - 1, ix_phi(n), None)]:
+        H = Poly(m)
+        for mono, coeff in F.comps[h].terms.items():
+            term = constant(m, coeff)
+            for v, e in enumerate(mono):
+                for _ in range(e):
+                    term = term * image[v]
+            H = H + term
+        out[x] = Poly(m, {mono: q.re for mono, q in H.terms.items()})
+        if y is not None:
+            out[y] = Poly(m, {mono: q.im for mono, q in H.terms.items()})
+    return out
+
+
+def factors(mono):
+    """An exponent tuple as the chart evaluator's monomial: the tuple of its
+    variables in increasing order, each repeated by its exponent."""
+    return tuple(v for v, e in enumerate(mono) for _ in range(e))
+
+
+def chart_polys(F):
+    """The chart evaluator's input for an exact field: chart_form(F), each
+    coefficient rounded once to a float."""
+    return [{factors(mono): float(coeff.re) for mono, coeff in comp.terms.items()}
+            for comp in chart_form(F)]
+
+
+def real_termwise(poly, values):
+    """A chart polynomial's value, term by term: each coefficient times its
+    variables in order, the terms summed in order, in float arithmetic."""
+    total = 0.0
+    for mono, coeff in poly.items():
+        for v in mono:
+            coeff *= values[v]
+        total += coeff
+    return total
+
+
+def real_partial(poly, v):
+    """The partial derivative of a chart polynomial along variable v."""
+    return {mono[:mono.index(v)] + mono[mono.index(v) + 1:]: coeff * mono.count(v)
+            for mono, coeff in poly.items() if v in mono}
+
+
+def real_vector_oracle(polys, p, c_value):
+    """Real chart vector of chart polynomials, termwise."""
+    values = p.to_chart() + [c_value]
+    return np.array([real_termwise(poly, values) for poly in polys])
+
+
+def real_jacobian_oracle(polys, p, c_value):
+    """Real chart Jacobian of chart polynomials, termwise, over every
+    (row, column) pair."""
+    values = p.to_chart() + [c_value]
+    return np.array([[real_termwise(real_partial(poly, j), values) for j in range(len(polys))]
+                     for poly in polys])
 
 
 def chart_vector(F, p, c_value):
     """Real chart vector of one field through the chart evaluator."""
-    return dense_vector(_ChartEvaluator([term_lists(F)])(p, c_value)[0][0], F.n)
+    return dense_vector(_ChartEvaluator([chart_polys(F)])(p, c_value)[0][0], F.n)
 
 
 def chart_jacobian(F, p, c_value):
     """Real chart Jacobian of one field through the chart evaluator."""
-    return dense_jacobian(_ChartEvaluator([term_lists(F)])(p, c_value)[1][0], F.n)
+    return dense_jacobian(_ChartEvaluator([chart_polys(F)])(p, c_value)[1][0], F.n)
 
 
 def complex_components(F, p, c_value):
@@ -265,7 +335,7 @@ def killing_one_field_at_a_time(params, points):
     evaluator per field instead of one for the catalogue."""
     max_abs = oneloop.geometry._max_abs
     catalogue = real_killing_catalogue(params)
-    evaluators = [(label, _ChartEvaluator([term_lists(F)])) for label, F in catalogue]
+    evaluators = [(label, _ChartEvaluator([chart_polys(F)])) for label, F in catalogue]
     residuals = {label: 0.0 for label, _ in catalogue}
     control = 0.0
     for p in points:
@@ -372,7 +442,7 @@ class TestGeneratorTables:
     def test_labels(self):
         # One label per catalogue field: the verify-killing row, and the
         # name that flow takes.
-        labels = [label for label, _ in _real_catalogue_terms(3)]
+        labels = [label for label, _ in _chart_catalogue(3)]
         assert labels[:4] == ["YC", "T", "C1", "C2"]
         assert {"re Ya(2)", "im V(0)", "re Comm(1,2)", "im Comm(2,2)"} <= set(labels)
         assert len(set(labels)) == len(labels)
@@ -390,7 +460,7 @@ class TestReality:
         # F + conj(F) vanishes: the verify-killing row of re Comm(a,a) reads
         # 0 and cannot fail.  No other catalogue field is zero.
         want = [f"re Comm({a},{a})" for a in range(1, n)]
-        assert [label for label, F in _real_catalogue_terms(n) if not any(F)] == want
+        assert [label for label, F in _chart_catalogue(n) if not any(F)] == want
         assert [label for label, F in real_killing_catalogue(ModelParams(n=n))
                 if not any(F.comps)] == want
 
@@ -609,7 +679,7 @@ class TestBatchedEvaluation:
         for c in (0.0, 0.75):
             params = ModelParams(n=n, c=c)
             catalogue = real_killing_catalogue(params)
-            evaluate = _ChartEvaluator([F for _, F in _real_catalogue_terms(n)])
+            evaluate = _ChartEvaluator([F for _, F in _chart_catalogue(n)])
             for p in seeded_points(params, 3, seed=n) + [base_point(n)]:
                 vecs, jacs = evaluate(p, c)
                 for (label, F), vec, jac in zip(catalogue, vecs, jacs):
@@ -648,55 +718,68 @@ class TestBatchedEvaluation:
         comps = [Poly(nv)] * nv
         comps[vt.x(1)] = comps[nv - 1] = poly
         F = PolyVectorField(n, comps)
+        polys = chart_polys(F)
+        assert max(len(mono) for comp in polys for mono in comp) == 5  # x^3 v^2 among them
         for p in seeded_points(ModelParams(n=n, c=1.5), 4, seed=2):
-            assert np.array_equal(chart_vector(F, p, 1.5), vector_oracle(F, p, 1.5))
+            assert np.array_equal(chart_vector(F, p, 1.5), real_vector_oracle(polys, p, 1.5))
             assert np.array_equal(chart_jacobian(F, p, 1.5),
-                                  jacobian_oracle(F, p, 1.5))
+                                  real_jacobian_oracle(polys, p, 1.5))
 
-    @pytest.mark.parametrize("n, polys, terms", [(1, 16, 18), (2, 55, 63), (3, 126, 140)])
+    @pytest.mark.parametrize("n, polys, terms", [(1, 20, 20), (2, 83, 87), (3, 226, 242)])
     def test_compiles_only_what_the_chart_reads(self, n, polys, terms):
-        # The holomorphic and angle components and their partials along
-        # the complex coordinates; the antiholomorphic components are the
-        # conjugates and are never compiled.
-        evaluate = _ChartEvaluator([F for _, F in _real_catalogue_terms(n)])
-        compiled = [comp for spec in evaluate.vectors for comp, _, _ in spec]
-        compiled += [d for spec in evaluate.jacobians for pair in spec for d in pair[:2] if d]
+        # The nonzero components and their nonzero partials along the
+        # coordinates of the complex planes.  At n = 1: YC, C1 and C2 have
+        # the components (v, -u) with two partials, YC also -2c on the angle,
+        # T the constant angle, re V(0) (1, 2v) and im V(0) (1, -2u) on the
+        # (u, angle) and (v, angle) coordinates, with one partial each.
+        evaluate = _ChartEvaluator([F for _, F in _chart_catalogue(n)])
+        compiled = [terms for spec in evaluate.vectors for _, terms in spec]
+        compiled += [terms for spec in evaluate.jacobians for _, _, terms in spec]
         assert (len(compiled), sum(map(len, compiled))) == (polys, terms)
 
-    def test_power_table_covers_every_component(self):
-        # The only cube sits in an antiholomorphic component, which the
-        # chart never reads; the power table still reaches degree 3.
-        n = 2
-        vt = VarTable(n)
-        nv = vt.nvars
-        mono = [0] * nv
-        mono[vt.xb(1)] = 3
-        comps = [Poly(nv)] * nv
-        comps[vt.xb(1)] = Poly(nv, {tuple(mono): 1})
-        evaluate = _ChartEvaluator([term_lists(PolyVectorField(n, comps))])
+    def test_a_c_whose_square_overflows_is_refused(self):
+        # No catalogue term reads c^2, but x^2 reaches degree 2 from n = 2
+        # on, and there a c whose square leaves the float range is refused
+        # before any term is formed: its residuals would mean nothing.
+        big = 1.5e154
         p = PointBarN((0.5,), (0j, 0j), 0.0, 1.0)
-        assert evaluate(p, 0.0) == ([[]], [[]])
-        with pytest.raises(OverflowError, match=r"a power of degree <= 3 overflows"):
-            evaluate(p, 1e103)
+        evaluate = _ChartEvaluator([F for _, F in _chart_catalogue(2)])
+        assert evaluate.degree == 2
+        evaluate(p, math.sqrt(1.7e308))
+        with pytest.raises(OverflowError, match=r"at c = 1\.5e\+154: a power of degree <= 2 "
+                                                r"overflows"):
+            evaluate(p, big)
+        one = _ChartEvaluator([F for _, F in _chart_catalogue(1)])
+        assert one.degree == 1
+        vecs, _ = one(base_point(1), big)
+        assert dict(vecs[0])[ix_phi(1)] == -2 * big  # YC's angle component -2c
 
 
 class TestFloatCatalogue:
-    """The closed-form float catalogue that killing_residuals evaluates is
-    the exact catalogue, term for term and bit for bit."""
+    """The integer chart catalogue that killing_residuals evaluates is the
+    exact catalogue in the real chart, term for term."""
 
     @staticmethod
     def assert_identical(n):
-        exact = [(label, term_lists(F))
-                 for label, F in real_killing_catalogue(ModelParams(n=n))]
-        floats = _real_catalogue_terms(n)
-        assert [label for label, _ in floats] == [label for label, _ in exact]
-        for (label, got), (_, want) in zip(floats, exact):
-            # repr tells the signed zeros apart, which == does not.
-            assert repr(got) == repr(want), label
+        exact = [(label, chart_form(F)) for label, F in real_killing_catalogue(ModelParams(n=n))]
+        table = _chart_catalogue(n)
+        assert [label for label, _ in table] == [label for label, _ in exact]
+        for (label, got), (_, want) in zip(table, exact):
+            assert len(got) == len(want) == 4 * n, label
+            for comp, poly in zip(got, want):
+                assert list(comp.items()) == [(factors(mono), coeff.re)
+                                              for mono, coeff in poly.terms.items()], label
+                assert all(type(coeff) is int for coeff in comp.values()), label
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_the_exact_catalogue(self, n):
         self.assert_identical(n)
+
+    def test_re_v0_reads_as_the_readme_writes_it(self):
+        # Re V0 = du + 2v dphi, as integers.
+        F = dict(_chart_catalogue(2))["re V(0)"]
+        assert [(i, comp) for i, comp in enumerate(F) if comp] == [
+            (ix_u(0, 2), {(): 1}), (ix_phi(2), {(ix_v(0, 2),): 2})]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_at_the_metric_shear(self, monkeypatch, n):
@@ -704,16 +787,65 @@ class TestFloatCatalogue:
         # catalogues read it from the one table.
         monkeypatch.setattr(oneloop.generators, "VK_SHEAR", THETA_SHEAR)
         self.assert_identical(n)
-        angle = dict(_real_catalogue_terms(n))["re V(0)"][-1]
-        half = THETA_SHEAR / 2
-        assert [coeff for _, coeff in angle] == [half * 1j, -half * 1j]
+        angle = dict(_chart_catalogue(n))["re V(0)"][ix_phi(n)]
+        assert angle == {(ix_v(0, n),): THETA_SHEAR}
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_substitution_is_exact_at_dyadic_points(self, n):
+        # An oracle apart from the substitution: each exact catalogue field
+        # evaluated in QI at X = x + iy, its chart partials from Poly.diff
+        # (d/dx = d/dX + d/dXbar, d/dy = i(d/dX - d/dXbar)), read as
+        # (Re, Im) of the holomorphic part, and the table's polynomials and
+        # their partials evaluated in Fractions at the same dyadic point.
+        vt = VarTable(n)
+        rng = random.Random(n)
+        for _ in range(3):
+            q = [Fraction(rng.randint(-64, 64), 128) for _ in range(4 * n)] + [
+                Fraction(rng.randint(0, 64), 32)]
+            values = [None] * vt.nvars
+            planes = ([(vt.x(a), vt.xb(a), ix_x(a), ix_y(a)) for a in range(1, n)]
+                      + [(vt.w(k), vt.wb(k), ix_u(k, n), ix_v(k, n)) for k in range(n)])
+            for h, hb, x, y in planes:
+                values[h], values[hb] = QI(q[x], q[y]), QI(q[x], -q[y])
+            values[vt.c] = QI(q[4 * n])
+            table = dict(_chart_catalogue(n))
+            for label, F in real_killing_catalogue(ModelParams(n=n)):
+                got = table[label]
+
+                def chart(poly):
+                    return sum((coeff * math.prod(q[v] for v in mono)
+                                for mono, coeff in poly.items()), Fraction(0))
+
+                def exact(poly):
+                    total = QI(0)
+                    for mono, coeff in poly.terms.items():
+                        for v, e in enumerate(mono):
+                            for _ in range(e):
+                                coeff = coeff * values[v]
+                        total = total + coeff
+                    return total
+
+                rows = [(h, x, y) for h, _, x, y in planes] + [(vt.nvars - 1, ix_phi(n), None)]
+                for h, x, y in rows:
+                    H = exact(F.comps[h])
+                    assert chart(got[x]) == H.re, (label, x)
+                    if y is not None:
+                        assert chart(got[y]) == H.im, (label, y)
+                    for d, db, dx, dy in planes:
+                        hol, antihol = exact(F.comps[h].diff(d)), exact(F.comps[h].diff(db))
+                        Hx, Hy = hol + antihol, (hol - antihol) * QI_I
+                        assert chart(real_partial(got[x], dx)) == Hx.re, (label, x, dx)
+                        assert chart(real_partial(got[x], dy)) == Hy.re, (label, x, dy)
+                        if y is not None:
+                            assert chart(real_partial(got[y], dx)) == Hx.im, (label, y, dx)
+                            assert chart(real_partial(got[y], dy)) == Hy.im, (label, y, dy)
 
     @pytest.mark.parametrize("shear", [3, 4.0])
     def test_a_shear_the_table_cannot_hold_is_refused(self, monkeypatch, shear):
         # The V(k) angle coefficients +-(VK_SHEAR/2) i are held as Gaussian
         # integers: an odd or non-integer shear is refused, never floored.
         monkeypatch.setattr(oneloop.generators, "VK_SHEAR", shear)
-        for build in (lambda: _real_catalogue_terms(2),
+        for build in (lambda: _chart_catalogue(2),
                       lambda: generator("Vk", 2, 1)):
             with pytest.raises(ValueError, match="VK_SHEAR must be an even integer"):
                 build()
@@ -743,9 +875,10 @@ def small_real_fields(draw):
 @given(small_real_fields(), st.integers(0, 2**16), st.sampled_from([0.0, 0.75, 2.0]))
 def test_random_real_fields_match_termwise_oracles(F, seed, c):
     p = seeded_points(ModelParams(n=F.n, c=c), 1, seed=seed)[0]
-    (vec,), (jac,) = _ChartEvaluator([term_lists(F)])(p, c)
-    assert np.array_equal(dense_vector(vec, F.n), vector_oracle(F, p, c))
-    assert np.array_equal(dense_jacobian(jac, F.n), jacobian_oracle(F, p, c))
+    polys = chart_polys(F)
+    (vec,), (jac,) = _ChartEvaluator([polys])(p, c)
+    assert np.array_equal(dense_vector(vec, F.n), real_vector_oracle(polys, p, c))
+    assert np.array_equal(dense_jacobian(jac, F.n), real_jacobian_oracle(polys, p, c))
 
 
 def _is_fiber_translation(label):

@@ -321,6 +321,31 @@ class TestLatticeDescriptionForm:
         with pytest.raises(ValueError, match=f"^{message}"):
             LatticeDescription(n, basis, r)
 
+    @pytest.mark.parametrize("basis, r, message", [
+        (((0.5,),), 1, "basis vector 0 entry 0 must be an exact QI, Rad or RadC value, got float"),
+        (((1,),), 1, "basis vector 0 entry 0 must be an exact QI, Rad or RadC value, got int"),
+        (((QI(1), QI(0)), (QI(0), 0.25)), 1, "basis vector 1 entry 1: exact rational required, "
+                                              "got float"),
+        (((QI(1), QI(0)),), 0.5, "r: exact rational required, got float"),
+        (((ONE, quadc(5)), (quadc(5), 0.5)), ROOT5, r"basis vector 1 entry 1: exact value over "
+                                                     r"Rad\[5,1\] required; got float"),
+        (((ONE, quadc(5)),), 0.5, r"r: exact value over Rad\[5,1\] required; got float"),
+    ], ids=["float-first", "int-first", "float-later-QI", "float-r-QI", "float-later-RadC",
+            "float-r-RadC"])
+    def test_inexact_entries_are_named(self, basis, r, message):
+        # The first entry fixes the ring that every other entry, and r,
+        # enters; a value with no exact image there is named.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LatticeDescription(len(basis[0]), basis, r)
+
+    def test_a_point_outside_the_ring_is_named(self):
+        # Membership enters the point through the same door.
+        lat = LatticeDescription(1, ((QI(1),), (QI(0, 1),)), 1)
+        with pytest.raises(ValueError, match="^point entry 0: exact rational required, got RadC$"):
+            lattice_coordinates(lat, HeisPoint((quadc(5, 1),), Fraction(0)))
+        with pytest.raises(ValueError, match="^center: exact rational required, got Rad$"):
+            lattice_coordinates(lat, HeisPoint((QI(1),), Rad(5, 1, 0, 1)))
+
     def test_mixed_rings_refused(self):
         with pytest.raises(ValueError, match="mixed"):
             LatticeDescription(1, ((ONE,), (quadc(6, 0, 1),)), ROOT5)

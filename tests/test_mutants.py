@@ -87,9 +87,15 @@ MUTANTS = [
     # of the edited shears no longer match the commutators' closed forms.
     ("Ya-angle-coefficient-exact", "generators.py", "comps[phi] = {mono(c, x(a)): (0, 1)}",
      "comps[phi] = {mono(c, x(a)): (0, 2)}", [["structure", "--n", "2"]], 1, "verdict"),
-    # The d/dy Jacobian columns of each component's real row flip sign:
-    # 2 of 12 rows pass instead of 8, and the exit code stays 1.
-    ("chart-dy-sign", "fields.py", "(re, im_col, -d_diff.imag)", "(re, im_col, d_diff.imag)",
+    # Every partial of the chart catalogue flips sign, so each Jacobian
+    # does: 10 of the 13 CSV rows change, and the exit code stays 1.
+    ("chart-partial-sign", "fields.py", "(coeff * mono.count(v), mono",
+     "(-coeff * mono.count(v), mono",
+     [["verify-killing", "--n", "2", "--points", "1"]], 1, "unflagged"),
+    # The re and im rows take Q in place of conj(Q), so they are no longer
+    # real fields: the rows of re/im Ya(1) and re/im Comm(1,1) fail, and
+    # the exit code stays 1.
+    ("chart-conj-sign", "fields.py", "(a, -b if conj else b)", "(a, b if conj else b)",
      [["verify-killing", "--n", "2", "--points", "1"]], 1, "unflagged"),
     # The C2 row flips, but verify-killing exits 1 for every input until the
     # catalogue's V_k shear is repaired; criterion 5's C2 flow checks fail.

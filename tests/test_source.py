@@ -907,6 +907,41 @@ def test_fields_reads_no_shear():
         assert _shear_reads(_parse(ROOT / "src" / "oneloop" / f"{module}.py")) == [], module
 
 
+def _complex_forms(tree):
+    """Lines of a tree's complex numbers: calls of ``complex``, imaginary
+    literals, and reads of ``.conjugate``, ``.real`` or ``.imag``, at any
+    depth."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "complex"
+                  or isinstance(node, ast.Constant) and isinstance(node.value, complex)
+                  or isinstance(node, ast.Attribute)
+                  and node.attr in ("conjugate", "real", "imag"))
+
+
+def test_the_chart_catalogue_forms_no_complex_number():
+    # The catalogue is substituted into the real chart once, in integers:
+    # the Killing check and the flows evaluate real polynomials, and never
+    # form a complex value or project one onto the chart.
+    for module in ("fields", "flows"):
+        assert _complex_forms(_parse(ROOT / "src" / "oneloop" / f"{module}.py")) == [], module
+
+
+COMPLEX = """
+z = complex(1, 2) + 3j
+w = z.conjugate(), getattr(z, "real")
+def f(p):
+    return p.real * 2, (p.imag,), cmath.complex, p.reals
+real, imag = 1.0, 2.0
+"""
+
+
+def test_complex_forms_on_a_synthetic_source():
+    # A name, a string or a method called ``complex`` off the builtin is no
+    # complex number.
+    assert _complex_forms(ast.parse(COMPLEX)) == [2, 2, 3, 5, 5]
+
+
 SHEARS = """
 from .params import ModelParams, VK_SHEAR
 from oneloop.params import THETA_SHEAR as shear
