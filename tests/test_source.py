@@ -937,8 +937,9 @@ real, imag = 1.0, 2.0
 
 
 def test_complex_forms_on_a_synthetic_source():
-    # A name, a string or a method called ``complex`` off the builtin is no
-    # complex number.
+    # The call, the literal and the three attribute reads are found; the
+    # names real and imag, the string "real", p.reals and the attribute
+    # cmath.complex are not.
     assert _complex_forms(ast.parse(COMPLEX)) == [2, 2, 3, 5, 5]
 
 
