@@ -18,8 +18,8 @@ import math
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .geometry import (
-    FD_STEP, ModelParams, PointBarN, _max_abs, _upper, _weighted_sum, ix_phi, ix_rho, ix_u,
-    ix_v, ix_x, ix_y, metric_first_derivatives, metric_gram, seeded_points,
+    FD_STEP, ModelParams, _max_abs, _upper, _weighted_sum, ix_phi, ix_rho, ix_u, ix_v, ix_x,
+    ix_y, metric_first_derivatives, metric_gram, seeded_points,
 )
 from .generators import VarTable, generator_terms
 
@@ -46,7 +46,7 @@ def _chart_catalogue(n: int):
     """The fields of ``real_killing_catalogue``, labelled, in the real chart.
 
     A field is 4n polynomials, one per chart coordinate in the order of
-    ``PointBarN.to_chart`` (the radial one is 0), each a dict mapping a
+    the ``ix_*`` layout (the radial one is 0), each a dict mapping a
     monomial to a nonzero int.  A monomial is the tuple of its variables in
     increasing order, a variable being a chart index, or 4n for c.
 
@@ -148,9 +148,10 @@ class _ChartEvaluator:
             self.jacobians.append(sorted([(row, col, terms) for row, comp in enumerate(F)
                                           for col, terms in partials(comp)], key=order))
 
-    def __call__(self, p: PointBarN, c_value):
-        """Per field, the nonzero entries of its real chart vector, as
-        (chart index, value), and of its Jacobian, as (row, column, value).
+    def __call__(self, q: Sequence[float], c_value):
+        """Per field, the nonzero entries of its real chart vector at the
+        chart point q, as (chart index, value), and of its Jacobian, as
+        (row, column, value).
 
         Where a term reaches degree 2 in a variable, a c whose square leaves
         the float range is refused."""
@@ -158,7 +159,7 @@ class _ChartEvaluator:
             raise OverflowError(
                 f"symmetry field terms leave the float range at c = {c_value!r}: "
                 f"a power of degree <= {self.degree} overflows")
-        vals = p.to_chart() + [c_value]
+        vals = [*q, c_value]
 
         def value(terms):
             total = 0.0
@@ -201,7 +202,7 @@ def real_killing_catalogue(params: ModelParams) -> List[Tuple[str, PolyVectorFie
 
 # --- Killing verification ---------------------------------------------------
 
-def _lie_derivatives(evaluate: _ChartEvaluator, p: PointBarN,
+def _lie_derivatives(evaluate: _ChartEvaluator, q: Sequence[float],
                      params: ModelParams, D1, g) -> List[List[float]]:
     """L_F g = F^k d_k g + J^T g + g J for every field of ``evaluate``, as its
     flat upper triangle, like each D1[k] (``metric_first_derivatives``).
@@ -211,7 +212,7 @@ def _lie_derivatives(evaluate: _ChartEvaluator, p: PointBarN,
     {x, b} of the upper triangle, twice on the diagonal.
     """
     index = _upper(len(g))[0]
-    vecs, jacs = evaluate(p, params.c)
+    vecs, jacs = evaluate(q, params.c)
     out = []
     for vec, jac in zip(vecs, jacs):
         if vec:
@@ -228,8 +229,9 @@ def _lie_derivatives(evaluate: _ChartEvaluator, p: PointBarN,
     return out
 
 
-def killing_residuals(params: ModelParams, points: Sequence[PointBarN]):
-    """Max relative Killing residual per catalogued real generator.
+def killing_residuals(params: ModelParams, points: Sequence[Sequence[float]]):
+    """Max relative Killing residual per catalogued real generator, over
+    chart points.
 
     Returns (ordered dict label -> max over points of |L_F g|_inf / |g|_inf,
     same quantity for the radial negative control).  A NaN residual at any
@@ -239,12 +241,11 @@ def killing_residuals(params: ModelParams, points: Sequence[PointBarN]):
     evaluate = _ChartEvaluator([F for _, F in catalogue])
     residuals = {label: 0.0 for label, _ in catalogue}
     control = 0.0
-    for p in points:
-        q = p.to_chart()
+    for q in points:
         D1 = metric_first_derivatives(q, params)
-        g = metric_gram(p, params)
+        g = metric_gram(q, params)
         ginf = _max_abs([x for row in g for x in row])
-        L = _lie_derivatives(evaluate, p, params, D1, g)
+        L = _lie_derivatives(evaluate, q, params, D1, g)
         for (label, _), Lf in zip(catalogue, L):
             rel = _max_abs(Lf) / ginf
             if rel > residuals[label] or math.isnan(rel):

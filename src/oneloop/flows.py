@@ -13,7 +13,6 @@ import math
 from typing import List, Tuple
 
 from .fields import _chart_catalogue
-from .geometry import PointBarN
 
 TAU = 2.0 * math.pi
 
@@ -60,20 +59,26 @@ def _flow_map(label: str, t: float,
     return J, b
 
 
-def flow(label: str, t: float, p: PointBarN) -> PointBarN:
+def _dimension(q: List[float]) -> int:
+    """n of a chart vector of length 4n."""
+    if not q or len(q) % 4:
+        raise ValueError("chart vector must have length 4n")
+    return len(q) // 4
+
+
+def flow(label: str, t: float, q: List[float]) -> List[float]:
     """Closed-form flow for time t of the catalogue field that
-    ``verify-killing`` labels ``label`` (see _flow_map).
+    ``verify-killing`` labels ``label`` (see _flow_map), from the chart
+    point q to the chart point it reaches.
 
     Each coordinate sums its row's nonzero entries of J in plain float
-    arithmetic, so a full-period rotation (J = identity) returns p exactly.
+    arithmetic, so a full-period rotation (J = identity) returns q exactly.
     """
-    J, b = _flow_map(label, t, p.n)
-    q = p.to_chart()
-    return PointBarN.from_chart([
-        sum(x * y for x, y in zip(row, q) if x) + shift for row, shift in zip(J, b)
-    ])
+    J, b = _flow_map(label, t, _dimension(q))
+    return [sum(x * y for x, y in zip(row, q) if x) + shift for row, shift in zip(J, b)]
 
 
-def flow_jacobian(label: str, t: float, p: PointBarN) -> List[List[float]]:
-    """Exact Jacobian of the closed-form flow in the real chart at p."""
-    return _flow_map(label, t, p.n)[0]
+def flow_jacobian(label: str, t: float, q: List[float]) -> List[List[float]]:
+    """Exact Jacobian of the closed-form flow in the real chart at q."""
+    return _flow_map(label, t, _dimension(q))[0]
+

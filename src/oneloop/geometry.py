@@ -1,13 +1,14 @@
 """The one-loop deformed metric family on the 4n-dimensional total space.
 
-Points live in global coordinates (X, w, phi_tilde, rho) with X in the open
-unit ball of C^{n-1} and w in C^n.  Every Gram matrix uses the fixed real
-chart ordering
+The space has global coordinates (rho, X, w, phi_tilde) with rho > 0, X in
+the open unit ball of C^{n-1} and w in C^n, and a point is its chart vector:
+the list of 4n real numbers
 
     [rho, x^1, y^1, ..., x^{n-1}, y^{n-1}, u^0, v^0, ..., u^{n-1}, v^{n-1},
      phi_tilde]
 
-with X^a = x^a + i y^a and w^k = u^k + i v^k.  The module evaluates the
+with X^a = x^a + i y^a and w^k = u^k + i v^k, at the indices ``ix_*``
+give.  Every Gram matrix uses the same ordering.  The module evaluates the
 deformed metric, its determinant at the base point, the fiber volume-density
 factorization, and a finite-difference Ricci tensor for Einstein diagnostics.
 Everything is plain Python floats, a matrix a list of rows (a symmetric one
@@ -24,56 +25,6 @@ from itertools import chain
 from operator import itemgetter, mul
 
 from .params import THETA_SHEAR, ModelParams  # noqa: F401 -- ModelParams is re-exported
-from .record import record
-
-
-@record(frozen=True)
-class PointBarN:
-    """A point (X, w, phi_tilde, rho): ||X|| < 1, rho > 0; len(X) = len(w) - 1."""
-
-    X: tuple
-    w: tuple
-    phi_tilde: float
-    rho: float
-
-    def __post_init__(self):
-        X = tuple(complex(z) for z in self.X)
-        w = tuple(complex(z) for z in self.w)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "phi_tilde", float(self.phi_tilde))
-        object.__setattr__(self, "rho", float(self.rho))
-        if len(w) != len(X) + 1:
-            raise ValueError("w must have one more component than X")
-        if not all(map(math.isfinite, [part for z in X + w for part in (z.real, z.imag)]
-                       + [self.phi_tilde, self.rho])):
-            raise ValueError("point coordinates must be finite")
-        if self.rho <= 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if sum(abs(z) ** 2 for z in X) >= 1.0:
-            raise ValueError("X lies outside the open unit ball")
-
-    @property
-    def n(self):
-        return len(self.w)
-
-    def to_chart(self):
-        """Real-chart coordinate list of length 4n."""
-        q = [self.rho]
-        for z in self.X + self.w:
-            q += (z.real, z.imag)
-        q.append(self.phi_tilde)
-        return q
-
-    @staticmethod
-    def from_chart(q):
-        q = [float(x) for x in q]
-        if not q or len(q) % 4:
-            raise ValueError("chart vector must have length 4n")
-        n = len(q) // 4
-        X = tuple(complex(q[ix_x(a)], q[ix_y(a)]) for a in range(1, n))
-        w = tuple(complex(q[ix_u(k, n)], q[ix_v(k, n)]) for k in range(n))
-        return PointBarN(X=X, w=w, phi_tilde=q[ix_phi(n)], rho=q[0])
 
 
 def ix_rho():
@@ -330,16 +281,17 @@ def _spd_inverse(g, params, rho):
                        for i in range(dim) for j in range(i, dim)], dim)
 
 
-def metric_gram(p, params):
-    """Gram matrix of the deformed metric at p, RealChart order, as a list of
-    rows; checked finite, then positive definite."""
-    if p.n != params.n:
-        raise ValueError(f"point has n={p.n} but params has n={params.n}")
-    g = _gram_from_chart(p.to_chart(), params)
+def metric_gram(q, params):
+    """Gram matrix of the deformed metric at the chart point q, as a list of
+    rows; q checked finite, and the matrix checked finite, then positive
+    definite."""
+    if not all(map(math.isfinite, q)):
+        raise ValueError("point coordinates must be finite")
+    g = _gram_from_chart(q, params)
     if not all(map(math.isfinite, g)):
         raise OverflowError(f"Gram matrix leaves the float range at c = {params.c!r}")
     g = _symmetric(g, 4 * params.n)
-    _cholesky(g, params, p.rho)
+    _cholesky(g, params, q[0])
     return g
 
 
@@ -353,7 +305,7 @@ def gram_det_p0(rho, params):
             * ((rho + 2 * c) / rho) ** 2)
 
 
-def fiber_density_split(p, params):
+def fiber_density_split(q, params):
     """Split sqrt(det metric_gram) = rho_factor * f_inv.
 
     rho_factor is ``volume.density``; f_inv is the density of the invariant
@@ -363,9 +315,9 @@ def fiber_density_split(p, params):
     """
     from .volume import density  # here, so that importing geometry skips volume
 
-    g = metric_gram(p, params)
-    rho_factor = density(p.rho, params)
-    log_root_det = sum(math.log(row[-1]) for row in _cholesky(g, params, p.rho))
+    g = metric_gram(q, params)
+    rho_factor = density(q[0], params)
+    log_root_det = sum(math.log(row[-1]) for row in _cholesky(g, params, q[0]))
     return rho_factor, math.exp(log_root_det) / rho_factor
 
 
@@ -454,8 +406,9 @@ def _metric_second_derivatives(q, params):
     return D2
 
 
-def ricci_fd(p, params):
-    """(Ricci tensor, g^-1) at p from finite differences of the Gram matrix.
+def ricci_fd(q, params):
+    """(Ricci tensor, g^-1) at the chart point q from finite differences of
+    the Gram matrix.
 
     Ric_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kl Gamma^l_ij
     - Gamma^k_il Gamma^l_kj, through g^-1 and the first and second metric
@@ -465,15 +418,14 @@ def ricci_fd(p, params):
     included; the derivatives are summed, and the second ones contracted,
     only on the entries ``_pattern(n)`` lets be non-zero.  Rejects
     configurations whose stencil leaves the chart.  g^-1 is the inverse
-    ``_spd_inverse`` gives of ``metric_gram(p, params)``, returned for
+    ``_spd_inverse`` gives of ``metric_gram(q, params)``, returned for
     ``einstein_diagnostic``.
     """
-    q = p.to_chart()
     dim = len(q)
     span = range(dim)
     index, pairs, rows = _upper(dim)
     second = _pattern(params.n)[1]
-    ginv = _spd_inverse(_symmetric(_gram_from_chart(q, params), dim), params, p.rho)
+    ginv = _spd_inverse(_symmetric(_gram_from_chart(q, params), dim), params, q[0])
     D1 = metric_first_derivatives(q, params)
     D2 = _metric_second_derivatives(q, params)
     combine = _weighted_sum(dim)
@@ -518,62 +470,64 @@ def ricci_fd(p, params):
                        for e, ((i, j), low) in enumerate(zip(pairs, lowered))], dim), ginv
 
 
-def einstein_diagnostic(p, params):
-    """(lambda, relative residual) of the Einstein condition Ric = lambda*g at p.
+def einstein_diagnostic(q, params):
+    """(lambda, relative residual) of the Einstein condition Ric = lambda*g
+    at the chart point q.
 
     lambda = trace(g^{-1} Ric)/(4n); the residual is max|Ric - lambda*g|
     relative to max|g|.
     """
-    g = metric_gram(p, params)
-    ric, ginv = ricci_fd(p, params)
+    g = metric_gram(q, params)
+    ric, ginv = ricci_fd(q, params)
     lam = sum(x * y for grow, rrow in zip(ginv, ric) for x, y in zip(grow, rrow)) / (4 * params.n)
     deviation = [r - lam * x for rrow, grow in zip(ric, g) for r, x in zip(rrow, grow)]
     return lam, _max_abs(deviation) / _max_abs([x for row in g for x in row])
 
 
 def _polar_normals(rng):
-    """Two independent standard normals, as one complex number, by Marsaglia's
-    polar method from ``rng.random()`` draws only."""
+    """Two independent standard normals, as a pair, by Marsaglia's polar
+    method from ``rng.random()`` draws only."""
     while True:
         u, v = 2.0 * rng.random() - 1.0, 2.0 * rng.random() - 1.0
         s = u * u + v * v
         if 0.0 < s < 1.0:
             scale = math.sqrt(-2.0 * math.log(s) / s)
-            return complex(u * scale, v * scale)
+            return u * scale, v * scale
 
 
 def seeded_points(params, count, seed=42):
-    """Deterministic sample of valid points: ||X|| <= 0.9, |w^k| <= 2,
-    |phi_tilde| <= 2, rho in [0.5, 4].
+    """Deterministic sample of valid chart points: |X| <= 0.9 (|X|^2 the sum
+    of the X block's squares), u^k^2 + v^k^2 <= 4, |phi_tilde| <= 2, rho in
+    [0.5, 4].
 
     Every draw is ``random.Random(seed).random()``, whose sequence Python
-    keeps across versions.  The law: X = 0.9 sqrt(U) times a uniform unit
-    vector of C^{n-1} (normalized polar-method normals), w^k = 2 sqrt(U)
-    exp(2 pi i U'), phi_tilde = -2 + 4U, rho = 0.5 + 3.5U.  Each point draws,
-    in this order: the n-1 complex normals of X (each one accepted (u, v)
-    pair of the polar method), the radius of X, the radius and then the angle
-    of each w^k in k order, phi_tilde, rho.  This order fixes every report
-    that samples points.
+    keeps across versions.  The law: (x^1, y^1, ..., x^{n-1}, y^{n-1}) =
+    0.9 sqrt(U) times a uniform unit vector of R^{2n-2} (normalized
+    polar-method normals, one pair per plane), (u^k, v^k) = 2 sqrt(U)
+    (cos 2 pi U', sin 2 pi U'), phi_tilde = -2 + 4U, rho = 0.5 + 3.5U.  Each
+    point draws, in this order: the n-1 normal pairs of the X block (each
+    one accepted (u, v) pair of the polar method), the radius of X, the
+    radius and then the angle of each (u^k, v^k) in k order, phi_tilde, rho.
+    This order fixes every report that samples points.
     """
     rng = random.Random(seed)
     n = params.n
     points = []
     for _ in range(count):
         raw = [_polar_normals(rng) for _ in range(n - 1)]
+        xy = []
         if raw:
-            norm = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in raw))
+            norm = math.sqrt(sum(x * x + y * y for x, y in raw))
             scale = 0.9 * math.sqrt(rng.random()) / norm
-            X = tuple(scale * z for z in raw)
-        else:
-            X = ()
-        w = []
+            xy = [scale * x for pair in raw for x in pair]
+        uv = []
         for _ in range(n):
             r = 2.0 * math.sqrt(rng.random())
             t = 2.0 * math.pi * rng.random()
-            w.append(complex(r * math.cos(t), r * math.sin(t)))  # cmath.rect(r, t), bit for bit
+            uv += (r * math.cos(t), r * math.sin(t))
         phi = -2.0 + 4.0 * rng.random()
         rho = 0.5 + 3.5 * rng.random()
-        points.append(PointBarN(X=X, w=w, phi_tilde=phi, rho=rho))
+        points.append([rho, *xy, *uv, phi])
     return points
 
 
@@ -589,8 +543,8 @@ def cmd_curvature(config) -> tuple[dict, None]:
     rows = []
     lambdas = []
     max_residual = 0.0
-    for index, p in enumerate(points):
-        lam, residual = einstein_diagnostic(p, params)
+    for index, q in enumerate(points):
+        lam, residual = einstein_diagnostic(q, params)
         if not (math.isfinite(lam) and math.isfinite(residual)):
             raise OverflowError(
                 f"curvature at point {index} leaves the float range at "

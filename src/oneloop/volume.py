@@ -19,8 +19,10 @@ Volumes are per unit of the fundamental-domain volume V_D.  Each quantity
 is rho^-p * F(c/rho) for a polynomial F: the density has p = n+2 and F = P,
 a tail p = n+1 and F = H, H(x) = sum_k p_k x^k / (n+1+k), and a slab is the
 difference of two tails.  One helper forms rho^-p * F without a power of
-rho on its own, and each function raises FloatRangeError naming rho and n
-exactly when its value is not a normal positive float.  The closed forms
+rho on its own, taking the powers of two that keep F's float form in
+range into its binary exponent, and each function raises FloatRangeError
+naming rho and n wherever its value is not a normal positive float, and
+elsewhere only where P(c/rho) itself leaves the float range.  The closed forms
 read P's coefficients; the density and the rule read P as its product, so
 the rule shares no coefficient with what it checks.
 """
@@ -81,24 +83,32 @@ def _coefficients(n: int) -> Tuple[Tuple[float, ...], int]:
     return tuple([math.ldexp(coeff, -s) for coeff in coefficients]), s
 
 
-def _tail_polynomial(n: int, x: float) -> float:
-    """H(x), from the scaled coefficients with 2^s put back: inf where it
-    leaves the float range.  The closed tail, the slab and the ratio column
-    all read H here."""
+def _tail_polynomial(n: int, x: float) -> Tuple[float, int]:
+    """(h, s) with H(x) = h 2^s: Horner's value on the scaled coefficients,
+    and their s, which ``_scaled`` takes into its binary exponent.  The
+    closed tail, the slab and the ratio column all read H here."""
     coefficients, s = _coefficients(n)
-    try:
-        return math.ldexp(_horner(coefficients, x), s)
-    except OverflowError:
-        return math.inf
+    return _horner(coefficients, x), s
 
 
-def _product(n: int, x: float) -> float:
-    """P(x) = (1+x)^(n-1) * (1+2x) as that product, inf where the power
-    leaves the float range: the density's and the quadrature rule's P."""
+def _product(n: int, x: float) -> Tuple[float, int]:
+    """(v, s) with P(x) = v 2^s, P as its product (1+x)^(n-1) * (1+2x) and s
+    that of ``_coefficients(n)``: the density's and the quadrature rule's P,
+    scaled as the closed forms scale H, and v = inf where it leaves the
+    float range.  Where the product overflows, its power is formed as
+    m^(n-1) 2^(e(n-1)), 1+x = m 2^e with m in [1/sqrt(2), sqrt(2))."""
+    s = _coefficients(n)[1]
     try:
-        return (1.0 + x) ** (n - 1) * (1.0 + 2.0 * x)
+        value, k = (1.0 + x) ** (n - 1) * (1.0 + 2.0 * x), 0
     except OverflowError:
-        return math.inf
+        value = math.inf
+    if value == math.inf:
+        m, e = _mantissa(1.0 + x)
+        value, k = m ** (n - 1) * (1.0 + 2.0 * x), e * (n - 1)
+    try:
+        return math.ldexp(value, k - s), s
+    except OverflowError:
+        return math.inf, s
 
 
 def _horner(coefficients: Tuple[float, ...], x: float) -> float:
@@ -122,18 +132,24 @@ def _normal(what: str, rho: float, n: int, value: float, name: str = "rho") -> f
     return value
 
 
-def _scaled(rho: float, p: int, value: float) -> float:
-    """rho^-p * value as f m^-p 2^(g - e p), where rho = m 2^e with m in
-    [1/sqrt(2), sqrt(2)) and value = f 2^g (``math.frexp``): no power of rho
-    is formed on its own, m^-p lies within a factor 2^(|p|/2) of 1, and only
-    the final ``ldexp`` leaves the float range, giving 0.0, a subnormal or
-    inf, exactly where the product does."""
-    m, e = math.frexp(rho)
+def _mantissa(x: float) -> Tuple[float, int]:
+    """(m, e) with x = m 2^e and m in [1/sqrt(2), sqrt(2)), for x > 0."""
+    m, e = math.frexp(x)
     if m < 0.7071067811865476:
         m, e = 2 * m, e - 1
+    return m, e
+
+
+def _scaled(rho: float, p: int, value: float, shift: int = 0) -> float:
+    """rho^-p * value * 2^shift as f m^-p 2^(g + shift - e p), where rho =
+    m 2^e with m in [1/sqrt(2), sqrt(2)) and value = f 2^g (``math.frexp``):
+    no power of rho or of two is formed on its own, m^-p lies within a
+    factor 2^(|p|/2) of 1, and only the final ``ldexp`` leaves the float
+    range, giving 0.0, a subnormal or inf, exactly where the product does."""
+    m, e = _mantissa(rho)
     f, g = math.frexp(value)
     try:
-        return math.ldexp(f * m**-p, g - e * p)
+        return math.ldexp(f * m**-p, g + shift - e * p)
     except OverflowError:
         return math.inf
 
@@ -147,7 +163,7 @@ def density(rho: float, params: ModelParams) -> float:
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     n = params.n
-    value = _scaled(rho, n + 2, _product(n, params.c / rho))
+    value = _scaled(rho, n + 2, *_product(n, params.c / rho))
     return _normal("density", rho, n, value)
 
 
@@ -160,7 +176,7 @@ def tail_closed(rho0: float, params: ModelParams) -> float:
     if not rho0 > 0:
         raise ValueError(f"rho0 must be positive, got {rho0}")
     n = params.n
-    value = _scaled(rho0, n + 1, _tail_polynomial(n, params.c / rho0))
+    value = _scaled(rho0, n + 1, *_tail_polynomial(n, params.c / rho0))
     return _normal("tail volume", rho0, n, value)
 
 
@@ -168,15 +184,17 @@ def slab_closed(rho1: float, rho0: float, params: ModelParams) -> float:
     """Exact antiderivative of the density over [rho1, rho0], 0 < rho1 < rho0.
 
     The tail at rho1 minus the tail at rho0, both in units of rho1^-(n+1):
-    rho1^-(n+1) * (H(c/rho1) - (rho0/rho1)^-(n+1) H(c/rho0)).
+    rho1^-(n+1) * (H(c/rho1) - (rho0/rho1)^-(n+1) H(c/rho0)), the two H
+    sharing their 2^s.
     """
     if not 0 < rho1 < rho0:
         raise ValueError(
             f"slab bounds must satisfy 0 < rho1 < rho0, got [{rho1}, {rho0}]"
         )
     n = params.n
-    outer = _scaled(rho0 / rho1, n + 1, _tail_polynomial(n, params.c / rho0))
-    value = _scaled(rho1, n + 1, _tail_polynomial(n, params.c / rho1) - outer)
+    outer = _scaled(rho0 / rho1, n + 1, _tail_polynomial(n, params.c / rho0)[0])
+    inner, s = _tail_polynomial(n, params.c / rho1)
+    value = _scaled(rho1, n + 1, inner - outer, s)
     return _normal("slab volume", rho1, n, value)
 
 
@@ -226,8 +244,9 @@ def _scaled_quadrature(what: str, rho: float, lo: float, params: ModelParams) ->
     width, total = 1.0 - lo, 0.0
     for node, weight in _gauss_legendre(n + 1):
         t = lo + width * node
-        total += weight * t**n * _product(n, x * t)
-    return _normal(what, rho, n, _scaled(rho, n + 1, width * total))
+        value, s = _product(n, x * t)
+        total += weight * t**n * value
+    return _normal(what, rho, n, _scaled(rho, n + 1, width * total, s))
 
 
 def slab_quadrature(rho1: float, rho0: float, params: ModelParams) -> float:
@@ -281,7 +300,7 @@ def upper_bound_constant(rho_floor: float, params: ModelParams) -> float:
     """
     if not rho_floor > 0:
         raise ValueError(f"rho_floor must be positive, got {rho_floor}")
-    value = _product(params.n, params.c / rho_floor)
+    value = _scaled(1.0, 0, *_product(params.n, params.c / rho_floor))
     return _normal("upper bound constant", rho_floor, params.n, value)
 
 
@@ -332,7 +351,8 @@ def volume_rows(rho_grid: Sequence[float], params: ModelParams) -> List[Dict[str
                 "density": density(rho, params),
                 "closed_tail": tail_closed(rho, params),
                 "quadrature_tail": tail_quadrature(rho, params),
-                "ratio_to_asymptote": (n + 1) * _tail_polynomial(n, params.c / rho),
+                "ratio_to_asymptote":
+                    (n + 1) * _scaled(1.0, 0, *_tail_polynomial(n, params.c / rho)),
             }
         except FloatRangeError:
             row = None

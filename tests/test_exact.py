@@ -132,13 +132,13 @@ class TestPoly:
         # evaluator reads the real part of an angle component, substituted
         # into the real chart (the value here is exact in floats).
         from oneloop.fields import _ChartEvaluator
-        from oneloop.geometry import PointBarN, ix_phi
+        from oneloop.geometry import ix_phi
         from oneloop.polyfields import PolyVectorField
         from test_fields import chart_polys, chart_values, termwise
 
         p = self.X * self.X + self.w0.scale(QI(0, 1))
         comps = [Poly(self.t.nvars)] * (self.t.nvars - 1) + [p]
-        point = PointBarN((0.5 + 0.25j,), (1 - 1j, 0), 0.0, 1.0)
+        point = [1.0, 0.5, 0.25, 1.0, -1.0, 0.0, 0.0, 0.0]  # X = 0.5 + 0.25i, w = (1 - i, 0)
         value = (0.5 + 0.25j) ** 2 + 1j * (1 - 1j)
         assert termwise(p, chart_values(point, 0.0, self.t)) == value
         vecs, _ = _ChartEvaluator([chart_polys(PolyVectorField(2, comps))])(point, 0.0)

@@ -23,7 +23,6 @@ from oneloop.fields import (
 from oneloop.flows import flow, flow_jacobian
 from oneloop.geometry import (
     ModelParams,
-    PointBarN,
     ix_phi,
     ix_rho,
     ix_u,
@@ -97,14 +96,15 @@ def comm_closed_form(a, b, params):
     return PolyVectorField(n, comps)
 
 
-def chart_values(p, c_value, vt):
+def chart_values(q, c_value, vt):
+    """The complex variables of ``vt`` at the chart point q: X^a = x^a + i y^a,
+    w^k = u^k + i v^k and their conjugates, and c."""
+    n = vt.n
     vals = [0j] * vt.nvars
-    for a in range(1, vt.n):
-        vals[vt.x(a)] = complex(p.X[a - 1])
-        vals[vt.xb(a)] = complex(p.X[a - 1]).conjugate()
-    for k in range(vt.n):
-        vals[vt.w(k)] = complex(p.w[k])
-        vals[vt.wb(k)] = complex(p.w[k]).conjugate()
+    for h, hb, x, y in ([(vt.x(a), vt.xb(a), ix_x(a), ix_y(a)) for a in range(1, n)]
+                        + [(vt.w(k), vt.wb(k), ix_u(k, n), ix_v(k, n)) for k in range(n)]):
+        vals[h] = complex(q[x], q[y])
+        vals[hb] = vals[h].conjugate()
     vals[vt.c] = complex(c_value)
     return vals
 
@@ -197,7 +197,7 @@ def lie_oracle(F, p, c_value, D1, g):
 
 def lie_derivative(F, p, params):
     """L_F g at p with finite-difference metric derivatives."""
-    D1 = metric_first_derivatives(p.to_chart(), params)
+    D1 = metric_first_derivatives(p, params)
     return lie_oracle(F, p, params.c, D1, metric_gram(p, params))
 
 
@@ -282,14 +282,14 @@ def real_partial(poly, v):
 
 def real_vector_oracle(polys, p, c_value):
     """Real chart vector of chart polynomials, termwise."""
-    values = p.to_chart() + [c_value]
+    values = [*p, c_value]
     return np.array([real_termwise(poly, values) for poly in polys])
 
 
 def real_jacobian_oracle(polys, p, c_value):
     """Real chart Jacobian of chart polynomials, termwise, over every
     (row, column) pair."""
-    values = p.to_chart() + [c_value]
+    values = [*p, c_value]
     return np.array([[real_termwise(real_partial(poly, j), values) for j in range(len(polys))]
                      for poly in polys])
 
@@ -317,7 +317,7 @@ def killing_oracle(params, points):
     residuals = {label: 0.0 for label, _ in catalogue}
     control = 0.0
     for p in points:
-        D1 = metric_first_derivatives(p.to_chart(), params)
+        D1 = metric_first_derivatives(p, params)
         g = metric_gram(p, params)
         ginf = float(np.max(np.abs(g)))
         for label, F in catalogue:
@@ -339,7 +339,7 @@ def killing_one_field_at_a_time(params, points):
     residuals = {label: 0.0 for label, _ in catalogue}
     control = 0.0
     for p in points:
-        D1 = metric_first_derivatives(p.to_chart(), params)
+        D1 = metric_first_derivatives(p, params)
         g = metric_gram(p, params)
         ginf = max_abs([x for row in g for x in row])
         for label, evaluate in evaluators:
@@ -354,7 +354,8 @@ def killing_one_field_at_a_time(params, points):
 
 
 def base_point(n, rho=1.25, phi=0.0):
-    return PointBarN((0.0,) * (n - 1), (0.0,) * n, phi, rho)
+    """The chart point X = 0, w = 0."""
+    return [rho] + [0.0] * (4 * n - 2) + [phi]
 
 
 class TestGeneratorTables:
@@ -646,7 +647,7 @@ class TestEval:
     def test_real_chart_vector_of_re_v0(self):
         params = ModelParams(n=1, c=0.0)
         F = real_part(generator("Vk", params.n, 0))
-        p = PointBarN((), (1j,), 0.0, 1.0)
+        p = [1.0, 0.0, 1.0, 0.0]  # w = i
         vec = chart_vector(F, p, params.c)
         assert vec[ix_u(0, 1)] == 1.0
         assert vec[ix_v(0, 1)] == 0.0
@@ -658,15 +659,14 @@ class TestEval:
         F = imag_part(generator("Ya", params.n, 1))
         p = seeded_points(params, 1)[0]
         J = chart_jacobian(F, p, params.c)
-        q0 = p.to_chart()
         h = 1e-6
         for j in range(8):
-            qp = q0.copy()
-            qm = q0.copy()
+            qp = p.copy()
+            qm = p.copy()
             qp[j] += h
             qm[j] -= h
-            vp = chart_vector(F, PointBarN.from_chart(qp), params.c)
-            vm = chart_vector(F, PointBarN.from_chart(qm), params.c)
+            vp = chart_vector(F, qp, params.c)
+            vm = chart_vector(F, qm, params.c)
             fd = (vp - vm) / (2 * h)
             assert np.allclose(J[:, j], fd, atol=1e-6)
 
@@ -742,7 +742,7 @@ class TestBatchedEvaluation:
         # on, and there a c whose square leaves the float range is refused
         # before any term is formed: its residuals would mean nothing.
         big = 1.5e154
-        p = PointBarN((0.5,), (0j, 0j), 0.0, 1.0)
+        p = [1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]  # X = 0.5, w = 0
         evaluate = _ChartEvaluator([F for _, F in _chart_catalogue(2)])
         assert evaluate.degree == 2
         evaluate(p, math.sqrt(1.7e308))
@@ -903,7 +903,7 @@ def sheared_translation_flow(p, k, imaginary, shear, t):
     ``imaginary``, the imaginary) part of sheared_fiber_translation(k, n,
     shear): an affine chart map that moves u^k (v^k) by t and the angle by
     eps_k * shear * t * v^k (-eps_k * shear * t * u^k)."""
-    n = p.n
+    n = len(p) // 4
     J = np.eye(4 * n)
     angle = (shear if k == 0 else -shear) * t
     if imaginary:
@@ -912,9 +912,9 @@ def sheared_translation_flow(p, k, imaginary, shear, t):
     else:
         J[ix_phi(n), ix_v(k, n)] = angle
         moved = ix_u(k, n)
-    image = J @ np.array(p.to_chart())
+    image = J @ np.array(p)
     image[moved] += t
-    return PointBarN.from_chart(image.tolist()), J
+    return image.tolist(), J
 
 
 def max_relative_lie_derivative(F, params, points):
@@ -988,7 +988,7 @@ class TestKilling:
         p = seeded_points(params, 1)[0]
         # The radial field has constant components: its Lie derivative is
         # the radial partial of the Gram matrix.
-        L = metric_first_derivatives(p.to_chart(), params)[ix_rho()]
+        L = metric_first_derivatives(p, params)[ix_rho()]
         g = metric_gram(p, params)
         assert np.max(np.abs(L)) / np.max(np.abs(g)) > 1e-2
 
@@ -1007,12 +1007,12 @@ def frame_rank(p, params, tol=1e-8):
 class TestFrameRank:
     def test_n2_origin(self):
         params = ModelParams(n=2, c=0.0)
-        p = PointBarN((0.0,), (0.3 + 0.1j, -0.2j), 0.4, 1.0)
+        p = [1.0, 0.0, 0.0, 0.3, 0.1, 0.0, -0.2, 0.4]  # w = (0.3 + 0.1i, -0.2i)
         assert frame_rank(p, params) == 7
 
     def test_n2_near_boundary(self):
         params = ModelParams(n=2, c=1.0)
-        p = PointBarN((0.9,), (1.5, 0.5 - 1.0j), -0.7, 2.0)
+        p = [2.0, 0.9, 0.0, 1.5, 0.0, 0.5, -1.0, -0.7]  # X = 0.9, w = (1.5, 0.5 - i)
         assert frame_rank(p, params) == 7
 
     def test_n3_seeded(self):
@@ -1074,37 +1074,32 @@ class TestFlows:
 
     def test_c1_full_period_is_identity_exactly(self):
         for p in self.seeded(2, 0.5):
-            q = flow("C1", TAU, p)
-            assert q.X == p.X and q.w == p.w
-            assert q.phi_tilde == p.phi_tilde and q.rho == p.rho
+            assert flow("C1", TAU, p) == p
 
     def test_c2_period_is_identity_exactly(self):
         for n in (1, 2, 3):
             for p in self.seeded(n, 1.0):
-                q = flow("C2", TAU / n, p)
-                assert q.X == p.X and q.w == p.w
-                assert q.phi_tilde == p.phi_tilde and q.rho == p.rho
+                assert flow("C2", TAU / n, p) == p
 
     def test_t_translates_angle(self):
         p = self.seeded(2, 0.0)[0]
         q = flow("T", 0.75, p)
-        assert q.phi_tilde == p.phi_tilde + 0.75
-        assert q.X == p.X and q.w == p.w
+        assert q[ix_phi(2)] == p[ix_phi(2)] + 0.75
+        assert q[:ix_phi(2)] == p[:ix_phi(2)]
 
     def test_re_v0_example(self):
-        p = PointBarN((), (1j,), 0.0, 1.0)
+        p = [1.0, 0.0, 1.0, 0.0]  # w = i
         q = flow("re V(0)", 1.0, p)
-        assert q.w[0] == 1.0 + 1.0j
-        assert q.phi_tilde == 2.0
+        assert (q[ix_u(0, 1)], q[ix_v(0, 1)]) == (1.0, 1.0)
+        assert q[ix_phi(1)] == 2.0 and q[ix_rho()] == 1.0
 
     def test_translation_group_law_exact_at_dyadic_times(self):
-        p = PointBarN((0.25,), (0.5 - 0.25j, 1.5j), 0.5, 2.0)
+        p = [2.0, 0.25, 0.0, 0.5, -0.25, 0.0, 1.5, 0.5]  # X = 0.25, w = (0.5 - 0.25i, 1.5i)
         s, t = 0.25, 0.5
         for name in ("T", "re V(0)", "im V(0)", "re V(1)", "im V(1)"):
             one = flow(name, s + t, p)
             two = flow(name, s, flow(name, t, p))
-            assert one.X == two.X and one.w == two.w
-            assert one.phi_tilde == two.phi_tilde and one.rho == two.rho
+            assert one == two
 
     def test_rotation_group_law_close_at_generic_times(self):
         p = self.seeded(3, 0.5)[0]
@@ -1112,7 +1107,7 @@ class TestFlows:
         for name in ("C1", "C2"):
             one = flow(name, s + t, p)
             two = flow(name, s, flow(name, t, p))
-            assert np.allclose(one.to_chart(), two.to_chart(), atol=1e-12)
+            assert np.allclose(one, two, atol=1e-12)
 
     def test_rotation_and_angle_flows_are_isometries(self):
         params = ModelParams(n=2, c=0.5)
@@ -1147,20 +1142,19 @@ class TestFlows:
         for name in ("C2", "im V(1)"):
             t = 0.83
             J = np.array(flow_jacobian(name, t, p))
-            q0 = p.to_chart()
             h = 1e-6
             for j in range(8):
-                qp = q0.copy()
-                qm = q0.copy()
+                qp = p.copy()
+                qm = p.copy()
                 qp[j] += h
                 qm[j] -= h
-                fp = np.array(flow(name, t, PointBarN.from_chart(qp)).to_chart())
-                fm = np.array(flow(name, t, PointBarN.from_chart(qm)).to_chart())
+                fp = np.array(flow(name, t, qp))
+                fm = np.array(flow(name, t, qm))
                 assert np.allclose(J[:, j], (fp - fm) / (2 * h), atol=1e-6)
 
     def test_unsupported_flow_raises(self):
         # re Ya(1) is quadratic, YC depends on c, and n = 2 has no V(2).
-        p = PointBarN((0.1,), (0.0, 0.0), 0.0, 1.0)
+        p = [1.0, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]  # X = 0.1, w = 0
         for label in ("re Ya(1)", "YC", "re V(2)", "bogus"):
             for call in (flow, flow_jacobian):
                 with pytest.raises(ValueError, match="closed-form flow"):
@@ -1178,7 +1172,7 @@ class TestFlows:
         want = ({"T", "C1", "C2"} | {f"{part} V({k})" for part in ("re", "im") for k in range(n)}
                 | {f"re Comm({a},{b})" for a, b in pairs}
                 | {f"im Comm({a},{b})" for a, b in pairs if a < b})
-        origin = PointBarN((0.0,) * (n - 1), (0.0,) * n, 0.0, 1.0)
+        origin = base_point(n, rho=1.0)
         flowing = set()
         for label, F in real_killing_catalogue(ModelParams(n=n)):
             try:
@@ -1190,7 +1184,7 @@ class TestFlows:
             for t in (0.37, -0.37):
                 assert np.max(np.abs(np.array(flow_jacobian(label, t, origin))
                                      - expm(t * A))) <= 1e-14, (label, t)
-                moved = np.array(flow(label, t, origin).to_chart()) - origin.to_chart()
+                moved = np.array(flow(label, t, origin)) - origin
                 assert np.max(np.abs(moved - t * b)) <= 1e-14, (label, t)
         assert flowing == want
 
@@ -1210,7 +1204,7 @@ class TestFlows:
     def test_flow_preserves_radius(self):
         p = self.seeded(2, 2.0)[1]
         for name in ("C1", "C2", "re V(0)"):
-            assert flow(name, 1.3, p).rho == p.rho
+            assert flow(name, 1.3, p)[ix_rho()] == p[ix_rho()]
 
 
 class TestModuleBindings:

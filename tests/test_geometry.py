@@ -2,15 +2,16 @@
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oneloop import geometry
-from oneloop.geometry import (ModelParams, PointBarN, _gram_from_chart,
+from oneloop.geometry import (ModelParams, _gram_from_chart,
                               einstein_diagnostic, fiber_density_split,
-                              gram_det_p0, ix_phi, ix_u, ix_v, ix_x, ix_y,
+                              gram_det_p0, ix_phi, ix_rho, ix_u, ix_v, ix_x, ix_y,
                               metric_first_derivatives, metric_gram, ricci_fd,
                               seeded_points)
 from oneloop.params import THETA_SHEAR
@@ -213,12 +214,12 @@ def second_derivatives_numpy(q, params):
     return D2
 
 
-def ricci_numpy(p, params, D1, D2):
+def ricci_numpy(q, params, D1, D2):
     """The Ricci tensor by numpy's einsum contractions of the full
     Christoffel symbols and their derivatives, from metric derivatives given
     as arrays D1[k, i, j] and D2[k, l, i, j]: the oracle for ricci_fd's
     assembly."""
-    ginv = np.linalg.inv(gram_matrix(p.to_chart(), params))
+    ginv = np.linalg.inv(gram_matrix(q, params))
 
     # S[j,l,k] = d_j g_{lk} + d_k g_{lj} - d_l g_{jk}
     S = D1 + np.transpose(D1, (2, 1, 0)) - np.transpose(D1, (1, 0, 2))
@@ -254,7 +255,13 @@ def hermitian_realification(H):
 
 
 def base_point(n, rho=1.0, phi=0.0):
-    return PointBarN(X=(0,) * (n - 1), w=(0,) * n, phi_tilde=phi, rho=rho)
+    """The chart point X = 0, w = 0."""
+    return [rho] + [0.0] * (4 * n - 2) + [phi]
+
+
+def chart_point(X, w, phi_tilde=0.0, rho=1.0):
+    """The chart vector of the point (X, w, phi_tilde, rho), X and w complex."""
+    return [rho, *(part for z in map(complex, [*X, *w]) for part in (z.real, z.imag)), phi_tilde]
 
 
 def expected_gram_p0(n, c, rho):
@@ -276,15 +283,15 @@ def bergman_block(X):
     """The base block of metric_gram at c = 0 and w = 0: there the deformed
     metric restricts to the Bergman ball metric."""
     n = len(X) + 1
-    g = np.array(metric_gram(PointBarN(X, (0,) * n, 0.0, 1.0), ModelParams(n, 0.0)))
+    g = np.array(metric_gram(chart_point(X, (0,) * n), ModelParams(n, 0.0)))
     return g[1:2 * n - 1, 1:2 * n - 1]
 
 
 def fiber_block(w, phi_tilde, rho0, params):
     """The block of metric_gram at X = 0 over (u^0, v^0, ..., phi)."""
     n = params.n
-    p = PointBarN(X=(0,) * (n - 1), w=w, phi_tilde=phi_tilde, rho=rho0)
-    return np.array(metric_gram(p, params))[ix_u(0, n):, ix_u(0, n):]
+    q = chart_point((0,) * (n - 1), w, phi_tilde, rho0)
+    return np.array(metric_gram(q, params))[ix_u(0, n):, ix_u(0, n):]
 
 
 class TestBergman:
@@ -344,7 +351,7 @@ class TestMetricGram:
         params = ModelParams(n, c)
         p = seeded_points(params, 1, seed=seed)[0]
         try:
-            np.linalg.cholesky(gram_matrix(p.to_chart(), params))
+            np.linalg.cholesky(gram_matrix(p, params))
         except np.linalg.LinAlgError:
             with pytest.raises(ArithmeticError, match="positive-definiteness"):
                 metric_gram(p, params)
@@ -356,7 +363,7 @@ class TestMetricGram:
     def test_ill_conditioning_names_rho(self, function):
         # c = 0 is the undeformed metric: the entries of order 1/rho^2 have
         # left the normal floats, so the message names rho with c and n.
-        p = PointBarN(X=(), w=(0.5 + 0.5j,), phi_tilde=0.3, rho=1e154)
+        p = chart_point((), (0.5 + 0.5j,), 0.3, 1e154)
         with pytest.raises(ArithmeticError) as error:
             function(p, ModelParams(1, 0.0))
         assert str(error.value) == (
@@ -370,41 +377,58 @@ class TestMetricGram:
         for p in seeded_points(params, 3, seed=4):
             g = metric_gram(p, params)
             L = np.zeros((4 * n, 4 * n))
-            for i, row in enumerate(geometry._cholesky(g, params, p.rho)):
+            for i, row in enumerate(geometry._cholesky(g, params, p[0])):
                 L[i, :i + 1] = row
-            ginv = geometry._spd_inverse(g, params, p.rho)
+            ginv = geometry._spd_inverse(g, params, p[0])
             assert np.max(np.abs(L @ L.T - np.array(g))) <= 1e-14 * np.max(np.abs(g))
             assert ginv == [list(column) for column in zip(*ginv)]
             assert np.allclose(np.array(ginv) @ np.array(g), np.eye(4 * n), rtol=0, atol=1e-12)
 
     def test_rejects_bad_points(self):
-        with pytest.raises(ValueError):
-            PointBarN(X=(0.9, 0.9), w=(0, 0, 0), phi_tilde=0.0, rho=1.0)
-        with pytest.raises(ValueError):
-            PointBarN(X=(), w=(0,), phi_tilde=0.0, rho=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside the open unit ball"):
+            metric_gram(chart_point((0.9, 0.9), (0, 0, 0)), ModelParams(3, 0.0))
+        with pytest.raises(ValueError, match="rho must be positive"):
+            metric_gram(base_point(1, rho=-1.0), ModelParams(1, 0.0))
+        with pytest.raises(ValueError, match="does not match n="):
             metric_gram(base_point(2), ModelParams(3, 0.0))
 
     @pytest.mark.parametrize("coords", [
-        dict(X=(), w=(0,), rho=float("nan")),
-        dict(X=(), w=(0,), rho=float("inf")),
-        dict(X=(), w=(0,), phi_tilde=float("nan")),
-        dict(X=(float("nan"),), w=(0, 0)),
-        dict(X=(complex(0.1, float("nan")),), w=(0, 0)),
-        dict(X=(), w=(float("nan"),)),
-        dict(X=(0.1,), w=(0, complex(0.0, float("inf")))),
+        [math.nan, 0.0, 0.0, 0.0],                          # rho
+        [math.inf, 0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, math.nan],                          # phi_tilde
+        [1.0, math.nan, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],      # x^1
+        [1.0, 0.1, math.nan, 0.0, 0.0, 0.0, 0.0, 0.0],      # y^1
+        [1.0, math.nan, 0.0, 0.0],                          # u^0
+        [1.0, 0.1, 0.0, 0.0, 0.0, 0.0, math.inf, 0.0],      # v^1
     ])
     def test_rejects_non_finite_coordinates(self, coords):
-        coords = dict(dict(phi_tilde=0.0, rho=1.0), **coords)
-        with pytest.raises(ValueError, match="must be finite"):
-            PointBarN(**coords)
+        # Checked once per point, before the Gram matrix: the angle, which
+        # no Gram entry reads, included.
+        params = ModelParams(len(coords) // 4, 0.0)
+        for function in (metric_gram, einstein_diagnostic, fiber_density_split):
+            with pytest.raises(ValueError, match="^point coordinates must be finite$"):
+                function(coords, params)
 
-    def test_chart_roundtrip(self):
-        p = PointBarN(X=(0.1 + 0.2j,), w=(1 - 1j, 0.5j), phi_tilde=0.7, rho=2.0)
-        q = p.to_chart()
-        assert PointBarN.from_chart(q) == p
-        assert q[0] == 2.0 and q[ix_phi(2)] == 0.7
-        assert q[ix_u(0, 2)] == 1.0 and q[ix_v(0, 2)] == -1.0
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_seeded_points_follow_the_chart_layout(self, n):
+        # Each point is the list [rho, x^1, y^1, ..., u^0, v^0, ..., phi_tilde]
+        # of floats: the draws of the seeded_points docstring, replayed, land
+        # at the indices ix_* give.
+        rng = random.Random(3)
+        for q in seeded_points(ModelParams(n, 1.0), 4, seed=3):
+            assert type(q) is list and len(q) == 4 * n
+            assert all(type(x) is float for x in q)
+            pairs = [geometry._polar_normals(rng) for _ in range(n - 1)]
+            if pairs:
+                norm = math.sqrt(sum(x * x + y * y for x, y in pairs))
+                scale = 0.9 * math.sqrt(rng.random()) / norm
+                for a, (x, y) in enumerate(pairs, 1):
+                    assert (q[ix_x(a)], q[ix_y(a)]) == (scale * x, scale * y)
+            for k in range(n):
+                r, t = 2.0 * math.sqrt(rng.random()), 2.0 * math.pi * rng.random()
+                assert (q[ix_u(k, n)], q[ix_v(k, n)]) == (r * math.cos(t), r * math.sin(t))
+            assert q[ix_phi(n)] == -2.0 + 4.0 * rng.random()
+            assert q[ix_rho()] == 0.5 + 3.5 * rng.random()
 
 
 class TestGramAssembly:
@@ -418,17 +442,16 @@ class TestGramAssembly:
         p = points[0]
         if n > 1:  # near the boundary of the ball: |X| = 0.95
             raw = np.random.default_rng(n).normal(size=(2, n - 1))
-            X = (raw[0] + 1j * raw[1]) * (0.95 / np.linalg.norm(raw))
-            points.append(PointBarN(tuple(X), p.w, p.phi_tilde, p.rho))
-        points.append(PointBarN(p.X, p.w, p.phi_tilde, 0.05))
+            xy = (raw.T * (0.95 / np.linalg.norm(raw))).ravel().tolist()
+            points.append([p[0], *xy, *p[2 * n - 1:]])
+        points.append([0.05, *p[1:]])
         return points
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("c", [0.0, 0.5, 3.0])
     def test_matches_outer_product_oracle(self, n, c):
         params = ModelParams(n, c)
-        for p in self.gram_points(params):
-            q = p.to_chart()
+        for q in self.gram_points(params):
             ref = gram_oracle(q, params)
             g = gram_matrix(q, params)
             assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -440,8 +463,7 @@ class TestGramAssembly:
         # The generated kernel forms each upper entry as the term-by-term
         # sum of the formula: equal bits, and exact symmetry once mirrored.
         params = ModelParams(n, c)
-        for p in self.gram_points(params):
-            q = p.to_chart()
+        for q in self.gram_points(params):
             h = [1e-3 * max(1.0, abs(x)) for x in q]
             for k in range(4 * n):
                 for off in (2, 1, 0, -1, -2):
@@ -457,16 +479,16 @@ class TestGramAssembly:
         # its values round to the float kernel's.
         params = ModelParams(n, 0.5)
         p = seeded_points(params, 1, seed=n)[0]
-        q = [Fraction(x) for x in p.to_chart()]
+        q = [Fraction(x) for x in p]
         s = sum(x * x for x in q[1:2 * n - 1])
         exact = geometry._gram_kernel(n)(q, Fraction(1, 2), 1 - s)
         assert all(isinstance(x, (Fraction, int)) for x in exact)
-        g = np.array(_gram_from_chart(p.to_chart(), params))
+        g = np.array(_gram_from_chart(p, params))
         assert np.max(np.abs(np.array(exact, dtype=float) - g)) <= 1e-14 * np.max(np.abs(g))
 
     def test_rejects_points_off_the_chart(self):
         params = ModelParams(2, 1.0)
-        q = base_point(2).to_chart()
+        q = base_point(2)
         with pytest.raises(ValueError, match="does not match"):
             _gram_from_chart(q[:-1], params)
         for rho in (0.0, -1.0, float("nan")):
@@ -496,7 +518,7 @@ class TestStencilCounts:
 
         monkeypatch.setattr(geometry, "_gram_from_chart", counting)
         d = 4 * n
-        metric_first_derivatives(p.to_chart(), params)
+        metric_first_derivatives(p, params)
         assert len(calls) == 4 * d
         calls.clear()
         ricci_fd(p, params)
@@ -528,8 +550,7 @@ class TestPattern:
         params = ModelParams(n, c)
         first, second = geometry._pattern(n)
         dim = 4 * n
-        for p in seeded_points(params, 2, seed=29 + n):
-            q = p.to_chart()
+        for q in seeded_points(params, 2, seed=29 + n):
             for k in range(dim):
                 grams = self.stencil_grams(q, params, [{k: off} for off in geometry._D1_OFFSETS])
                 for e in set(range(len(grams[0]))) - set(first[k]):
@@ -596,12 +617,12 @@ class TestStencilBits:
         params = ModelParams(n, 0.5)
         dim = 4 * n
         first = geometry._pattern(n)[0]
-        for p in seeded_points(params, 2, seed=19):
-            q = p.to_chart()
+        for q in seeded_points(params, 2, seed=19):
+            before = list(q)
             D1 = metric_first_derivatives(q, params)
             oracle = first_derivatives_numpy(q, params)
             g = gram_matrix(q, params)
-            assert q == p.to_chart()  # the point is not moved
+            assert q == before  # the point is not moved
             for k in range(dim):
                 mask = on_pattern(first[k], dim)
                 Dk = np.array(geometry._symmetric(D1[k], dim))
@@ -615,8 +636,7 @@ class TestStencilBits:
         params = ModelParams(n, 1.0)
         dim = 4 * n
         second = geometry._pattern(n)[1]
-        p = seeded_points(params, 1, seed=23)[0]
-        q = p.to_chart()
+        q = seeded_points(params, 1, seed=23)[0]
         D2 = geometry._metric_second_derivatives(q, params)
         oracle = second_derivatives_numpy(q, params)
         g = gram_matrix(q, params)
@@ -641,16 +661,15 @@ class TestStencilBits:
         params = ModelParams(n, 1.0)
         dim = 4 * n
         first, second = geometry._pattern(n)
-        p = seeded_points(params, 1, seed=23)[0]
-        q = p.to_chart()
+        q = seeded_points(params, 1, seed=23)[0]
         D1 = first_derivatives_numpy(q, params)
         D2 = second_derivatives_numpy(q, params)
         for k in range(dim):
             D1[k][~on_pattern(first[k], dim)] = 0.0
             for l in range(dim):
                 D2[k, l][~on_pattern(second[k][l], dim)] = 0.0
-        ric = np.array(ricci_fd(p, params)[0])
-        reference = ricci_numpy(p, params, D1, D2)
+        ric = np.array(ricci_fd(q, params)[0])
+        reference = ricci_numpy(q, params, D1, D2)
         assert np.array_equal(ric, ric.T)
         assert np.max(np.abs(ric - reference)) <= RICCI_TOLERANCE * np.max(np.abs(reference))
 
@@ -686,8 +705,7 @@ class TestFiberDensity:
         for p in seeded_points(params, 6, seed=11):
             vals = []
             for rho in (0.5, 1.0, 2.0):
-                q = PointBarN(X=p.X, w=p.w, phi_tilde=p.phi_tilde, rho=rho)
-                vals.append(fiber_density_split(q, params)[1])
+                vals.append(fiber_density_split([rho, *p[1:]], params)[1])
             assert max(vals) - min(vals) <= 1e-8 * max(vals)
 
     def test_n1_constant_everywhere(self):
@@ -745,7 +763,7 @@ class TestRicci:
         params = ModelParams(n, 0.5)
         p = seeded_points(params, 1, seed=4)[0]
         ginv = ricci_fd(p, params)[1]
-        assert ginv == geometry._spd_inverse(metric_gram(p, params), params, p.rho)
+        assert ginv == geometry._spd_inverse(metric_gram(p, params), params, p[0])
         calls = []
         original = geometry._spd_inverse
 
@@ -769,7 +787,7 @@ class TestRicci:
             assert abs(lam - expected) <= 1e-6 * abs(expected)
 
     def test_stencil_range_error(self):
-        p = PointBarN(X=(), w=(0,), phi_tilde=0.0, rho=1e-5)
+        p = base_point(1, rho=1e-5)
         with pytest.raises(ValueError, match="stencil"):
             ricci_fd(p, ModelParams(1, 0.0))
 
@@ -790,21 +808,23 @@ class TestSampling:
         pts1 = seeded_points(params, 12, seed=42)
         pts2 = seeded_points(params, 12, seed=42)
         assert pts1 == pts2
-        for p in pts1:
-            assert np.sqrt(sum(abs(z) ** 2 for z in p.X)) <= 0.9 + 1e-12
-            assert all(abs(z) <= 2.0 + 1e-12 for z in p.w)
-            assert abs(p.phi_tilde) <= 2.0
-            assert 0.5 <= p.rho <= 4.0
+        n = params.n
+        for q in pts1:
+            assert math.sqrt(sum(x * x for x in q[ix_x(1):ix_y(n - 1) + 1])) <= 0.9 + 1e-12
+            assert all(math.hypot(q[ix_u(k, n)], q[ix_v(k, n)]) <= 2.0 + 1e-12 for k in range(n))
+            assert abs(q[ix_phi(n)]) <= 2.0
+            assert 0.5 <= q[ix_rho()] <= 4.0
         assert seeded_points(params, 3, seed=1) != seeded_points(params, 3, seed=2)
 
-    # sha256 of repr(seeded_points(ModelParams(n, 1.0), 5, seed)): the stream
-    # of random.Random, the polar method and the draw order of the docstring.
+    # sha256 of repr(seeded_points(ModelParams(n, 1.0), 5, seed)), a list of
+    # chart lists: the stream of random.Random, the polar method and the draw
+    # order of the docstring.
     # The values pass through math.log, math.cos and math.sin, so a libm that
     # rounds differently may move their last digits.
     STREAM_SHA256 = {
-        (1, 42): "1ff2ddf6ba60ed9017420c23ac06e39e013861808f553ab20f626a961d5aee0b",
-        (2, 7): "5a1bc3f0c07829d2758f2644422e5df0b9ffe2e26ebc4f4a478d35a76806cad3",
-        (3, 2**64 - 1): "ce10d0fb67e16169a1f9cfc46f124aa713788599279d11213015ee6e61eba791",
+        (1, 42): "c76ce49dc47432707a33290c70cf408e58b0b73a52294c8390e8d588770b8520",
+        (2, 7): "6c87f738848f29e019e81ef6953ab17631fc87a0179e2535a07eb27c332b7f37",
+        (3, 2**64 - 1): "1e8a7b066898304441fee694b9552ca848a43547feeeecaacbbe81f6286f35df",
     }
 
     @pytest.mark.parametrize("n, seed", list(STREAM_SHA256))
@@ -823,18 +843,21 @@ class TestSampling:
     def test_law(self):
         # X = 0.9 sqrt(U) times a uniform direction, |w| = 2 sqrt(U) with a
         # uniform angle: the squared radii and the angle are uniform on [0, 1).
-        points = seeded_points(ModelParams(3, 1.0), 4000, seed=5)
-        X = np.array([p.X for p in points])
-        w = np.array([p.w for p in points])
-        phi = np.array([p.phi_tilde for p in points])
-        rho = np.array([p.rho for p in points])
+        n = 3
+        points = np.array(seeded_points(ModelParams(n, 1.0), 4000, seed=5))
+        X = points[:, ix_x(1):ix_y(n - 1) + 1]
+        u = points[:, [ix_u(k, n) for k in range(n)]]
+        v = points[:, [ix_v(k, n) for k in range(n)]]
+        phi = points[:, ix_phi(n)]
+        rho = points[:, ix_rho()]
         samples = {
             "X radius": (np.linalg.norm(X, axis=1) / 0.9) ** 2,
-            "w radius": (np.abs(w.ravel()) / 2.0) ** 2,
-            "w angle": np.angle(w.ravel()) / (2 * np.pi) % 1.0,
+            "w radius": (np.hypot(u, v).ravel() / 2.0) ** 2,
+            "w angle": np.arctan2(v, u).ravel() / (2 * np.pi) % 1.0,
         }
         for name, values in samples.items():
             assert self.ks_uniform(values) < 0.03, name
-        assert np.max(np.abs(X.mean(axis=0))) < 0.03
+        # |mean X^a|, the x^a and y^a means taken together
+        assert np.max(np.hypot(X[:, 0::2].mean(axis=0), X[:, 1::2].mean(axis=0))) < 0.03
         assert -2.0 <= phi.min() < -1.99 and 1.99 < phi.max() < 2.0
         assert 0.5 <= rho.min() < 0.51 and 3.99 < rho.max() < 4.0

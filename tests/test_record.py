@@ -7,7 +7,6 @@ import pytest
 
 from oneloop.cli import RunConfig
 from oneloop.exact import QI
-from oneloop.geometry import PointBarN
 from oneloop.heis import HeisLatticePoint, HeisPoint, LatticeDescription
 from oneloop.liealg import CenterVector
 from oneloop.matrices import MatGl, StructureReport
@@ -32,7 +31,6 @@ CASES = [
     (LatticeDescription, (1, ((QI(1),),), Fraction(1)), (1, ((QI(1),),), Fraction(2)),
      (2, ((QI(1),),), Fraction(1))),
     (HeisLatticePoint, ((1, 2), 0), ((1, 2), 1), ((1.5,), 0)),
-    (PointBarN, ((), (0j,), 0.0, 1.0), ((), (0j,), 0.0, 2.0), ((), (0j,), 0.0, -1.0)),
 ]
 
 

@@ -919,11 +919,12 @@ def _complex_forms(tree):
                   and node.attr in ("conjugate", "real", "imag"))
 
 
-def test_the_chart_catalogue_forms_no_complex_number():
-    # The catalogue is substituted into the real chart once, in integers:
-    # the Killing check and the flows evaluate real polynomials, and never
-    # form a complex value or project one onto the chart.
-    for module in ("fields", "flows"):
+def test_the_float_path_forms_no_complex_number():
+    # A point is its real chart vector, and the catalogue is substituted
+    # into the real chart once, in integers: the metric, the Killing check
+    # and the flows evaluate real numbers, and never form a complex value or
+    # project one onto the chart.
+    for module in ("geometry", "fields", "flows"):
         assert _complex_forms(_parse(ROOT / "src" / "oneloop" / f"{module}.py")) == [], module
 
 

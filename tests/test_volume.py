@@ -17,7 +17,6 @@ import pytest
 import oneloop
 from oneloop.geometry import (
     ModelParams,
-    PointBarN,
     fiber_density_split,
     metric_gram,
     seeded_points,
@@ -130,8 +129,7 @@ class TestDensity:
             for p in base:
                 _, f_inv = fiber_density_split(p, params)
                 for rho in (0.7, 1.9, 3.3):
-                    moved = PointBarN(p.X, p.w, p.phi_tilde, rho)
-                    g = metric_gram(moved, params)
+                    g = metric_gram([rho, *p[1:]], params)
                     predicted = density(rho, params) * f_inv
                     actual = math.sqrt(np.linalg.det(g))
                     assert actual == pytest.approx(predicted, rel=1e-8)
@@ -465,27 +463,39 @@ class TestRangeRule:
             with pytest.raises(FloatRangeError, match=r"rho = 1.0 .* n = 1100$"):
                 call()
 
-    @pytest.mark.parametrize("c, rho", [(0.5, 1.0), (0.5, 2.0), (1.0, 1.5)])
+    @pytest.mark.parametrize("c, rho", [(0.5, 1.0), (0.5, 2.0), (1.0, 1.5), (1.5, 1.5)])
     def test_closed_forms_where_horner_partial_sums_overflow(self, c, rho):
         # At n = 1039 H's largest coefficient is within 2^24 of the largest
         # float, and for c/rho < 1 Horner's partial sums exceed H itself.
         # The closed tail, the slab and the ratio column read H from
         # coefficients scaled by a power of two, and match the exact sums.
+        # At c/rho = 1, H and P are beyond the largest float, but the
+        # density, the tails and the slabs are not: the power of two goes
+        # into the exponent, and only the ratio column, (n+1) H, refuses.
         n = 1039
         params = ModelParams(n=n, c=c)
-        H = [Fraction(p, n + 1 + k) for k, p in enumerate(poly_P(n))]
+        P = poly_P(n)
+        H = [Fraction(p, n + 1 + k) for k, p in enumerate(P)]
 
         def tail(r):
             return _exact_horner(H, Fraction(c) / r) / r ** (n + 1)
 
         r = Fraction(rho)
         ratio = (n + 1) * _exact_horner(H, Fraction(c) / r)
-        (row,) = volume_rows([rho], params)
-        for value, exact in ((tail_closed(rho, params), tail(r)),
-                             (slab_closed(rho, 2 * rho, params), tail(r) - tail(2 * r)),
-                             (row["quadrature_tail"], tail(r)),
-                             (row["ratio_to_asymptote"], ratio)):
+        slab = tail(r) - tail(2 * r)
+        for value, exact in ((density(rho, params), _exact_horner(P, Fraction(c) / r) / r ** (n + 2)),
+                             (tail_closed(rho, params), tail(r)),
+                             (tail_quadrature(rho, params), tail(r)),
+                             (slab_closed(rho, 2 * rho, params), slab),
+                             (slab_quadrature(rho, 2 * rho, params), slab)):
             assert abs(Fraction(value) - exact) <= exact / 10**12
+        if ratio > sys.float_info.max:
+            with pytest.raises(ValueError, match=rf"rho = {rho!r} leaves the float range"):
+                volume_rows([rho], params)
+        else:
+            (row,) = volume_rows([rho], params)
+            assert row["quadrature_tail"] == tail_quadrature(rho, params)
+            assert abs(Fraction(row["ratio_to_asymptote"]) - ratio) <= ratio / 10**12
 
     @pytest.mark.parametrize("n", [1040, 1100])
     def test_oracles_refuse_before_building_a_rule(self, n):
