@@ -43,7 +43,9 @@ listed in its ``_COMMANDS`` entry, plus ``--out``.  An argv of the form
 the command does not take or a prefix of one, a value that does not convert)
 goes to the argparse parser built from the same tables, which gives the same
 values or exits 2 with its usage message.  A flag that is not given keeps its
-``RunConfig`` default.
+``RunConfig`` default, and ``RunConfig`` decides what the run reads once: c is
+the c of ``--c-exact`` on a command that takes ``--c``, and the format the
+command's default unless ``--format`` names one.
 """
 
 from __future__ import annotations
@@ -59,19 +61,15 @@ if TYPE_CHECKING:  # argparse and fractions load only where they are used
     import argparse
     from fractions import Fraction
 
-__all__ = ["RunConfig", "ConfigError", "main", "run"]
+__all__ = ["RunConfig", "main", "run"]
 
 # A CSV column: its header name and the formatter of its cells.
 Column = Tuple[str, Callable[[object], str]]
 
 
-class ConfigError(ValueError):
-    """A configuration value failed validation before dispatch."""
-
-
 @record(frozen=True)
 class RunConfig:
-    """Validated inputs of one driver invocation."""
+    """Validated inputs of one driver invocation, as its command runs them."""
 
     command: str
     n: int = 2
@@ -88,32 +86,31 @@ class RunConfig:
         # No negative zero: the echo of --c -0.0 must read 0.0, as --c 0 does.
         object.__setattr__(self, "c", self.c + 0.0)
         if self.n < 1:
-            raise ConfigError(f"n must be a positive integer, got {self.n!r}")
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not (math.isfinite(self.c) and self.c >= 0):
-            raise ConfigError(f"c must be a finite non-negative real, got {self.c!r}")
+            raise ValueError(f"c must be a finite non-negative real, got {self.c!r}")
         if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be a 64-bit integer, got {self.seed!r}")
+            raise ValueError(f"seed must be a 64-bit integer, got {self.seed!r}")
         if self.points < 1:
-            raise ConfigError(f"points must be a positive integer, got {self.points!r}")
+            raise ValueError(f"points must be a positive integer, got {self.points!r}")
         if self.bound < 1:
-            raise ConfigError(f"bound must be a positive integer, got {self.bound!r}")
+            raise ValueError(f"bound must be a positive integer, got {self.bound!r}")
         if not self.grid or not all(math.isfinite(r) and r > 0 for r in self.grid):
-            raise ConfigError(
-                "grid must be a nonempty list of positive finite rho values"
-            )
-        # Every command that takes --c-exact reads A:B; only some read LAM,
-        # which effective_c checks.
+            raise ValueError("grid must be a nonempty list of positive finite rho values")
+        # Every command that takes --c-exact reads A:B; only those that take
+        # --c read LAM, checked below, so lattice accepts any LAM.
         if self.c_exact is not None and not (self.c_exact[1] > 0 and self.c_exact[2] > 0):
-            raise ConfigError("c-exact algebra parameters must be positive integers")
-
-    @property
-    def effective_c(self) -> float:
-        if self.c_exact is not None:
+            raise ValueError("c-exact algebra parameters must be positive integers")
+        if self.command not in _COMMANDS:
+            raise ValueError(f"unknown command {self.command!r}")
+        _, flags, default_format, _ = _COMMANDS[self.command]
+        object.__setattr__(self, "format", self.format or default_format)
+        if self.c_exact is not None and "c" in flags:
             from .params import c_compatible
 
             lam, a, b = self.c_exact
             if lam < 0:
-                raise ConfigError("c-exact scaling factor must be nonnegative")
+                raise ValueError("c-exact scaling factor must be nonnegative")
             try:
                 c = c_compatible(lam, a, b)
             except OverflowError:  # LAM, A or B leaves the float range
@@ -124,14 +121,9 @@ class RunConfig:
                 from decimal import Decimal
 
                 shown = (Decimal(lam.numerator) / lam.denominator).normalize()
-                raise ConfigError(f"c-exact {shown:.6g}:{a}:{b} gives a c that leaves the "
-                                  "float range")
-            return c
-        return self.c
-
-    @property
-    def effective_format(self) -> str:
-        return self.format or _COMMANDS[self.command][2]
+                raise ValueError(f"c-exact {shown:.6g}:{a}:{b} gives a c that leaves the "
+                                 "float range")
+            object.__setattr__(self, "c", c)
 
     def echo(self) -> Dict:
         """The numeric configuration that decided the report: the command's
@@ -139,7 +131,7 @@ class RunConfig:
         flags = _COMMANDS[self.command][1]
         payload = {name: getattr(self, name)
                    for name in ("n", "seed", "points") if name in flags}
-        payload["c"] = self.effective_c
+        payload["c"] = self.c
         if self.c_exact is not None:
             lam, a, b = self.c_exact
             payload["c_exact"] = {"lam": str(lam), "a": a, "b": b}
@@ -349,7 +341,7 @@ def build_config(argv: Sequence[str]) -> RunConfig:
     if args is None:
         args = vars(_build_parser().parse_args(argv))
     if args.get("c") is not None and args.get("c_exact") is not None:
-        raise ConfigError("--c and --c-exact both set c; give one of them")
+        raise ValueError("--c and --c-exact both set c; give one of them")
     # A flag that is not given keeps its RunConfig default.
     return RunConfig(**{key: value for key, value in args.items() if value is not None})
 
@@ -357,23 +349,16 @@ def build_config(argv: Sequence[str]) -> RunConfig:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = build_config(list(sys.argv[1:] if argv is None else argv))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    (module, name), _, _, columns = _COMMANDS[config.command]
-    # The relative __import__ of the handler's module, not
-    # importlib.import_module, which python -X importtime does not time.
-    handler = getattr(__import__(module, globals(), None, (name,), 1), name)
-    try:
+        (module, name), _, _, columns = _COMMANDS[config.command]
+        # The relative __import__ of the handler's module, not
+        # importlib.import_module, which python -X importtime does not time.
+        handler = getattr(__import__(module, globals(), None, (name,), 1), name)
         report, rows = handler(config)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report["command"] = config.command
-    if config.effective_format == "csv":
-        text = _csv_text(columns, rows)
-    else:
-        text = _json_text(report)
+    text = _csv_text(columns, rows) if config.format == "csv" else _json_text(report)
     if config.out is not None:
         try:
             with open(config.out, "w", encoding="utf-8") as handle:

@@ -18,8 +18,8 @@ import math
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .geometry import (
-    FD_STEP, ModelParams, _max_abs, _upper, _weighted_sum, ix_phi, ix_rho, ix_u, ix_v, ix_x,
-    ix_y, metric_first_derivatives, metric_gram, seeded_points,
+    FD_STEP, ModelParams, _max_abs, _pattern, _upper, ix_phi, ix_rho, ix_u, ix_v, ix_x, ix_y,
+    metric_first_derivatives, metric_gram, seeded_points,
 )
 from .generators import VarTable, generator_terms
 
@@ -207,19 +207,22 @@ def _lie_derivatives(evaluate: _ChartEvaluator, q: Sequence[float],
     """L_F g = F^k d_k g + J^T g + g J for every field of ``evaluate``, as its
     flat upper triangle, like each D1[k] (``metric_first_derivatives``).
 
-    Only the nonzero entries of F and J are visited.  An entry J_ab adds
-    J_ab g_xa to (g J)_xb and to (J^T g)_bx for every x, which is the pair
-    {x, b} of the upper triangle, twice on the diagonal.
+    Only the nonzero entries of F and J are visited, and of each D1[k] only
+    those ``_pattern(n)[0][k]`` lets be non-zero: the others are exact
+    zeros, so the sum keeps its bits but for the sign of a zero.  An entry
+    J_ab adds J_ab g_xa to (g J)_xb and to (J^T g)_bx for every x, which is
+    the pair {x, b} of the upper triangle, twice on the diagonal.
     """
     index = _upper(len(g))[0]
+    first = _pattern(params.n)[0]
     vecs, jacs = evaluate(q, params.c)
     out = []
     for vec, jac in zip(vecs, jacs):
-        if vec:
-            ks, values = zip(*vec)
-            L = _weighted_sum(len(vec))(values, [D1[k] for k in ks], 1.0)
-        else:
-            L = [0.0] * len(D1[0])
+        L = [0.0] * len(D1[0])
+        for k, value in vec:
+            Dk = D1[k]
+            for e in first[k]:
+                L[e] += value * Dk[e]
         for a, b, value in jac:
             row = g[a]
             for position, x in zip(index[b], row):
@@ -260,7 +263,7 @@ def cmd_verify_killing(config) -> Tuple[Dict, List[Dict]]:
     """The ``verify-killing`` report and CSV rows of :mod:`oneloop.cli`, on
     its RunConfig; ``all_pass`` (every generator within tolerance and the
     radial control above its threshold) decides the exit status."""
-    params = ModelParams(n=config.n, c=config.effective_c)
+    params = ModelParams(n=config.n, c=config.c)
     points = seeded_points(params, config.points, seed=config.seed)
     residuals, control = killing_residuals(params, points)
     rows = [

@@ -538,7 +538,7 @@ def cmd_curvature(config) -> tuple[dict, None]:
     """The ``curvature`` report of :mod:`oneloop.cli`, on its RunConfig;
     ``all_pass`` (residuals and lambda spread within tolerance, mean lambda
     negative) decides the exit status."""
-    params = ModelParams(n=config.n, c=config.effective_c)
+    params = ModelParams(n=config.n, c=config.c)
     points = seeded_points(params, config.points, seed=config.seed)
     rows = []
     lambdas = []

@@ -48,19 +48,22 @@ def structure_check(n: int) -> StructureReport:
     dimension index n.
 
     Exact polynomial arithmetic with the deformation parameter symbolic;
-    -[x, y] is the commutator [y, x], and alpha of a basis element is its
-    image.  Both sides are antisymmetric in (x, y), exactly, so each
-    unordered pair is bracketed once and decides its mirror too:
-    ``pairs_checked`` counts the ordered pairs decided, and the mismatches
-    come in row-major order.  alpha runs once per distinct commutator (51
-    among the 325 unordered pairs at n = 4), kept for this call only and
-    keyed on the commutator's nonzero numerators (``MatGl.terms``).
+    -[x, y] is the commutator [y, x].  First alpha of each basis element x
+    must be its image, a failure being the mismatch (x, x): the bracket
+    identity holds in a ring whose i * i is +1 as well, but the coefficient
+    that ``coordinates`` reads for T is 1 only if i * i = -1.  Both sides
+    are antisymmetric in (x, y), exactly, so each unordered pair is
+    bracketed once and decides its mirror too: ``pairs_checked`` counts the
+    ordered pairs decided, and the mismatches come in row-major order.
+    Then alpha runs once per distinct commutator (51 among the 325
+    unordered pairs at n = 4), kept for this call only and keyed on the
+    commutator's nonzero numerators (``MatGl.terms``).
     """
     from .matrices import StructureReport, algebra_basis, alpha
     from .polyfields import bracket
 
     basis = algebra_basis(n)
-    mismatched = set()
+    mismatched = {(j, j) for j, (_, x, image_x) in enumerate(basis) if alpha(x) != image_x}
     images: Dict[tuple, PolyVectorField] = {}
     for j, (_, x, image_x) in enumerate(basis):
         for k in range(j, len(basis)):

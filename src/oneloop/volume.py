@@ -374,7 +374,7 @@ def cmd_volume_table(config) -> Tuple[Dict, List[Dict[str, float]]]:
     """The ``volume-table`` report and CSV rows of :mod:`oneloop.cli`, on its
     RunConfig; ``all_pass`` (each row's closed tail within VOLUME_TOLERANCE of
     its quadrature) decides the exit status."""
-    params = ModelParams(n=config.n, c=config.effective_c)
+    params = ModelParams(n=config.n, c=config.c)
     computed = volume_rows(config.grid, params)
     # The verdict compares the unrounded tails: the printed ones are rounded.
     all_pass = all(abs(row["closed_tail"] - row["quadrature_tail"])

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 import oneloop
 import oneloop.cli
-from oneloop.cli import (_COMMANDS, _FLAGS, ConfigError, RunConfig, _build_parser, _read_argv,
-                         build_config, main)
+from oneloop.cli import (_COMMANDS, _FLAGS, RunConfig, _build_parser, _read_argv, build_config,
+                         main)
 from oneloop.fields import killing_residuals
 from oneloop.geometry import (
     ModelParams, _gram_from_chart, _metric_second_derivatives,
@@ -69,26 +69,25 @@ class TestConfig:
         assert config.seed == 42
         assert config.points == 20
         assert config.bound == 3
-        assert config.format is None
-        assert config.effective_format == "json"
+        assert config.format == "json"
         assert config.grid == (1.0, 2.0, 4.0)
 
     def test_default_formats_per_command(self):
-        assert build_config(["lattice"]).effective_format == "csv"
-        assert build_config(["volume-table"]).effective_format == "csv"
-        assert build_config(["center"]).effective_format == "json"
+        assert build_config(["lattice"]).format == "csv"
+        assert build_config(["volume-table"]).format == "csv"
+        assert build_config(["center"]).format == "json"
+        assert build_config(["lattice", "--format", "json"]).format == "json"
 
     def test_c_exact_parsing_and_resolution(self):
         config = build_config(["curvature", "--c-exact", "1/2:3:7"])
         assert config.c_exact == (Fraction(1, 2), 3, 7)
-        expected = c_compatible(Fraction(1, 2), 3, 7)
-        assert config.effective_c == expected
+        assert config.c == c_compatible(Fraction(1, 2), 3, 7)
 
     def test_c_exact_echoed_in_config(self):
         config = build_config(["curvature", "--c-exact", "1:2:3"])
         echo = config.echo()
         assert echo["c_exact"] == {"lam": "1", "a": 2, "b": 3}
-        assert echo["c"] == config.effective_c
+        assert echo["c"] == config.c == c_compatible(1, 2, 3)
 
     def test_grid_parsing(self):
         config = build_config(["volume-table", "--grid", "1,2.5,4"])
@@ -99,25 +98,30 @@ class TestConfig:
             build_config(["curvature", "--c-exact", "1:2"])
 
     def test_validation_rejects_bad_values(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             RunConfig(command="structure", n=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             RunConfig(command="structure", c=-1.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             RunConfig(command="structure", seed=-1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             RunConfig(command="structure", points=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             RunConfig(command="lattice", bound=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             RunConfig(command="volume-table", grid=(1.0, -2.0))
-        with pytest.raises(ConfigError, match="algebra parameters"):
+        with pytest.raises(ValueError, match="algebra parameters"):
             RunConfig(command="lattice", c_exact=(Fraction(1), 0, 3))
-        # LAM is checked where it is read, so lattice, which reads only A:B,
-        # takes a negative one.
-        config = RunConfig(command="curvature", c_exact=(Fraction(-1), 2, 3))
-        with pytest.raises(ConfigError, match="scaling factor must be nonnegative"):
-            config.effective_c
+        with pytest.raises(ValueError, match="unknown command 'verify'"):
+            RunConfig(command="verify")
+        # A command that takes --c reads LAM as its c, and refuses a negative
+        # one at construction; lattice, which reads only A:B, takes it.
+        with pytest.raises(ValueError, match="scaling factor must be nonnegative"):
+            RunConfig(command="curvature", c_exact=(Fraction(-1), 2, 3))
+        assert RunConfig(command="lattice", c_exact=(Fraction(-1), 2, 3)).c == 1.0
+        # Each earlier check still comes first.
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            RunConfig(command="curvature", n=0, c_exact=(Fraction(-1), 2, 3))
 
     def test_json_only_commands_reject_csv(self, capsys, monkeypatch):
         # A command that reports JSON only takes no --format.
@@ -866,13 +870,30 @@ GOLDEN = [
      EMPTY_SHA256, "error: c-exact 1e-400:2:3 gives a c that leaves the float range\n"),
     (["volume-table", "--n", "1", "--c-exact", "1e-400:2:3"], 2,
      EMPTY_SHA256, "error: c-exact 1e-400:2:3 gives a c that leaves the float range\n"),
+    # The float commands run at the c of --c-exact.
+    (["verify-killing", "--n", "1", "--points", "1", "--c-exact", "1:2:3"], 1,
+     "30832fc8287e00ad8f7f32f7cc0cb1e00c567fceea4f6d609a734f55e6a5f69e", ""),
+    (["curvature", "--n", "1", "--points", "1", "--c-exact", "1:2:3"], 0,
+     "732523df12fbce58c5c4e2b1cb5c2901e3cb18a97a05b4b5abca64a975d774f1", ""),
+    # The float jobs of the benchmark's numeric-fd workload past n = 1, at
+    # one seed: the residuals' bits.
+    (["verify-killing", "--n", "2", "--points", "30", "--seed", "1"], 1,
+     "061d4329956589111cc1fe947652b239150d3d53b8f8529ae865d51aba77cead", ""),
+    (["verify-killing", "--n", "3", "--points", "30", "--seed", "1"], 1,
+     "a06d58759a8f03998da4c00b8992518edfb6164b7f4176abdfc45314f3bbf5c5", ""),
+    (["curvature", "--n", "2", "--points", "2", "--seed", "1"], 0,
+     "6a546dcec1d2ea5032a1299e485c69170ea616ab6afde45ad0792b6ab12cb655", ""),
+    (["curvature", "--n", "3", "--points", "2", "--seed", "1"], 0,
+     "895f5f369c9b774ebe7c918d4e75bdc902d12fcc820e79d045e781acdaef1f74", ""),
     # Each part of --c-exact is checked where it is read: lattice reads A:B
     # alone, and prints the bytes of LAM = 1; a command that reads c refuses
-    # a negative LAM.
+    # a negative LAM, after the checks of the other flags.
     (["lattice", "--c-exact=-1:2:3", "--bound", "1"], 0,
      "ef6ba21309c6c391f460736864542e1ff81201233a8195af20e4ceacf64ed5a6", ""),
     (["verify-killing", "--n", "1", "--points", "1", "--c-exact=-1:2:3"], 2,
      EMPTY_SHA256, "error: c-exact scaling factor must be nonnegative\n"),
+    (["curvature", "--n", "0", "--c-exact=-1:2:3"], 2, EMPTY_SHA256,
+     "error: n must be a positive integer, got 0\n"),
     (["lattice", "--c-exact", "1:0:3", "--bound", "1"], 2, EMPTY_SHA256,
      "error: c-exact algebra parameters must be positive integers\n"),
     # Two flags that set c.

@@ -704,6 +704,30 @@ class TestBatchedEvaluation:
             assert abs(value - expected[label]) <= 1e-12, label
         assert abs(control - expected_control) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lie_derivatives_match_a_dense_sum(self, n):
+        # F^k d_k g summed over every entry of each D1[k], in k order, then
+        # J^T g + g J as _lie_derivatives adds it: the sum over the entries
+        # that _pattern lets be non-zero changes no value.
+        params = ModelParams(n=n, c=0.75)
+        evaluate = _ChartEvaluator([F for _, F in _chart_catalogue(n)])
+        index = oneloop.geometry._upper(4 * n)[0]
+        for p in seeded_points(params, 10, seed=n):
+            D1 = metric_first_derivatives(p, params)
+            g = metric_gram(p, params)
+            vecs, jacs = evaluate(p, params.c)
+            expected = []
+            for vec, jac in zip(vecs, jacs):
+                L = [0.0] * len(D1[0])
+                for k, value in vec:
+                    L = [x + value * d for x, d in zip(L, D1[k])]
+                for a, b, value in jac:
+                    for x in range(4 * n):
+                        L[index[b][x]] += value * g[a][x]
+                    L[index[b][b]] += value * g[a][b]
+                expected.append(L)
+            assert oneloop.fields._lie_derivatives(evaluate, p, params, D1, g) == expected
+
     def test_higher_powers_follow_python_arithmetic(self):
         # X^3 wbar^2 + (1/3 + 2i) c X Xbar: powers above 2 and a coefficient
         # whose product does not commute with rounding
@@ -949,13 +973,17 @@ class TestKilling:
         assert control > 1e-2
 
     def test_nan_residual_fails_every_row(self, monkeypatch):
-        # NaN metric derivatives make every Lie derivative NaN; the maxima
-        # must carry the NaN instead of keeping their 0.0 start value.
+        # NaN metric derivatives make the Lie derivative of every field that
+        # moves a coordinate g depends on NaN; the maxima must carry the NaN
+        # instead of keeping their 0.0 start value.  T moves only phi, and
+        # d_phi g, zero on every entry of _pattern, is not read at all.
         params = ModelParams(1, 1.0)
         points = seeded_points(params, 2)
         monkeypatch.setattr(oneloop.fields, "metric_first_derivatives",
                             lambda q, params: [[math.nan] * 10] * 4)
         residuals, control = killing_residuals(params, points)
+        assert oneloop.geometry._pattern(1)[0][ix_phi(1)] == []
+        assert residuals.pop("T") == 0.0
         assert residuals and all(math.isnan(res) for res in residuals.values())
         assert not any(res <= 1e-6 for res in residuals.values())
         assert math.isnan(control)

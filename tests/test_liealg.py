@@ -609,8 +609,24 @@ class TestStructureMemo:
 
         monkeypatch.setattr(matrices, "alpha", counting)
         report = structure_check(n)
-        assert report.pairs_checked == len(algebra_basis(n)) ** 2
-        assert len(calls) == len(set(calls)) == distinct
+        basis = [x for _, x, _ in algebra_basis(n)]
+        assert report.pairs_checked == len(basis) ** 2
+        # First each basis element, checked against its own image.
+        assert calls[:len(basis)] == basis
+        commutators = calls[len(basis):]
+        assert len(commutators) == len(set(commutators)) == distinct
+
+    def test_basis_element_off_its_image_is_reported(self, monkeypatch):
+        # alpha reads T's coefficient doubled: alpha(T) is 2 T, not T's
+        # image, which only the check of each basis element sees.
+        def doubled_t(x):
+            out = coordinates(x)
+            out[-1] = out[-1] + out[-1]
+            return out
+
+        monkeypatch.setattr(matrices, "coordinates", doubled_t)
+        assert ("T", "T") in structure_check(2).mismatches
+        assert ("T", "T") not in per_pair_structure_check(2).mismatches
 
     def test_wrong_image_is_reported_by_both(self, monkeypatch):
         # The memo holds right-hand sides only: with the image of one basis

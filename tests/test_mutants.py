@@ -77,9 +77,10 @@ MUTANTS = [
     ("ring-i-squared", "exact.py", '"-" if m & i else "+"', '"+" if m & i else "+"',
      [["lattice", "--bound", "1"]], 1, "verdict"),
     # The same edit under structure: the bracket identity it checks holds
-    # with i*i = +1 as well, and both sides are computed in the edited ring.
+    # with i*i = +1 as well, but alpha(T) is no longer T's image, since the
+    # coefficient that coordinates reads for T is 1 only if i*i = -1.
     ("ring-i-squared-structure", "exact.py", '"-" if m & i else "+"', '"+" if m & i else "+"',
-     [["structure", "--n", "2"]], 0, "equivalent"),
+     [["structure", "--n", "2"]], 1, "verdict"),
     ("Ya-angle-coefficient", "generators.py", "comps[phi] = {mono(c, x(a)): (0, 1)}",
      "comps[phi] = {mono(c, x(a)): (0, 2)}",
      [["verify-killing", "--n", "2", "--points", "1"]], 1, "unflagged"),

@@ -150,7 +150,7 @@ def test_the_lattice_layer_keeps_to_itself():
 
 def test_lattice_importers_on_a_synthetic_source():
     # An import inside a function body counts, as one at module level does.
-    trees = {"cli": ast.parse("def effective_c(config):\n"
+    trees = {"cli": ast.parse("def resolve_c(config):\n"
                               "    from .quatarith import c_compatible\n"),
              "fields": ast.parse("from oneloop.heis import hermitian\n"),
              "quatarith": ast.parse("from .heis import HeisPoint\n"),
@@ -329,6 +329,55 @@ def helper():
 
 def test_outcome_checks_on_a_synthetic_source():
     assert _outcome_writes(ast.parse(OUTCOMES)) == ([4, 11], [4, 6, 11])
+
+
+def _c_exact_readers(tree):
+    """The names of the top-level definitions of a module tree that read an
+    attribute named ``c_exact``, in source order; a read outside every
+    definition is named ``<module>``."""
+    return [getattr(top, "name", "<module>") for top in tree.body
+            if any(isinstance(node, ast.Attribute) and node.attr == "c_exact"
+                   for node in ast.walk(top))]
+
+
+def test_c_has_one_owner():
+    # RunConfig turns the LAM of --c-exact into c once, and every handler
+    # reads config.c; lattice alone reads c_exact, for A:B.
+    found = {path.stem: _c_exact_readers(_parse(path))
+             for path in sorted((ROOT / "src" / "oneloop").glob("*.py"))}
+    assert "RunConfig" in found.pop("cli")
+    assert {module: names for module, names in found.items() if names} == {
+        "quatarith": ["cmd_lattice"]}
+
+
+C_EXACT_READS = """
+import math
+
+LAM = settings.c_exact
+
+
+def cmd_lattice(config):
+    return config.c_exact[1:]
+
+
+class Config:
+    def resolve(self):
+        return self.c_exact
+
+
+def cmd_volume(config, c_exact=None):
+    return config.c, c_exact, "c_exact"
+
+
+def cmd_curvature(config):
+    return math.pi * config.c_exact[0]
+"""
+
+
+def test_c_exact_readers_on_a_synthetic_source():
+    # A parameter, a name or a string that spells c_exact is no read of it.
+    assert _c_exact_readers(ast.parse(C_EXACT_READS)) == [
+        "<module>", "cmd_lattice", "Config", "cmd_curvature"]
 
 
 def _is_all(node):
