@@ -116,6 +116,15 @@ class _Ring:
         """(numerators, d): the components are the numerators over d."""
         return self._n, self._d
 
+    def numerators_of(self, x):
+        """``self.coerce(x).numerators()``, read off without building a ring
+        value when x is already in this ring or is an int or a Fraction."""
+        if type(x) is type(self) and x._p == self._p:
+            return x._n, x._d
+        if isinstance(x, (int, Fraction)):
+            return (x.numerator,) + self._tail, x.denominator
+        return self.coerce(x).numerators()
+
     def __reduce__(self):
         # copy and pickle rebuild the stored form; the constructors take other arguments.
         return _element, (type(self), self._p, self._n, self._d)

@@ -9,8 +9,8 @@ the list of 4n real numbers
 
 with X^a = x^a + i y^a and w^k = u^k + i v^k, at the indices ``ix_*``
 give.  Every Gram matrix uses the same ordering.  The module evaluates the
-deformed metric, its determinant at the base point, the fiber volume-density
-factorization, and a finite-difference Ricci tensor for Einstein diagnostics.
+deformed metric, its determinant in closed form, and a finite-difference Ricci
+tensor for Einstein diagnostics.
 Everything is plain Python floats, a matrix a list of rows (a symmetric one
 inside the module often its flat upper triangle, ``_upper``): at the sizes the
 commands use (12x12 at n = 3) numpy's import would cost more than the work.
@@ -158,6 +158,11 @@ def _gram_from_chart(q, params):
     is diagonal.  ``q`` is a sequence of 4n floats; the result is the flat
     upper triangle from the kernel ``_gram_kernel(n)``.
     """
+    return _gram_kernel(params.n)(q, params.c, _one_minus_s(q, params))
+
+
+def _one_minus_s(q, params):
+    """1 - s, s = |X|^2, once the chart vector q is checked: 4n entries, rho > 0, |X| < 1."""
     n = params.n
     if len(q) != 4 * n:
         raise ValueError(f"chart vector of length {len(q)} does not match n={n}")
@@ -169,7 +174,7 @@ def _gram_from_chart(q, params):
         s += x * x
     if not s < 1.0:
         raise ValueError("X lies outside the open unit ball")
-    return _gram_kernel(n)(q, params.c, 1.0 - s)
+    return 1.0 - s
 
 
 @functools.lru_cache(maxsize=None)
@@ -295,30 +300,20 @@ def metric_gram(q, params):
     return g
 
 
-def gram_det_p0(rho, params):
-    """Closed-form det of the Gram matrix at X=0, w=0: the base-point formula."""
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    n, c = params.n, params.c
-    return (2.0 ** (2 * n - 4) / rho ** (2 * n + 4)
-            * ((rho + c) / rho) ** (2 * n - 2)
-            * ((rho + 2 * c) / rho) ** 2)
+def gram_det(q, params):
+    """det g = (2^(n-2) density(rho) (1 - s)^-n)^2 at the chart point q, s =
+    |X|^2: sqrt(det g) is the density factor ``volume.density`` (rho^-(n+2)
+    P(c/rho)) times the fiber factor 2^(n-2) (1 - s)^-n, the ball's invariant
+    measure, free of rho, w and phi_tilde.  q is checked as ``metric_gram``
+    checks it; FloatRangeError, naming rho and n, wherever det g (or
+    density(rho) itself) is not a normal float."""
+    from .volume import _normal, _scaled, density  # here, so that importing geometry skips volume
 
-
-def fiber_density_split(q, params):
-    """Split sqrt(det metric_gram) = rho_factor * f_inv.
-
-    rho_factor is ``volume.density``; f_inv is the density of the invariant
-    fiber volume form, independent of rho at fixed fiber coordinates and
-    equal to 2^(n-2) at X=0, w=0.  sqrt(det g) is the product of the
-    Cholesky factor's diagonal, taken through its logarithm.
-    """
-    from .volume import density  # here, so that importing geometry skips volume
-
-    g = metric_gram(q, params)
-    rho_factor = density(q[0], params)
-    log_root_det = sum(math.log(row[-1]) for row in _cholesky(g, params, q[0]))
-    return rho_factor, math.exp(log_root_det) / rho_factor
+    if not all(map(math.isfinite, q)):
+        raise ValueError("point coordinates must be finite")
+    one_minus = _one_minus_s(q, params)
+    root = _scaled(one_minus, params.n, density(q[0], params), params.n - 2)
+    return _normal("det g", q[0], params.n, root * root)
 
 
 # Fourth-order central stencils with steps FD_STEP*max(1, |q_k|); the

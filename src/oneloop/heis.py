@@ -146,13 +146,13 @@ class LatticeDescription:
             if i == 0 and not isinstance(vec[0], (QI, Rad, RadC)):
                 raise ValueError("basis vector 0 entry 0 must be an exact QI, Rad or RadC "
                                  f"value, got {type(vec[0]).__name__}")
-            slot = _slot([_coerce(self.basis[0][0], z, f"basis vector {i} entry {j}")
+            slot = _slot([_numerators(self.basis[0][0], z, "basis vector {} entry {}", i, j)
                           for j, z in enumerate(vec)], f"basis vector {i}")
             if slot[:2] in slots:
                 raise ValueError(f"basis vectors {list(slots).index(slot[:2])} and {i} share "
                                  f"numerator {slot[1]} of entry {slot[0]}")
             slots[slot[:2]] = slot
-        _, k, num, den = _slot([_coerce(self.basis[0][0], self.r, "r")], "r")
+        _, k, num, den = _slot([_numerators(self.basis[0][0], self.r, "r")], "r")
         object.__setattr__(self, "_slots", tuple(slots.values()))
         object.__setattr__(self, "_center", ((0, k, num, 2 * den),))
 
@@ -241,21 +241,23 @@ def lattice_Ld(n: int, d: int) -> LatticeDescription:
     return LatticeDescription(n=n, basis=basis, r=i_root.im)
 
 
-def _coerce(template, z, name: str):
-    """z in the ring of the exact value ``template``, through its
-    ``coerce``; a refusal is a ValueError that names z as ``name``."""
+def _numerators(template, z, name: str, *args):
+    """(numerators, denominator) of z in the ring of the exact value
+    ``template`` (its ``numerators_of``); a refusal is a ValueError that
+    names z as ``name.format(*args)``, formatted only then."""
     try:
-        return template.coerce(z)
+        return template.numerators_of(z)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name}: {exc}") from None
+        raise ValueError(f"{name.format(*args)}: {exc}") from None
 
 
-def _slot(values, name: str) -> Tuple[int, int, int, int]:
+def _slot(parts, name: str) -> Tuple[int, int, int, int]:
     """(value index, numerator index, numerator, denominator) of the one
-    nonzero numerator among exact ring values; ``name`` names the values in
-    the ValueError raised when there is none, or more than one."""
-    found = [(j, k, x, d) for j, z in enumerate(values)
-             for nums, d in [z.numerators()] for k, x in enumerate(nums) if x]
+    nonzero numerator among the (numerators, denominator) pairs ``parts``;
+    ``name`` names the values in the ValueError raised when there is none,
+    or more than one."""
+    found = [(j, k, x, d) for j, (nums, d) in enumerate(parts)
+             for k, x in enumerate(nums) if x]
     if len(found) != 1:
         raise ValueError(f"{name} has {len(found)} nonzero numerators; a lattice "
                          "needs a rational multiple of one numerator slot")
@@ -292,10 +294,10 @@ def lattice_coordinates(
     if p.n != lattice.n:
         raise ValueError("point dimension does not match the lattice")
     template = lattice.basis[0][0]
-    coords = _multiples([_coerce(template, z, f"point entry {j}").numerators()
+    coords = _multiples([_numerators(template, z, "point entry {}", j)
                          for j, z in enumerate(p.v)], lattice._slots)
-    # t is coerced whatever coords is, so a center from another ring is refused.
-    center = _multiples([_coerce(template, p.t, "center").numerators()], lattice._center)
+    # t is read whatever coords is, so a center from another ring is refused.
+    center = _multiples([_numerators(template, p.t, "center")], lattice._center)
     if coords is None or center is None:
         return None
     return HeisLatticePoint(tuple(coords), center[0])

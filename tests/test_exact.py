@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 from fractions import Fraction
 from operator import add, mul, sub
 
@@ -283,6 +284,24 @@ class TestCoerce:
             Rad(2, 3).coerce(bad)
         with pytest.raises(ValueError, match="exact"):
             RadC(Rad(2, 3)).coerce(bad)
+
+    def test_numerators_of_reads_what_coerce_builds(self):
+        # Same-ring values, ints, Fractions and narrower rings' values give
+        # coerce(x).numerators(); a refusal is coerce's own.
+        z = RadC(Rad(2, 3, 1), Rad(2, 3, 0, 1))
+        rings = [(z, [z, 0, -7, Fraction(-9, 4), True, QI(1, Fraction(-1, 2)),
+                      Rad(2, 3, 1, 2, Fraction(1, 3))]),
+                 (Rad(2, 3, 1), [Rad(2, 3, 5), 4, Fraction(3, 8)]),
+                 (QI(1, 2), [QI(Fraction(1, 2), 3), 5, Fraction(-2, 3)])]
+        for template, values in rings:
+            for x in values:
+                assert template.numerators_of(x) == template.coerce(x).numerators()
+        for template, bad in [(z, RadC(Rad(3, 2, 1))), (z, 0.5), (Rad(2, 3), Rad(2, 5, 1)),
+                              (QI(1), 1.5 + 0j)]:
+            with pytest.raises((TypeError, ValueError)) as refused:
+                template.coerce(bad)
+            with pytest.raises(type(refused.value), match=f"^{re.escape(str(refused.value))}$"):
+                template.numerators_of(bad)
 
     def test_rad_addition_lifts_rationals(self):
         x = Rad(2, 3, 1, 2, 3, 4)

@@ -1,8 +1,10 @@
 """Metric family: Bergman block, full Gram matrix, determinant, fiber data, Ricci."""
 
 import hashlib
+import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +12,11 @@ import pytest
 
 from oneloop import geometry
 from oneloop.geometry import (ModelParams, _gram_from_chart,
-                              einstein_diagnostic, fiber_density_split,
-                              gram_det_p0, ix_phi, ix_rho, ix_u, ix_v, ix_x, ix_y,
-                              metric_first_derivatives, metric_gram, ricci_fd,
+                              einstein_diagnostic, gram_det, ix_phi, ix_rho, ix_u, ix_v,
+                              ix_x, ix_y, metric_first_derivatives, metric_gram, ricci_fd,
                               seeded_points)
 from oneloop.params import THETA_SHEAR
+from oneloop.volume import FloatRangeError, density, poly_P
 
 # ricci_fd against the numpy einsum assembly on the same pattern-zeroed
 # derivatives, relative to max |Ric|; measured <= 2.4e-15 at n = 1, 2, 3 and
@@ -358,8 +360,7 @@ class TestMetricGram:
         else:
             metric_gram(p, params)
 
-    @pytest.mark.parametrize("function", [metric_gram, ricci_fd, einstein_diagnostic,
-                                          fiber_density_split])
+    @pytest.mark.parametrize("function", [metric_gram, ricci_fd, einstein_diagnostic])
     def test_ill_conditioning_names_rho(self, function):
         # c = 0 is the undeformed metric: the entries of order 1/rho^2 have
         # left the normal floats, so the message names rho with c and n.
@@ -385,12 +386,16 @@ class TestMetricGram:
             assert np.allclose(np.array(ginv) @ np.array(g), np.eye(4 * n), rtol=0, atol=1e-12)
 
     def test_rejects_bad_points(self):
-        with pytest.raises(ValueError, match="outside the open unit ball"):
-            metric_gram(chart_point((0.9, 0.9), (0, 0, 0)), ModelParams(3, 0.0))
-        with pytest.raises(ValueError, match="rho must be positive"):
-            metric_gram(base_point(1, rho=-1.0), ModelParams(1, 0.0))
-        with pytest.raises(ValueError, match="does not match n="):
-            metric_gram(base_point(2), ModelParams(3, 0.0))
+        for function in (metric_gram, gram_det):
+            with pytest.raises(ValueError, match="outside the open unit ball"):
+                function(chart_point((0.9, 0.9), (0, 0, 0)), ModelParams(3, 0.0))
+            with pytest.raises(ValueError, match="outside the open unit ball"):
+                function(chart_point((1.0, 0.0), (0, 0, 0)), ModelParams(3, 0.0))  # |X| = 1
+            for rho in (-1.0, 0.0):
+                with pytest.raises(ValueError, match="rho must be positive"):
+                    function(base_point(1, rho=rho), ModelParams(1, 0.0))
+            with pytest.raises(ValueError, match="does not match n="):
+                function(base_point(2), ModelParams(3, 0.0))
 
     @pytest.mark.parametrize("coords", [
         [math.nan, 0.0, 0.0, 0.0],                          # rho
@@ -405,7 +410,7 @@ class TestMetricGram:
         # Checked once per point, before the Gram matrix: the angle, which
         # no Gram entry reads, included.
         params = ModelParams(len(coords) // 4, 0.0)
-        for function in (metric_gram, einstein_diagnostic, fiber_density_split):
+        for function in (metric_gram, einstein_diagnostic, gram_det):
             with pytest.raises(ValueError, match="^point coordinates must be finite$"):
                 function(coords, params)
 
@@ -674,50 +679,211 @@ class TestStencilBits:
         assert np.max(np.abs(ric - reference)) <= RICCI_TOLERANCE * np.max(np.abs(reference))
 
 
+def dyadic_points(params, count, seed, bits=6):
+    """Seeded chart points rounded to multiples of 2^-bits, as Fractions:
+    each is also an exact float point, and still on the chart."""
+    scale = 1 << bits
+    return [[Fraction(round(x * scale), scale) for x in p]
+            for p in seeded_points(params, count, seed=seed)]
+
+
+def squared_X(q, n):
+    """s = |X|^2 of a chart vector, exactly."""
+    return sum(Fraction(x) ** 2 for x in q[1:2 * n - 1])
+
+
+def exact_gram(q, c):
+    """The Gram matrix at a rational point, as rows of Fractions, from the
+    kernel ``_gram_kernel(n)`` run over Fraction."""
+    dim = len(q)
+    n = dim // 4
+    return geometry._symmetric(geometry._gram_kernel(n)(q, Fraction(c), 1 - squared_X(q, n)), dim)
+
+
+def exact_det(rows):
+    """det of a square matrix of Fractions by Gaussian elimination."""
+    a = [list(map(Fraction, row)) for row in rows]
+    det = Fraction(1)
+    for j in range(len(a)):
+        pivot = next((i for i in range(j, len(a)) if a[i][j]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != j:
+            a[j], a[pivot] = a[pivot], a[j]
+            det = -det
+        det *= a[j][j]
+        for i in range(j + 1, len(a)):
+            ratio = a[i][j] / a[j][j]
+            if ratio:
+                a[i] = [x - ratio * y for x, y in zip(a[i], a[j])]
+    return det
+
+
+def exact_density(rho, n, c):
+    """rho^-(n+2) P(c/rho) exactly, P from ``poly_P``."""
+    rho, c = Fraction(rho), Fraction(c)
+    return rho ** -(n + 2) * sum(p * (c / rho) ** k for k, p in enumerate(poly_P(n)))
+
+
+def closed_det(rho, s, n, c):
+    """(2^(n-2) rho^-(n+2) P(c/rho) (1-s)^-n)^2 exactly, s = |X|^2."""
+    return (Fraction(2) ** (n - 2) * exact_density(rho, n, c) * (1 - Fraction(s)) ** -n) ** 2
+
+
 class TestDeterminant:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("c", [0.0, 1.0, 3.0])
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
     def test_closed_form_matches_numeric(self, n, c, rho):
+        # numpy's determinant is the independent reference, at the base
+        # point and at seeded points of every X and w.
         params = ModelParams(n, c)
-        g = metric_gram(base_point(n, rho=rho), params)
-        closed = gram_det_p0(rho, params)
-        assert abs(np.linalg.det(g) - closed) <= 1e-10 * closed
+        points = [base_point(n, rho=rho)] + [[rho, *p[1:]] for p in seeded_points(params, 3)]
+        for q in points:
+            closed = gram_det(q, params)
+            assert abs(np.linalg.det(metric_gram(q, params)) - closed) <= 1e-10 * closed
 
     def test_pinned_values(self):
-        assert gram_det_p0(1.0, ModelParams(1, 0.0)) == pytest.approx(0.25)
-        assert gram_det_p0(2.0, ModelParams(2, 1.0)) == pytest.approx(9 / 256)
+        assert gram_det(base_point(1), ModelParams(1, 0.0)) == 0.25
+        assert gram_det(base_point(2, rho=2.0), ModelParams(2, 1.0)) == pytest.approx(9 / 256)
         for n in (1, 2, 3, 4):
-            assert gram_det_p0(1.0, ModelParams(n, 0.0)) == pytest.approx(
-                2.0 ** (2 * n - 4))
+            assert gram_det(base_point(n), ModelParams(n, 0.0)) == 2.0 ** (2 * n - 4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("c", [Fraction(0), Fraction(1, 2), Fraction(3)])
+    def test_closed_form_is_exact(self, n, c):
+        # Gaussian elimination of the kernel's own output over Fraction, at
+        # dyadic points: det g is the closed form exactly, for every X, w and
+        # phi_tilde, and gram_det on the same float point rounds it.
+        params = ModelParams(n, float(c))
+        for q in dyadic_points(params, 3, seed=10 + n):
+            exact = exact_det(exact_gram(q, c))
+            assert exact == closed_det(q[0], squared_X(q, n), n, c)
+            value = gram_det([float(x) for x in q], params)
+            assert abs(Fraction(value) - exact) <= Fraction(1, 10 ** 14) * exact
+
+    @pytest.mark.parametrize("n, rho, c, pattern", [
+        (1, 1e-300, 1.0, r"^density at rho = 1e-300 leaves the float range at n = 1$"),
+        (40, 1e-3, 1.0, r"^det g at rho = 0.001 leaves the float range at n = 40$"),
+        (2, 1e50, 0.0, r"^det g at rho = 1e\+50 leaves the float range at n = 2$"),
+    ])
+    def test_out_of_range_names_rho_and_n(self, n, rho, c, pattern):
+        # rho^-(4n+4) leaves the floats: det g overflows in the first two, in
+        # the first with density(rho), and underflows in the last, where
+        # density(rho) = 1e-200 is normal.
+        with pytest.raises(FloatRangeError, match=pattern):
+            gram_det(base_point(n, rho=rho), ModelParams(n, c))
+
+    def test_ball_edge_overflow_names_rho_and_n(self):
+        # The largest float below 1 as |X|^2, at n = 10: (1-s)^-2n = 2^1060.
+        X = (0.5 + 0.5j, 0.5 + (0.5 - 2.0 ** -53) * 1j) + (0,) * 7
+        q = chart_point(X, (0,) * 10)
+        assert geometry._one_minus_s(q, ModelParams(10, 1.0)) == 2.0 ** -53
+        with pytest.raises(FloatRangeError, match=r"^det g at rho = 1.0 .* n = 10$"):
+            gram_det(q, ModelParams(10, 1.0))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_near_the_ball_edge_is_normal(self, n):
+        # |X|^2 = 1 - 2^-40 as the float sum the chart check forms, which
+        # the Gram kernel reads too: a large, normal det g.
+        q = chart_point((1 - 2.0 ** -41,) + (0,) * (n - 2), (0,) * n)
+        assert geometry._one_minus_s(q, ModelParams(n, 1.0)) == 2.0 ** -40
+        value = gram_det(q, ModelParams(n, 1.0))
+        exact = closed_det(1, 1 - Fraction(2) ** -40, n, 1)
+        assert abs(Fraction(value) - exact) <= Fraction(1, 10 ** 14) * exact
+        if n == 2:
+            assert value == math.ldexp(36, 160)
+
+    def test_a_normal_float_or_a_range_error(self):
+        # Across rho, n, c and s: a normal float within 1e-14 of the exact
+        # closed form, or FloatRangeError where det g, or density(rho), is
+        # not a normal float (by a factor 2 of margin); never 0.0, a
+        # subnormal or inf.
+        tiny, huge = Fraction(2.0 ** -1022), Fraction(sys.float_info.max)
+        for rho, n, c, x in itertools.product(
+                [10.0 ** k for k in range(-300, 301, 50)] + [2.5e-8, 3.0e7],
+                (1, 2, 3, 10, 40), (0.0, 1.0, 1e10), (0.0, 0.75, 1 - 2.0 ** -20)):
+            q = [rho, x] + [0.0] * (4 * n - 2) if n > 1 else [rho, 0.0, 0.0, 0.0]
+            exact = closed_det(rho, squared_X(q, n), n, c)
+            try:
+                value = gram_det(q, ModelParams(n, c))
+            except FloatRangeError:
+                in_range = 2 * tiny <= exact <= huge / 2
+                assert not in_range or not tiny <= exact_density(rho, n, c) <= huge, (rho, n, c, x)
+                continue
+            assert 2.0 ** -1022 <= value < math.inf
+            assert abs(Fraction(value) - exact) <= Fraction(1, 10 ** 14) * exact, (rho, n, c, x)
 
 
 class TestFiberDensity:
+    """sqrt(det g) / density(rho), the invariant fiber density, from
+    ``gram_det`` and from numpy's determinant."""
+
+    @staticmethod
+    def fiber(q, params):
+        return math.sqrt(gram_det(q, params)) / density(q[0], params)
+
+    @staticmethod
+    def numpy_fiber(q, params):
+        return math.sqrt(np.linalg.det(metric_gram(q, params))) / density(q[0], params)
+
     @pytest.mark.parametrize("n,c", [(1, 0.0), (2, 1.0), (3, 2.0)])
     def test_base_point_normalization(self, n, c):
         params = ModelParams(n, c)
         for rho in (0.5, 1.0, 2.0):
-            _, f_inv = fiber_density_split(base_point(n, rho=rho), params)
-            assert f_inv == pytest.approx(2.0 ** (n - 2), rel=1e-10)
+            q = base_point(n, rho=rho)
+            assert self.fiber(q, params) == pytest.approx(2.0 ** (n - 2), rel=1e-14)
+            assert self.numpy_fiber(q, params) == pytest.approx(2.0 ** (n - 2), rel=1e-10)
 
     def test_rho_independence(self):
         params = ModelParams(2, 1.0)
         for p in seeded_points(params, 6, seed=11):
-            vals = []
-            for rho in (0.5, 1.0, 2.0):
-                vals.append(fiber_density_split([rho, *p[1:]], params)[1])
-            assert max(vals) - min(vals) <= 1e-8 * max(vals)
+            for fiber, tolerance in ((self.fiber, 1e-14), (self.numpy_fiber, 1e-8)):
+                vals = [fiber([rho, *p[1:]], params) for rho in (0.5, 1.0, 2.0)]
+                assert max(vals) - min(vals) <= tolerance * max(vals)
 
     def test_n1_constant_everywhere(self):
         params = ModelParams(1, 1.5)
-        vals = [fiber_density_split(p, params)[1]
-                for p in seeded_points(params, 10, seed=3)]
-        assert max(vals) - min(vals) <= 1e-10 * max(vals)
-        assert vals[0] == pytest.approx(0.5, rel=1e-10)
+        for fiber in (self.fiber, self.numpy_fiber):
+            vals = [fiber(p, params) for p in seeded_points(params, 10, seed=3)]
+            assert max(vals) - min(vals) <= 1e-10 * max(vals)
+            assert vals[0] == pytest.approx(0.5, rel=1e-10)
 
     def test_factor_value(self):
-        rho_factor, _ = fiber_density_split(base_point(2, rho=2.0), ModelParams(2, 1.0))
-        assert rho_factor == pytest.approx(2.0 ** (-4) * 1.5 * 2.0)
+        # sqrt(det g) at X = 0, w = 0 is density(rho) 2^(n-2), here 2^-4 * 1.5 * 2.
+        root = math.sqrt(gram_det(base_point(2, rho=2.0), ModelParams(2, 1.0)))
+        assert root == pytest.approx(2.0 ** (-4) * 1.5 * 2.0, rel=1e-15)
+
+
+class TestScaling:
+    """ROADMAP Direction 32: Phi_lam(rho, X, w, phi_tilde) = (lam rho, X,
+    sqrt(lam) w, lam phi_tilde) pulls g_{lam c} back to g_c, exactly."""
+
+    @staticmethod
+    def pulled_back(q, n, c, lam, w_scale):
+        """J^T g_{lam c}(Phi q) J as a flat upper triangle, with J = diag(lam,
+        1..1, w_scale..w_scale, lam) and Phi q = J q."""
+        J = [lam] + [1] * (2 * n - 2) + [w_scale] * (2 * n) + [lam]
+        image = [j * x for j, x in zip(J, q)]
+        g = geometry._gram_kernel(n)(image, lam * c, 1 - squared_X(q, n))
+        return [J[i] * J[j] * x for (i, j), x in zip(geometry._upper(4 * n)[1], g)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lam, root", [(Fraction(4), Fraction(2)),
+                                           (Fraction(1, 9), Fraction(1, 3)),
+                                           (Fraction(25, 4), Fraction(5, 2))])
+    def test_is_an_isometry_exactly(self, n, lam, root):
+        for c in (Fraction(0), Fraction(1, 2), Fraction(3)):
+            for q in dyadic_points(ModelParams(n, float(c)), 3, seed=20 + n):
+                gram = geometry._gram_kernel(n)(q, c, 1 - squared_X(q, n))
+                assert self.pulled_back(q, n, c, lam, root) == gram
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_scaling_w_by_lam_is_not(self, n):
+        lam, c = Fraction(4), Fraction(1, 2)
+        q = dyadic_points(ModelParams(n, float(c)), 1, seed=20 + n)[0]
+        gram = geometry._gram_kernel(n)(q, c, 1 - squared_X(q, n))
+        assert self.pulled_back(q, n, c, lam, lam) != gram
 
 
 class TestFiberMetric:

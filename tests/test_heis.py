@@ -3,11 +3,14 @@ membership, the form-preserving linear action, and the unipotent lattice
 stabilizer."""
 
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oneloop import exact, heis, quatarith
+from oneloop.cli import main
 from oneloop.exact import QI, Rad, RadC
 from oneloop.heis import (
     HeisLatticePoint,
@@ -411,6 +414,33 @@ class TestLatticeMembership:
         # A center value off the half-integer grid also fails.
         off_center = HeisPoint((quadc(6), quadc(6)), Fraction(1))
         assert lattice_coordinates(lat, off_center) is None
+
+    def test_lattice_command_coerces_no_entry(self, monkeypatch, capsys):
+        # Point entries already in the lattice's ring, and int or Fraction
+        # centers, are read without a coercion: an in-process `lattice` run
+        # makes no ring coerce call under lattice_coordinates, whose every
+        # call still comes from quatarith, once per Gamma_2 basis vector.
+        inside = heis.lattice_coordinates.__code__
+        coerced, calls = [], [0]
+
+        def coerce(self, x, original=exact._Radical.coerce):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not inside:
+                frame = frame.f_back
+            if frame is not None:
+                coerced.append(x)
+            return original(self, x)
+
+        def counting(lattice, point, original=quatarith.lattice_coordinates):
+            calls[0] += 1
+            return original(lattice, point)
+
+        monkeypatch.setattr(exact._Radical, "coerce", coerce)
+        monkeypatch.setattr(quatarith, "lattice_coordinates", counting)
+        assert main(["lattice", "--c-exact", "1:2:3", "--bound", "5"]) == 0
+        capsys.readouterr()
+        assert calls[0] == 456
+        assert coerced == []
 
     def test_gaussian_rational_input_is_lifted(self):
         lat = lattice_Ld(2, 5)

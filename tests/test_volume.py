@@ -17,7 +17,7 @@ import pytest
 import oneloop
 from oneloop.geometry import (
     ModelParams,
-    fiber_density_split,
+    gram_det,
     metric_gram,
     seeded_points,
 )
@@ -120,14 +120,14 @@ class TestDensity:
                     assert density(rho, params) == pytest.approx(product, rel=1e-12)
 
     def test_factorizes_full_gram_determinant(self):
-        # Measure the invariant fiber density at one rho, then predict
-        # sqrt(det g) at other rho values on the same fiber via the density
-        # factor alone.
+        # Read the invariant fiber density from the closed det g at one rho,
+        # then predict numpy's sqrt(det g) at other rho values on the same
+        # fiber via the density factor alone.
         for n, c in ((1, 1.0), (2, 0.5), (3, 2.0)):
             params = ModelParams(n=n, c=c)
             base = seeded_points(params, 3, seed=42)
             for p in base:
-                _, f_inv = fiber_density_split(p, params)
+                f_inv = math.sqrt(gram_det(p, params)) / density(p[0], params)
                 for rho in (0.7, 1.9, 3.3):
                     g = metric_gram([rho, *p[1:]], params)
                     predicted = density(rho, params) * f_inv
